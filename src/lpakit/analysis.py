@@ -15,15 +15,16 @@ is governed by quantities this module computes at each finite n:
   ||T_n^+ y - T^+ y|| <= sqrt(1 + tan^2 theta_n) * dist(T^+ y, X_n),
   valid once N(T) is contained in X_n.
 
-Every diagnostic on one instance reuses a single cached SVD of T and a single
-rank decision, so identities that hold in exact arithmetic stay consistent to
-machine precision across the different routes.
+Every diagnostic on one instance reads what the instance computed once: one
+SVD of T, one thin SVD of T X_n and both offset-angle routes, so identities
+that hold in exact arithmetic stay consistent to machine precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,10 +35,9 @@ from .linalg import (
     as_vector,
     deficiency,
     gap,
-    kernel_basis,
     numerical_rank,
     orthonormal_range,
-    pseudo_inverse,
+    pinv_from_svd,
     projector,
     svd,
 )
@@ -53,6 +53,7 @@ __all__ = [
     "qn_matrix",
     "offset_angle",
     "kernel_core",
+    "kernel_verdict",
     "kernel_approximability_scan",
     "norm_tn_dag_t",
     "error_identity_check",
@@ -69,7 +70,14 @@ class PreconditionError(ValueError):
 
 
 class LpaInstance:
-    """One (T, X_n) pair at truncation m, with the SVD of T cached.
+    """One (T, X_n) pair at truncation m, owning every factorization of it.
+
+    Construction computes, once: the SVD of T (T^+, row space, kernel) and one
+    thin SVD of T X_n, giving the range T(X_n) and the kernel columns
+    txn_kernel at the rank anchored to sigma_max(T), and tn_pinv = T_n^+ =
+    X_n (T X_n)^+ at the cutoff pseudo_inverse(T_n) applies. First use
+    computes, once: the two offset-angle images and both routes' sines.
+    Every rank decision uses rank_tol.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
     arbitrary orthonormal basis may be supplied instead. T_n itself is never
@@ -97,20 +105,38 @@ class LpaInstance:
         self.rank = numerical_rank(res.singular_values, t.shape, rank_tol)
         self.sigma_max = float(res.singular_values[0]) if self.m else 0.0
         r = self.rank
-        if r == 0:
-            self.t_pinv = np.zeros((self.m, self.m))
-        else:
-            self.t_pinv = (res.vt[:r].T / res.singular_values[:r]) @ res.u[:, :r].T
+        self.t_pinv = pinv_from_svd(res, r)
         self.rowspace = Subspace(res.vt[:r].T.copy())
         self.kernel = Subspace(res.vt[r:].T.copy())
         self.p_xn = projector(self.x_n)
+        txn = t @ self.x_n.basis
+        res = svd(txn, full_matrices=False)
+        r = numerical_rank(res.singular_values, txn.shape, rank_tol, scale=self.sigma_max)
+        self.txn_range = Subspace(res.u[:, :r].copy())
+        self.txn_kernel = Subspace(res.vt[r:].T.copy())
+        self.tn_pinv = self.x_n.basis @ pinv_from_svd(
+            res, numerical_rank(res.singular_values, txn.shape, rank_tol))
 
     def tn(self) -> np.ndarray:
         """The approximating operator T P_{X_n}, built on demand."""
         return self.t @ self.p_xn
 
-    def tn_pinv(self) -> np.ndarray:
-        return pseudo_inverse(self.tn(), self.rank_tol)
+    @cached_property
+    def images(self) -> tuple[Subspace, Subspace]:
+        """T^+T(X_n) and T^*T(X_n). T^+T is applied as the row-space projector,
+        which does not amplify roundoff in kernel directions."""
+        xb, vr = self.x_n.basis, self.rowspace.basis
+        return (orthonormal_range(vr @ (vr.T @ xb), self.rank_tol, scale=1.0),
+                orthonormal_range(self.t.T @ (self.t @ xb), self.rank_tol,
+                                  scale=self.sigma_max**2))
+
+    @cached_property
+    def offset_sines(self) -> tuple[float, float]:
+        """sin theta_n by the gap route, the gap between the two images, and
+        by the oblique-projector route, sqrt(1 - 1/||I - Q_n||^2)."""
+        sin_gap = gap(*self.images)
+        nrm = float(np.linalg.norm(np.eye(self.m) - qn_matrix(self), 2))
+        return sin_gap, math.sqrt(max(0.0, 1.0 - 1.0 / nrm**2)) if nrm > 1.0 else 0.0
 
 
 def make_lpa(family: OperatorFamily, n: int, m: int,
@@ -136,7 +162,7 @@ def tn_pinv_apply(inst: LpaInstance, y) -> np.ndarray:
     y = as_vector(y)
     if y.shape[0] != inst.m:
         raise ValueError(f"y has dimension {y.shape[0]}, expected {inst.m}")
-    x = inst.tn_pinv() @ y
+    x = inst.tn_pinv @ y
     nx = float(np.linalg.norm(x))
     outside = float(np.linalg.norm(x - inst.p_xn @ x))
     if nx > 0 and outside > 1e-9 * nx:
@@ -151,11 +177,7 @@ def qn_matrix(inst: LpaInstance) -> np.ndarray:
     Its range is T^+T(X_n), its kernel is the orthogonal complement of
     T^*T(X_n), and it is idempotent up to roundoff.
     """
-    if inst.rank == 0:
-        return np.zeros((inst.m, inst.m))
-    txn = orthonormal_range(inst.t @ inst.x_n.basis, inst.rank_tol,
-                            scale=inst.sigma_max)
-    return inst.t_pinv @ projector(txn) @ inst.t
+    return inst.t_pinv @ projector(inst.txn_range) @ inst.t
 
 
 @dataclass(frozen=True)
@@ -180,33 +202,16 @@ class OffsetAngle:
 def offset_angle(inst: LpaInstance, tolerances: Tolerances | None = None) -> OffsetAngle:
     """Angle between T^+T(X_n) and T^*T(X_n), by two routes.
 
-    Route one orthonormalizes the images of the X_n basis under T^+T and
-    T^*T (using the cached factorization: T^+T is applied as the projector
-    onto the row space, which does not amplify roundoff in kernel directions)
-    and takes the gap between them. Route two evaluates
-    sqrt(1 - 1/||I - Q_n||^2) with Q_n the oblique projector. The two agree
-    in exact arithmetic.
+    Route one is the gap between the two image subspaces, route two
+    evaluates sqrt(1 - 1/||I - Q_n||^2) with Q_n the oblique projector; the
+    two agree in exact arithmetic. Both come from inst.offset_sines, computed
+    once per instance at inst.rank_tol; route_warn is read on every call.
     """
     tolerances = tolerances or Tolerances.default()
-    rank_tol = tolerances.rank if tolerances.rank is not None else inst.rank_tol
-    xb = inst.x_n.basis
-    if inst.rank == 0:
-        r1 = Subspace.zero(inst.m)
-        r2 = Subspace.zero(inst.m)
-    else:
-        vr = inst.rowspace.basis
-        r1 = orthonormal_range(vr @ (vr.T @ xb), rank_tol, scale=1.0)
-        r2 = orthonormal_range(inst.t.T @ (inst.t @ xb), rank_tol,
-                               scale=inst.sigma_max**2)
-    sin_gap = gap(r1, r2)
-
-    qn = qn_matrix(inst)
-    nrm = float(np.linalg.norm(np.eye(inst.m) - qn, 2))
-    sin_qn = math.sqrt(max(0.0, 1.0 - 1.0 / nrm**2)) if nrm > 1.0 else 0.0
-
-    theta = math.asin(min(max(sin_gap, 0.0), 1.0))
+    r1, r2 = inst.images
+    sin_gap, sin_qn = inst.offset_sines
     return OffsetAngle(
-        theta=theta,
+        theta=math.asin(min(max(sin_gap, 0.0), 1.0)),
         sin_gap_route=sin_gap,
         sin_qn_route=sin_qn,
         rank_mismatch=(r1.dim != r2.dim),
@@ -214,23 +219,18 @@ def offset_angle(inst: LpaInstance, tolerances: Tolerances | None = None) -> Off
     )
 
 
-def kernel_core(inst: LpaInstance, rank_tol: float | None = None) -> Subspace:
+def kernel_core(inst: LpaInstance) -> Subspace:
     """Orthonormal basis of the intersection of N(T) with X_n.
 
     Computed as the kernel of T restricted to the X_n basis, lifted back to
     the ambient space. For T numerically zero the core is all of X_n.
     """
-    if rank_tol is None:
-        rank_tol = inst.rank_tol
-    if inst.rank == 0:
-        return inst.x_n
-    coeff = kernel_basis(inst.t @ inst.x_n.basis, rank_tol, scale=inst.sigma_max)
-    return Subspace(inst.x_n.basis @ coeff.basis)
+    return Subspace(inst.x_n.basis @ inst.txn_kernel.basis)
 
 
 def norm_tn_dag_t(inst: LpaInstance) -> float:
     """Spectral norm of T_n^+ T at the instance truncation."""
-    return float(np.linalg.norm(inst.tn_pinv() @ inst.t, 2))
+    return float(np.linalg.norm(inst.tn_pinv @ inst.t, 2))
 
 
 @dataclass(frozen=True)
@@ -289,16 +289,28 @@ class KernelScanReport:
     message: str
 
 
+def kernel_verdict(rows, check: float) -> str:
+    """Kernel approximability over rows in ascending n: "holds" when the last
+    core fills the kernel (dimension, and gap within `check`), "violated"
+    when the core's shortfall never shrank, which rules out convergence
+    regardless of the angles, "inconclusive" otherwise."""
+    last, first = rows[-1], rows[0]
+    deficit_last = last.kernel_dim - last.kernel_core_dim
+    deficit_first = first.kernel_dim - first.kernel_core_dim
+    if deficit_last == 0 and last.kernel_gap <= check:
+        return "holds"
+    if deficit_last > 0 and deficit_last >= deficit_first:
+        return "violated"
+    return "inconclusive"
+
+
 def kernel_approximability_scan(family: OperatorFamily, n_list,
                                 m_rule: str | None = None,
                                 tolerances: Tolerances | None = None) -> KernelScanReport:
     """Track the kernel core along ascending n.
 
-    The scan reports holds=True when, by the last n, the core dimension has
-    reached the kernel dimension and the gap between core and kernel has
-    dropped below the check tolerance. A persistent shortfall means the
-    subspaces never capture the kernel, which rules out convergence of the
-    scheme regardless of the angles.
+    holds is True when kernel_verdict says "holds", and the message names
+    the verdict.
     """
     tolerances = tolerances or Tolerances.default()
     n_list = list(n_list)
@@ -314,17 +326,13 @@ def kernel_approximability_scan(family: OperatorFamily, n_list,
             kernel_dim=inst.kernel.dim,
             kernel_gap=gap(core, inst.kernel),
         ))
-    last = rows[-1]
-    holds = (last.kernel_core_dim == last.kernel_dim
-             and last.kernel_gap <= tolerances.check)
-    if holds:
-        first = next(r.n for r in rows
-                     if r.kernel_core_dim == r.kernel_dim
-                     and r.kernel_gap <= tolerances.check)
-        message = f"kernel captured from n={first}"
+    verdict = kernel_verdict(rows, tolerances.check)
+    if verdict == "holds":
+        first = next(r.n for r in rows if kernel_verdict([r], tolerances.check) == "holds")
+        message = f"kernel approximability holds: kernel captured from n={first}"
     else:
-        message = "kernel approximability violated at tested range"
-    return KernelScanReport(rows=tuple(rows), holds=holds, message=message)
+        message = f"kernel approximability {verdict} at tested range"
+    return KernelScanReport(rows=tuple(rows), holds=verdict == "holds", message=message)
 
 
 @dataclass(frozen=True)
@@ -351,7 +359,7 @@ def error_identity_check(inst: LpaInstance, y,
     tp_y = inst.t_pinv @ y
     lhs = tn_pinv_apply(inst, y) - tp_y
     w = tp_y - inst.p_xn @ tp_y
-    rhs = inst.tn_pinv() @ (inst.t @ w) - w
+    rhs = inst.tn_pinv @ (inst.t @ w) - w
     diff = float(np.linalg.norm(lhs - rhs))
     tol = tolerances.identity_rel * (1.0 + float(np.linalg.norm(tp_y)))
     return CheckReport(lhs=float(np.linalg.norm(lhs)), rhs=float(np.linalg.norm(rhs)),
@@ -425,23 +433,18 @@ def zero_offset_characterization(inst: LpaInstance,
     """Evaluate the three zero-offset conditions independently."""
     tolerances = tolerances or Tolerances.default()
     tol = tolerances.check
-    ang = offset_angle(inst, tolerances)
 
-    pinv_diff = float(np.linalg.norm(inst.tn_pinv() - inst.p_xn @ inst.t_pinv, 2))
+    pinv_diff = float(np.linalg.norm(inst.tn_pinv - inst.p_xn @ inst.t_pinv, 2))
     pinv_scale = 1.0 + float(np.linalg.norm(inst.t_pinv, 2))
 
-    if inst.rank == 0:
-        image = Subspace.zero(inst.m)
-    else:
-        image = orthonormal_range(inst.t.T @ (inst.t @ inst.x_n.basis),
-                                  inst.rank_tol, scale=inst.sigma_max**2)
-    stacked = np.hstack([image.basis, inst.kernel.basis])
+    stacked = np.hstack([inst.images[1].basis, inst.kernel.basis])
     # both blocks are orthonormal, so the honest scale of the stack is 1
     total = orthonormal_range(stacked, inst.rank_tol, scale=1.0) \
         if stacked.shape[1] else Subspace.zero(inst.m)
     sum_def = deficiency(total, inst.x_n)
 
-    theta_zero = ang.sin_gap_route <= tol
+    sin_theta = inst.offset_sines[0]
+    theta_zero = sin_theta <= tol
     pinv_ok = pinv_diff <= tol * pinv_scale
     invariance = sum_def <= tol
     return ZeroOffsetReport(
@@ -450,7 +453,7 @@ def zero_offset_characterization(inst: LpaInstance,
         invariance_holds=invariance,
         consistent=(theta_zero == pinv_ok == invariance),
         kernel_inside=deficiency(inst.kernel, inst.x_n) <= tol,
-        sin_theta=ang.sin_gap_route,
+        sin_theta=sin_theta,
         pinv_diff=pinv_diff,
         sum_deficiency=sum_def,
     )

@@ -25,6 +25,7 @@ __all__ = [
     "svd",
     "numerical_rank",
     "pseudo_inverse",
+    "pinv_from_svd",
     "orthonormal_range",
     "kernel_basis",
     "projector",
@@ -57,7 +58,7 @@ def as_vector(y) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Full SVD ``a = u @ diag(singular_values) @ vt`` (thin factors)."""
+    """SVD ``a = u[:, :k] @ diag(singular_values) @ vt[:k]``, k = len(singular_values)."""
 
     u: np.ndarray
     singular_values: np.ndarray
@@ -104,15 +105,15 @@ class Subspace:
         return Subspace(np.eye(ambient_dim)[:, :k])
 
 
-def svd(a) -> SvdResult:
-    """Full SVD with nonincreasing singular values.
+def svd(a, full_matrices: bool = True) -> SvdResult:
+    """SVD with nonincreasing singular values.
 
     Backed by LAPACK through numpy; deterministic for a fixed input. A
     non-converging iteration raises ``numpy.linalg.LinAlgError`` rather than
-    returning garbage.
+    returning garbage. full_matrices=False gives the thin u of a tall input.
     """
     a = as_matrix(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=True)
+    u, s, vt = np.linalg.svd(a, full_matrices=full_matrices)
     return SvdResult(u=u, singular_values=s, vt=vt)
 
 
@@ -145,10 +146,14 @@ def pseudo_inverse(a, rank_tol: float | None = None) -> np.ndarray:
     ``rank_tol * sigma_max`` treated as zero."""
     a = as_matrix(a)
     res = svd(a)
-    r = numerical_rank(res.singular_values, a.shape, rank_tol)
-    if r == 0:
-        return np.zeros((a.shape[1], a.shape[0]))
-    return (res.vt[:r].T / res.singular_values[:r]) @ res.u[:, :r].T
+    return pinv_from_svd(res, numerical_rank(res.singular_values, a.shape, rank_tol))
+
+
+def pinv_from_svd(res: SvdResult, rank: int) -> np.ndarray:
+    """Moore-Penrose inverse from SVD factors and the rank to keep."""
+    if rank == 0:
+        return np.zeros((res.vt.shape[1], res.u.shape[0]))
+    return (res.vt[:rank].T / res.singular_values[:rank]) @ res.u[:, :rank].T
 
 
 def orthonormal_range(a, rank_tol: float | None = None,

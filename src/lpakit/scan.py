@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import LpaDiagnostics, diagnose, error_bound_check, make_lpa
-from .config import ConfigError, ScanConfig, Tolerances
-from .linalg import deficiency
+from .analysis import (LpaDiagnostics, PreconditionError, diagnose, error_bound_check,
+                       kernel_verdict, make_lpa)
+from .config import ConfigError, ScanConfig
 from .operators import get_family
 
 __all__ = [
@@ -64,17 +64,6 @@ class ScanReport:
     verdicts: dict
 
 
-def _kernel_verdict(rows, check: float) -> str:
-    last, first = rows[-1], rows[0]
-    deficit_last = last.kernel_dim - last.kernel_core_dim
-    deficit_first = first.kernel_dim - first.kernel_core_dim
-    if deficit_last == 0 and last.kernel_gap <= check:
-        return "holds"
-    if deficit_last > 0 and deficit_last >= deficit_first:
-        return "violated"
-    return "inconclusive"
-
-
 def _theta_verdict(rows) -> str:
     factors = [r.bound_factor for r in rows]
     sins = [r.sin_theta_gap for r in rows]
@@ -87,6 +76,18 @@ def _theta_verdict(rows) -> str:
     return "inconclusive"
 
 
+def _scan_row(config: ScanConfig, family, n: int) -> tuple[LpaDiagnostics, bool | None]:
+    """Row at n and its bound check's verdict, None where the bound's precondition
+    fails. The instance is freed on return, before the next row factors T."""
+    inst = make_lpa(family, n, config.m_for(n), config.tolerances.rank)
+    row = diagnose(inst, config.tolerances)
+    y = np.random.default_rng([config.seed, n]).standard_normal(inst.m)
+    try:
+        return row, error_bound_check(inst, y, config.tolerances).passed
+    except PreconditionError:
+        return row, None
+
+
 def run_scan(config: ScanConfig) -> ScanReport:
     """Full diagnostics over config.n_list, plus verdicts.
 
@@ -94,32 +95,27 @@ def run_scan(config: ScanConfig) -> ScanReport:
     seeded by (config.seed, n), so reruns of the same config are bitwise
     reproducible.
     """
-    tol = config.tolerances
     try:
         family = get_family(config.operator_name, **config.operator_params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows: list[LpaDiagnostics] = []
-    bound_passed = 0
-    bound_total = 0
+    checks: list[bool] = []
     for n in config.n_list:
         try:
-            inst = make_lpa(family, n, config.m_for(n), tol.rank)
-            rows.append(diagnose(inst, tol))
-            if deficiency(inst.kernel, inst.x_n) <= tol.check:
-                bound_total += 1
-                y = np.random.default_rng([config.seed, n]).standard_normal(inst.m)
-                if error_bound_check(inst, y, tol).passed:
-                    bound_passed += 1
+            row, passed = _scan_row(config, family, n)
         except (np.linalg.LinAlgError, ArithmeticError) as exc:
             raise ScanNumericalError(config.operator_name, n, str(exc)) from exc
         except ValueError as exc:
             raise ConfigError(
                 f"operator {config.operator_name!r} rejects n={n}: {exc}") from exc
+        rows.append(row)
+        if passed is not None:
+            checks.append(passed)
     verdicts = {
-        "kernel_approximability": _kernel_verdict(rows, tol.check),
+        "kernel_approximability": kernel_verdict(rows, config.tolerances.check),
         "sup_theta_bounded": _theta_verdict(rows),
-        "bound_checks_passed": f"{bound_passed}/{bound_total}",
+        "bound_checks_passed": f"{sum(checks)}/{len(checks)}",
     }
     return ScanReport(config=config, rows=tuple(rows), verdicts=verdicts)
 
@@ -131,22 +127,23 @@ def _format_cell(row: LpaDiagnostics, field: str) -> str:
     return "%.17g" % value
 
 
+def _json_safe(value):
+    """value with every non-finite float replaced by its CSV cell text, since
+    JSON has no literal for inf or nan."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "%.17g" % value
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def render_csv(report: ScanReport) -> str:
     lines = [CSV_HEADER]
     for row in report.rows:
         lines.append(",".join(_format_cell(row, f) for f in _CSV_FIELDS))
     return "\n".join(lines) + "\n"
-
-
-def _tolerances_to_dict(tol: Tolerances) -> dict:
-    return {
-        "rank": tol.rank,
-        "check": tol.check,
-        "route_warn": tol.route_warn,
-        "identity_rel": tol.identity_rel,
-        "bound_rel": tol.bound_rel,
-        "bound_abs": tol.bound_abs,
-    }
 
 
 def report_to_dict(report: ScanReport) -> dict:
@@ -157,7 +154,7 @@ def report_to_dict(report: ScanReport) -> dict:
             "n_list": list(cfg.n_list),
             "m_rule": cfg.m_rule,
             "seed": cfg.seed,
-            "tolerances": _tolerances_to_dict(cfg.tolerances),
+            "tolerances": asdict(cfg.tolerances),
         },
         "rows": [{f: getattr(row, f) for f in _CSV_FIELDS} for row in report.rows],
         "verdicts": dict(report.verdicts),
@@ -165,7 +162,8 @@ def report_to_dict(report: ScanReport) -> dict:
 
 
 def render_json(report: ScanReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_json_safe(report_to_dict(report)), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def write_outputs(report: ScanReport, out_dir: str | None = None) -> list[str]:

@@ -286,7 +286,7 @@ def _suite_best() -> list[CheckResult]:
         worst_sin = max(worst_sin, d.sin_theta_gap)
         worst_norm = max(worst_norm, abs(d.norm_tn_dag_t - 1.0))
         y = np.random.default_rng([707, n]).standard_normal(20)
-        x = inst.tn_pinv() @ y
+        x = inst.tn_pinv @ y
         worst_proj = max(worst_proj, float(np.linalg.norm(
             x - inst.p_xn @ (inst.t_pinv @ y))))
         bc = error_bound_check(inst, y)

@@ -5,6 +5,7 @@ scripts (dense SVD plus closed-form series sums) and frozen; the tests
 assert the package reproduces them, not the other way round.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -28,7 +29,14 @@ from lpakit.analysis import (
     zero_offset_characterization,
 )
 from lpakit.config import resolve_m
-from lpakit.linalg import Subspace, gap, kernel_basis, orthonormal_range, projector
+from lpakit.linalg import (
+    Subspace,
+    gap,
+    kernel_basis,
+    orthonormal_range,
+    projector,
+    pseudo_inverse,
+)
 from lpakit.operators import du_bad_y, du_vector_e, get_family, random_finite_kernel
 
 # sin theta_n for the compact injective example on the m = 4n grid,
@@ -80,6 +88,49 @@ def test_instance_caches_consistent_factorization():
     assert inst.rowspace.dim == 8
     # the pseudoinverse agrees with the reference implementation
     assert np.allclose(inst.t_pinv, np.linalg.pinv(inst.t), atol=1e-10)
+
+
+@pytest.mark.parametrize("name, n, m", [("seidman", 8, 32), ("best-lpa", 8, 20),
+                                        ("du", 4, 36)])
+def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
+    # T, T X_n and the two offset-angle images; singular values alone
+    # (compute_uv=False, spectral norms) are not factorizations
+    shapes = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    inst = make_lpa(get_family(name), n, m)
+    diagnose(inst)
+    with contextlib.suppress(PreconditionError):  # du never captures its kernel
+        error_bound_check(inst, np.ones(m))
+    assert len(shapes) == 4, shapes
+    assert shapes.count((m, m)) == 1, shapes
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_lpa(get_family("seidman"), 8, 32),
+    lambda: make_lpa(get_family("du"), 4, 36),
+    lambda: make_lpa(get_family("best-lpa"), 8, 20),
+    lambda: make_lpa(get_family("random", kernel_dim=3, seed=0), 6, 12),
+    lambda: LpaInstance(random_finite_kernel(12, 3, 0), 5, x_basis=np.linalg.qr(
+        np.random.default_rng(0).standard_normal((12, 5)))[0]),
+    lambda: make_lpa(get_family("identity"), 3, 6),
+    lambda: LpaInstance(np.zeros((5, 5)), 2),
+], ids=["seidman", "du", "best-lpa", "random-kernel-inside", "random-kernel-outside",
+        "identity", "zero"])
+def test_tn_pinv_matches_dense_oracle(build):
+    # X_n (T X_n)^+ against the SVD of the m x m matrix T_n = T P_{X_n}
+    inst = build()
+    dense = pseudo_inverse(inst.tn(), inst.rank_tol)
+    diff = np.linalg.norm(inst.tn_pinv - dense, 2)
+    assert diff <= 1e-10 * np.linalg.norm(dense, 2)
+    # rank(A^+) = trace(A^+ A), A^+ A being an orthogonal projector
+    assert round(np.trace(inst.tn_pinv @ inst.tn())) == round(np.trace(dense @ inst.tn()))
 
 
 # ------------------------------------------------------------ solution route
@@ -172,7 +223,7 @@ def test_qn_factors_through_kernel_complement():
     for seed in (0, 1, 2):
         inst = coordinate_instance(seed, 14, 6, 1 + seed)
         lhs = qn_matrix(inst)
-        rhs = projector(inst.rowspace) @ inst.tn_pinv() @ inst.t
+        rhs = projector(inst.rowspace) @ inst.tn_pinv @ inst.t
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-7
 
 

@@ -1,11 +1,13 @@
 """Tests for config parsing, scan reports, and the command line."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 import lpakit.scan
+from lpakit.analysis import kernel_approximability_scan
 from lpakit.cli import main
 from lpakit.config import (
     ConfigError,
@@ -15,7 +17,8 @@ from lpakit.config import (
     resolve_m,
     scan_config_from_dict,
 )
-from lpakit.scan import CSV_HEADER, ScanNumericalError, render_csv, run_scan
+from lpakit.operators import get_family
+from lpakit.scan import CSV_HEADER, ScanNumericalError, render_csv, render_json, run_scan
 
 # ---------------------------------------------------------------- tolerances
 
@@ -282,6 +285,41 @@ def test_scan_report_fields_mirror_rows():
         assert raw["theta_n"] == row.theta_n
         assert raw["bound_factor"] == row.bound_factor
         assert not math.isnan(raw["theta_n"])
+
+
+@pytest.mark.parametrize("operator, n_list, m_rule, verdict", [
+    ({"name": "du"}, [2, 4, 8, 16], None, "violated"),
+    ({"name": "random", "params": {"kernel_dim": 2, "seed": 1}}, [2, 4, 8], None, "holds"),
+    # the core grows from 2 to 3 of 4 dimensions: neither captured nor stuck
+    ({"name": "random", "params": {"kernel_dim": 4, "seed": 0}}, [2, 3], "fixed:12",
+     "inconclusive"),
+], ids=["du", "random-captured", "random-growing-core"])
+def test_kernel_verdict_same_in_scan_and_kernel_scan(operator, n_list, m_rule, verdict):
+    cfg = scan_config_from_dict({"operator": operator, "n_list": n_list, "m_rule": m_rule})
+    assert run_scan(cfg).verdicts["kernel_approximability"] == verdict
+    rep = kernel_approximability_scan(get_family(operator["name"], **operator.get("params", {})),
+                                      n_list, m_rule)
+    assert rep.holds == (verdict == "holds")
+    assert verdict in rep.message
+
+
+def test_render_json_is_strict_with_non_finite_values():
+    rep = run_scan(scan_config_from_dict(minimal_config(n_list=[2, 4])))
+    tol = dataclasses.replace(rep.config.tolerances, bound_abs=math.inf)
+    rep = dataclasses.replace(
+        rep, config=dataclasses.replace(rep.config, tolerances=tol),
+        rows=(dataclasses.replace(rep.rows[0], bound_factor=math.inf),
+              dataclasses.replace(rep.rows[1], kernel_gap=math.nan)))
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads(render_json(rep), parse_constant=reject)
+    assert payload["rows"][0]["bound_factor"] == "inf"
+    assert payload["rows"][1]["kernel_gap"] == "nan"
+    assert payload["config"]["tolerances"]["bound_abs"] == "inf"
+    # the JSON text of a non-finite value is its CSV cell
+    assert render_csv(rep).splitlines()[1].endswith(",inf")
 
 
 def test_scan_config_m_for():
