@@ -31,6 +31,7 @@ import numpy as np
 from .config import Tolerances, resolve_m
 from .linalg import (
     Subspace,
+    SvdResult,
     as_matrix,
     as_vector,
     deficiency,
@@ -72,12 +73,12 @@ class PreconditionError(ValueError):
 class LpaInstance:
     """One (T, X_n) pair at truncation m, owning every factorization of it.
 
-    Construction computes, once: the SVD of T (T^+, row space, kernel) and one
-    thin SVD of T X_n, giving the range T(X_n) and the kernel columns
-    txn_kernel at the rank anchored to sigma_max(T), and tn_pinv = T_n^+ =
-    X_n (T X_n)^+ at the cutoff pseudo_inverse(T_n) applies. First use
-    computes, once: the two offset-angle images and both routes' sines.
-    Every rank decision uses rank_tol.
+    Construction computes the SVD of T (T^+, row space, kernel). First use
+    computes, once: one thin SVD of T X_n (txn_svd), whose rank anchored to
+    sigma_max(T) splits it into the range T(X_n) and the kernel columns, and
+    tn_pinv = T_n^+ = X_n (T X_n)^+ at the cutoff pseudo_inverse(T_n)
+    applies; the two offset-angle images and both routes' sines. Every rank
+    decision uses rank_tol.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
     arbitrary orthonormal basis may be supplied instead. T_n itself is never
@@ -109,17 +110,26 @@ class LpaInstance:
         self.rowspace = Subspace(res.vt[:r].T.copy())
         self.kernel = Subspace(res.vt[r:].T.copy())
         self.p_xn = projector(self.x_n)
-        txn = t @ self.x_n.basis
-        res = svd(txn, full_matrices=False)
-        r = numerical_rank(res.singular_values, txn.shape, rank_tol, scale=self.sigma_max)
-        self.txn_range = Subspace(res.u[:, :r].copy())
-        self.txn_kernel = Subspace(res.vt[r:].T.copy())
-        self.tn_pinv = self.x_n.basis @ pinv_from_svd(
-            res, numerical_rank(res.singular_values, txn.shape, rank_tol))
 
     def tn(self) -> np.ndarray:
         """The approximating operator T P_{X_n}, built on demand."""
         return self.t @ self.p_xn
+
+    @cached_property
+    def txn_svd(self) -> tuple[SvdResult, int]:
+        """Thin SVD of T X_n and its rank anchored to sigma_max(T)."""
+        res = svd(self.t @ self.x_n.basis, full_matrices=False)
+        shape = (self.m, self.x_n.dim)
+        return res, numerical_rank(res.singular_values, shape, self.rank_tol,
+                                   scale=self.sigma_max)
+
+    @cached_property
+    def tn_pinv(self) -> np.ndarray:
+        """T_n^+ = X_n (T X_n)^+, cut off relative to sigma_max(T X_n) as
+        pseudo_inverse(T_n) does."""
+        res = self.txn_svd[0]
+        rank = numerical_rank(res.singular_values, (self.m, self.x_n.dim), self.rank_tol)
+        return self.x_n.basis @ pinv_from_svd(res, rank)
 
     @cached_property
     def images(self) -> tuple[Subspace, Subspace]:
@@ -177,7 +187,8 @@ def qn_matrix(inst: LpaInstance) -> np.ndarray:
     Its range is T^+T(X_n), its kernel is the orthogonal complement of
     T^*T(X_n), and it is idempotent up to roundoff.
     """
-    return inst.t_pinv @ projector(inst.txn_range) @ inst.t
+    res, r = inst.txn_svd
+    return inst.t_pinv @ projector(Subspace(res.u[:, :r])) @ inst.t
 
 
 @dataclass(frozen=True)
@@ -225,7 +236,8 @@ def kernel_core(inst: LpaInstance) -> Subspace:
     Computed as the kernel of T restricted to the X_n basis, lifted back to
     the ambient space. For T numerically zero the core is all of X_n.
     """
-    return Subspace(inst.x_n.basis @ inst.txn_kernel.basis)
+    res, r = inst.txn_svd
+    return Subspace(inst.x_n.basis @ Subspace(res.vt[r:].T).basis)
 
 
 def norm_tn_dag_t(inst: LpaInstance) -> float:
