@@ -17,7 +17,8 @@ is governed by quantities this module computes at each finite n:
 
 Every diagnostic on one instance reads what the instance computed once: one
 SVD of T, one thin SVD of T X_n and both offset-angle routes, so identities
-that hold in exact arithmetic stay consistent to machine precision.
+that hold in exact arithmetic stay consistent to machine precision. Subspaces
+stay orthonormal bases, X_n projecting as X_n (X_n^T v); only tn() and Q_n are m x m.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ class LpaInstance:
     decision uses rank_tol.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
-    arbitrary orthonormal basis may be supplied instead. T_n itself is never
-    stored, every consumer derives it on demand as T @ projector(X_n).
+    arbitrary orthonormal basis may be supplied instead.
     """
 
     def __init__(self, t, n: int, x_basis: np.ndarray | None = None,
@@ -109,11 +109,10 @@ class LpaInstance:
         self.t_pinv = pinv_from_svd(res, r)
         self.rowspace = Subspace(res.vt[:r].T.copy())
         self.kernel = Subspace(res.vt[r:].T.copy())
-        self.p_xn = projector(self.x_n)
 
     def tn(self) -> np.ndarray:
         """The approximating operator T P_{X_n}, built on demand."""
-        return self.t @ self.p_xn
+        return self.t @ projector(self.x_n)
 
     @cached_property
     def txn_svd(self) -> tuple[SvdResult, int]:
@@ -135,8 +134,8 @@ class LpaInstance:
     def images(self) -> tuple[Subspace, Subspace]:
         """T^+T(X_n) and T^*T(X_n). T^+T is applied as the row-space projector,
         which does not amplify roundoff in kernel directions."""
-        xb, vr = self.x_n.basis, self.rowspace.basis
-        return (orthonormal_range(vr @ (vr.T @ xb), self.rank_tol, scale=1.0),
+        xb = self.x_n.basis
+        return (orthonormal_range(self.rowspace.project(xb), self.rank_tol, scale=1.0),
                 orthonormal_range(self.t.T @ (self.t @ xb), self.rank_tol,
                                   scale=self.sigma_max**2))
 
@@ -174,7 +173,7 @@ def tn_pinv_apply(inst: LpaInstance, y) -> np.ndarray:
         raise ValueError(f"y has dimension {y.shape[0]}, expected {inst.m}")
     x = inst.tn_pinv @ y
     nx = float(np.linalg.norm(x))
-    outside = float(np.linalg.norm(x - inst.p_xn @ x))
+    outside = float(np.linalg.norm(x - inst.x_n.project(x)))
     if nx > 0 and outside > 1e-9 * nx:
         raise ArithmeticError(
             f"solution leaked outside the subspace: {outside:.3e} vs norm {nx:.3e}")
@@ -188,7 +187,7 @@ def qn_matrix(inst: LpaInstance) -> np.ndarray:
     T^*T(X_n), and it is idempotent up to roundoff.
     """
     res, r = inst.txn_svd
-    return inst.t_pinv @ projector(Subspace(res.u[:, :r])) @ inst.t
+    return (inst.t_pinv @ res.u[:, :r]) @ (res.u[:, :r].T @ inst.t)
 
 
 @dataclass(frozen=True)
@@ -237,12 +236,12 @@ def kernel_core(inst: LpaInstance) -> Subspace:
     the ambient space. For T numerically zero the core is all of X_n.
     """
     res, r = inst.txn_svd
-    return Subspace(inst.x_n.basis @ Subspace(res.vt[r:].T).basis)
+    return Subspace(inst.x_n.basis @ res.vt[r:].T)
 
 
 def norm_tn_dag_t(inst: LpaInstance) -> float:
-    """Spectral norm of T_n^+ T at the instance truncation."""
-    return float(np.linalg.norm(inst.tn_pinv @ inst.t, 2))
+    """||T_n^+ T||, as the norm of the k x m matrix X_n^T T_n^+ T (T_n^+ maps into X_n)."""
+    return float(np.linalg.norm((inst.x_n.basis.T @ inst.tn_pinv) @ inst.t, 2))
 
 
 @dataclass(frozen=True)
@@ -370,7 +369,7 @@ def error_identity_check(inst: LpaInstance, y,
     y = as_vector(y)
     tp_y = inst.t_pinv @ y
     lhs = tn_pinv_apply(inst, y) - tp_y
-    w = tp_y - inst.p_xn @ tp_y
+    w = tp_y - inst.x_n.project(tp_y)
     rhs = inst.tn_pinv @ (inst.t @ w) - w
     diff = float(np.linalg.norm(lhs - rhs))
     tol = tolerances.identity_rel * (1.0 + float(np.linalg.norm(tp_y)))
@@ -405,7 +404,7 @@ def error_bound_check(inst: LpaInstance, y,
     factor = _bound_factor(ang.sin_gap_route)
     tp_y = inst.t_pinv @ y
     lhs = float(np.linalg.norm(tn_pinv_apply(inst, y) - tp_y))
-    dist = float(np.linalg.norm(tp_y - inst.p_xn @ tp_y))
+    dist = float(np.linalg.norm(tp_y - inst.x_n.project(tp_y)))
     rhs = factor * dist
     if rhs > 0:
         ratio = lhs / rhs
@@ -446,7 +445,7 @@ def zero_offset_characterization(inst: LpaInstance,
     tolerances = tolerances or Tolerances.default()
     tol = tolerances.check
 
-    pinv_diff = float(np.linalg.norm(inst.tn_pinv - inst.p_xn @ inst.t_pinv, 2))
+    pinv_diff = float(np.linalg.norm(inst.tn_pinv - inst.x_n.project(inst.t_pinv), 2))
     pinv_scale = 1.0 + float(np.linalg.norm(inst.t_pinv, 2))
 
     stacked = np.hstack([inst.images[1].basis, inst.kernel.basis])

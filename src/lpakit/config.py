@@ -8,6 +8,7 @@ plain JSON files; see load_scan_config for the schema.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 
@@ -53,10 +54,29 @@ class Tolerances:
                 value = float(env)
             except ValueError as exc:
                 raise ConfigError(f"{TOL_ENV_VAR} must be a float, got {env!r}") from exc
-            if not 0 < value < 1:
-                raise ConfigError(f"{TOL_ENV_VAR} must be in (0, 1), got {value}")
-            tol = replace(tol, check=value)
+            tol = replace(tol, check=_require_tolerance("check", value, TOL_ENV_VAR))
         return tol
+
+
+_TOLERANCE_RANGES = {  # allowed values of each field, as text and as a test
+    "rank": ("in (0, 1) or null", lambda v: 0 < v < 1),
+    "check": ("in (0, 1)", lambda v: 0 < v < 1),
+    **dict.fromkeys(("route_warn", "identity_rel"), ("> 0", lambda v: v > 0)),
+    **dict.fromkeys(("bound_rel", "bound_abs"), (">= 0", lambda v: v >= 0)),
+}
+
+
+def _require_tolerance(name: str, value, source: str):
+    """value if tolerance field `name` allows it, else ConfigError naming source."""
+    rule, allowed = _TOLERANCE_RANGES[name]
+    try:
+        valid = (name == "rank" and value is None) or (
+            not isinstance(value, bool) and math.isfinite(value) and allowed(value))
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        valid = False
+    if not valid:
+        raise ConfigError(f"{source} must be a finite number {rule}, got {value!r}")
+    return value
 
 
 def resolve_m(m_rule: str | None, n: int) -> int:
@@ -105,10 +125,11 @@ class ScanConfig:
 
 def _build_tolerances(raw: dict) -> Tolerances:
     base = Tolerances.default()
-    unknown = set(raw) - {f for f in base.__dataclass_fields__}
+    unknown = set(raw) - set(_TOLERANCE_RANGES)
     if unknown:
         raise ConfigError(f"unknown tolerance fields: {sorted(unknown)}")
-    return replace(base, **raw)
+    return replace(base, **{name: _require_tolerance(name, value, f"tolerance '{name}'")
+                            for name, value in raw.items()})
 
 
 def scan_config_from_dict(data: dict) -> ScanConfig:
@@ -126,7 +147,7 @@ def scan_config_from_dict(data: dict) -> ScanConfig:
         raise ConfigError(f"unknown operator fields: {sorted(unknown_op)}")
     n_list = data.get("n_list")
     if (not isinstance(n_list, list) or not n_list
-            or any((not isinstance(n, int)) or n < 1 for n in n_list)):
+            or any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in n_list)):
         raise ConfigError("field 'n_list' must be a nonempty list of positive integers")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("field 'n_list' must be strictly ascending")
@@ -144,7 +165,7 @@ def scan_config_from_dict(data: dict) -> ScanConfig:
         raise ConfigError("field 'tolerances' must be an object")
     tolerances = _build_tolerances(tol_raw)
     seed = data.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("field 'seed' must be an integer")
     outputs = []
     for i, out in enumerate(data.get("outputs", [])):

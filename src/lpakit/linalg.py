@@ -2,9 +2,9 @@
 
 Everything is built on one deterministic SVD backend. Rank decisions are
 centralized in :func:`numerical_rank` so that the pseudoinverse, range and
-kernel extraction all agree on what counts as zero. Subspaces are carried
-around as explicit orthonormal bases (see :class:`Subspace`); the projector,
-gap and canonical-angle routines consume those.
+kernel extraction all agree on what counts as zero. Subspaces are held only as
+orthonormal bases (see :class:`Subspace`), which gap and deficiency work on;
+:func:`projector` builds the m x m matrix only for checks that need it.
 """
 
 from __future__ import annotations
@@ -93,6 +93,10 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
+    def project(self, v) -> np.ndarray:
+        """Orthogonal projection B (B^T v) of a vector or of a matrix's columns."""
+        return self.basis @ (self.basis.T @ v)
+
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
         return Subspace(np.zeros((ambient_dim, 0)))
@@ -163,7 +167,7 @@ def orthonormal_range(a, rank_tol: float | None = None,
     `scale` overrides the rank anchor, see :func:`numerical_rank`.
     """
     a = as_matrix(a)
-    res = svd(a)
+    res = svd(a, full_matrices=False)
     r = numerical_rank(res.singular_values, a.shape, rank_tol, scale)
     return Subspace(res.u[:, :r].copy())
 
@@ -182,39 +186,35 @@ def kernel_basis(a, rank_tol: float | None = None,
 
 
 def projector(s: Subspace) -> np.ndarray:
-    """Orthogonal projector B @ B.T onto the subspace."""
-    b = s.basis
-    if s.dim == 0:
-        return np.zeros((s.ambient_dim, s.ambient_dim))
-    return b @ b.T
+    """Orthogonal projector B @ B.T onto the subspace, m x m."""
+    return s.basis @ s.basis.T
 
 
-def gap(m: Subspace, n: Subspace) -> float:
-    """Spectral-norm distance of the orthogonal projectors, in [0, 1].
-
-    Defined for any pair with the same ambient dimension, including unequal
-    dimensions (where it is exactly 1) and zero subspaces.
-    """
+def _require_same_ambient(m: Subspace, n: Subspace) -> None:
     if m.ambient_dim != n.ambient_dim:
         raise ValueError(
             f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}")
-    d = projector(m) - projector(n)
-    return float(np.linalg.norm(d, 2))
+
+
+def gap(m: Subspace, n: Subspace) -> float:
+    """Gap ``||P_M - P_N||`` in [0, 1], for any pair with the same ambient
+    dimension: exactly 1 when the dimensions differ, else deficiency(M, N),
+    the sine of the largest principal angle (zero for two zero subspaces).
+    """
+    _require_same_ambient(m, n)
+    return 1.0 if m.dim != n.dim else deficiency(m, n)
 
 
 def deficiency(m: Subspace, n: Subspace) -> float:
-    """Directed deficiency ``delta(M, N) = ||(I - P_N) P_M||``.
+    """Directed deficiency ``delta(M, N) = ||(I - P_N) P_M|| = ||B_M - P_N B_M||``.
 
     Zero when M is the zero subspace (sup over an empty set of unit vectors).
     gap(M, N) equals max(delta(M, N), delta(N, M)).
     """
-    if m.ambient_dim != n.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}")
+    _require_same_ambient(m, n)
     if m.dim == 0:
         return 0.0
-    pm = projector(m)
-    return float(np.linalg.norm(pm - projector(n) @ pm, 2))
+    return float(np.linalg.norm(m.basis - n.project(m.basis), 2))
 
 
 def canonical_angles(m: Subspace, n: Subspace) -> np.ndarray:
@@ -225,9 +225,7 @@ def canonical_angles(m: Subspace, n: Subspace) -> np.ndarray:
     dim(m) <= dim(n); the result has length dim(m). When the dimensions are
     equal, sin of the largest angle equals gap(m, n).
     """
-    if m.ambient_dim != n.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {m.ambient_dim} vs {n.ambient_dim}")
+    _require_same_ambient(m, n)
     if m.dim > n.dim:
         raise ValueError(
             "dim(m) > dim(n): swap the arguments, the smaller subspace goes first")

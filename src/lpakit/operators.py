@@ -81,7 +81,8 @@ def du(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     idx = np.arange(1, m + 1)
-    return np.eye(m) - 3.0 / np.exp2(np.add.outer(idx, idx))
+    with np.errstate(over="ignore"):  # 2^(i+j) = inf from i + j > 1023: entry 3/inf = 0
+        return np.eye(m) - 3.0 / np.exp2(np.add.outer(idx, idx))
 
 
 def du_vector_e(m: int) -> np.ndarray:

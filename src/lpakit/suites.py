@@ -198,7 +198,7 @@ def _suite_eq20() -> list[CheckResult]:
         rep = error_identity_check(inst, y)
         worst_identity = max(worst_identity, rep.diff / rep.tol)
         p_kernel_tn = projector(kernel_basis(inst.tn(), scale=inst.sigma_max))
-        split = projector(kernel_core(inst)) + np.eye(inst.m) - inst.p_xn
+        split = projector(kernel_core(inst)) + np.eye(inst.m) - projector(inst.x_n)
         worst_split = max(worst_split, float(np.linalg.norm(p_kernel_tn - split, 2)))
     return [
         _check("error_identity_two_sides_agree", worst_identity, 1.0, " of tol"),
@@ -288,7 +288,7 @@ def _suite_best() -> list[CheckResult]:
         y = np.random.default_rng([707, n]).standard_normal(20)
         x = inst.tn_pinv @ y
         worst_proj = max(worst_proj, float(np.linalg.norm(
-            x - inst.p_xn @ (inst.t_pinv @ y))))
+            x - inst.x_n.project(inst.t_pinv @ y))))
         bc = error_bound_check(inst, y)
         worst_eq = max(worst_eq, abs(bc.lhs - bc.rhs))
     return [

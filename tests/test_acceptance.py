@@ -153,7 +153,7 @@ def test_05_aligned_subspaces_give_projected_solutions():
         assert offset_angle(inst).sin_gap_route <= 1e-8, f"n={n}"
         y = np.random.default_rng([707, n]).standard_normal(m)
         diff = np.linalg.norm(tn_pinv_apply(inst, y)
-                              - inst.p_xn @ (inst.t_pinv @ y))
+                              - inst.x_n.project(inst.t_pinv @ y))
         assert diff <= 1e-8, f"n={n}: projected-inverse gap {diff:.3e}"
         chk = error_bound_check(inst, y)
         assert chk.passed, f"n={n}"
@@ -205,7 +205,7 @@ def test_07_zero_offset_three_way_equivalence():
         assert not rep.invariance_holds, f"seidman n={n}"
         assert rep.consistent, f"seidman n={n}"
         w = inst.t.T @ (inst.t @ np.eye(m)[:, 0])
-        tail = np.linalg.norm(w - inst.p_xn @ w)
+        tail = np.linalg.norm(w - inst.x_n.project(w))
         assert tail > 1e-6, f"seidman n={n}: T^*T e^1 stayed inside X_n"
 
     du = get_family("du")

@@ -81,10 +81,23 @@ def test_config_minimal_accepted():
     ({"outputs": [{"path": "x.csv", "format": "yaml"}]}, "format"),
     ({"surprise": 1}, "unknown"),
     ({"operator": {"name": "du", "extra": 1}}, "operator"),
+    ({"n_list": [True, 2]}, "n_list"),
+    ({"seed": False}, "seed"),
+    ({"seed": True}, "seed"),
 ])
 def test_config_rejects_malformed_fields(broken, fragment):
     with pytest.raises(ConfigError, match=fragment):
         scan_config_from_dict(minimal_config(**broken))
+
+
+def test_config_accepts_tolerances_at_their_limits():
+    cfg = scan_config_from_dict(minimal_config(tolerances={
+        "rank": None, "check": 0.5, "route_warn": 3, "identity_rel": 1e300,
+        "bound_rel": 0, "bound_abs": 0.0}))
+    assert cfg.tolerances.rank is None and cfg.tolerances.check == 0.5
+    assert cfg.tolerances.bound_rel == 0 and cfg.tolerances.bound_abs == 0.0
+    assert scan_config_from_dict(
+        minimal_config(tolerances={"rank": 1e-10})).tolerances.rank == 1e-10
 
 
 def test_load_scan_config_errors(tmp_path):
@@ -254,6 +267,39 @@ def test_cli_analyze_rejects_bad_env_tolerance(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LPAKIT_TOL", "not-a-number")
     assert main(["analyze", write_config(tmp_path)]) == 2
     assert "LPAKIT_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"check": "abc"},
+    {"check": -1},
+    {"check": 0},
+    {"check": 1.0},
+    {"check": None},
+    {"check": [1e-8]},
+    {"rank": -1.0},
+    {"rank": 0.0},
+    {"rank": 1},
+    {"rank": True},
+    {"route_warn": 0},
+    {"route_warn": float("inf")},
+    {"identity_rel": -1e-7},
+    {"identity_rel": float("nan")},
+    {"bound_rel": -1e-6},
+    {"bound_abs": -1e-9},
+    {"bound_abs": False},
+    {"bound_abs": 10**400},
+], ids=lambda tol: "-".join(f"{k}={v!r}"[:24] for k, v in tol.items()))
+def test_cli_analyze_rejects_bad_tolerance(tmp_path, capsys, tolerances):
+    assert main(["analyze", write_config(tmp_path, tolerances=tolerances)]) == 2
+    err = capsys.readouterr().err
+    assert f"tolerance '{next(iter(tolerances))}'" in err
+    assert "Traceback" not in err and not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("overrides", [{"n_list": [True, 2]}, {"seed": False}])
+def test_cli_analyze_rejects_booleans_as_integers(tmp_path, capsys, overrides):
+    assert main(["analyze", write_config(tmp_path, **overrides)]) == 2
+    assert next(iter(overrides)) in capsys.readouterr().err
 
 
 def test_cli_verify_all_suites_pass(capsys):

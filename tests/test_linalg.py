@@ -182,6 +182,54 @@ def test_gap_equals_max_deficiency(seed):
     assert abs(g - gap(n, m)) <= 1e-12
 
 
+def dense_gap(m: Subspace, n: Subspace) -> float:
+    """Oracle: the projector form ||P_M - P_N||."""
+    return float(np.linalg.norm(projector(m) - projector(n), 2))
+
+
+def dense_deficiency(m: Subspace, n: Subspace) -> float:
+    """Oracle: the projector form ||(I - P_N) P_M||."""
+    pm = projector(m)
+    return float(np.linalg.norm(pm - projector(n) @ pm, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds)
+@pytest.mark.parametrize("kind", ["equal", "unequal", "zero", "nearly-equal"])
+def test_gap_and_deficiency_match_dense_oracle(kind, seed):
+    rng = np.random.default_rng(seed)
+    ambient = int(rng.integers(2, 41))
+    dim = int(rng.integers(1, ambient))
+    m = random_subspace(rng, ambient, dim)
+    if kind == "equal":
+        n = random_subspace(rng, ambient, dim)
+    elif kind == "unequal":
+        n = random_subspace(rng, ambient, int(rng.choice(
+            [k for k in range(ambient + 1) if k != dim])))
+    elif kind == "zero":
+        n = Subspace.zero(ambient)
+    else:
+        tilt = 10.0 ** -rng.uniform(4, 12)
+        n = orthonormal_range(m.basis + tilt * rng.standard_normal((ambient, dim)))
+    for a, b in ((m, n), (n, m)):
+        assert abs(deficiency(a, b) - dense_deficiency(a, b)) <= 1e-12
+        assert abs(gap(a, b) - dense_gap(a, b)) <= 1e-12
+        if a.dim != b.dim:
+            assert gap(a, b) == 1.0
+    if kind == "nearly-equal":
+        assert gap(m, n) <= 1e-3
+
+
+def test_gap_of_unequal_dimensions_is_exactly_one():
+    rng = np.random.default_rng(41)
+    for ambient, dim_m, dim_n in ((40, 7, 8), (40, 0, 1), (5, 4, 1), (3, 3, 2)):
+        m = random_subspace(rng, ambient, dim_m) if dim_m else Subspace.zero(ambient)
+        n = random_subspace(rng, ambient, dim_n)
+        assert gap(m, n) == 1.0 and gap(n, m) == 1.0
+    assert gap(Subspace.zero(40), Subspace.zero(40)) == 0.0
+    assert dense_gap(Subspace.zero(40), Subspace.zero(40)) == 0.0
+
+
 # ----------------------------------------------------------- canonical angles
 
 

@@ -1,5 +1,7 @@
 """Tests for the built-in operator families and their truncations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ def test_du_symmetric():
 def test_du_nearly_projector(m):
     a = du(m)
     assert np.linalg.norm(a @ a - a, 2) <= 3.0 * 4.0 ** (-m)
+
+
+def test_du_large_truncation_is_silent():
+    # 2^(i+j) overflows to inf once i + j > 1023; 3/inf = 0 is the entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = du(512)
+    assert np.all(np.isfinite(a))
+    assert a[-1, -1] == 1.0  # the one overflowing entry, i = j = 512
+    assert np.array_equal(a[:256, :256], du(256))
 
 
 def test_du_kernel_direction_appears_with_depth():
