@@ -3,8 +3,10 @@
 Everything is built on one deterministic SVD backend. Rank decisions are
 centralized in :func:`numerical_rank` so that the pseudoinverse, range and
 kernel extraction all agree on what counts as zero. Subspaces are held only as
-orthonormal bases (see :class:`Subspace`), which gap and deficiency work on;
-:func:`projector` builds the m x m matrix only for checks that need it.
+orthonormal bases (see :class:`Subspace`), each checked once, a caller's or
+LAPACK's alike, by ``||B^T B - I||_F <= 1e-12 max(1, m)``: O(m k^2), no LAPACK
+call. gap and deficiency work on bases; :func:`projector` builds the m x m
+matrix only for checks that need it.
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ class SvdResult:
 class Subspace:
     """A subspace of R^m held as an m x k matrix with orthonormal columns.
 
-    k = 0 is allowed and represents the zero subspace.
+    k = 0 is allowed and represents the zero subspace. Construction requires
+    ``||B^T B - I||_F <= 1e-12 * max(1, m)``: at least as strict as the
+    spectral norm it bounds, O(m k^2), and no LAPACK call.
     """
 
     basis: np.ndarray
@@ -80,10 +84,9 @@ class Subspace:
             raise ValueError("basis must be a 2-d array")
         if b.shape[1] > b.shape[0]:
             raise ValueError(f"more columns than ambient dimension: {b.shape}")
-        if b.shape[1] > 0:
-            defect = np.linalg.norm(b.T @ b - np.eye(b.shape[1]), 2)
-            if not defect <= 1e-12 * max(1, b.shape[0]):
-                raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
+        defect = np.linalg.norm(b.T @ b - np.eye(b.shape[1]))
+        if not defect <= 1e-12 * max(1, b.shape[0]):
+            raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
 
     @property
     def ambient_dim(self) -> int:
@@ -104,9 +107,7 @@ class Subspace:
     @staticmethod
     def coordinate(ambient_dim: int, k: int) -> "Subspace":
         """span{e^1, ..., e^k} inside R^ambient_dim."""
-        if k > ambient_dim:
-            raise ValueError(f"k={k} exceeds ambient dimension {ambient_dim}")
-        return Subspace(np.eye(ambient_dim)[:, :k])
+        return Subspace(np.eye(ambient_dim, k))
 
 
 def svd(a, full_matrices: bool = True) -> SvdResult:

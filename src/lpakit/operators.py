@@ -92,7 +92,7 @@ def du_vector_e(m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return math.sqrt(3.0) / np.exp2(np.arange(1, m + 1, dtype=float))
+    return math.sqrt(3.0) * np.exp2(-np.arange(1, m + 1, dtype=float))
 
 
 def du_bad_y(m: int) -> np.ndarray:
@@ -105,7 +105,7 @@ def du_bad_y(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     k = np.arange(1, m + 1, dtype=float)
-    return (np.exp2(k) - 1.0) * math.sqrt(3.0) / np.exp2(2.0 * k)
+    return math.sqrt(3.0) * (np.exp2(-k) - np.exp2(-2.0 * k))
 
 
 def seeded_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpakit.analysis import (
     LpaInstance,
@@ -112,14 +114,13 @@ def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
     assert shapes.count((m, m)) == 1, shapes
 
 
-@pytest.mark.parametrize("name, n, m, want", [("seidman", 8, 32, 2), ("best-lpa", 8, 20, 1),
+@pytest.mark.parametrize("name, n, m, want", [("seidman", 8, 32, 1), ("best-lpa", 8, 20, 1),
                                               ("du", 4, 36, 1)])
 def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want):
     # norm(ord=2) takes singular values through numpy's internal svd binding.
     # The one m x m norm every instance takes is ||I - Q_n||, the
-    # oblique-projector route, dense on purpose. seidman's second is the
-    # Subspace orthonormality check of its row-space basis: T is injective,
-    # so that basis has m columns.
+    # oblique-projector route, dense on purpose. The Subspace orthonormality
+    # check takes none, even on seidman's m-column row-space basis.
     internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     real_svd = internal.svd
     shapes = []
@@ -378,6 +379,17 @@ def test_norm_tn_dag_t_best_lpa_is_one():
 def test_norm_tn_dag_t_seidman_frozen_value():
     inst = make_lpa(get_family("seidman"), 8, 32)
     assert norm_tn_dag_t(inst) == pytest.approx(1.5784782393363985, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["seidman", "du", "best-lpa", "random", "identity"]),
+       m=st.integers(20, 39), n=st.integers(1, 12))
+def test_norm_tn_dag_t_matches_dense_oracle(name, m, n):
+    # the k x m thin form against ||T_n^+ T|| with T_n^+ from the m x m T_n;
+    # m from 20 to 39 crosses du's rank cliff
+    inst = make_lpa(get_family(name), n, m)
+    dense = np.linalg.norm(pseudo_inverse(inst.tn(), inst.rank_tol) @ inst.t, 2)
+    assert norm_tn_dag_t(inst) == pytest.approx(dense, rel=1e-10)
 
 
 # ------------------------------------------------------------- error identity

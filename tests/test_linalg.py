@@ -118,6 +118,35 @@ def test_subspace_constructors():
     c = Subspace.coordinate(5, 2)
     assert c.dim == 2
     assert np.array_equal(c.basis, np.eye(5)[:, :2])
+    with pytest.raises(ValueError, match="more columns than ambient dimension"):
+        Subspace.coordinate(3, 4)
+
+
+@pytest.mark.parametrize("k", [64, 10])
+def test_subspace_check_calls_no_lapack_svd(monkeypatch, k):
+    # the check is a Frobenius norm, so even a square basis takes no SVD
+    basis = np.linalg.qr(np.random.default_rng(k).standard_normal((64, k)))[0]
+    internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    real_svd = internal.svd
+    calls = []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(internal, "svd", counting_svd)
+    assert Subspace(basis).dim == k
+    assert calls == []
+
+
+def test_subspace_rejects_spectral_defect_twice_the_bound():
+    # ||B^T B - I||_2 = 2 * 1e-12 * m, carried by one column's length
+    m = 8
+    basis = np.eye(m, 3)
+    basis[:, 0] *= np.sqrt(1.0 + 2e-12 * m)
+    assert np.linalg.norm(basis.T @ basis - np.eye(3), 2) == pytest.approx(2e-12 * m, rel=1e-3)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(basis)
 
 
 def test_orthonormal_range_and_kernel_are_complementary():

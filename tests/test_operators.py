@@ -1,6 +1,8 @@
 """Tests for the built-in operator families and their truncations."""
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,13 +75,21 @@ def test_du_nearly_projector(m):
 
 
 def test_du_large_truncation_is_silent():
-    # 2^(i+j) overflows to inf once i + j > 1023; 3/inf = 0 is the entry
+    # 2^(i+j) overflows to inf once i + j > 1023; 3/inf = 0 is the entry.
+    # The right-hand sides take negative powers, which underflow to 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a = du(512)
+        y, e = du_bad_y(1100), du_vector_e(1100)
     assert np.all(np.isfinite(a))
     assert a[-1, -1] == 1.0  # the one overflowing entry, i = j = 512
     assert np.array_equal(a[:256, :256], du(256))
+    # closed forms (2^k - 1) sqrt(3)/4^k and sqrt(3)/2^k, rounded once from exact
+    k = range(1, 1101)
+    np.testing.assert_allclose(
+        y, [math.sqrt(3.0) * float(Fraction(2**i - 1, 4**i)) for i in k], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(
+        e, [math.sqrt(3.0) * float(Fraction(1, 2**i)) for i in k], rtol=1e-15, atol=0)
 
 
 def test_du_kernel_direction_appears_with_depth():
