@@ -17,8 +17,10 @@ is governed by quantities this module computes at each finite n:
 
 Every diagnostic on one instance reads what the instance computed once: one
 SVD of T, one thin SVD of T X_n and both offset-angle routes, so identities
-that hold in exact arithmetic stay consistent to machine precision. Subspaces
-stay orthonormal bases, X_n projecting as X_n (X_n^T v); only tn() and Q_n are m x m.
+that hold in exact arithmetic stay consistent to machine precision. The rank
+r of T X_n is decided once; both offset-angle images are built from its r
+singular vectors. Subspaces stay orthonormal bases, X_n projecting as
+X_n (X_n^T v); only tn() and Q_n are m x m.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .linalg import (
     deficiency,
     gap,
     numerical_rank,
-    orthonormal_range,
     pinv_from_svd,
     projector,
     svd,
@@ -75,11 +76,11 @@ class LpaInstance:
     """One (T, X_n) pair at truncation m, owning every factorization of it.
 
     Construction computes the SVD of T (T^+, row space, kernel). First use
-    computes, once: one thin SVD of T X_n (txn_svd), whose rank anchored to
+    computes, once: one thin SVD of T X_n (txn_svd), whose rank r anchored to
     sigma_max(T) splits it into the range T(X_n) and the kernel columns, and
     tn_pinv = T_n^+ = X_n (T X_n)^+ at the cutoff pseudo_inverse(T_n)
-    applies; the two offset-angle images and both routes' sines. Every rank
-    decision uses rank_tol.
+    applies; the two offset-angle images, both of dimension r, and both
+    routes' sines. Every rank decision uses rank_tol.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
     arbitrary orthonormal basis may be supplied instead.
@@ -132,12 +133,15 @@ class LpaInstance:
 
     @cached_property
     def images(self) -> tuple[Subspace, Subspace]:
-        """T^+T(X_n) and T^*T(X_n). T^+T is applied as the row-space projector,
-        which does not amplify roundoff in kernel directions."""
-        xb = self.x_n.basis
-        return (orthonormal_range(self.rowspace.project(xb), self.rank_tol, scale=1.0),
-                orthonormal_range(self.t.T @ (self.t @ xb), self.rank_tol,
-                                  scale=self.sigma_max**2))
+        """T^+T(X_n) = span(P_row X_n V_r) and T^*T(X_n) = span(T^T U_r), from
+        the r singular vectors txn_svd kept, each orthonormalized by one QR:
+        no further rank decision, so both have dimension r. T^+T is applied
+        as the row-space projector, which does not amplify roundoff in
+        kernel directions."""
+        res, r = self.txn_svd
+        row_image = self.rowspace.project(self.x_n.basis @ res.vt[:r].T)
+        return (Subspace(np.linalg.qr(row_image)[0]),
+                Subspace(np.linalg.qr(self.t.T @ res.u[:, :r])[0]))
 
     @cached_property
     def offset_sines(self) -> tuple[float, float]:
@@ -194,18 +198,15 @@ def qn_matrix(inst: LpaInstance) -> np.ndarray:
 class OffsetAngle:
     """Offset angle with the sines from both computation routes.
 
-    theta comes from the gap route, which degrades more gracefully under rank
-    tolerance; the oblique-projector route is the cross-check. The warning
-    flags mark a rank disagreement between the two image subspaces (possible
-    only through roundoff or truncation, so worth surfacing) and a sine
-    disagreement between routes beyond the configured threshold. Neither is a
-    hard failure.
+    theta comes from the gap route, between two images of equal dimension r
+    by construction; the oblique-projector route is the cross-check. The
+    warning flag marks a sine disagreement between routes beyond the
+    configured threshold; it is not a hard failure.
     """
 
     theta: float
     sin_gap_route: float
     sin_qn_route: float
-    rank_mismatch: bool
     route_disagreement: bool
 
 
@@ -218,13 +219,11 @@ def offset_angle(inst: LpaInstance, tolerances: Tolerances | None = None) -> Off
     once per instance at inst.rank_tol; route_warn is read on every call.
     """
     tolerances = tolerances or Tolerances.default()
-    r1, r2 = inst.images
     sin_gap, sin_qn = inst.offset_sines
     return OffsetAngle(
         theta=math.asin(min(max(sin_gap, 0.0), 1.0)),
         sin_gap_route=sin_gap,
         sin_qn_route=sin_qn,
-        rank_mismatch=(r1.dim != r2.dim),
         route_disagreement=(abs(sin_gap - sin_qn) > tolerances.route_warn),
     )
 
@@ -448,11 +447,10 @@ def zero_offset_characterization(inst: LpaInstance,
     pinv_diff = float(np.linalg.norm(inst.tn_pinv - inst.x_n.project(inst.t_pinv), 2))
     pinv_scale = 1.0 + float(np.linalg.norm(inst.t_pinv, 2))
 
+    # T^*T(X_n) lies in N(T)^perp, so the stacked bases are a basis of the sum
     stacked = np.hstack([inst.images[1].basis, inst.kernel.basis])
-    # both blocks are orthonormal, so the honest scale of the stack is 1
-    total = orthonormal_range(stacked, inst.rank_tol, scale=1.0) \
-        if stacked.shape[1] else Subspace.zero(inst.m)
-    sum_def = deficiency(total, inst.x_n)
+    sum_def = float(np.linalg.norm(stacked - inst.x_n.project(stacked), 2)) \
+        if stacked.shape[1] else 0.0
 
     sin_theta = inst.offset_sines[0]
     theta_zero = sin_theta <= tol

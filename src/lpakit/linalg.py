@@ -161,15 +161,12 @@ def pinv_from_svd(res: SvdResult, rank: int) -> np.ndarray:
     return (res.vt[:rank].T / res.singular_values[:rank]) @ res.u[:, :rank].T
 
 
-def orthonormal_range(a, rank_tol: float | None = None,
-                      scale: float | None = None) -> Subspace:
-    """Orthonormal basis of the numerical column space of `a`.
-
-    `scale` overrides the rank anchor, see :func:`numerical_rank`.
-    """
+def orthonormal_range(a, rank_tol: float | None = None) -> Subspace:
+    """Orthonormal basis of the numerical column space of `a`, its rank
+    judged against its own largest singular value."""
     a = as_matrix(a)
     res = svd(a, full_matrices=False)
-    r = numerical_rank(res.singular_values, a.shape, rank_tol, scale)
+    r = numerical_rank(res.singular_values, a.shape, rank_tol)
     return Subspace(res.u[:, :r].copy())
 
 

@@ -30,9 +30,10 @@ from lpakit.analysis import (
     tn_pinv_apply,
     zero_offset_characterization,
 )
-from lpakit.config import resolve_m
+from lpakit.config import Tolerances, resolve_m
 from lpakit.linalg import (
     Subspace,
+    deficiency,
     gap,
     kernel_basis,
     orthonormal_range,
@@ -95,8 +96,9 @@ def test_instance_caches_consistent_factorization():
 @pytest.mark.parametrize("name, n, m", [("seidman", 8, 32), ("best-lpa", 8, 20),
                                         ("du", 4, 36)])
 def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
-    # T, T X_n and the two offset-angle images; singular values alone
-    # (compute_uv=False, spectral norms) are not factorizations
+    # T and T X_n; the two offset-angle images are QRs of T X_n's r singular
+    # vectors, and singular values alone (compute_uv=False, spectral norms)
+    # are not factorizations
     shapes = []
     real_svd = np.linalg.svd
 
@@ -110,7 +112,7 @@ def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
     diagnose(inst)
     with contextlib.suppress(PreconditionError):  # du never captures its kernel
         error_bound_check(inst, np.ones(m))
-    assert len(shapes) == 4, shapes
+    assert len(shapes) == 2, shapes
     assert shapes.count((m, m)) == 1, shapes
 
 
@@ -225,11 +227,10 @@ def test_qn_matrix_idempotent_and_characterized():
     assert np.linalg.norm(qn @ qn - qn, 2) <= 1e-8 * (1 + nq**2)
     # range is the pinv image of T(X_n), kernel is orthogonal to T*T(X_n)
     ran = orthonormal_range(qn)
-    want_ran = orthonormal_range(inst.t_pinv @ (inst.t @ inst.x_n.basis), scale=1.0)
+    want_ran = orthonormal_range(inst.t_pinv @ (inst.t @ inst.x_n.basis))
     assert gap(ran, want_ran) <= 1e-8
     ker = kernel_basis(qn)
-    image = orthonormal_range(inst.t.T @ (inst.t @ inst.x_n.basis),
-                              scale=inst.sigma_max**2)
+    image = orthonormal_range(inst.t.T @ (inst.t @ inst.x_n.basis))
     assert np.linalg.norm(image.basis.T @ ker.basis, 2) <= 1e-8
 
 
@@ -262,7 +263,6 @@ def test_offset_angle_identity_family_is_zero():
     assert ang.theta == 0.0
     assert ang.sin_gap_route <= 1e-12
     assert ang.sin_qn_route <= 1e-7
-    assert not ang.rank_mismatch
 
 
 def test_offset_angle_zero_operator():
@@ -296,7 +296,6 @@ def test_offset_angle_subspace_entirely_inside_kernel():
     inst = coordinate_instance(5, 8, 2, 3)
     ang = offset_angle(inst)
     assert ang.sin_gap_route == 0.0 and ang.sin_qn_route == 0.0
-    assert not ang.rank_mismatch
 
 
 def test_offset_angle_route_agreement_across_families():
@@ -306,6 +305,27 @@ def test_offset_angle_route_agreement_across_families():
             m = 20 if name == "best-lpa" else 4 * n
             ang = offset_angle(make_lpa(fam, n, m))
             assert abs(ang.sin_gap_route - ang.sin_qn_route) <= 1e-6
+
+
+_GRADED = {"sigmas": [1, 1e-3, 1e-6, 1e-9], "kernel_dim": 2}
+
+
+@pytest.mark.parametrize("name, params, n, m", [
+    ("seidman", {}, 128, 512),
+    *[("best-lpa", _GRADED, n, 20) for n in range(1, 5)],
+], ids=["seidman-128-512", *[f"best-lpa-graded-{n}-20" for n in range(1, 5)]])
+def test_offset_angle_images_keep_txn_rank(name, params, n, m):
+    # T^T (T X_n) squares T X_n's singular values (seidman's smallest is
+    # 4.8e-7 at m = 512) below the anchored cutoff; the images come from
+    # T X_n's r singular vectors instead, so neither loses rank and the gap
+    # route keeps agreeing with the Q_n route. The graded family's angle is
+    # exactly zero.
+    inst = make_lpa(get_family(name, **params), n, m)
+    r = inst.txn_svd[1]
+    assert [image.dim for image in inst.images] == [r, r]
+    row = diagnose(inst)
+    assert abs(row.sin_theta_gap - row.sin_theta_qn) <= 1e-6
+    assert math.isfinite(row.bound_factor)
 
 
 # --------------------------------------------------------------- kernel core
@@ -390,6 +410,39 @@ def test_norm_tn_dag_t_matches_dense_oracle(name, m, n):
     inst = make_lpa(get_family(name), n, m)
     dense = np.linalg.norm(pseudo_inverse(inst.tn(), inst.rank_tol) @ inst.t, 2)
     assert norm_tn_dag_t(inst) == pytest.approx(dense, rel=1e-10)
+
+
+def _kernel_captured_instances():
+    fam = get_family("seidman")
+    for n in range(2, 65):
+        yield make_lpa(fam, n, 4 * n)
+    yield make_lpa(fam, 128, 512)
+    for kernel_dim in range(1, 5):
+        for seed in range(4):
+            fam = get_family("random", kernel_dim=kernel_dim, seed=seed)
+            for n in (kernel_dim, kernel_dim + 1, 6):
+                yield make_lpa(fam, n, 12)
+    for m in (20, 40):
+        for n in (2, 4, 8, 12):
+            yield make_lpa(get_family("best-lpa"), n, m)
+
+
+def test_norm_tn_dag_t_equals_bound_factor_when_kernel_captured():
+    # with N(T) inside X_n, T_n^+ T is an oblique projector of norm
+    # 1/cos theta_n: a third route to the offset angle, through T_n^+, which
+    # neither the gap nor the Q_n route uses. For r = 0 (X_n inside N(T))
+    # T_n^+ = 0, so the norm is 0 while the factor is 1.
+    check = Tolerances().check
+    compared = 0
+    for inst in _kernel_captured_instances():
+        assert deficiency(inst.kernel, inst.x_n) <= check
+        row = diagnose(inst)
+        if inst.txn_svd[1] == 0:
+            assert row.norm_tn_dag_t == 0.0 and row.bound_factor == 1.0
+            continue
+        assert row.norm_tn_dag_t == pytest.approx(row.bound_factor, rel=1e-9), (inst.n, inst.m)
+        compared += 1
+    assert compared == 104
 
 
 # ------------------------------------------------------------- error identity
