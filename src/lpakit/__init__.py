@@ -12,6 +12,7 @@ from .analysis import (
     LpaInstance,
     OffsetAngle,
     PreconditionError,
+    TruncationFactor,
     coercive_bound_check,
     diagnose,
     du_divergence_check,
@@ -88,6 +89,7 @@ __all__ = [
     "Subspace",
     "SUITE_NAMES",
     "Tolerances",
+    "TruncationFactor",
     "canonical_angles",
     "coercive_bound_check",
     "deficiency",

@@ -16,11 +16,15 @@ is governed by quantities this module computes at each finite n:
   valid once N(T) is contained in X_n.
 
 Every diagnostic on one instance reads what the instance computed once: one
-SVD of T, one thin SVD of T X_n and both offset-angle routes, so identities
-that hold in exact arithmetic stay consistent to machine precision. The rank
-r of T X_n is decided once; both offset-angle images are built from its r
-singular vectors. Subspaces stay orthonormal bases, X_n projecting as
-X_n (X_n^T v); only tn() and Q_n are m x m.
+SVD of T (a TruncationFactor, shared by every instance at the same m), one
+thin SVD of T X_n and both offset-angle routes, so identities that hold in
+exact arithmetic stay consistent to machine precision. The rank r of T X_n
+is decided once; both offset-angle images, ||I - Q_n|| (on a 2r-column
+block) and ||T_n^+ T|| (an r x m norm) are read off its r singular vectors.
+Subspaces stay orthonormal bases, X_n projecting as X_n (X_n^T v). Past the
+factor (once per m) and the thin SVD, nothing is cubic in m unless dim X_n
+or the kernel is of order m; the m x m matrices tn(), tn_pinv and
+qn_matrix() serve the solution route and the dense oracles.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from .operators import OperatorFamily, du_bad_y, du_vector_e, get_family
 
 __all__ = [
     "PreconditionError",
+    "TruncationFactor",
+    "shared_factors",
     "LpaInstance",
     "OffsetAngle",
     "LpaDiagnostics",
@@ -72,36 +78,19 @@ class PreconditionError(ValueError):
     """A diagnostic was asked for outside the regime where it is asserted."""
 
 
-class LpaInstance:
-    """One (T, X_n) pair at truncation m, owning every factorization of it.
-
-    Construction computes the SVD of T (T^+, row space, kernel). First use
-    computes, once: one thin SVD of T X_n (txn_svd), whose rank r anchored to
-    sigma_max(T) splits it into the range T(X_n) and the kernel columns, and
-    tn_pinv = T_n^+ = X_n (T X_n)^+ at the cutoff pseudo_inverse(T_n)
-    applies; the two offset-angle images, both of dimension r, and both
-    routes' sines. Every rank decision uses rank_tol.
-
-    x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
-    arbitrary orthonormal basis may be supplied instead.
+class TruncationFactor:
+    """The SVD of one m x m truncation T and what is read off it: rank,
+    sigma_max, T^+, the row space and the kernel, every rank decision at
+    rank_tol. It does not depend on X_n, so every instance at this m can
+    share it (see shared_factors).
     """
 
-    def __init__(self, t, n: int, x_basis: np.ndarray | None = None,
-                 rank_tol: float | None = None):
+    def __init__(self, t, rank_tol: float | None = None):
         t = as_matrix(t)
         if t.shape[0] != t.shape[1]:
             raise ValueError(f"expected a square truncation, got {t.shape}")
-        self.m = t.shape[0]
-        if not 1 <= n <= self.m:
-            raise ValueError(f"need 1 <= n <= m, got n={n}, m={self.m}")
-        self.n = int(n)
         self.t = t
-        if x_basis is None:
-            self.x_n = Subspace.coordinate(self.m, n)
-        else:
-            self.x_n = Subspace(np.asarray(x_basis, dtype=float))
-            if self.x_n.ambient_dim != self.m:
-                raise ValueError("x_basis ambient dimension does not match t")
+        self.m = t.shape[0]
         self.rank_tol = rank_tol
         res = svd(t)
         self.rank = numerical_rank(res.singular_values, t.shape, rank_tol)
@@ -110,6 +99,62 @@ class LpaInstance:
         self.t_pinv = pinv_from_svd(res, r)
         self.rowspace = Subspace(res.vt[:r].T.copy())
         self.kernel = Subspace(res.vt[r:].T.copy())
+
+
+def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
+    """factor(m): family.truncate(m) factored, keeping only the latest m.
+
+    Consecutive rows at one m share one factor; the previous factor is
+    dropped before the next one is built, so one is alive at a time.
+    """
+    last = None
+
+    def factor(m: int) -> TruncationFactor:
+        nonlocal last
+        if last is None or last.m != m:
+            last = None
+            last = TruncationFactor(family.truncate(m), rank_tol)
+        return last
+
+    return factor
+
+
+class LpaInstance:
+    """One (T, X_n) pair at truncation m, owning the factorizations that
+    depend on X_n.
+
+    T is given as a matrix, factored here, or as a TruncationFactor shared
+    with other instances at the same m; its attributes (t, rank, sigma_max,
+    t_pinv, rowspace, kernel, rank_tol) are exposed on the instance. First
+    use computes, once: one thin SVD of T X_n (txn_svd), whose rank r
+    anchored to sigma_max(T) splits it into the range T(X_n) and the kernel
+    columns; tn_rank, its rank at the cutoff pseudo_inverse(T_n) applies,
+    which tn_pinv = T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t share; the two
+    offset-angle images, both of dimension r, and both routes' sines. Every
+    rank decision uses rank_tol.
+
+    x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
+    arbitrary orthonormal basis may be supplied instead.
+    """
+
+    def __init__(self, t, n: int, x_basis: np.ndarray | None = None,
+                 rank_tol: float | None = None):
+        factor = t if isinstance(t, TruncationFactor) else TruncationFactor(t, rank_tol)
+        if rank_tol is not None and rank_tol != factor.rank_tol:
+            raise ValueError(f"rank_tol {rank_tol} differs from the factor's {factor.rank_tol}")
+        self.m = factor.m
+        if not 1 <= n <= self.m:
+            raise ValueError(f"need 1 <= n <= m, got n={n}, m={self.m}")
+        self.n = int(n)
+        if x_basis is None:
+            self.x_n = Subspace.coordinate(self.m, n)
+        else:
+            self.x_n = Subspace(np.asarray(x_basis, dtype=float))
+            if self.x_n.ambient_dim != self.m:
+                raise ValueError("x_basis ambient dimension does not match t")
+        self.t, self.rank_tol = factor.t, factor.rank_tol
+        self.rank, self.sigma_max = factor.rank, factor.sigma_max
+        self.t_pinv, self.rowspace, self.kernel = factor.t_pinv, factor.rowspace, factor.kernel
 
     def tn(self) -> np.ndarray:
         """The approximating operator T P_{X_n}, built on demand."""
@@ -124,12 +169,16 @@ class LpaInstance:
                                    scale=self.sigma_max)
 
     @cached_property
-    def tn_pinv(self) -> np.ndarray:
-        """T_n^+ = X_n (T X_n)^+, cut off relative to sigma_max(T X_n) as
+    def tn_rank(self) -> int:
+        """Rank of T X_n cut off relative to sigma_max(T X_n), as
         pseudo_inverse(T_n) does."""
-        res = self.txn_svd[0]
-        rank = numerical_rank(res.singular_values, (self.m, self.x_n.dim), self.rank_tol)
-        return self.x_n.basis @ pinv_from_svd(res, rank)
+        return numerical_rank(self.txn_svd[0].singular_values, (self.m, self.x_n.dim),
+                              self.rank_tol)
+
+    @cached_property
+    def tn_pinv(self) -> np.ndarray:
+        """T_n^+ = X_n (T X_n)^+ at tn_rank."""
+        return self.x_n.basis @ pinv_from_svd(self.txn_svd[0], self.tn_rank)
 
     @cached_property
     def images(self) -> tuple[Subspace, Subspace]:
@@ -146,23 +195,30 @@ class LpaInstance:
     @cached_property
     def offset_sines(self) -> tuple[float, float]:
         """sin theta_n by the gap route, the gap between the two images, and
-        by the oblique-projector route, sqrt(1 - 1/||I - Q_n||^2)."""
+        by the oblique-projector route, sqrt(1 - 1/||I - Q_n||^2) with
+        ||I - Q_n|| taken on a 2r-column basis (see _norm_i_minus_qn). The
+        Q_n route rebuilds its own factors and QR; it shares only txn_svd's
+        U_r with the gap route."""
         sin_gap = gap(*self.images)
-        nrm = float(np.linalg.norm(np.eye(self.m) - qn_matrix(self), 2))
+        nrm = _norm_i_minus_qn(self)
         return sin_gap, math.sqrt(max(0.0, 1.0 - 1.0 / nrm**2)) if nrm > 1.0 else 0.0
 
 
-def make_lpa(family: OperatorFamily, n: int, m: int,
-             rank_tol: float | None = None) -> LpaInstance:
+def make_lpa(family: OperatorFamily, n: int, m: int, rank_tol: float | None = None,
+             factor: TruncationFactor | None = None) -> LpaInstance:
     """Instance at subspace index n and ambient truncation m.
 
     Uses the family's own approximation subspaces when it defines them,
-    coordinate subspaces otherwise.
+    coordinate subspaces otherwise. factor, when given, is the family's
+    truncation at m already factored at rank_tol; otherwise it is built.
     """
-    if n > m:
-        raise ValueError(f"subspace index n={n} exceeds truncation size m={m}")
+    family.check(n, m)
+    if factor is not None and factor.m != m:
+        raise ValueError(f"factor is for m={factor.m}, not m={m}")
     x_basis = family.xn_basis(n, m) if family.xn_basis is not None else None
-    return LpaInstance(family.truncate(m), n, x_basis, rank_tol)
+    if factor is None:
+        factor = TruncationFactor(family.truncate(m), rank_tol)
+    return LpaInstance(factor, n, x_basis, rank_tol)
 
 
 def tn_pinv_apply(inst: LpaInstance, y) -> np.ndarray:
@@ -184,14 +240,40 @@ def tn_pinv_apply(inst: LpaInstance, y) -> np.ndarray:
     return x
 
 
+def _qn_factors(inst: LpaInstance) -> tuple[np.ndarray, np.ndarray]:
+    """A = T^+ U_r and B = T^T U_r, so that Q_n = A B^T (U_r: the r left
+    singular vectors txn_svd kept, an orthonormal basis of T(X_n))."""
+    res, r = inst.txn_svd
+    u_r = res.u[:, :r]
+    return inst.t_pinv @ u_r, inst.t.T @ u_r
+
+
 def qn_matrix(inst: LpaInstance) -> np.ndarray:
-    """The oblique projector T^+ P_{T(X_n)} T.
+    """The oblique projector T^+ P_{T(X_n)} T, as a dense m x m matrix.
 
     Its range is T^+T(X_n), its kernel is the orthogonal complement of
-    T^*T(X_n), and it is idempotent up to roundoff.
+    T^*T(X_n), and it is idempotent up to roundoff. The diagnostics take
+    ||I - Q_n|| without forming it; this is their dense oracle.
     """
-    res, r = inst.txn_svd
-    return (inst.t_pinv @ res.u[:, :r]) @ (res.u[:, :r].T @ inst.t)
+    a, b = _qn_factors(inst)
+    return a @ b.T
+
+
+def _norm_i_minus_qn(inst: LpaInstance) -> float:
+    """||I - Q_n|| on k = min(2r, m) columns instead of m.
+
+    W, the QR basis of [A B], is orthonormal and contains the ranges of Q_n
+    and Q_n^T. So I - Q_n maps span W into itself and is the identity on its
+    complement: the norm is ||I_k - (W^T A)(W^T B)^T||, and at least 1 when
+    k < m. (||Q_n|| = ||I - Q_n|| would allow an r x r form, but ||Q_n||
+    picks up first-order roundoff on graded spectra that ||I - Q_n|| does
+    not.)
+    """
+    a, b = _qn_factors(inst)
+    w = np.linalg.qr(np.hstack([a, b]))[0]
+    k = w.shape[1]
+    inner = float(np.linalg.norm(np.eye(k) - (w.T @ a) @ (w.T @ b).T, 2)) if k else 0.0
+    return max(inner, 1.0) if k < inst.m else inner
 
 
 @dataclass(frozen=True)
@@ -214,9 +296,11 @@ def offset_angle(inst: LpaInstance, tolerances: Tolerances | None = None) -> Off
     """Angle between T^+T(X_n) and T^*T(X_n), by two routes.
 
     Route one is the gap between the two image subspaces, route two
-    evaluates sqrt(1 - 1/||I - Q_n||^2) with Q_n the oblique projector; the
-    two agree in exact arithmetic. Both come from inst.offset_sines, computed
-    once per instance at inst.rank_tol; route_warn is read on every call.
+    evaluates sqrt(1 - 1/||I - Q_n||^2) with Q_n the oblique projector,
+    ||I - Q_n|| taken on the 2r-column basis that holds both its range and
+    its corange; the two agree in exact arithmetic. Both come from
+    inst.offset_sines, computed once per instance at inst.rank_tol;
+    route_warn is read on every call.
     """
     tolerances = tolerances or Tolerances.default()
     sin_gap, sin_qn = inst.offset_sines
@@ -239,8 +323,14 @@ def kernel_core(inst: LpaInstance) -> Subspace:
 
 
 def norm_tn_dag_t(inst: LpaInstance) -> float:
-    """||T_n^+ T||, as the norm of the k x m matrix X_n^T T_n^+ T (T_n^+ maps into X_n)."""
-    return float(np.linalg.norm((inst.x_n.basis.T @ inst.tn_pinv) @ inst.t, 2))
+    """||T_n^+ T||, as the r x m norm ||Sigma_r^{-1} U_r^T T||.
+
+    T_n^+ = (X_n V_r) Sigma_r^{-1} U_r^T from the thin SVD of T X_n, and
+    X_n V_r has orthonormal columns, so it drops out of the norm. r is
+    inst.tn_rank, the rank tn_pinv keeps.
+    """
+    res, r = inst.txn_svd[0], inst.tn_rank
+    return float(np.linalg.norm((res.u[:, :r].T @ inst.t) / res.singular_values[:r, None], 2))
 
 
 @dataclass(frozen=True)
@@ -317,7 +407,8 @@ def kernel_verdict(rows, check: float) -> str:
 def kernel_approximability_scan(family: OperatorFamily, n_list,
                                 m_rule: str | None = None,
                                 tolerances: Tolerances | None = None) -> KernelScanReport:
-    """Track the kernel core along ascending n.
+    """Track the kernel core along ascending n, T factored once per run of
+    rows at one m.
 
     holds is True when kernel_verdict says "holds", and the message names
     the verdict.
@@ -326,16 +417,15 @@ def kernel_approximability_scan(family: OperatorFamily, n_list,
     n_list = list(n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and strictly ascending")
-    rows = []
-    for n in n_list:
-        inst = make_lpa(family, n, resolve_m(m_rule, n), tolerances.rank)
+    factor = shared_factors(family, tolerances.rank)
+
+    def row(n: int, m: int) -> KernelScanRow:
+        inst = make_lpa(family, n, m, tolerances.rank, factor(m))
         core = kernel_core(inst)
-        rows.append(KernelScanRow(
-            n=n, m=inst.m,
-            kernel_core_dim=core.dim,
-            kernel_dim=inst.kernel.dim,
-            kernel_gap=gap(core, inst.kernel),
-        ))
+        return KernelScanRow(n=n, m=m, kernel_core_dim=core.dim,
+                             kernel_dim=inst.kernel.dim, kernel_gap=gap(core, inst.kernel))
+
+    rows = [row(n, resolve_m(m_rule, n)) for n in n_list]
     verdict = kernel_verdict(rows, tolerances.check)
     if verdict == "holds":
         first = next(r.n for r in rows if kernel_verdict([r], tolerances.check) == "holds")
@@ -592,9 +682,9 @@ def coercive_bound_check(t, alpha: float, beta: float, n_list,
     limit = beta / alpha
     rows = []
     passed = True
+    t_factor = TruncationFactor(t)
     for n in n_list:
-        inst = LpaInstance(t, n)
-        ang = offset_angle(inst)
+        ang = offset_angle(LpaInstance(t_factor, n))
         factor = _bound_factor(ang.sin_gap_route)
         rows.append(CoerciveRow(n=n, bound_factor=factor))
         if not factor <= limit + tol:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,8 @@ class OperatorFamily:
     differ until m is large enough to resolve it). xn_basis, when set,
     overrides the coordinate subspaces as the family's approximation scheme:
     it returns an orthonormal m x k basis for the subspace at index n.
+    max_n and min_m are the family's own limits on (n, m); check() tests a
+    pair against them without building anything.
     """
 
     name: str
@@ -50,6 +53,17 @@ class OperatorFamily:
     notes: str
     params: dict = field(default_factory=dict)
     xn_basis: Callable[[int, int], np.ndarray] | None = None
+    max_n: int | None = None
+    min_m: int = 1
+
+    def check(self, n: int, m: int) -> None:
+        """Raise ValueError unless the family builds the instance at (n, m)."""
+        if not 1 <= n <= m:
+            raise ValueError(f"need 1 <= n <= m, got n={n}, m={m}")
+        if self.max_n is not None and n > self.max_n:
+            raise ValueError(f"n={n} exceeds the family's limit {self.max_n}")
+        if m < self.min_m:
+            raise ValueError(f"m={m} is below the family's minimum {self.min_m}")
 
 
 def seidman(m: int) -> np.ndarray:
@@ -195,20 +209,24 @@ def _default_sigmas() -> tuple[float, ...]:
 def _best_lpa_family(sigmas=None, kernel_dim: int = 2, seed: int = 0) -> OperatorFamily:
     sys = SingularSystem(
         sigmas=tuple(float(s) for s in (sigmas if sigmas is not None else _default_sigmas())),
-        kernel_dim=int(kernel_dim),
+        kernel_dim=_nonnegative_int("kernel_dim", kernel_dim),
     )
     r = len(sys.sigmas)
+    seed = _nonnegative_int("seed", seed)
+    # truncate and xn_basis at one m share one model; a scan asks for one m
+    # at a time, so the latest is all that is kept
+    model = lru_cache(maxsize=1)(lambda m: from_singular_system(sys, m, seed))
 
     def truncate(m: int) -> np.ndarray:
-        return from_singular_system(sys, m, seed).matrix
+        return model(m).matrix
 
     def xn_basis(n: int, m: int) -> np.ndarray:
         # subspace = full kernel of the truncation + the n leading right
         # singular directions; orthonormal because V is orthogonal
         if n > r:
             raise ValueError(f"n={n} exceeds the prescribed rank {r}")
-        model = from_singular_system(sys, m, seed)
-        return np.hstack([model.v_basis[:, r:], model.v_basis[:, :n]])
+        v = model(m).v_basis
+        return np.hstack([v[:, r:], v[:, :n]])
 
     return OperatorFamily(
         name="best-lpa",
@@ -221,18 +239,29 @@ def _best_lpa_family(sigmas=None, kernel_dim: int = 2, seed: int = 0) -> Operato
         params={"sigmas": list(sys.sigmas), "kernel_dim": sys.kernel_dim,
                 "seed": seed},
         xn_basis=xn_basis,
+        max_n=r,
+        min_m=r + sys.kernel_dim,
     )
 
 
+def _nonnegative_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _random_family(kernel_dim: int = 2, seed: int = 0) -> OperatorFamily:
+    kernel_dim = _nonnegative_int("kernel_dim", kernel_dim)
+    seed = _nonnegative_int("seed", seed)
     return OperatorFamily(
         name="random",
         truncate=lambda m: random_finite_kernel(m, kernel_dim, seed),
-        kernel_dim_hint=int(kernel_dim),
+        kernel_dim_hint=kernel_dim,
         notes=("seeded synthetic operator, kernel planted on the leading "
                "coordinate block, well separated singular values in [0.1, 2]; "
                "no truncation tail (genuinely finite-dimensional)"),
-        params={"kernel_dim": int(kernel_dim), "seed": int(seed)},
+        params={"kernel_dim": kernel_dim, "seed": seed},
+        min_m=kernel_dim + 1,
     )
 
 

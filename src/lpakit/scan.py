@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .analysis import (LpaDiagnostics, PreconditionError, diagnose, error_bound_check,
-                       kernel_verdict, make_lpa)
+                       kernel_verdict, make_lpa, shared_factors)
 from .config import ConfigError, ScanConfig
 from .operators import get_family
 
@@ -76,10 +76,12 @@ def _theta_verdict(rows) -> str:
     return "inconclusive"
 
 
-def _scan_row(config: ScanConfig, family, n: int) -> tuple[LpaDiagnostics, bool | None]:
+def _scan_row(config: ScanConfig, family, factor, n: int) -> tuple[LpaDiagnostics, bool | None]:
     """Row at n and its bound check's verdict, None where the bound's precondition
-    fails. The instance is freed on return, before the next row factors T."""
-    inst = make_lpa(family, n, config.m_for(n), config.tolerances.rank)
+    fails. The instance is freed on return, so once the next row moves to a new
+    m nothing holds the old factor."""
+    m = config.m_for(n)
+    inst = make_lpa(family, n, m, config.tolerances.rank, factor(m))
     row = diagnose(inst, config.tolerances)
     y = np.random.default_rng([config.seed, n]).standard_normal(inst.m)
     try:
@@ -93,22 +95,31 @@ def run_scan(config: ScanConfig) -> ScanReport:
 
     The bound checks draw one right-hand side per eligible n from a generator
     seeded by (config.seed, n), so reruns of the same config are bitwise
-    reproducible.
+    reproducible. T is factored once per run of consecutive rows at one m.
+
+    The family and every (n, m) are checked before anything is factored; a
+    rejection there is a ConfigError. Any failure after that point, a
+    ValueError included (a Subspace orthonormality check, say), is numerical
+    and raises ScanNumericalError.
     """
     try:
         family = get_family(config.operator_name, **config.operator_params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for n in config.n_list:
+        try:
+            family.check(n, config.m_for(n))
+        except ValueError as exc:
+            raise ConfigError(
+                f"operator {config.operator_name!r} rejects n={n}: {exc}") from exc
+    factor = shared_factors(family, config.tolerances.rank)
     rows: list[LpaDiagnostics] = []
     checks: list[bool] = []
     for n in config.n_list:
         try:
-            row, passed = _scan_row(config, family, n)
-        except (np.linalg.LinAlgError, ArithmeticError) as exc:
+            row, passed = _scan_row(config, family, factor, n)
+        except (np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
             raise ScanNumericalError(config.operator_name, n, str(exc)) from exc
-        except ValueError as exc:
-            raise ConfigError(
-                f"operator {config.operator_name!r} rejects n={n}: {exc}") from exc
         rows.append(row)
         if passed is not None:
             checks.append(passed)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .analysis import (
     LpaInstance,
+    TruncationFactor,
     coercive_bound_check,
     diagnose,
     du_divergence_check,
@@ -208,7 +209,7 @@ def _suite_bounds() -> list[CheckResult]:
     failures = 0
     total = 0
     for seed in range(10):
-        t = random_finite_kernel(24, 1 + seed % 4, seed)
+        t = TruncationFactor(random_finite_kernel(24, 1 + seed % 4, seed))
         for n in (4, 6, 8):
             inst = LpaInstance(t, n)
             y = np.random.default_rng([505, seed, n]).standard_normal(24)

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from lpakit.analysis import (
     LpaInstance,
+    TruncationFactor,
+    _norm_i_minus_qn,
     PreconditionError,
     coercive_bound_check,
     diagnose,
@@ -84,6 +86,19 @@ def test_make_lpa_rejects_n_above_m():
         make_lpa(get_family("identity"), 5, 4)
 
 
+def test_instance_shares_a_truncation_factor():
+    # instances built from one factor read its arrays, not copies, and a
+    # rank_tol other than the factor's is refused
+    factor = TruncationFactor(random_finite_kernel(12, 3, 0), 1e-10)
+    a, b = LpaInstance(factor, 4), LpaInstance(factor, 8, rank_tol=1e-10)
+    assert a.t_pinv is b.t_pinv is factor.t_pinv and a.kernel is factor.kernel
+    assert (a.rank, a.rank_tol) == (9, 1e-10)
+    with pytest.raises(ValueError, match="rank_tol"):
+        LpaInstance(factor, 4, rank_tol=1e-8)
+    with pytest.raises(ValueError, match="m=12"):
+        make_lpa(get_family("random", kernel_dim=3), 4, 10, factor=factor)
+
+
 def test_instance_caches_consistent_factorization():
     inst = coordinate_instance(0, 10, 4, 2)
     assert inst.rank == 8
@@ -116,13 +131,14 @@ def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
     assert shapes.count((m, m)) == 1, shapes
 
 
-@pytest.mark.parametrize("name, n, m, want", [("seidman", 8, 32, 1), ("best-lpa", 8, 20, 1),
-                                              ("du", 4, 36, 1)])
+@pytest.mark.parametrize("name, n, m, want", [("seidman", 8, 32, 0), ("best-lpa", 8, 20, 0),
+                                              ("du", 4, 36, 0)])
 def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want):
     # norm(ord=2) takes singular values through numpy's internal svd binding.
-    # The one m x m norm every instance takes is ||I - Q_n||, the
-    # oblique-projector route, dense on purpose. The Subspace orthonormality
-    # check takes none, even on seidman's m-column row-space basis.
+    # An instance takes none on m x m matrices: ||I - Q_n|| is a 2r x 2r
+    # norm while 2r < m, ||T_n^+ T|| an r x m one, and the Subspace
+    # orthonormality check takes none, even on seidman's m-column row-space
+    # basis.
     internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     real_svd = internal.svd
     shapes = []
@@ -243,6 +259,58 @@ def test_qn_matrix_idempotency_defect_at_depth():
 def test_qn_matrix_zero_operator():
     inst = LpaInstance(np.zeros((5, 5)), 2)
     assert np.array_equal(qn_matrix(inst), np.zeros((5, 5)))
+
+
+_QN_FAMILIES = {
+    "seidman": ("seidman", {}),
+    "du": ("du", {}),
+    "best-lpa": ("best-lpa", {}),
+    "best-lpa-graded": ("best-lpa", {"sigmas": [1, 1e-3, 1e-6, 1e-9], "kernel_dim": 2}),
+    "random": ("random", {}),
+    "identity": ("identity", {}),
+}
+
+
+def _assert_thin_qn_sine_matches_dense(inst) -> float:
+    # the thin ||I - Q_n|| (a 2r-column block) against the m x m oracle;
+    # at zero angles both sit on the sqrt(eps) floor of the sqrt form.
+    # Returns the dense norm.
+    nrm = float(np.linalg.norm(np.eye(inst.m) - qn_matrix(inst), 2))
+    dense = math.sqrt(max(0.0, 1.0 - 1.0 / nrm**2)) if nrm > 1.0 else 0.0
+    thin = inst.offset_sines[1]
+    if dense > 1e-6:
+        assert thin == pytest.approx(dense, abs=1e-12)
+    else:
+        assert thin <= 1e-6
+    return nrm
+
+
+@settings(max_examples=80, deadline=None)
+@given(label=st.sampled_from(sorted(_QN_FAMILIES)), data=st.data())
+def test_thin_qn_sine_matches_dense_oracle(label, data):
+    name, params = _QN_FAMILIES[label]
+    fam = get_family(name, **params)
+    n = data.draw(st.integers(1, min(fam.max_n or 16, 16)), label="n")
+    m = data.draw(st.integers(max(n, fam.min_m), 40), label="m")
+    _assert_thin_qn_sine_matches_dense(make_lpa(fam, n, m))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LpaInstance(np.zeros((5, 5)), 2),
+    lambda: make_lpa(get_family("seidman"), 12, 12),
+    lambda: make_lpa(get_family("seidman"), 6, 10),
+    lambda: make_lpa(get_family("du"), 6, 6),
+    lambda: make_lpa(get_family("random", kernel_dim=2, seed=3), 9, 9),
+    lambda: make_lpa(get_family("identity"), 7, 7),
+    lambda: make_lpa(get_family("best-lpa", **_QN_FAMILIES["best-lpa-graded"][1]), 4, 6),
+], ids=["r-0", "seidman-n-eq-m", "seidman-2r-above-m", "du-n-eq-m", "random-n-eq-m",
+        "identity-n-eq-m", "best-lpa-graded-n-eq-r-m-eq-min"])
+def test_thin_qn_sine_matches_dense_oracle_at_edges(build):
+    # the norm itself too: for r = 0 it is 1 (the identity on the whole
+    # complement of an empty block), for n = m with T invertible it is 0
+    inst = build()
+    nrm = _assert_thin_qn_sine_matches_dense(inst)
+    assert _norm_i_minus_qn(inst) == pytest.approx(nrm, rel=1e-12, abs=1e-12)
 
 
 def test_qn_factors_through_kernel_complement():

@@ -4,10 +4,12 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
+import lpakit.operators
 import lpakit.scan
-from lpakit.analysis import kernel_approximability_scan
+from lpakit.analysis import diagnose, kernel_approximability_scan, kernel_core, make_lpa
 from lpakit.cli import main
 from lpakit.config import (
     ConfigError,
@@ -17,6 +19,7 @@ from lpakit.config import (
     resolve_m,
     scan_config_from_dict,
 )
+from lpakit.linalg import gap
 from lpakit.operators import get_family
 from lpakit.scan import CSV_HEADER, ScanNumericalError, render_csv, render_json, run_scan
 
@@ -171,6 +174,77 @@ def test_run_scan_out_of_range_n_is_config_error():
         run_scan(cfg)
 
 
+def test_run_scan_checks_every_row_before_factoring(monkeypatch):
+    # a bad row late in n_list is a config error, raised before any SVD
+    calls = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real_svd(*a, **k))
+    for n_list, m_rule, fragment in [([2, 16], "fixed:20", "n=16"),
+                                     ([2, 4], "fixed:10", "minimum 14")]:
+        cfg = scan_config_from_dict({"operator": {"name": "best-lpa"},
+                                     "n_list": n_list, "m_rule": m_rule})
+        with pytest.raises(ConfigError, match=fragment):
+            run_scan(cfg)
+    assert calls == []
+
+
+_SHARED_SCANS = [
+    ("seidman", {}, [2, 4, 8], "fixed:32"),
+    ("du", {}, [2, 4, 8], "factor:4"),
+    ("best-lpa", {}, [2, 4, 8, 12], "fixed:20"),
+    ("random", {"kernel_dim": 2, "seed": 1}, [2, 3, 4, 5], "fixed:12"),
+]
+
+
+def _count_t_factorizations(monkeypatch, family, ms):
+    # full SVDs of a square matrix equal to the family's truncation at its m
+    truncations = {m: family.truncate(m) for m in ms}
+    counted = []
+    real_svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        t = truncations.get(np.shape(a)[0])
+        if kwargs.get("compute_uv", True) and t is not None and np.array_equal(a, t):
+            counted.append(np.shape(a)[0])
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return counted
+
+
+@pytest.mark.parametrize("name, params, n_list, m_rule", _SHARED_SCANS,
+                         ids=[case[0] for case in _SHARED_SCANS])
+def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
+    # consecutive rows at one m share one SVD of T, and every row is bitwise
+    # the row a fresh instance gives
+    cfg = scan_config_from_dict({"operator": {"name": name, "params": params},
+                                 "n_list": n_list, "m_rule": m_rule})
+    family = get_family(name, **params)
+    ms = [cfg.m_for(n) for n in n_list]
+    fresh = [diagnose(make_lpa(family, n, m)) for n, m in zip(n_list, ms)]
+    cores = [kernel_core(make_lpa(family, n, m)) for n, m in zip(n_list, ms)]
+    counted = _count_t_factorizations(monkeypatch, family, ms)
+    assert list(run_scan(cfg).rows) == fresh
+    assert sorted(counted) == sorted(set(ms))
+    counted.clear()
+    rep = kernel_approximability_scan(family, n_list, m_rule)
+    assert sorted(counted) == sorted(set(ms))
+    assert [(r.kernel_core_dim, r.kernel_gap) for r in rep.rows] == [
+        (core.dim, gap(core, make_lpa(family, n, m).kernel))
+        for core, n, m in zip(cores, n_list, ms)]
+
+
+@pytest.mark.parametrize("m_rule, ms", [("fixed:20", 1), ("factor:10", 2)])
+def test_best_lpa_builds_its_model_once_per_m(monkeypatch, m_rule, ms):
+    calls = []
+    real = lpakit.operators.from_singular_system
+    monkeypatch.setattr(lpakit.operators, "from_singular_system",
+                        lambda *a, **k: calls.append(a[1]) or real(*a, **k))
+    run_scan(scan_config_from_dict({"operator": {"name": "best-lpa"},
+                                    "n_list": [2, 4], "m_rule": m_rule}))
+    assert len(calls) == ms == len(set(calls))
+
+
 def test_run_scan_wraps_numerical_failures(monkeypatch):
     def explode(inst, tol):
         raise ArithmeticError("solution leaked")
@@ -261,6 +335,28 @@ def test_cli_analyze_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["analyze", write_config(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "'du'" in err and "n=2" in err
+
+
+def test_cli_analyze_subspace_check_failure_exits_3(tmp_path, capsys, monkeypatch):
+    # a ValueError raised while computing (here the orthonormality check on
+    # an offset-angle image) is numerical, not a config problem
+    real_qr = np.linalg.qr
+
+    def skewed_qr(a, *args, **kwargs):
+        q, r = real_qr(a, *args, **kwargs)
+        return 2.0 * q, r
+
+    monkeypatch.setattr(np.linalg, "qr", skewed_qr)
+    assert main(["analyze", write_config(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "n=2" in err and "not orthonormal" in err
+
+
+def test_cli_analyze_out_of_range_n_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, operator={"name": "best-lpa"}, n_list=[2, 13],
+                       m_rule="fixed:20")
+    assert main(["analyze", cfg]) == 2
+    assert "n=13" in capsys.readouterr().err
 
 
 def test_cli_analyze_rejects_bad_env_tolerance(tmp_path, capsys, monkeypatch):

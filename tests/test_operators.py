@@ -240,6 +240,44 @@ def test_best_lpa_family_subspaces():
         fam.xn_basis(13, 20)  # only 12 singular directions prescribed
 
 
+@pytest.mark.parametrize("name, params, n, m, fragment", [
+    ("seidman", {}, 5, 4, "n <= m"),
+    ("identity", {}, 0, 4, "n <= m"),
+    ("best-lpa", {}, 13, 20, "limit 12"),
+    ("best-lpa", {"kernel_dim": 3}, 2, 14, "minimum 15"),
+    ("random", {"kernel_dim": 4}, 2, 4, "minimum 5"),
+], ids=["seidman-n-above-m", "identity-n-0", "best-lpa-n-above-rank", "best-lpa-m-below-min",
+        "random-m-below-min"])
+def test_family_check_rejects_pairs_it_cannot_build(name, params, n, m, fragment):
+    fam = get_family(name, **params)
+    with pytest.raises(ValueError, match=fragment):
+        fam.check(n, m)
+
+
+def test_family_check_accepts_the_limits():
+    for name, params, n, m in [("best-lpa", {}, 12, 14), ("random", {"kernel_dim": 4}, 5, 5),
+                               ("du", {}, 7, 7)]:
+        fam = get_family(name, **params)
+        fam.check(n, m)
+        if fam.xn_basis is not None:
+            assert fam.xn_basis(n, m).shape[0] == m
+        assert fam.truncate(m).shape == (m, m)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("random", {"seed": -1}),
+    ("random", {"kernel_dim": -1}),
+    ("random", {"seed": 1.5}),
+    ("best-lpa", {"seed": -2}),
+    ("best-lpa", {"seed": True}),
+    ("best-lpa", {"kernel_dim": 1.5}),
+], ids=["random-seed-negative", "random-kernel-dim-negative", "random-seed-float",
+        "best-lpa-seed-negative", "best-lpa-seed-bool", "best-lpa-kernel-dim-float"])
+def test_parametric_families_reject_bad_integers(name, params):
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        get_family(name, **params)
+
+
 def test_identity_family():
     fam = get_family("identity")
     assert np.array_equal(fam.truncate(4), np.eye(4))
