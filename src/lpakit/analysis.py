@@ -17,14 +17,21 @@ is governed by quantities this module computes at each finite n:
 
 Every diagnostic on one instance reads what the instance computed once: one
 SVD of T (a TruncationFactor, shared by every instance at the same m), one
-thin SVD of T X_n and both offset-angle routes, so identities that hold in
-exact arithmetic stay consistent to machine precision. The rank r of T X_n
-is decided once; both offset-angle images, ||I - Q_n|| (on a 2r-column
-block) and ||T_n^+ T|| (an r x m norm) are read off its r singular vectors.
-Subspaces stay orthonormal bases, X_n projecting as X_n (X_n^T v). Past the
-factor (once per m) and the thin SVD, nothing is cubic in m unless dim X_n
-or the kernel is of order m; the m x m matrices tn(), tn_pinv and
-qn_matrix() serve the solution route and the dense oracles.
+SVD of T X_n and both offset-angle routes, so identities that hold in exact
+arithmetic stay consistent to machine precision. The rank r of T X_n is
+decided once; both offset-angle images, ||I - Q_n|| (on a 2r-column block)
+and ||T_n^+ T|| (an r x m norm) are read off its r singular vectors.
+Subspaces stay orthonormal bases, X_n projecting as X_n (X_n^T v).
+
+Past the factor (once per m), a row's factorizations and spectral norms are
+sized by rho = rank(T) or by r <= rho, not by m: T X_n is factored as the
+rho x dim X_n matrix U_rho^T T X_n, the kernel gap and the containment of
+N(T) in X_n are rho-row norms against the row space, T^+ is applied through
+the factor, and the rest have at most 2r rows or columns. When dim X_n is of
+order m a row still makes m x m x dim X_n matrix products (T X_n, the kernel
+core's basis), but no m x ~m factorization. The m x m matrices t_pinv, tn(),
+tn_pinv and qn_matrix() serve the solution route, the zero-offset report and
+the dense oracles.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from .linalg import (
     SvdResult,
     as_matrix,
     as_vector,
-    deficiency,
     gap,
     numerical_rank,
     pinv_from_svd,
@@ -79,10 +85,12 @@ class PreconditionError(ValueError):
 
 
 class TruncationFactor:
-    """The SVD of one m x m truncation T and what is read off it: rank,
-    sigma_max, T^+, the row space and the kernel, every rank decision at
-    rank_tol. It does not depend on X_n, so every instance at this m can
-    share it (see shared_factors).
+    """The SVD of one m x m truncation T and what is read off it: rank rho,
+    sigma_max, the rank-rho left factor U_rho and singular values Sigma_rho,
+    the row space R and the kernel K = R^perp, every rank decision at
+    rank_tol. T^+ is applied as V_rho Sigma_rho^{-1} U_rho^T (pinv_apply);
+    the m x m t_pinv is formed only when read. It does not depend on X_n, so
+    every instance at this m can share it (see shared_factors).
     """
 
     def __init__(self, t, rank_tol: float | None = None):
@@ -96,9 +104,20 @@ class TruncationFactor:
         self.rank = numerical_rank(res.singular_values, t.shape, rank_tol)
         self.sigma_max = float(res.singular_values[0]) if self.m else 0.0
         r = self.rank
-        self.t_pinv = pinv_from_svd(res, r)
-        self.rowspace = Subspace(res.vt[:r].T.copy())
-        self.kernel = Subspace(res.vt[r:].T.copy())
+        self.u_rho = res.u[:, :r].copy()
+        self.s_rho = res.singular_values[:r]
+        self.rowspace = Subspace(res.vt[:r].T)
+        self.kernel = Subspace(res.vt[r:].T)
+
+    def pinv_apply(self, v: np.ndarray) -> np.ndarray:
+        """T^+ v = V_rho Sigma_rho^{-1} (U_rho^T v), for a vector or a matrix's
+        columns."""
+        return self.rowspace.basis @ ((self.u_rho.T @ v).T / self.s_rho).T
+
+    @cached_property
+    def t_pinv(self) -> np.ndarray:
+        """T^+ as a dense m x m matrix, for the checks and oracles that need it."""
+        return pinv_from_svd(SvdResult(self.u_rho, self.s_rho, self.rowspace.basis.T), self.rank)
 
 
 def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
@@ -124,14 +143,16 @@ class LpaInstance:
     depend on X_n.
 
     T is given as a matrix, factored here, or as a TruncationFactor shared
-    with other instances at the same m; its attributes (t, rank, sigma_max,
-    t_pinv, rowspace, kernel, rank_tol) are exposed on the instance. First
-    use computes, once: one thin SVD of T X_n (txn_svd), whose rank r
-    anchored to sigma_max(T) splits it into the range T(X_n) and the kernel
-    columns; tn_rank, its rank at the cutoff pseudo_inverse(T_n) applies,
-    which tn_pinv = T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t share; the two
-    offset-angle images, both of dimension r, and both routes' sines. Every
-    rank decision uses rank_tol.
+    with other instances at the same m (factor); its attributes (t, rank,
+    sigma_max, t_pinv, rowspace, kernel, rank_tol) are exposed on the
+    instance. First use computes, once: the SVD of T X_n read in U_rho
+    (txn_svd, a rho x dim X_n factorization), whose rank r anchored to
+    sigma_max(T) splits it into the range T(X_n) and the kernel columns;
+    tn_rank, its rank at the cutoff pseudo_inverse(T_n) applies, which
+    tn_pinv = T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t share; the two
+    offset-angle images, both of dimension r, and both routes' sines; and
+    kernel_deficiency, deficiency(N(T), X_n) from the rho x dim X_n matrix
+    R^T X_n. Every rank decision uses rank_tol.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
     arbitrary orthonormal basis may be supplied instead.
@@ -152,9 +173,15 @@ class LpaInstance:
             self.x_n = Subspace(np.asarray(x_basis, dtype=float))
             if self.x_n.ambient_dim != self.m:
                 raise ValueError("x_basis ambient dimension does not match t")
+        self.factor = factor
         self.t, self.rank_tol = factor.t, factor.rank_tol
         self.rank, self.sigma_max = factor.rank, factor.sigma_max
-        self.t_pinv, self.rowspace, self.kernel = factor.t_pinv, factor.rowspace, factor.kernel
+        self.rowspace, self.kernel = factor.rowspace, factor.kernel
+
+    @property
+    def t_pinv(self) -> np.ndarray:
+        """The factor's dense m x m T^+, formed on first read."""
+        return self.factor.t_pinv
 
     def tn(self) -> np.ndarray:
         """The approximating operator T P_{X_n}, built on demand."""
@@ -162,10 +189,18 @@ class LpaInstance:
 
     @cached_property
     def txn_svd(self) -> tuple[SvdResult, int]:
-        """Thin SVD of T X_n and its rank anchored to sigma_max(T)."""
-        res = svd(self.t @ self.x_n.basis, full_matrices=False)
-        shape = (self.m, self.x_n.dim)
-        return res, numerical_rank(res.singular_values, shape, self.rank_tol,
+        """SVD of T X_n and its rank anchored to sigma_max(T).
+
+        Taken as the SVD P S V^T of Z = U_rho^T (T X_n), rho x dim X_n, with
+        u = U_rho P. What is dropped, (I - U_rho U_rho^T) T X_n, has norm at
+        most sigma_{rho+1}(T), below T's own rank cutoff. Z projects the
+        dense product, so exact zeros of T X_n stay exact. V is full when
+        rho < dim X_n, since kernel_core needs all dim X_n - r rows vt[r:].
+        """
+        f, k = self.factor, self.x_n.dim
+        z = svd(f.u_rho.T @ (self.t @ self.x_n.basis), full_matrices=f.rank < k)
+        res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
+        return res, numerical_rank(res.singular_values, (self.m, k), self.rank_tol,
                                    scale=self.sigma_max)
 
     @cached_property
@@ -177,8 +212,26 @@ class LpaInstance:
 
     @cached_property
     def tn_pinv(self) -> np.ndarray:
-        """T_n^+ = X_n (T X_n)^+ at tn_rank."""
-        return self.x_n.basis @ pinv_from_svd(self.txn_svd[0], self.tn_rank)
+        """T_n^+ = (X_n V_r Sigma_r^{-1}) U_r^T at r = tn_rank, an m x r x m
+        product."""
+        res, r = self.txn_svd[0], self.tn_rank
+        return (self.x_n.basis @ (res.vt[:r].T / res.singular_values[:r])) @ res.u[:, :r].T
+
+    @cached_property
+    def kernel_deficiency(self) -> float:
+        """deficiency(N(T), X_n), read off R^T X_n (rho x dim X_n) by the CS
+        decomposition: 1 when dim N(T) > dim X_n, else
+        sigma_{rho + dim X_n - m + 1}(R^T X_n), counted from 1, and 0 when
+        that index passes the last singular value (N(T) = {0} or X_n = R^m).
+        No rank decision; absolute error about eps."""
+        k = self.x_n.dim
+        j = self.rank + k - self.m
+        if j < 0:
+            return 1.0
+        if j >= min(self.rank, k):
+            return 0.0
+        return float(np.linalg.svd(self.rowspace.basis.T @ self.x_n.basis,
+                                   compute_uv=False)[j])
 
     @cached_property
     def images(self) -> tuple[Subspace, Subspace]:
@@ -245,7 +298,7 @@ def _qn_factors(inst: LpaInstance) -> tuple[np.ndarray, np.ndarray]:
     singular vectors txn_svd kept, an orthonormal basis of T(X_n))."""
     res, r = inst.txn_svd
     u_r = res.u[:, :r]
-    return inst.t_pinv @ u_r, inst.t.T @ u_r
+    return inst.factor.pinv_apply(u_r), inst.t.T @ u_r
 
 
 def qn_matrix(inst: LpaInstance) -> np.ndarray:
@@ -322,6 +375,17 @@ def kernel_core(inst: LpaInstance) -> Subspace:
     return Subspace(inst.x_n.basis @ res.vt[r:].T)
 
 
+def _kernel_gap(inst: LpaInstance, core: Subspace) -> float:
+    """gap(core, N(T)) for core = kernel_core(inst): 1 for unequal
+    dimensions, else ||(I - P_K) B_core|| = ||R^T B_core||, a rho x dim-core
+    norm, since I - P_K = P_R (K and R come from one orthogonal V)."""
+    if core.dim != inst.kernel.dim:
+        return 1.0
+    if core.dim == 0:
+        return 0.0
+    return float(np.linalg.norm(inst.rowspace.basis.T @ core.basis, 2))
+
+
 def norm_tn_dag_t(inst: LpaInstance) -> float:
     """||T_n^+ T||, as the r x m norm ||Sigma_r^{-1} U_r^T T||.
 
@@ -368,7 +432,7 @@ def diagnose(inst: LpaInstance, tolerances: Tolerances | None = None) -> LpaDiag
         norm_tn_dag_t=norm_tn_dag_t(inst),
         kernel_core_dim=core.dim,
         kernel_dim=inst.kernel.dim,
-        kernel_gap=gap(core, inst.kernel),
+        kernel_gap=_kernel_gap(inst, core),
         bound_factor=_bound_factor(ang.sin_gap_route),
     )
 
@@ -423,7 +487,7 @@ def kernel_approximability_scan(family: OperatorFamily, n_list,
         inst = make_lpa(family, n, m, tolerances.rank, factor(m))
         core = kernel_core(inst)
         return KernelScanRow(n=n, m=m, kernel_core_dim=core.dim,
-                             kernel_dim=inst.kernel.dim, kernel_gap=gap(core, inst.kernel))
+                             kernel_dim=inst.kernel.dim, kernel_gap=_kernel_gap(inst, core))
 
     rows = [row(n, resolve_m(m_rule, n)) for n in n_list]
     verdict = kernel_verdict(rows, tolerances.check)
@@ -456,7 +520,7 @@ def error_identity_check(inst: LpaInstance, y,
     """
     tolerances = tolerances or Tolerances.default()
     y = as_vector(y)
-    tp_y = inst.t_pinv @ y
+    tp_y = inst.factor.pinv_apply(y)
     lhs = tn_pinv_apply(inst, y) - tp_y
     w = tp_y - inst.x_n.project(tp_y)
     rhs = inst.tn_pinv @ (inst.t @ w) - w
@@ -485,13 +549,13 @@ def error_bound_check(inst: LpaInstance, y,
     """
     tolerances = tolerances or Tolerances.default()
     y = as_vector(y)
-    if deficiency(inst.kernel, inst.x_n) > tolerances.check:
+    if inst.kernel_deficiency > tolerances.check:
         raise PreconditionError(
             "kernel not contained in the subspace at this index; the bound is "
             "only asserted from the index where the kernel is captured")
     ang = offset_angle(inst, tolerances)
     factor = _bound_factor(ang.sin_gap_route)
-    tp_y = inst.t_pinv @ y
+    tp_y = inst.factor.pinv_apply(y)
     lhs = float(np.linalg.norm(tn_pinv_apply(inst, y) - tp_y))
     dist = float(np.linalg.norm(tp_y - inst.x_n.project(tp_y)))
     rhs = factor * dist
@@ -551,7 +615,7 @@ def zero_offset_characterization(inst: LpaInstance,
         pinv_is_projected_pinv=pinv_ok,
         invariance_holds=invariance,
         consistent=(theta_zero == pinv_ok == invariance),
-        kernel_inside=deficiency(inst.kernel, inst.x_n) <= tol,
+        kernel_inside=inst.kernel_deficiency <= tol,
         sin_theta=sin_theta,
         pinv_diff=pinv_diff,
         sum_deficiency=sum_def,
@@ -612,7 +676,7 @@ def du_divergence_check(n_max: int = 20,
         inst = make_lpa(family, n, m, tolerances.rank)
         x = tn_pinv_apply(inst, y)
         sol_norm = float(np.linalg.norm(x))
-        div_gap = float(np.linalg.norm(x - inst.t_pinv @ y))
+        div_gap = float(np.linalg.norm(x - inst.factor.pinv_apply(y)))
         rows.append(DuDivergenceRow(
             n=n, m=m, coefficient=coef, coefficient_closed=closed,
             solution_norm=sol_norm, divergence_gap=div_gap,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from lpakit.analysis import (
     LpaInstance,
     TruncationFactor,
+    _kernel_gap,
     _norm_i_minus_qn,
     PreconditionError,
     coercive_bound_check,
@@ -38,9 +39,11 @@ from lpakit.linalg import (
     deficiency,
     gap,
     kernel_basis,
+    numerical_rank,
     orthonormal_range,
     projector,
     pseudo_inverse,
+    svd,
 )
 from lpakit.operators import du_bad_y, du_vector_e, get_family, random_finite_kernel
 
@@ -91,6 +94,7 @@ def test_instance_shares_a_truncation_factor():
     # rank_tol other than the factor's is refused
     factor = TruncationFactor(random_finite_kernel(12, 3, 0), 1e-10)
     a, b = LpaInstance(factor, 4), LpaInstance(factor, 8, rank_tol=1e-10)
+    assert "t_pinv" not in vars(factor)  # the m x m T^+ is formed on first read
     assert a.t_pinv is b.t_pinv is factor.t_pinv and a.kernel is factor.kernel
     assert (a.rank, a.rank_tol) == (9, 1e-10)
     with pytest.raises(ValueError, match="rank_tol"):
@@ -104,16 +108,34 @@ def test_instance_caches_consistent_factorization():
     assert inst.rank == 8
     assert inst.kernel.dim == 2
     assert inst.rowspace.dim == 8
-    # the pseudoinverse agrees with the reference implementation
+    # the pseudoinverse agrees with the reference implementation, as a matrix
+    # and applied through the factor
     assert np.allclose(inst.t_pinv, np.linalg.pinv(inst.t), atol=1e-10)
+    v = np.random.default_rng(1).standard_normal((10, 3))
+    assert np.allclose(inst.factor.pinv_apply(v), inst.t_pinv @ v, atol=1e-12)
+    assert np.allclose(inst.factor.pinv_apply(v[:, 0]), inst.t_pinv @ v[:, 0], atol=1e-12)
+
+
+def _assert_sized_by_rank(inst, shapes):
+    # no SVD in shapes has more entries than rho x dim X_n (the kernel core
+    # lies in X_n, so rho x dim core is no larger)
+    bound = inst.rank * inst.x_n.dim
+    assert all(p * q <= bound for p, q in shapes), (bound, shapes)
+
+
+# best-lpa at m = 64 has a kernel of dimension m - 12 = 52 and dim X_n = 60:
+# the regime where T X_n and the kernel tests were m x ~m before they were
+# read off T's rank-12 factor
+_WIDE_KERNEL = ("best-lpa", 8, 64)
 
 
 @pytest.mark.parametrize("name, n, m", [("seidman", 8, 32), ("best-lpa", 8, 20),
-                                        ("du", 4, 36)])
+                                        ("du", 4, 36), _WIDE_KERNEL])
 def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
-    # T and T X_n; the two offset-angle images are QRs of T X_n's r singular
-    # vectors, and singular values alone (compute_uv=False, spectral norms)
-    # are not factorizations
+    # T and T X_n, the latter as the rho x dim X_n matrix U_rho^T T X_n; the
+    # two offset-angle images are QRs of T X_n's r singular vectors, and
+    # singular values alone (compute_uv=False, spectral norms) are not
+    # factorizations
     shapes = []
     real_svd = np.linalg.svd
 
@@ -129,31 +151,37 @@ def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
         error_bound_check(inst, np.ones(m))
     assert len(shapes) == 2, shapes
     assert shapes.count((m, m)) == 1, shapes
+    _assert_sized_by_rank(inst, [shape for shape in shapes if shape != (m, m)])
 
 
 @pytest.mark.parametrize("name, n, m, want", [("seidman", 8, 32, 0), ("best-lpa", 8, 20, 0),
-                                              ("du", 4, 36, 0)])
+                                              ("du", 4, 36, 0), (*_WIDE_KERNEL, 0)])
 def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want):
-    # norm(ord=2) takes singular values through numpy's internal svd binding.
-    # An instance takes none on m x m matrices: ||I - Q_n|| is a 2r x 2r
-    # norm while 2r < m, ||T_n^+ T|| an r x m one, and the Subspace
-    # orthonormality check takes none, even on seidman's m-column row-space
-    # basis.
+    # norm(ord=2) takes singular values through numpy's internal svd binding,
+    # the containment test through the public one; both are counted. An
+    # instance takes none on m x m matrices: ||I - Q_n|| is a 2r x 2r norm
+    # while 2r < m, ||T_n^+ T|| an r x m one, the kernel gap rho x dim core,
+    # the containment test rho x dim X_n, and the Subspace orthonormality
+    # check takes none, even on seidman's m-column row-space basis.
     internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    real_svd = internal.svd
     shapes = []
 
-    def counting_svd(a, *args, **kwargs):
-        if not kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
-            shapes.append(np.shape(a))
-        return real_svd(a, *args, **kwargs)
+    def counting(real_svd):
+        def counting_svd(a, *args, **kwargs):
+            if not kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
+                shapes.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+        return counting_svd
 
-    monkeypatch.setattr(internal, "svd", counting_svd)
+    monkeypatch.setattr(internal, "svd", counting(internal.svd))
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
     inst = make_lpa(get_family(name), n, m)
     diagnose(inst)
     with contextlib.suppress(PreconditionError):  # du never captures its kernel
         error_bound_check(inst, np.ones(m))
     assert shapes.count((m, m)) == want, shapes
+    if (name, n, m) == _WIDE_KERNEL:
+        _assert_sized_by_rank(inst, shapes)
 
 
 @pytest.mark.parametrize("build", [
@@ -320,6 +348,113 @@ def test_qn_factors_through_kernel_complement():
         lhs = qn_matrix(inst)
         rhs = projector(inst.rowspace) @ inst.tn_pinv @ inst.t
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-7
+
+
+# ------------------------------------------------- reads off T's rank-rho factor
+
+
+def _rank_is_clear(s, delta, shape, rank_tol, scale=None) -> bool:
+    # no singular value lies within delta of the cutoff: shifting all of them
+    # by -delta or +delta moves none across it
+    lo = numerical_rank(np.maximum(s - delta, 0.0), shape, rank_tol, scale)
+    return lo == numerical_rank(s + delta, shape, rank_tol, scale)
+
+
+def _assert_factor_reads_match_dense(inst) -> None:
+    # txn_svd (the SVD of U_rho^T T X_n) against the SVD of the m x dim X_n
+    # product, and the kernel gap and containment against linalg.gap and
+    # linalg.deficiency. What the thin form drops, (I - U_rho U_rho^T) T X_n,
+    # has norm at most sigma_{rho+1}(T); delta adds roundoff headroom.
+    k, shape = inst.x_n.dim, (inst.m, inst.x_n.dim)
+    txn = inst.t @ inst.x_n.basis
+    dense = svd(txn, full_matrices=False)
+    res, r = inst.txn_svd
+    s, s_dense = res.singular_values, dense.singular_values
+    tail = np.linalg.svd(inst.t, compute_uv=False)[inst.rank:]
+    delta = (tail[0] if tail.size else 0.0) + 1e-13 * inst.sigma_max
+    assert s.size == min(inst.rank, k)
+    assert np.all(np.abs(s - s_dense[:s.size]) <= delta)
+    assert np.all(s_dense[s.size:] <= delta)
+    if not txn.any():  # X_n inside a planted kernel: exact zeros stay exact
+        assert not s.any() and r == inst.tn_rank == 0
+    want_r = numerical_rank(s_dense, shape, inst.rank_tol, scale=inst.sigma_max)
+    if _rank_is_clear(s_dense, delta, shape, inst.rank_tol, scale=inst.sigma_max):
+        assert r == want_r
+    if txn.any() and _rank_is_clear(s_dense, delta, shape, inst.rank_tol):
+        assert inst.tn_rank == numerical_rank(s_dense, shape, inst.rank_tol)
+    if r == want_r:
+        # U_r and the kernel core move by at most delta over the singular
+        # value separation at r (Wedin), a bound of 1 being no bound
+        sep = s_dense[r - 1] - (s_dense[r] if r < s_dense.size else 0.0) if r else 1.0
+        bound = min(1.0, 4.0 * delta / sep)
+        assert gap(Subspace(res.u[:, :r]), Subspace(dense.u[:, :r])) <= bound
+        dense_core = Subspace(inst.x_n.basis @ dense.vt[r:].T)
+        assert gap(kernel_core(inst), dense_core) <= bound
+    core = kernel_core(inst)
+    assert _kernel_gap(inst, core) == pytest.approx(gap(core, inst.kernel), abs=1e-13)
+    assert inst.kernel_deficiency == pytest.approx(deficiency(inst.kernel, inst.x_n),
+                                                   abs=1e-13)
+
+
+def _perturbed_kernel_instance(m, kernel_dim, n, eps, seed) -> LpaInstance:
+    # T's kernel is span{e^1, ..., e^kernel_dim}; X_n holds it perturbed by
+    # eps, plus n - kernel_dim random directions
+    rng = np.random.default_rng(seed)
+    b = np.eye(m, n) + eps * rng.standard_normal((m, n))
+    b[:, kernel_dim:] = rng.standard_normal((m, n - kernel_dim))
+    return LpaInstance(random_finite_kernel(m, kernel_dim, seed), n,
+                       x_basis=np.linalg.qr(b)[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(label=st.sampled_from([*sorted(_QN_FAMILIES), "zero", "x-is-kernel",
+                              "kernel-wider", "perturbed-containment"]),
+       data=st.data())
+def test_factor_reads_match_dense_oracles(label, data):
+    m = data.draw(st.integers(3, 40), label="m")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    if label in _QN_FAMILIES:
+        name, params = _QN_FAMILIES[label]
+        fam = get_family(name, **params)
+        n = data.draw(st.integers(1, min(fam.max_n or 16, 16)), label="n")
+        inst = make_lpa(fam, n, max(m, n, fam.min_m))
+    elif label == "zero":  # rho = 0
+        inst = LpaInstance(np.zeros((m, m)), data.draw(st.integers(1, m), label="n"))
+    elif label == "x-is-kernel":  # T X_n is exactly 0
+        kd = data.draw(st.integers(1, m - 1), label="kernel_dim")
+        inst = LpaInstance(random_finite_kernel(m, kd, seed), kd)
+    elif label == "kernel-wider":  # dim N(T) > dim X_n: containment fails
+        kd = data.draw(st.integers(2, m - 1), label="kernel_dim")
+        inst = LpaInstance(random_finite_kernel(m, kd, seed),
+                           data.draw(st.integers(1, kd - 1), label="n"))
+        assert inst.kernel_deficiency == 1.0
+    else:
+        kd = data.draw(st.integers(1, m - 1), label="kernel_dim")
+        inst = _perturbed_kernel_instance(
+            m, kd, data.draw(st.integers(kd, m), label="n"),
+            10.0 ** data.draw(st.integers(-14, -2), label="log10_eps"), seed)
+    _assert_factor_reads_match_dense(inst)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LpaInstance(np.zeros((5, 5)), 2),
+    lambda: LpaInstance(np.zeros((5, 5)), 5),
+    lambda: LpaInstance(random_finite_kernel(10, 3, 0), 3),
+    lambda: LpaInstance(random_finite_kernel(10, 3, 0), 2),
+    lambda: make_lpa(get_family("seidman"), 12, 12),
+    lambda: make_lpa(get_family("du"), 6, 6),
+    lambda: make_lpa(get_family("best-lpa"), 12, 20),
+    lambda: make_lpa(get_family("random", kernel_dim=2, seed=3), 9, 9),
+    *[lambda e=e: _perturbed_kernel_instance(20, 3, 6, e, 7) for e in (1e-14, 1e-8, 1e-2)],
+], ids=["rho-0", "rho-0-n-eq-m", "x-is-kernel", "kernel-wider", "seidman-n-eq-m",
+        "du-n-eq-m", "best-lpa-n-eq-m", "random-n-eq-m",
+        "perturbed-1e-14", "perturbed-1e-8", "perturbed-1e-2"])
+def test_factor_reads_match_dense_oracles_at_edges(build):
+    inst = build()
+    _assert_factor_reads_match_dense(inst)
+    r = inst.txn_svd[1]
+    assert r == numerical_rank(svd(inst.t @ inst.x_n.basis).singular_values,
+                               (inst.m, inst.x_n.dim), inst.rank_tol, scale=inst.sigma_max)
 
 
 # -------------------------------------------------------------- offset angle

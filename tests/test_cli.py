@@ -9,7 +9,13 @@ import pytest
 
 import lpakit.operators
 import lpakit.scan
-from lpakit.analysis import diagnose, kernel_approximability_scan, kernel_core, make_lpa
+from lpakit.analysis import (
+    _kernel_gap,
+    diagnose,
+    kernel_approximability_scan,
+    kernel_core,
+    make_lpa,
+)
 from lpakit.cli import main
 from lpakit.config import (
     ConfigError,
@@ -19,7 +25,6 @@ from lpakit.config import (
     resolve_m,
     scan_config_from_dict,
 )
-from lpakit.linalg import gap
 from lpakit.operators import get_family
 from lpakit.scan import CSV_HEADER, ScanNumericalError, render_csv, render_json, run_scan
 
@@ -222,7 +227,8 @@ def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     family = get_family(name, **params)
     ms = [cfg.m_for(n) for n in n_list]
     fresh = [diagnose(make_lpa(family, n, m)) for n, m in zip(n_list, ms)]
-    cores = [kernel_core(make_lpa(family, n, m)) for n, m in zip(n_list, ms)]
+    insts = [make_lpa(family, n, m) for n, m in zip(n_list, ms)]
+    cores = [kernel_core(inst) for inst in insts]
     counted = _count_t_factorizations(monkeypatch, family, ms)
     assert list(run_scan(cfg).rows) == fresh
     assert sorted(counted) == sorted(set(ms))
@@ -230,8 +236,7 @@ def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     rep = kernel_approximability_scan(family, n_list, m_rule)
     assert sorted(counted) == sorted(set(ms))
     assert [(r.kernel_core_dim, r.kernel_gap) for r in rep.rows] == [
-        (core.dim, gap(core, make_lpa(family, n, m).kernel))
-        for core, n, m in zip(cores, n_list, ms)]
+        (core.dim, _kernel_gap(inst, core)) for inst, core in zip(insts, cores)]
 
 
 @pytest.mark.parametrize("m_rule, ms", [("fixed:20", 1), ("factor:10", 2)])
