@@ -45,6 +45,13 @@ class OperatorFamily:
     it returns an orthonormal m x k basis for the subspace at index n.
     max_n and min_m are the family's own limits on (n, m); check() tests a
     pair against them without building anything.
+
+    Every nonzero entry of truncate(m) is at least sqrt(tiny) * max|a_ij| in
+    magnitude (tiny = np.finfo(float).tiny). A product of two entries is then
+    at least tiny * max|a_ij|^2, a normal double for entries of order one, so
+    factorizations do not run into subnormal arithmetic, which x86 executes
+    in slow microcode. A family whose entries decay past that stores 0
+    instead (see du).
     """
 
     name: str
@@ -84,6 +91,10 @@ def seidman(m: int) -> np.ndarray:
     return a
 
 
+# Largest s with 3/2^s >= sqrt(tiny) = 2^-511, i.e. 512; see du.
+_DU_MAX_EXPONENT = math.floor(math.log2(3.0 / math.sqrt(np.finfo(float).tiny)))
+
+
 def du(m: int) -> np.ndarray:
     """Orthogonal projection onto the complement of one unit direction.
 
@@ -91,12 +102,26 @@ def du(m: int) -> np.ndarray:
     truncated matrix is written entrywise as A[i][j] = delta_ij - 3/2^(i+j),
     which keeps every entry an exact dyadic multiple of 3. The truncation
     defect away from a true projector is of size 4^(-m).
+
+    The term 3/2^(i+j) is stored only while i + j <= 512, i.e. while it is at
+    least sqrt(tiny) = 2^-511, and is 0 beyond. Past that, products of two
+    entries (which every factorization forms) would be subnormal, and x86
+    runs subnormal arithmetic in slow microcode. The dropped part has
+    spectral norm below 2^-500, far under any rank cutoff. For m <= 256 no
+    entry is dropped.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     idx = np.arange(1, m + 1)
-    with np.errstate(over="ignore"):  # 2^(i+j) = inf from i + j > 1023: entry 3/inf = 0
-        return np.eye(m) - 3.0 / np.exp2(np.add.outer(idx, idx))
+    # w_k = 2^-k; from k = _DU_MAX_EXPONENT on every entry in row or column
+    # k is dropped, so w_k = 0 there keeps the outer product free of underflow
+    w = np.zeros(m)
+    k = min(m, _DU_MAX_EXPONENT - 1)
+    w[:k] = np.ldexp(1.0, -idx[:k])
+    a = np.multiply.outer(w, -3.0 * w)
+    a[np.add.outer(idx, idx) > _DU_MAX_EXPONENT] = 0.0
+    a.flat[:: m + 1] += 1.0
+    return a
 
 
 def du_vector_e(m: int) -> np.ndarray:
@@ -289,7 +314,10 @@ _STATIC_FAMILIES = {
                "direction e_k = sqrt(3)/2^k; the truncated matrix misses "
                "being an exact projector by 4^-m, and its kernel direction "
                "only becomes numerically visible once 4^-m drops below the "
-               "rank cutoff (m around 28)"),
+               "rank cutoff (m around 28); entries 3/2^(i+j) stop at "
+               "i + j = 512, where they reach sqrt(tiny) = 2^-511, so that "
+               "no product of two entries is subnormal (the dropped part "
+               "is below 2^-500 in norm)"),
     ),
 }
 

@@ -26,6 +26,7 @@ from lpakit.analysis import (
     error_identity_check,
     kernel_approximability_scan,
     kernel_core,
+    kernel_verdict,
     make_lpa,
     norm_tn_dag_t,
     offset_angle,
@@ -529,6 +530,34 @@ def test_offset_angle_images_keep_txn_rank(name, params, n, m):
     row = diagnose(inst)
     assert abs(row.sin_theta_gap - row.sin_theta_qn) <= 1e-6
     assert math.isfinite(row.bound_factor)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_du_rank_cliff_flips_everything_together(n):
+    # du's smallest singular value is about 4^-m: somewhere in m = 20..40 it
+    # crosses the rank cutoff. Below the cliff T is invertible, T^+T = I and
+    # the angle is near a right angle; above it the kernel (the direction e,
+    # never inside X_n) appears and the angle vanishes. The kernel dimension,
+    # the kernel verdict and both routes' sines must all switch at the same
+    # m, with the routes agreeing throughout and both images of dimension r.
+    check = Tolerances.default().check
+    fam = get_family("du")
+    kernel_dims, verdicts, gap_wide, qn_wide = [], [], [], []
+    for m in range(20, 41):
+        inst = make_lpa(fam, n, m)
+        row = diagnose(inst)
+        r = inst.txn_svd[1]
+        assert [image.dim for image in inst.images] == [r, r]
+        assert not offset_angle(inst).route_disagreement
+        kernel_dims.append(row.kernel_dim)
+        verdicts.append(kernel_verdict([row], check))
+        gap_wide.append(row.sin_theta_gap > 0.5)
+        qn_wide.append(row.sin_theta_qn > 0.5)
+    assert kernel_dims[0] == 0 and kernel_dims[-1] == 1
+    cliff = kernel_dims.index(1)
+    assert kernel_dims == [0] * cliff + [1] * (21 - cliff)
+    assert verdicts == ["holds"] * cliff + ["violated"] * (21 - cliff)
+    assert gap_wide == qn_wide == [True] * cliff + [False] * (21 - cliff)
 
 
 # --------------------------------------------------------------- kernel core

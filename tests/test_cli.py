@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +419,16 @@ def test_cli_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nope"]) == 2
     err = capsys.readouterr().err
     assert "penrose" in err and "seidman" in err
+
+
+def test_python_m_lpakit_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "lpakit", "verify", "penrose"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS penrose." in proc.stdout
 
 
 def test_cli_gallery_lists_families(capsys):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lpakit.analysis import LpaInstance, diagnose, kernel_verdict, make_lpa
+from lpakit.config import Tolerances
 from lpakit.linalg import Subspace, gap, kernel_basis, svd
 from lpakit.operators import (
     FAMILY_NAMES,
@@ -61,6 +63,7 @@ def test_du_entry_values():
 def test_du_nested_truncations():
     assert np.array_equal(du(4), du(8)[:4, :4])
     assert np.array_equal(du(8), du(32)[:8, :8])
+    assert np.array_equal(du(512), du(1024)[:512, :512])  # across the entry cutoff
 
 
 def test_du_symmetric():
@@ -75,14 +78,15 @@ def test_du_nearly_projector(m):
 
 
 def test_du_large_truncation_is_silent():
-    # 2^(i+j) overflows to inf once i + j > 1023; 3/inf = 0 is the entry.
-    # The right-hand sides take negative powers, which underflow to 0.
+    # du stores 3/2^(i+j) only up to i + j = 512 and 0 beyond, so it neither
+    # overflows nor underflows. The right-hand sides take negative powers,
+    # which underflow to 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         a = du(512)
         y, e = du_bad_y(1100), du_vector_e(1100)
     assert np.all(np.isfinite(a))
-    assert a[-1, -1] == 1.0  # the one overflowing entry, i = j = 512
+    assert a[-1, -1] == 1.0  # i = j = 512 is past the cutoff: delta_ij only
     assert np.array_equal(a[:256, :256], du(256))
     # closed forms (2^k - 1) sqrt(3)/4^k and sqrt(3)/2^k, rounded once from exact
     k = range(1, 1101)
@@ -90,6 +94,47 @@ def test_du_large_truncation_is_silent():
         y, [math.sqrt(3.0) * float(Fraction(2**i - 1, 4**i)) for i in k], rtol=1e-15, atol=0)
     np.testing.assert_allclose(
         e, [math.sqrt(3.0) * float(Fraction(1, 2**i)) for i in k], rtol=1e-15, atol=0)
+
+
+def _du_unfloored(m):
+    # the entries before the sqrt(tiny) cutoff: 3/2^(i+j) down to 3 * 2^-1023,
+    # 0 only where 2^(i+j) overflows
+    idx = np.arange(1, m + 1)
+    with np.errstate(over="ignore"):
+        return np.eye(m) - 3.0 / np.exp2(np.add.outer(idx, idx))
+
+
+@pytest.mark.parametrize("m", [1, 256, 257, 512, 768, 1100])
+def test_du_against_unfloored_oracle(m):
+    a, old = du(m), _du_unfloored(m)
+    idx = np.arange(1, m + 1)
+    dropped = np.add.outer(idx, idx) > 512
+    if m <= 256:
+        assert not dropped.any()
+        assert np.array_equal(a, old)
+    # identical up to i + j = 512; beyond it only delta_ij is left
+    assert np.array_equal(a[~dropped], old[~dropped])
+    assert np.array_equal(a[dropped], np.eye(m)[dropped])
+
+
+def test_du_diagnostics_match_unfloored_oracle():
+    # perfbench's tolerances. n stops at 16: from n = 32 on, T X_n has
+    # condition number about 4^n and the sine's roundoff floor is near 1e-7
+    # on both matrices.
+    check = Tolerances.default().check
+    rows, oracle_rows = [], []
+    for n, m in [(4, 192), (8, 384), (16, 768)]:
+        got = diagnose(make_lpa(get_family("du"), n, m))
+        want = diagnose(LpaInstance(_du_unfloored(m), n))
+        assert (got.kernel_dim, got.kernel_core_dim) == (want.kernel_dim, want.kernel_core_dim)
+        assert kernel_verdict([got], check) == kernel_verdict([want], check)
+        assert got.sin_theta_gap == pytest.approx(want.sin_theta_gap, rel=0, abs=1e-10)
+        assert got.kernel_gap == pytest.approx(want.kernel_gap, rel=0, abs=1e-10)
+        assert got.norm_tn_dag_t == pytest.approx(want.norm_tn_dag_t, rel=1e-9, abs=0)
+        assert got.bound_factor == pytest.approx(want.bound_factor, rel=1e-9, abs=0)
+        rows.append(got)
+        oracle_rows.append(want)
+    assert kernel_verdict(rows, check) == kernel_verdict(oracle_rows, check) == "violated"
 
 
 def test_du_kernel_direction_appears_with_depth():
@@ -125,6 +170,19 @@ def test_du_bad_y_entries_and_pairing():
         want = 4.0 / 7.0 - 3.0 * (4.0 ** (-m) / 3.0 - 8.0 ** (-m) / 7.0)
         got = float(np.dot(du_bad_y(m), du_vector_e(m)))
         assert got == pytest.approx(want, abs=1e-15)
+
+
+# ------------------------------------------------------------ every family
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_family_entries_stay_above_sqrt_tiny(name):
+    # the OperatorFamily contract: no nonzero entry below sqrt(tiny) * max|a|,
+    # so no product of two entries is subnormal; du is checked past its cutoff
+    a = np.abs(get_family(name).truncate(1024 if name == "du" else 64))
+    nonzero = a[a != 0.0]
+    assert nonzero.size
+    assert nonzero.min() >= math.sqrt(np.finfo(float).tiny) * a.max()
 
 
 # ------------------------------------------------------------ singular systems
