@@ -18,9 +18,11 @@ is governed by quantities this module computes at each finite n:
 Every diagnostic on one instance reads what the instance computed once: one
 SVD of T (a TruncationFactor, shared by every instance at the same m), one
 SVD of T X_n and both offset-angle routes, so identities that hold in exact
-arithmetic stay consistent to machine precision. The rank r of T X_n is
-decided once; both offset-angle images, ||I - Q_n|| (on a 2r-column block)
-and ||T_n^+ T|| (an r x m norm) are read off its r singular vectors.
+arithmetic stay consistent to machine precision. T's SVD is taken by LAPACK
+on its coupled block only: a coordinate whose row and column are zero off
+the diagonal contributes its singular triplet in closed form. The rank r of
+T X_n is decided once; both offset-angle images, ||I - Q_n|| (on a 2r-column
+block) and ||T_n^+ T|| (an r x m norm) are read off its r singular vectors.
 Subspaces stay orthonormal bases, X_n projecting as X_n (X_n^T v).
 
 Past the factor (once per m), a row's factorizations and spectral norms are
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -84,13 +87,66 @@ class PreconditionError(ValueError):
     """A diagnostic was asked for outside the regime where it is asserted."""
 
 
+def _coupled(t: np.ndarray) -> np.ndarray:
+    """Mask of the coordinates j of a square T whose row j or column j holds
+    a nonzero off the diagonal. The others are decoupled: T maps e_j to
+    t_jj e_j and no other e_i onto e_j. O(m^2), no LAPACK call."""
+    off = t != 0
+    np.fill_diagonal(off, False)
+    return off.any(axis=0) | off.any(axis=1)
+
+
+def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
+    """SVD of a square T as (s, vectors), vectors(r) = (U[:, :r], V^T), with
+    LAPACK run on T's coupled block only.
+
+    Each decoupled coordinate j (see _coupled) adds the exact triplet
+    (|t_jj|, sign(t_jj) e_j, e_j), sign +1 for t_jj = 0. The triplets are
+    placed in descending order of singular value, stably, so ties keep the
+    block's vectors first. vectors(r) builds only the r left vectors asked
+    for. When every coordinate is coupled this is svd(t) itself; when none
+    is, no LAPACK call is made.
+    """
+    coupled = _coupled(t)
+    if coupled.all():
+        res = svd(t)
+        return res.singular_values, lambda r: (res.u[:, :r].copy(), res.vt)
+    m = t.shape[0]
+    keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+    block = (svd(t[np.ix_(keep, keep)]) if keep.size
+             else SvdResult(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))))
+    d = t[drop, drop]
+    s = np.concatenate([block.singular_values, np.abs(d)])
+    order = np.argsort(-s, kind="stable")
+    pos = np.empty(m, dtype=np.intp)  # pos[i]: where triplet i lands
+    pos[order] = np.arange(m)
+    pos_block, pos_drop = pos[:keep.size], pos[keep.size:]
+    sign = np.where(d < 0, -1.0, 1.0)
+
+    def vectors(r: int) -> tuple[np.ndarray, np.ndarray]:
+        u, vt = np.zeros((m, r)), np.zeros((m, m))
+        b, j = pos_block < r, pos_drop < r
+        u[np.ix_(keep, pos_block[b])] = block.u[:, b]
+        u[drop[j], pos_drop[j]] = sign[j]
+        vt[np.ix_(pos_block, keep)] = block.vt
+        vt[pos_drop, drop] = 1.0
+        return u, vt
+
+    return s[order], vectors
+
+
 class TruncationFactor:
     """The SVD of one m x m truncation T and what is read off it: rank rho,
     sigma_max, the rank-rho left factor U_rho and singular values Sigma_rho,
     the row space R and the kernel K = R^perp, every rank decision at
-    rank_tol. T^+ is applied as V_rho Sigma_rho^{-1} U_rho^T (pinv_apply);
-    the m x m t_pinv is formed only when read. It does not depend on X_n, so
-    every instance at this m can share it (see shared_factors).
+    rank_tol against T's full shape. LAPACK factors only T's coupled block;
+    each decoupled coordinate, whose row and column are zero off the
+    diagonal, adds its singular triplet in closed form (see _factor_svd). So
+    identity, zero and diagonal T take no LAPACK call, and du's truncation
+    only its leading 511 x 511 block. T^+ is applied as
+    V_rho Sigma_rho^{-1} U_rho^T (pinv_apply); the m x m t_pinv is formed
+    only when read. It does not depend on X_n, so every instance at this m
+    can share it (see shared_factors).
     """
 
     def __init__(self, t, rank_tol: float | None = None):
@@ -100,14 +156,15 @@ class TruncationFactor:
         self.t = t
         self.m = t.shape[0]
         self.rank_tol = rank_tol
-        res = svd(t)
-        self.rank = numerical_rank(res.singular_values, t.shape, rank_tol)
-        self.sigma_max = float(res.singular_values[0]) if self.m else 0.0
+        s, vectors = _factor_svd(t)
+        self.rank = numerical_rank(s, t.shape, rank_tol)
+        self.sigma_max = float(s[0]) if self.m else 0.0
         r = self.rank
-        self.u_rho = res.u[:, :r].copy()
-        self.s_rho = res.singular_values[:r]
-        self.rowspace = Subspace(res.vt[:r].T)
-        self.kernel = Subspace(res.vt[r:].T)
+        self.u_rho, vt = vectors(r)
+        del vectors  # frees the SVD's arrays before the Subspace checks' Gram matrices
+        self.s_rho = s[:r]
+        self.rowspace = Subspace(vt[:r].T)
+        self.kernel = Subspace(vt[r:].T)
 
     def pinv_apply(self, v: np.ndarray) -> np.ndarray:
         """T^+ v = V_rho Sigma_rho^{-1} (U_rho^T v), for a vector or a matrix's
@@ -725,7 +782,10 @@ def coercive_bound_check(t, alpha: float, beta: float, n_list,
     are verified first, by the smallest eigenvalue of the symmetric part and
     by seeded sampling; a failure raises PreconditionError. Then
     sqrt(1 + tan^2 theta_n) <= beta/alpha + tol is checked across n_list.
+    alpha must be positive (ValueError otherwise).
     """
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha}")
     t = as_matrix(t)
     if t.shape[0] != t.shape[1]:
         raise ValueError(f"expected a square matrix, got {t.shape}")

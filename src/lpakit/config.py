@@ -165,8 +165,8 @@ def scan_config_from_dict(data: dict) -> ScanConfig:
         raise ConfigError("field 'tolerances' must be an object")
     tolerances = _build_tolerances(tol_raw)
     seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("field 'seed' must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("field 'seed' must be a nonnegative integer")
     outputs = []
     for i, out in enumerate(data.get("outputs", [])):
         if not isinstance(out, dict) or "path" not in out or "format" not in out:
@@ -192,10 +192,12 @@ def scan_config_from_dict(data: dict) -> ScanConfig:
 def load_scan_config(path: str) -> ScanConfig:
     """Parse and validate a JSON scan configuration file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return scan_config_from_dict(data)

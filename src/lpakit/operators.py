@@ -108,7 +108,9 @@ def du(m: int) -> np.ndarray:
     entries (which every factorization forms) would be subnormal, and x86
     runs subnormal arithmetic in slow microcode. The dropped part has
     spectral norm below 2^-500, far under any rank cutoff. For m <= 256 no
-    entry is dropped.
+    entry is dropped. From m = 512 on, rows and columns 512..m hold only
+    their diagonal 1, so the truncation is block diagonal and
+    analysis.TruncationFactor factors only its leading 511 x 511 block.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -317,7 +319,9 @@ _STATIC_FAMILIES = {
                "rank cutoff (m around 28); entries 3/2^(i+j) stop at "
                "i + j = 512, where they reach sqrt(tiny) = 2^-511, so that "
                "no product of two entries is subnormal (the dropped part "
-               "is below 2^-500 in norm)"),
+               "is below 2^-500 in norm); from m = 512 on, coordinates "
+               "512..m are decoupled, so T is factored on its leading "
+               "511 x 511 block"),
     ),
 }
 

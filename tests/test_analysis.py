@@ -13,9 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpakit.analysis
 from lpakit.analysis import (
     LpaInstance,
     TruncationFactor,
+    _coupled,
+    _factor_svd,
     _kernel_gap,
     _norm_i_minus_qn,
     PreconditionError,
@@ -130,13 +133,8 @@ def _assert_sized_by_rank(inst, shapes):
 _WIDE_KERNEL = ("best-lpa", 8, 64)
 
 
-@pytest.mark.parametrize("name, n, m", [("seidman", 8, 32), ("best-lpa", 8, 20),
-                                        ("du", 4, 36), _WIDE_KERNEL])
-def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
-    # T and T X_n, the latter as the rho x dim X_n matrix U_rho^T T X_n; the
-    # two offset-angle images are QRs of T X_n's r singular vectors, and
-    # singular values alone (compute_uv=False, spectral norms) are not
-    # factorizations
+def _count_full_svds(monkeypatch) -> list:
+    # shapes of every np.linalg.svd call that computes singular vectors
     shapes = []
     real_svd = np.linalg.svd
 
@@ -146,6 +144,17 @@ def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return shapes
+
+
+@pytest.mark.parametrize("name, n, m", [("seidman", 8, 32), ("best-lpa", 8, 20),
+                                        ("du", 4, 36), _WIDE_KERNEL])
+def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
+    # T and T X_n, the latter as the rho x dim X_n matrix U_rho^T T X_n; the
+    # two offset-angle images are QRs of T X_n's r singular vectors, and
+    # singular values alone (compute_uv=False, spectral norms) are not
+    # factorizations
+    shapes = _count_full_svds(monkeypatch)
     inst = make_lpa(get_family(name), n, m)
     diagnose(inst)
     with contextlib.suppress(PreconditionError):  # du never captures its kernel
@@ -183,6 +192,135 @@ def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want)
     assert shapes.count((m, m)) == want, shapes
     if (name, n, m) == _WIDE_KERNEL:
         _assert_sized_by_rank(inst, shapes)
+
+
+# ------------------------------------------------- T factored on its coupled block
+
+
+def _assert_factor_matches_dense(t, rank_tol=None) -> bool:
+    # _factor_svd against LAPACK's SVD of the whole matrix: U S V^T rebuilds
+    # T, U and V are orthogonal, the singular values agree to 1e-13 sigma_max,
+    # and the factor's rank, row space and kernel agree with the dense ones,
+    # the subspaces within Wedin's bound delta / (sigma_rho - sigma_{rho+1}).
+    # Returns whether the rank was clear enough to compare.
+    m = t.shape[0]
+    (s, vectors), dense = _factor_svd(t), svd(t)
+    (u, vt), s_dense = vectors(m), dense.singular_values
+    delta = 1e-13 * s_dense[0]
+    assert np.all(np.diff(s) <= 0)
+    assert np.linalg.norm((u * s) @ vt - t, 2) <= delta
+    assert all(np.array_equal(vectors(r)[0], u[:, :r]) for r in (0, m // 2, m - 1))
+    for q in (u, vt):
+        assert np.linalg.norm(q.T @ q - np.eye(m)) <= 1e-12 * m
+    assert np.all(np.abs(s - s_dense) <= delta)
+    # the rank cutoff uses T's full shape, not the block's; the ranks must
+    # agree unless the two sets of singular values straddle the cutoff
+    factor = TruncationFactor(t, rank_tol)
+    rho = numerical_rank(s_dense, t.shape, rank_tol)
+    if not _rank_is_clear(s_dense, float(np.max(np.abs(s - s_dense))), t.shape, rank_tol):
+        return False
+    assert factor.rank == rho
+    sep = s_dense[rho - 1] - (s_dense[rho] if rho < m else 0.0) if rho else 1.0
+    bound = min(1.0, 4.0 * delta / sep)
+    assert gap(factor.rowspace, Subspace(dense.vt[:rho].T)) <= bound
+    assert gap(factor.kernel, Subspace(dense.vt[rho:].T)) <= bound
+    return True
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda m=m: get_family("du").truncate(m) for m in (511, 512, 513, 768, 1100)],
+    lambda: np.eye(9),
+    lambda: np.zeros((6, 6)),
+], ids=["du-511", "du-512", "du-513", "du-768", "du-1100", "identity", "zero"])
+def test_factor_svd_matches_dense_oracle(build):
+    assert _assert_factor_matches_dense(build())
+
+
+def _embedded_block(seed, m_block, diag, planted):
+    # a k x k block among len(diag) decoupled coordinates, all permuted; the
+    # block is dense, or Q_1 diag(planted) Q_2^T, which ties its singular
+    # values with the diagonal's and can make it singular
+    rng = np.random.default_rng(seed)
+    if planted is None:
+        block = rng.standard_normal((m_block, m_block))
+    else:
+        q1, q2 = (np.linalg.qr(rng.standard_normal((m_block, m_block)))[0] for _ in "12")
+        block = (q1 * planted[:m_block]) @ q2.T
+    m = m_block + len(diag)
+    perm = rng.permutation(m)
+    t = np.zeros((m, m))
+    t[np.ix_(perm[:m_block], perm[:m_block])] = block
+    t[perm[m_block:], perm[m_block:]] = diag
+    return t
+
+
+_DIAGONALS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), m_block=st.sampled_from([0, 2, 3, 5, 8, 13]),
+       diag=st.lists(_DIAGONALS, min_size=1, max_size=12),
+       planted=st.one_of(st.none(), st.lists(_DIAGONALS.map(abs), min_size=13, max_size=13)),
+       rank_tol=st.sampled_from([None, 1e-10]))
+def test_factor_svd_with_decoupled_coordinates_matches_dense_oracle(
+        seed, m_block, diag, planted, rank_tol):
+    t = _embedded_block(seed, m_block, diag, planted)
+    m = t.shape[0]
+    # the detection against its definition, entry by entry
+    assert list(_coupled(t)) == [any(t[i, j] != 0 or t[j, i] != 0 for i in range(m) if i != j)
+                                 for j in range(m)]
+    _assert_factor_matches_dense(t, rank_tol)
+
+
+def test_factor_svd_is_bitwise_lapack_when_every_coordinate_is_coupled():
+    for t in (get_family("seidman").truncate(64), get_family("du").truncate(511),
+              get_family("best-lpa").truncate(40), random_finite_kernel(20, 3, 0)):
+        assert _coupled(t).all()
+        (s, vectors), dense = _factor_svd(t), svd(t)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((*vectors(len(t)), s), (dense.u, dense.vt, dense.singular_values)))
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: get_family("du").truncate(768), [(511, 511)]),
+    (lambda: get_family("du").truncate(1100), [(511, 511)]),
+    (lambda: get_family("seidman").truncate(32), [(32, 32)]),
+    (lambda: np.eye(8), []),
+    (lambda: np.zeros((6, 6)), []),
+    (lambda: np.diag([3.0, -1.0, 0.0, 2.0, -1.0]), []),
+], ids=["du-768", "du-1100", "seidman", "identity", "zero", "diagonal"])
+def test_factor_runs_lapack_on_the_coupled_block_only(monkeypatch, build, want):
+    t = build()
+    shapes = _count_full_svds(monkeypatch)
+    TruncationFactor(t)
+    assert shapes == want
+
+
+@pytest.mark.parametrize("name, n, m", [("du", 16, 768), ("identity", 3, 8)])
+def test_diagnose_takes_no_m_by_m_svd_on_decoupled_truncations(monkeypatch, name, n, m):
+    shapes = _count_full_svds(monkeypatch)
+    diagnose(make_lpa(get_family(name), n, m))
+    assert (m, m) not in shapes
+    assert shapes.count((511, 511)) == (name == "du")
+
+
+@pytest.mark.parametrize("n, m", [(16, 768), (8, 1100)])
+def test_du_diagnostics_match_dense_factor(monkeypatch, n, m):
+    # the block-wise factor against LAPACK's SVD of the whole truncation
+    # (every coordinate declared coupled), within perfbench's tolerances. The
+    # Q_n route's sine sits on its sqrt(eps) floor here, so it is held to the
+    # gap route, as perfbench holds it.
+    check = Tolerances.default().check
+    got = diagnose(make_lpa(get_family("du"), n, m))
+    monkeypatch.setattr(lpakit.analysis, "_coupled", lambda t: np.ones(len(t), dtype=bool))
+    want = diagnose(make_lpa(get_family("du"), n, m))
+    assert (got.kernel_dim, got.kernel_core_dim) == (want.kernel_dim, want.kernel_core_dim)
+    assert kernel_verdict([got], check) == kernel_verdict([want], check)
+    for field in ("sin_theta_gap", "kernel_gap"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-10)
+    assert abs(got.sin_theta_qn - got.sin_theta_gap) <= 1e-6
+    for field in ("norm_tn_dag_t", "bound_factor"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("build", [
@@ -532,19 +670,28 @@ def test_offset_angle_images_keep_txn_rank(name, params, n, m):
     assert math.isfinite(row.bound_factor)
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
-def test_du_rank_cliff_flips_everything_together(n):
-    # du's smallest singular value is about 4^-m: somewhere in m = 20..40 it
-    # crosses the rank cutoff. Below the cliff T is invertible, T^+T = I and
-    # the angle is near a right angle; above it the kernel (the direction e,
-    # never inside X_n) appears and the angle vanishes. The kernel dimension,
-    # the kernel verdict and both routes' sines must all switch at the same
-    # m, with the routes agreeing throughout and both images of dimension r.
+# du's smallest singular value is 4^-m and sigma_max is 1, so the cliff is
+# the first m with 4^-m below the cutoff: rank_tol, or m * eps by default
+_DU_CLIFFS = {None: 24, 1e-14: 24, 1e-12: 20, 1e-10: 17, 1e-8: 14}
+
+
+_CLIFF_CASES = [(n, tol) for n in (2, 4, 8) for tol in _DU_CLIFFS]
+
+
+@pytest.mark.parametrize("n, rank_tol", _CLIFF_CASES,
+                         ids=[str(n) if tol is None else f"{n}-{tol:g}" for n, tol in _CLIFF_CASES])
+def test_du_rank_cliff_flips_everything_together(n, rank_tol):
+    # Below the cliff T is invertible, T^+T = I and the angle is near a right
+    # angle; above it the kernel (the direction e, never inside X_n) appears
+    # and the angle vanishes. The kernel dimension, the kernel verdict and
+    # both routes' sines must all switch at the same m, with the routes
+    # agreeing throughout and both images of dimension r.
     check = Tolerances.default().check
     fam = get_family("du")
+    ms = range(12, 41)
     kernel_dims, verdicts, gap_wide, qn_wide = [], [], [], []
-    for m in range(20, 41):
-        inst = make_lpa(fam, n, m)
+    for m in ms:
+        inst = make_lpa(fam, n, m, rank_tol)
         row = diagnose(inst)
         r = inst.txn_svd[1]
         assert [image.dim for image in inst.images] == [r, r]
@@ -553,11 +700,11 @@ def test_du_rank_cliff_flips_everything_together(n):
         verdicts.append(kernel_verdict([row], check))
         gap_wide.append(row.sin_theta_gap > 0.5)
         qn_wide.append(row.sin_theta_qn > 0.5)
-    assert kernel_dims[0] == 0 and kernel_dims[-1] == 1
-    cliff = kernel_dims.index(1)
-    assert kernel_dims == [0] * cliff + [1] * (21 - cliff)
-    assert verdicts == ["holds"] * cliff + ["violated"] * (21 - cliff)
-    assert gap_wide == qn_wide == [True] * cliff + [False] * (21 - cliff)
+    cliff = ms.index(_DU_CLIFFS[rank_tol])
+    after = len(ms) - cliff
+    assert kernel_dims == [0] * cliff + [1] * after
+    assert verdicts == ["holds"] * cliff + ["violated"] * after
+    assert gap_wide == qn_wide == [True] * cliff + [False] * after
 
 
 # --------------------------------------------------------------- kernel core
@@ -874,6 +1021,17 @@ def test_coercive_bound_nilpotent_shift():
 def test_coercive_bound_rejects_indefinite_operator():
     with pytest.raises(PreconditionError):
         coercive_bound_check(np.diag([1.0, -1.0, 1.0, 1.0]), 0.5, 2.0, [2])
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.5])
+def test_coercive_bound_rejects_nonpositive_alpha(monkeypatch, alpha):
+    # refused before any factorization: alpha = 0 divided by zero, and
+    # alpha < 0 gave a report with a negative limit
+    shapes = _count_full_svds(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a)))
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        coercive_bound_check(np.eye(4), alpha, 1.0, [2])
+    assert shapes == []
 
 
 def test_coercive_bound_rejects_wrong_beta():

@@ -96,6 +96,7 @@ def test_config_minimal_accepted():
     ({"n_list": [True, 2]}, "n_list"),
     ({"seed": False}, "seed"),
     ({"seed": True}, "seed"),
+    ({"seed": -1}, "seed"),
 ])
 def test_config_rejects_malformed_fields(broken, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -119,6 +120,15 @@ def test_load_scan_config_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_scan_config(str(bad))
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(minimal_config()).encode()[:-1] + b', "seed": "\xe9"}')
+    with pytest.raises(ConfigError, match="not valid UTF-8"):
+        load_scan_config(str(path))
+    assert main(["analyze", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------- scan
