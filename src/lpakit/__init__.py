@@ -18,7 +18,6 @@ from .analysis import (
     du_divergence_check,
     error_bound_check,
     error_identity_check,
-    kernel_approximability_scan,
     kernel_core,
     make_lpa,
     norm_tn_dag_t,
@@ -102,7 +101,6 @@ __all__ = [
     "from_singular_system",
     "gap",
     "get_family",
-    "kernel_approximability_scan",
     "kernel_basis",
     "kernel_core",
     "load_scan_config",

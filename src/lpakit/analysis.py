@@ -29,11 +29,13 @@ Past the factor (once per m), a row's factorizations and spectral norms are
 sized by rho = rank(T) or by r <= rho, not by m: T X_n is factored as the
 rho x dim X_n matrix U_rho^T T X_n, the kernel gap and the containment of
 N(T) in X_n are rho-row norms against the row space, T^+ is applied through
-the factor, and the rest have at most 2r rows or columns. When dim X_n is of
-order m a row still makes m x m x dim X_n matrix products (T X_n, the kernel
-core's basis), but no m x ~m factorization. The m x m matrices t_pinv, tn(),
-tn_pinv and qn_matrix() serve the solution route, the zero-offset report and
-the dense oracles.
+the factor, and the rest have at most 2r rows or columns. The kernel core's
+dimension and its gap to N(T) are read off T X_n's SVD and R^T X_n, and
+T_n^+ is applied through the factors of T X_n, so a row forms no m x m
+array. When dim X_n is of order m a row still makes the m x m x dim X_n
+product T X_n, but no m x ~m factorization. The m x m matrices t_pinv, tn(),
+tn_pinv and qn_matrix(), and the core's basis kernel_core(), serve the
+zero-offset report, the suites and the dense oracles.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ __all__ = [
     "offset_angle",
     "kernel_core",
     "kernel_verdict",
-    "kernel_approximability_scan",
     "norm_tn_dag_t",
     "error_identity_check",
     "error_bound_check",
@@ -204,12 +205,13 @@ class LpaInstance:
     sigma_max, t_pinv, rowspace, kernel, rank_tol) are exposed on the
     instance. First use computes, once: the SVD of T X_n read in U_rho
     (txn_svd, a rho x dim X_n factorization), whose rank r anchored to
-    sigma_max(T) splits it into the range T(X_n) and the kernel columns;
-    tn_rank, its rank at the cutoff pseudo_inverse(T_n) applies, which
-    tn_pinv = T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t share; the two
-    offset-angle images, both of dimension r, and both routes' sines; and
-    kernel_deficiency, deficiency(N(T), X_n) from the rho x dim X_n matrix
-    R^T X_n. Every rank decision uses rank_tol.
+    sigma_max(T) splits it into the range T(X_n) and the kernel core, of
+    dimension kernel_core_dim = dim X_n - r; tn_rank, its rank at the cutoff
+    pseudo_inverse(T_n) applies, which T_n^+ = X_n (T X_n)^+ and
+    norm_tn_dag_t share; the two offset-angle images, both of dimension r,
+    and both routes' sines; and the rho x dim X_n matrix R^T X_n, off which
+    kernel_gap and kernel_deficiency are read. Every rank decision uses
+    rank_tol.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
     arbitrary orthonormal basis may be supplied instead.
@@ -252,7 +254,8 @@ class LpaInstance:
         u = U_rho P. What is dropped, (I - U_rho U_rho^T) T X_n, has norm at
         most sigma_{rho+1}(T), below T's own rank cutoff. Z projects the
         dense product, so exact zeros of T X_n stay exact. V is full when
-        rho < dim X_n, since kernel_core needs all dim X_n - r rows vt[r:].
+        rho < dim X_n, so that its last dim X_n - r rows vt[r:] span the
+        kernel core's coefficients (kernel_gap, the oracle kernel_core).
         """
         f, k = self.factor, self.x_n.dim
         z = svd(f.u_rho.T @ (self.t @ self.x_n.basis), full_matrices=f.rank < k)
@@ -270,9 +273,32 @@ class LpaInstance:
     @cached_property
     def tn_pinv(self) -> np.ndarray:
         """T_n^+ = (X_n V_r Sigma_r^{-1}) U_r^T at r = tn_rank, an m x r x m
-        product."""
+        product. The diagnostics apply T_n^+ without it (_tn_pinv_times)."""
         res, r = self.txn_svd[0], self.tn_rank
         return (self.x_n.basis @ (res.vt[:r].T / res.singular_values[:r])) @ res.u[:, :r].T
+
+    @cached_property
+    def _rt_xn(self) -> np.ndarray:
+        """R^T X_n, rho x dim X_n, R the row space of T."""
+        return self.rowspace.basis.T @ self.x_n.basis
+
+    @property
+    def kernel_core_dim(self) -> int:
+        """dim (N(T) & X_n) = dim X_n - r."""
+        return self.x_n.dim - self.txn_svd[1]
+
+    @cached_property
+    def kernel_gap(self) -> float:
+        """gap(kernel_core(self), N(T)): 1 for unequal dimensions, else
+        ||(R^T X_n) V_{r:}^T||, a rho x dim-core norm, since the core's basis
+        is X_n V_{r:}^T and I - P_K = P_R (K and R come from one orthogonal
+        V)."""
+        if self.kernel_core_dim != self.kernel.dim:
+            return 1.0
+        if self.kernel_core_dim == 0:
+            return 0.0
+        res, r = self.txn_svd
+        return float(np.linalg.norm(self._rt_xn @ res.vt[r:].T, 2))
 
     @cached_property
     def kernel_deficiency(self) -> float:
@@ -287,8 +313,7 @@ class LpaInstance:
             return 1.0
         if j >= min(self.rank, k):
             return 0.0
-        return float(np.linalg.svd(self.rowspace.basis.T @ self.x_n.basis,
-                                   compute_uv=False)[j])
+        return float(np.linalg.svd(self._rt_xn, compute_uv=False)[j])
 
     @cached_property
     def images(self) -> tuple[Subspace, Subspace]:
@@ -341,13 +366,20 @@ def tn_pinv_apply(inst: LpaInstance, y) -> np.ndarray:
     y = as_vector(y)
     if y.shape[0] != inst.m:
         raise ValueError(f"y has dimension {y.shape[0]}, expected {inst.m}")
-    x = inst.tn_pinv @ y
+    x = _tn_pinv_times(inst, y)
     nx = float(np.linalg.norm(x))
     outside = float(np.linalg.norm(x - inst.x_n.project(x)))
     if nx > 0 and outside > 1e-9 * nx:
         raise ArithmeticError(
             f"solution leaked outside the subspace: {outside:.3e} vs norm {nx:.3e}")
     return x
+
+
+def _tn_pinv_times(inst: LpaInstance, v: np.ndarray) -> np.ndarray:
+    """T_n^+ v = X_n V_r Sigma_r^{-1} (U_r^T v) at r = inst.tn_rank, O(m r)
+    past X_n's own product, with no m x m T_n^+."""
+    res, r = inst.txn_svd[0], inst.tn_rank
+    return inst.x_n.basis @ (res.vt[:r].T @ ((res.u[:, :r].T @ v) / res.singular_values[:r]))
 
 
 def _qn_factors(inst: LpaInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -426,21 +458,12 @@ def kernel_core(inst: LpaInstance) -> Subspace:
     """Orthonormal basis of the intersection of N(T) with X_n.
 
     Computed as the kernel of T restricted to the X_n basis, lifted back to
-    the ambient space. For T numerically zero the core is all of X_n.
+    the ambient space. For T numerically zero the core is all of X_n. The
+    diagnostics read only its dimension and gap (inst.kernel_core_dim,
+    inst.kernel_gap); this m x (dim X_n - r) basis is their dense oracle.
     """
     res, r = inst.txn_svd
     return Subspace(inst.x_n.basis @ res.vt[r:].T)
-
-
-def _kernel_gap(inst: LpaInstance, core: Subspace) -> float:
-    """gap(core, N(T)) for core = kernel_core(inst): 1 for unequal
-    dimensions, else ||(I - P_K) B_core|| = ||R^T B_core||, a rho x dim-core
-    norm, since I - P_K = P_R (K and R come from one orthogonal V)."""
-    if core.dim != inst.kernel.dim:
-        return 1.0
-    if core.dim == 0:
-        return 0.0
-    return float(np.linalg.norm(inst.rowspace.basis.T @ core.basis, 2))
 
 
 def norm_tn_dag_t(inst: LpaInstance) -> float:
@@ -448,7 +471,7 @@ def norm_tn_dag_t(inst: LpaInstance) -> float:
 
     T_n^+ = (X_n V_r) Sigma_r^{-1} U_r^T from the thin SVD of T X_n, and
     X_n V_r has orthonormal columns, so it drops out of the norm. r is
-    inst.tn_rank, the rank tn_pinv keeps.
+    inst.tn_rank, the rank T_n^+ keeps.
     """
     res, r = inst.txn_svd[0], inst.tn_rank
     return float(np.linalg.norm((res.u[:, :r].T @ inst.t) / res.singular_values[:r, None], 2))
@@ -479,7 +502,6 @@ def diagnose(inst: LpaInstance, tolerances: Tolerances | None = None) -> LpaDiag
     """All scalar diagnostics of one instance in one record."""
     tolerances = tolerances or Tolerances.default()
     ang = offset_angle(inst, tolerances)
-    core = kernel_core(inst)
     return LpaDiagnostics(
         n=inst.n,
         m=inst.m,
@@ -487,27 +509,11 @@ def diagnose(inst: LpaInstance, tolerances: Tolerances | None = None) -> LpaDiag
         sin_theta_gap=ang.sin_gap_route,
         sin_theta_qn=ang.sin_qn_route,
         norm_tn_dag_t=norm_tn_dag_t(inst),
-        kernel_core_dim=core.dim,
+        kernel_core_dim=inst.kernel_core_dim,
         kernel_dim=inst.kernel.dim,
-        kernel_gap=_kernel_gap(inst, core),
+        kernel_gap=inst.kernel_gap,
         bound_factor=_bound_factor(ang.sin_gap_route),
     )
-
-
-@dataclass(frozen=True)
-class KernelScanRow:
-    n: int
-    m: int
-    kernel_core_dim: int
-    kernel_dim: int
-    kernel_gap: float
-
-
-@dataclass(frozen=True)
-class KernelScanReport:
-    rows: tuple[KernelScanRow, ...]
-    holds: bool
-    message: str
 
 
 def kernel_verdict(rows, check: float) -> str:
@@ -523,37 +529,6 @@ def kernel_verdict(rows, check: float) -> str:
     if deficit_last > 0 and deficit_last >= deficit_first:
         return "violated"
     return "inconclusive"
-
-
-def kernel_approximability_scan(family: OperatorFamily, n_list,
-                                m_rule: str | None = None,
-                                tolerances: Tolerances | None = None) -> KernelScanReport:
-    """Track the kernel core along ascending n, T factored once per run of
-    rows at one m.
-
-    holds is True when kernel_verdict says "holds", and the message names
-    the verdict.
-    """
-    tolerances = tolerances or Tolerances.default()
-    n_list = list(n_list)
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("n_list must be nonempty and strictly ascending")
-    factor = shared_factors(family, tolerances.rank)
-
-    def row(n: int, m: int) -> KernelScanRow:
-        inst = make_lpa(family, n, m, tolerances.rank, factor(m))
-        core = kernel_core(inst)
-        return KernelScanRow(n=n, m=m, kernel_core_dim=core.dim,
-                             kernel_dim=inst.kernel.dim, kernel_gap=_kernel_gap(inst, core))
-
-    rows = [row(n, resolve_m(m_rule, n)) for n in n_list]
-    verdict = kernel_verdict(rows, tolerances.check)
-    if verdict == "holds":
-        first = next(r.n for r in rows if kernel_verdict([r], tolerances.check) == "holds")
-        message = f"kernel approximability holds: kernel captured from n={first}"
-    else:
-        message = f"kernel approximability {verdict} at tested range"
-    return KernelScanReport(rows=tuple(rows), holds=verdict == "holds", message=message)
 
 
 @dataclass(frozen=True)
@@ -580,7 +555,7 @@ def error_identity_check(inst: LpaInstance, y,
     tp_y = inst.factor.pinv_apply(y)
     lhs = tn_pinv_apply(inst, y) - tp_y
     w = tp_y - inst.x_n.project(tp_y)
-    rhs = inst.tn_pinv @ (inst.t @ w) - w
+    rhs = _tn_pinv_times(inst, inst.t @ w) - w
     diff = float(np.linalg.norm(lhs - rhs))
     tol = tolerances.identity_rel * (1.0 + float(np.linalg.norm(tp_y)))
     return CheckReport(lhs=float(np.linalg.norm(lhs)), rhs=float(np.linalg.norm(rhs)),

@@ -84,7 +84,9 @@ class Subspace:
             raise ValueError("basis must be a 2-d array")
         if b.shape[1] > b.shape[0]:
             raise ValueError(f"more columns than ambient dimension: {b.shape}")
-        defect = np.linalg.norm(b.T @ b - np.eye(b.shape[1]))
+        g = b.T @ b
+        np.fill_diagonal(g, g.diagonal() - 1.0)  # B^T B - I with one k x k array
+        defect = np.linalg.norm(g)
         if not defect <= 1e-12 * max(1, b.shape[0]):
             raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
 

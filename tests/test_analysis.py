@@ -7,6 +7,7 @@ assert the package reproduces them, not the other way round.
 
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from lpakit.analysis import (
     TruncationFactor,
     _coupled,
     _factor_svd,
-    _kernel_gap,
     _norm_i_minus_qn,
     PreconditionError,
     coercive_bound_check,
@@ -27,7 +27,6 @@ from lpakit.analysis import (
     du_divergence_check,
     error_bound_check,
     error_identity_check,
-    kernel_approximability_scan,
     kernel_core,
     kernel_verdict,
     make_lpa,
@@ -37,7 +36,7 @@ from lpakit.analysis import (
     tn_pinv_apply,
     zero_offset_characterization,
 )
-from lpakit.config import Tolerances, resolve_m
+from lpakit.config import Tolerances, resolve_m, scan_config_from_dict
 from lpakit.linalg import (
     Subspace,
     deficiency,
@@ -50,6 +49,7 @@ from lpakit.linalg import (
     svd,
 )
 from lpakit.operators import du_bad_y, du_vector_e, get_family, random_finite_kernel
+from lpakit.scan import run_scan
 
 # sin theta_n for the compact injective example on the m = 4n grid,
 # computed by an independent dense-SVD oracle and frozen
@@ -192,6 +192,25 @@ def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want)
     assert shapes.count((m, m)) == want, shapes
     if (name, n, m) == _WIDE_KERNEL:
         _assert_sized_by_rank(inst, shapes)
+
+
+def test_scan_row_allocates_less_than_one_m_by_m_array():
+    # one seidman row on a shared factor, from diagnose through the bound
+    # check: the kernel core's dimension and gap are read off T X_n's SVD and
+    # T_n^+ is applied through its factors, so the row's allocations peak
+    # below one m x m array (8 m^2 bytes)
+    m = 768
+    family = get_family("seidman")
+    inst = make_lpa(family, 32, m, factor=TruncationFactor(family.truncate(m)))
+    y = np.random.default_rng([0, 32]).standard_normal(m)
+    tracemalloc.start()
+    try:
+        diagnose(inst)
+        assert error_bound_check(inst, y).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * m * m, peak
 
 
 # ------------------------------------------------- T factored on its coupled block
@@ -342,6 +361,10 @@ def test_tn_pinv_matches_dense_oracle(build):
     assert diff <= 1e-10 * np.linalg.norm(dense, 2)
     # rank(A^+) = trace(A^+ A), A^+ A being an orthogonal projector
     assert round(np.trace(inst.tn_pinv @ inst.tn())) == round(np.trace(dense @ inst.tn()))
+    # tn_pinv_apply, through the factors of T X_n, against the dense T_n^+
+    y = np.random.default_rng(1).standard_normal(inst.m)
+    assert np.linalg.norm(tn_pinv_apply(inst, y) - inst.tn_pinv @ y) <= \
+        1e-12 * np.linalg.norm(inst.tn_pinv, 2) * np.linalg.norm(y)
 
 
 # ------------------------------------------------------------ solution route
@@ -530,7 +553,8 @@ def _assert_factor_reads_match_dense(inst) -> None:
         dense_core = Subspace(inst.x_n.basis @ dense.vt[r:].T)
         assert gap(kernel_core(inst), dense_core) <= bound
     core = kernel_core(inst)
-    assert _kernel_gap(inst, core) == pytest.approx(gap(core, inst.kernel), abs=1e-13)
+    assert inst.kernel_core_dim == core.dim
+    assert inst.kernel_gap == pytest.approx(gap(core, inst.kernel), abs=1e-13)
     assert inst.kernel_deficiency == pytest.approx(deficiency(inst.kernel, inst.x_n),
                                                    abs=1e-13)
 
@@ -735,23 +759,19 @@ def test_kernel_core_planted_coordinates():
 
 
 def test_kernel_approximability_scan_verdicts():
-    rep = kernel_approximability_scan(get_family("du"), [2, 4, 8, 16])
-    assert not rep.holds
-    assert "violated" in rep.message
+    rep = run_scan(scan_config_from_dict({"operator": {"name": "du"},
+                                          "n_list": [2, 4, 8, 16]}))
+    assert rep.verdicts["kernel_approximability"] == "violated"
     assert [r.kernel_core_dim for r in rep.rows] == [0, 0, 0, 0]
     assert [r.kernel_dim for r in rep.rows] == [1, 1, 1, 1]
 
-    rep = kernel_approximability_scan(get_family("random", kernel_dim=2, seed=1),
-                                      [2, 4, 8])
-    assert rep.holds
-    assert "n=2" in rep.message
-
-
-def test_kernel_approximability_scan_validates_n_list():
-    with pytest.raises(ValueError):
-        kernel_approximability_scan(get_family("du"), [4, 2])
-    with pytest.raises(ValueError):
-        kernel_approximability_scan(get_family("du"), [])
+    rep = run_scan(scan_config_from_dict({
+        "operator": {"name": "random", "params": {"kernel_dim": 2, "seed": 1}},
+        "n_list": [2, 4, 8]}))
+    assert rep.verdicts["kernel_approximability"] == "holds"
+    # captured from n=2
+    assert rep.rows[0].n == 2
+    assert kernel_verdict([rep.rows[0]], rep.config.tolerances.check) == "holds"
 
 
 # ------------------------------------------------------------ norm diagnostic

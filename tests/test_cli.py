@@ -13,13 +13,7 @@ import pytest
 
 import lpakit.operators
 import lpakit.scan
-from lpakit.analysis import (
-    _kernel_gap,
-    diagnose,
-    kernel_approximability_scan,
-    kernel_core,
-    make_lpa,
-)
+from lpakit.analysis import diagnose, kernel_core, kernel_verdict, make_lpa
 from lpakit.cli import main
 from lpakit.config import (
     ConfigError,
@@ -242,15 +236,12 @@ def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     ms = [cfg.m_for(n) for n in n_list]
     fresh = [diagnose(make_lpa(family, n, m)) for n, m in zip(n_list, ms)]
     insts = [make_lpa(family, n, m) for n, m in zip(n_list, ms)]
-    cores = [kernel_core(inst) for inst in insts]
+    want = [(kernel_core(inst).dim, inst.kernel_gap) for inst in insts]
     counted = _count_t_factorizations(monkeypatch, family, ms)
-    assert list(run_scan(cfg).rows) == fresh
+    rows = run_scan(cfg).rows
+    assert list(rows) == fresh
     assert sorted(counted) == sorted(set(ms))
-    counted.clear()
-    rep = kernel_approximability_scan(family, n_list, m_rule)
-    assert sorted(counted) == sorted(set(ms))
-    assert [(r.kernel_core_dim, r.kernel_gap) for r in rep.rows] == [
-        (core.dim, _kernel_gap(inst, core)) for inst, core in zip(insts, cores)]
+    assert [(r.kernel_core_dim, r.kernel_gap) for r in rows] == want
 
 
 @pytest.mark.parametrize("m_rule, ms", [("fixed:20", 1), ("factor:10", 2)])
@@ -465,13 +456,11 @@ def test_scan_report_fields_mirror_rows():
     ({"name": "random", "params": {"kernel_dim": 4, "seed": 0}}, [2, 3], "fixed:12",
      "inconclusive"),
 ], ids=["du", "random-captured", "random-growing-core"])
-def test_kernel_verdict_same_in_scan_and_kernel_scan(operator, n_list, m_rule, verdict):
+def test_kernel_verdict_same_in_scan_and_rows(operator, n_list, m_rule, verdict):
     cfg = scan_config_from_dict({"operator": operator, "n_list": n_list, "m_rule": m_rule})
-    assert run_scan(cfg).verdicts["kernel_approximability"] == verdict
-    rep = kernel_approximability_scan(get_family(operator["name"], **operator.get("params", {})),
-                                      n_list, m_rule)
-    assert rep.holds == (verdict == "holds")
-    assert verdict in rep.message
+    rep = run_scan(cfg)
+    assert rep.verdicts["kernel_approximability"] == verdict
+    assert kernel_verdict(rep.rows, cfg.tolerances.check) == verdict
 
 
 def test_render_json_is_strict_with_non_finite_values():

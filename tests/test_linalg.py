@@ -1,5 +1,7 @@
 """Unit and property tests for the dense linear algebra layer."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,19 @@ def test_subspace_check_calls_no_lapack_svd(monkeypatch, k):
     monkeypatch.setattr(internal, "svd", counting_svd)
     assert Subspace(basis).dim == k
     assert calls == []
+
+
+def test_subspace_check_allocates_one_gram_matrix():
+    # B^T B - I is formed in place: at k = 768 the check holds one k x k array
+    k = 768
+    basis = np.eye(k)
+    tracemalloc.start()
+    try:
+        Subspace(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 8 * k * k, peak
 
 
 def test_subspace_rejects_spectral_defect_twice_the_bound():
