@@ -16,26 +16,31 @@ is governed by quantities this module computes at each finite n:
   valid once N(T) is contained in X_n.
 
 Every diagnostic on one instance reads what the instance computed once: one
-SVD of T (a TruncationFactor, shared by every instance at the same m), one
-SVD of T X_n and both offset-angle routes, so identities that hold in exact
-arithmetic stay consistent to machine precision. T's SVD is taken by LAPACK
-on its coupled block only: a coordinate whose row and column are zero off
-the diagonal contributes its singular triplet in closed form. The rank r of
-T X_n is decided once; both offset-angle images, ||I - Q_n|| (on a 2r-column
-block) and ||T_n^+ T|| (an r x m norm) are read off its r singular vectors.
-Subspaces stay orthonormal bases, X_n projecting as X_n (X_n^T v).
+factor of T (a TruncationFactor, shared by every instance at the same m),
+one SVD of T X_n and both offset-angle routes, so identities that hold in
+exact arithmetic stay consistent to machine precision. The factor is T's
+SVD, or, for a family that declares N(T) = {0} and a T of full numerical
+rank, T's singular values and one inverse T^{-1} = T^+. Either way LAPACK
+sees only T's coupled block: a coordinate whose row and column are zero off
+the diagonal contributes its singular triplet (or 1/t_jj) in closed form.
+The rank r of T X_n is decided once; both offset-angle images,
+||I - Q_n|| (on a 2r-column block) and ||T_n^+ T|| (an r x m norm) are read
+off its r singular vectors. Subspaces stay orthonormal bases, X_n
+projecting as X_n (X_n^T v).
 
 Past the factor (once per m), a row's factorizations and spectral norms are
 sized by rho = rank(T) or by r <= rho, not by m: T X_n is factored as the
-rho x dim X_n matrix U_rho^T T X_n, the kernel gap and the containment of
-N(T) in X_n are rho-row norms against the row space, T^+ is applied through
-the factor, and the rest have at most 2r rows or columns. The kernel core's
+rho x dim X_n matrix U_rho^T T X_n (as T X_n itself when T was inverted),
+the kernel gap and the containment of N(T) in X_n are rho-row norms against
+the row space, T^+ is applied through the factor, and the rest have at most
+2r rows or columns. The kernel core's
 dimension and its gap to N(T) are read off T X_n's SVD and R^T X_n, and
 T_n^+ is applied through the factors of T X_n, so a row forms no m x m
 array. When dim X_n is of order m a row still makes the m x m x dim X_n
-product T X_n, but no m x ~m factorization. The m x m matrices t_pinv, tn(),
-tn_pinv and qn_matrix(), and the core's basis kernel_core(), serve the
-zero-offset report, the suites and the dense oracles.
+product T X_n, but no m x ~m factorization. The m x m matrices t_pinv
+(unless it is the factor's T^{-1}), tn(), tn_pinv and qn_matrix(), and the
+core's basis kernel_core(), serve the zero-offset report, the suites and the
+dense oracles.
 """
 
 from __future__ import annotations
@@ -97,6 +102,14 @@ def _coupled(t: np.ndarray) -> np.ndarray:
     return off.any(axis=0) | off.any(axis=1)
 
 
+def _split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keep, drop, block): T's coupled coordinates, its decoupled ones (see
+    _coupled), and T on the coupled block, T itself when drop is empty."""
+    coupled = _coupled(t)
+    keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
+    return keep, drop, t if not drop.size else t[np.ix_(keep, keep)]
+
+
 def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     """SVD of a square T as (s, vectors), vectors(r) = (U[:, :r], V^T), with
     LAPACK run on T's coupled block only.
@@ -108,13 +121,12 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     for. When every coordinate is coupled this is svd(t) itself; when none
     is, no LAPACK call is made.
     """
-    coupled = _coupled(t)
-    if coupled.all():
+    keep, drop, block_t = _split(t)
+    if not drop.size:
         res = svd(t)
         return res.singular_values, lambda r: (res.u[:, :r].copy(), res.vt)
     m = t.shape[0]
-    keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
-    block = (svd(t[np.ix_(keep, keep)]) if keep.size
+    block = (svd(block_t) if keep.size
              else SvdResult(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))))
     d = t[drop, drop]
     s = np.concatenate([block.singular_values, np.abs(d)])
@@ -136,50 +148,102 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     return s[order], vectors
 
 
+def _values_and_inverse(t: np.ndarray, rank_tol: float | None):
+    """(s, T^{-1}) when T has full numerical rank at rank_tol, else None.
+
+    s is T's singular values, descending, from LAPACK's values-only SVD of
+    the coupled block and |t_jj| for each decoupled coordinate (the values
+    _factor_svd gives, without vectors). T^{-1} is one LAPACK inverse of the
+    coupled block, with 1/t_jj on the decoupled coordinates."""
+    keep, drop, block = _split(t)
+    d = t[drop, drop]
+    s = np.sort(np.concatenate([np.linalg.svd(block, compute_uv=False), np.abs(d)]))[::-1]
+    if numerical_rank(s, t.shape, rank_tol) < t.shape[0]:
+        return None
+    block_inv = np.linalg.inv(block)
+    if not drop.size:
+        return s, block_inv
+    inv = np.zeros(t.shape)
+    inv[np.ix_(keep, keep)] = block_inv
+    inv[drop, drop] = 1.0 / d
+    return s, inv
+
+
 class TruncationFactor:
-    """The SVD of one m x m truncation T and what is read off it: rank rho,
-    sigma_max, the rank-rho left factor U_rho and singular values Sigma_rho,
-    the row space R and the kernel K = R^perp, every rank decision at
-    rank_tol against T's full shape. LAPACK factors only T's coupled block;
-    each decoupled coordinate, whose row and column are zero off the
-    diagonal, adds its singular triplet in closed form (see _factor_svd). So
-    identity, zero and diagonal T take no LAPACK call, and du's truncation
-    only its leading 511 x 511 block. T^+ is applied as
-    V_rho Sigma_rho^{-1} U_rho^T (pinv_apply); the m x m t_pinv is formed
-    only when read. It does not depend on X_n, so every instance at this m
-    can share it (see shared_factors).
+    """One m x m truncation T factored, and what is read off it: rank rho,
+    sigma_max, the singular values Sigma_rho, the row space R and the kernel
+    K = R^perp, every rank decision at rank_tol against T's full shape.
+
+    Two routes. By default, T's SVD: the rank-rho left factor U_rho, and
+    R and K from V. LAPACK factors only T's coupled block; each decoupled
+    coordinate, whose row and column are zero off the diagonal, adds its
+    singular triplet in closed form (see _factor_svd). So identity, zero and
+    diagonal T take no LAPACK call, and du's truncation only its leading
+    511 x 511 block. T^+ is applied as V_rho Sigma_rho^{-1} U_rho^T
+    (pinv_apply); the m x m t_pinv is formed only when read.
+
+    With injective=True (the caller knows N(T) = {0}), T's singular values
+    are taken alone first. If the rank is m, T^+ = T^{-1} is formed once, by
+    one LAPACK inverse of the coupled block, and is both t_pinv and what
+    pinv_apply multiplies by; u_rho is None, K is {0}, and R = R^m is built
+    only when read. Otherwise the factor falls back to the SVD route, and is
+    the same factor bit for bit.
+
+    It does not depend on X_n, so every instance at this m can share it (see
+    shared_factors).
     """
 
-    def __init__(self, t, rank_tol: float | None = None):
+    def __init__(self, t, rank_tol: float | None = None, injective: bool = False):
         t = as_matrix(t)
         if t.shape[0] != t.shape[1]:
             raise ValueError(f"expected a square truncation, got {t.shape}")
         self.t = t
         self.m = t.shape[0]
         self.rank_tol = rank_tol
-        s, vectors = _factor_svd(t)
-        self.rank = numerical_rank(s, t.shape, rank_tol)
+        inverse = _values_and_inverse(t, rank_tol) if injective else None
+        if inverse is not None:
+            s, self.t_pinv = inverse
+            self.rank, self.u_rho, self.s_rho = self.m, None, s
+            self.kernel = Subspace.zero(self.m)
+        else:
+            s, vectors = _factor_svd(t)
+            self.rank = r = numerical_rank(s, t.shape, rank_tol)
+            self.u_rho, vt = vectors(r)
+            del vectors  # frees the SVD's arrays before the Subspace checks' Gram matrices
+            self.s_rho = s[:r]
+            self.rowspace = Subspace(vt[:r].T)
+            self.kernel = Subspace(vt[r:].T)
         self.sigma_max = float(s[0]) if self.m else 0.0
-        r = self.rank
-        self.u_rho, vt = vectors(r)
-        del vectors  # frees the SVD's arrays before the Subspace checks' Gram matrices
-        self.s_rho = s[:r]
-        self.rowspace = Subspace(vt[:r].T)
-        self.kernel = Subspace(vt[r:].T)
+
+    @cached_property
+    def rowspace(self) -> Subspace:
+        """R^m, read only when T was inverted (the SVD route sets R in
+        __init__)."""
+        return Subspace(np.eye(self.m))
 
     def pinv_apply(self, v: np.ndarray) -> np.ndarray:
-        """T^+ v = V_rho Sigma_rho^{-1} (U_rho^T v), for a vector or a matrix's
-        columns."""
+        """T^+ v, for a vector or a matrix's columns: T^{-1} v when T was
+        inverted, else V_rho Sigma_rho^{-1} (U_rho^T v)."""
+        if self.u_rho is None:
+            return self.t_pinv @ v
         return self.rowspace.basis @ ((self.u_rho.T @ v).T / self.s_rho).T
 
     @cached_property
     def t_pinv(self) -> np.ndarray:
-        """T^+ as a dense m x m matrix, for the checks and oracles that need it."""
+        """T^+ as a dense m x m matrix, for the checks and oracles that need
+        it (set in __init__ when T was inverted)."""
         return pinv_from_svd(SvdResult(self.u_rho, self.s_rho, self.rowspace.basis.T), self.rank)
 
 
+def _family_factor(family: OperatorFamily, m: int,
+                   rank_tol: float | None) -> TruncationFactor:
+    return TruncationFactor(family.truncate(m), rank_tol,
+                            injective=family.kernel_dim_hint == 0)
+
+
 def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
-    """factor(m): family.truncate(m) factored, keeping only the latest m.
+    """factor(m): family.truncate(m) factored, keeping only the latest m,
+    inverted when the family declares N(T) = {0} (see TruncationFactor).
 
     Consecutive rows at one m share one factor; the previous factor is
     dropped before the next one is built, so one is alive at a time.
@@ -190,7 +254,7 @@ def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
         nonlocal last
         if last is None or last.m != m:
             last = None
-            last = TruncationFactor(family.truncate(m), rank_tol)
+            last = _family_factor(family, m, rank_tol)
         return last
 
     return factor
@@ -203,8 +267,9 @@ class LpaInstance:
     T is given as a matrix, factored here, or as a TruncationFactor shared
     with other instances at the same m (factor); its attributes (t, rank,
     sigma_max, t_pinv, rowspace, kernel, rank_tol) are exposed on the
-    instance. First use computes, once: the SVD of T X_n read in U_rho
-    (txn_svd, a rho x dim X_n factorization), whose rank r anchored to
+    instance. First use computes, once: the SVD of T X_n, read in U_rho
+    (txn_svd, a rho x dim X_n factorization) or, when the factor inverted
+    T, taken of T X_n itself (m x dim X_n), whose rank r anchored to
     sigma_max(T) splits it into the range T(X_n) and the kernel core, of
     dimension kernel_core_dim = dim X_n - r; tn_rank, its rank at the cutoff
     pseudo_inverse(T_n) applies, which T_n^+ = X_n (T X_n)^+ and
@@ -235,7 +300,13 @@ class LpaInstance:
         self.factor = factor
         self.t, self.rank_tol = factor.t, factor.rank_tol
         self.rank, self.sigma_max = factor.rank, factor.sigma_max
-        self.rowspace, self.kernel = factor.rowspace, factor.kernel
+        self.kernel = factor.kernel
+
+    @property
+    def rowspace(self) -> Subspace:
+        """The factor's row space, R^m built on first read when T was
+        inverted."""
+        return self.factor.rowspace
 
     @property
     def t_pinv(self) -> np.ndarray:
@@ -256,10 +327,17 @@ class LpaInstance:
         dense product, so exact zeros of T X_n stay exact. V is full when
         rho < dim X_n, so that its last dim X_n - r rows vt[r:] span the
         kernel core's coefficients (kernel_gap, the oracle kernel_core).
+        When the factor inverted T (u_rho is None, rho = m >= dim X_n) it
+        is the thin SVD of the m x dim X_n matrix T X_n, with nothing
+        dropped; its V is square, so full.
         """
         f, k = self.factor, self.x_n.dim
-        z = svd(f.u_rho.T @ (self.t @ self.x_n.basis), full_matrices=f.rank < k)
-        res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
+        txn = self.t @ self.x_n.basis
+        if f.u_rho is None:
+            res = svd(txn, full_matrices=False)
+        else:
+            z = svd(f.u_rho.T @ txn, full_matrices=f.rank < k)
+            res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
         return res, numerical_rank(res.singular_values, (self.m, k), self.rank_tol,
                                    scale=self.sigma_max)
 
@@ -321,9 +399,12 @@ class LpaInstance:
         the r singular vectors txn_svd kept, each orthonormalized by one QR:
         no further rank decision, so both have dimension r. T^+T is applied
         as the row-space projector, which does not amplify roundoff in
-        kernel directions."""
+        kernel directions, and skipped when the factor inverted T, whose
+        row space is R^m."""
         res, r = self.txn_svd
-        row_image = self.rowspace.project(self.x_n.basis @ res.vt[:r].T)
+        row_image = self.x_n.basis @ res.vt[:r].T
+        if self.factor.u_rho is not None:
+            row_image = self.rowspace.project(row_image)
         return (Subspace(np.linalg.qr(row_image)[0]),
                 Subspace(np.linalg.qr(self.t.T @ res.u[:, :r])[0]))
 
@@ -345,14 +426,15 @@ def make_lpa(family: OperatorFamily, n: int, m: int, rank_tol: float | None = No
 
     Uses the family's own approximation subspaces when it defines them,
     coordinate subspaces otherwise. factor, when given, is the family's
-    truncation at m already factored at rank_tol; otherwise it is built.
+    truncation at m already factored at rank_tol; otherwise it is built,
+    inverted when the family declares N(T) = {0} (see TruncationFactor).
     """
     family.check(n, m)
     if factor is not None and factor.m != m:
         raise ValueError(f"factor is for m={factor.m}, not m={m}")
     x_basis = family.xn_basis(n, m) if family.xn_basis is not None else None
     if factor is None:
-        factor = TruncationFactor(family.truncate(m), rank_tol)
+        factor = _family_factor(family, m, rank_tol)
     return LpaInstance(factor, n, x_basis, rank_tol)
 
 
@@ -781,7 +863,7 @@ def coercive_bound_check(t, alpha: float, beta: float, n_list,
     limit = beta / alpha
     rows = []
     passed = True
-    t_factor = TruncationFactor(t)
+    t_factor = TruncationFactor(t, injective=True)  # coercive, so N(T) = {0}
     for n in n_list:
         ang = offset_angle(LpaInstance(t_factor, n))
         factor = _bound_factor(ang.sin_gap_route)

@@ -40,7 +40,11 @@ class OperatorFamily:
 
     truncate(m) must be deterministic in m. kernel_dim_hint, when set, is the
     kernel dimension of the full operator (not of the truncation, which can
-    differ until m is large enough to resolve it). xn_basis, when set,
+    differ until m is large enough to resolve it). It also picks how the
+    truncation is factored: 0 (N(T) = {0}) has analysis.make_lpa and
+    shared_factors invert T once its singular values show full numerical
+    rank, instead of taking its SVD (see analysis.TruncationFactor); the
+    factor falls back to the SVD when they do not. xn_basis, when set,
     overrides the coordinate subspaces as the family's approximation scheme:
     it returns an orthonormal m x k basis for the subspace at index n.
     max_n and min_m are the family's own limits on (n, m); check() tests a

@@ -65,13 +65,17 @@ class ScanReport:
 
 
 def _theta_verdict(rows) -> str:
+    """The sup_theta_bounded verdict: "degrading" when the last bound factor
+    is at least twice the first and the sines never fall, "bounded" when it
+    is at most 1.1 times the first and no factor is infinite, "inconclusive"
+    otherwise."""
     factors = [r.bound_factor for r in rows]
     sins = [r.sin_theta_gap for r in rows]
     ratio = math.inf if math.isinf(factors[-1]) else factors[-1] / factors[0]
     nondecreasing = all(b >= a - 1e-6 for a, b in zip(sins, sins[1:]))
     if ratio >= 2.0 and nondecreasing:
         return "degrading"
-    if ratio <= 1.1:
+    if ratio <= 1.1 and not any(map(math.isinf, factors)):
         return "bounded"
     return "inconclusive"
 

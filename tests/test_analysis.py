@@ -6,6 +6,7 @@ assert the package reproduces them, not the other way round.
 """
 
 import contextlib
+import functools
 import math
 import tracemalloc
 
@@ -38,6 +39,7 @@ from lpakit.analysis import (
 )
 from lpakit.config import Tolerances, resolve_m, scan_config_from_dict
 from lpakit.linalg import (
+    EPS,
     Subspace,
     deficiency,
     gap,
@@ -147,20 +149,22 @@ def _count_full_svds(monkeypatch) -> list:
     return shapes
 
 
-@pytest.mark.parametrize("name, n, m", [("seidman", 8, 32), ("best-lpa", 8, 20),
-                                        ("du", 4, 36), _WIDE_KERNEL])
-def test_instance_factors_each_matrix_once(monkeypatch, name, n, m):
+@pytest.mark.parametrize("name, n, m, svds_of_t", [
+    ("seidman", 8, 32, 0), ("best-lpa", 8, 20, 1), ("du", 4, 36, 1), (*_WIDE_KERNEL, 1),
+], ids=["seidman-8-32", "best-lpa-8-20", "du-4-36", "best-lpa-8-64"])
+def test_instance_factors_each_matrix_once(monkeypatch, name, n, m, svds_of_t):
     # T and T X_n, the latter as the rho x dim X_n matrix U_rho^T T X_n; the
     # two offset-angle images are QRs of T X_n's r singular vectors, and
     # singular values alone (compute_uv=False, spectral norms) are not
-    # factorizations
+    # factorizations. seidman declares N(T) = {0}: its T is inverted after a
+    # values-only SVD, so the one SVD with vectors is that of T X_n itself.
     shapes = _count_full_svds(monkeypatch)
     inst = make_lpa(get_family(name), n, m)
     diagnose(inst)
     with contextlib.suppress(PreconditionError):  # du never captures its kernel
         error_bound_check(inst, np.ones(m))
-    assert len(shapes) == 2, shapes
-    assert shapes.count((m, m)) == 1, shapes
+    assert len(shapes) == 1 + svds_of_t, shapes
+    assert shapes.count((m, m)) == svds_of_t, shapes
     _assert_sized_by_rank(inst, [shape for shape in shapes if shape != (m, m)])
 
 
@@ -172,7 +176,9 @@ def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want)
     # instance takes none on m x m matrices: ||I - Q_n|| is a 2r x 2r norm
     # while 2r < m, ||T_n^+ T|| an r x m one, the kernel gap rho x dim core,
     # the containment test rho x dim X_n, and the Subspace orthonormality
-    # check takes none, even on seidman's m-column row-space basis.
+    # check takes none. The factor is built before counting starts: seidman's
+    # takes T's singular values alone, which is the factor's, not the row's.
+    inst = make_lpa(get_family(name), n, m)
     internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     shapes = []
 
@@ -185,7 +191,6 @@ def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want)
 
     monkeypatch.setattr(internal, "svd", counting(internal.svd))
     monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
-    inst = make_lpa(get_family(name), n, m)
     diagnose(inst)
     with contextlib.suppress(PreconditionError):  # du never captures its kernel
         error_bound_check(inst, np.ones(m))
@@ -365,6 +370,126 @@ def test_tn_pinv_matches_dense_oracle(build):
     y = np.random.default_rng(1).standard_normal(inst.m)
     assert np.linalg.norm(tn_pinv_apply(inst, y) - inst.tn_pinv @ y) <= \
         1e-12 * np.linalg.norm(inst.tn_pinv, 2) * np.linalg.norm(y)
+
+
+# ------------------------------------------------ T inverted when N(T) = {0}
+
+
+def _assert_factors_agree(inverted, dense):
+    # an inverted factor against the SVD route's on the same T: full rank,
+    # singular values to 1e-13 sigma_max, and T^+ as a matrix and applied,
+    # within m eps cond(T) ||T^+||, the order of either route's forward error
+    # (the routes differed by 1e-7 of it on seidman(768))
+    m = dense.m
+    assert inverted.u_rho is None and inverted.rank == dense.rank == m
+    assert inverted.kernel.dim == 0 and gap(inverted.rowspace, dense.rowspace) <= 1e-13
+    assert np.all(np.abs(inverted.s_rho - dense.s_rho) <= 1e-13 * dense.sigma_max)
+    assert inverted.sigma_max == pytest.approx(dense.sigma_max, rel=1e-13, abs=0)
+    scale = np.linalg.norm(dense.t_pinv, 2)
+    tol = m * EPS * (dense.sigma_max / dense.s_rho[-1]) * scale
+    assert np.linalg.norm(inverted.t_pinv - dense.t_pinv, 2) <= tol
+    v = np.random.default_rng(m).standard_normal((m, 3))
+    for w in (v, v[:, 0]):
+        assert np.linalg.norm(inverted.pinv_apply(w) - dense.pinv_apply(w)) <= \
+            tol * np.linalg.norm(w)
+
+
+def _assert_rows_agree(inverted, dense, n, x_basis=None):
+    # every diagnose field and the bound check's verdict, with the inverted
+    # factor and with the SVD route's: sines to 1e-10 absolute (theta_n
+    # through its sine; the Q_n route's to 1e-6 below sin 1e-4, its
+    # sqrt(eps) floor), norms to 1e-9 relative
+    a, b = (LpaInstance(f, n, x_basis) for f in (inverted, dense))
+    got, want = diagnose(a), diagnose(b)
+    for field in ("n", "m", "kernel_core_dim", "kernel_dim"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert abs(math.sin(got.theta_n) - math.sin(want.theta_n)) <= 1e-10
+    for field in ("sin_theta_gap", "kernel_gap"):
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-10, field
+    qn_tol = 1e-10 if want.sin_theta_gap >= 1e-4 else 1e-6
+    assert abs(got.sin_theta_qn - want.sin_theta_qn) <= qn_tol
+    for field in ("norm_tn_dag_t", "bound_factor"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0), field
+    y = np.random.default_rng(n).standard_normal(dense.m)
+    assert error_bound_check(a, y).passed == error_bound_check(b, y).passed
+
+
+@functools.cache
+def _seidman_factors(m):
+    t = get_family("seidman").truncate(m)
+    return TruncationFactor(t, injective=True), TruncationFactor(t)
+
+
+@settings(max_examples=15, deadline=None)
+@given(m=st.sampled_from([32, 256, 768]), fraction=st.floats(0.0, 0.5))
+def test_inverted_seidman_matches_svd_route(m, fraction):
+    # n up to m / 2 (the shipped configs use m = 4n); near n = m,
+    # ||T_n^+ T|| = 1 is read as ||Sigma^{-1} U^T T|| at cond(T) ~ 6e8 and
+    # both routes sit 5e-9 to 2e-8 off it at m = 768
+    inverted, dense = _seidman_factors(m)
+    _assert_factors_agree(inverted, dense)
+    _assert_rows_agree(inverted, dense, max(1, int(fraction * m)))
+
+
+def _assert_same_factor(got, want):
+    assert (got.rank, got.sigma_max) == (want.rank, want.sigma_max)
+    for name in ("u_rho", "s_rho", "t_pinv"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("rowspace", "kernel"):
+        assert np.array_equal(getattr(got, name).basis, getattr(want, name).basis), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), m_block=st.sampled_from([0, 2, 3, 5, 8, 13]),
+       diag=st.lists(_DIAGONALS.filter(bool), min_size=1, max_size=12),
+       data=st.data())
+def test_inverted_block_with_decoupled_coordinates_matches_svd_route(
+        seed, m_block, diag, data):
+    # a Gaussian block among nonzero decoupled diagonal entries: the inverse
+    # is one LAPACK inverse of the block and 1/t_jj elsewhere. A block that
+    # falls below full numerical rank takes the SVD route, bit for bit.
+    t = _embedded_block(seed, m_block, diag, None)
+    inverted, dense = TruncationFactor(t, injective=True), TruncationFactor(t)
+    if inverted.u_rho is not None:
+        _assert_same_factor(inverted, dense)
+        return
+    _assert_factors_agree(inverted, dense)
+    n = data.draw(st.integers(1, len(t)))
+    basis = None
+    if data.draw(st.booleans()):  # a random X_n instead of the coordinate one
+        basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(t), n)))[0]
+    _assert_rows_agree(inverted, dense, n, basis)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: get_family("du").truncate(32),
+    lambda: random_finite_kernel(12, 3, 0),
+    lambda: _embedded_block(3, 5, [1.0, 2.0, -1.0], [1.0, 0.5, 0.0, 2.0, 1.0]),
+    lambda: np.diag([2.0, 0.0, 1.0]),
+    lambda: np.zeros((4, 4)),
+], ids=["du-32", "random-kernel", "singular-block", "diagonal-zero", "zero"])
+def test_injective_factor_of_a_singular_t_is_the_svd_route(build):
+    # injective=True on a T below full numerical rank falls back to the SVD
+    # route and gives bitwise its factor
+    t = build()
+    got, want = TruncationFactor(t, injective=True), TruncationFactor(t)
+    assert got.rank < got.m
+    _assert_same_factor(got, want)
+
+
+def test_injective_factor_keeps_one_m_by_m_array():
+    # the inverted factor of seidman(768) keeps T^{-1} and vectors of length
+    # m: one m x m array besides T, where the SVD route keeps U_rho and V
+    m = 768
+    t = get_family("seidman").truncate(m)
+    tracemalloc.start()
+    try:
+        factor = TruncationFactor(t, injective=True)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert factor.u_rho is None and "rowspace" not in vars(factor)
+    assert 8 * m * m <= kept < 1.1 * 8 * m * m, kept
 
 
 # ------------------------------------------------------------ solution route

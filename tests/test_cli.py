@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,6 +165,22 @@ def test_run_scan_best_lpa_verdicts():
     assert all(r.theta_n <= 1e-8 for r in rep.rows)
 
 
+@pytest.mark.parametrize("factors, want", [
+    ((math.inf, 1.0), "inconclusive"),
+    ((1.0, math.inf, 1.05), "inconclusive"),
+    ((1.0, 1.05), "bounded"),
+    ((1.0, math.inf), "degrading"),
+])
+def test_theta_verdict_never_bounded_with_an_infinite_factor(factors, want):
+    # a row at sin theta = 1 has an infinite bound factor; the ratio of the
+    # last factor to the first must not read such a scan as bounded
+    rows = [SimpleNamespace(bound_factor=f, sin_theta_gap=1.0 if math.isinf(f) else 0.0)
+            for f in factors]
+    if want == "degrading":
+        rows[0].sin_theta_gap = 0.5
+    assert lpakit.scan._theta_verdict(rows) == want
+
+
 def test_run_scan_unknown_operator_is_config_error():
     cfg = scan_config_from_dict(minimal_config(operator={"name": "wat"}))
     with pytest.raises(ConfigError, match="wat"):
@@ -210,26 +227,33 @@ _SHARED_SCANS = [
 
 
 def _count_t_factorizations(monkeypatch, family, ms):
-    # full SVDs of a square matrix equal to the family's truncation at its m
+    # (kind, m) for every SVD ("svd" with vectors, "values" without) and
+    # every inverse ("inv") of a square matrix equal to the family's
+    # truncation at its m
     truncations = {m: family.truncate(m) for m in ms}
     counted = []
-    real_svd = np.linalg.svd
 
-    def counting_svd(a, *args, **kwargs):
-        t = truncations.get(np.shape(a)[0])
-        if kwargs.get("compute_uv", True) and t is not None and np.array_equal(a, t):
-            counted.append(np.shape(a)[0])
-        return real_svd(a, *args, **kwargs)
+    def counting(kind_of, real):
+        def wrapper(a, *args, **kwargs):
+            t = truncations.get(np.shape(a)[0])
+            if t is not None and np.array_equal(a, t):
+                counted.append((kind_of(kwargs), np.shape(a)[0]))
+            return real(a, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "svd", counting(
+        lambda kw: "svd" if kw.get("compute_uv", True) else "values", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "inv", counting(lambda kw: "inv", np.linalg.inv))
     return counted
 
 
 @pytest.mark.parametrize("name, params, n_list, m_rule", _SHARED_SCANS,
                          ids=[case[0] for case in _SHARED_SCANS])
 def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
-    # consecutive rows at one m share one SVD of T, and every row is bitwise
-    # the row a fresh instance gives
+    # consecutive rows at one m share one factor of T, and every row is
+    # bitwise the row a fresh instance gives. The factor is one SVD of T, or,
+    # for seidman, which declares N(T) = {0}, T's singular values and one
+    # inverse.
     cfg = scan_config_from_dict({"operator": {"name": name, "params": params},
                                  "n_list": n_list, "m_rule": m_rule})
     family = get_family(name, **params)
@@ -240,7 +264,8 @@ def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     counted = _count_t_factorizations(monkeypatch, family, ms)
     rows = run_scan(cfg).rows
     assert list(rows) == fresh
-    assert sorted(counted) == sorted(set(ms))
+    kinds = ["values", "inv"] if family.kernel_dim_hint == 0 else ["svd"]
+    assert sorted(counted) == sorted((kind, m) for m in set(ms) for kind in kinds)
     assert [(r.kernel_core_dim, r.kernel_gap) for r in rows] == want
 
 
