@@ -19,10 +19,12 @@ Every diagnostic on one instance reads what the instance computed once: one
 factor of T (a TruncationFactor, shared by every instance at the same m),
 one SVD of T X_n and both offset-angle routes, so identities that hold in
 exact arithmetic stay consistent to machine precision. The factor is T's
-SVD, or, for a family that declares N(T) = {0} and a T of full numerical
-rank, T's singular values and one inverse T^{-1} = T^+. Either way LAPACK
-sees only T's coupled block: a coordinate whose row and column are zero off
-the diagonal contributes its singular triplet (or 1/t_jj) in closed form.
+SVD, or, for a family that declares N(T) = {0}, one inverse T^{-1} = T^+
+when its Frobenius norm against O(m^2) bounds on sigma_max proves T's full
+numerical rank; T's singular values are then taken only when a decision
+needs them. Either way LAPACK sees only T's coupled block: a coordinate
+whose row and column are zero off the diagonal contributes its singular
+triplet (or 1/t_jj) in closed form.
 The rank r of T X_n is decided once; both offset-angle images,
 ||I - Q_n|| (on a 2r-column block) and ||T_n^+ T|| (an r x m norm) are read
 off its r singular vectors. Subspaces stay orthonormal bases, X_n
@@ -54,6 +56,7 @@ import numpy as np
 
 from .config import Tolerances, resolve_m
 from .linalg import (
+    EPS,
     Subspace,
     SvdResult,
     as_matrix,
@@ -148,31 +151,97 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     return s[order], vectors
 
 
-def _values_and_inverse(t: np.ndarray, rank_tol: float | None):
-    """(s, T^{-1}) when T has full numerical rank at rank_tol, else None.
+def _inverse(t: np.ndarray, keep: np.ndarray, drop: np.ndarray, block: np.ndarray,
+             d: np.ndarray) -> np.ndarray | None:
+    """T^{-1}: one LAPACK inverse of the coupled block, 1/t_jj on the decoupled
+    coordinates. None, with no warning, when T is singular to working
+    precision: a zero t_jj, a block LAPACK finds singular, or an entry that
+    is not finite (a subnormal pivot or t_jj whose reciprocal overflows)."""
+    if not d.all():
+        return None
+    try:
+        inv = np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        return None
+    if drop.size:
+        full = np.zeros(t.shape)
+        full[np.ix_(keep, keep)] = inv
+        with np.errstate(over="ignore"):
+            full[drop, drop] = 1.0 / d
+        inv = full
+    return inv if np.isfinite(inv).all() else None
 
-    s is T's singular values, descending, from LAPACK's values-only SVD of
-    the coupled block and |t_jj| for each decoupled coordinate (the values
-    _factor_svd gives, without vectors). T^{-1} is one LAPACK inverse of the
-    coupled block, with 1/t_jj on the decoupled coordinates."""
+
+# sigma_bounds' relative widening, in units of m eps: LAPACK's sigma_max and
+# the O(m^2) norms each carry a relative roundoff of at most 0.6 m eps on
+# rank-one, diagonal and orthogonal-times-diagonal T (3000 seeded trials)
+_SIGMA_SLACK = 4.0
+# how far 1/||T^{-1}||_F must clear the rank cutoff to prove full rank; see
+# _proved_inverse
+_PROOF_FACTOR = 4.0
+
+
+def _sigma_max_bounds(t: np.ndarray) -> tuple[float, float]:
+    """(lo, hi) with lo <= sigma_max(T) <= hi, O(m^2) and no LAPACK call.
+
+    lo is the largest column or row norm, hi the smaller of ||T||_F and
+    sqrt(||T||_1 ||T||_inf). Both are taken on |T| / max|t_ij|, the one
+    m x m temporary, so no square overflows, and widened by _SIGMA_SLACK
+    m eps, so that LAPACK's computed sigma_max lies inside too."""
+    a = np.abs(t)
+    scale = float(a.max(initial=0.0))
+    if scale == 0.0:
+        return 0.0, 0.0
+    a /= scale
+    col2, row2 = np.einsum("ij,ij->j", a, a), np.einsum("ij,ij->i", a, a)
+    lo = math.sqrt(max(col2.max(), row2.max()))
+    hi = math.sqrt(min(col2.sum(), a.sum(axis=0).max() * a.sum(axis=1).max()))
+    slack = _SIGMA_SLACK * t.shape[0] * EPS
+    return scale * lo * (1.0 - slack), scale * hi * (1.0 + slack)
+
+
+def _proved_inverse(t: np.ndarray, rank_tol: float | None):
+    """(T^{-1}, sigma_bounds) when T's full numerical rank at rank_tol is
+    proved from its inverse, else None.
+
+    T^{-1} is formed first (see _inverse). Full rank is then proved from
+    norms alone: sigma_min >= 1/||T^{-1}||_2 >= 1/||T^{-1}||_F, and with
+    hi >= sigma_max (_sigma_max_bounds) the rank is m once
+    1/||T^{-1}||_F > c tol hi, with c = _PROOF_FACTOR = 4 and tol the
+    cutoff numerical_rank uses (rank_tol, m eps when None), raised to m eps
+    if below it. c is large enough: the test caps cond(T) at
+    1/(c tol) <= 1/(4 m eps), so LU with partial pivoting (at modest growth)
+    gives T^{-1} to a relative error of order m eps cond(T) <= 1/4, and the
+    true sigma_min exceeds (1 - 1/4) 4 tol hi = 3 tol sigma_max. LAPACK's
+    computed sigma_min lies within about m eps sigma_max <= tol sigma_max of
+    it and its sigma_max below hi, so the computed singular values clear the
+    cutoff tol s[0] too: the proof makes the decision the SVD would. (Below
+    m eps the cutoff sits under the SVD's own roundoff, which no norm can
+    predict, hence the floor.) sigma_bounds is (lo, hi); the singular
+    values are taken only when read (TruncationFactor.s_rho).
+
+    None when the proof fails or T^{-1} does not exist in floating point:
+    the caller's SVD route then decides the rank and factors T."""
     keep, drop, block = _split(t)
     d = t[drop, drop]
-    s = np.sort(np.concatenate([np.linalg.svd(block, compute_uv=False), np.abs(d)]))[::-1]
-    if numerical_rank(s, t.shape, rank_tol) < t.shape[0]:
+    lo, hi = _sigma_max_bounds(t)  # first, so its temporary is freed before T^{-1}
+    inv = _inverse(t, keep, drop, block, d)
+    if inv is None:
         return None
-    block_inv = np.linalg.inv(block)
-    if not drop.size:
-        return s, block_inv
-    inv = np.zeros(t.shape)
-    inv[np.ix_(keep, keep)] = block_inv
-    inv[drop, drop] = 1.0 / d
-    return s, inv
+    m = t.shape[0]
+    tol = m * EPS if rank_tol is None else max(rank_tol, m * EPS)
+    with np.errstate(over="ignore"):  # an overflowing norm reads inf: no proof
+        proved = np.linalg.norm(inv) * (_PROOF_FACTOR * tol * hi) < 1.0
+    return (inv, (lo, hi)) if proved else None
 
 
 class TruncationFactor:
     """One m x m truncation T factored, and what is read off it: rank rho,
     sigma_max, the singular values Sigma_rho, the row space R and the kernel
     K = R^perp, every rank decision at rank_tol against T's full shape.
+    sigma_bounds = (lo, hi) brackets sigma_max for rank decisions anchored
+    to it (LpaInstance.txn_svd); on the SVD route it is (sigma_max,
+    sigma_max).
 
     Two routes. By default, T's SVD: the rank-rho left factor U_rho, and
     R and K from V. LAPACK factors only T's coupled block; each decoupled
@@ -182,12 +251,14 @@ class TruncationFactor:
     511 x 511 block. T^+ is applied as V_rho Sigma_rho^{-1} U_rho^T
     (pinv_apply); the m x m t_pinv is formed only when read.
 
-    With injective=True (the caller knows N(T) = {0}), T's singular values
-    are taken alone first. If the rank is m, T^+ = T^{-1} is formed once, by
-    one LAPACK inverse of the coupled block, and is both t_pinv and what
+    With injective=True (the caller knows N(T) = {0}), T^{-1} is formed
+    first, by one LAPACK inverse of the coupled block, and full rank is
+    proved from ||T^{-1}||_F and O(m^2) bounds on sigma_max, with no SVD
+    (see _proved_inverse). T^{-1} = T^+ is both t_pinv and what
     pinv_apply multiplies by; u_rho is None, K is {0}, and R = R^m is built
-    only when read. Otherwise the factor falls back to the SVD route, and is
-    the same factor bit for bit.
+    only when read. So are s_rho and sigma_max: one values-only SVD of the
+    coupled block on first read. Where the proof fails, or T^{-1} does not
+    exist in floating point, the factor is the SVD route's, bit for bit.
 
     It does not depend on X_n, so every instance at this m can share it (see
     shared_factors).
@@ -200,10 +271,10 @@ class TruncationFactor:
         self.t = t
         self.m = t.shape[0]
         self.rank_tol = rank_tol
-        inverse = _values_and_inverse(t, rank_tol) if injective else None
+        inverse = _proved_inverse(t, rank_tol) if injective else None
         if inverse is not None:
-            s, self.t_pinv = inverse
-            self.rank, self.u_rho, self.s_rho = self.m, None, s
+            self.t_pinv, self.sigma_bounds = inverse
+            self.rank, self.u_rho = self.m, None
             self.kernel = Subspace.zero(self.m)
         else:
             s, vectors = _factor_svd(t)
@@ -213,7 +284,24 @@ class TruncationFactor:
             self.s_rho = s[:r]
             self.rowspace = Subspace(vt[:r].T)
             self.kernel = Subspace(vt[r:].T)
-        self.sigma_max = float(s[0]) if self.m else 0.0
+            self.sigma_max = float(s[0]) if self.m else 0.0
+            self.sigma_bounds = (self.sigma_max, self.sigma_max)
+
+    @cached_property
+    def s_rho(self) -> np.ndarray:
+        """T's singular values, descending, read only when T was inverted
+        (otherwise set in __init__): LAPACK's values-only SVD of the coupled
+        block and |t_jj| for each decoupled coordinate (the values
+        _factor_svd gives, without vectors), on first read."""
+        _, drop, block = _split(self.t)
+        d = np.abs(self.t[drop, drop])
+        return np.sort(np.concatenate([np.linalg.svd(block, compute_uv=False), d]))[::-1]
+
+    @cached_property
+    def sigma_max(self) -> float:
+        """||T||_2, s_rho[0], read off the SVD route's values in __init__,
+        else on first read."""
+        return float(self.s_rho[0]) if self.m else 0.0
 
     @cached_property
     def rowspace(self) -> Subspace:
@@ -267,10 +355,13 @@ class LpaInstance:
     T is given as a matrix, factored here, or as a TruncationFactor shared
     with other instances at the same m (factor); its attributes (t, rank,
     sigma_max, t_pinv, rowspace, kernel, rank_tol) are exposed on the
-    instance. First use computes, once: the SVD of T X_n, read in U_rho
+    instance, sigma_max, t_pinv and rowspace read from the factor, which
+    forms them on first read when it inverted T. First use computes, once:
+    the SVD of T X_n, read in U_rho
     (txn_svd, a rho x dim X_n factorization) or, when the factor inverted
     T, taken of T X_n itself (m x dim X_n), whose rank r anchored to
-    sigma_max(T) splits it into the range T(X_n) and the kernel core, of
+    sigma_max(T) (decided from the factor's sigma_bounds wherever they
+    agree) splits it into the range T(X_n) and the kernel core, of
     dimension kernel_core_dim = dim X_n - r; tn_rank, its rank at the cutoff
     pseudo_inverse(T_n) applies, which T_n^+ = X_n (T X_n)^+ and
     norm_tn_dag_t share; the two offset-angle images, both of dimension r,
@@ -299,8 +390,13 @@ class LpaInstance:
                 raise ValueError("x_basis ambient dimension does not match t")
         self.factor = factor
         self.t, self.rank_tol = factor.t, factor.rank_tol
-        self.rank, self.sigma_max = factor.rank, factor.sigma_max
-        self.kernel = factor.kernel
+        self.rank, self.kernel = factor.rank, factor.kernel
+
+    @property
+    def sigma_max(self) -> float:
+        """The factor's sigma_max, a values-only SVD of T on first read when
+        T was inverted."""
+        return self.factor.sigma_max
 
     @property
     def rowspace(self) -> Subspace:
@@ -330,6 +426,12 @@ class LpaInstance:
         When the factor inverted T (u_rho is None, rho = m >= dim X_n) it
         is the thin SVD of the m x dim X_n matrix T X_n, with nothing
         dropped; its V is square, so full.
+
+        The rank is counted against the cutoff at both ends of the factor's
+        sigma_bounds. The count falls as the anchor grows, so where the two
+        agree they are the rank anchored to sigma_max itself; only where they
+        differ is sigma_max read, which takes T's singular values when T was
+        inverted. On the SVD route both ends are sigma_max.
         """
         f, k = self.factor, self.x_n.dim
         txn = self.t @ self.x_n.basis
@@ -338,8 +440,12 @@ class LpaInstance:
         else:
             z = svd(f.u_rho.T @ txn, full_matrices=f.rank < k)
             res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
-        return res, numerical_rank(res.singular_values, (self.m, k), self.rank_tol,
-                                   scale=self.sigma_max)
+        s, shape = res.singular_values, (self.m, k)
+        lo, hi = f.sigma_bounds
+        r = numerical_rank(s, shape, self.rank_tol, scale=hi)
+        if r != numerical_rank(s, shape, self.rank_tol, scale=lo):
+            r = numerical_rank(s, shape, self.rank_tol, scale=f.sigma_max)
+        return res, r
 
     @cached_property
     def tn_rank(self) -> int:
@@ -561,7 +667,9 @@ def norm_tn_dag_t(inst: LpaInstance) -> float:
 
 @dataclass(frozen=True)
 class LpaDiagnostics:
-    """Per-n diagnostics row. bound_factor is sqrt(1 + tan^2 theta_n)."""
+    """Per-n diagnostics row. bound_factor is sqrt(1 + tan^2 theta_n);
+    route_disagreement is OffsetAngle's flag, kept out of the CSV and JSON
+    rows (their fields are scan.CSV_HEADER's)."""
 
     n: int
     m: int
@@ -573,6 +681,7 @@ class LpaDiagnostics:
     kernel_dim: int
     kernel_gap: float
     bound_factor: float
+    route_disagreement: bool
 
 
 def _bound_factor(sin_theta: float) -> float:
@@ -595,6 +704,7 @@ def diagnose(inst: LpaInstance, tolerances: Tolerances | None = None) -> LpaDiag
         kernel_dim=inst.kernel.dim,
         kernel_gap=inst.kernel_gap,
         bound_factor=_bound_factor(ang.sin_gap_route),
+        route_disagreement=ang.route_disagreement,
     )
 
 

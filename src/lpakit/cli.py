@@ -1,9 +1,11 @@
 """Command line front end.
 
 Three subcommands: `analyze` runs a convergence scan from a config file and
-writes CSV/JSON outputs, `verify` runs a named check suite, `gallery` lists
-the built-in operator families. Exit codes: 0 success, 2 usage or config
-error, 3 numerical failure inside a scan.
+writes CSV/JSON outputs, plus one stderr warning naming every n where the
+two offset-angle routes disagree beyond tolerances.route_warn; `verify`
+runs a named check suite; `gallery` lists the built-in operator families.
+Exit codes: 0 success, 2 usage or config error, 3 numerical failure inside
+a scan.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ def _cmd_analyze(config_path: str, out_dir: str | None) -> int:
     except ScanNumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    flagged = [str(row.n) for row in report.rows if row.route_disagreement]
+    if flagged:
+        print(f"warning: the two offset-angle routes differ by more than route_warn = "
+              f"{config.tolerances.route_warn:g} at n = {', '.join(flagged)}", file=sys.stderr)
     print(f"operator: {config.operator_name}")
     sys.stdout.write(render_csv(report))
     print("verdicts:")

@@ -30,7 +30,8 @@ class Tolerances:
     check: decision tolerance for the yes/no diagnostics (offset angle zero,
         kernel containment, kernel gap verdicts).
     route_warn: the two offset-angle routes disagreeing beyond this raises a
-        warning flag on the result (suspected truncation trouble).
+        warning flag on the result (suspected truncation trouble);
+        `lpakit analyze` names the flagged n in one line on stderr.
     identity_rel: agreement tolerance for the two sides of the error identity,
         scaled by 1 + the solution norm.
     bound_rel / bound_abs: slack for the error bound test,

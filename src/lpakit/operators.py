@@ -42,9 +42,9 @@ class OperatorFamily:
     kernel dimension of the full operator (not of the truncation, which can
     differ until m is large enough to resolve it). It also picks how the
     truncation is factored: 0 (N(T) = {0}) has analysis.make_lpa and
-    shared_factors invert T once its singular values show full numerical
-    rank, instead of taking its SVD (see analysis.TruncationFactor); the
-    factor falls back to the SVD when they do not. xn_basis, when set,
+    shared_factors invert T instead of taking its SVD, full numerical rank
+    proved from the inverse's norm (see analysis.TruncationFactor); where
+    that proof fails the factor falls back to the SVD. xn_basis, when set,
     overrides the coordinate subspaces as the family's approximation scheme:
     it returns an orthonormal m x k basis for the subspace at index n.
     max_n and min_m are the family's own limits on (n, m); check() tests a

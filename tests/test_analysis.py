@@ -22,6 +22,7 @@ from lpakit.analysis import (
     _coupled,
     _factor_svd,
     _norm_i_minus_qn,
+    _sigma_max_bounds,
     PreconditionError,
     coercive_bound_check,
     diagnose,
@@ -149,6 +150,24 @@ def _count_full_svds(monkeypatch) -> list:
     return shapes
 
 
+def _count_svd_calls(monkeypatch) -> list:
+    # (shape, compute_uv) of every SVD, through np.linalg.svd or numpy's
+    # internal binding, which norm(ord=2) calls
+    internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    calls = []
+
+    def counting(real_svd):
+        def counting_svd(a, *args, **kwargs):
+            calls.append((np.shape(a), kwargs.get("compute_uv",
+                                                  args[1] if len(args) > 1 else True)))
+            return real_svd(a, *args, **kwargs)
+        return counting_svd
+
+    monkeypatch.setattr(internal, "svd", counting(internal.svd))
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+    return calls
+
+
 @pytest.mark.parametrize("name, n, m, svds_of_t", [
     ("seidman", 8, 32, 0), ("best-lpa", 8, 20, 1), ("du", 4, 36, 1), (*_WIDE_KERNEL, 1),
 ], ids=["seidman-8-32", "best-lpa-8-20", "du-4-36", "best-lpa-8-64"])
@@ -156,8 +175,8 @@ def test_instance_factors_each_matrix_once(monkeypatch, name, n, m, svds_of_t):
     # T and T X_n, the latter as the rho x dim X_n matrix U_rho^T T X_n; the
     # two offset-angle images are QRs of T X_n's r singular vectors, and
     # singular values alone (compute_uv=False, spectral norms) are not
-    # factorizations. seidman declares N(T) = {0}: its T is inverted after a
-    # values-only SVD, so the one SVD with vectors is that of T X_n itself.
+    # factorizations. seidman declares N(T) = {0}: its T is inverted and
+    # takes no SVD, so the one SVD with vectors is that of T X_n itself.
     shapes = _count_full_svds(monkeypatch)
     inst = make_lpa(get_family(name), n, m)
     diagnose(inst)
@@ -176,24 +195,15 @@ def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want)
     # instance takes none on m x m matrices: ||I - Q_n|| is a 2r x 2r norm
     # while 2r < m, ||T_n^+ T|| an r x m one, the kernel gap rho x dim core,
     # the containment test rho x dim X_n, and the Subspace orthonormality
-    # check takes none. The factor is built before counting starts: seidman's
-    # takes T's singular values alone, which is the factor's, not the row's.
+    # check takes none. The factor is built before counting starts. seidman's
+    # inverted factor takes none either, and no row reads its sigma_max,
+    # which would take T's singular values (m x m) on first read.
     inst = make_lpa(get_family(name), n, m)
-    internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    shapes = []
-
-    def counting(real_svd):
-        def counting_svd(a, *args, **kwargs):
-            if not kwargs.get("compute_uv", args[1] if len(args) > 1 else True):
-                shapes.append(np.shape(a))
-            return real_svd(a, *args, **kwargs)
-        return counting_svd
-
-    monkeypatch.setattr(internal, "svd", counting(internal.svd))
-    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+    calls = _count_svd_calls(monkeypatch)
     diagnose(inst)
     with contextlib.suppress(PreconditionError):  # du never captures its kernel
         error_bound_check(inst, np.ones(m))
+    shapes = [shape for shape, vectors in calls if not vectors]
     assert shapes.count((m, m)) == want, shapes
     if (name, n, m) == _WIDE_KERNEL:
         _assert_sized_by_rank(inst, shapes)
@@ -461,20 +471,152 @@ def test_inverted_block_with_decoupled_coordinates_matches_svd_route(
     _assert_rows_agree(inverted, dense, n, basis)
 
 
+def _exactly_singular_block():
+    # LU meets an exact zero pivot in the coupled block, so np.linalg.inv
+    # raises; the decoupled coordinates are nonzero
+    t = np.diag([1.0, 1.0, 3.0, -2.0])
+    t[:2, :2] = [[1.0, 2.0], [2.0, 4.0]]
+    return t
+
+
 @pytest.mark.parametrize("build", [
     lambda: get_family("du").truncate(32),
     lambda: random_finite_kernel(12, 3, 0),
     lambda: _embedded_block(3, 5, [1.0, 2.0, -1.0], [1.0, 0.5, 0.0, 2.0, 1.0]),
     lambda: np.diag([2.0, 0.0, 1.0]),
     lambda: np.zeros((4, 4)),
-], ids=["du-32", "random-kernel", "singular-block", "diagonal-zero", "zero"])
+    _exactly_singular_block,
+    lambda: np.diag([1e-310, 1.0]),
+], ids=["du-32", "random-kernel", "singular-block", "diagonal-zero", "zero",
+        "exactly-singular-block", "subnormal-diagonal"])
 def test_injective_factor_of_a_singular_t_is_the_svd_route(build):
     # injective=True on a T below full numerical rank falls back to the SVD
-    # route and gives bitwise its factor
+    # route and gives bitwise its factor, with no warning (the suite turns
+    # warnings into errors) and no values-only SVD: where T^{-1} exists in
+    # floating point (du's 4^-32, a planted zero singular value) its norm
+    # proves nothing, and where it does not (zero columns, an exact zero
+    # pivot or t_jj, 1/t_jj overflowing) there is nothing to prove with
     t = build()
-    got, want = TruncationFactor(t, injective=True), TruncationFactor(t)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_svd_calls(mp)
+        got = TruncationFactor(t, injective=True)
+    want = TruncationFactor(t)
     assert got.rank < got.m
+    assert [vectors for _, vectors in calls].count(False) == 0, calls
     _assert_same_factor(got, want)
+    assert got.sigma_bounds == (want.sigma_max, want.sigma_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.integers(1, 40),
+       kind=st.sampled_from(["rank-one", "diagonal", "orthogonal-scaled", "dense"]))
+def test_sigma_bounds_bracket_lapacks_sigma_max(seed, m, kind):
+    # rank-one T meets ||T||_F = sigma_max, diagonal T and Q diag(s) meet the
+    # largest column norm; LAPACK's sigma_max must still lie inside, and the
+    # bracket is never wider than sqrt(m) (hi <= ||T||_F <= sqrt(m) lo)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-150, 150)
+    if kind == "rank-one":
+        t = np.outer(rng.standard_normal(m), rng.standard_normal(m))
+    elif kind == "diagonal":
+        t = np.diag(rng.standard_normal(m))
+    elif kind == "orthogonal-scaled":
+        t = np.linalg.qr(rng.standard_normal((m, m)))[0] * rng.uniform(0.0, 1.0, m)
+    else:
+        t = rng.standard_normal((m, m))
+    lo, hi = _sigma_max_bounds(scale * t)
+    sigma_max = np.linalg.svd(scale * t, compute_uv=False)[0]
+    assert lo <= sigma_max <= hi
+    assert hi <= math.sqrt(m) * lo * (1 + 16 * m * EPS)
+
+
+def _proof_holds(t, rank_tol):
+    # TruncationFactor's full-rank proof, from its documented rule:
+    # 1/||T^{-1}||_F > 4 tol hi, tol = rank_tol (m eps when None) floored at
+    # m eps, hi = min(||T||_F, sqrt(||T||_1 ||T||_inf)) widened by 4 m eps
+    m = len(t)
+    tol = m * EPS if rank_tol is None else max(rank_tol, m * EPS)
+    hi = min(np.linalg.norm(t), math.sqrt(np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf)))
+    return 1.0 / np.linalg.norm(np.linalg.inv(t)) > 4 * tol * hi * (1 + 4 * m * EPS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.sampled_from([2, 3, 5, 8, 13, 21]),
+       log2_k=st.floats(-2.0, 6.0), rank_tol=st.sampled_from([None, 1e-12, 1e-8]))
+def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k, rank_tol):
+    # T = Q1 diag(s) Q2^T with sigma_min / sigma_max = k tol, tol the rank
+    # cutoff and k in [1/4, 64], log-uniform. The inverted factor's rank is
+    # the SVD route's. Wherever the inverse's norm does not prove full rank
+    # the factor is the SVD route's bit for bit; where it does, T is
+    # inverted with no SVD, and its values-only SVD is taken on the first
+    # read of s_rho or sigma_max, once, with the values it gives for T
+    rng, k = np.random.default_rng(seed), 2.0**log2_k
+    tol = m * EPS if rank_tol is None else rank_tol
+    s = np.sort(np.exp(rng.uniform(math.log(k * tol), 0.0, m)))[::-1]
+    s[0], s[-1] = 1.0, k * tol
+    q1, q2 = (np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in "12")
+    t = (q1 * s) @ q2.T
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_svd_calls(mp)
+        got = TruncationFactor(t, rank_tol, injective=True)
+        built = list(calls)
+        want = TruncationFactor(t, rank_tol)
+        assert got.rank == want.rank
+        if not _proof_holds(t, rank_tol):
+            assert built == [((m, m), True)]
+            _assert_same_factor(got, want)
+            assert got.sigma_bounds == (want.sigma_max, want.sigma_max)
+            return
+        assert got.rank == m and got.u_rho is None and built == []
+        before = len(calls)
+        s_rho, sigma_max = got.s_rho, got.sigma_max
+        assert calls[before:] == [((m, m), False)]
+    assert np.array_equal(s_rho, np.linalg.svd(t, compute_uv=False))
+    lo, hi = got.sigma_bounds
+    assert sigma_max == s_rho[0] and lo <= sigma_max <= hi
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_txn_rank_between_the_bounds_reads_sigma_max_lazily(monkeypatch, seed):
+    # T = Q diag(s*, 1, ..., 1), Q random orthogonal: sigma_max = 1, lo = 1
+    # (T's column norms), hi near 0.8 sqrt(m). With coordinate X_n, T X_n
+    # has singular values 1 and s*, and s* = 10 m eps g sits strictly
+    # between the anchored cutoff at lo and at hi (10 m eps, rank_tol None).
+    # g > 0.4 hi keeps T's full rank proved from its inverse, so the
+    # factor takes no singular values; txn_svd then takes one values-only
+    # SVD of T, and decides at sigma_max itself: r = n, where hi gives n - 1.
+    m, n = 32, 4
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
+    lo, hi = TruncationFactor(q, injective=True).sigma_bounds
+    g = 0.5 * (max(lo, 0.45 * hi) + hi)
+    s_star = 10 * m * EPS * g
+    t = q.copy()
+    t[:, 0] *= s_star
+    calls = _count_svd_calls(monkeypatch)
+    factor = TruncationFactor(t, injective=True)
+    lo, hi = factor.sigma_bounds
+    assert calls == [] and lo < hi
+    inst = LpaInstance(factor, n)
+    res, r = inst.txn_svd
+    assert calls == [((m, n), True), ((m, m), False)]
+    cutoff = 10 * m * EPS
+    assert cutoff * lo < res.singular_values[-1] < cutoff * hi
+    sigma_max = np.linalg.svd(t, compute_uv=False)[0]
+    assert r == numerical_rank(res.singular_values, (m, n), scale=sigma_max) == n
+    assert numerical_rank(res.singular_values, (m, n), scale=hi) == n - 1
+    assert factor.sigma_max == sigma_max and inst.sigma_max == sigma_max
+    assert calls.count(((m, m), False)) == 2  # the check's own, no second read
+
+
+def test_seidman_scan_at_768_takes_no_m_by_m_svd(monkeypatch):
+    # seidman's truncation is inverted and its full rank proved from the
+    # inverse: no SVD of T, with or without vectors, and no row reads
+    # sigma_max
+    calls = _count_svd_calls(monkeypatch)
+    rows = run_scan(scan_config_from_dict({"operator": {"name": "seidman"},
+                                           "n_list": [32, 64], "m_rule": "fixed:768"})).rows
+    assert [row.n for row in rows] == [32, 64] and calls
+    assert [c for c in calls if c[0] == (768, 768)] == []
 
 
 def test_injective_factor_keeps_one_m_by_m_array():

@@ -229,7 +229,9 @@ _SHARED_SCANS = [
 def _count_t_factorizations(monkeypatch, family, ms):
     # (kind, m) for every SVD ("svd" with vectors, "values" without) and
     # every inverse ("inv") of a square matrix equal to the family's
-    # truncation at its m
+    # truncation at its m. An inverted factor proves full rank from the
+    # inverse's norm and takes T's singular values only when read, so a
+    # "values" entry means something read them or the proof failed.
     truncations = {m: family.truncate(m) for m in ms}
     counted = []
 
@@ -252,8 +254,8 @@ def _count_t_factorizations(monkeypatch, family, ms):
 def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     # consecutive rows at one m share one factor of T, and every row is
     # bitwise the row a fresh instance gives. The factor is one SVD of T, or,
-    # for seidman, which declares N(T) = {0}, T's singular values and one
-    # inverse.
+    # for seidman, which declares N(T) = {0}, one inverse, whose norm proves
+    # full rank: no row reads T's singular values, so no SVD of T is taken.
     cfg = scan_config_from_dict({"operator": {"name": name, "params": params},
                                  "n_list": n_list, "m_rule": m_rule})
     family = get_family(name, **params)
@@ -264,7 +266,7 @@ def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     counted = _count_t_factorizations(monkeypatch, family, ms)
     rows = run_scan(cfg).rows
     assert list(rows) == fresh
-    kinds = ["values", "inv"] if family.kernel_dim_hint == 0 else ["svd"]
+    kinds = ["inv"] if family.kernel_dim_hint == 0 else ["svd"]
     assert sorted(counted) == sorted((kind, m) for m in set(ms) for kind in kinds)
     assert [(r.kernel_core_dim, r.kernel_gap) for r in rows] == want
 
@@ -334,6 +336,32 @@ def test_cli_analyze_writes_outputs(tmp_path, capsys):
     assert [row["n"] for row in payload["rows"]] == [2, 4]
     assert payload["verdicts"]["bound_checks_passed"] == "0/0"
     assert payload["config"]["operator"]["name"] == "du"
+
+
+def test_cli_analyze_names_route_disagreements_on_stderr(tmp_path, capsys):
+    # a route_warn below the routes' roundoff flags rows, named in one
+    # stderr line; stdout and the CSV are those of a run that flags none
+    flagged_cfg = write_config(tmp_path, operator={"name": "seidman"}, n_list=[2, 4, 8],
+                               tolerances={"route_warn": 1e-300})
+    rows = run_scan(load_scan_config(flagged_cfg)).rows
+    flagged = [row.n for row in rows if abs(row.sin_theta_gap - row.sin_theta_qn) > 1e-300]
+    assert flagged
+    assert main(["analyze", flagged_cfg, "--out-dir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ("warning: the two offset-angle routes differ by more than route_warn = "
+                   f"1e-300 at n = {', '.join(map(str, flagged))}\n")
+    csv_text = (tmp_path / "rows.csv").read_bytes()
+    quiet_cfg = write_config(tmp_path, operator={"name": "seidman"}, n_list=[2, 4, 8])
+    assert main(["analyze", quiet_cfg, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr() == (out, "")
+    assert (tmp_path / "rows.csv").read_bytes() == csv_text
+
+
+@pytest.mark.parametrize("name", ["seidman", "du", "best_lpa"])
+def test_cli_analyze_shipped_configs_print_no_warning(tmp_path, capsys, name):
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    assert main(["analyze", str(config), "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_analyze_byte_identical_reruns(tmp_path):
