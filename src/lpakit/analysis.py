@@ -19,30 +19,30 @@ Every diagnostic on one instance reads what the instance computed once: one
 factor of T (a TruncationFactor, shared by every instance at the same m),
 one SVD of T X_n and both offset-angle routes, so identities that hold in
 exact arithmetic stay consistent to machine precision. The factor is T's
-SVD, or, for a family that declares N(T) = {0}, one inverse T^{-1} = T^+
-when its Frobenius norm against O(m^2) bounds on sigma_max proves T's full
-numerical rank; T's singular values are then taken only when a decision
-needs them. Either way LAPACK sees only T's coupled block: a coordinate
-whose row and column are zero off the diagonal contributes its singular
-triplet (or 1/t_jj) in closed form.
+SVD, LAPACK run on T's coupled block only (a coordinate whose row and
+column are zero off the diagonal contributes its singular triplet in closed
+form), or, for a family that declares N(T) = {0}, one inverse T^{-1} = T^+
+when its Frobenius norm against an O(m^2) bound on sigma_max proves every
+rank decision a row will make; T's singular values are then taken only
+when read. The instance sees ranks, not routes.
 The rank r of T X_n is decided once; both offset-angle images,
 ||I - Q_n|| (on a 2r-column block) and ||T_n^+ T|| (an r x m norm) are read
 off its r singular vectors. Subspaces stay orthonormal bases, X_n
 projecting as X_n (X_n^T v).
 
 Past the factor (once per m), a row's factorizations and spectral norms are
-sized by rho = rank(T) or by r <= rho, not by m: T X_n is factored as the
-rho x dim X_n matrix U_rho^T T X_n (as T X_n itself when T was inverted),
-the kernel gap and the containment of N(T) in X_n are rho-row norms against
-the row space, T^+ is applied through the factor, and the rest have at most
-2r rows or columns. The kernel core's
-dimension and its gap to N(T) are read off T X_n's SVD and R^T X_n, and
-T_n^+ is applied through the factors of T X_n, so a row forms no m x m
-array. When dim X_n is of order m a row still makes the m x m x dim X_n
-product T X_n, but no m x ~m factorization. The m x m matrices t_pinv
-(unless it is the factor's T^{-1}), tn(), tn_pinv and qn_matrix(), and the
-core's basis kernel_core(), serve the zero-offset report, the suites and the
-dense oracles.
+sized by dim X_n, by rho = rank(T) or by r <= rho, not by m: T X_n is
+factored as itself, m x dim X_n, when rho >= dim X_n, and as the
+rho x dim X_n matrix U_rho^T T X_n otherwise; the kernel gap and the
+containment of N(T) in X_n are rho-row norms against the row space, T^+ is
+applied through the factor, and the rest have at most 2r rows or columns.
+The kernel core's dimension and its gap to N(T) are read off T X_n's SVD
+and R^T X_n, and T_n^+ is applied through the factors of T X_n, so a row
+forms no m x m array. When dim X_n is of order m a row still makes the
+m x m x dim X_n product T X_n, but no m x ~m factorization. The m x m
+matrices t_pinv (unless it is the factor's T^{-1}), tn(), tn_pinv and
+qn_matrix(), and the core's basis kernel_core(), serve the zero-offset
+report, the suites and the dense oracles.
 """
 
 from __future__ import annotations
@@ -105,14 +105,6 @@ def _coupled(t: np.ndarray) -> np.ndarray:
     return off.any(axis=0) | off.any(axis=1)
 
 
-def _split(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keep, drop, block): T's coupled coordinates, its decoupled ones (see
-    _coupled), and T on the coupled block, T itself when drop is empty."""
-    coupled = _coupled(t)
-    keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
-    return keep, drop, t if not drop.size else t[np.ix_(keep, keep)]
-
-
 def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     """SVD of a square T as (s, vectors), vectors(r) = (U[:, :r], V^T), with
     LAPACK run on T's coupled block only.
@@ -124,12 +116,13 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     for. When every coordinate is coupled this is svd(t) itself; when none
     is, no LAPACK call is made.
     """
-    keep, drop, block_t = _split(t)
+    coupled = _coupled(t)
+    keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
     if not drop.size:
         res = svd(t)
         return res.singular_values, lambda r: (res.u[:, :r].copy(), res.vt)
     m = t.shape[0]
-    block = (svd(block_t) if keep.size
+    block = (svd(t[np.ix_(keep, keep)]) if keep.size
              else SvdResult(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))))
     d = t[drop, drop]
     s = np.concatenate([block.singular_values, np.abs(d)])
@@ -151,29 +144,19 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     return s[order], vectors
 
 
-def _inverse(t: np.ndarray, keep: np.ndarray, drop: np.ndarray, block: np.ndarray,
-             d: np.ndarray) -> np.ndarray | None:
-    """T^{-1}: one LAPACK inverse of the coupled block, 1/t_jj on the decoupled
-    coordinates. None, with no warning, when T is singular to working
-    precision: a zero t_jj, a block LAPACK finds singular, or an entry that
-    is not finite (a subnormal pivot or t_jj whose reciprocal overflows)."""
-    if not d.all():
-        return None
+def _inverse(t: np.ndarray) -> np.ndarray | None:
+    """T^{-1}, one LAPACK inverse. None, with no warning, when T is singular
+    to working precision: LAPACK meets a zero pivot, or an entry of the
+    inverse is not finite (a subnormal pivot whose reciprocal overflows)."""
     try:
-        inv = np.linalg.inv(block)
+        inv = np.linalg.inv(t)
     except np.linalg.LinAlgError:
         return None
-    if drop.size:
-        full = np.zeros(t.shape)
-        full[np.ix_(keep, keep)] = inv
-        with np.errstate(over="ignore"):
-            full[drop, drop] = 1.0 / d
-        inv = full
     return inv if np.isfinite(inv).all() else None
 
 
-# sigma_bounds' relative widening, in units of m eps: LAPACK's sigma_max and
-# the O(m^2) norms each carry a relative roundoff of at most 0.6 m eps on
+# the upper bound's relative widening, in units of m eps: LAPACK's sigma_max
+# and the O(m^2) norms each carry a relative roundoff of at most 0.6 m eps on
 # rank-one, diagonal and orthogonal-times-diagonal T (3000 seeded trials)
 _SIGMA_SLACK = 4.0
 # how far 1/||T^{-1}||_F must clear the rank cutoff to prove full rank; see
@@ -181,67 +164,63 @@ _SIGMA_SLACK = 4.0
 _PROOF_FACTOR = 4.0
 
 
-def _sigma_max_bounds(t: np.ndarray) -> tuple[float, float]:
-    """(lo, hi) with lo <= sigma_max(T) <= hi, O(m^2) and no LAPACK call.
-
-    lo is the largest column or row norm, hi the smaller of ||T||_F and
-    sqrt(||T||_1 ||T||_inf). Both are taken on |T| / max|t_ij|, the one
-    m x m temporary, so no square overflows, and widened by _SIGMA_SLACK
-    m eps, so that LAPACK's computed sigma_max lies inside too."""
+def _sigma_max_bound(t: np.ndarray) -> float:
+    """hi >= sigma_max(T), O(m^2) and no LAPACK call: the smaller of ||T||_F
+    and sqrt(||T||_1 ||T||_inf), taken on |T| / max|t_ij|, the one m x m
+    temporary, so no square overflows, and widened by _SIGMA_SLACK m eps, so
+    that LAPACK's computed sigma_max lies below it too."""
     a = np.abs(t)
     scale = float(a.max(initial=0.0))
     if scale == 0.0:
-        return 0.0, 0.0
+        return 0.0
     a /= scale
-    col2, row2 = np.einsum("ij,ij->j", a, a), np.einsum("ij,ij->i", a, a)
-    lo = math.sqrt(max(col2.max(), row2.max()))
-    hi = math.sqrt(min(col2.sum(), a.sum(axis=0).max() * a.sum(axis=1).max()))
-    slack = _SIGMA_SLACK * t.shape[0] * EPS
-    return scale * lo * (1.0 - slack), scale * hi * (1.0 + slack)
+    hi = math.sqrt(min(np.einsum("ij,ij->", a, a), a.sum(axis=0).max() * a.sum(axis=1).max()))
+    return scale * hi * (1.0 + _SIGMA_SLACK * t.shape[0] * EPS)
 
 
 def _proved_inverse(t: np.ndarray, rank_tol: float | None):
-    """(T^{-1}, sigma_bounds) when T's full numerical rank at rank_tol is
-    proved from its inverse, else None.
+    """(T^{-1}, hi) when T^{-1} proves every rank decision an inverted factor
+    makes, else None; hi >= sigma_max(T) is _sigma_max_bound's.
 
-    T^{-1} is formed first (see _inverse). Full rank is then proved from
-    norms alone: sigma_min >= 1/||T^{-1}||_2 >= 1/||T^{-1}||_F, and with
-    hi >= sigma_max (_sigma_max_bounds) the rank is m once
-    1/||T^{-1}||_F > c tol hi, with c = _PROOF_FACTOR = 4 and tol the
-    cutoff numerical_rank uses (rank_tol, m eps when None), raised to m eps
-    if below it. c is large enough: the test caps cond(T) at
-    1/(c tol) <= 1/(4 m eps), so LU with partial pivoting (at modest growth)
-    gives T^{-1} to a relative error of order m eps cond(T) <= 1/4, and the
-    true sigma_min exceeds (1 - 1/4) 4 tol hi = 3 tol sigma_max. LAPACK's
-    computed sigma_min lies within about m eps sigma_max <= tol sigma_max of
-    it and its sigma_max below hi, so the computed singular values clear the
-    cutoff tol s[0] too: the proof makes the decision the SVD would. (Below
-    m eps the cutoff sits under the SVD's own roundoff, which no norm can
-    predict, hence the floor.) sigma_bounds is (lo, hi); the singular
-    values are taken only when read (TruncationFactor.s_rho).
+    An inverted factor makes two rank decisions, each against a cutoff
+    tol x anchor: T's own rank (anchor sigma_max, tol rank_tol, m eps when
+    None) and, in each row, the rank of T X_n (LpaInstance.txn_svd: anchor
+    hi, tol rank_tol, 10 m eps when None). The proof takes tol as the larger
+    of the two, raised to m eps if below it: rank_tol floored at m eps, or
+    10 m eps. T^{-1} is formed first (see _inverse), then
+    sigma_min >= 1/||T^{-1}||_2 >= 1/||T^{-1}||_F, and the proof holds once
+    1/||T^{-1}||_F > c tol hi, c = _PROOF_FACTOR = 4. c is large enough: the
+    test caps cond(T) at 1/(c tol) <= 1/(4 m eps), so LU with partial
+    pivoting (at modest growth) gives T^{-1} to a relative error of order
+    m eps cond(T) <= 1/4, and the true sigma_min exceeds
+    (1 - 1/4) 4 tol hi = 3 tol hi. Every singular value of T, and of T X_n
+    for orthonormal X_n, is at least sigma_min; LAPACK computes each within
+    about m eps sigma_max <= tol hi of the truth, so all clear the cutoff
+    tol hi, and the lower cutoff tol sigma_max too: rank m for T and
+    dim X_n for T X_n, the decisions the SVD would make. (Below m eps the
+    cutoff sits under the SVD's own roundoff, which no norm can predict,
+    hence the floor.)
 
     None when the proof fails or T^{-1} does not exist in floating point:
     the caller's SVD route then decides the rank and factors T."""
-    keep, drop, block = _split(t)
-    d = t[drop, drop]
-    lo, hi = _sigma_max_bounds(t)  # first, so its temporary is freed before T^{-1}
-    inv = _inverse(t, keep, drop, block, d)
+    hi = _sigma_max_bound(t)  # first, so its temporary is freed before T^{-1}
+    inv = _inverse(t)
     if inv is None:
         return None
     m = t.shape[0]
-    tol = m * EPS if rank_tol is None else max(rank_tol, m * EPS)
+    tol = 10 * m * EPS if rank_tol is None else max(rank_tol, m * EPS)
     with np.errstate(over="ignore"):  # an overflowing norm reads inf: no proof
         proved = np.linalg.norm(inv) * (_PROOF_FACTOR * tol * hi) < 1.0
-    return (inv, (lo, hi)) if proved else None
+    return (inv, hi) if proved else None
 
 
 class TruncationFactor:
     """One m x m truncation T factored, and what is read off it: rank rho,
     sigma_max, the singular values Sigma_rho, the row space R and the kernel
     K = R^perp, every rank decision at rank_tol against T's full shape.
-    sigma_bounds = (lo, hi) brackets sigma_max for rank decisions anchored
-    to it (LpaInstance.txn_svd); on the SVD route it is (sigma_max,
-    sigma_max).
+    sigma_anchor is the norm a row's rank of T X_n is anchored to
+    (LpaInstance.txn_svd): sigma_max on the SVD route, the bound hi >=
+    sigma_max when T was inverted.
 
     Two routes. By default, T's SVD: the rank-rho left factor U_rho, and
     R and K from V. LAPACK factors only T's coupled block; each decoupled
@@ -252,13 +231,13 @@ class TruncationFactor:
     (pinv_apply); the m x m t_pinv is formed only when read.
 
     With injective=True (the caller knows N(T) = {0}), T^{-1} is formed
-    first, by one LAPACK inverse of the coupled block, and full rank is
-    proved from ||T^{-1}||_F and O(m^2) bounds on sigma_max, with no SVD
-    (see _proved_inverse). T^{-1} = T^+ is both t_pinv and what
+    first, by one LAPACK inverse, and the rank of T and of every T X_n is
+    proved from ||T^{-1}||_F and an O(m^2) bound hi on sigma_max, with no
+    SVD (see _proved_inverse). T^{-1} = T^+ is both t_pinv and what
     pinv_apply multiplies by; u_rho is None, K is {0}, and R = R^m is built
-    only when read. So are s_rho and sigma_max: one values-only SVD of the
-    coupled block on first read. Where the proof fails, or T^{-1} does not
-    exist in floating point, the factor is the SVD route's, bit for bit.
+    only when read. So are s_rho and sigma_max: one values-only SVD of T on
+    first read. Where the proof fails, or T^{-1} does not exist in floating
+    point, the factor is the SVD route's, bit for bit.
 
     It does not depend on X_n, so every instance at this m can share it (see
     shared_factors).
@@ -273,7 +252,7 @@ class TruncationFactor:
         self.rank_tol = rank_tol
         inverse = _proved_inverse(t, rank_tol) if injective else None
         if inverse is not None:
-            self.t_pinv, self.sigma_bounds = inverse
+            self.t_pinv, self.sigma_anchor = inverse
             self.rank, self.u_rho = self.m, None
             self.kernel = Subspace.zero(self.m)
         else:
@@ -284,18 +263,14 @@ class TruncationFactor:
             self.s_rho = s[:r]
             self.rowspace = Subspace(vt[:r].T)
             self.kernel = Subspace(vt[r:].T)
-            self.sigma_max = float(s[0]) if self.m else 0.0
-            self.sigma_bounds = (self.sigma_max, self.sigma_max)
+            self.sigma_max = self.sigma_anchor = float(s[0]) if self.m else 0.0
 
     @cached_property
     def s_rho(self) -> np.ndarray:
         """T's singular values, descending, read only when T was inverted
-        (otherwise set in __init__): LAPACK's values-only SVD of the coupled
-        block and |t_jj| for each decoupled coordinate (the values
-        _factor_svd gives, without vectors), on first read."""
-        _, drop, block = _split(self.t)
-        d = np.abs(self.t[drop, drop])
-        return np.sort(np.concatenate([np.linalg.svd(block, compute_uv=False), d]))[::-1]
+        (otherwise set in __init__): LAPACK's values-only SVD of T, on first
+        read."""
+        return np.linalg.svd(self.t, compute_uv=False)
 
     @cached_property
     def sigma_max(self) -> float:
@@ -356,18 +331,16 @@ class LpaInstance:
     with other instances at the same m (factor); its attributes (t, rank,
     sigma_max, t_pinv, rowspace, kernel, rank_tol) are exposed on the
     instance, sigma_max, t_pinv and rowspace read from the factor, which
-    forms them on first read when it inverted T. First use computes, once:
-    the SVD of T X_n, read in U_rho
-    (txn_svd, a rho x dim X_n factorization) or, when the factor inverted
-    T, taken of T X_n itself (m x dim X_n), whose rank r anchored to
-    sigma_max(T) (decided from the factor's sigma_bounds wherever they
-    agree) splits it into the range T(X_n) and the kernel core, of
-    dimension kernel_core_dim = dim X_n - r; tn_rank, its rank at the cutoff
-    pseudo_inverse(T_n) applies, which T_n^+ = X_n (T X_n)^+ and
-    norm_tn_dag_t share; the two offset-angle images, both of dimension r,
-    and both routes' sines; and the rho x dim X_n matrix R^T X_n, off which
-    kernel_gap and kernel_deficiency are read. Every rank decision uses
-    rank_tol.
+    forms them on first read when it inverted T. What the instance does
+    depends on the factor's ranks alone, never on its route. First use
+    computes, once: the SVD of T X_n (txn_svd), whose rank r, anchored to
+    the factor's sigma_anchor, splits it into the range T(X_n) and the
+    kernel core, of dimension kernel_core_dim = dim X_n - r; tn_rank, its
+    rank at the cutoff pseudo_inverse(T_n) applies, which
+    T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t share; the two offset-angle
+    images, both of dimension r, and both routes' sines; and the
+    rho x dim X_n matrix R^T X_n, off which kernel_gap and
+    kernel_deficiency are read. Every rank decision uses rank_tol.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
     arbitrary orthonormal basis may be supplied instead.
@@ -415,37 +388,32 @@ class LpaInstance:
 
     @cached_property
     def txn_svd(self) -> tuple[SvdResult, int]:
-        """SVD of T X_n and its rank anchored to sigma_max(T).
+        """SVD of T X_n and its rank r anchored to the factor's sigma_anchor.
 
-        Taken as the SVD P S V^T of Z = U_rho^T (T X_n), rho x dim X_n, with
-        u = U_rho P. What is dropped, (I - U_rho U_rho^T) T X_n, has norm at
-        most sigma_{rho+1}(T), below T's own rank cutoff. Z projects the
-        dense product, so exact zeros of T X_n stay exact. V is full when
-        rho < dim X_n, so that its last dim X_n - r rows vt[r:] span the
-        kernel core's coefficients (kernel_gap, the oracle kernel_core).
-        When the factor inverted T (u_rho is None, rho = m >= dim X_n) it
-        is the thin SVD of the m x dim X_n matrix T X_n, with nothing
-        dropped; its V is square, so full.
+        When rho = rank T >= dim X_n (every inverted factor, and du) it is
+        the thin SVD of the m x dim X_n matrix T X_n itself, nothing
+        dropped; its V is square, so full. When rho < dim X_n it is the SVD
+        P S V^T of Z = U_rho^T (T X_n), rho x dim X_n, with u = U_rho P and
+        V full, so that its last dim X_n - r rows vt[r:] span the kernel
+        core's coefficients (kernel_gap, the oracle kernel_core). What Z
+        drops, (I - U_rho U_rho^T) T X_n, has norm at most sigma_{rho+1}(T),
+        below T's own rank cutoff, and Z projects the dense product, so
+        exact zeros of T X_n stay exact.
 
-        The rank is counted against the cutoff at both ends of the factor's
-        sigma_bounds. The count falls as the anchor grows, so where the two
-        agree they are the rank anchored to sigma_max itself; only where they
-        differ is sigma_max read, which takes T's singular values when T was
-        inverted. On the SVD route both ends are sigma_max.
+        sigma_anchor is sigma_max on the SVD route. For an inverted factor
+        it is the bound hi >= sigma_max, against which the factor proved
+        that every singular value of T X_n clears the cutoff, so r is
+        dim X_n, as it is at sigma_max itself.
         """
         f, k = self.factor, self.x_n.dim
         txn = self.t @ self.x_n.basis
-        if f.u_rho is None:
+        if f.rank >= k:
             res = svd(txn, full_matrices=False)
         else:
-            z = svd(f.u_rho.T @ txn, full_matrices=f.rank < k)
+            z = svd(f.u_rho.T @ txn)
             res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
-        s, shape = res.singular_values, (self.m, k)
-        lo, hi = f.sigma_bounds
-        r = numerical_rank(s, shape, self.rank_tol, scale=hi)
-        if r != numerical_rank(s, shape, self.rank_tol, scale=lo):
-            r = numerical_rank(s, shape, self.rank_tol, scale=f.sigma_max)
-        return res, r
+        return res, numerical_rank(res.singular_values, (self.m, k), self.rank_tol,
+                                   scale=f.sigma_anchor)
 
     @cached_property
     def tn_rank(self) -> int:
@@ -505,11 +473,11 @@ class LpaInstance:
         the r singular vectors txn_svd kept, each orthonormalized by one QR:
         no further rank decision, so both have dimension r. T^+T is applied
         as the row-space projector, which does not amplify roundoff in
-        kernel directions, and skipped when the factor inverted T, whose
-        row space is R^m."""
+        kernel directions, and skipped when rho = m, where the row space is
+        R^m."""
         res, r = self.txn_svd
         row_image = self.x_n.basis @ res.vt[:r].T
-        if self.factor.u_rho is not None:
+        if self.rank < self.m:
             row_image = self.rowspace.project(row_image)
         return (Subspace(np.linalg.qr(row_image)[0]),
                 Subspace(np.linalg.qr(self.t.T @ res.u[:, :r])[0]))

@@ -22,7 +22,7 @@ from lpakit.analysis import (
     _coupled,
     _factor_svd,
     _norm_i_minus_qn,
-    _sigma_max_bounds,
+    _sigma_max_bound,
     PreconditionError,
     coercive_bound_check,
     diagnose,
@@ -53,6 +53,13 @@ from lpakit.linalg import (
 )
 from lpakit.operators import du_bad_y, du_vector_e, get_family, random_finite_kernel
 from lpakit.scan import run_scan
+
+try:
+    import mpmath
+except ImportError:  # declared in the test extra
+    mpmath = None
+
+_needs_mpmath = pytest.mark.skipif(mpmath is None, reason="needs mpmath>=1.3 (the test extra)")
 
 # sin theta_n for the compact injective example on the m = 4n grid,
 # computed by an independent dense-SVD oracle and frozen
@@ -124,9 +131,11 @@ def test_instance_caches_consistent_factorization():
 
 
 def _assert_sized_by_rank(inst, shapes):
-    # no SVD in shapes has more entries than rho x dim X_n (the kernel core
-    # lies in X_n, so rho x dim core is no larger)
-    bound = inst.rank * inst.x_n.dim
+    # no SVD in shapes has more entries than rho x dim X_n when rho < dim X_n,
+    # nor than m x dim X_n otherwise (the kernel core lies in X_n, so
+    # rho x dim core is no larger)
+    k = inst.x_n.dim
+    bound = (inst.rank if inst.rank < k else inst.m) * k
     assert all(p * q <= bound for p, q in shapes), (bound, shapes)
 
 
@@ -172,11 +181,13 @@ def _count_svd_calls(monkeypatch) -> list:
     ("seidman", 8, 32, 0), ("best-lpa", 8, 20, 1), ("du", 4, 36, 1), (*_WIDE_KERNEL, 1),
 ], ids=["seidman-8-32", "best-lpa-8-20", "du-4-36", "best-lpa-8-64"])
 def test_instance_factors_each_matrix_once(monkeypatch, name, n, m, svds_of_t):
-    # T and T X_n, the latter as the rho x dim X_n matrix U_rho^T T X_n; the
-    # two offset-angle images are QRs of T X_n's r singular vectors, and
+    # T and T X_n, the latter as T X_n itself (m x dim X_n) where
+    # rho >= dim X_n (seidman, du) and as the rho x dim X_n matrix
+    # U_rho^T T X_n where rho < dim X_n (best-lpa, rho = 12); the two
+    # offset-angle images are QRs of T X_n's r singular vectors, and
     # singular values alone (compute_uv=False, spectral norms) are not
     # factorizations. seidman declares N(T) = {0}: its T is inverted and
-    # takes no SVD, so the one SVD with vectors is that of T X_n itself.
+    # takes no SVD, so the one SVD with vectors is that of T X_n.
     shapes = _count_full_svds(monkeypatch)
     inst = make_lpa(get_family(name), n, m)
     diagnose(inst)
@@ -385,11 +396,18 @@ def test_tn_pinv_matches_dense_oracle(build):
 # ------------------------------------------------ T inverted when N(T) = {0}
 
 
-def _assert_factors_agree(inverted, dense):
+def _inverse_50_digits(t):
+    # T^{-1} by a 50-digit LU, rounded to doubles
+    with mpmath.workdps(50):
+        return np.array((mpmath.matrix(t.tolist()) ** -1).tolist(), dtype=float)
+
+
+def _assert_factors_agree(inverted, dense, reference=None):
     # an inverted factor against the SVD route's on the same T: full rank,
     # singular values to 1e-13 sigma_max, and T^+ as a matrix and applied,
     # within m eps cond(T) ||T^+||, the order of either route's forward error
-    # (the routes differed by 1e-7 of it on seidman(768))
+    # (the routes differed by 1e-7 of it on seidman(768)). T^+ is compared
+    # with reference when given, else with the SVD route's
     m = dense.m
     assert inverted.u_rho is None and inverted.rank == dense.rank == m
     assert inverted.kernel.dim == 0 and gap(inverted.rowspace, dense.rowspace) <= 1e-13
@@ -397,11 +415,12 @@ def _assert_factors_agree(inverted, dense):
     assert inverted.sigma_max == pytest.approx(dense.sigma_max, rel=1e-13, abs=0)
     scale = np.linalg.norm(dense.t_pinv, 2)
     tol = m * EPS * (dense.sigma_max / dense.s_rho[-1]) * scale
-    assert np.linalg.norm(inverted.t_pinv - dense.t_pinv, 2) <= tol
+    want = dense.t_pinv if reference is None else reference
+    assert np.linalg.norm(inverted.t_pinv - want, 2) <= tol
+    apply = dense.pinv_apply if reference is None else reference.__matmul__
     v = np.random.default_rng(m).standard_normal((m, 3))
     for w in (v, v[:, 0]):
-        assert np.linalg.norm(inverted.pinv_apply(w) - dense.pinv_apply(w)) <= \
-            tol * np.linalg.norm(w)
+        assert np.linalg.norm(inverted.pinv_apply(w) - apply(w)) <= tol * np.linalg.norm(w)
 
 
 def _assert_rows_agree(inverted, dense, n, x_basis=None):
@@ -449,26 +468,44 @@ def _assert_same_factor(got, want):
         assert np.array_equal(getattr(got, name).basis, getattr(want, name).basis), name
 
 
+def _assert_inverted_block_agrees(t, n, basis):
+    # the inverted factor's T^+ against a 50-digit inverse, since at tiny m
+    # the SVD route's own roundoff can exceed the limit, and its rows
+    # against the SVD route's. A block that falls below full numerical rank
+    # takes the SVD route, bit for bit.
+    inverted, dense = TruncationFactor(t, injective=True), TruncationFactor(t)
+    if inverted.u_rho is not None:
+        _assert_same_factor(inverted, dense)
+        return
+    _assert_factors_agree(inverted, dense, _inverse_50_digits(t))
+    _assert_rows_agree(inverted, dense, n, basis)
+
+
+@_needs_mpmath
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**16), m_block=st.sampled_from([0, 2, 3, 5, 8, 13]),
        diag=st.lists(_DIAGONALS.filter(bool), min_size=1, max_size=12),
        data=st.data())
 def test_inverted_block_with_decoupled_coordinates_matches_svd_route(
         seed, m_block, diag, data):
-    # a Gaussian block among nonzero decoupled diagonal entries: the inverse
-    # is one LAPACK inverse of the block and 1/t_jj elsewhere. A block that
-    # falls below full numerical rank takes the SVD route, bit for bit.
+    # a Gaussian block among nonzero decoupled diagonal entries, inverted
+    # by one LAPACK inverse of the whole T
     t = _embedded_block(seed, m_block, diag, None)
-    inverted, dense = TruncationFactor(t, injective=True), TruncationFactor(t)
-    if inverted.u_rho is not None:
-        _assert_same_factor(inverted, dense)
-        return
-    _assert_factors_agree(inverted, dense)
     n = data.draw(st.integers(1, len(t)))
     basis = None
     if data.draw(st.booleans()):  # a random X_n instead of the coordinate one
         basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(t), n)))[0]
-    _assert_rows_agree(inverted, dense, n, basis)
+    _assert_inverted_block_agrees(t, n, basis)
+
+
+@_needs_mpmath
+def test_inverted_block_at_tiny_m_matches_a_50_digit_inverse():
+    # m = 4, cond(T) 2.36, limit 2.5e-15: LU's T^{-1} is 5.7e-17 off the
+    # 50-digit inverse, the SVD route's V Sigma^{-1} U^T 7.2e-15
+    t = _embedded_block(179, 3, [-2.0], None)
+    assert TruncationFactor(t, injective=True).u_rho is None
+    for n in range(1, len(t) + 1):
+        _assert_inverted_block_agrees(t, n, None)
 
 
 def _exactly_singular_block():
@@ -494,8 +531,8 @@ def test_injective_factor_of_a_singular_t_is_the_svd_route(build):
     # route and gives bitwise its factor, with no warning (the suite turns
     # warnings into errors) and no values-only SVD: where T^{-1} exists in
     # floating point (du's 4^-32, a planted zero singular value) its norm
-    # proves nothing, and where it does not (zero columns, an exact zero
-    # pivot or t_jj, 1/t_jj overflowing) there is nothing to prove with
+    # proves nothing, and where it does not (an exact zero pivot, an entry
+    # of T^{-1} overflowing) there is nothing to prove with
     t = build()
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_svd_calls(mp)
@@ -504,16 +541,16 @@ def test_injective_factor_of_a_singular_t_is_the_svd_route(build):
     assert got.rank < got.m
     assert [vectors for _, vectors in calls].count(False) == 0, calls
     _assert_same_factor(got, want)
-    assert got.sigma_bounds == (want.sigma_max, want.sigma_max)
+    assert got.sigma_anchor == want.sigma_max
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**16), m=st.integers(1, 40),
        kind=st.sampled_from(["rank-one", "diagonal", "orthogonal-scaled", "dense"]))
 def test_sigma_bounds_bracket_lapacks_sigma_max(seed, m, kind):
-    # rank-one T meets ||T||_F = sigma_max, diagonal T and Q diag(s) meet the
-    # largest column norm; LAPACK's sigma_max must still lie inside, and the
-    # bracket is never wider than sqrt(m) (hi <= ||T||_F <= sqrt(m) lo)
+    # rank-one T meets ||T||_F = sigma_max and diagonal T
+    # sqrt(||T||_1 ||T||_inf) = sigma_max; LAPACK's sigma_max must still lie
+    # below hi, and hi is never above sqrt(m) sigma_max (hi <= ||T||_F)
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-150, 150)
     if kind == "rank-one":
@@ -524,38 +561,42 @@ def test_sigma_bounds_bracket_lapacks_sigma_max(seed, m, kind):
         t = np.linalg.qr(rng.standard_normal((m, m)))[0] * rng.uniform(0.0, 1.0, m)
     else:
         t = rng.standard_normal((m, m))
-    lo, hi = _sigma_max_bounds(scale * t)
+    hi = _sigma_max_bound(scale * t)
     sigma_max = np.linalg.svd(scale * t, compute_uv=False)[0]
-    assert lo <= sigma_max <= hi
-    assert hi <= math.sqrt(m) * lo * (1 + 16 * m * EPS)
+    assert sigma_max <= hi <= math.sqrt(m) * sigma_max * (1 + 16 * m * EPS)
 
 
 def _proof_holds(t, rank_tol):
     # TruncationFactor's full-rank proof, from its documented rule:
-    # 1/||T^{-1}||_F > 4 tol hi, tol = rank_tol (m eps when None) floored at
-    # m eps, hi = min(||T||_F, sqrt(||T||_1 ||T||_inf)) widened by 4 m eps
+    # 1/||T^{-1}||_F > 4 tol hi, tol = rank_tol floored at m eps, or 10 m eps
+    # when None, hi = min(||T||_F, sqrt(||T||_1 ||T||_inf)) widened by 4 m eps
     m = len(t)
-    tol = m * EPS if rank_tol is None else max(rank_tol, m * EPS)
+    tol = 10 * m * EPS if rank_tol is None else max(rank_tol, m * EPS)
     hi = min(np.linalg.norm(t), math.sqrt(np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf)))
     return 1.0 / np.linalg.norm(np.linalg.inv(t)) > 4 * tol * hi * (1 + 4 * m * EPS)
+
+
+def _graded(rng, m, ratio):
+    # Q1 diag(s) Q2^T, s log-uniform from sigma_max = 1 down to sigma_min = ratio
+    s = np.sort(np.exp(rng.uniform(math.log(ratio), 0.0, m)))[::-1]
+    s[0], s[-1] = 1.0, ratio
+    q1, q2 = (np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in "12")
+    return (q1 * s) @ q2.T
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**16), m=st.sampled_from([2, 3, 5, 8, 13, 21]),
        log2_k=st.floats(-2.0, 6.0), rank_tol=st.sampled_from([None, 1e-12, 1e-8]))
 def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k, rank_tol):
-    # T = Q1 diag(s) Q2^T with sigma_min / sigma_max = k tol, tol the rank
-    # cutoff and k in [1/4, 64], log-uniform. The inverted factor's rank is
-    # the SVD route's. Wherever the inverse's norm does not prove full rank
-    # the factor is the SVD route's bit for bit; where it does, T is
-    # inverted with no SVD, and its values-only SVD is taken on the first
-    # read of s_rho or sigma_max, once, with the values it gives for T
-    rng, k = np.random.default_rng(seed), 2.0**log2_k
-    tol = m * EPS if rank_tol is None else rank_tol
-    s = np.sort(np.exp(rng.uniform(math.log(k * tol), 0.0, m)))[::-1]
-    s[0], s[-1] = 1.0, k * tol
-    q1, q2 = (np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in "12")
-    t = (q1 * s) @ q2.T
+    # T = Q1 diag(s) Q2^T with sigma_min / sigma_max = k tol, tol the proof's
+    # cutoff (rank_tol, 10 m eps when None) and k in [1/4, 64], log-uniform.
+    # The inverted factor's rank is the SVD route's. Wherever the inverse's
+    # norm does not prove full rank the factor is the SVD route's bit for
+    # bit; where it does, T is inverted with no SVD, and its values-only SVD
+    # is taken on the first read of s_rho or sigma_max, once, with the
+    # values it gives for T
+    tol = 10 * m * EPS if rank_tol is None else rank_tol
+    t = _graded(np.random.default_rng(seed), m, 2.0**log2_k * tol)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_svd_calls(mp)
         got = TruncationFactor(t, rank_tol, injective=True)
@@ -565,47 +606,63 @@ def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k,
         if not _proof_holds(t, rank_tol):
             assert built == [((m, m), True)]
             _assert_same_factor(got, want)
-            assert got.sigma_bounds == (want.sigma_max, want.sigma_max)
+            assert got.sigma_anchor == want.sigma_max
             return
         assert got.rank == m and got.u_rho is None and built == []
         before = len(calls)
         s_rho, sigma_max = got.s_rho, got.sigma_max
         assert calls[before:] == [((m, m), False)]
     assert np.array_equal(s_rho, np.linalg.svd(t, compute_uv=False))
-    lo, hi = got.sigma_bounds
-    assert sigma_max == s_rho[0] and lo <= sigma_max <= hi
+    assert sigma_max == s_rho[0] <= got.sigma_anchor
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.sampled_from([5, 8, 13, 21, 34]),
+       log2_k=st.floats(-2.0, 6.0), data=st.data())
+def test_inverted_factor_proves_the_rank_of_every_txn(seed, m, log2_k, data):
+    # T = Q1 diag(s) Q2^T with sigma_min / sigma_max = k 10 m eps, the cutoff
+    # txn_svd applies at rank_tol None, k in [1/4, 64], log-uniform. Wherever
+    # T is inverted, its proof covers every row: r = dim X_n, the rank at
+    # LAPACK's exact sigma_max and the SVD route's r, and diagnose takes no
+    # m x m SVD, with or without vectors (2 dim X_n < m, so no row-sized
+    # matrix is m x m either)
+    rng = np.random.default_rng(seed)
+    t = _graded(rng, m, 2.0**log2_k * 10 * m * EPS)
+    factor = TruncationFactor(t, injective=True)
+    if factor.u_rho is not None:
+        return
+    n = data.draw(st.integers(1, (m - 1) // 2))
+    basis = np.linalg.qr(rng.standard_normal((m, n)))[0] if data.draw(st.booleans()) else None
+    inst = LpaInstance(factor, n, basis)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_svd_calls(mp)
+        diagnose(inst)
+    assert [c for c in calls if c[0] == (m, m)] == [], calls
+    res, r = inst.txn_svd
+    sigma_max = np.linalg.svd(t, compute_uv=False)[0]
+    assert r == n == numerical_rank(res.singular_values, (m, n), scale=sigma_max)
+    assert r == LpaInstance(TruncationFactor(t), n, basis).txn_svd[1]
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_txn_rank_between_the_bounds_reads_sigma_max_lazily(monkeypatch, seed):
-    # T = Q diag(s*, 1, ..., 1), Q random orthogonal: sigma_max = 1, lo = 1
-    # (T's column norms), hi near 0.8 sqrt(m). With coordinate X_n, T X_n
-    # has singular values 1 and s*, and s* = 10 m eps g sits strictly
-    # between the anchored cutoff at lo and at hi (10 m eps, rank_tol None).
-    # g > 0.4 hi keeps T's full rank proved from its inverse, so the
-    # factor takes no singular values; txn_svd then takes one values-only
-    # SVD of T, and decides at sigma_max itself: r = n, where hi gives n - 1.
+def test_txn_rank_between_the_anchored_cutoffs_takes_the_svd_route(seed):
+    # T = Q diag(s*, 1, ..., 1), Q random orthogonal: sigma_max = 1 and hi
+    # near 0.8 sqrt(m). With coordinate X_n, T X_n has singular values 1
+    # and s* = 10 m eps g, g strictly between 1 and hi, so its rank is n at
+    # sigma_max's cutoff (10 m eps, rank_tol None) and n - 1 at hi's. Since
+    # sigma_min(T) = s* < 40 m eps hi, the inverse proves nothing: the
+    # factor is the SVD route's, and r = n, the rank at sigma_max itself
     m, n = 32, 4
     q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
-    lo, hi = TruncationFactor(q, injective=True).sigma_bounds
-    g = 0.5 * (max(lo, 0.45 * hi) + hi)
-    s_star = 10 * m * EPS * g
     t = q.copy()
-    t[:, 0] *= s_star
-    calls = _count_svd_calls(monkeypatch)
+    t[:, 0] *= 10 * m * EPS * 0.5 * (1.0 + _sigma_max_bound(q))
     factor = TruncationFactor(t, injective=True)
-    lo, hi = factor.sigma_bounds
-    assert calls == [] and lo < hi
-    inst = LpaInstance(factor, n)
-    res, r = inst.txn_svd
-    assert calls == [((m, n), True), ((m, m), False)]
-    cutoff = 10 * m * EPS
-    assert cutoff * lo < res.singular_values[-1] < cutoff * hi
-    sigma_max = np.linalg.svd(t, compute_uv=False)[0]
-    assert r == numerical_rank(res.singular_values, (m, n), scale=sigma_max) == n
-    assert numerical_rank(res.singular_values, (m, n), scale=hi) == n - 1
-    assert factor.sigma_max == sigma_max and inst.sigma_max == sigma_max
-    assert calls.count(((m, m), False)) == 2  # the check's own, no second read
+    assert factor.u_rho is not None and not _proof_holds(t, None)
+    _assert_same_factor(factor, TruncationFactor(t))
+    assert factor.sigma_anchor == factor.sigma_max == pytest.approx(1.0, rel=1e-13)
+    res, r = LpaInstance(factor, n).txn_svd
+    assert r == numerical_rank(res.singular_values, (m, n), scale=factor.sigma_max) == n
+    assert numerical_rank(res.singular_values, (m, n), scale=_sigma_max_bound(t)) == n - 1
 
 
 def test_seidman_scan_at_768_takes_no_m_by_m_svd(monkeypatch):
@@ -922,6 +979,15 @@ def test_offset_angle_du_is_zero():
         ang = offset_angle(make_lpa(fam, n, resolve_m(None, n)))
         assert ang.theta <= 1e-8
         assert ang.sin_qn_route <= 1e-6
+
+
+@pytest.mark.parametrize("n", [20, 30, 40])
+def test_du_gap_route_reads_a_zero_offset_at_depth(n):
+    # du's offset angle is 0 up to its 4^-m defect. Its T X_n is factored as
+    # itself (rho = m - 1 >= n): projected onto U_rho, its roundoff grew like
+    # 2^n, to sin 6.5e-6 at n = 40
+    m = resolve_m(None, n)
+    assert diagnose(make_lpa(get_family("du"), n, m)).sin_theta_gap <= 1e-10
 
 
 def test_offset_angle_subspace_entirely_inside_kernel():
