@@ -25,10 +25,10 @@ form), or, for a family that declares N(T) = {0}, one inverse T^{-1} = T^+
 when its Frobenius norm against an O(m^2) bound on sigma_max proves every
 rank decision a row will make; T's singular values are then taken only
 when read. The instance sees ranks, not routes.
-The rank r of T X_n is decided once; both offset-angle images,
-||I - Q_n|| (on a 2r-column block) and ||T_n^+ T|| (an r x m norm) are read
-off its r singular vectors. Subspaces stay orthonormal bases, X_n
-projecting as X_n (X_n^T v).
+The rank r of T X_n is decided once; the kernel core, T_n^+, both
+offset-angle images, ||I - Q_n|| (on a 2r-column block) and ||T_n^+ T|| (an
+r x m norm) are read off its r singular vectors. Subspaces stay orthonormal
+bases, X_n projecting as X_n (X_n^T v).
 
 Past the factor (once per m), a row's factorizations and spectral norms are
 sized by dim X_n, by rho = rank(T) or by r <= rho, not by m: T X_n is
@@ -334,12 +334,11 @@ class LpaInstance:
     forms them on first read when it inverted T. What the instance does
     depends on the factor's ranks alone, never on its route. First use
     computes, once: the SVD of T X_n (txn_svd), whose rank r, anchored to
-    the factor's sigma_anchor, splits it into the range T(X_n) and the
-    kernel core, of dimension kernel_core_dim = dim X_n - r; tn_rank, its
-    rank at the cutoff pseudo_inverse(T_n) applies, which
-    T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t share; the two offset-angle
-    images, both of dimension r, and both routes' sines; and the
-    rho x dim X_n matrix R^T X_n, off which kernel_gap and
+    the factor's sigma_anchor, splits it into the range T(X_n), which
+    T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t invert, and the kernel core,
+    of dimension kernel_core_dim = dim X_n - r, which they drop; the two
+    offset-angle images, both of dimension r, and both routes' sines; and
+    the rho x dim X_n matrix R^T X_n, off which kernel_gap and
     kernel_deficiency are read. Every rank decision uses rank_tol.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
@@ -416,17 +415,10 @@ class LpaInstance:
                                    scale=f.sigma_anchor)
 
     @cached_property
-    def tn_rank(self) -> int:
-        """Rank of T X_n cut off relative to sigma_max(T X_n), as
-        pseudo_inverse(T_n) does."""
-        return numerical_rank(self.txn_svd[0].singular_values, (self.m, self.x_n.dim),
-                              self.rank_tol)
-
-    @cached_property
     def tn_pinv(self) -> np.ndarray:
-        """T_n^+ = (X_n V_r Sigma_r^{-1}) U_r^T at r = tn_rank, an m x r x m
+        """T_n^+ = (X_n V_r Sigma_r^{-1}) U_r^T at txn_svd's r, an m x r x m
         product. The diagnostics apply T_n^+ without it (_tn_pinv_times)."""
-        res, r = self.txn_svd[0], self.tn_rank
+        res, r = self.txn_svd
         return (self.x_n.basis @ (res.vt[:r].T / res.singular_values[:r])) @ res.u[:, :r].T
 
     @cached_property
@@ -532,9 +524,9 @@ def tn_pinv_apply(inst: LpaInstance, y) -> np.ndarray:
 
 
 def _tn_pinv_times(inst: LpaInstance, v: np.ndarray) -> np.ndarray:
-    """T_n^+ v = X_n V_r Sigma_r^{-1} (U_r^T v) at r = inst.tn_rank, O(m r)
+    """T_n^+ v = X_n V_r Sigma_r^{-1} (U_r^T v) at txn_svd's rank r, O(m r)
     past X_n's own product, with no m x m T_n^+."""
-    res, r = inst.txn_svd[0], inst.tn_rank
+    res, r = inst.txn_svd
     return inst.x_n.basis @ (res.vt[:r].T @ ((res.u[:, :r].T @ v) / res.singular_values[:r]))
 
 
@@ -627,9 +619,9 @@ def norm_tn_dag_t(inst: LpaInstance) -> float:
 
     T_n^+ = (X_n V_r) Sigma_r^{-1} U_r^T from the thin SVD of T X_n, and
     X_n V_r has orthonormal columns, so it drops out of the norm. r is
-    inst.tn_rank, the rank T_n^+ keeps.
+    txn_svd's rank, the one the kernel core and both images use.
     """
-    res, r = inst.txn_svd[0], inst.tn_rank
+    res, r = inst.txn_svd
     return float(np.linalg.norm((res.u[:, :r].T @ inst.t) / res.singular_values[:r, None], 2))
 
 
@@ -745,8 +737,7 @@ def error_bound_check(inst: LpaInstance, y,
         raise PreconditionError(
             "kernel not contained in the subspace at this index; the bound is "
             "only asserted from the index where the kernel is captured")
-    ang = offset_angle(inst, tolerances)
-    factor = _bound_factor(ang.sin_gap_route)
+    factor = _bound_factor(inst.offset_sines[0])
     tp_y = inst.factor.pinv_apply(y)
     lhs = float(np.linalg.norm(tn_pinv_apply(inst, y) - tp_y))
     dist = float(np.linalg.norm(tp_y - inst.x_n.project(tp_y)))
@@ -943,8 +934,7 @@ def coercive_bound_check(t, alpha: float, beta: float, n_list,
     passed = True
     t_factor = TruncationFactor(t, injective=True)  # coercive, so N(T) = {0}
     for n in n_list:
-        ang = offset_angle(LpaInstance(t_factor, n))
-        factor = _bound_factor(ang.sin_gap_route)
+        factor = _bound_factor(LpaInstance(t_factor, n).offset_sines[0])
         rows.append(CoerciveRow(n=n, bound_factor=factor))
         if not factor <= limit + tol:
             passed = False

@@ -25,8 +25,9 @@ class ConfigError(ValueError):
 class Tolerances:
     """All numerical slacks in one record.
 
-    rank: relative cutoff factor for rank decisions; None means the per-matrix
-        default max(rows, cols) * machine epsilon.
+    rank: relative cutoff factor for rank decisions; None means m * eps
+        against sigma_max(T) for T's own rank, and 10 * max(m, dim X_n) * eps
+        against the factor's sigma_anchor for the rank of T X_n.
     check: decision tolerance for the yes/no diagnostics (offset angle zero,
         kernel containment, kernel gap verdicts).
     route_warn: the two offset-angle routes disagreeing beyond this raises a
@@ -168,14 +169,20 @@ def scan_config_from_dict(data: dict) -> ScanConfig:
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("field 'seed' must be a nonnegative integer")
+    raw_outputs = data.get("outputs", [])
+    if not isinstance(raw_outputs, list):
+        raise ConfigError("field 'outputs' must be a list of objects")
     outputs = []
-    for i, out in enumerate(data.get("outputs", [])):
-        if not isinstance(out, dict) or "path" not in out or "format" not in out:
-            raise ConfigError(f"field 'outputs[{i}]' must have 'path' and 'format'")
+    for i, out in enumerate(raw_outputs):
+        if not isinstance(out, dict) or set(out) != {"path", "format"}:
+            raise ConfigError(
+                f"field 'outputs[{i}]' must be an object with only 'path' and 'format'")
+        if not isinstance(out["path"], str) or not out["path"]:
+            raise ConfigError(f"field 'outputs[{i}].path' must be a nonempty string")
         if out["format"] not in VALID_OUTPUT_FORMATS:
             raise ConfigError(
                 f"field 'outputs[{i}].format' must be one of {VALID_OUTPUT_FORMATS}")
-        outputs.append(OutputSpec(path=str(out["path"]), format=out["format"]))
+        outputs.append(OutputSpec(**out))
     unknown = set(data) - {"operator", "n_list", "m_rule", "tolerances", "seed", "outputs"}
     if unknown:
         raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")

@@ -36,6 +36,7 @@ __all__ = [
     "CSV_HEADER",
     "render_csv",
     "report_to_dict",
+    "render_json",
     "write_outputs",
 ]
 

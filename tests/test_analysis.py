@@ -47,8 +47,8 @@ from lpakit.linalg import (
     kernel_basis,
     numerical_rank,
     orthonormal_range,
+    pinv_from_svd,
     projector,
-    pseudo_inverse,
     svd,
 )
 from lpakit.operators import du_bad_y, du_vector_e, get_family, random_finite_kernel
@@ -368,6 +368,13 @@ def test_du_diagnostics_match_dense_factor(monkeypatch, n, m):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0)
 
 
+def _dense_tn_pinv(inst) -> np.ndarray:
+    # T_n^+ from the SVD of the m x m T_n, at the rank txn_svd's cutoff gives
+    res = svd(inst.tn())
+    return pinv_from_svd(res, numerical_rank(res.singular_values, (inst.m, inst.x_n.dim),
+                                             inst.rank_tol, scale=inst.factor.sigma_anchor))
+
+
 @pytest.mark.parametrize("build", [
     lambda: make_lpa(get_family("seidman"), 8, 32),
     lambda: make_lpa(get_family("du"), 4, 36),
@@ -377,12 +384,16 @@ def test_du_diagnostics_match_dense_factor(monkeypatch, n, m):
         np.random.default_rng(0).standard_normal((12, 5)))[0]),
     lambda: make_lpa(get_family("identity"), 3, 6),
     lambda: LpaInstance(np.zeros((5, 5)), 2),
+    lambda: make_lpa(get_family("du"), 42, 168),
 ], ids=["seidman", "du", "best-lpa", "random-kernel-inside", "random-kernel-outside",
-        "identity", "zero"])
+        "identity", "zero", "du-kernel-at-the-cutoff"])
 def test_tn_pinv_matches_dense_oracle(build):
-    # X_n (T X_n)^+ against the SVD of the m x m matrix T_n = T P_{X_n}
+    # X_n (T X_n)^+ against the SVD of the m x m matrix T_n = T P_{X_n}, cut
+    # where txn_svd cuts. du at n = 42: its 2^-n direction (2.3e-13) is under
+    # that cutoff (3.7e-13) but 6x over m eps sigma_max(T X_n), so T_n^+ must
+    # drop it, as the kernel core does
     inst = build()
-    dense = pseudo_inverse(inst.tn(), inst.rank_tol)
+    dense = _dense_tn_pinv(inst)
     diff = np.linalg.norm(inst.tn_pinv - dense, 2)
     assert diff <= 1e-10 * np.linalg.norm(dense, 2)
     # rank(A^+) = trace(A^+ A), A^+ A being an orthogonal projector
@@ -862,12 +873,10 @@ def _assert_factor_reads_match_dense(inst) -> None:
     assert np.all(np.abs(s - s_dense[:s.size]) <= delta)
     assert np.all(s_dense[s.size:] <= delta)
     if not txn.any():  # X_n inside a planted kernel: exact zeros stay exact
-        assert not s.any() and r == inst.tn_rank == 0
+        assert not s.any() and r == 0
     want_r = numerical_rank(s_dense, shape, inst.rank_tol, scale=inst.sigma_max)
     if _rank_is_clear(s_dense, delta, shape, inst.rank_tol, scale=inst.sigma_max):
         assert r == want_r
-    if txn.any() and _rank_is_clear(s_dense, delta, shape, inst.rank_tol):
-        assert inst.tn_rank == numerical_rank(s_dense, shape, inst.rank_tol)
     if r == want_r:
         # U_r and the kernel core move by at most delta over the singular
         # value separation at r (Wedin), a bound of 1 being no bound
@@ -1140,7 +1149,7 @@ def test_norm_tn_dag_t_matches_dense_oracle(name, m, n):
     # the k x m thin form against ||T_n^+ T|| with T_n^+ from the m x m T_n;
     # m from 20 to 39 crosses du's rank cliff
     inst = make_lpa(get_family(name), n, m)
-    dense = np.linalg.norm(pseudo_inverse(inst.tn(), inst.rank_tol) @ inst.t, 2)
+    dense = np.linalg.norm(_dense_tn_pinv(inst) @ inst.t, 2)
     assert norm_tn_dag_t(inst) == pytest.approx(dense, rel=1e-10)
 
 
@@ -1204,6 +1213,19 @@ def test_error_identity_random_trials():
         inst = LpaInstance(random_finite_kernel(m, kdim, seed), n)
         rep = error_identity_check(inst, rng.standard_normal(m))
         assert rep.passed, (seed, rep.diff, rep.tol)
+
+
+@pytest.mark.parametrize("n", [42, 43, 44])
+def test_du_tn_pinv_drops_the_directions_the_core_counts_as_kernel(n):
+    # at default m the 2^-n direction is kernel to txn_svd's cutoff; T_n^+
+    # drops it too, so the identity and the bound hold (with equality, the
+    # offset being zero) instead of T_n^+ inverting it at ~2^n
+    m = resolve_m(None, n)
+    inst = make_lpa(get_family("du"), n, m)
+    y = np.random.default_rng([0, n]).standard_normal(m)
+    assert error_identity_check(inst, y).passed
+    assert error_bound_check(inst, y).passed
+    assert round(np.trace(inst.tn_pinv @ inst.tn())) == inst.x_n.dim - inst.kernel_core_dim
 
 
 def test_kernel_splitting_of_approximation_kernel():

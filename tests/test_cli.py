@@ -92,6 +92,13 @@ def test_config_minimal_accepted():
     ({"seed": False}, "seed"),
     ({"seed": True}, "seed"),
     ({"seed": -1}, "seed"),
+    ({"outputs": 5}, "outputs"),
+    ({"outputs": {"path": "x.csv", "format": "csv"}}, "outputs"),
+    ({"outputs": ["x.csv"]}, "outputs"),
+    ({"outputs": [{"path": "y.csv", "format": "csv", "extra": 1}]}, "outputs"),
+    ({"outputs": [{"path": 5, "format": "csv"}]}, "path"),
+    ({"outputs": [{"path": "", "format": "csv"}]}, "path"),
+    ({"outputs": [{"path": None, "format": "json"}]}, "path"),
 ])
 def test_config_rejects_malformed_fields(broken, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -378,6 +385,12 @@ def test_cli_analyze_bad_config_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"operator": {"name": "du"}, "n_list": [4, 2]}))
     assert main(["analyze", str(path)]) == 2
     assert "n_list" in capsys.readouterr().err
+
+
+def test_cli_analyze_outputs_not_a_list_exits_2(tmp_path, capsys):
+    assert main(["analyze", write_config(tmp_path, outputs=5)]) == 2
+    err = capsys.readouterr().err
+    assert "outputs" in err and "Traceback" not in err
 
 
 def test_cli_analyze_missing_file_exits_2(tmp_path, capsys):
