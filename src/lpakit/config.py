@@ -36,7 +36,8 @@ class Tolerances:
     identity_rel: agreement tolerance for the two sides of the error identity,
         scaled by 1 + the solution norm.
     bound_rel / bound_abs: slack for the error bound test,
-        lhs <= rhs * (1 + bound_rel) + bound_abs.
+        lhs <= rhs * (1 + bound_rel) + bound_abs, plus a derived roundoff
+        term at dim X_n = m (see analysis.error_bound_check).
     """
 
     rank: float | None = None

@@ -42,13 +42,14 @@ class OperatorFamily:
     kernel dimension of the full operator (not of the truncation, which can
     differ until m is large enough to resolve it). It also picks how the
     truncation is factored: 0 (N(T) = {0}) has analysis.make_lpa and
-    shared_factors invert T instead of taking its SVD, the full numerical
-    rank of T and of every T X_n proved from the inverse's norm (see
-    analysis.TruncationFactor); where that proof fails the factor falls back
-    to the SVD. xn_basis, when set, overrides the coordinate subspaces as
-    the family's approximation scheme: it returns an orthonormal m x k basis
-    for the subspace at index n. max_n and min_m are the family's own limits
-    on (n, m); check() tests a pair against them without building anything.
+    shared_factors invert T instead of taking its SVD (by halves when T is
+    triangular, as seidman's is), the full numerical rank of T and of every
+    T X_n proved from the inverse's norms (see analysis.TruncationFactor);
+    where that proof fails the factor falls back to the SVD. xn_basis, when
+    set, overrides the coordinate subspaces as the family's approximation
+    scheme: it returns an orthonormal m x k basis for the subspace at index
+    n. max_n and min_m are the family's own limits on (n, m); check() tests
+    a pair against them without building anything.
 
     Every nonzero entry of truncate(m) is at least sqrt(tiny) * max|a_ij| in
     magnitude (tiny = np.finfo(float).tiny). A product of two entries is then

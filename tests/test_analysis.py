@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lpakit.analysis
@@ -579,35 +579,67 @@ def test_sigma_bounds_bracket_lapacks_sigma_max(seed, m, kind):
 
 def _proof_holds(t, rank_tol):
     # TruncationFactor's full-rank proof, from its documented rule:
-    # 1/||T^{-1}||_F > 4 tol hi, tol = rank_tol floored at m eps, or 10 m eps
-    # when None, hi = min(||T||_F, sqrt(||T||_1 ||T||_inf)) widened by 4 m eps
+    # 1/N(T^{-1}) > 4 tol hi for N = ||.||_F or N = sqrt(||.||_1 ||.||_inf),
+    # tol = rank_tol floored at m eps, or 10 m eps when None,
+    # hi = min(||T||_F, sqrt(||T||_1 ||T||_inf)) widened by 4 m eps; T^{-1}
+    # is the factor's own (by halves for a triangular T above 64)
     m = len(t)
     tol = 10 * m * EPS if rank_tol is None else max(rank_tol, m * EPS)
     hi = min(np.linalg.norm(t), math.sqrt(np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf)))
-    return 1.0 / np.linalg.norm(np.linalg.inv(t)) > 4 * tol * hi * (1 + 4 * m * EPS)
+    inv = lpakit.analysis._inverse(t)
+    norm = min(np.linalg.norm(inv), math.sqrt(np.linalg.norm(inv, 1) * np.linalg.norm(inv, np.inf)))
+    return 1.0 / norm > 4 * tol * hi * (1 + 4 * m * EPS)
+
+
+def _spectrum(rng, m, ratio):
+    # s log-uniform from sigma_max = 1 down to sigma_min = ratio, descending
+    s = np.sort(np.exp(rng.uniform(math.log(ratio), 0.0, m)))[::-1]
+    s[0], s[-1] = 1.0, ratio
+    return s
 
 
 def _graded(rng, m, ratio):
-    # Q1 diag(s) Q2^T, s log-uniform from sigma_max = 1 down to sigma_min = ratio
-    s = np.sort(np.exp(rng.uniform(math.log(ratio), 0.0, m)))[::-1]
-    s[0], s[-1] = 1.0, ratio
+    # Q1 diag(s) Q2^T, s = _spectrum's
+    s = _spectrum(rng, m, ratio)
     q1, q2 = (np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in "12")
     return (q1 * s) @ q2.T
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**16), m=st.sampled_from([2, 3, 5, 8, 13, 21]),
-       log2_k=st.floats(-2.0, 6.0), rank_tol=st.sampled_from([None, 1e-12, 1e-8]))
-def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k, rank_tol):
-    # T = Q1 diag(s) Q2^T with sigma_min / sigma_max = k tol, tol the proof's
-    # cutoff (rank_tol, 10 m eps when None) and k in [1/4, 64], log-uniform.
-    # The inverted factor's rank is the SVD route's. Wherever the inverse's
-    # norm does not prove full rank the factor is the SVD route's bit for
-    # bit; where it does, T is inverted with no SVD, and its values-only SVD
-    # is taken on the first read of s_rho or sigma_max, once, with the
-    # values it gives for T
+def _graded_of_kind(rng, m, ratio, kind):
+    # _graded ("dense"); its QR's triangular factor R ("upper") or R^T
+    # ("lower"), with the same singular values; or diag(s) with a first
+    # column below it, lower triangular like seidman ("arrow"), whose
+    # inverse's mass sits on few rows and columns, so that
+    # sqrt(||T^{-1}||_1 ||T^{-1}||_inf) is near ||T^{-1}||_2 and can prove
+    # what ||T^{-1}||_F cannot
+    if kind == "arrow":
+        t = np.diag(_spectrum(rng, m, ratio))
+        t[1:, 0] = rng.standard_normal(m - 1) / np.arange(2, m + 1)
+        return t
+    t = _graded(rng, m, ratio)
+    if kind == "dense":
+        return t
+    r = np.linalg.qr(t)[1]
+    return r if kind == "upper" else np.ascontiguousarray(r.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.sampled_from([2, 3, 5, 8, 13, 21, 65, 100]),
+       log2_k=st.floats(-2.0, 6.0), rank_tol=st.sampled_from([None, 1e-12, 1e-8]),
+       kind=st.sampled_from(["dense", "lower", "upper", "arrow"]))
+@example(seed=1, m=100, log2_k=2.8, rank_tol=None, kind="arrow")
+def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k, rank_tol, kind):
+    # T graded with sigma_min / sigma_max = k tol (exactly for dense and
+    # triangular T), tol the proof's cutoff (rank_tol, 10 m eps when None)
+    # and k in [1/4, 64], log-uniform; triangular T above order 64 are
+    # inverted by halves. The inverted factor's rank is the SVD route's.
+    # Wherever neither norm of the inverse proves full rank the factor is
+    # the SVD route's bit for bit; where one does, T is inverted with no
+    # SVD, and its values-only SVD is taken on the first read of s_rho or
+    # sigma_max, once, with the values it gives for T. The example is an
+    # arrow T that only sqrt(||T^{-1}||_1 ||T^{-1}||_inf) proves
     tol = 10 * m * EPS if rank_tol is None else rank_tol
-    t = _graded(np.random.default_rng(seed), m, 2.0**log2_k * tol)
+    t = _graded_of_kind(np.random.default_rng(seed), m, 2.0**log2_k * tol, kind)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_svd_calls(mp)
         got = TruncationFactor(t, rank_tol, injective=True)
@@ -695,11 +727,86 @@ def test_injective_factor_keeps_one_m_by_m_array():
     tracemalloc.start()
     try:
         factor = TruncationFactor(t, injective=True)
-        kept = tracemalloc.get_traced_memory()[0]
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert factor.u_rho is None and "rowspace" not in vars(factor)
     assert 8 * m * m <= kept < 1.1 * 8 * m * m, kept
+    # T^{-1} is written in place, half by half, and the largest temporary
+    # is the substitution's (m/2) x (m/4) product (1.153 x 8 m^2 measured)
+    assert peak < 1.16 * 8 * m * m, peak / (8 * m * m)
+
+
+def test_seidman_at_2048_is_inverted():
+    # 1/||T^{-1}||_F = 9.6e-12 is below the proof's 4 tol hi = 2.5e-11, but
+    # 1/sqrt(||T^{-1}||_1 ||T^{-1}||_inf) = 1.16e-10, sigma_min itself,
+    # clears it: T is inverted by halves, with no SVD of T
+    m = 2048
+    t = get_family("seidman").truncate(m)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_svd_calls(mp)
+        blocked = _blocked_inverse_calls(mp)
+        factor = TruncationFactor(t, injective=True)
+    assert factor.u_rho is None and factor.rank == m
+    assert calls == [] and blocked[0] == (m, m)
+
+
+def _blocked_inverse_calls(monkeypatch) -> list:
+    # the shape of every T the triangular inverse by halves is asked for:
+    # the whole T first, then its halves
+    calls = []
+    real = lpakit.analysis._invert_lower
+
+    def spy(t, out):
+        calls.append(t.shape)
+        real(t, out)
+
+    monkeypatch.setattr(lpakit.analysis, "_invert_lower", spy)
+    return calls
+
+
+@_needs_mpmath
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.integers(65, 72), log2_ratio=st.floats(-16.0, 0.0),
+       kind=st.sampled_from(["lower", "upper", "arrow"]), data=st.data())
+def test_triangular_inverse_by_halves_matches_a_50_digit_inverse(seed, m, log2_ratio, kind,
+                                                                 data):
+    # a triangular T above order 64 (sigma_min / sigma_max = 2^log2_ratio,
+    # near it for an arrow T) is inverted by halves, not by an LU of the
+    # whole T: T^{-1} within m eps cond(T) ||T^{-1}|| of a 50-digit
+    # inverse, and every row as the SVD route's
+    t = _graded_of_kind(np.random.default_rng(seed), m, 2.0**log2_ratio, kind)
+    with pytest.MonkeyPatch.context() as mp:
+        blocked = _blocked_inverse_calls(mp)
+        inverted = TruncationFactor(t, injective=True)
+    assert blocked[0] == (m, m)
+    dense = TruncationFactor(t)
+    _assert_factors_agree(inverted, dense, _inverse_50_digits(t))
+    _assert_rows_agree(inverted, dense, data.draw(st.integers(1, m // 2)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.sampled_from([65, 100, 130]), at=st.floats(0.0, 1.0),
+       pivot=st.sampled_from([0.0, 1e-310, -1e-310]),
+       kind=st.sampled_from(["lower", "upper", "arrow"]))
+def test_triangular_t_with_a_zero_or_subnormal_pivot_is_the_svd_route(seed, m, at, pivot, kind):
+    # a triangular T above order 64 with one diagonal entry 0 or subnormal
+    # is singular to working precision (sigma_min <= |t_jj|): its inverse by
+    # halves meets an exact zero pivot or a reciprocal that overflows, and
+    # the factor is the SVD route's bit for bit, with no warning (the suite
+    # turns warnings into errors) and no values-only SVD
+    t = _graded_of_kind(np.random.default_rng(seed), m, 1e-3, kind)
+    j = min(int(at * m), m - 1)
+    t[j, j] = pivot
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_svd_calls(mp)
+        blocked = _blocked_inverse_calls(mp)
+        got = TruncationFactor(t, injective=True)
+    want = TruncationFactor(t)
+    assert blocked[0] == (m, m) and got.rank < m
+    assert [vectors for _, vectors in calls].count(False) == 0, calls
+    _assert_same_factor(got, want)
+    assert got.sigma_anchor == want.sigma_max
 
 
 # ------------------------------------------------------------ solution route
@@ -1271,6 +1378,25 @@ def test_error_bound_random_instances():
         y = np.random.default_rng([22, seed]).standard_normal(24)
         rep = error_bound_check(inst, y)
         assert rep.passed, (seed, rep.lhs, rep.rhs)
+
+
+def test_error_bound_at_the_whole_space_allows_the_solves_roundoff(monkeypatch):
+    # at X_n = R^m (seidman, n = m = 256) rhs is 0 and lhs is the roundoff of
+    # the two solves, 1.0e-5 here, far above bound_abs = 1e-9: the check
+    # passes by its derived term 2 m eps s_1 ||y|| / s_r^2 (6.2e2), and a
+    # lhs of twice that term fails
+    m = 256
+    inst = make_lpa(get_family("seidman"), m, m)
+    y = np.random.default_rng([0, m]).standard_normal(m)
+    rep = error_bound_check(inst, y)
+    assert rep.rhs == 0.0 and 1e-9 < rep.lhs < 1e-4 and rep.passed
+    res, r = inst.txn_svd
+    s = res.singular_values
+    term = 2 * m * EPS * s[0] * np.linalg.norm(y) / s[r - 1] ** 2
+    real = lpakit.analysis.tn_pinv_apply
+    monkeypatch.setattr(lpakit.analysis, "tn_pinv_apply",
+                        lambda inst, y: real(inst, y) + 2 * term / math.sqrt(m))
+    assert not error_bound_check(inst, y).passed
 
 
 def test_error_bound_subspace_equals_kernel_degenerate_case():

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import lpakit.analysis
 import lpakit.operators
 import lpakit.scan
 from lpakit.analysis import diagnose, kernel_core, kernel_verdict, make_lpa
@@ -230,22 +231,26 @@ _SHARED_SCANS = [
     ("du", {}, [2, 4, 8], "factor:4"),
     ("best-lpa", {}, [2, 4, 8, 12], "fixed:20"),
     ("random", {"kernel_dim": 2, "seed": 1}, [2, 3, 4, 5], "fixed:12"),
+    ("seidman", {}, [2, 4, 8], "fixed:192"),
 ]
 
 
 def _count_t_factorizations(monkeypatch, family, ms):
     # (kind, m) for every SVD ("svd" with vectors, "values" without) and
     # every inverse ("inv") of a square matrix equal to the family's
-    # truncation at its m. An inverted factor proves full rank from the
-    # inverse's norm and takes T's singular values only when read, so a
-    # "values" entry means something read them or the proof failed.
+    # truncation at its m: one LAPACK inverse, or one inverse by halves of
+    # a triangular T above order 64 (analysis._invert_lower, asked for T or,
+    # for an upper triangular T, T^T), whose leaves are smaller than T. An
+    # inverted factor proves full rank from the inverse's norms and takes
+    # T's singular values only when read, so a "values" entry means
+    # something read them or the proof failed.
     truncations = {m: family.truncate(m) for m in ms}
     counted = []
 
     def counting(kind_of, real):
         def wrapper(a, *args, **kwargs):
             t = truncations.get(np.shape(a)[0])
-            if t is not None and np.array_equal(a, t):
+            if t is not None and (np.array_equal(a, t) or np.array_equal(a, t.T)):
                 counted.append((kind_of(kwargs), np.shape(a)[0]))
             return real(a, *args, **kwargs)
         return wrapper
@@ -253,16 +258,19 @@ def _count_t_factorizations(monkeypatch, family, ms):
     monkeypatch.setattr(np.linalg, "svd", counting(
         lambda kw: "svd" if kw.get("compute_uv", True) else "values", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "inv", counting(lambda kw: "inv", np.linalg.inv))
+    monkeypatch.setattr(lpakit.analysis, "_invert_lower", counting(
+        lambda kw: "inv", lpakit.analysis._invert_lower))
     return counted
 
 
 @pytest.mark.parametrize("name, params, n_list, m_rule", _SHARED_SCANS,
-                         ids=[case[0] for case in _SHARED_SCANS])
+                         ids=["seidman", "du", "best-lpa", "random", "seidman-192"])
 def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     # consecutive rows at one m share one factor of T, and every row is
     # bitwise the row a fresh instance gives. The factor is one SVD of T, or,
-    # for seidman, which declares N(T) = {0}, one inverse, whose norm proves
-    # full rank: no row reads T's singular values, so no SVD of T is taken.
+    # for seidman, which declares N(T) = {0}, one inverse (by halves at
+    # m = 192, T being lower triangular), whose norm proves full rank: no row
+    # reads T's singular values, so no SVD of T is taken.
     cfg = scan_config_from_dict({"operator": {"name": name, "params": params},
                                  "n_list": n_list, "m_rule": m_rule})
     family = get_family(name, **params)
