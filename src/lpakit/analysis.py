@@ -9,11 +9,13 @@ is governed by quantities this module computes at each finite n:
 * the offset angle theta_n = arcsin gap(T^+T(X_n), T^*T(X_n)), computed by
   two independent routes that must agree,
 * the kernel core, the intersection of N(T) with X_n, whose failure to
-  exhaust N(T) rules convergence out no matter how the angles behave,
+  exhaust N(T) rules convergence out no matter how the angles behave; N(T)
+  lies in X_n exactly when the core fills it (kernel_captured, the one
+  containment decision),
 * ||T_n^+ T||, bounded across n exactly when the scheme converges,
 * the per-instance error bound
   ||T_n^+ y - T^+ y|| <= sqrt(1 + tan^2 theta_n) * dist(T^+ y, X_n),
-  valid once N(T) is contained in X_n.
+  valid once N(T) is contained in X_n, and checked only on those rows.
 
 Every diagnostic on one instance reads what the instance computed once: one
 factor of T (a TruncationFactor, shared by every instance at the same m),
@@ -35,12 +37,11 @@ bases, X_n projecting as X_n (X_n^T v).
 Past the factor (once per m), a row's factorizations and spectral norms are
 sized by dim X_n, by rho = rank(T) or by r <= rho, not by m: T X_n is
 factored as itself, m x dim X_n, when rho >= dim X_n, and as the
-rho x dim X_n matrix U_rho^T T X_n otherwise; the kernel gap and the
-containment of N(T) in X_n are rho-row norms against the row space, T^+ is
-applied through the factor, and the rest have at most 2r rows or columns.
-The kernel core's dimension and its gap to N(T) are read off T X_n's SVD
-and R^T X_n, and T_n^+ is applied through the factors of T X_n, so a row
-forms no m x m array. When dim X_n is of order m a row still makes the
+rho x dim X_n matrix U_rho^T T X_n otherwise; the kernel core's dimension
+is read off that SVD and its gap to N(T) is a rho-row norm against the row
+space, T^+ and T_n^+ are applied through the factors of T and of T X_n,
+and the rest have at most 2r rows or columns, so a row forms no m x m
+array. When dim X_n is of order m a row still makes the
 m x m x dim X_n product T X_n, but no m x ~m factorization. The m x m
 matrices t_pinv (unless it is the factor's T^{-1}), tn(), tn_pinv and
 qn_matrix(), and the core's basis kernel_core(), serve the zero-offset
@@ -83,6 +84,7 @@ __all__ = [
     "qn_matrix",
     "offset_angle",
     "kernel_core",
+    "kernel_captured",
     "kernel_verdict",
     "norm_tn_dag_t",
     "error_identity_check",
@@ -431,8 +433,9 @@ class LpaInstance:
     T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t invert, and the kernel core,
     of dimension kernel_core_dim = dim X_n - r, which they drop; the two
     offset-angle images, both of dimension r, and both routes' sines; and
-    the rho x dim X_n matrix R^T X_n, off which kernel_gap and
-    kernel_deficiency are read. Every rank decision uses rank_tol.
+    kernel_gap, the gap between the core and N(T) (kernel_dim = dim N(T)),
+    off which kernel_captured decides whether N(T) lies in X_n. Every rank
+    decision uses rank_tol.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
     arbitrary orthonormal basis may be supplied instead.
@@ -456,6 +459,7 @@ class LpaInstance:
         self.factor = factor
         self.t, self.rank_tol = factor.t, factor.rank_tol
         self.rank, self.kernel = factor.rank, factor.kernel
+        self.kernel_dim = self.kernel.dim
 
     @property
     def sigma_max(self) -> float:
@@ -514,11 +518,6 @@ class LpaInstance:
         res, r = self.txn_svd
         return (self.x_n.basis @ (res.vt[:r].T / res.singular_values[:r])) @ res.u[:, :r].T
 
-    @cached_property
-    def _rt_xn(self) -> np.ndarray:
-        """R^T X_n, rho x dim X_n, R the row space of T."""
-        return self.rowspace.basis.T @ self.x_n.basis
-
     @property
     def kernel_core_dim(self) -> int:
         """dim (N(T) & X_n) = dim X_n - r."""
@@ -527,30 +526,16 @@ class LpaInstance:
     @cached_property
     def kernel_gap(self) -> float:
         """gap(kernel_core(self), N(T)): 1 for unequal dimensions, else
-        ||(R^T X_n) V_{r:}^T||, a rho x dim-core norm, since the core's basis
-        is X_n V_{r:}^T and I - P_K = P_R (K and R come from one orthogonal
-        V)."""
-        if self.kernel_core_dim != self.kernel.dim:
+        ||(R^T X_n) V_{r:}^T||, R the row space of T, a rho x dim-core norm,
+        since the core's basis is X_n V_{r:}^T and I - P_K = P_R (K and R
+        come from one orthogonal V)."""
+        if self.kernel_core_dim != self.kernel_dim:
             return 1.0
         if self.kernel_core_dim == 0:
             return 0.0
         res, r = self.txn_svd
-        return float(np.linalg.norm(self._rt_xn @ res.vt[r:].T, 2))
-
-    @cached_property
-    def kernel_deficiency(self) -> float:
-        """deficiency(N(T), X_n), read off R^T X_n (rho x dim X_n) by the CS
-        decomposition: 1 when dim N(T) > dim X_n, else
-        sigma_{rho + dim X_n - m + 1}(R^T X_n), counted from 1, and 0 when
-        that index passes the last singular value (N(T) = {0} or X_n = R^m).
-        No rank decision; absolute error about eps."""
-        k = self.x_n.dim
-        j = self.rank + k - self.m
-        if j < 0:
-            return 1.0
-        if j >= min(self.rank, k):
-            return 0.0
-        return float(np.linalg.svd(self._rt_xn, compute_uv=False)[j])
+        rt_xn = self.rowspace.basis.T @ self.x_n.basis
+        return float(np.linalg.norm(rt_xn @ res.vt[r:].T, 2))
 
     @cached_property
     def images(self) -> tuple[Subspace, Subspace]:
@@ -754,23 +739,32 @@ def diagnose(inst: LpaInstance, tolerances: Tolerances | None = None) -> LpaDiag
         sin_theta_qn=ang.sin_qn_route,
         norm_tn_dag_t=norm_tn_dag_t(inst),
         kernel_core_dim=inst.kernel_core_dim,
-        kernel_dim=inst.kernel.dim,
+        kernel_dim=inst.kernel_dim,
         kernel_gap=inst.kernel_gap,
         bound_factor=_bound_factor(ang.sin_gap_route),
         route_disagreement=ang.route_disagreement,
     )
 
 
+def kernel_captured(row, check: float) -> bool:
+    """Whether N(T) lies in X_n, for an LpaInstance or an LpaDiagnostics row:
+    the kernel core N(T) & X_n fills N(T), in dimension and within `check`
+    in gap. The core lies in X_n, so then deficiency(N(T), X_n) <= kernel_gap.
+    This is the one containment decision; error_bound_check's precondition,
+    ZeroOffsetReport.kernel_inside and kernel_verdict's "holds" read it."""
+    return row.kernel_core_dim == row.kernel_dim and row.kernel_gap <= check
+
+
 def kernel_verdict(rows, check: float) -> str:
     """Kernel approximability over rows in ascending n: "holds" when the last
-    core fills the kernel (dimension, and gap within `check`), "violated"
-    when the core's shortfall never shrank, which rules out convergence
-    regardless of the angles, "inconclusive" otherwise."""
+    row captures the kernel (kernel_captured), "violated" when the core's
+    shortfall never shrank, which rules out convergence regardless of the
+    angles, "inconclusive" otherwise."""
     last, first = rows[-1], rows[0]
+    if kernel_captured(last, check):
+        return "holds"
     deficit_last = last.kernel_dim - last.kernel_core_dim
     deficit_first = first.kernel_dim - first.kernel_core_dim
-    if deficit_last == 0 and last.kernel_gap <= check:
-        return "holds"
     if deficit_last > 0 and deficit_last >= deficit_first:
         return "violated"
     return "inconclusive"
@@ -820,9 +814,9 @@ def error_bound_check(inst: LpaInstance, y,
                       tolerances: Tolerances | None = None) -> BoundCheck:
     """Check ||T_n^+ y - T^+ y|| <= sqrt(1 + tan^2 theta_n) * dist(T^+ y, X_n).
 
-    Only asserted when N(T) is contained in X_n (checked numerically); below
-    the index where the subspaces capture the kernel the bound simply does
-    not hold, and asking for it raises PreconditionError.
+    Only asserted when N(T) is contained in X_n, as kernel_captured decides
+    it; elsewhere the bound's hypothesis fails, and asking for it raises
+    PreconditionError.
 
     Passes when lhs <= rhs (1 + bound_rel) + bound_abs, plus a roundoff term
     at X_n = R^m (dim X_n = m). There T_n = T, so both sides are 0 in exact
@@ -839,7 +833,7 @@ def error_bound_check(inst: LpaInstance, y,
     """
     tolerances = tolerances or Tolerances.default()
     y = as_vector(y)
-    if inst.kernel_deficiency > tolerances.check:
+    if not kernel_captured(inst, tolerances.check):
         raise PreconditionError(
             "kernel not contained in the subspace at this index; the bound is "
             "only asserted from the index where the kernel is captured")
@@ -870,7 +864,8 @@ class ZeroOffsetReport:
     pinv_is_projected_pinv: T_n^+ equals P_{X_n} T^+ as matrices.
     invariance_holds: N(T) + T^*T(X_n) is contained in X_n.
     consistent: the three answers agree.
-    kernel_inside: whether N(T) is contained in X_n. The three-way
+    kernel_inside: whether N(T) is contained in X_n, kernel_captured's
+        decision (the one error_bound_check requires). The three-way
         equivalence is a theorem only under this containment; the report
         still evaluates everything when it fails, and leaves the flag for
         the caller to judge.
@@ -909,7 +904,7 @@ def zero_offset_characterization(inst: LpaInstance,
         pinv_is_projected_pinv=pinv_ok,
         invariance_holds=invariance,
         consistent=(theta_zero == pinv_ok == invariance),
-        kernel_inside=inst.kernel_deficiency <= tol,
+        kernel_inside=kernel_captured(inst, tol),
         sin_theta=sin_theta,
         pinv_diff=pinv_diff,
         sum_deficiency=sum_def,

@@ -28,8 +28,10 @@ class Tolerances:
     rank: relative cutoff factor for rank decisions; None means m * eps
         against sigma_max(T) for T's own rank, and 10 * max(m, dim X_n) * eps
         against the factor's sigma_anchor for the rank of T X_n.
-    check: decision tolerance for the yes/no diagnostics (offset angle zero,
-        kernel containment, kernel gap verdicts).
+    check: decision tolerance for the yes/no diagnostics: offset angle zero,
+        and the kernel gap within which the kernel core fills N(T), the one
+        containment decision (analysis.kernel_captured) that the bound
+        check, the zero-offset report and the kernel verdict read.
     route_warn: the two offset-angle routes disagreeing beyond this raises a
         warning flag on the result (suspected truncation trouble);
         `lpakit analyze` names the flagged n in one line on stderr.

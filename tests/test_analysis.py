@@ -29,6 +29,7 @@ from lpakit.analysis import (
     du_divergence_check,
     error_bound_check,
     error_identity_check,
+    kernel_captured,
     kernel_core,
     kernel_verdict,
     make_lpa,
@@ -202,13 +203,15 @@ def test_instance_factors_each_matrix_once(monkeypatch, name, n, m, svds_of_t):
                                               ("du", 4, 36, 0), (*_WIDE_KERNEL, 0)])
 def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want):
     # norm(ord=2) takes singular values through numpy's internal svd binding,
-    # the containment test through the public one; both are counted. An
-    # instance takes none on m x m matrices: ||I - Q_n|| is a 2r x 2r norm
-    # while 2r < m, ||T_n^+ T|| an r x m one, the kernel gap rho x dim core,
-    # the containment test rho x dim X_n, and the Subspace orthonormality
-    # check takes none. The factor is built before counting starts. seidman's
-    # inverted factor takes none either, and no row reads its sigma_max,
-    # which would take T's singular values (m x m) on first read.
+    # np.linalg.svd(compute_uv=False) through the public one; both are
+    # counted. An instance takes none on m x m matrices: ||I - Q_n|| is a
+    # 2r x 2r norm while 2r < m, ||T_n^+ T|| an r x m one, the kernel gap
+    # rho x dim core, and the Subspace orthonormality check takes none.
+    # Containment is read off the core, so no row takes the singular values
+    # of the rho x dim X_n matrix R^T X_n. The factor is built before
+    # counting starts. seidman's inverted factor takes none either, and no
+    # row reads its sigma_max, which would take T's singular values (m x m)
+    # on first read.
     inst = make_lpa(get_family(name), n, m)
     calls = _count_svd_calls(monkeypatch)
     diagnose(inst)
@@ -216,6 +219,8 @@ def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want)
         error_bound_check(inst, np.ones(m))
     shapes = [shape for shape, vectors in calls if not vectors]
     assert shapes.count((m, m)) == want, shapes
+    if name == "du":  # rho = m - 1, and the core is empty
+        assert (inst.rank, inst.x_n.dim) not in shapes, shapes
     if (name, n, m) == _WIDE_KERNEL:
         _assert_sized_by_rank(inst, shapes)
 
@@ -966,9 +971,12 @@ def _rank_is_clear(s, delta, shape, rank_tol, scale=None) -> bool:
 
 def _assert_factor_reads_match_dense(inst) -> None:
     # txn_svd (the SVD of U_rho^T T X_n) against the SVD of the m x dim X_n
-    # product, and the kernel gap and containment against linalg.gap and
-    # linalg.deficiency. What the thin form drops, (I - U_rho U_rho^T) T X_n,
-    # has norm at most sigma_{rho+1}(T); delta adds roundoff headroom.
+    # product, the kernel gap and the containment decision against
+    # linalg.gap on the dense core, and, where N(T) is captured, the second
+    # route linalg.deficiency(N(T), X_n), which the core's gap bounds since
+    # the core lies in X_n. What the thin form drops,
+    # (I - U_rho U_rho^T) T X_n, has norm at most sigma_{rho+1}(T); delta
+    # adds roundoff headroom.
     k, shape = inst.x_n.dim, (inst.m, inst.x_n.dim)
     txn = inst.t @ inst.x_n.basis
     dense = svd(txn, full_matrices=False)
@@ -995,8 +1003,11 @@ def _assert_factor_reads_match_dense(inst) -> None:
     core = kernel_core(inst)
     assert inst.kernel_core_dim == core.dim
     assert inst.kernel_gap == pytest.approx(gap(core, inst.kernel), abs=1e-13)
-    assert inst.kernel_deficiency == pytest.approx(deficiency(inst.kernel, inst.x_n),
-                                                   abs=1e-13)
+    check = Tolerances().check
+    captured = kernel_captured(inst, check)
+    assert captured == (core.dim == inst.kernel.dim and gap(core, inst.kernel) <= check)
+    if captured:
+        assert deficiency(inst.kernel, inst.x_n) <= inst.kernel_gap + 1e-13
 
 
 def _perturbed_kernel_instance(m, kernel_dim, n, eps, seed) -> LpaInstance:
@@ -1007,6 +1018,16 @@ def _perturbed_kernel_instance(m, kernel_dim, n, eps, seed) -> LpaInstance:
     b[:, kernel_dim:] = rng.standard_normal((m, n - kernel_dim))
     return LpaInstance(random_finite_kernel(m, kernel_dim, seed), n,
                        x_basis=np.linalg.qr(b)[0])
+
+
+def _kernel_within_check_instance() -> LpaInstance:
+    # X_n holds N(T) perturbed by 1e-10: deficiency(N(T), X_n) = 4.1e-10 is
+    # within check, yet T X_n keeps every direction (core 0 < dim N(T) = 2),
+    # so N(T) is not captured
+    inst = _perturbed_kernel_instance(20, 2, 6, 1e-10, 3)
+    assert deficiency(inst.kernel, inst.x_n) <= Tolerances().check
+    assert inst.kernel_core_dim == 0 < inst.kernel_dim == 2
+    return inst
 
 
 @settings(max_examples=150, deadline=None)
@@ -1030,7 +1051,7 @@ def test_factor_reads_match_dense_oracles(label, data):
         kd = data.draw(st.integers(2, m - 1), label="kernel_dim")
         inst = LpaInstance(random_finite_kernel(m, kd, seed),
                            data.draw(st.integers(1, kd - 1), label="n"))
-        assert inst.kernel_deficiency == 1.0
+        assert not kernel_captured(inst, Tolerances().check)
     else:
         kd = data.draw(st.integers(1, m - 1), label="kernel_dim")
         inst = _perturbed_kernel_instance(
@@ -1049,15 +1070,22 @@ def test_factor_reads_match_dense_oracles(label, data):
     lambda: make_lpa(get_family("best-lpa"), 12, 20),
     lambda: make_lpa(get_family("random", kernel_dim=2, seed=3), 9, 9),
     *[lambda e=e: _perturbed_kernel_instance(20, 3, 6, e, 7) for e in (1e-14, 1e-8, 1e-2)],
+    _kernel_within_check_instance,
 ], ids=["rho-0", "rho-0-n-eq-m", "x-is-kernel", "kernel-wider", "seidman-n-eq-m",
         "du-n-eq-m", "best-lpa-n-eq-m", "random-n-eq-m",
-        "perturbed-1e-14", "perturbed-1e-8", "perturbed-1e-2"])
+        "perturbed-1e-14", "perturbed-1e-8", "perturbed-1e-2", "kernel-within-check"])
 def test_factor_reads_match_dense_oracles_at_edges(build):
     inst = build()
     _assert_factor_reads_match_dense(inst)
     r = inst.txn_svd[1]
     assert r == numerical_rank(svd(inst.t @ inst.x_n.basis).singular_values,
                                (inst.m, inst.x_n.dim), inst.rank_tol, scale=inst.sigma_max)
+    # the bound check and the zero-offset report read the one decision
+    captured = kernel_captured(inst, Tolerances().check)
+    assert zero_offset_characterization(inst).kernel_inside == captured
+    if not captured:
+        with pytest.raises(PreconditionError, match="kernel not contained"):
+            error_bound_check(inst, np.ones(inst.m))
 
 
 # -------------------------------------------------------------- offset angle
@@ -1320,6 +1348,28 @@ def test_error_identity_random_trials():
         inst = LpaInstance(random_finite_kernel(m, kdim, seed), n)
         rep = error_identity_check(inst, rng.standard_normal(m))
         assert rep.passed, (seed, rep.diff, rep.tol)
+
+
+@pytest.mark.parametrize("n", [27, 32, 41])
+def test_du_bound_check_refuses_where_the_core_misses_the_kernel(n):
+    # N(T) = span{e} leaves X_n by its tail, 2^-n, under check, but T X_n
+    # keeps that direction (core 0 < 1): the bound's hypothesis fails
+    m = resolve_m(None, n)
+    inst = make_lpa(get_family("du"), n, m)
+    assert not kernel_captured(inst, Tolerances().check)
+    y = np.random.default_rng([0, n]).standard_normal(m)
+    with pytest.raises(PreconditionError, match="kernel not contained"):
+        error_bound_check(inst, y)
+
+
+def test_du_scan_checks_the_bound_only_where_the_kernel_is_captured():
+    # rows 27..41 are ineligible, rows 42..47 capture the kernel and pass
+    rep = run_scan(scan_config_from_dict({"operator": {"name": "du"},
+                                          "n_list": list(range(24, 48))}))
+    assert rep.verdicts["bound_checks_passed"] == "6/6"
+    assert rep.verdicts["kernel_approximability"] == "holds"
+    check = rep.config.tolerances.check
+    assert [r.n for r in rep.rows if kernel_captured(r, check)] == list(range(42, 48))
 
 
 @pytest.mark.parametrize("n", [42, 43, 44])
