@@ -24,8 +24,8 @@ exact arithmetic stay consistent to machine precision. The factor is T's
 SVD, LAPACK run on T's coupled block only (a coordinate whose row and
 column are zero off the diagonal contributes its singular triplet in closed
 form), or, for a family that declares N(T) = {0}, the inverse
-T^{-1} = T^+ (by halves when T is triangular, as seidman's is, else by one
-LAPACK inverse) when its Frobenius norm, or else sqrt(||.||_1 ||.||_inf),
+T^{-1} = T^+ (by halves when T is lower triangular, as seidman's is, else
+by one LAPACK inverse) when its Frobenius norm, or else sqrt(||.||_1 ||.||_inf),
 against an O(m^2) bound on sigma_max proves every rank decision a row will
 make; T's singular values are then taken only when read. The instance sees
 ranks, not routes.
@@ -148,8 +148,8 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     return s[order], vectors
 
 
-# the order at and below which a triangular T, or a diagonal block of one, is
-# inverted by one LAPACK inverse (see _invert_lower)
+# the order at and below which a lower triangular T, or a diagonal block of
+# one, is inverted by one LAPACK inverse (see _invert_lower)
 _LEAF = 64
 
 
@@ -202,18 +202,15 @@ def _inverse(t: np.ndarray) -> np.ndarray | None:
     precision: LAPACK meets a zero pivot, or an entry of the inverse is not
     finite (a subnormal pivot whose reciprocal overflows).
 
-    A triangular T of order above _LEAF is inverted by halves (_invert_lower;
-    an upper triangular T through T^T), any other T by one LAPACK inverse
-    (LU with partial pivoting). The route is read off T's zero pattern."""
+    A lower triangular T of order above _LEAF is inverted by halves
+    (_invert_lower), any other T by one LAPACK inverse (LU with partial
+    pivoting). The route is read off T's zero pattern."""
     m = t.shape[0]
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan end in None
             if m > _LEAF and _is_lower(t):
                 inv = np.empty((m, m))
                 _invert_lower(t, inv)
-            elif m > _LEAF and _is_lower(t.T):
-                inv = np.empty((m, m))
-                _invert_lower(t.T, inv.T)
             else:
                 inv = np.linalg.inv(t)
     except np.linalg.LinAlgError:
@@ -324,8 +321,8 @@ class TruncationFactor:
     (pinv_apply); the m x m t_pinv is formed only when read.
 
     With injective=True (the caller knows N(T) = {0}), T^{-1} is formed
-    first, by halves when T is triangular and of order above 64, else by
-    one LAPACK inverse (see _inverse), and the rank of T and of every T X_n
+    first, by halves when T is lower triangular and of order above 64, else
+    by one LAPACK inverse (see _inverse), and the rank of T and of every T X_n
     is proved from ||T^{-1}||_F, or where that fails from
     sqrt(||T^{-1}||_1 ||T^{-1}||_inf), and an O(m^2) bound hi on sigma_max,
     with no SVD (see _proved_inverse). T^{-1} = T^+ is both t_pinv and what
@@ -660,7 +657,7 @@ class OffsetAngle:
     route_disagreement: bool
 
 
-def offset_angle(inst: LpaInstance, tolerances: Tolerances | None = None) -> OffsetAngle:
+def offset_angle(inst: LpaInstance, tolerances: Tolerances = Tolerances()) -> OffsetAngle:
     """Angle between T^+T(X_n) and T^*T(X_n), by two routes.
 
     Route one is the gap between the two image subspaces, route two
@@ -670,7 +667,6 @@ def offset_angle(inst: LpaInstance, tolerances: Tolerances | None = None) -> Off
     inst.offset_sines, computed once per instance at inst.rank_tol;
     route_warn is read on every call.
     """
-    tolerances = tolerances or Tolerances.default()
     sin_gap, sin_qn = inst.offset_sines
     return OffsetAngle(
         theta=math.asin(min(max(sin_gap, 0.0), 1.0)),
@@ -727,9 +723,8 @@ def _bound_factor(sin_theta: float) -> float:
     return math.inf if c2 <= 0.0 else 1.0 / math.sqrt(c2)
 
 
-def diagnose(inst: LpaInstance, tolerances: Tolerances | None = None) -> LpaDiagnostics:
+def diagnose(inst: LpaInstance, tolerances: Tolerances = Tolerances()) -> LpaDiagnostics:
     """All scalar diagnostics of one instance in one record."""
-    tolerances = tolerances or Tolerances.default()
     ang = offset_angle(inst, tolerances)
     return LpaDiagnostics(
         n=inst.n,
@@ -782,14 +777,13 @@ class CheckReport:
 
 
 def error_identity_check(inst: LpaInstance, y,
-                         tolerances: Tolerances | None = None) -> CheckReport:
+                         tolerances: Tolerances = Tolerances()) -> CheckReport:
     """Check T_n^+ y - T^+ y = (T_n^+ T - I)(I - P_{X_n}) T^+ y.
 
     The identity holds for every y, with no containment condition on the
     kernel. Both sides are evaluated separately; they must agree to
     identity_rel * (1 + ||T^+ y||).
     """
-    tolerances = tolerances or Tolerances.default()
     y = as_vector(y)
     tp_y = inst.factor.pinv_apply(y)
     lhs = tn_pinv_apply(inst, y) - tp_y
@@ -811,7 +805,7 @@ class BoundCheck:
 
 
 def error_bound_check(inst: LpaInstance, y,
-                      tolerances: Tolerances | None = None) -> BoundCheck:
+                      tolerances: Tolerances = Tolerances()) -> BoundCheck:
     """Check ||T_n^+ y - T^+ y|| <= sqrt(1 + tan^2 theta_n) * dist(T^+ y, X_n).
 
     Only asserted when N(T) is contained in X_n, as kernel_captured decides
@@ -831,7 +825,6 @@ def error_bound_check(inst: LpaInstance, y,
     cond(T): seidman at n = m = 256 reads lhs 1.0e-5 against rhs = 0, and
     the term is 6.2e2 (y standard normal).
     """
-    tolerances = tolerances or Tolerances.default()
     y = as_vector(y)
     if not kernel_captured(inst, tolerances.check):
         raise PreconditionError(
@@ -882,9 +875,8 @@ class ZeroOffsetReport:
 
 
 def zero_offset_characterization(inst: LpaInstance,
-                                 tolerances: Tolerances | None = None) -> ZeroOffsetReport:
+                                 tolerances: Tolerances = Tolerances()) -> ZeroOffsetReport:
     """Evaluate the three zero-offset conditions independently."""
-    tolerances = tolerances or Tolerances.default()
     tol = tolerances.check
 
     pinv_diff = float(np.linalg.norm(inst.tn_pinv - inst.x_n.project(inst.t_pinv), 2))
@@ -942,7 +934,7 @@ class DuDivergenceReport:
 
 
 def du_divergence_check(n_max: int = 20,
-                        tolerances: Tolerances | None = None) -> DuDivergenceReport:
+                        tolerances: Tolerances = Tolerances()) -> DuDivergenceReport:
     """Verify the bounded-but-divergent behavior of the du family up to n_max.
 
     n_max is capped at 20: the coefficient check multiplies a 4^(-n)-scale
@@ -951,7 +943,6 @@ def du_divergence_check(n_max: int = 20,
     """
     if not 1 <= n_max <= 20:
         raise ValueError(f"n_max must be in [1, 20], got {n_max}")
-    tolerances = tolerances or Tolerances.default()
     family = get_family("du")
     rows = []
     passed = True
@@ -1007,12 +998,13 @@ class CoerciveReport:
 
 
 def coercive_bound_check(t, alpha: float, beta: float, n_list,
-                         tol: float = 1e-8, seed: int = 0) -> CoerciveReport:
+                         tol: float = 1e-8) -> CoerciveReport:
     """For coercive T, the bound factors never exceed beta/alpha.
 
     Coercivity (|<Tu, u>| >= alpha ||u||^2) and the norm bound ||T|| <= beta
-    are verified first, by the smallest eigenvalue of the symmetric part and
-    by seeded sampling; a failure raises PreconditionError. Then
+    are verified first, by the smallest eigenvalue of the symmetric part,
+    which bounds u^T T u below for every unit u, and by ||T||_2; a failure
+    raises PreconditionError. Then
     sqrt(1 + tan^2 theta_n) <= beta/alpha + tol is checked across n_list.
     alpha must be positive (ValueError otherwise).
     """
@@ -1021,7 +1013,6 @@ def coercive_bound_check(t, alpha: float, beta: float, n_list,
     t = as_matrix(t)
     if t.shape[0] != t.shape[1]:
         raise ValueError(f"expected a square matrix, got {t.shape}")
-    m = t.shape[0]
     lam_min = float(np.linalg.eigvalsh(0.5 * (t + t.T))[0])
     norm_t = float(np.linalg.norm(t, 2))
     if lam_min < alpha - 1e-10:
@@ -1029,12 +1020,6 @@ def coercive_bound_check(t, alpha: float, beta: float, n_list,
             f"not coercive with alpha={alpha}: symmetric part has eigenvalue {lam_min:.6g}")
     if norm_t > beta + 1e-10:
         raise PreconditionError(f"||T|| = {norm_t:.6g} exceeds beta = {beta}")
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        u = rng.standard_normal(m)
-        u /= np.linalg.norm(u)
-        if abs(float(u @ t @ u)) < alpha - 1e-10:
-            raise PreconditionError("sampled vector violates coercivity")
     limit = beta / alpha
     rows = []
     passed = True

@@ -4,8 +4,9 @@ Three subcommands: `analyze` runs a convergence scan from a config file and
 writes CSV/JSON outputs, plus one stderr warning naming every n where the
 two offset-angle routes disagree beyond tolerances.route_warn; `verify`
 runs a named check suite; `gallery` lists the built-in operator families.
-Exit codes: 0 success, 2 usage or config error, 3 numerical failure inside
-a scan.
+Exit codes: 0 success, 1 a verify check failed, 2 usage or config error
+(an unknown suite name included), 3 numerical failure inside a scan or an
+error that stops a suite.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import TOL_ENV_VAR, ConfigError, load_scan_config
+from .config import ConfigError, load_scan_config
 from .operators import FAMILY_NAMES, get_family
 from .scan import ScanNumericalError, render_csv, run_scan, write_outputs
 from .suites import SUITE_NAMES, run_suite
@@ -25,9 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpakit",
         description="Finite-truncation diagnostics for least-squares "
-                    "projection approximations.",
-        epilog=f"The {TOL_ENV_VAR} environment variable overrides the default "
-               "decision tolerance (1e-8) used by the yes/no diagnostics.")
+                    "projection approximations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser(
@@ -70,11 +69,15 @@ def _cmd_analyze(config_path: str, out_dir: str | None) -> int:
 
 
 def _cmd_verify(suite: str) -> int:
+    if suite not in SUITE_NAMES:
+        print(f"error: unknown suite {suite!r}; valid suites: {', '.join(SUITE_NAMES)}",
+              file=sys.stderr)
+        return 2
     try:
         results = run_suite(suite)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, ArithmeticError, ScanNumericalError) as exc:
+        print(f"error: suite {suite!r} stopped: {exc}", file=sys.stderr)
+        return 3
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -106,7 +109,8 @@ def main(argv=None) -> int:
             return _cmd_verify(args.suite)
         return _cmd_gallery()
     except ConfigError as exc:
-        # a malformed tolerance override reaches here from any subcommand
+        # run_scan rejects an n beyond the family's limits, which the config's
+        # own validation does not know
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

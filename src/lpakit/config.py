@@ -1,18 +1,17 @@
 """Tolerance record and scan configuration.
 
 Every numerical slack used by the diagnostics lives in one Tolerances value,
-so a run's tolerances are auditable in one place. Scan configurations are
-plain JSON files; see load_scan_config for the schema.
+which has two sources only: a scan config's "tolerances" object, laid over
+the Tolerances() defaults, or the value a library caller passes. So a run's
+tolerances are the ones its config or its call shows. Scan configurations
+are plain JSON files; see load_scan_config for the schema.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
-
-TOL_ENV_VAR = "LPAKIT_TOL"
 
 VALID_OUTPUT_FORMATS = ("csv", "json")
 
@@ -49,19 +48,6 @@ class Tolerances:
     bound_rel: float = 1e-6
     bound_abs: float = 1e-9
 
-    @staticmethod
-    def default() -> "Tolerances":
-        """Defaults, with the check tolerance overridable via LPAKIT_TOL."""
-        tol = Tolerances()
-        env = os.environ.get(TOL_ENV_VAR)
-        if env is not None:
-            try:
-                value = float(env)
-            except ValueError as exc:
-                raise ConfigError(f"{TOL_ENV_VAR} must be a float, got {env!r}") from exc
-            tol = replace(tol, check=_require_tolerance("check", value, TOL_ENV_VAR))
-        return tol
-
 
 _TOLERANCE_RANGES = {  # allowed values of each field, as text and as a test
     "rank": ("in (0, 1) or null", lambda v: 0 < v < 1),
@@ -71,8 +57,8 @@ _TOLERANCE_RANGES = {  # allowed values of each field, as text and as a test
 }
 
 
-def _require_tolerance(name: str, value, source: str):
-    """value if tolerance field `name` allows it, else ConfigError naming source."""
+def _require_tolerance(name: str, value):
+    """value if tolerance field `name` allows it, else ConfigError naming it."""
     rule, allowed = _TOLERANCE_RANGES[name]
     try:
         valid = (name == "rank" and value is None) or (
@@ -80,7 +66,7 @@ def _require_tolerance(name: str, value, source: str):
     except (TypeError, OverflowError):  # not a number, or an int beyond float range
         valid = False
     if not valid:
-        raise ConfigError(f"{source} must be a finite number {rule}, got {value!r}")
+        raise ConfigError(f"tolerance '{name}' must be a finite number {rule}, got {value!r}")
     return value
 
 
@@ -129,12 +115,11 @@ class ScanConfig:
 
 
 def _build_tolerances(raw: dict) -> Tolerances:
-    base = Tolerances.default()
     unknown = set(raw) - set(_TOLERANCE_RANGES)
     if unknown:
         raise ConfigError(f"unknown tolerance fields: {sorted(unknown)}")
-    return replace(base, **{name: _require_tolerance(name, value, f"tolerance '{name}'")
-                            for name, value in raw.items()})
+    return replace(Tolerances(), **{name: _require_tolerance(name, value)
+                                    for name, value in raw.items()})
 
 
 def scan_config_from_dict(data: dict) -> ScanConfig:

@@ -1,9 +1,9 @@
 """Named verification suites behind the command line's `verify`.
 
-Each suite is a fixed-seed batch of identity and reproduction checks; suite
-names are part of the CLI surface and stay stable. Checks return structured
-results instead of asserting so the CLI can print one line per check and
-exit nonzero only at the end.
+Each suite is a batch of identity and reproduction checks at fixed seeds and
+fixed tolerances; suite names are part of the CLI surface and stay stable.
+Checks return structured results instead of asserting so the CLI can print
+one line per check and exit nonzero only at the end.
 """
 
 from __future__ import annotations
@@ -240,7 +240,7 @@ def _suite_du() -> list[CheckResult]:
     rep = du_divergence_check(20)
     cfg = ScanConfig(operator_name="du", operator_params={},
                      n_list=(2, 4, 8, 16), m_rule=None,
-                     tolerances=Tolerances.default())
+                     tolerances=Tolerances())
     report = run_scan(cfg)
     worst_sin = max(r.sin_theta_gap for r in report.rows)
     return [

@@ -360,7 +360,7 @@ def test_du_diagnostics_match_dense_factor(monkeypatch, n, m):
     # (every coordinate declared coupled), within perfbench's tolerances. The
     # Q_n route's sine sits on its sqrt(eps) floor here, so it is held to the
     # gap route, as perfbench holds it.
-    check = Tolerances.default().check
+    check = Tolerances().check
     got = diagnose(make_lpa(get_family("du"), n, m))
     monkeypatch.setattr(lpakit.analysis, "_coupled", lambda t: np.ones(len(t), dtype=bool))
     want = diagnose(make_lpa(get_family("du"), n, m))
@@ -636,8 +636,9 @@ def _graded_of_kind(rng, m, ratio, kind):
 def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k, rank_tol, kind):
     # T graded with sigma_min / sigma_max = k tol (exactly for dense and
     # triangular T), tol the proof's cutoff (rank_tol, 10 m eps when None)
-    # and k in [1/4, 64], log-uniform; triangular T above order 64 are
-    # inverted by halves. The inverted factor's rank is the SVD route's.
+    # and k in [1/4, 64], log-uniform; lower triangular T above order 64
+    # are inverted by halves, upper ones by LU. The inverted factor's rank
+    # is the SVD route's.
     # Wherever neither norm of the inverse proves full rank the factor is
     # the SVD route's bit for bit; where one does, T is inverted with no
     # SVD, and its values-only SVD is taken on the first read of s_rho or
@@ -773,10 +774,10 @@ def _blocked_inverse_calls(monkeypatch) -> list:
 @_needs_mpmath
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**16), m=st.integers(65, 72), log2_ratio=st.floats(-16.0, 0.0),
-       kind=st.sampled_from(["lower", "upper", "arrow"]), data=st.data())
+       kind=st.sampled_from(["lower", "arrow"]), data=st.data())
 def test_triangular_inverse_by_halves_matches_a_50_digit_inverse(seed, m, log2_ratio, kind,
                                                                  data):
-    # a triangular T above order 64 (sigma_min / sigma_max = 2^log2_ratio,
+    # a lower triangular T above order 64 (sigma_min / sigma_max = 2^log2_ratio,
     # near it for an arrow T) is inverted by halves, not by an LU of the
     # whole T: T^{-1} within m eps cond(T) ||T^{-1}|| of a 50-digit
     # inverse, and every row as the SVD route's
@@ -793,9 +794,9 @@ def test_triangular_inverse_by_halves_matches_a_50_digit_inverse(seed, m, log2_r
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2**16), m=st.sampled_from([65, 100, 130]), at=st.floats(0.0, 1.0),
        pivot=st.sampled_from([0.0, 1e-310, -1e-310]),
-       kind=st.sampled_from(["lower", "upper", "arrow"]))
+       kind=st.sampled_from(["lower", "arrow"]))
 def test_triangular_t_with_a_zero_or_subnormal_pivot_is_the_svd_route(seed, m, at, pivot, kind):
-    # a triangular T above order 64 with one diagonal entry 0 or subnormal
+    # a lower triangular T above order 64 with one diagonal entry 0 or subnormal
     # is singular to working precision (sigma_min <= |t_jj|): its inverse by
     # halves meets an exact zero pivot or a reciprocal that overflows, and
     # the factor is the SVD route's bit for bit, with no warning (the suite
@@ -1187,7 +1188,7 @@ def test_du_rank_cliff_flips_everything_together(n, rank_tol):
     # and the angle vanishes. The kernel dimension, the kernel verdict and
     # both routes' sines must all switch at the same m, with the routes
     # agreeing throughout and both images of dimension r.
-    check = Tolerances.default().check
+    check = Tolerances().check
     fam = get_family("du")
     ms = range(12, 41)
     kernel_dims, verdicts, gap_wide, qn_wide = [], [], [], []

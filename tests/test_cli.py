@@ -15,7 +15,14 @@ import pytest
 import lpakit.analysis
 import lpakit.operators
 import lpakit.scan
-from lpakit.analysis import diagnose, kernel_core, kernel_verdict, make_lpa
+import lpakit.suites
+from lpakit.analysis import (
+    PreconditionError,
+    diagnose,
+    kernel_core,
+    kernel_verdict,
+    make_lpa,
+)
 from lpakit.cli import main
 from lpakit.config import (
     ConfigError,
@@ -29,20 +36,6 @@ from lpakit.operators import get_family
 from lpakit.scan import CSV_HEADER, ScanNumericalError, render_csv, render_json, run_scan
 
 # ---------------------------------------------------------------- tolerances
-
-
-def test_tolerances_default_reads_env(monkeypatch):
-    monkeypatch.setenv("LPAKIT_TOL", "1e-6")
-    assert Tolerances.default().check == 1e-6
-
-
-def test_tolerances_env_validation(monkeypatch):
-    monkeypatch.setenv("LPAKIT_TOL", "banana")
-    with pytest.raises(ConfigError):
-        Tolerances.default()
-    monkeypatch.setenv("LPAKIT_TOL", "2.0")
-    with pytest.raises(ConfigError):
-        Tolerances.default()
 
 
 def test_resolve_m_rules():
@@ -239,18 +232,17 @@ def _count_t_factorizations(monkeypatch, family, ms):
     # (kind, m) for every SVD ("svd" with vectors, "values" without) and
     # every inverse ("inv") of a square matrix equal to the family's
     # truncation at its m: one LAPACK inverse, or one inverse by halves of
-    # a triangular T above order 64 (analysis._invert_lower, asked for T or,
-    # for an upper triangular T, T^T), whose leaves are smaller than T. An
-    # inverted factor proves full rank from the inverse's norms and takes
-    # T's singular values only when read, so a "values" entry means
-    # something read them or the proof failed.
+    # a lower triangular T above order 64 (analysis._invert_lower), whose
+    # leaves are smaller than T. An inverted factor proves full rank from
+    # the inverse's norms and takes T's singular values only when read, so
+    # a "values" entry means something read them or the proof failed.
     truncations = {m: family.truncate(m) for m in ms}
     counted = []
 
     def counting(kind_of, real):
         def wrapper(a, *args, **kwargs):
             t = truncations.get(np.shape(a)[0])
-            if t is not None and (np.array_equal(a, t) or np.array_equal(a, t.T)):
+            if t is not None and np.array_equal(a, t):
                 counted.append((kind_of(kwargs), np.shape(a)[0]))
             return real(a, *args, **kwargs)
         return wrapper
@@ -443,12 +435,6 @@ def test_cli_analyze_out_of_range_n_exits_2(tmp_path, capsys):
     assert "n=13" in capsys.readouterr().err
 
 
-def test_cli_analyze_rejects_bad_env_tolerance(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LPAKIT_TOL", "not-a-number")
-    assert main(["analyze", write_config(tmp_path)]) == 2
-    assert "LPAKIT_TOL" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("tolerances", [
     {"check": "abc"},
     {"check": -1},
@@ -494,6 +480,39 @@ def test_cli_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nope"]) == 2
     err = capsys.readouterr().err
     assert "penrose" in err and "seidman" in err
+
+
+@pytest.mark.parametrize("error", [
+    PreconditionError("kernel not contained in the subspace"),
+    ZeroDivisionError("float division by zero"),
+    ScanNumericalError("du", 4, "SVD did not converge"),
+], ids=["precondition", "arithmetic", "scan"])
+def test_cli_verify_error_inside_a_suite_exits_3(capsys, monkeypatch, error):
+    # an error that stops a named suite is a numerical failure, not a usage
+    # error, and the message names the suite
+    def stopped():
+        raise error
+
+    monkeypatch.setitem(lpakit.suites.SUITES, "best", stopped)
+    assert main(["verify", "best"]) == 3
+    err = capsys.readouterr().err
+    assert "'best'" in err and str(error) in err
+
+
+def test_tolerances_come_only_from_the_config(tmp_path, capsys, monkeypatch):
+    # the removed tolerance override, set to a value it accepted or to one
+    # it rejected, changes neither the fixed suites nor a scan's outputs
+    cfg = write_config(tmp_path, operator={"name": "best-lpa"}, n_list=[2, 4],
+                       m_rule="fixed:20")
+    assert main(["analyze", cfg, "--out-dir", str(tmp_path / "unset")]) == 0
+    for value in ("1e-17", "banana"):
+        monkeypatch.setenv("LPAKIT_TOL", value)
+        assert main(["verify", "best"]) == 0
+        out = tmp_path / value
+        assert main(["analyze", cfg, "--out-dir", str(out)]) == 0
+        for name in ("rows.csv", "rows.json"):
+            assert (out / name).read_bytes() == (tmp_path / "unset" / name).read_bytes()
+    assert capsys.readouterr().err == ""
 
 
 def test_python_m_lpakit_runs_the_cli():
@@ -558,5 +577,5 @@ def test_render_json_is_strict_with_non_finite_values():
 
 def test_scan_config_m_for():
     cfg = ScanConfig(operator_name="du", operator_params={}, n_list=(2,),
-                     m_rule="factor:5", tolerances=Tolerances.default())
+                     m_rule="factor:5", tolerances=Tolerances())
     assert cfg.m_for(2) == 10

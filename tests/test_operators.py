@@ -121,7 +121,7 @@ def test_du_diagnostics_match_unfloored_oracle():
     # perfbench's tolerances. n stops at 16: from n = 32 on, T X_n has
     # condition number about 4^n and the sine's roundoff floor is near 1e-7
     # on both matrices.
-    check = Tolerances.default().check
+    check = Tolerances().check
     rows, oracle_rows = [], []
     for n, m in [(4, 192), (8, 384), (16, 768)]:
         got = diagnose(make_lpa(get_family("du"), n, m))
