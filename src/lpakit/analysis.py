@@ -65,7 +65,6 @@ from .linalg import (
     as_matrix,
     as_vector,
     gap,
-    numerical_rank,
     pinv_from_svd,
     projector,
     svd,
@@ -252,22 +251,20 @@ def _one_inf_bound(x: np.ndarray) -> float:
     return math.sqrt(col.max(initial=0.0)) * math.sqrt(row.max(initial=0.0))
 
 
-def _proved_inverse(t: np.ndarray, rank_tol: float | None):
+def _proved_inverse(t: np.ndarray, tol: float):
     """(T^{-1}, hi) when T^{-1} proves every rank decision an inverted factor
     makes, else None; hi >= sigma_max(T) is _sigma_max_bound's.
 
-    An inverted factor makes two rank decisions, each against a cutoff
-    tol x anchor: T's own rank (anchor sigma_max, tol rank_tol, m eps when
-    None) and, in each row, the rank of T X_n (LpaInstance.txn_svd: anchor
-    hi, tol rank_tol, 10 m eps when None). The proof takes tol as the larger
-    of the two, raised to m eps if below it: rank_tol floored at m eps, or
-    10 m eps. T^{-1} is formed first (see _inverse), then
-    sigma_min = 1/||T^{-1}||_2 >= 1/N(T^{-1}) for N the Frobenius norm and
-    for N = sqrt(||.||_1 ||.||_inf) (Hoelder's ||A||_2^2 <= ||A||_1 ||A||_inf),
-    and the proof holds once 1/N(T^{-1}) > c tol hi, c = _PROOF_FACTOR = 4,
-    for the Frobenius norm or, only where that fails, for the second N: it
-    is near ||T^{-1}||_2 when the inverse's mass sits in few rows and
-    columns (within 1e-3 for seidman), where ||.||_F can be sqrt(m) above.
+    An inverted factor decides T's rank and, in each row, the rank of T X_n
+    (LpaInstance.txn_svd) against one cutoff, tol hi (TruncationFactor's
+    cutoff); the proof alone floors tol at m eps. T^{-1} is formed first (see
+    _inverse), then sigma_min = 1/||T^{-1}||_2 >= 1/N(T^{-1}) for N the
+    Frobenius norm and for N = sqrt(||.||_1 ||.||_inf) (Hoelder's
+    ||A||_2^2 <= ||A||_1 ||A||_inf), and the proof holds once
+    1/N(T^{-1}) > c tol hi, c = _PROOF_FACTOR = 4, for the Frobenius norm or,
+    only where that fails, for the second N: it is near ||T^{-1}||_2 when
+    the inverse's mass sits in few rows and columns (within 1e-3 for
+    seidman), where ||.||_F can be sqrt(m) above.
 
     c is large enough. Both routes of _inverse return an X with a left
     residual |X T - I| <= c_m eps |X| |T| (Du Croz & Higham 1992; entries
@@ -285,7 +282,7 @@ def _proved_inverse(t: np.ndarray, rank_tol: float | None):
     true sigma_min exceeds (1 - 1/4) 4 tol hi = 3 tol hi. Every singular
     value of T, and of T X_n for orthonormal X_n, is at least sigma_min;
     LAPACK computes each within about m eps sigma_max <= tol hi of the
-    truth, so all clear the cutoff tol hi, and the lower cutoff
+    truth, so all clear the cutoff tol hi, and the SVD route's cutoff
     tol sigma_max too: rank m for T and dim X_n for T X_n, the decisions
     the SVD would make. (Below m eps the cutoff sits under the SVD's own
     roundoff, which no norm can predict, hence the floor.)
@@ -296,9 +293,7 @@ def _proved_inverse(t: np.ndarray, rank_tol: float | None):
     inv = _inverse(t)
     if inv is None:
         return None
-    m = t.shape[0]
-    tol = 10 * m * EPS if rank_tol is None else max(rank_tol, m * EPS)
-    cut = _PROOF_FACTOR * tol * hi
+    cut = _PROOF_FACTOR * max(tol, t.shape[0] * EPS) * hi
     with np.errstate(over="ignore"):  # an overflowing norm reads inf: no proof
         proved = np.linalg.norm(inv) * cut < 1.0 or _one_inf_bound(inv) * cut < 1.0
     return (inv, hi) if proved else None
@@ -307,10 +302,10 @@ def _proved_inverse(t: np.ndarray, rank_tol: float | None):
 class TruncationFactor:
     """One m x m truncation T factored, and what is read off it: rank rho,
     sigma_max, the singular values Sigma_rho, the row space R and the kernel
-    K = R^perp, every rank decision at rank_tol against T's full shape.
-    sigma_anchor is the norm a row's rank of T X_n is anchored to
-    (LpaInstance.txn_svd): sigma_max on the SVD route, the bound hi >=
-    sigma_max when T was inverted.
+    K = R^perp. cutoff = tol x anchor is the one rank threshold (tol:
+    rank_tol, 10 m eps when None; anchor: sigma_max on the SVD route, the
+    bound hi >= sigma_max when T was inverted): rho counts T's singular values
+    above it, each row's r those of T X_n (LpaInstance.txn_svd).
 
     Two routes. By default, T's SVD: the rank-rho left factor U_rho, and
     R and K from V. LAPACK factors only T's coupled block; each decoupled
@@ -342,20 +337,23 @@ class TruncationFactor:
         self.t = t
         self.m = t.shape[0]
         self.rank_tol = rank_tol
-        inverse = _proved_inverse(t, rank_tol) if injective else None
+        tol = 10 * self.m * EPS if rank_tol is None else rank_tol
+        inverse = _proved_inverse(t, tol) if injective else None
         if inverse is not None:
-            self.t_pinv, self.sigma_anchor = inverse
+            self.t_pinv, hi = inverse
+            self.cutoff = tol * hi
             self.rank, self.u_rho = self.m, None
             self.kernel = Subspace.zero(self.m)
         else:
             s, vectors = _factor_svd(t)
-            self.rank = r = numerical_rank(s, t.shape, rank_tol)
+            self.sigma_max = float(s[0]) if self.m else 0.0
+            self.cutoff = tol * self.sigma_max
+            self.rank = r = int(np.sum(s > self.cutoff))
             self.u_rho, vt = vectors(r)
             del vectors  # frees the SVD's arrays before the Subspace checks' Gram matrices
             self.s_rho = s[:r]
             self.rowspace = Subspace(vt[:r].T)
             self.kernel = Subspace(vt[r:].T)
-            self.sigma_max = self.sigma_anchor = float(s[0]) if self.m else 0.0
 
     @cached_property
     def s_rho(self) -> np.ndarray:
@@ -421,18 +419,17 @@ class LpaInstance:
 
     T is given as a matrix, factored here, or as a TruncationFactor shared
     with other instances at the same m (factor); its attributes (t, rank,
-    sigma_max, t_pinv, rowspace, kernel, rank_tol) are exposed on the
-    instance, sigma_max, t_pinv and rowspace read from the factor, which
-    forms them on first read when it inverted T. What the instance does
-    depends on the factor's ranks alone, never on its route. First use
-    computes, once: the SVD of T X_n (txn_svd), whose rank r, anchored to
-    the factor's sigma_anchor, splits it into the range T(X_n), which
+    sigma_max, t_pinv, rowspace, kernel) are exposed on the instance,
+    sigma_max, t_pinv and rowspace read from the factor, which forms them on
+    first read when it inverted T. What the instance does depends on the
+    factor's ranks alone, never on its route. First use computes, once: the
+    SVD of T X_n (txn_svd), whose rank r, decided at the factor's cutoff
+    like T's own, splits it into the range T(X_n), which
     T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t invert, and the kernel core,
     of dimension kernel_core_dim = dim X_n - r, which they drop; the two
     offset-angle images, both of dimension r, and both routes' sines; and
     kernel_gap, the gap between the core and N(T) (kernel_dim = dim N(T)),
-    off which kernel_captured decides whether N(T) lies in X_n. Every rank
-    decision uses rank_tol.
+    off which kernel_captured decides whether N(T) lies in X_n.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
     arbitrary orthonormal basis may be supplied instead.
@@ -454,7 +451,7 @@ class LpaInstance:
             if self.x_n.ambient_dim != self.m:
                 raise ValueError("x_basis ambient dimension does not match t")
         self.factor = factor
-        self.t, self.rank_tol = factor.t, factor.rank_tol
+        self.t = factor.t
         self.rank, self.kernel = factor.rank, factor.kernel
         self.kernel_dim = self.kernel.dim
 
@@ -481,7 +478,8 @@ class LpaInstance:
 
     @cached_property
     def txn_svd(self) -> tuple[SvdResult, int]:
-        """SVD of T X_n and its rank r anchored to the factor's sigma_anchor.
+        """SVD of T X_n and its rank r, the count of its singular values
+        above the factor's cutoff, the one T's rank was decided at.
 
         When rho = rank T >= dim X_n (every inverted factor, and du) it is
         the thin SVD of the m x dim X_n matrix T X_n itself, nothing
@@ -489,14 +487,11 @@ class LpaInstance:
         P S V^T of Z = U_rho^T (T X_n), rho x dim X_n, with u = U_rho P and
         V full, so that its last dim X_n - r rows vt[r:] span the kernel
         core's coefficients (kernel_gap, the oracle kernel_core). What Z
-        drops, (I - U_rho U_rho^T) T X_n, has norm at most sigma_{rho+1}(T),
-        below T's own rank cutoff, and Z projects the dense product, so
-        exact zeros of T X_n stay exact.
-
-        sigma_anchor is sigma_max on the SVD route. For an inverted factor
-        it is the bound hi >= sigma_max, against which the factor proved
-        that every singular value of T X_n clears the cutoff, so r is
-        dim X_n, as it is at sigma_max itself.
+        drops, (I - U_rho U_rho^T) T X_n, has norm at most
+        sigma_{rho+1}(T) <= cutoff, so Z is T X_n for the rank-rho T that
+        the factor decided, and Z projects the dense product, so exact
+        zeros of T X_n stay exact. An inverted factor proved that every
+        singular value of T X_n clears its cutoff, so r is dim X_n there.
         """
         f, k = self.factor, self.x_n.dim
         txn = self.t @ self.x_n.basis
@@ -505,15 +500,13 @@ class LpaInstance:
         else:
             z = svd(f.u_rho.T @ txn)
             res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
-        return res, numerical_rank(res.singular_values, (self.m, k), self.rank_tol,
-                                   scale=f.sigma_anchor)
+        return res, int(np.sum(res.singular_values > f.cutoff))
 
     @cached_property
     def tn_pinv(self) -> np.ndarray:
-        """T_n^+ = (X_n V_r Sigma_r^{-1}) U_r^T at txn_svd's r, an m x r x m
-        product. The diagnostics apply T_n^+ without it (_tn_pinv_times)."""
-        res, r = self.txn_svd
-        return (self.x_n.basis @ (res.vt[:r].T / res.singular_values[:r])) @ res.u[:, :r].T
+        """T_n^+ = X_n (T X_n)^+ at txn_svd's r, an m x m matrix. The
+        diagnostics apply T_n^+ without it (_tn_pinv_times)."""
+        return self.x_n.basis @ pinv_from_svd(*self.txn_svd)
 
     @property
     def kernel_core_dim(self) -> int:
@@ -664,7 +657,7 @@ def offset_angle(inst: LpaInstance, tolerances: Tolerances = Tolerances()) -> Of
     evaluates sqrt(1 - 1/||I - Q_n||^2) with Q_n the oblique projector,
     ||I - Q_n|| taken on the 2r-column basis that holds both its range and
     its corange; the two agree in exact arithmetic. Both come from
-    inst.offset_sines, computed once per instance at inst.rank_tol;
+    inst.offset_sines, computed once per instance at txn_svd's rank r;
     route_warn is read on every call.
     """
     sin_gap, sin_qn = inst.offset_sines

@@ -5,8 +5,8 @@ writes CSV/JSON outputs, plus one stderr warning naming every n where the
 two offset-angle routes disagree beyond tolerances.route_warn; `verify`
 runs a named check suite; `gallery` lists the built-in operator families.
 Exit codes: 0 success, 1 a verify check failed, 2 usage or config error
-(an unknown suite name included), 3 numerical failure inside a scan or an
-error that stops a suite.
+(an unknown suite name and an output that cannot be written included), 3
+numerical failure inside a scan or an error that stops a suite.
 """
 
 from __future__ import annotations
@@ -63,7 +63,12 @@ def _cmd_analyze(config_path: str, out_dir: str | None) -> int:
     print("verdicts:")
     for key, value in report.verdicts.items():
         print(f"  {key}: {value}")
-    for path in write_outputs(report, out_dir):
+    try:
+        written = write_outputs(report, out_dir)
+    except OSError as exc:
+        print(f"error: cannot write an output: {exc}", file=sys.stderr)
+        return 2
+    for path in written:
         print(f"wrote {path}")
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 VALID_OUTPUT_FORMATS = ("csv", "json")
@@ -24,9 +25,9 @@ class ConfigError(ValueError):
 class Tolerances:
     """All numerical slacks in one record.
 
-    rank: relative cutoff factor for rank decisions; None means m * eps
-        against sigma_max(T) for T's own rank, and 10 * max(m, dim X_n) * eps
-        against the factor's sigma_anchor for the rank of T X_n.
+    rank: relative cutoff factor for every rank decision, T's and each T X_n's,
+        against sigma_max(T) or, when T was inverted, a bound above it
+        (analysis.TruncationFactor.cutoff); None means 10 * m * eps.
     check: decision tolerance for the yes/no diagnostics: offset angle zero,
         and the kernel gap within which the kernel core fills N(T), the one
         containment decision (analysis.kernel_captured) that the bound
@@ -160,7 +161,7 @@ def scan_config_from_dict(data: dict) -> ScanConfig:
     raw_outputs = data.get("outputs", [])
     if not isinstance(raw_outputs, list):
         raise ConfigError("field 'outputs' must be a list of objects")
-    outputs = []
+    outputs, seen = [], {}
     for i, out in enumerate(raw_outputs):
         if not isinstance(out, dict) or set(out) != {"path", "format"}:
             raise ConfigError(
@@ -170,6 +171,9 @@ def scan_config_from_dict(data: dict) -> ScanConfig:
         if out["format"] not in VALID_OUTPUT_FORMATS:
             raise ConfigError(
                 f"field 'outputs[{i}].format' must be one of {VALID_OUTPUT_FORMATS}")
+        j = seen.setdefault(os.path.normpath(out["path"]), i)
+        if j != i:
+            raise ConfigError(f"field 'outputs[{i}].path' repeats outputs[{j}].path")
         outputs.append(OutputSpec(**out))
     unknown = set(data) - {"operator", "n_list", "m_rule", "tolerances", "seed", "outputs"}
     if unknown:

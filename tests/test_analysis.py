@@ -111,7 +111,7 @@ def test_instance_shares_a_truncation_factor():
     a, b = LpaInstance(factor, 4), LpaInstance(factor, 8, rank_tol=1e-10)
     assert "t_pinv" not in vars(factor)  # the m x m T^+ is formed on first read
     assert a.t_pinv is b.t_pinv is factor.t_pinv and a.kernel is factor.kernel
-    assert (a.rank, a.rank_tol) == (9, 1e-10)
+    assert (a.rank, a.factor.rank_tol) == (9, 1e-10)
     with pytest.raises(ValueError, match="rank_tol"):
         LpaInstance(factor, 4, rank_tol=1e-8)
     with pytest.raises(ValueError, match="m=12"):
@@ -374,10 +374,10 @@ def test_du_diagnostics_match_dense_factor(monkeypatch, n, m):
 
 
 def _dense_tn_pinv(inst) -> np.ndarray:
-    # T_n^+ from the SVD of the m x m T_n, at the rank txn_svd's cutoff gives
+    # T_n^+ from the SVD of the m x m T_n, ranked at the factor's cutoff as
+    # txn_svd is
     res = svd(inst.tn())
-    return pinv_from_svd(res, numerical_rank(res.singular_values, (inst.m, inst.x_n.dim),
-                                             inst.rank_tol, scale=inst.factor.sigma_anchor))
+    return pinv_from_svd(res, int(np.sum(res.singular_values > inst.factor.cutoff)))
 
 
 @pytest.mark.parametrize("build", [
@@ -557,7 +557,7 @@ def test_injective_factor_of_a_singular_t_is_the_svd_route(build):
     assert got.rank < got.m
     assert [vectors for _, vectors in calls].count(False) == 0, calls
     _assert_same_factor(got, want)
-    assert got.sigma_anchor == want.sigma_max
+    assert got.cutoff == want.cutoff
 
 
 @settings(max_examples=200, deadline=None)
@@ -655,14 +655,14 @@ def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k,
         if not _proof_holds(t, rank_tol):
             assert built == [((m, m), True)]
             _assert_same_factor(got, want)
-            assert got.sigma_anchor == want.sigma_max
+            assert got.cutoff == want.cutoff
             return
         assert got.rank == m and got.u_rho is None and built == []
         before = len(calls)
         s_rho, sigma_max = got.s_rho, got.sigma_max
         assert calls[before:] == [((m, m), False)]
     assert np.array_equal(s_rho, np.linalg.svd(t, compute_uv=False))
-    assert sigma_max == s_rho[0] <= got.sigma_anchor
+    assert sigma_max == s_rho[0] and tol * sigma_max <= got.cutoff
 
 
 @settings(max_examples=100, deadline=None)
@@ -693,6 +693,20 @@ def test_inverted_factor_proves_the_rank_of_every_txn(seed, m, log2_k, data):
     assert r == LpaInstance(TruncationFactor(t), n, basis).txn_svd[1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.sampled_from([5, 8, 13, 21]),
+       log2_k=st.floats(-2.0, 6.0))
+def test_t_and_t_xn_share_one_rank_at_xn_the_whole_space(seed, m, log2_k):
+    # T = Q1 diag(s) Q2^T with sigma_min / sigma_max = k 10 m eps, k in
+    # [1/4, 64], log-uniform, so sigma_min falls on either side of the
+    # default cutoff. At X_n = R^m, T X_n is T: its rank r is T's, and the
+    # kernel core N(T) & R^m is no larger than N(T)
+    t = _graded(np.random.default_rng(seed), m, 2.0**log2_k * 10 * m * EPS)
+    inst = LpaInstance(TruncationFactor(t), m)
+    assert inst.txn_svd[1] == inst.rank
+    assert inst.kernel_core_dim <= inst.kernel_dim
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_txn_rank_between_the_anchored_cutoffs_takes_the_svd_route(seed):
     # T = Q diag(s*, 1, ..., 1), Q random orthogonal: sigma_max = 1 and hi
@@ -708,7 +722,8 @@ def test_txn_rank_between_the_anchored_cutoffs_takes_the_svd_route(seed):
     factor = TruncationFactor(t, injective=True)
     assert factor.u_rho is not None and not _proof_holds(t, None)
     _assert_same_factor(factor, TruncationFactor(t))
-    assert factor.sigma_anchor == factor.sigma_max == pytest.approx(1.0, rel=1e-13)
+    assert factor.cutoff == 10 * m * EPS * factor.sigma_max
+    assert factor.sigma_max == pytest.approx(1.0, rel=1e-13)
     res, r = LpaInstance(factor, n).txn_svd
     assert r == numerical_rank(res.singular_values, (m, n), scale=factor.sigma_max) == n
     assert numerical_rank(res.singular_values, (m, n), scale=_sigma_max_bound(t)) == n - 1
@@ -812,7 +827,7 @@ def test_triangular_t_with_a_zero_or_subnormal_pivot_is_the_svd_route(seed, m, a
     assert blocked[0] == (m, m) and got.rank < m
     assert [vectors for _, vectors in calls].count(False) == 0, calls
     _assert_same_factor(got, want)
-    assert got.sigma_anchor == want.sigma_max
+    assert got.cutoff == want.cutoff
 
 
 # ------------------------------------------------------------ solution route
@@ -990,8 +1005,8 @@ def _assert_factor_reads_match_dense(inst) -> None:
     assert np.all(s_dense[s.size:] <= delta)
     if not txn.any():  # X_n inside a planted kernel: exact zeros stay exact
         assert not s.any() and r == 0
-    want_r = numerical_rank(s_dense, shape, inst.rank_tol, scale=inst.sigma_max)
-    if _rank_is_clear(s_dense, delta, shape, inst.rank_tol, scale=inst.sigma_max):
+    want_r = numerical_rank(s_dense, shape, inst.factor.rank_tol, scale=inst.sigma_max)
+    if _rank_is_clear(s_dense, delta, shape, inst.factor.rank_tol, scale=inst.sigma_max):
         assert r == want_r
     if r == want_r:
         # U_r and the kernel core move by at most delta over the singular
@@ -1068,19 +1083,24 @@ def test_factor_reads_match_dense_oracles(label, data):
     lambda: LpaInstance(random_finite_kernel(10, 3, 0), 2),
     lambda: make_lpa(get_family("seidman"), 12, 12),
     lambda: make_lpa(get_family("du"), 6, 6),
+    # 4^-23 = 1.42e-14 lies between m eps (5.1e-15) and the cutoff 10 m eps
+    # (5.1e-14): rank T = r = 22, and the core is N(T) = span{e}
+    lambda: make_lpa(get_family("du"), 23, 23),
     lambda: make_lpa(get_family("best-lpa"), 12, 20),
     lambda: make_lpa(get_family("random", kernel_dim=2, seed=3), 9, 9),
     *[lambda e=e: _perturbed_kernel_instance(20, 3, 6, e, 7) for e in (1e-14, 1e-8, 1e-2)],
     _kernel_within_check_instance,
 ], ids=["rho-0", "rho-0-n-eq-m", "x-is-kernel", "kernel-wider", "seidman-n-eq-m",
-        "du-n-eq-m", "best-lpa-n-eq-m", "random-n-eq-m",
+        "du-n-eq-m", "du-23-n-eq-m", "best-lpa-n-eq-m", "random-n-eq-m",
         "perturbed-1e-14", "perturbed-1e-8", "perturbed-1e-2", "kernel-within-check"])
 def test_factor_reads_match_dense_oracles_at_edges(build):
     inst = build()
     _assert_factor_reads_match_dense(inst)
     r = inst.txn_svd[1]
     assert r == numerical_rank(svd(inst.t @ inst.x_n.basis).singular_values,
-                               (inst.m, inst.x_n.dim), inst.rank_tol, scale=inst.sigma_max)
+                               (inst.m, inst.x_n.dim), inst.factor.rank_tol, scale=inst.sigma_max)
+    if inst.x_n.dim == inst.m:  # T X_n is T in another basis: one rank, one kernel
+        assert r == inst.rank and inst.kernel_core_dim == inst.kernel_dim
     # the bound check and the zero-offset report read the one decision
     captured = kernel_captured(inst, Tolerances().check)
     assert zero_offset_characterization(inst).kernel_inside == captured
@@ -1173,8 +1193,8 @@ def test_offset_angle_images_keep_txn_rank(name, params, n, m):
 
 
 # du's smallest singular value is 4^-m and sigma_max is 1, so the cliff is
-# the first m with 4^-m below the cutoff: rank_tol, or m * eps by default
-_DU_CLIFFS = {None: 24, 1e-14: 24, 1e-12: 20, 1e-10: 17, 1e-8: 14}
+# the first m with 4^-m below the cutoff: rank_tol, or 10 m eps by default
+_DU_CLIFFS = {None: 23, 1e-14: 24, 1e-12: 20, 1e-10: 17, 1e-8: 14}
 
 
 _CLIFF_CASES = [(n, tol) for n in (2, 4, 8) for tol in _DU_CLIFFS]

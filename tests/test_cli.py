@@ -93,6 +93,8 @@ def test_config_minimal_accepted():
     ({"outputs": [{"path": 5, "format": "csv"}]}, "path"),
     ({"outputs": [{"path": "", "format": "csv"}]}, "path"),
     ({"outputs": [{"path": None, "format": "json"}]}, "path"),
+    ({"outputs": [{"path": "a/x.out", "format": "csv"},
+                  {"path": "a/./x.out", "format": "json"}]}, r"outputs\[1\]\.path"),
 ])
 def test_config_rejects_malformed_fields(broken, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -153,17 +155,24 @@ def test_run_scan_seidman_verdicts():
     assert sines == sorted(sines)
 
 
-def test_run_scan_best_lpa_verdicts():
+@pytest.mark.parametrize("params, n_list, passed", [
+    ({}, [2, 4, 8, 12], "4/4"),
+    ({"sigmas": [1, 0.5, 1e-14]}, [1, 2, 3], "1/1"),
+], ids=["default", "sigma-near-the-cutoff"])
+def test_run_scan_best_lpa_verdicts(params, n_list, passed):
+    # sigma = 1e-14 lies under the cutoff 10 m eps (m = 20), so T's rank is
+    # 2 and X_3 holds the whole kernel; the core never outgrows N(T)
     cfg = scan_config_from_dict({
-        "operator": {"name": "best-lpa"},
-        "n_list": [2, 4, 8, 12],
+        "operator": {"name": "best-lpa", "params": params},
+        "n_list": n_list,
         "m_rule": "fixed:20",
     })
     rep = run_scan(cfg)
     assert rep.verdicts["kernel_approximability"] == "holds"
     assert rep.verdicts["sup_theta_bounded"] == "bounded"
-    assert rep.verdicts["bound_checks_passed"] == "4/4"
+    assert rep.verdicts["bound_checks_passed"] == passed
     assert all(r.theta_n <= 1e-8 for r in rep.rows)
+    assert all(r.kernel_core_dim <= r.kernel_dim for r in rep.rows)
 
 
 @pytest.mark.parametrize("factors, want", [
@@ -391,6 +400,17 @@ def test_cli_analyze_outputs_not_a_list_exits_2(tmp_path, capsys):
     assert main(["analyze", write_config(tmp_path, outputs=5)]) == 2
     err = capsys.readouterr().err
     assert "outputs" in err and "Traceback" not in err
+
+
+def test_cli_analyze_unwritable_output_exits_2(tmp_path, capsys):
+    # an output path under a regular file cannot be made: a usage error
+    # named on stderr, not a traceback
+    (tmp_path / "plain").write_text("")
+    cfg = write_config(tmp_path, outputs=[{"path": "plain/rows.csv", "format": "csv"}])
+    assert main(["analyze", cfg, "--out-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot write an output: ") and "plain" in err
+    assert "wrote" not in out
 
 
 def test_cli_analyze_missing_file_exits_2(tmp_path, capsys):
