@@ -22,7 +22,6 @@ from .analysis import (
     make_lpa,
     norm_tn_dag_t,
     offset_angle,
-    qn_matrix,
     tn_pinv_apply,
     zero_offset_characterization,
 )
@@ -41,7 +40,6 @@ from .linalg import (
     deficiency,
     gap,
     kernel_basis,
-    numerical_rank,
     oblique_projector_norm_identity,
     orthonormal_range,
     projector,
@@ -106,13 +104,11 @@ __all__ = [
     "load_scan_config",
     "make_lpa",
     "norm_tn_dag_t",
-    "numerical_rank",
     "oblique_projector_norm_identity",
     "offset_angle",
     "orthonormal_range",
     "projector",
     "pseudo_inverse",
-    "qn_matrix",
     "random_finite_kernel",
     "resolve_m",
     "render_csv",

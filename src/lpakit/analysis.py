@@ -43,9 +43,9 @@ space, T^+ and T_n^+ are applied through the factors of T and of T X_n,
 and the rest have at most 2r rows or columns, so a row forms no m x m
 array. When dim X_n is of order m a row still makes the
 m x m x dim X_n product T X_n, but no m x ~m factorization. The m x m
-matrices t_pinv (unless it is the factor's T^{-1}), tn(), tn_pinv and
-qn_matrix(), and the core's basis kernel_core(), serve the zero-offset
-report, the suites and the dense oracles.
+matrices t_pinv (unless it is the factor's T^{-1}), tn() and tn_pinv, and
+the core's basis kernel_core(), serve the zero-offset report, the suites and
+the dense oracles.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from .linalg import (
     gap,
     pinv_from_svd,
     projector,
+    rank_cutoff,
     svd,
 )
 from .operators import OperatorFamily, du_bad_y, du_vector_e, get_family
@@ -80,7 +81,6 @@ __all__ = [
     "LpaDiagnostics",
     "make_lpa",
     "tn_pinv_apply",
-    "qn_matrix",
     "offset_angle",
     "kernel_core",
     "kernel_captured",
@@ -251,12 +251,13 @@ def _one_inf_bound(x: np.ndarray) -> float:
     return math.sqrt(col.max(initial=0.0)) * math.sqrt(row.max(initial=0.0))
 
 
-def _proved_inverse(t: np.ndarray, tol: float):
-    """(T^{-1}, hi) when T^{-1} proves every rank decision an inverted factor
-    makes, else None; hi >= sigma_max(T) is _sigma_max_bound's.
+def _proved_inverse(t: np.ndarray, tol: float | None):
+    """(T^{-1}, cutoff) when T^{-1} proves every rank decision an inverted
+    factor makes, else None; cutoff is rank_cutoff's at tol (None: the
+    rule's default) and anchor hi >= sigma_max(T), _sigma_max_bound's.
 
     An inverted factor decides T's rank and, in each row, the rank of T X_n
-    (LpaInstance.txn_svd) against one cutoff, tol hi (TruncationFactor's
+    (LpaInstance.txn_svd) against that one cutoff, tol hi (TruncationFactor's
     cutoff); the proof alone floors tol at m eps. T^{-1} is formed first (see
     _inverse), then sigma_min = 1/||T^{-1}||_2 >= 1/N(T^{-1}) for N the
     Frobenius norm and for N = sqrt(||.||_1 ||.||_inf) (Hoelder's
@@ -293,19 +294,21 @@ def _proved_inverse(t: np.ndarray, tol: float):
     inv = _inverse(t)
     if inv is None:
         return None
-    cut = _PROOF_FACTOR * max(tol, t.shape[0] * EPS) * hi
+    cutoff = rank_cutoff((), t.shape, tol, hi)[1]
+    cut = _PROOF_FACTOR * max(cutoff, t.shape[0] * EPS * hi)
     with np.errstate(over="ignore"):  # an overflowing norm reads inf: no proof
         proved = np.linalg.norm(inv) * cut < 1.0 or _one_inf_bound(inv) * cut < 1.0
-    return (inv, hi) if proved else None
+    return (inv, cutoff) if proved else None
 
 
 class TruncationFactor:
     """One m x m truncation T factored, and what is read off it: rank rho,
     sigma_max, the singular values Sigma_rho, the row space R and the kernel
-    K = R^perp. cutoff = tol x anchor is the one rank threshold (tol:
-    rank_tol, 10 m eps when None; anchor: sigma_max on the SVD route, the
-    bound hi >= sigma_max when T was inverted): rho counts T's singular values
-    above it, each row's r those of T X_n (LpaInstance.txn_svd).
+    K = R^perp. cutoff = tol x anchor is the one rank threshold, by
+    linalg.rank_cutoff's rule (tol: rank_tol, the rule's default when None;
+    anchor: sigma_max on the SVD route, the bound hi >= sigma_max when T was
+    inverted): rho counts T's singular values above it, each row's r those
+    of T X_n (LpaInstance.txn_svd).
 
     Two routes. By default, T's SVD: the rank-rho left factor U_rho, and
     R and K from V. LAPACK factors only T's coupled block; each decoupled
@@ -337,18 +340,16 @@ class TruncationFactor:
         self.t = t
         self.m = t.shape[0]
         self.rank_tol = rank_tol
-        tol = 10 * self.m * EPS if rank_tol is None else rank_tol
-        inverse = _proved_inverse(t, tol) if injective else None
+        inverse = _proved_inverse(t, rank_tol) if injective else None
         if inverse is not None:
-            self.t_pinv, hi = inverse
-            self.cutoff = tol * hi
+            self.t_pinv, self.cutoff = inverse
             self.rank, self.u_rho = self.m, None
             self.kernel = Subspace.zero(self.m)
         else:
             s, vectors = _factor_svd(t)
             self.sigma_max = float(s[0]) if self.m else 0.0
-            self.cutoff = tol * self.sigma_max
-            self.rank = r = int(np.sum(s > self.cutoff))
+            self.rank, self.cutoff = rank_cutoff(s, t.shape, rank_tol)
+            r = self.rank
             self.u_rho, vt = vectors(r)
             del vectors  # frees the SVD's arrays before the Subspace checks' Gram matrices
             self.s_rho = s[:r]
@@ -388,12 +389,6 @@ class TruncationFactor:
         return pinv_from_svd(SvdResult(self.u_rho, self.s_rho, self.rowspace.basis.T), self.rank)
 
 
-def _family_factor(family: OperatorFamily, m: int,
-                   rank_tol: float | None) -> TruncationFactor:
-    return TruncationFactor(family.truncate(m), rank_tol,
-                            injective=family.kernel_dim_hint == 0)
-
-
 def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
     """factor(m): family.truncate(m) factored, keeping only the latest m,
     inverted when the family declares N(T) = {0} (see TruncationFactor).
@@ -407,7 +402,8 @@ def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
         nonlocal last
         if last is None or last.m != m:
             last = None
-            last = _family_factor(family, m, rank_tol)
+            last = TruncationFactor(family.truncate(m), rank_tol,
+                                    injective=family.kernel_dim_hint == 0)
         return last
 
     return factor
@@ -417,11 +413,11 @@ class LpaInstance:
     """One (T, X_n) pair at truncation m, owning the factorizations that
     depend on X_n.
 
-    T is given as a matrix, factored here, or as a TruncationFactor shared
-    with other instances at the same m (factor); its attributes (t, rank,
-    sigma_max, t_pinv, rowspace, kernel) are exposed on the instance,
-    sigma_max, t_pinv and rowspace read from the factor, which forms them on
-    first read when it inverted T. What the instance does depends on the
+    T is given as a matrix, factored here at the default rank_tol, or as a
+    TruncationFactor shared with other instances at the same m (factor);
+    its attributes (t, rank, sigma_max, t_pinv, rowspace, kernel) are
+    exposed on the instance, sigma_max, t_pinv and rowspace read from the
+    factor, which forms them on first read when it inverted T. What the instance does depends on the
     factor's ranks alone, never on its route. First use computes, once: the
     SVD of T X_n (txn_svd), whose rank r, decided at the factor's cutoff
     like T's own, splits it into the range T(X_n), which
@@ -435,11 +431,8 @@ class LpaInstance:
     arbitrary orthonormal basis may be supplied instead.
     """
 
-    def __init__(self, t, n: int, x_basis: np.ndarray | None = None,
-                 rank_tol: float | None = None):
-        factor = t if isinstance(t, TruncationFactor) else TruncationFactor(t, rank_tol)
-        if rank_tol is not None and rank_tol != factor.rank_tol:
-            raise ValueError(f"rank_tol {rank_tol} differs from the factor's {factor.rank_tol}")
+    def __init__(self, t, n: int, x_basis: np.ndarray | None = None):
+        factor = t if isinstance(t, TruncationFactor) else TruncationFactor(t)
         self.m = factor.m
         if not 1 <= n <= self.m:
             raise ValueError(f"need 1 <= n <= m, got n={n}, m={self.m}")
@@ -500,7 +493,7 @@ class LpaInstance:
         else:
             z = svd(f.u_rho.T @ txn)
             res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
-        return res, int(np.sum(res.singular_values > f.cutoff))
+        return res, rank_cutoff(res.singular_values, txn.shape, 1.0, f.cutoff)[0]
 
     @cached_property
     def tn_pinv(self) -> np.ndarray:
@@ -554,22 +547,23 @@ class LpaInstance:
         return sin_gap, math.sqrt(max(0.0, 1.0 - 1.0 / nrm**2)) if nrm > 1.0 else 0.0
 
 
-def make_lpa(family: OperatorFamily, n: int, m: int, rank_tol: float | None = None,
+def make_lpa(family: OperatorFamily, n: int, m: int,
              factor: TruncationFactor | None = None) -> LpaInstance:
     """Instance at subspace index n and ambient truncation m.
 
     Uses the family's own approximation subspaces when it defines them,
     coordinate subspaces otherwise. factor, when given, is the family's
-    truncation at m already factored at rank_tol; otherwise it is built,
-    inverted when the family declares N(T) = {0} (see TruncationFactor).
+    truncation at m already factored (see shared_factors), the one path by
+    which a rank_tol reaches the instance; otherwise it is shared_factors'
+    default, inverted when the family declares N(T) = {0}.
     """
     family.check(n, m)
     if factor is not None and factor.m != m:
         raise ValueError(f"factor is for m={factor.m}, not m={m}")
     x_basis = family.xn_basis(n, m) if family.xn_basis is not None else None
     if factor is None:
-        factor = _family_factor(family, m, rank_tol)
-    return LpaInstance(factor, n, x_basis, rank_tol)
+        factor = shared_factors(family)(m)
+    return LpaInstance(factor, n, x_basis)
 
 
 def tn_pinv_apply(inst: LpaInstance, y) -> np.ndarray:
@@ -604,17 +598,6 @@ def _qn_factors(inst: LpaInstance) -> tuple[np.ndarray, np.ndarray]:
     res, r = inst.txn_svd
     u_r = res.u[:, :r]
     return inst.factor.pinv_apply(u_r), inst.t.T @ u_r
-
-
-def qn_matrix(inst: LpaInstance) -> np.ndarray:
-    """The oblique projector T^+ P_{T(X_n)} T, as a dense m x m matrix.
-
-    Its range is T^+T(X_n), its kernel is the orthogonal complement of
-    T^*T(X_n), and it is idempotent up to roundoff. The diagnostics take
-    ||I - Q_n|| without forming it; this is their dense oracle.
-    """
-    a, b = _qn_factors(inst)
-    return a @ b.T
 
 
 def _norm_i_minus_qn(inst: LpaInstance) -> float:
@@ -937,6 +920,7 @@ def du_divergence_check(n_max: int = 20,
     if not 1 <= n_max <= 20:
         raise ValueError(f"n_max must be in [1, 20], got {n_max}")
     family = get_family("du")
+    factor = shared_factors(family, tolerances.rank)
     rows = []
     passed = True
     floor, cap = 0.3, 2.0
@@ -946,7 +930,7 @@ def du_divergence_check(n_max: int = 20,
         e = du_vector_e(m)
         coef = float(np.exp2(2.0 * n) * np.dot(y[n:], e[n:]))
         closed = 1.0 - (3.0 / 7.0) * 2.0 ** (-n)
-        inst = make_lpa(family, n, m, tolerances.rank)
+        inst = make_lpa(family, n, m, factor(m))
         x = tn_pinv_apply(inst, y)
         sol_norm = float(np.linalg.norm(x))
         div_gap = float(np.linalg.norm(x - inst.factor.pinv_apply(y)))

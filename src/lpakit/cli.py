@@ -5,8 +5,9 @@ writes CSV/JSON outputs, plus one stderr warning naming every n where the
 two offset-angle routes disagree beyond tolerances.route_warn; `verify`
 runs a named check suite; `gallery` lists the built-in operator families.
 Exit codes: 0 success, 1 a verify check failed, 2 usage or config error
-(an unknown suite name and an output that cannot be written included), 3
-numerical failure inside a scan or an error that stops a suite.
+(an unknown suite name and an output that cannot be written included; the
+outputs written before it are still named), 3 numerical failure inside a
+scan or an error that stops a suite.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from .config import ConfigError, load_scan_config
 from .operators import FAMILY_NAMES, get_family
-from .scan import ScanNumericalError, render_csv, run_scan, write_outputs
+from .scan import OutputError, ScanNumericalError, render_csv, run_scan, write_outputs
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main"]
@@ -64,12 +65,14 @@ def _cmd_analyze(config_path: str, out_dir: str | None) -> int:
     for key, value in report.verdicts.items():
         print(f"  {key}: {value}")
     try:
-        written = write_outputs(report, out_dir)
-    except OSError as exc:
-        print(f"error: cannot write an output: {exc}", file=sys.stderr)
-        return 2
+        written, failure = write_outputs(report, out_dir), None
+    except OutputError as exc:
+        written, failure = exc.written, exc
     for path in written:
         print(f"wrote {path}")
+    if failure is not None:
+        print(f"error: cannot write an output: {failure}", file=sys.stderr)
+        return 2
     return 0
 
 

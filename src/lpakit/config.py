@@ -25,9 +25,11 @@ class ConfigError(ValueError):
 class Tolerances:
     """All numerical slacks in one record.
 
-    rank: relative cutoff factor for every rank decision, T's and each T X_n's,
+    rank: tol of the package's one rank rule (linalg.rank_cutoff) for the
+        decisions a truncation factor makes, T's rank and each T X_n's,
         against sigma_max(T) or, when T was inverted, a bound above it
-        (analysis.TruncationFactor.cutoff); None means 10 * m * eps.
+        (analysis.TruncationFactor.cutoff); None means the rule's default.
+        It reaches a row only through the factor (analysis.shared_factors).
     check: decision tolerance for the yes/no diagnostics: offset angle zero,
         and the kernel gap within which the kernel core fills N(T), the one
         containment decision (analysis.kernel_captured) that the bound

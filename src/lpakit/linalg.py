@@ -1,8 +1,9 @@
 """Dense linear algebra used everywhere else in the package.
 
-Everything is built on one deterministic SVD backend. Rank decisions are
-centralized in :func:`numerical_rank` so that the pseudoinverse, range and
-kernel extraction all agree on what counts as zero. Subspaces are held only as
+Everything is built on one deterministic SVD backend. Every rank decision in
+the package, the pseudoinverse's, range's and kernel's here and a truncation
+factor's of T and of each T X_n, follows the one rule of :func:`rank_cutoff`,
+so that all of them agree on what counts as zero. Subspaces are held only as
 orthonormal bases (see :class:`Subspace`), each checked once, a caller's or
 LAPACK's alike, by ``||B^T B - I||_F <= 1e-12 max(1, m)``: O(m k^2), no LAPACK
 call. gap and deficiency work on bases; :func:`projector` builds the m x m
@@ -25,7 +26,7 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "svd",
-    "numerical_rank",
+    "rank_cutoff",
     "pseudo_inverse",
     "pinv_from_svd",
     "orthonormal_range",
@@ -124,36 +125,34 @@ def svd(a, full_matrices: bool = True) -> SvdResult:
     return SvdResult(u=u, singular_values=s, vt=vt)
 
 
-def numerical_rank(singular_values: np.ndarray, shape, rank_tol: float | None = None,
-                   scale: float | None = None) -> int:
-    """Number of singular values above the cutoff ``rank_tol * anchor``.
+def rank_cutoff(singular_values, shape, tol: float | None = None,
+                anchor: float | None = None) -> tuple[int, float]:
+    """The package's one rank rule: (rank, cutoff), with cutoff = tol * anchor
+    and rank the number of singular values above it.
 
-    The anchor is the largest singular value unless `scale` is given. Pass
-    the producing map's norm as `scale` when the matrix holds images of unit
-    vectors under that map: a numerically zero image then collapses to rank 0
-    instead of promoting roundoff noise to full rank.
-
-    rank_tol defaults to ``max(shape) * eps`` against the largest singular
-    value, and to ten times that against an explicit scale anchor: anchored
-    decisions judge matrix products whose roundoff floor sits near
-    ``max(shape) * eps * scale``, so the cutoff needs headroom above the
-    floor rather than above exact-arithmetic zero.
+    tol defaults to ``10 * max(shape) * eps``: the matrix's roundoff floor
+    sits near ``max(shape) * eps * anchor``, so the cutoff keeps headroom
+    above that floor rather than above exact-arithmetic zero. anchor defaults
+    to the largest singular value (0 when there is none). Pass a map's norm
+    as anchor when the matrix holds images of unit vectors under that map: a
+    numerically zero image then collapses to rank 0 instead of promoting
+    roundoff noise to full rank. A caller that holds a cutoff already passes
+    it as anchor with tol = 1.
     """
     s = np.asarray(singular_values)
-    if s.size == 0:
-        return 0
-    if rank_tol is None:
-        rank_tol = max(shape) * EPS * (1.0 if scale is None else 10.0)
-    anchor = float(s[0]) if scale is None else float(scale)
-    return int(np.sum(s > rank_tol * anchor))
+    if tol is None:
+        tol = 10 * max(shape) * EPS
+    if anchor is None:
+        anchor = float(s[0]) if s.size else 0.0
+    cutoff = tol * anchor
+    return int(np.sum(s > cutoff)), cutoff
 
 
-def pseudo_inverse(a, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse via SVD with singular values below
-    ``rank_tol * sigma_max`` treated as zero."""
+def pseudo_inverse(a) -> np.ndarray:
+    """Moore-Penrose inverse via SVD, at the rank :func:`rank_cutoff` decides."""
     a = as_matrix(a)
     res = svd(a)
-    return pinv_from_svd(res, numerical_rank(res.singular_values, a.shape, rank_tol))
+    return pinv_from_svd(res, rank_cutoff(res.singular_values, a.shape)[0])
 
 
 def pinv_from_svd(res: SvdResult, rank: int) -> np.ndarray:
@@ -163,25 +162,22 @@ def pinv_from_svd(res: SvdResult, rank: int) -> np.ndarray:
     return (res.vt[:rank].T / res.singular_values[:rank]) @ res.u[:, :rank].T
 
 
-def orthonormal_range(a, rank_tol: float | None = None) -> Subspace:
-    """Orthonormal basis of the numerical column space of `a`, its rank
-    judged against its own largest singular value."""
+def orthonormal_range(a) -> Subspace:
+    """Orthonormal basis of the numerical column space of `a`, at the rank
+    :func:`rank_cutoff` decides."""
     a = as_matrix(a)
     res = svd(a, full_matrices=False)
-    r = numerical_rank(res.singular_values, a.shape, rank_tol)
+    r, _ = rank_cutoff(res.singular_values, a.shape)
     return Subspace(res.u[:, :r].copy())
 
 
-def kernel_basis(a, rank_tol: float | None = None,
-                 scale: float | None = None) -> Subspace:
-    """Orthonormal basis of the numerical null space of `a`.
-
-    dim = cols - numerical rank. `scale` overrides the rank anchor, see
-    :func:`numerical_rank`.
-    """
+def kernel_basis(a, cutoff: float | None = None) -> Subspace:
+    """Orthonormal basis of the numerical null space of `a`, of dimension
+    cols - rank: the rank :func:`rank_cutoff` decides, at `cutoff` when it is
+    given (a TruncationFactor's, say)."""
     a = as_matrix(a)
     res = svd(a)
-    r = numerical_rank(res.singular_values, a.shape, rank_tol, scale)
+    r, _ = rank_cutoff(res.singular_values, a.shape, None if cutoff is None else 1.0, cutoff)
     return Subspace(res.vt[r:].T.copy())
 
 

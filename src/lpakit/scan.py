@@ -31,6 +31,7 @@ from .operators import get_family
 
 __all__ = [
     "ScanNumericalError",
+    "OutputError",
     "ScanReport",
     "run_scan",
     "CSV_HEADER",
@@ -56,6 +57,15 @@ class ScanNumericalError(RuntimeError):
         self.n = n
         super().__init__(
             f"numerical failure for operator {operator!r} at n={n}: {detail}")
+
+
+class OutputError(OSError):
+    """An output that could not be written; written names the outputs
+    written before it, in config order."""
+
+    def __init__(self, message: str, written: list[str]):
+        super().__init__(message)
+        self.written = written
 
 
 @dataclass(frozen=True)
@@ -86,7 +96,7 @@ def _scan_row(config: ScanConfig, family, factor, n: int) -> tuple[LpaDiagnostic
     fails. The instance is freed on return, so once the next row moves to a new
     m nothing holds the old factor."""
     m = config.m_for(n)
-    inst = make_lpa(family, n, m, config.tolerances.rank, factor(m))
+    inst = make_lpa(family, n, m, factor(m))
     row = diagnose(inst, config.tolerances)
     y = np.random.default_rng([config.seed, n]).standard_normal(inst.m)
     try:
@@ -183,17 +193,20 @@ def render_json(report: ScanReport) -> str:
 
 
 def write_outputs(report: ScanReport, out_dir: str | None = None) -> list[str]:
-    """Write every configured output, prefixing relative paths with out_dir."""
+    """Write every configured output, prefixing relative paths with out_dir,
+    and return their paths. The first output that cannot be written stops
+    the run with OutputError, which names the outputs written before it."""
     written = []
     for spec in report.config.outputs:
         path = spec.path
         if out_dir is not None and not os.path.isabs(path):
             path = os.path.join(out_dir, path)
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
         text = render_csv(report) if spec.format == "csv" else render_json(report)
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OutputError(str(exc), written) from exc
         written.append(path)
     return written

@@ -195,7 +195,7 @@ def _suite_eq20() -> list[CheckResult]:
         y = np.random.default_rng(seed).standard_normal(inst.m)
         rep = error_identity_check(inst, y)
         worst_identity = max(worst_identity, rep.diff / rep.tol)
-        p_kernel_tn = projector(kernel_basis(inst.tn(), scale=inst.sigma_max))
+        p_kernel_tn = projector(kernel_basis(inst.tn(), inst.factor.cutoff))
         split = projector(kernel_core(inst)) + np.eye(inst.m) - projector(inst.x_n)
         worst_split = max(worst_split, float(np.linalg.norm(p_kernel_tn - split, 2)))
     return [

@@ -35,7 +35,7 @@ from lpakit.analysis import (
     make_lpa,
     norm_tn_dag_t,
     offset_angle,
-    qn_matrix,
+    shared_factors,
     tn_pinv_apply,
     zero_offset_characterization,
 )
@@ -46,10 +46,11 @@ from lpakit.linalg import (
     deficiency,
     gap,
     kernel_basis,
-    numerical_rank,
     orthonormal_range,
     pinv_from_svd,
     projector,
+    pseudo_inverse,
+    rank_cutoff,
     svd,
 )
 from lpakit.operators import du_bad_y, du_vector_e, get_family, random_finite_kernel
@@ -79,6 +80,20 @@ def coordinate_instance(seed: int, m: int, n: int, kernel_dim: int) -> LpaInstan
     return LpaInstance(random_finite_kernel(m, kernel_dim, seed), n)
 
 
+def _default_tol(m: int) -> float:
+    # the rank rule's default tol for an m x m truncation
+    return rank_cutoff((), (m, m), anchor=1.0)[1]
+
+
+def qn_matrix(inst: LpaInstance) -> np.ndarray:
+    # the oblique projector Q_n = T^+ P_{T(X_n)} T as a dense m x m matrix,
+    # A B^T from the route's own factors (A = T^+ U_r, B = T^T U_r): its
+    # range is T^+T(X_n), its kernel the complement of T^*T(X_n). The
+    # diagnostics take ||I - Q_n|| without forming it; this is their oracle
+    a, b = lpakit.analysis._qn_factors(inst)
+    return a @ b.T
+
+
 # ------------------------------------------------------------- construction
 
 
@@ -105,15 +120,12 @@ def test_make_lpa_rejects_n_above_m():
 
 
 def test_instance_shares_a_truncation_factor():
-    # instances built from one factor read its arrays, not copies, and a
-    # rank_tol other than the factor's is refused
+    # instances built from one factor read its arrays, not copies
     factor = TruncationFactor(random_finite_kernel(12, 3, 0), 1e-10)
-    a, b = LpaInstance(factor, 4), LpaInstance(factor, 8, rank_tol=1e-10)
+    a, b = LpaInstance(factor, 4), LpaInstance(factor, 8)
     assert "t_pinv" not in vars(factor)  # the m x m T^+ is formed on first read
     assert a.t_pinv is b.t_pinv is factor.t_pinv and a.kernel is factor.kernel
     assert (a.rank, a.factor.rank_tol) == (9, 1e-10)
-    with pytest.raises(ValueError, match="rank_tol"):
-        LpaInstance(factor, 4, rank_tol=1e-8)
     with pytest.raises(ValueError, match="m=12"):
         make_lpa(get_family("random", kernel_dim=3), 4, 10, factor=factor)
 
@@ -266,7 +278,7 @@ def _assert_factor_matches_dense(t, rank_tol=None) -> bool:
     # the rank cutoff uses T's full shape, not the block's; the ranks must
     # agree unless the two sets of singular values straddle the cutoff
     factor = TruncationFactor(t, rank_tol)
-    rho = numerical_rank(s_dense, t.shape, rank_tol)
+    rho = rank_cutoff(s_dense, t.shape, rank_tol)[0]
     if not _rank_is_clear(s_dense, float(np.max(np.abs(s - s_dense))), t.shape, rank_tol):
         return False
     assert factor.rank == rho
@@ -585,15 +597,16 @@ def test_sigma_bounds_bracket_lapacks_sigma_max(seed, m, kind):
 def _proof_holds(t, rank_tol):
     # TruncationFactor's full-rank proof, from its documented rule:
     # 1/N(T^{-1}) > 4 tol hi for N = ||.||_F or N = sqrt(||.||_1 ||.||_inf),
-    # tol = rank_tol floored at m eps, or 10 m eps when None,
-    # hi = min(||T||_F, sqrt(||T||_1 ||T||_inf)) widened by 4 m eps; T^{-1}
-    # is the factor's own (by halves for a triangular T above 64)
+    # tol hi = the rank rule's cutoff at rank_tol and anchor hi, floored at
+    # m eps hi, hi = min(||T||_F, sqrt(||T||_1 ||T||_inf)) widened by 4 m eps;
+    # T^{-1} is the factor's own (by halves for a triangular T above 64)
     m = len(t)
-    tol = 10 * m * EPS if rank_tol is None else max(rank_tol, m * EPS)
     hi = min(np.linalg.norm(t), math.sqrt(np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf)))
+    hi *= 1 + 4 * m * EPS
+    cutoff = max(rank_cutoff((), t.shape, rank_tol, hi)[1], m * EPS * hi)
     inv = lpakit.analysis._inverse(t)
     norm = min(np.linalg.norm(inv), math.sqrt(np.linalg.norm(inv, 1) * np.linalg.norm(inv, np.inf)))
-    return 1.0 / norm > 4 * tol * hi * (1 + 4 * m * EPS)
+    return 1.0 / norm > 4 * cutoff
 
 
 def _spectrum(rng, m, ratio):
@@ -635,7 +648,7 @@ def _graded_of_kind(rng, m, ratio, kind):
 @example(seed=1, m=100, log2_k=2.8, rank_tol=None, kind="arrow")
 def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k, rank_tol, kind):
     # T graded with sigma_min / sigma_max = k tol (exactly for dense and
-    # triangular T), tol the proof's cutoff (rank_tol, 10 m eps when None)
+    # triangular T), tol the proof's (rank_tol, the rule's default when None)
     # and k in [1/4, 64], log-uniform; lower triangular T above order 64
     # are inverted by halves, upper ones by LU. The inverted factor's rank
     # is the SVD route's.
@@ -644,7 +657,7 @@ def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k,
     # SVD, and its values-only SVD is taken on the first read of s_rho or
     # sigma_max, once, with the values it gives for T. The example is an
     # arrow T that only sqrt(||T^{-1}||_1 ||T^{-1}||_inf) proves
-    tol = 10 * m * EPS if rank_tol is None else rank_tol
+    tol = rank_cutoff((), (m, m), rank_tol, 1.0)[1]
     t = _graded_of_kind(np.random.default_rng(seed), m, 2.0**log2_k * tol, kind)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_svd_calls(mp)
@@ -676,7 +689,7 @@ def test_inverted_factor_proves_the_rank_of_every_txn(seed, m, log2_k, data):
     # m x m SVD, with or without vectors (2 dim X_n < m, so no row-sized
     # matrix is m x m either)
     rng = np.random.default_rng(seed)
-    t = _graded(rng, m, 2.0**log2_k * 10 * m * EPS)
+    t = _graded(rng, m, 2.0**log2_k * _default_tol(m))
     factor = TruncationFactor(t, injective=True)
     if factor.u_rho is not None:
         return
@@ -689,7 +702,7 @@ def test_inverted_factor_proves_the_rank_of_every_txn(seed, m, log2_k, data):
     assert [c for c in calls if c[0] == (m, m)] == [], calls
     res, r = inst.txn_svd
     sigma_max = np.linalg.svd(t, compute_uv=False)[0]
-    assert r == n == numerical_rank(res.singular_values, (m, n), scale=sigma_max)
+    assert r == n == rank_cutoff(res.singular_values, (m, n), anchor=sigma_max)[0]
     assert r == LpaInstance(TruncationFactor(t), n, basis).txn_svd[1]
 
 
@@ -701,7 +714,7 @@ def test_t_and_t_xn_share_one_rank_at_xn_the_whole_space(seed, m, log2_k):
     # [1/4, 64], log-uniform, so sigma_min falls on either side of the
     # default cutoff. At X_n = R^m, T X_n is T: its rank r is T's, and the
     # kernel core N(T) & R^m is no larger than N(T)
-    t = _graded(np.random.default_rng(seed), m, 2.0**log2_k * 10 * m * EPS)
+    t = _graded(np.random.default_rng(seed), m, 2.0**log2_k * _default_tol(m))
     inst = LpaInstance(TruncationFactor(t), m)
     assert inst.txn_svd[1] == inst.rank
     assert inst.kernel_core_dim <= inst.kernel_dim
@@ -718,15 +731,15 @@ def test_txn_rank_between_the_anchored_cutoffs_takes_the_svd_route(seed):
     m, n = 32, 4
     q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
     t = q.copy()
-    t[:, 0] *= 10 * m * EPS * 0.5 * (1.0 + _sigma_max_bound(q))
+    t[:, 0] *= _default_tol(m) * 0.5 * (1.0 + _sigma_max_bound(q))
     factor = TruncationFactor(t, injective=True)
     assert factor.u_rho is not None and not _proof_holds(t, None)
     _assert_same_factor(factor, TruncationFactor(t))
-    assert factor.cutoff == 10 * m * EPS * factor.sigma_max
+    assert factor.cutoff == _default_tol(m) * factor.sigma_max
     assert factor.sigma_max == pytest.approx(1.0, rel=1e-13)
     res, r = LpaInstance(factor, n).txn_svd
-    assert r == numerical_rank(res.singular_values, (m, n), scale=factor.sigma_max) == n
-    assert numerical_rank(res.singular_values, (m, n), scale=_sigma_max_bound(t)) == n - 1
+    assert r == rank_cutoff(res.singular_values, (m, n), anchor=factor.sigma_max)[0] == n
+    assert rank_cutoff(res.singular_values, (m, n), anchor=_sigma_max_bound(t))[0] == n - 1
 
 
 def test_seidman_scan_at_768_takes_no_m_by_m_svd(monkeypatch):
@@ -978,11 +991,11 @@ def test_qn_factors_through_kernel_complement():
 # ------------------------------------------------- reads off T's rank-rho factor
 
 
-def _rank_is_clear(s, delta, shape, rank_tol, scale=None) -> bool:
-    # no singular value lies within delta of the cutoff: shifting all of them
-    # by -delta or +delta moves none across it
-    lo = numerical_rank(np.maximum(s - delta, 0.0), shape, rank_tol, scale)
-    return lo == numerical_rank(s + delta, shape, rank_tol, scale)
+def _rank_is_clear(s, delta, shape, rank_tol, anchor=None) -> bool:
+    # no singular value lies within delta of the rank rule's cutoff: shifting
+    # all of them by -delta or +delta moves none across it
+    lo = rank_cutoff(np.maximum(s - delta, 0.0), shape, rank_tol, anchor)[0]
+    return lo == rank_cutoff(s + delta, shape, rank_tol, anchor)[0]
 
 
 def _assert_factor_reads_match_dense(inst) -> None:
@@ -1005,8 +1018,8 @@ def _assert_factor_reads_match_dense(inst) -> None:
     assert np.all(s_dense[s.size:] <= delta)
     if not txn.any():  # X_n inside a planted kernel: exact zeros stay exact
         assert not s.any() and r == 0
-    want_r = numerical_rank(s_dense, shape, inst.factor.rank_tol, scale=inst.sigma_max)
-    if _rank_is_clear(s_dense, delta, shape, inst.factor.rank_tol, scale=inst.sigma_max):
+    want_r = rank_cutoff(s_dense, shape, inst.factor.rank_tol, inst.sigma_max)[0]
+    if _rank_is_clear(s_dense, delta, shape, inst.factor.rank_tol, inst.sigma_max):
         assert r == want_r
     if r == want_r:
         # U_r and the kernel core move by at most delta over the singular
@@ -1097,8 +1110,8 @@ def test_factor_reads_match_dense_oracles_at_edges(build):
     inst = build()
     _assert_factor_reads_match_dense(inst)
     r = inst.txn_svd[1]
-    assert r == numerical_rank(svd(inst.t @ inst.x_n.basis).singular_values,
-                               (inst.m, inst.x_n.dim), inst.factor.rank_tol, scale=inst.sigma_max)
+    assert r == rank_cutoff(svd(inst.t @ inst.x_n.basis).singular_values,
+                            (inst.m, inst.x_n.dim), inst.factor.rank_tol, inst.sigma_max)[0]
     if inst.x_n.dim == inst.m:  # T X_n is T in another basis: one rank, one kernel
         assert r == inst.rank and inst.kernel_core_dim == inst.kernel_dim
     # the bound check and the zero-offset report read the one decision
@@ -1210,10 +1223,11 @@ def test_du_rank_cliff_flips_everything_together(n, rank_tol):
     # agreeing throughout and both images of dimension r.
     check = Tolerances().check
     fam = get_family("du")
+    factor = shared_factors(fam, rank_tol)
     ms = range(12, 41)
     kernel_dims, verdicts, gap_wide, qn_wide = [], [], [], []
     for m in ms:
-        inst = make_lpa(fam, n, m, rank_tol)
+        inst = make_lpa(fam, n, m, factor(m))
         row = diagnose(inst)
         r = inst.txn_svd[1]
         assert [image.dim for image in inst.images] == [r, r]
@@ -1411,9 +1425,32 @@ def test_kernel_splitting_of_approximation_kernel():
     for inst in (make_lpa(get_family("du"), 8, 40),
                  make_lpa(get_family("best-lpa"), 8, 20),
                  coordinate_instance(2, 12, 5, 2)):
-        lhs = projector(kernel_basis(inst.tn(), scale=inst.sigma_max))
+        lhs = projector(kernel_basis(inst.tn(), inst.factor.cutoff))
         rhs = projector(kernel_core(inst)) + np.eye(inst.m) - projector(inst.x_n)
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-8
+
+
+_ONE_RULE_CASES = {
+    **{f"du-{m}": (lambda m=m: get_family("du").truncate(m)) for m in range(12, 41)},
+    **{f"random-{m}-{k}-{seed}": (lambda m=m, k=k, seed=seed: random_finite_kernel(m, k, seed))
+       for m, k, seed in ((6, 1, 0), (12, 3, 1), (20, 2, 2), (24, 4, 3), (40, 5, 4))},
+}
+
+
+@pytest.mark.parametrize("build", _ONE_RULE_CASES.values(), ids=_ONE_RULE_CASES.keys())
+def test_dense_helpers_decide_the_factors_rank(build):
+    # one rank rule for the package: the dense helpers, at their defaults,
+    # decide T's rank as its TruncationFactor does; no singular value of
+    # these T sits within roundoff of the cutoff. du crosses its rank cliff
+    # at m = 23, where 4^-23 lies between m eps and 10 m eps
+    t = build()
+    factor = TruncationFactor(t)
+    s = svd(t).singular_values
+    assert _rank_is_clear(s, t.shape[0] * EPS * s[0], t.shape, None)
+    assert kernel_basis(t).dim == factor.kernel.dim
+    assert orthonormal_range(t).dim == factor.rank
+    want = factor.t_pinv
+    assert np.linalg.norm(pseudo_inverse(t) - want, 2) <= 1e-10 * np.linalg.norm(want, 2)
 
 
 # ---------------------------------------------------------------- error bound

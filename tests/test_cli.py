@@ -411,6 +411,15 @@ def test_cli_analyze_unwritable_output_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err.startswith("error: cannot write an output: ") and "plain" in err
     assert "wrote" not in out
+    # an output written before the failing one is named, and only it
+    cfg = write_config(tmp_path, outputs=[{"path": "ok.csv", "format": "csv"},
+                                          {"path": "plain/x.json", "format": "json"}])
+    assert main(["analyze", cfg, "--out-dir", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: cannot write an output: ") and "plain" in err
+    assert [line for line in out.splitlines() if line.startswith("wrote")] == [
+        f"wrote {tmp_path / 'ok.csv'}"]
+    assert (tmp_path / "ok.csv").read_text().startswith(CSV_HEADER)
 
 
 def test_cli_analyze_missing_file_exits_2(tmp_path, capsys):

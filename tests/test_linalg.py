@@ -14,11 +14,11 @@ from lpakit.linalg import (
     deficiency,
     gap,
     kernel_basis,
-    numerical_rank,
     oblique_projector_norm_identity,
     orthonormal_range,
     projector,
     pseudo_inverse,
+    rank_cutoff,
     svd,
 )
 
@@ -60,24 +60,26 @@ def test_svd_reconstructs_and_factors_are_orthogonal():
 
 
 def test_numerical_rank_of_exact_cases():
+    # the rule's defaults: tol 10 max(shape) eps against sigma_max
     s = np.array([3.0, 1.0, 1e-20])
-    assert numerical_rank(s, (3, 3)) == 2
-    assert numerical_rank(np.array([0.0, 0.0]), (2, 2)) == 0
-    assert numerical_rank(np.array([]), (0, 3)) == 0
-    assert numerical_rank(np.array([1.0]), (1, 1)) == 1
+    assert rank_cutoff(s, (3, 3)) == (2, 10 * 3 * EPS * 3.0)
+    assert rank_cutoff(np.array([0.0, 0.0]), (2, 2)) == (0, 0.0)
+    assert rank_cutoff(np.array([]), (0, 3)) == (0, 0.0)
+    assert rank_cutoff(np.array([1.0]), (1, 1))[0] == 1
+    assert rank_cutoff(s, (3, 3), tol=0.5, anchor=4.0) == (1, 2.0)
 
 
 def test_numerical_rank_with_scale_anchor_collapses_noise():
     # images of kernel vectors: tiny values that are full-rank relative to
     # each other but pure noise against the producing map's norm
     s = np.array([3e-15, 2e-15, 1e-15])
-    assert numerical_rank(s, (20, 3)) == 3
-    assert numerical_rank(s, (20, 3), scale=1.0) == 0
+    assert rank_cutoff(s, (20, 3))[0] == 3
+    assert rank_cutoff(s, (20, 3), anchor=1.0)[0] == 0
 
 
 def test_numerical_rank_scale_anchor_keeps_honest_values():
     s = np.array([1.0, 1e-3, 1e-9])
-    assert numerical_rank(s, (20, 3), scale=1.0) == 3
+    assert rank_cutoff(s, (20, 3), anchor=1.0)[0] == 3
 
 
 def test_pseudo_inverse_known_diagonal():
