@@ -119,5 +119,6 @@ __all__ = [
     "svd",
     "tn_pinv_apply",
     "write_outputs",
+    "zero_offset_characterization",
     "__version__",
 ]

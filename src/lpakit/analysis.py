@@ -30,9 +30,9 @@ against an O(m^2) bound on sigma_max proves every rank decision a row will
 make; T's singular values are then taken only when read. The instance sees
 ranks, not routes.
 The rank r of T X_n is decided once; the kernel core, T_n^+, both
-offset-angle images, ||I - Q_n|| (on a 2r-column block) and ||T_n^+ T|| (an
-r x m norm) are read off its r singular vectors. Subspaces stay orthonormal
-bases, X_n projecting as X_n (X_n^T v).
+offset-angle images, tan theta_n = ||Q_n - P_{ran Q_n}|| (an r x r norm) and
+||T_n^+ T|| (an r x m norm) are read off its r singular vectors. Subspaces
+stay orthonormal bases, X_n projecting as X_n (X_n^T v).
 
 Past the factor (once per m), a row's factorizations and spectral norms are
 sized by dim X_n, by rho = rank(T) or by r <= rho, not by m: T X_n is
@@ -40,7 +40,7 @@ factored as itself, m x dim X_n, when rho >= dim X_n, and as the
 rho x dim X_n matrix U_rho^T T X_n otherwise; the kernel core's dimension
 is read off that SVD and its gap to N(T) is a rho-row norm against the row
 space, T^+ and T_n^+ are applied through the factors of T and of T X_n,
-and the rest have at most 2r rows or columns, so a row forms no m x m
+and the rest have at most r rows or columns, so a row forms no m x m
 array. When dim X_n is of order m a row still makes the
 m x m x dim X_n product T X_n, but no m x ~m factorization. The m x m
 matrices t_pinv (unless it is the factor's T^{-1}), tn() and tn_pinv, and
@@ -538,13 +538,15 @@ class LpaInstance:
     @cached_property
     def offset_sines(self) -> tuple[float, float]:
         """sin theta_n by the gap route, the gap between the two images, and
-        by the oblique-projector route, sqrt(1 - 1/||I - Q_n||^2) with
-        ||I - Q_n|| taken on a 2r-column basis (see _norm_i_minus_qn). The
-        Q_n route rebuilds its own factors and QR; it shares only txn_svd's
-        U_r with the gap route."""
+        by the oblique-projector route, tan / hypot(1, tan) (_tan_theta_qn).
+        They share only txn_svd's U_r and T^T U_r; only the Q_n route applies
+        T^+. Neither cancels at a zero angle, so both read one at roundoff
+        where T^+ U_r is accurate; where it is not, the Q_n route carries that
+        error (best-lpa with sigmas [1, 1e-12] and kernel_dim 2 reads up to
+        1.7e-4 at a zero angle at m <= 40, and route_disagreement fires)."""
         sin_gap = gap(*self.images)
-        nrm = _norm_i_minus_qn(self)
-        return sin_gap, math.sqrt(max(0.0, 1.0 - 1.0 / nrm**2)) if nrm > 1.0 else 0.0
+        tan = _tan_theta_qn(self)
+        return sin_gap, tan / math.hypot(1.0, tan)
 
 
 def make_lpa(family: OperatorFamily, n: int, m: int,
@@ -600,21 +602,19 @@ def _qn_factors(inst: LpaInstance) -> tuple[np.ndarray, np.ndarray]:
     return inst.factor.pinv_apply(u_r), inst.t.T @ u_r
 
 
-def _norm_i_minus_qn(inst: LpaInstance) -> float:
-    """||I - Q_n|| on k = min(2r, m) columns instead of m.
-
-    W, the QR basis of [A B], is orthonormal and contains the ranges of Q_n
-    and Q_n^T. So I - Q_n maps span W into itself and is the identity on its
-    complement: the norm is ||I_k - (W^T A)(W^T B)^T||, and at least 1 when
-    k < m. (||Q_n|| = ||I - Q_n|| would allow an r x r form, but ||Q_n||
-    picks up first-order roundoff on graded spectra that ||I - Q_n|| does
-    not.)
-    """
+def _tan_theta_qn(inst: LpaInstance) -> float:
+    """tan theta_n = ||Q_n - P_R||, R = ran Q_n, as the r x r ||R_A R_C^T||:
+    in R + R^perp, Q_n = [[I, K], [0, 0]] with K = Q_n - P_R, so ||Q_n||^2 =
+    1 + ||K||^2 = 1/cos^2 theta_n (Szyld, Numer. Algorithms 2006). With
+    A = Q_A R_A, B^T A = I gives Q_A^T B = R_A^{-T}, so K = Q_A R_A C^T for
+    C = (I - Q_A Q_A^T) B, projected twice, = Q_C R_C. 0 when r = 0."""
     a, b = _qn_factors(inst)
-    w = np.linalg.qr(np.hstack([a, b]))[0]
-    k = w.shape[1]
-    inner = float(np.linalg.norm(np.eye(k) - (w.T @ a) @ (w.T @ b).T, 2)) if k else 0.0
-    return max(inner, 1.0) if k < inst.m else inner
+    if not a.shape[1]:
+        return 0.0
+    q_a, r_a = np.linalg.qr(a)
+    c = b - q_a @ (q_a.T @ b)
+    c -= q_a @ (q_a.T @ c)
+    return float(np.linalg.norm(r_a @ np.linalg.qr(c, mode="r").T, 2))
 
 
 @dataclass(frozen=True)
@@ -636,12 +636,10 @@ class OffsetAngle:
 def offset_angle(inst: LpaInstance, tolerances: Tolerances = Tolerances()) -> OffsetAngle:
     """Angle between T^+T(X_n) and T^*T(X_n), by two routes.
 
-    Route one is the gap between the two image subspaces, route two
-    evaluates sqrt(1 - 1/||I - Q_n||^2) with Q_n the oblique projector,
-    ||I - Q_n|| taken on the 2r-column basis that holds both its range and
-    its corange; the two agree in exact arithmetic. Both come from
-    inst.offset_sines, computed once per instance at txn_svd's rank r;
-    route_warn is read on every call.
+    Route one is the gap between the two image subspaces, route two reads
+    tan theta_n = ||Q_n - P_{ran Q_n}|| off the oblique projector Q_n; the
+    two agree in exact arithmetic. Both come from inst.offset_sines, computed
+    once per instance at txn_svd's rank r; route_warn is read on every call.
     """
     sin_gap, sin_qn = inst.offset_sines
     return OffsetAngle(

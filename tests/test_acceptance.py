@@ -37,8 +37,8 @@ def test_01_offset_angle_routes_agree_everywhere():
     """Both evaluations of sin(theta_n) match to 1e-6 on every instance.
 
     The gap of the orthonormalized image subspaces and the norm route
-    through I - Q_n are computed from unrelated decompositions, so their
-    agreement is a genuine cross-check, not a tautology.
+    through Q_n - P_{ran Q_n} are computed from unrelated decompositions,
+    so their agreement is a genuine cross-check, not a tautology.
     """
     start = time.perf_counter()
     worst = 0.0

@@ -21,8 +21,8 @@ from lpakit.analysis import (
     TruncationFactor,
     _coupled,
     _factor_svd,
-    _norm_i_minus_qn,
     _sigma_max_bound,
+    _tan_theta_qn,
     PreconditionError,
     coercive_bound_check,
     diagnose,
@@ -89,9 +89,19 @@ def qn_matrix(inst: LpaInstance) -> np.ndarray:
     # the oblique projector Q_n = T^+ P_{T(X_n)} T as a dense m x m matrix,
     # A B^T from the route's own factors (A = T^+ U_r, B = T^T U_r): its
     # range is T^+T(X_n), its kernel the complement of T^*T(X_n). The
-    # diagnostics take ||I - Q_n|| without forming it; this is their oracle
+    # diagnostics take tan theta_n = ||Q_n - P_{ran Q_n}|| without forming
+    # it; this is their oracle
     a, b = lpakit.analysis._qn_factors(inst)
     return a @ b.T
+
+
+def sqrt_form_sine(qn: np.ndarray) -> float:
+    # the Q_n route's former form, sqrt(1 - 1/||I - Q_n||^2), on the dense
+    # Q_n. At a zero angle ||I - Q_n|| = 1 + O(theta^2), so a roundoff of eps
+    # in the norm reads as sin theta ~ sqrt(eps): this form cannot tell a
+    # zero angle from 2e-8
+    nrm = float(np.linalg.norm(np.eye(len(qn)) - qn, 2))
+    return math.sqrt(max(0.0, 1.0 - 1.0 / nrm**2)) if nrm > 1.0 else 0.0
 
 
 # ------------------------------------------------------------- construction
@@ -216,8 +226,8 @@ def test_instance_factors_each_matrix_once(monkeypatch, name, n, m, svds_of_t):
 def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want):
     # norm(ord=2) takes singular values through numpy's internal svd binding,
     # np.linalg.svd(compute_uv=False) through the public one; both are
-    # counted. An instance takes none on m x m matrices: ||I - Q_n|| is a
-    # 2r x 2r norm while 2r < m, ||T_n^+ T|| an r x m one, the kernel gap
+    # counted. An instance takes none on m x m matrices: tan theta_n is an
+    # r x r norm, ||T_n^+ T|| an r x m one, the kernel gap
     # rho x dim core, and the Subspace orthonormality check takes none.
     # Containment is read off the core, so no row takes the singular values
     # of the rho x dim X_n matrix R^T X_n. The factor is built before
@@ -369,18 +379,17 @@ def test_diagnose_takes_no_m_by_m_svd_on_decoupled_truncations(monkeypatch, name
 @pytest.mark.parametrize("n, m", [(16, 768), (8, 1100)])
 def test_du_diagnostics_match_dense_factor(monkeypatch, n, m):
     # the block-wise factor against LAPACK's SVD of the whole truncation
-    # (every coordinate declared coupled), within perfbench's tolerances. The
-    # Q_n route's sine sits on its sqrt(eps) floor here, so it is held to the
-    # gap route, as perfbench holds it.
+    # (every coordinate declared coupled), within perfbench's tolerances, and
+    # the two routes within check of each other.
     check = Tolerances().check
     got = diagnose(make_lpa(get_family("du"), n, m))
     monkeypatch.setattr(lpakit.analysis, "_coupled", lambda t: np.ones(len(t), dtype=bool))
     want = diagnose(make_lpa(get_family("du"), n, m))
     assert (got.kernel_dim, got.kernel_core_dim) == (want.kernel_dim, want.kernel_core_dim)
     assert kernel_verdict([got], check) == kernel_verdict([want], check)
-    for field in ("sin_theta_gap", "kernel_gap"):
+    for field in ("sin_theta_gap", "sin_theta_qn", "kernel_gap"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-10)
-    assert abs(got.sin_theta_qn - got.sin_theta_gap) <= 1e-6
+    assert abs(got.sin_theta_qn - got.sin_theta_gap) <= check
     for field in ("norm_tn_dag_t", "bound_factor"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0)
 
@@ -454,17 +463,14 @@ def _assert_factors_agree(inverted, dense, reference=None):
 def _assert_rows_agree(inverted, dense, n, x_basis=None):
     # every diagnose field and the bound check's verdict, with the inverted
     # factor and with the SVD route's: sines to 1e-10 absolute (theta_n
-    # through its sine; the Q_n route's to 1e-6 below sin 1e-4, its
-    # sqrt(eps) floor), norms to 1e-9 relative
+    # through its sine), norms to 1e-9 relative
     a, b = (LpaInstance(f, n, x_basis) for f in (inverted, dense))
     got, want = diagnose(a), diagnose(b)
     for field in ("n", "m", "kernel_core_dim", "kernel_dim"):
         assert getattr(got, field) == getattr(want, field), field
     assert abs(math.sin(got.theta_n) - math.sin(want.theta_n)) <= 1e-10
-    for field in ("sin_theta_gap", "kernel_gap"):
+    for field in ("sin_theta_gap", "sin_theta_qn", "kernel_gap"):
         assert abs(getattr(got, field) - getattr(want, field)) <= 1e-10, field
-    qn_tol = 1e-10 if want.sin_theta_gap >= 1e-4 else 1e-6
-    assert abs(got.sin_theta_qn - want.sin_theta_qn) <= qn_tol
     for field in ("norm_tn_dag_t", "bound_factor"):
         assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0), field
     y = np.random.default_rng(n).standard_normal(dense.m)
@@ -937,18 +943,24 @@ _QN_FAMILIES = {
 }
 
 
-def _assert_thin_qn_sine_matches_dense(inst) -> float:
-    # the thin ||I - Q_n|| (a 2r-column block) against the m x m oracle;
-    # at zero angles both sit on the sqrt(eps) floor of the sqrt form.
-    # Returns the dense norm.
-    nrm = float(np.linalg.norm(np.eye(inst.m) - qn_matrix(inst), 2))
-    dense = math.sqrt(max(0.0, 1.0 - 1.0 / nrm**2)) if nrm > 1.0 else 0.0
-    thin = inst.offset_sines[1]
+def _assert_thin_qn_sine_matches_dense(inst) -> None:
+    # The thin tan against the dense ||Q_n - P_R||, R = ran Q_n from the SVD
+    # of the m x m oracle, to 1e-12 plus the oracle's idempotency defect
+    # ||Q_n^2 - Q_n|| = ||A (B^T A - I) B^T||: the route reads only B's part
+    # off ran A, so it takes the tan of A B'^T, B'^T A = I exactly, and the
+    # dense A B^T differs from that by Q_A R_A (B^T A - I) R_A^{-1} Q_A^T,
+    # to first order no larger. The defect is T^+'s roundoff in A = T^+ U_r
+    # (4e-8 on the graded best-lpa edge). The sine against the dense sqrt
+    # form, to 1e-12 above that form's sqrt(eps) floor.
+    qn = qn_matrix(inst)
+    dense_tan = float(np.linalg.norm(qn - projector(orthonormal_range(qn)), 2))
+    defect = float(np.linalg.norm(qn @ qn - qn, 2))
+    assert _tan_theta_qn(inst) == pytest.approx(dense_tan, rel=1e-12, abs=1e-12 + defect)
+    dense, thin = sqrt_form_sine(qn), inst.offset_sines[1]
     if dense > 1e-6:
         assert thin == pytest.approx(dense, abs=1e-12)
     else:
         assert thin <= 1e-6
-    return nrm
 
 
 @settings(max_examples=80, deadline=None)
@@ -972,11 +984,10 @@ def test_thin_qn_sine_matches_dense_oracle(label, data):
 ], ids=["r-0", "seidman-n-eq-m", "seidman-2r-above-m", "du-n-eq-m", "random-n-eq-m",
         "identity-n-eq-m", "best-lpa-graded-n-eq-r-m-eq-min"])
 def test_thin_qn_sine_matches_dense_oracle_at_edges(build):
-    # the norm itself too: for r = 0 it is 1 (the identity on the whole
-    # complement of an empty block), for n = m with T invertible it is 0
-    inst = build()
-    nrm = _assert_thin_qn_sine_matches_dense(inst)
-    assert _norm_i_minus_qn(inst) == pytest.approx(nrm, rel=1e-12, abs=1e-12)
+    # r = 0, where A and B have no columns and the route reads 0; n = m with
+    # T invertible, where Q_n = I = P_R and the tan is roundoff; 2r > m; and
+    # a graded spectrum at its least m
+    _assert_thin_qn_sine_matches_dense(build())
 
 
 def test_qn_factors_through_kernel_complement():
@@ -1130,7 +1141,7 @@ def test_offset_angle_identity_family_is_zero():
     ang = offset_angle(inst)
     assert ang.theta == 0.0
     assert ang.sin_gap_route <= 1e-12
-    assert ang.sin_qn_route <= 1e-7
+    assert ang.sin_qn_route <= 1e-12
 
 
 def test_offset_angle_zero_operator():
@@ -1156,7 +1167,7 @@ def test_offset_angle_du_is_zero():
     for n in (2, 4, 8, 16, 20):
         ang = offset_angle(make_lpa(fam, n, resolve_m(None, n)))
         assert ang.theta <= 1e-8
-        assert ang.sin_qn_route <= 1e-6
+        assert ang.sin_qn_route <= Tolerances().check
 
 
 @pytest.mark.parametrize("n", [20, 30, 40])
@@ -1166,6 +1177,25 @@ def test_du_gap_route_reads_a_zero_offset_at_depth(n):
     # 2^n, to sin 6.5e-6 at n = 40
     m = resolve_m(None, n)
     assert diagnose(make_lpa(get_family("du"), n, m)).sin_theta_gap <= 1e-10
+
+
+_ZERO_ANGLE_ROWS = [
+    *[("du", {}, n, None) for n in (2, 4, 16, 24, 40)],
+    *[("best-lpa", {}, n, 20) for n in (2, 4, 6, 8, 12)],
+    ("random", {"kernel_dim": 3, "seed": 2}, 10, 10),
+]
+
+
+@pytest.mark.parametrize("name, params, n, m", _ZERO_ANGLE_ROWS,
+                         ids=[f"{name}-{n}-{m or 'default'}" for name, _, n, m in _ZERO_ANGLE_ROWS])
+def test_offset_angle_qn_route_decides_a_zero_angle(name, params, n, m):
+    # nothing cancels in the tan form at theta = 0, so the Q_n route reads a
+    # zero angle below check, as the gap route does, on rows where
+    # sqrt_form_sine mostly reads 2.1e-8 to 3.0e-8
+    row = diagnose(make_lpa(get_family(name, **params), n, m or resolve_m(None, n)))
+    check = Tolerances().check
+    assert row.sin_theta_gap <= check
+    assert row.sin_theta_qn <= check
 
 
 def test_offset_angle_subspace_entirely_inside_kernel():
