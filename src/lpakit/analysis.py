@@ -21,9 +21,11 @@ Every diagnostic on one instance reads what the instance computed once: one
 factor of T (a TruncationFactor, shared by every instance at the same m),
 one SVD of T X_n and both offset-angle routes, so identities that hold in
 exact arithmetic stay consistent to machine precision. The factor is T's
-SVD, LAPACK run on T's coupled block only (a coordinate whose row and
+SVD: LAPACK run on T's coupled block only (a coordinate whose row and
 column are zero off the diagonal contributes its singular triplet in closed
-form), or, for a family that declares N(T) = {0}, the inverse
+form), or, for a family that knows T's singular system (best-lpa's
+singular_triplets), read off it with no LAPACK call; or, for a family that
+declares N(T) = {0}, the inverse
 T^{-1} = T^+ (by halves when T is lower triangular, as seidman's is, else
 by one LAPACK inverse) when its Frobenius norm, or else sqrt(||.||_1 ||.||_inf),
 against an O(m^2) bound on sigma_max proves every rank decision a row will
@@ -37,15 +39,16 @@ stay orthonormal bases, X_n projecting as X_n (X_n^T v).
 Past the factor (once per m), a row's factorizations and spectral norms are
 sized by dim X_n, by rho = rank(T) or by r <= rho, not by m: T X_n is
 factored as itself, m x dim X_n, when rho >= dim X_n, and as the
-rho x dim X_n matrix U_rho^T T X_n otherwise; the kernel core's dimension
-is read off that SVD and its gap to N(T) is a rho-row norm against the row
-space, T^+ and T_n^+ are applied through the factors of T and of T X_n,
-and the rest have at most r rows or columns, so a row forms no m x m
-array. When dim X_n is of order m a row still makes the
-m x m x dim X_n product T X_n, but no m x ~m factorization. The m x m
-matrices t_pinv (unless it is the factor's T^{-1}), tn() and tn_pinv, and
-the core's basis kernel_core(), serve the zero-offset report, the suites and
-the dense oracles.
+rho x dim X_n matrix (U_rho^T T) X_n otherwise, U_rho^T T formed once per
+factor; the kernel core's dimension is read off that SVD and its gap to
+N(T) is a rho-row norm against the row space, T^+ and T_n^+ are applied
+through the factors of T and of T X_n, and the rest have at most r rows or
+columns, so a row forms no m x m array. A row makes the m x m x dim X_n
+product T X_n only when rho >= dim X_n and X_n is not a coordinate
+subspace (whose T X_n is T's first n columns), and no m x ~m
+factorization. The m x m matrices t_pinv (unless it is the factor's
+T^{-1}), tn() and tn_pinv, and the core's basis kernel_core(), serve the
+zero-offset report, the suites and the dense oracles.
 """
 
 from __future__ import annotations
@@ -315,7 +318,13 @@ class TruncationFactor:
     coordinate, whose row and column are zero off the diagonal, adds its
     singular triplet in closed form (see _factor_svd). So identity, zero and
     diagonal T take no LAPACK call, and du's truncation only its leading
-    511 x 511 block. T^+ is applied as V_rho Sigma_rho^{-1} U_rho^T
+    511 x 511 block. singular_triplets, when given, is T's SVD already
+    known, in _factor_svd's (s, vectors) form, and is taken in its place:
+    shared_factors passes a family's (OperatorFamily.singular_triplets),
+    so best-lpa's T, built from its singular system, takes no LAPACK call.
+    The rank rule and the Subspace checks on R and K are the same either
+    way; TruncationFactor(t) alone is LAPACK's, the reference the tests hold
+    a known SVD to. T^+ is applied as V_rho Sigma_rho^{-1} U_rho^T
     (pinv_apply); the m x m t_pinv is formed only when read.
 
     With injective=True (the caller knows N(T) = {0}), T^{-1} is formed
@@ -333,7 +342,8 @@ class TruncationFactor:
     shared_factors).
     """
 
-    def __init__(self, t, rank_tol: float | None = None, injective: bool = False):
+    def __init__(self, t, rank_tol: float | None = None, injective: bool = False,
+                 singular_triplets: tuple | None = None):
         t = as_matrix(t)
         if t.shape[0] != t.shape[1]:
             raise ValueError(f"expected a square truncation, got {t.shape}")
@@ -346,7 +356,7 @@ class TruncationFactor:
             self.rank, self.u_rho = self.m, None
             self.kernel = Subspace.zero(self.m)
         else:
-            s, vectors = _factor_svd(t)
+            s, vectors = singular_triplets or _factor_svd(t)
             self.sigma_max = float(s[0]) if self.m else 0.0
             self.rank, self.cutoff = rank_cutoff(s, t.shape, rank_tol)
             r = self.rank
@@ -375,6 +385,13 @@ class TruncationFactor:
         __init__)."""
         return Subspace(np.eye(self.m))
 
+    @cached_property
+    def ut_rho(self) -> np.ndarray:
+        """U_rho^T T, rho x m, formed on first read (SVD route only): the
+        row-space side of T that txn_svd multiplies X_n by when
+        rho < dim X_n."""
+        return self.u_rho.T @ self.t
+
     def pinv_apply(self, v: np.ndarray) -> np.ndarray:
         """T^+ v, for a vector or a matrix's columns: T^{-1} v when T was
         inverted, else V_rho Sigma_rho^{-1} (U_rho^T v)."""
@@ -391,7 +408,9 @@ class TruncationFactor:
 
 def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
     """factor(m): family.truncate(m) factored, keeping only the latest m,
-    inverted when the family declares N(T) = {0} (see TruncationFactor).
+    inverted when the family declares N(T) = {0}, and from the family's
+    singular_triplets(m) rather than by LAPACK when it has them (see
+    TruncationFactor).
 
     Consecutive rows at one m share one factor; the previous factor is
     dropped before the next one is built, so one is alive at a time.
@@ -402,8 +421,10 @@ def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
         nonlocal last
         if last is None or last.m != m:
             last = None
+            triplets = family.singular_triplets
             last = TruncationFactor(family.truncate(m), rank_tol,
-                                    injective=family.kernel_dim_hint == 0)
+                                    injective=family.kernel_dim_hint == 0,
+                                    singular_triplets=triplets(m) if triplets else None)
         return last
 
     return factor
@@ -437,6 +458,7 @@ class LpaInstance:
         if not 1 <= n <= self.m:
             raise ValueError(f"need 1 <= n <= m, got n={n}, m={self.m}")
         self.n = int(n)
+        self._coordinate = x_basis is None
         if x_basis is None:
             self.x_n = Subspace.coordinate(self.m, n)
         else:
@@ -477,23 +499,31 @@ class LpaInstance:
         When rho = rank T >= dim X_n (every inverted factor, and du) it is
         the thin SVD of the m x dim X_n matrix T X_n itself, nothing
         dropped; its V is square, so full. When rho < dim X_n it is the SVD
-        P S V^T of Z = U_rho^T (T X_n), rho x dim X_n, with u = U_rho P and
+        P S V^T of Z = (U_rho^T T) X_n, rho x dim X_n, with u = U_rho P and
         V full, so that its last dim X_n - r rows vt[r:] span the kernel
-        core's coefficients (kernel_gap, the oracle kernel_core). What Z
-        drops, (I - U_rho U_rho^T) T X_n, has norm at most
+        core's coefficients (kernel_gap, the oracle kernel_core). U_rho^T T,
+        rho x m, is the factor's (ut_rho), formed once per m, so no row
+        forms the m x m x dim X_n product T X_n. What Z drops,
+        (I - U_rho U_rho^T) T X_n, has norm at most
         sigma_{rho+1}(T) <= cutoff, so Z is T X_n for the rank-rho T that
-        the factor decided, and Z projects the dense product, so exact
-        zeros of T X_n stay exact. An inverted factor proved that every
-        singular value of T X_n clears its cutoff, so r is dim X_n there.
+        the factor decided. A coordinate X_n is applied as a column slice
+        (_times_x_n), so exact zeros of T X_n stay exact: a zero column of
+        T is a zero column of U_rho^T T. An inverted factor proved that
+        every singular value of T X_n clears its cutoff, so r is dim X_n
+        there.
         """
         f, k = self.factor, self.x_n.dim
-        txn = self.t @ self.x_n.basis
         if f.rank >= k:
-            res = svd(txn, full_matrices=False)
+            res = svd(self._times_x_n(self.t), full_matrices=False)
         else:
-            z = svd(f.u_rho.T @ txn)
+            z = svd(self._times_x_n(f.ut_rho))
             res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
-        return res, rank_cutoff(res.singular_values, txn.shape, 1.0, f.cutoff)[0]
+        return res, rank_cutoff(res.singular_values, (self.m, k), 1.0, f.cutoff)[0]
+
+    def _times_x_n(self, a: np.ndarray) -> np.ndarray:
+        """A X_n: A's first n columns for the coordinate subspace (bitwise
+        A @ eye(m, n), with no product), else the product."""
+        return a[:, :self.n] if self._coordinate else a @ self.x_n.basis
 
     @cached_property
     def tn_pinv(self) -> np.ndarray:
@@ -542,8 +572,12 @@ class LpaInstance:
         They share only txn_svd's U_r and T^T U_r; only the Q_n route applies
         T^+. Neither cancels at a zero angle, so both read one at roundoff
         where T^+ U_r is accurate; where it is not, the Q_n route carries that
-        error (best-lpa with sigmas [1, 1e-12] and kernel_dim 2 reads up to
-        1.7e-4 at a zero angle at m <= 40, and route_disagreement fires)."""
+        error. At a zero angle, n = 1, 2 and m <= 40, best-lpa with
+        kernel_dim 2 and sigmas [1, 1e-12] reads up to 1.46e-4, and
+        route_disagreement fires on 1 of those 74 rows; with sigmas
+        [1, 1e-3, 1e-6, 1e-9] it reads up to 4.8e-7, under route_warn. That
+        is on the factor read off the model (shared_factors); on LAPACK's,
+        TruncationFactor(t), they are 1.36e-4 (2 rows fire) and 2.5e-7."""
         sin_gap = gap(*self.images)
         tan = _tan_theta_qn(self)
         return sin_gap, tan / math.hypot(1.0, tan)

@@ -48,8 +48,12 @@ class OperatorFamily:
     where that proof fails the factor falls back to the SVD. xn_basis, when
     set, overrides the coordinate subspaces as the family's approximation
     scheme: it returns an orthonormal m x k basis for the subspace at index
-    n. max_n and min_m are the family's own limits on (n, m); check() tests
-    a pair against them without building anything.
+    n. singular_triplets, when set, is truncate(m)'s SVD known in closed
+    form, returned as (s, vectors) with s the m singular values, descending,
+    and vectors(k) = (U[:, :k], V^T) for any k up to the count of nonzero
+    values: analysis.shared_factors factors T from it instead of by LAPACK.
+    max_n and min_m are the family's own limits on (n, m); check() tests a
+    pair against them without building anything.
 
     Every nonzero entry of truncate(m) is at least sqrt(tiny) * max|a_ij| in
     magnitude (tiny = np.finfo(float).tiny). A product of two entries is then
@@ -65,6 +69,7 @@ class OperatorFamily:
     notes: str
     params: dict = field(default_factory=dict)
     xn_basis: Callable[[int, int], np.ndarray] | None = None
+    singular_triplets: Callable[[int], tuple] | None = None
     max_n: int | None = None
     min_m: int = 1
 
@@ -183,8 +188,9 @@ class SingularSystem:
 class SingularModel:
     """Operator realized from a prescribed spectrum.
 
-    matrix = u_basis[:, :rank] @ diag(sigmas) @ v_basis[:, :rank].T. Columns
-    of v_basis: the first `rank` are the right singular vectors, the next
+    matrix = u_basis @ diag(sigmas) @ v_basis[:, :rank].T, u_basis being
+    the m x rank left singular vectors. v_basis is m x m orthogonal: its
+    first `rank` columns are the right singular vectors, the next
     `planted_kernel_dim` are the explicitly planted kernel directions, and
     any remaining columns pad out the kernel (the matrix kernel has dimension
     ambient - rank).
@@ -200,6 +206,14 @@ class SingularModel:
 def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularModel:
     """Realize the spectrum as an m x m matrix with seeded orthogonal factors.
 
+    Two m x m standard normal draws, for U and then V, as seeded_orthogonal
+    makes them, but only their first r = len(sigmas) columns are factored:
+    U_r is the reduced QR of U's r columns and V the complete QR of V's, r
+    Householder reflectors formed into an m x m Q, each with the signs of
+    R's diagonal fixed. So U_r and V_r are seeded_orthogonal's first r
+    columns up to roundoff, at O(m^2 r) rather than O(m^3), and V's trailing
+    m - r columns are another orthonormal basis of the same kernel.
+
     Requires len(sigmas) + kernel_dim <= m.
     """
     r = len(sys.sigmas)
@@ -207,10 +221,14 @@ def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularMode
         raise ValueError(
             f"rank {r} + kernel_dim {sys.kernel_dim} exceeds ambient size {m}")
     rng = np.random.default_rng(seed)
-    u = seeded_orthogonal(m, rng)
-    v = seeded_orthogonal(m, rng)
+    g_u = rng.standard_normal((m, m))
+    g_v = rng.standard_normal((m, m))
+    u, r_u = np.linalg.qr(g_u[:, :r])
+    u *= np.sign(np.diag(r_u))
+    v, r_v = np.linalg.qr(g_v[:, :r], mode="complete")
+    v[:, :r] *= np.sign(np.diag(r_v))
     sig = np.asarray(sys.sigmas, dtype=float)
-    k = u[:, :r] @ (sig[:, None] * v[:, :r].T)
+    k = u @ (sig[:, None] * v[:, :r].T)
     return SingularModel(matrix=k, u_basis=u, v_basis=v, rank=r,
                          planted_kernel_dim=sys.kernel_dim)
 
@@ -260,6 +278,14 @@ def _best_lpa_family(sigmas=None, kernel_dim: int = 2, seed: int = 0) -> Operato
         v = model(m).v_basis
         return np.hstack([v[:, r:], v[:, :n]])
 
+    def singular_triplets(m: int):
+        # T's SVD as the model built it, U_r Sigma V_r^T, with V's other
+        # columns spanning the kernel, where the singular values are 0
+        mod = model(m)
+        s = np.zeros(m)
+        s[:r] = sys.sigmas
+        return s, lambda k: (mod.u_basis[:, :k], mod.v_basis.T)
+
     return OperatorFamily(
         name="best-lpa",
         truncate=truncate,
@@ -271,6 +297,7 @@ def _best_lpa_family(sigmas=None, kernel_dim: int = 2, seed: int = 0) -> Operato
         params={"sigmas": list(sys.sigmas), "kernel_dim": sys.kernel_dim,
                 "seed": seed},
         xn_basis=xn_basis,
+        singular_triplets=singular_triplets,
         max_n=r,
         min_m=r + sys.kernel_dim,
     )

@@ -237,31 +237,54 @@ _SHARED_SCANS = [
 ]
 
 
-def _count_t_factorizations(monkeypatch, family, ms):
-    # (kind, m) for every SVD ("svd" with vectors, "values" without) and
-    # every inverse ("inv") of a square matrix equal to the family's
-    # truncation at its m: one LAPACK inverse, or one inverse by halves of
+def _count_t_factorizations(monkeypatch, ms, family=None):
+    # (kind, m) for every SVD ("svd" with vectors, "values" without), QR
+    # ("qr") and inverse ("inv") of a square matrix equal to the family's
+    # truncation at its m, or, without a family, of any m x m matrix at those
+    # m, through np.linalg or numpy's internal binding (norm(ord=2) calls the
+    # latter). An inverse is one LAPACK inverse, or one inverse by halves of
     # a lower triangular T above order 64 (analysis._invert_lower), whose
     # leaves are smaller than T. An inverted factor proves full rank from
     # the inverse's norms and takes T's singular values only when read, so
     # a "values" entry means something read them or the proof failed.
-    truncations = {m: family.truncate(m) for m in ms}
-    counted = []
+    # Also returned: the flop count of every matrix product that a factor's
+    # T enters, as itself or as a view of it (a slice or T^T); the factor's
+    # T is made a view that records them
+    truncations = {m: family.truncate(m) if family else None for m in ms}
+    internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    counted, products = [], []
 
     def counting(kind_of, real):
         def wrapper(a, *args, **kwargs):
-            t = truncations.get(np.shape(a)[0])
-            if t is not None and np.array_equal(a, t):
-                counted.append((kind_of(kwargs), np.shape(a)[0]))
+            m = np.shape(a)[0]
+            if m in truncations and np.shape(a) == (m, m):
+                t = truncations[m]
+                if t is None or np.array_equal(a, t):
+                    counted.append((kind_of(kwargs), m))
             return real(a, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counting(
-        lambda kw: "svd" if kw.get("compute_uv", True) else "values", np.linalg.svd))
-    monkeypatch.setattr(np.linalg, "inv", counting(lambda kw: "inv", np.linalg.inv))
+    kinds = {"svd": lambda kw: "svd" if kw.get("compute_uv", True) else "values",
+             "qr": lambda kw: "qr", "inv": lambda kw: "inv"}
+    for name, kind_of in kinds.items():
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, counting(kind_of, real))
+        if getattr(internal, name, None) is real:
+            monkeypatch.setattr(internal, name, counting(kind_of, real))
     monkeypatch.setattr(lpakit.analysis, "_invert_lower", counting(
         lambda kw: "inv", lpakit.analysis._invert_lower))
-    return counted
+
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            inputs = [x.view(np.ndarray) if isinstance(x, Recording) else x for x in inputs]
+            if ufunc is np.matmul:
+                a, b = (np.shape(x) for x in inputs)
+                products.append(math.prod(a) * (b[-1] if len(b) == 2 else 1))
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    real_as_matrix = lpakit.analysis.as_matrix
+    monkeypatch.setattr(lpakit.analysis, "as_matrix", lambda a: real_as_matrix(a).view(Recording))
+    return counted, products
 
 
 @pytest.mark.parametrize("name, params, n_list, m_rule", _SHARED_SCANS,
@@ -271,7 +294,8 @@ def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     # bitwise the row a fresh instance gives. The factor is one SVD of T, or,
     # for seidman, which declares N(T) = {0}, one inverse (by halves at
     # m = 192, T being lower triangular), whose norm proves full rank: no row
-    # reads T's singular values, so no SVD of T is taken.
+    # reads T's singular values, so no SVD of T is taken. best-lpa's factor
+    # is read off the singular system T was built from: no SVD or inverse.
     cfg = scan_config_from_dict({"operator": {"name": name, "params": params},
                                  "n_list": n_list, "m_rule": m_rule})
     family = get_family(name, **params)
@@ -279,12 +303,29 @@ def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     fresh = [diagnose(make_lpa(family, n, m)) for n, m in zip(n_list, ms)]
     insts = [make_lpa(family, n, m) for n, m in zip(n_list, ms)]
     want = [(kernel_core(inst).dim, inst.kernel_gap) for inst in insts]
-    counted = _count_t_factorizations(monkeypatch, family, ms)
+    counted, _ = _count_t_factorizations(monkeypatch, ms, family)
     rows = run_scan(cfg).rows
     assert list(rows) == fresh
-    kinds = ["inv"] if family.kernel_dim_hint == 0 else ["svd"]
+    kinds = (["inv"] if family.kernel_dim_hint == 0
+             else [] if family.singular_triplets else ["svd"])
     assert sorted(counted) == sorted((kind, m) for m in set(ms) for kind in kinds)
     assert [(r.kernel_core_dim, r.kernel_gap) for r in rows] == want
+
+
+@pytest.mark.parametrize("m", [64, 512])
+def test_best_lpa_scan_takes_no_m_cubed_step(monkeypatch, m):
+    # best-lpa's model draws U_r by a reduced QR of m x r and V by a complete
+    # QR of m x r, its factor reads T's SVD off the model, and T X_n's SVD
+    # is taken of (U_rho^T T) X_n, so no m x m matrix is factored, and T
+    # enters products only with at most rho = 12 rows or columns on the
+    # other side, never with X_n's dim X_n = m - 12 + n columns
+    cfg = scan_config_from_dict({"operator": {"name": "best-lpa"},
+                                 "n_list": [2, 4, 8, 12], "m_rule": f"fixed:{m}", "seed": 0})
+    factorizations, products = _count_t_factorizations(monkeypatch, [m])
+    report = run_scan(cfg)
+    assert [row.kernel_core_dim for row in report.rows] == [m - 12] * 4
+    assert factorizations == []
+    assert products and max(products) <= 12 * m * m, products
 
 
 @pytest.mark.parametrize("m_rule, ms", [("fixed:20", 1), ("factor:10", 2)])

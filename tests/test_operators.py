@@ -19,6 +19,7 @@ from lpakit.operators import (
     from_singular_system,
     get_family,
     random_finite_kernel,
+    seeded_orthogonal,
     seidman,
 )
 
@@ -224,6 +225,35 @@ def test_from_singular_system_needs_room():
     sys = SingularSystem(sigmas=(1.0, 0.5), kernel_dim=2)
     with pytest.raises(ValueError):
         from_singular_system(sys, 3, seed=0)
+
+
+def _full_qr_model(sys, m, seed):
+    # the model as first built: both factors full m x m orthogonal matrices
+    # from seeded_orthogonal, O(m^3); (matrix, U_r, V)
+    rng = np.random.default_rng(seed)
+    u, v = seeded_orthogonal(m, rng), seeded_orthogonal(m, rng)
+    r = len(sys.sigmas)
+    return u[:, :r] @ (np.asarray(sys.sigmas)[:, None] * v[:, :r].T), u[:, :r], v
+
+
+@pytest.mark.parametrize("sigmas, kernel_dim, m, seed", [
+    ((2.0, 1.0, 0.25), 2, 8, 3),
+    (tuple(1.0 / k**2 for k in range(1, 13)), 2, 20, 0),
+    (tuple(1.0 / k**2 for k in range(1, 13)), 2, 512, 7),
+    ((1.0, 1e-3, 1e-6, 1e-9), 2, 20, 0),
+], ids=["rank-3-m-8", "default-m-20", "default-m-512", "graded-m-20"])
+def test_from_singular_system_matches_the_full_qr_build(sigmas, kernel_dim, m, seed):
+    # the same draws, in the same order: U_r and V_r are the full QRs' first
+    # r columns, the matrix agrees entrywise, and V's other columns span the
+    # same kernel, though by another basis
+    sys = SingularSystem(sigmas=sigmas, kernel_dim=kernel_dim)
+    model, (matrix, u_r, v) = from_singular_system(sys, m, seed), _full_qr_model(sys, m, seed)
+    r = len(sigmas)
+    assert model.u_basis.shape == (m, r) and model.v_basis.shape == (m, m)
+    assert np.max(np.abs(model.matrix - matrix)) <= 1e-13
+    assert np.max(np.abs(model.u_basis - u_r)) <= 1e-13
+    assert np.max(np.abs(model.v_basis[:, :r] - v[:, :r])) <= 1e-13
+    assert gap(Subspace(model.v_basis[:, r:]), Subspace(v[:, r:])) <= 1e-12
 
 
 def test_from_singular_system_deterministic():
