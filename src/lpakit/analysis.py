@@ -23,11 +23,12 @@ one SVD of T X_n and both offset-angle routes, so identities that hold in
 exact arithmetic stay consistent to machine precision. The factor is T's
 SVD: LAPACK run on T's coupled block only (a coordinate whose row and
 column are zero off the diagonal contributes its singular triplet in closed
-form), or, for a family that knows T's singular system (best-lpa's
-singular_triplets), read off it with no LAPACK call; or, for a family that
-declares N(T) = {0}, the inverse
-T^{-1} = T^+ (by halves when T is lower triangular, as seidman's is, else
-by one LAPACK inverse) when its Frobenius norm, or else sqrt(||.||_1 ||.||_inf),
+form), or, for a family that knows T's SVD (singular_triplets: best-lpa's
+from the singular system T was built from, du's in closed form, so not even
+its 511 x 511 coupled block is factored), read off it with no LAPACK call;
+or, for a family that declares N(T) = {0}, the inverse T^{-1} = T^+ (by
+halves when T is lower triangular, as seidman's is, else by one LAPACK
+inverse) when its Frobenius norm, or else sqrt(||.||_1 ||.||_inf),
 against an O(m^2) bound on sigma_max proves every rank decision a row will
 make; T's singular values are then taken only when read. The instance sees
 ranks, not routes.
@@ -317,11 +318,13 @@ class TruncationFactor:
     R and K from V. LAPACK factors only T's coupled block; each decoupled
     coordinate, whose row and column are zero off the diagonal, adds its
     singular triplet in closed form (see _factor_svd). So identity, zero and
-    diagonal T take no LAPACK call, and du's truncation only its leading
-    511 x 511 block. singular_triplets, when given, is T's SVD already
-    known, in _factor_svd's (s, vectors) form, and is taken in its place:
-    shared_factors passes a family's (OperatorFamily.singular_triplets),
-    so best-lpa's T, built from its singular system, takes no LAPACK call.
+    diagonal T take no LAPACK call, and du's truncation, block diagonal from
+    m = 512 on, only its leading 511 x 511 block. singular_triplets, when
+    given, is T's SVD already known, in _factor_svd's (s, vectors) form,
+    and is taken in its place: shared_factors passes a family's
+    (OperatorFamily.singular_triplets), so best-lpa's T, built from its
+    singular system, and du's, whose SVD is a reflector's closed form, take
+    no LAPACK call.
     The rank rule and the Subspace checks on R and K are the same either
     way; TruncationFactor(t) alone is LAPACK's, the reference the tests hold
     a known SVD to. T^+ is applied as V_rho Sigma_rho^{-1} U_rho^T

@@ -52,6 +52,9 @@ class OperatorFamily:
     form, returned as (s, vectors) with s the m singular values, descending,
     and vectors(k) = (U[:, :k], V^T) for any k up to the count of nonzero
     values: analysis.shared_factors factors T from it instead of by LAPACK.
+    best-lpa reads it off the singular system it builds T from, du off a
+    reflector (see _du_singular_triplets); analysis.TruncationFactor(t)
+    alone still factors T by LAPACK, the reference the tests hold it to.
     max_n and min_m are the family's own limits on (n, m); check() tests a
     pair against them without building anything.
 
@@ -101,8 +104,9 @@ def seidman(m: int) -> np.ndarray:
     return a
 
 
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 # Largest s with 3/2^s >= sqrt(tiny) = 2^-511, i.e. 512; see du.
-_DU_MAX_EXPONENT = math.floor(math.log2(3.0 / math.sqrt(np.finfo(float).tiny)))
+_DU_MAX_EXPONENT = math.floor(math.log2(3.0 / _SQRT_TINY))
 
 
 def du(m: int) -> np.ndarray:
@@ -119,21 +123,71 @@ def du(m: int) -> np.ndarray:
     runs subnormal arithmetic in slow microcode. The dropped part has
     spectral norm below 2^-500, far under any rank cutoff. For m <= 256 no
     entry is dropped. From m = 512 on, rows and columns 512..m hold only
-    their diagonal 1, so the truncation is block diagonal and
-    analysis.TruncationFactor factors only its leading 511 x 511 block.
+    their diagonal 1, so the truncation is block diagonal.
+
+    So T = I - 3 w w^T, w_k = 2^-k, up to the dropped entries, and its SVD
+    is known in closed form (_du_singular_triplets, the family's
+    singular_triplets).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     idx = np.arange(1, m + 1)
-    # w_k = 2^-k; from k = _DU_MAX_EXPONENT on every entry in row or column
-    # k is dropped, so w_k = 0 there keeps the outer product free of underflow
-    w = np.zeros(m)
-    k = min(m, _DU_MAX_EXPONENT - 1)
-    w[:k] = np.ldexp(1.0, -idx[:k])
+    w = _du_w(m)
     a = np.multiply.outer(w, -3.0 * w)
     a[np.add.outer(idx, idx) > _DU_MAX_EXPONENT] = 0.0
     a.flat[:: m + 1] += 1.0
     return a
+
+
+def _du_w(m: int) -> np.ndarray:
+    """du's w: w_k = 2^-k for k < _DU_MAX_EXPONENT = 512, else 0. From
+    k = 512 on every entry in row or column k of du(m) is dropped, so w_k = 0
+    there keeps the outer products free of underflow."""
+    w = np.zeros(m)
+    k = min(m, _DU_MAX_EXPONENT - 1)
+    w[:k] = np.ldexp(1.0, -np.arange(1, k + 1))
+    return w
+
+
+def _du_singular_triplets(m: int):
+    """du(m)'s SVD in closed form, as (s, vectors) (see
+    OperatorFamily.singular_triplets), with no LAPACK call.
+
+    With c = w / ||w|| (w as du builds it), T = I - 3 ||w||^2 c c^T. The
+    reflector H = I - 2 h h^T / h^T h, h = c + e_1, is symmetric and
+    orthogonal and maps c to -e_1, so H T H = I - 3 ||w||^2 e_1 e_1^T: the
+    singular values are 1, m - 1 times, and 1 - 3 ||w||^2 = 4^-k,
+    k = min(m, 511), and U = V = H with its first column, -c (the kernel
+    direction), moved to the end so that the values descend. Reflecting c
+    onto e_1 keeps H graded like T, its entries off the first row and
+    column falling as 2^-(i+j). Reflected onto e_m instead, H's last row and
+    column are about -c, entries of order 2^-j where T's are 2^-(m+j), and
+    the gap route's sine at du's zero offset read 1.4e-10, 1.2e-7 and
+    1.2e-4 at n = 20, 30 and 40 (m = 4n), against at most 1.7e-15 here.
+
+    H is formed from the computed h as written, so it is a reflector, and
+    orthogonal to roundoff, whether or not the computed c has unit norm.
+    Its entries i, j >= 2 are -c_i c_j / (1 + c_1), about 1.6 * 2^-(i+j);
+    as du does for T's, an entry below sqrt(tiny) is stored as 0, so no
+    product of two entries is subnormal. The dropped part has norm below
+    2^-500.
+
+    For m <= 256 this is the SVD of du(m) itself. Beyond, it is that of
+    I - 3 w w^T, from which du(m) differs only in its dropped entries, by
+    less than 2^-500 in norm.
+    """
+    w = _du_w(m)
+    c = w / np.linalg.norm(w)
+    h = c.copy()
+    h[0] += 1.0
+    # H's columns in the order 2..m, 1, formed in that order
+    order = np.r_[1:m, 0]
+    v = np.multiply.outer(h, (-2.0 / (h @ h)) * h[order])
+    v[np.abs(v) < _SQRT_TINY] = 0.0
+    v[order, np.arange(m)] += 1.0
+    s = np.ones(m)
+    s[-1] = np.ldexp(1.0, -2 * min(m, _DU_MAX_EXPONENT - 1))
+    return s, lambda k: (v[:, :k], v.T)
 
 
 def du_vector_e(m: int) -> np.ndarray:
@@ -348,12 +402,13 @@ _STATIC_FAMILIES = {
                "direction e_k = sqrt(3)/2^k; the truncated matrix misses "
                "being an exact projector by 4^-m, and its kernel direction "
                "only becomes numerically visible once 4^-m drops below the "
-               "rank cutoff (m around 28); entries 3/2^(i+j) stop at "
-               "i + j = 512, where they reach sqrt(tiny) = 2^-511, so that "
-               "no product of two entries is subnormal (the dropped part "
-               "is below 2^-500 in norm); from m = 512 on, coordinates "
-               "512..m are decoupled, so T is factored on its leading "
-               "511 x 511 block"),
+               "rank cutoff (from m = 23 at the default rank_tol); entries "
+               "3/2^(i+j) stop at i + j = 512, where they reach "
+               "sqrt(tiny) = 2^-511, so that no product of two entries is "
+               "subnormal (the dropped part is below 2^-500 in norm); T's "
+               "SVD is read off the reflector that maps e/||e|| to -e_1, in "
+               "closed form, with no LAPACK call"),
+        singular_triplets=_du_singular_triplets,
     ),
 }
 

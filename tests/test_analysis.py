@@ -201,7 +201,7 @@ def _count_svd_calls(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("name, n, m, svds_of_t", [
-    ("seidman", 8, 32, 0), ("best-lpa", 8, 20, 0), ("du", 4, 36, 1), (*_WIDE_KERNEL, 0),
+    ("seidman", 8, 32, 0), ("best-lpa", 8, 20, 0), ("du", 4, 36, 0), (*_WIDE_KERNEL, 0),
 ], ids=["seidman-8-32", "best-lpa-8-20", "du-4-36", "best-lpa-8-64"])
 def test_instance_factors_each_matrix_once(monkeypatch, name, n, m, svds_of_t):
     # T and T X_n, the latter as T X_n itself (m x dim X_n) where
@@ -211,8 +211,8 @@ def test_instance_factors_each_matrix_once(monkeypatch, name, n, m, svds_of_t):
     # singular values alone (compute_uv=False, spectral norms) are not
     # factorizations. seidman declares N(T) = {0}: its T is inverted and
     # takes no SVD. best-lpa's factor is read off the singular system it
-    # was built from (singular_triplets): no SVD of T either. For both,
-    # the one SVD with vectors is that of T X_n.
+    # was built from, du's off its closed form (singular_triplets): no SVD
+    # of T either. For all three, the one SVD with vectors is that of T X_n.
     shapes = _count_full_svds(monkeypatch)
     inst = make_lpa(get_family(name), n, m)
     diagnose(inst)
@@ -372,28 +372,35 @@ def test_factor_runs_lapack_on_the_coupled_block_only(monkeypatch, build, want):
 
 @pytest.mark.parametrize("name, n, m", [("du", 16, 768), ("identity", 3, 8)])
 def test_diagnose_takes_no_m_by_m_svd_on_decoupled_truncations(monkeypatch, name, n, m):
+    # identity's factor is all closed-form triplets of decoupled coordinates;
+    # du's is read off its closed form, so not even its 511 x 511 coupled
+    # block is factored
     shapes = _count_full_svds(monkeypatch)
     diagnose(make_lpa(get_family(name), n, m))
-    assert (m, m) not in shapes
-    assert shapes.count((511, 511)) == (name == "du")
+    assert (m, m) not in shapes and (511, 511) not in shapes
 
 
 @pytest.mark.parametrize("n, m", [(16, 768), (8, 1100)])
 def test_du_diagnostics_match_dense_factor(monkeypatch, n, m):
-    # the block-wise factor against LAPACK's SVD of the whole truncation
-    # (every coordinate declared coupled), within perfbench's tolerances, and
-    # the two routes within check of each other.
+    # du's closed-form factor (make_lpa's, through shared_factors) against
+    # LAPACK's on the formed T: first the block route, which factors T's
+    # leading 511 x 511 block, then the SVD of the whole truncation (every
+    # coordinate declared coupled). Within perfbench's tolerances, and the
+    # two routes within check of each other.
     check = Tolerances().check
-    got = diagnose(make_lpa(get_family("du"), n, m))
+    fam = get_family("du")
+    got = diagnose(make_lpa(fam, n, m))
+    block = diagnose(make_lpa(fam, n, m, TruncationFactor(fam.truncate(m))))
     monkeypatch.setattr(lpakit.analysis, "_coupled", lambda t: np.ones(len(t), dtype=bool))
-    want = diagnose(make_lpa(get_family("du"), n, m))
-    assert (got.kernel_dim, got.kernel_core_dim) == (want.kernel_dim, want.kernel_core_dim)
-    assert kernel_verdict([got], check) == kernel_verdict([want], check)
-    for field in ("sin_theta_gap", "sin_theta_qn", "kernel_gap"):
-        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-10)
+    whole = diagnose(make_lpa(fam, n, m, TruncationFactor(fam.truncate(m))))
     assert abs(got.sin_theta_qn - got.sin_theta_gap) <= check
-    for field in ("norm_tn_dag_t", "bound_factor"):
-        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0)
+    for want in (block, whole):
+        assert (got.kernel_dim, got.kernel_core_dim) == (want.kernel_dim, want.kernel_core_dim)
+        assert kernel_verdict([got], check) == kernel_verdict([want], check)
+        for field in ("sin_theta_gap", "sin_theta_qn", "kernel_gap"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-10)
+        for field in ("norm_tn_dag_t", "bound_factor"):
+            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0)
 
 
 def _dense_tn_pinv(inst) -> np.ndarray:
@@ -484,15 +491,16 @@ def _assert_rows_agree(inverted, dense, n, x_basis=None):
     assert error_bound_check(a, y).passed == error_bound_check(b, y).passed
 
 
-def _model_and_lapack_factors(fam, m, subspace_tol):
-    # shared_factors reads best-lpa's factor off the model T was built from
-    # (singular_triplets); TruncationFactor(t) takes LAPACK's SVD of the
-    # formed T. Same rank, cutoffs within 10 m eps relative, row spaces and
-    # kernels within subspace_tol, and T^+ applied within
-    # m eps cond(T) ||T^+|| (_assert_factors_agree's bound)
+def _known_and_lapack_factors(fam, m, subspace_tol):
+    # shared_factors reads the factor off the SVD the family knows
+    # (singular_triplets: best-lpa's model, du's closed form);
+    # TruncationFactor(t) takes LAPACK's SVD of the formed T. Same rank,
+    # cutoffs within 10 m eps relative, row spaces and kernels within
+    # subspace_tol, and T^+ applied within m eps cond(T) ||T^+||
+    # (_assert_factors_agree's bound)
     got, want = shared_factors(fam)(m), TruncationFactor(fam.truncate(m))
     assert "t_pinv" not in vars(got) and got.u_rho.shape == (m, got.rank)
-    assert got.rank == want.rank == len(fam.params["sigmas"])
+    assert got.rank == want.rank
     assert got.cutoff == pytest.approx(want.cutoff, rel=10 * m * EPS, abs=0)
     assert gap(got.rowspace, want.rowspace) <= subspace_tol
     assert gap(got.kernel, want.kernel) <= subspace_tol
@@ -507,7 +515,8 @@ def _model_and_lapack_factors(fam, m, subspace_tol):
 def test_best_lpa_factor_from_its_singular_system_matches_lapack(m):
     # and every row agrees, bound check included (cond(T) = 144)
     fam = get_family("best-lpa")
-    got, want = _model_and_lapack_factors(fam, m, 1e-12)
+    got, want = _known_and_lapack_factors(fam, m, 1e-12)
+    assert got.rank == len(fam.params["sigmas"])
     for n in range(1, fam.max_n + 1):
         _assert_rows_agree(got, want, n, fam.xn_basis(n, m))
 
@@ -531,7 +540,8 @@ def test_graded_best_lpa_factor_from_its_singular_system_matches_lapack():
     # off either factor's kernel
     fam = get_family("best-lpa", sigmas=[1, 1e-3, 1e-6, 1e-9], kernel_dim=2)
     m, check = 20, Tolerances().check
-    got, want = _model_and_lapack_factors(fam, m, m * EPS * 1e9)
+    got, want = _known_and_lapack_factors(fam, m, m * EPS * 1e9)
+    assert got.rank == len(fam.params["sigmas"])
     captured = {}
     for n in range(1, fam.max_n + 1):
         a, b = (LpaInstance(f, n, fam.xn_basis(n, m)) for f in (got, want))
@@ -542,6 +552,37 @@ def test_graded_best_lpa_factor_from_its_singular_system_matches_lapack():
         if captured[n][0]:
             assert error_bound_check(a, np.random.default_rng(n).standard_normal(m)).passed
     assert captured == {1: (True, False), 2: (True, False), 3: (True, False), 4: (False, False)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 12, 22, 23, 30, 192, 256, 257, 511, 512, 768, 1100])
+def test_du_factor_in_closed_form_matches_lapack(m):
+    # du's factor read off the reflector that maps e/||e|| to -e_1 against
+    # LAPACK's SVD of the formed T (of its leading 511 x 511 block from
+    # m = 512 on). rho = m below the rank cliff (m <= 22), m - 1 above.
+    # From m = 257 on, T drops entries below sqrt(tiny) that the closed
+    # form, the SVD of I - 3 w w^T, keeps; their norm is under 2^-500, so
+    # the closed form still reproduces T to m eps entrywise. U_rho Sigma_rho
+    # V_rho^T omits sigma_{rho+1} too, 4^-23 at m = 23, the one m here where
+    # that is above m eps. V stores no nonzero below sqrt(tiny), so no
+    # product of two of its entries is subnormal
+    fam = get_family("du")
+    got, want = _known_and_lapack_factors(fam, m, 1e-12)
+    t, (s, vectors) = fam.truncate(m), fam.singular_triplets(m)
+    u, vt = vectors(m)
+    assert np.abs((u * s) @ vt - t).max() <= m * EPS
+    dropped = s[got.rank] if got.rank < m else 0.0
+    rho_part = (got.u_rho * got.s_rho) @ got.rowspace.basis.T
+    assert np.abs(rho_part - t).max() <= m * EPS + dropped
+    stored = np.abs(vt[vt != 0])
+    assert stored.min() >= math.sqrt(np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("n", [8, 16, 20, 30, 40])
+def test_du_closed_form_reads_a_zero_offset_to_roundoff(n):
+    # with the factor read off the graded reflector (singular_triplets), the
+    # gap route's sine at m = 4n is 4.4e-16 to 1.7e-15; LAPACK's factor
+    # read up to 1.5e-11 on these rows
+    assert diagnose(make_lpa(get_family("du"), n, 4 * n)).sin_theta_gap <= 1e-14
 
 
 @functools.cache

@@ -240,27 +240,28 @@ _SHARED_SCANS = [
 def _count_t_factorizations(monkeypatch, ms, family=None):
     # (kind, m) for every SVD ("svd" with vectors, "values" without), QR
     # ("qr") and inverse ("inv") of a square matrix equal to the family's
-    # truncation at its m, or, without a family, of any m x m matrix at those
-    # m, through np.linalg or numpy's internal binding (norm(ord=2) calls the
-    # latter). An inverse is one LAPACK inverse, or one inverse by halves of
-    # a lower triangular T above order 64 (analysis._invert_lower), whose
-    # leaves are smaller than T. An inverted factor proves full rank from
-    # the inverse's norms and takes T's singular values only when read, so
-    # a "values" entry means something read them or the proof failed.
+    # truncation at its m, or, without a family, of any matrix whose order,
+    # its smaller dimension m, is at least min(ms), through np.linalg or
+    # numpy's internal binding (norm(ord=2) calls the latter). An inverse is
+    # one LAPACK inverse, or one inverse by halves of a lower triangular T
+    # above order 64 (analysis._invert_lower), whose leaves are smaller
+    # than T. An inverted factor proves full rank from the inverse's norms
+    # and takes T's singular values only when read, so a "values" entry
+    # means something read them or the proof failed.
     # Also returned: the flop count of every matrix product that a factor's
     # T enters, as itself or as a view of it (a slice or T^T); the factor's
     # T is made a view that records them
-    truncations = {m: family.truncate(m) if family else None for m in ms}
+    truncations = {m: family.truncate(m) for m in ms} if family else {}
     internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     counted, products = [], []
 
     def counting(kind_of, real):
         def wrapper(a, *args, **kwargs):
-            m = np.shape(a)[0]
-            if m in truncations and np.shape(a) == (m, m):
-                t = truncations[m]
-                if t is None or np.array_equal(a, t):
-                    counted.append((kind_of(kwargs), m))
+            m = min(np.shape(a))
+            if family is None and m >= min(ms) or (
+                    m in truncations and np.shape(a) == (m, m)
+                    and np.array_equal(a, truncations[m])):
+                counted.append((kind_of(kwargs), m))
             return real(a, *args, **kwargs)
         return wrapper
 
@@ -326,6 +327,21 @@ def test_best_lpa_scan_takes_no_m_cubed_step(monkeypatch, m):
     assert [row.kernel_core_dim for row in report.rows] == [m - 12] * 4
     assert factorizations == []
     assert products and max(products) <= 12 * m * m, products
+
+
+def test_du_scan_takes_no_m_cubed_step(monkeypatch):
+    # du's factor is read off its closed form (singular_triplets), so even
+    # its 511 x 511 coupled block is not factored: no SVD, QR or inverse of
+    # an input of order 511 or more. T X_n is T's first n columns, and T
+    # enters products only with at most r <= n columns on the other side
+    m = 768
+    cfg = scan_config_from_dict({"operator": {"name": "du"},
+                                 "n_list": [2, 4, 8, 16], "m_rule": f"fixed:{m}"})
+    factorizations, products = _count_t_factorizations(monkeypatch, [511])
+    report = run_scan(cfg)
+    assert [(row.kernel_dim, row.kernel_core_dim) for row in report.rows] == [(1, 0)] * 4
+    assert factorizations == []
+    assert products and max(products) <= 16 * m * m, products
 
 
 @pytest.mark.parametrize("m_rule, ms", [("fixed:20", 1), ("factor:10", 2)])
