@@ -6,12 +6,14 @@ factor's of T and of each T X_n, follows the one rule of :func:`rank_cutoff`,
 so that all of them agree on what counts as zero. Subspaces are held only as
 orthonormal bases (see :class:`Subspace`), each checked once, a caller's or
 LAPACK's alike, by ``||B^T B - I||_F <= 1e-12 max(1, m)``: O(m k^2), no LAPACK
-call. gap and deficiency work on bases; :func:`projector` builds the m x m
-matrix only for checks that need it.
+call, and summed over column blocks, so a wide basis forms no k x k array.
+gap and deficiency work on bases; :func:`projector` builds the m x m matrix
+only for checks that need it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +76,9 @@ class Subspace:
 
     k = 0 is allowed and represents the zero subspace. Construction requires
     ``||B^T B - I||_F <= 1e-12 * max(1, m)``: at least as strict as the
-    spectral norm it bounds, O(m k^2), and no LAPACK call.
+    spectral norm it bounds, O(m k^2), and no LAPACK call. Past 256 columns
+    the norm is summed over column blocks (_gram_defect), so the check
+    holds at most a 256 x k array, never the k x k B^T B.
     """
 
     basis: np.ndarray
@@ -85,9 +89,7 @@ class Subspace:
             raise ValueError("basis must be a 2-d array")
         if b.shape[1] > b.shape[0]:
             raise ValueError(f"more columns than ambient dimension: {b.shape}")
-        g = b.T @ b
-        np.fill_diagonal(g, g.diagonal() - 1.0)  # B^T B - I with one k x k array
-        defect = np.linalg.norm(g)
+        defect = _gram_defect(b)
         if not defect <= 1e-12 * max(1, b.shape[0]):
             raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
 
@@ -111,6 +113,34 @@ class Subspace:
     def coordinate(ambient_dim: int, k: int) -> "Subspace":
         """span{e^1, ..., e^k} inside R^ambient_dim."""
         return Subspace(np.eye(ambient_dim, k))
+
+
+# Column block of the orthonormality check; a basis this wide or narrower is
+# checked through its whole Gram matrix.
+_GRAM_BLOCK = 256
+
+
+def _gram_defect(b: np.ndarray) -> float:
+    """||B^T B - I||_F. Up to _GRAM_BLOCK columns through the k x k Gram
+    matrix; wider, summed over column blocks B_j: each diagonal block
+    B_j^T B_j - I, and each B_j^T [B_{j+1} ...] to its right, counted twice
+    for its mirror below. The flops are the Gram matrix's, and the largest
+    array is _GRAM_BLOCK x k."""
+    k = b.shape[1]
+    if k <= _GRAM_BLOCK:
+        g = b.T @ b
+        np.fill_diagonal(g, g.diagonal() - 1.0)  # B^T B - I with one k x k array
+        return float(np.linalg.norm(g))
+    total = 0.0
+    for j in range(0, k, _GRAM_BLOCK):
+        bj = b[:, j:j + _GRAM_BLOCK]
+        g = bj.T @ bj
+        np.fill_diagonal(g, g.diagonal() - 1.0)
+        total += float(np.linalg.norm(g)) ** 2
+        del g  # freed before the block to its right is formed
+        if j + _GRAM_BLOCK < k:
+            total += 2.0 * float(np.linalg.norm(bj.T @ b[:, j + _GRAM_BLOCK:])) ** 2
+    return math.sqrt(total)
 
 
 def svd(a, full_matrices: bool = True) -> SvdResult:

@@ -107,6 +107,8 @@ def seidman(m: int) -> np.ndarray:
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 # Largest s with 3/2^s >= sqrt(tiny) = 2^-511, i.e. 512; see du.
 _DU_MAX_EXPONENT = math.floor(math.log2(3.0 / _SQRT_TINY))
+# Rows per block when _du_singular_triplets zeroes its tiny entries.
+_ZERO_BLOCK = 32
 
 
 def du(m: int) -> np.ndarray:
@@ -123,7 +125,9 @@ def du(m: int) -> np.ndarray:
     runs subnormal arithmetic in slow microcode. The dropped part has
     spectral norm below 2^-500, far under any rank cutoff. For m <= 256 no
     entry is dropped. From m = 512 on, rows and columns 512..m hold only
-    their diagonal 1, so the truncation is block diagonal.
+    their diagonal 1, so the truncation is block diagonal. The dropped
+    entries are zeroed by row slices, so the matrix returned is the only
+    m x m array built.
 
     So T = I - 3 w w^T, w_k = 2^-k, up to the dropped entries, and its SVD
     is known in closed form (_du_singular_triplets, the family's
@@ -131,10 +135,12 @@ def du(m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    idx = np.arange(1, m + 1)
     w = _du_w(m)
     a = np.multiply.outer(w, -3.0 * w)
-    a[np.add.outer(idx, idx) > _DU_MAX_EXPONENT] = 0.0
+    # row i keeps columns j <= 512 - i (1-based), zeroed by slices: no m x m mask
+    for i in range(max(1, _DU_MAX_EXPONENT + 1 - m), min(m, _DU_MAX_EXPONENT) + 1):
+        a[i - 1, _DU_MAX_EXPONENT - i:] = 0.0
+    a[_DU_MAX_EXPONENT:] = 0.0
     a.flat[:: m + 1] += 1.0
     return a
 
@@ -170,7 +176,8 @@ def _du_singular_triplets(m: int):
     Its entries i, j >= 2 are -c_i c_j / (1 + c_1), about 1.6 * 2^-(i+j);
     as du does for T's, an entry below sqrt(tiny) is stored as 0, so no
     product of two entries is subnormal. The dropped part has norm below
-    2^-500.
+    2^-500. They are found and zeroed 32 rows at a time, so H is the only
+    m x m array built.
 
     For m <= 256 this is the SVD of du(m) itself. Beyond, it is that of
     I - 3 w w^T, from which du(m) differs only in its dropped entries, by
@@ -183,7 +190,9 @@ def _du_singular_triplets(m: int):
     # H's columns in the order 2..m, 1, formed in that order
     order = np.r_[1:m, 0]
     v = np.multiply.outer(h, (-2.0 / (h @ h)) * h[order])
-    v[np.abs(v) < _SQRT_TINY] = 0.0
+    for i in range(0, m, _ZERO_BLOCK):  # by row blocks: no m x m |v|
+        block = v[i:i + _ZERO_BLOCK]
+        block[np.abs(block) < _SQRT_TINY] = 0.0
     v[order, np.arange(m)] += 1.0
     s = np.ones(m)
     s[-1] = np.ldexp(1.0, -2 * min(m, _DU_MAX_EXPONENT - 1))

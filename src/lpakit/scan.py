@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import (LpaDiagnostics, PreconditionError, diagnose, error_bound_check,
+from .analysis import (LpaDiagnostics, diagnose, error_bound_check, kernel_captured,
                        kernel_verdict, make_lpa, shared_factors)
 from .config import ConfigError, ScanConfig
 from .operators import get_family
@@ -92,17 +92,19 @@ def _theta_verdict(rows) -> str:
 
 
 def _scan_row(config: ScanConfig, family, factor, n: int) -> tuple[LpaDiagnostics, bool | None]:
-    """Row at n and its bound check's verdict, None where the bound's precondition
-    fails. The instance is freed on return, so once the next row moves to a new
-    m nothing holds the old factor."""
+    """Row at n and its bound check's verdict, None where the row does not
+    capture the kernel (kernel_captured), the bound's precondition. Only an
+    eligible row draws its right-hand side, from default_rng([seed, n]), so y
+    depends on (seed, n) alone and a scan with no eligible row never loads
+    numpy.random. The instance is freed on return, so once the next row
+    moves to a new m nothing holds the old factor."""
     m = config.m_for(n)
     inst = make_lpa(family, n, m, factor(m))
     row = diagnose(inst, config.tolerances)
-    y = np.random.default_rng([config.seed, n]).standard_normal(inst.m)
-    try:
-        return row, error_bound_check(inst, y, config.tolerances).passed
-    except PreconditionError:
+    if not kernel_captured(row, config.tolerances.check):
         return row, None
+    y = np.random.default_rng([config.seed, n]).standard_normal(inst.m)
+    return row, error_bound_check(inst, y, config.tolerances).passed
 
 
 def run_scan(config: ScanConfig) -> ScanReport:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -342,6 +343,56 @@ def test_du_scan_takes_no_m_cubed_step(monkeypatch):
     assert [(row.kernel_dim, row.kernel_core_dim) for row in report.rows] == [(1, 0)] * 4
     assert factorizations == []
     assert products and max(products) <= 16 * m * m, products
+
+
+@pytest.mark.parametrize("operator, loads_random", [("du", False), ("seidman", True)])
+def test_scan_loads_numpy_random_only_for_a_bound_check(operator, loads_random):
+    # du never captures its kernel, so no row draws a right-hand side;
+    # seidman is injective, so every row does
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from lpakit.config import scan_config_from_dict\n"
+            "from lpakit.scan import run_scan\n"
+            f"cfg = scan_config_from_dict({{'operator': {{'name': {operator!r}}}, "
+            "'n_list': [2, 4]})\n"
+            "print(run_scan(cfg).verdicts['bound_checks_passed'], "
+            "'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2/2" if loads_random else "0/0", str(loads_random)]
+
+
+def test_scan_draws_y_by_seed_and_n_for_eligible_rows_only(monkeypatch):
+    seen = []
+    real = lpakit.scan.error_bound_check
+    monkeypatch.setattr(lpakit.scan, "error_bound_check",
+                        lambda inst, y, tol: seen.append((inst.n, y)) or real(inst, y, tol))
+    run_scan(scan_config_from_dict(minimal_config(n_list=[2, 4])))
+    assert seen == []
+    run_scan(scan_config_from_dict({"operator": {"name": "seidman"}, "n_list": [2, 4],
+                                    "m_rule": "fixed:20", "seed": 5}))
+    assert [n for n, _ in seen] == [2, 4]
+    for n, y in seen:
+        assert np.array_equal(y, np.random.default_rng([5, n]).standard_normal(20))
+
+
+def test_du_scan_holds_little_beyond_t_and_its_factor():
+    # at m = 768 a du row keeps T and its factor's vectors, 2 x 8 m^2; no
+    # m x m temporary (mask, |v|, Gram matrix) is added on top of them
+    m = 768
+    cfg = scan_config_from_dict({"operator": {"name": "du"}, "n_list": [16],
+                                 "m_rule": "factor:48"})
+    assert cfg.m_for(16) == m
+    tracemalloc.start()
+    try:
+        run_scan(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * m * m, peak
 
 
 @pytest.mark.parametrize("m_rule, ms", [("fixed:20", 1), ("factor:10", 2)])

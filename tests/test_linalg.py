@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpakit.linalg import (
+    _GRAM_BLOCK,
     EPS,
+    _gram_defect,
     Subspace,
     canonical_angles,
     deficiency,
@@ -143,8 +145,9 @@ def test_subspace_check_calls_no_lapack_svd(monkeypatch, k):
     assert calls == []
 
 
-def test_subspace_check_allocates_one_gram_matrix():
-    # B^T B - I is formed in place: at k = 768 the check holds one k x k array
+def test_subspace_check_allocates_no_gram_matrix():
+    # B^T B - I is summed over column blocks: at k = 768 the check's largest
+    # array is one block against the columns to its right, not k x k
     k = 768
     basis = np.eye(k)
     tracemalloc.start()
@@ -153,7 +156,41 @@ def test_subspace_check_allocates_one_gram_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * 8 * k * k, peak
+    assert peak < 0.5 * 8 * k * k, peak
+
+
+@pytest.mark.parametrize("k", [0, 1, _GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1,
+                               3 * _GRAM_BLOCK + 5])
+def test_blocked_gram_defect_matches_dense(k):
+    # an orthonormal basis with every column's length off by up to 1e-6 and
+    # one column tilted toward the first, so both diagonal and off-diagonal
+    # blocks carry defect
+    m = k + 20
+    rng = np.random.default_rng([17, k])
+    b = np.linalg.qr(rng.standard_normal((m, k)))[0] * (1.0 + 1e-6 * rng.random(k))
+    if k > 1:
+        b[:, -1] += 1e-6 * b[:, 0]
+    dense = float(np.linalg.norm(b.T @ b - np.eye(k)))
+    assert (dense > 0) == (k > 0)
+    # each entry of B^T B - I carries roundoff of order m eps, whatever its size
+    assert abs(_gram_defect(b) - dense) <= 10 * EPS * m
+
+
+@pytest.mark.parametrize("tilt, accepted", [(0.9, False), (0.6, True)])
+def test_subspace_counts_off_diagonal_blocks_twice(tilt, accepted):
+    # the last column tilted toward the first by tilt * bound: B^T B - I holds
+    # tilt * bound at (0, k-1) and at (k-1, 0), so its norm is about
+    # sqrt(2) tilt * bound, over the bound at 0.9 and under it at 0.6; the two
+    # entries sit in different column blocks
+    k = 3 * _GRAM_BLOCK + 5
+    bound = 1e-12 * k
+    basis = np.eye(k)
+    basis[0, -1] = tilt * bound
+    if accepted:
+        Subspace(basis)
+    else:
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(basis)
 
 
 def test_subspace_rejects_spectral_defect_twice_the_bound():

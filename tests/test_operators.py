@@ -1,6 +1,7 @@
 """Tests for the built-in operator families and their truncations."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -116,6 +117,65 @@ def test_du_against_unfloored_oracle(m):
     # identical up to i + j = 512; beyond it only delta_ij is left
     assert np.array_equal(a[~dropped], old[~dropped])
     assert np.array_equal(a[dropped], np.eye(m)[dropped])
+
+
+def _du_w(m):
+    w = np.zeros(m)
+    k = min(m, 511)
+    w[:k] = np.ldexp(1.0, -np.arange(1, k + 1))
+    return w
+
+
+def _du_add_outer(m):
+    # du as first written: the i + j > 512 entries masked through an m x m
+    # index sum
+    idx = np.arange(1, m + 1)
+    w = _du_w(m)
+    a = np.multiply.outer(w, -3.0 * w)
+    a[np.add.outer(idx, idx) > 512] = 0.0
+    a.flat[:: m + 1] += 1.0
+    return a
+
+
+def _du_vectors_abs(m):
+    # the closed-form factor's vectors as first written: entries below
+    # sqrt(tiny) zeroed through an m x m |v|
+    w = _du_w(m)
+    c = w / np.linalg.norm(w)
+    h = c.copy()
+    h[0] += 1.0
+    order = np.r_[1:m, 0]
+    v = np.multiply.outer(h, (-2.0 / (h @ h)) * h[order])
+    v[np.abs(v) < math.sqrt(np.finfo(float).tiny)] = 0.0
+    v[order, np.arange(m)] += 1.0
+    return v
+
+
+def _du_vectors(m):
+    _, vectors = get_family("du").singular_triplets(m)
+    return vectors(m)[0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 300, 511, 512, 513, 768, 1100])
+def test_du_and_its_factor_bitwise_match_mask_oracles(m):
+    # zeroing by slices and row blocks stores exactly the old bytes, signed
+    # zeros included
+    assert du(m).tobytes() == _du_add_outer(m).tobytes()
+    assert _du_vectors(m).tobytes() == _du_vectors_abs(m).tobytes()
+
+
+@pytest.mark.parametrize("build", [du, _du_vectors], ids=["du", "vectors"])
+def test_du_builds_hold_one_m_by_m_array(build):
+    # the result is the only m x m array: no index sum, mask or |v| beside it
+    m = 768
+    tracemalloc.start()
+    try:
+        kept = build(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept.shape == (m, m)
+    assert peak < 1.1 * 8 * m * m, peak
 
 
 def test_du_diagnostics_match_unfloored_oracle():
