@@ -566,17 +566,7 @@ class LpaInstance:
         if self.rank < self.m:
             row_image = self.rowspace.project(row_image)
         return (Subspace(np.linalg.qr(row_image)[0]),
-                Subspace(np.linalg.qr(self.tt_u_r)[0]))
-
-    @cached_property
-    def tt_u_r(self) -> np.ndarray:
-        """T^T U_r, U_r the r left singular vectors txn_svd kept: m x r,
-        formed once for both offset-angle routes (images and _qn_factors).
-        offset_sines drops it once both have read it, so a row keeps no more
-        m x r arrays alive than when each route formed its own: held to the
-        end of the row, it raised seidman-fixed768's peak RSS by 0.6 MB."""
-        res, r = self.txn_svd
-        return self.t.T @ res.u[:, :r]
+                Subspace(np.linalg.qr(self.t.T @ res.u[:, :r])[0]))
 
     @cached_property
     def offset_sines(self) -> tuple[float, float]:
@@ -593,7 +583,6 @@ class LpaInstance:
         TruncationFactor(t), they are 1.36e-4 (2 rows fire) and 2.5e-7."""
         sin_gap = gap(*self.images)
         tan = _tan_theta_qn(self)
-        del self.tt_u_r  # both routes have read it
         return sin_gap, tan / math.hypot(1.0, tan)
 
 
@@ -646,7 +635,8 @@ def _qn_factors(inst: LpaInstance) -> tuple[np.ndarray, np.ndarray]:
     """A = T^+ U_r and B = T^T U_r, so that Q_n = A B^T (U_r: the r left
     singular vectors txn_svd kept, an orthonormal basis of T(X_n))."""
     res, r = inst.txn_svd
-    return inst.factor.pinv_apply(res.u[:, :r]), inst.tt_u_r
+    u_r = res.u[:, :r]
+    return inst.factor.pinv_apply(u_r), inst.t.T @ u_r
 
 
 def _tan_theta_qn(inst: LpaInstance) -> float:

@@ -76,9 +76,9 @@ class Subspace:
 
     k = 0 is allowed and represents the zero subspace. Construction requires
     ``||B^T B - I||_F <= 1e-12 * max(1, m)``: at least as strict as the
-    spectral norm it bounds, O(m k^2), and no LAPACK call. Past 256 columns
-    the norm is summed over column blocks (_gram_defect), so the check
-    holds at most a 256 x k array, never the k x k B^T B.
+    spectral norm it bounds, O(m k^2), and no LAPACK call. The norm is
+    summed over column blocks of 256 (_gram_defect), so the check holds at
+    most a 256 x k array, never the k x k B^T B of a wider basis.
     """
 
     basis: np.ndarray
@@ -115,22 +115,17 @@ class Subspace:
         return Subspace(np.eye(ambient_dim, k))
 
 
-# Column block of the orthonormality check; a basis this wide or narrower is
-# checked through its whole Gram matrix.
+# Column block of the orthonormality check.
 _GRAM_BLOCK = 256
 
 
 def _gram_defect(b: np.ndarray) -> float:
-    """||B^T B - I||_F. Up to _GRAM_BLOCK columns through the k x k Gram
-    matrix; wider, summed over column blocks B_j: each diagonal block
+    """||B^T B - I||_F, summed over column blocks B_j: each diagonal block
     B_j^T B_j - I, and each B_j^T [B_{j+1} ...] to its right, counted twice
     for its mirror below. The flops are the Gram matrix's, and the largest
-    array is _GRAM_BLOCK x k."""
+    array is _GRAM_BLOCK x k; a basis of at most _GRAM_BLOCK columns is one
+    block."""
     k = b.shape[1]
-    if k <= _GRAM_BLOCK:
-        g = b.T @ b
-        np.fill_diagonal(g, g.diagonal() - 1.0)  # B^T B - I with one k x k array
-        return float(np.linalg.norm(g))
     total = 0.0
     for j in range(0, k, _GRAM_BLOCK):
         bj = b[:, j:j + _GRAM_BLOCK]

@@ -95,9 +95,9 @@ def _scan_row(config: ScanConfig, family, factor, n: int) -> tuple[LpaDiagnostic
     """Row at n and its bound check's verdict, None where the row does not
     capture the kernel (kernel_captured), the bound's precondition. Only an
     eligible row draws its right-hand side, from default_rng([seed, n]), so y
-    depends on (seed, n) alone and a scan with no eligible row never loads
-    numpy.random. The instance is freed on return, so once the next row
-    moves to a new m nothing holds the old factor."""
+    depends on (seed, n) alone and a scan with no eligible row draws none.
+    The instance is freed on return, so once the next row moves to a new m
+    nothing holds the old factor."""
     m = config.m_for(n)
     inst = make_lpa(family, n, m, factor(m))
     row = diagnose(inst, config.tolerances)

@@ -348,7 +348,8 @@ def test_du_scan_takes_no_m_cubed_step(monkeypatch):
 @pytest.mark.parametrize("operator, loads_random", [("du", False), ("seidman", True)])
 def test_scan_loads_numpy_random_only_for_a_bound_check(operator, loads_random):
     # du never captures its kernel, so no row draws a right-hand side;
-    # seidman is injective, so every row does
+    # seidman is injective, so every row does. numpy imports numpy.random
+    # lazily, on first use, so the module's presence shows whether a scan drew
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
