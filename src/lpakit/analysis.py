@@ -26,12 +26,14 @@ column are zero off the diagonal contributes its singular triplet in closed
 form), or, for a family that knows T's SVD (singular_triplets: best-lpa's
 from the singular system T was built from, du's in closed form, so not even
 its 511 x 511 coupled block is factored), read off it with no LAPACK call;
-or, for a family that declares N(T) = {0}, the inverse T^{-1} = T^+ (by
-halves when T is lower triangular, as seidman's is, else by one LAPACK
-inverse) when its Frobenius norm, or else sqrt(||.||_1 ||.||_inf),
-against an O(m^2) bound on sigma_max proves every rank decision a row will
-make; T's singular values are then taken only when read. The instance sees
-ranks, not routes.
+or, for a family that declares N(T) = {0}, the inverse T^{-1} = T^+ when
+min(||T^{-1}||_F, sqrt(||T^{-1}||_1 ||T^{-1}||_inf)) against an O(m^2)
+bound on sigma_max proves every rank decision a row will make. A family
+that knows T^{-1} in closed form (inverse: seidman's by Sherman-Morrison)
+hands over its O(m) product and norm bound, so its factor holds no m x m
+array besides T; any other injective T takes one LAPACK inverse. T's
+singular values are then taken only when read. The instance sees ranks,
+not routes.
 The rank r of T X_n is decided once; the kernel core, T_n^+, both
 offset-angle images, tan theta_n = ||Q_n - P_{ran Q_n}|| (an r x r norm) and
 ||T_n^+ T|| (an r x m norm) are read off its r singular vectors. Subspaces
@@ -47,8 +49,8 @@ through the factors of T and of T X_n, and the rest have at most r rows or
 columns, so a row forms no m x m array. A row makes the m x m x dim X_n
 product T X_n only when rho >= dim X_n and X_n is not a coordinate
 subspace (whose T X_n is T's first n columns), and no m x ~m
-factorization. The m x m matrices t_pinv (unless it is the factor's
-T^{-1}), tn() and tn_pinv, and the core's basis kernel_core(), serve the
+factorization. The m x m matrices t_pinv, tn() and tn_pinv, and the
+core's basis kernel_core(), are formed only when read; they serve the
 zero-offset report, the suites and the dense oracles.
 """
 
@@ -151,71 +153,14 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     return s[order], vectors
 
 
-# the order at and below which a lower triangular T, or a diagonal block of
-# one, is inverted by one LAPACK inverse (see _invert_lower)
-_LEAF = 64
-
-
-def _is_lower(t: np.ndarray) -> bool:
-    """Whether T's strict upper triangle is zero: O(m^2), no LAPACK call, read
-    in strips of _LEAF rows, so no m x m temporary is formed."""
-    return not any(np.triu(t[i:i + _LEAF, i:], 1).any() for i in range(0, t.shape[0], _LEAF))
-
-
-def _solve_lower_right(b: np.ndarray, a: np.ndarray) -> None:
-    """b <- b A^{-1} in place, A lower triangular, by halves: with
-    A = [[A1, 0], [A2, A3]], b_2 <- b_2 A3^{-1}, then
-    b_1 <- (b_1 - b_2 A2) A1^{-1}. A block of order at most _LEAF is solved
-    by LAPACK against A^T, upper triangular, so its LU takes no pivot and
-    changes no entry, and the solve is a substitution."""
-    k = a.shape[0]
-    if k <= _LEAF:
-        b[...] = np.linalg.solve(a.T, b.T).T
-        return
-    h = k // 2
-    _solve_lower_right(b[:, h:], a[h:, h:])
-    b[:, :h] -= b[:, h:] @ a[h:, :h]
-    _solve_lower_right(b[:, :h], a[:h, :h])
-
-
-def _invert_lower(t: np.ndarray, out: np.ndarray) -> None:
-    """out <- T^{-1}, T lower triangular, by halves: with T = [[A, 0], [C, B]],
-    T^{-1} = [[A^{-1}, 0], [X, B^{-1}]], X = -B^{-1} C A^{-1}. B^{-1} is formed
-    first, then X is written in place: the product B^{-1} C, then A^{-1}
-    applied by substitution against A (_solve_lower_right) rather than by
-    multiplying with the computed A^{-1}, which keeps the residual bound of
-    _proved_inverse (Du Croz & Higham 1992). Blocks of order at most _LEAF
-    take one LAPACK inverse each. About m^3 / 2 flops against LU's 2 m^3."""
-    m = t.shape[0]
-    if m <= _LEAF:
-        out[...] = np.linalg.inv(t)
-        return
-    h = m // 2
-    _invert_lower(t[h:, h:], out[h:, h:])
-    x = out[h:, :h]
-    np.matmul(out[h:, h:], t[h:, :h], out=x)
-    np.negative(x, out=x)
-    _solve_lower_right(x, t[:h, :h])
-    _invert_lower(t[:h, :h], out[:h, :h])
-    out[:h, h:] = 0.0
-
-
 def _inverse(t: np.ndarray) -> np.ndarray | None:
-    """T^{-1}. None, with no warning, when T is singular to working
-    precision: LAPACK meets a zero pivot, or an entry of the inverse is not
-    finite (a subnormal pivot whose reciprocal overflows).
-
-    A lower triangular T of order above _LEAF is inverted by halves
-    (_invert_lower), any other T by one LAPACK inverse (LU with partial
-    pivoting). The route is read off T's zero pattern."""
-    m = t.shape[0]
+    """T^{-1} by one LAPACK inverse (LU with partial pivoting). None, with no
+    warning, when T is singular to working precision: LAPACK meets a zero
+    pivot, or an entry of the inverse is not finite (a subnormal pivot whose
+    reciprocal overflows)."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan end in None
-            if m > _LEAF and _is_lower(t):
-                inv = np.empty((m, m))
-                _invert_lower(t, inv)
-            else:
-                inv = np.linalg.inv(t)
+            inv = np.linalg.inv(t)
     except np.linalg.LinAlgError:
         return None
     return inv if np.isfinite(inv).all() else None
@@ -228,81 +173,81 @@ _SIGMA_SLACK = 4.0
 # how far 1/N(T^{-1}), N a bound on the spectral norm, must clear the rank
 # cutoff to prove full rank; see _proved_inverse
 _PROOF_FACTOR = 4.0
+# rows per strip when _norm_bound reads |X|
+_STRIP = 64
+
+
+def _norm_bound(x: np.ndarray) -> float:
+    """min(||X||_F, sqrt(||X||_1 ||X||_inf)) >= ||X||_2, O(m^2) and no
+    LAPACK call, taken on |X| / max|x_ij|, so no square overflows, read in
+    strips of _STRIP rows, so no m x m temporary is formed."""
+    scale = float(max(x.max(initial=0.0), -x.min(initial=0.0)))
+    if scale == 0.0:
+        return 0.0
+    squares, col, row = 0.0, np.zeros(x.shape[1]), 0.0
+    for i in range(0, x.shape[0], _STRIP):
+        a = np.abs(x[i:i + _STRIP])
+        a /= scale
+        squares += float(np.einsum("ij,ij->", a, a))
+        col += a.sum(axis=0)
+        row = max(row, float(a.sum(axis=1).max()))
+    return scale * math.sqrt(min(squares, float(col.max()) * row))
 
 
 def _sigma_max_bound(t: np.ndarray) -> float:
-    """hi >= sigma_max(T), O(m^2) and no LAPACK call: the smaller of ||T||_F
-    and sqrt(||T||_1 ||T||_inf), taken on |T| / max|t_ij|, the one m x m
-    temporary, so no square overflows, and widened by _SIGMA_SLACK m eps, so
+    """hi >= sigma_max(T): _norm_bound(T) widened by _SIGMA_SLACK m eps, so
     that LAPACK's computed sigma_max lies below it too."""
-    a = np.abs(t)
-    scale = float(a.max(initial=0.0))
-    if scale == 0.0:
-        return 0.0
-    a /= scale
-    hi = math.sqrt(min(np.einsum("ij,ij->", a, a), a.sum(axis=0).max() * a.sum(axis=1).max()))
-    return scale * hi * (1.0 + _SIGMA_SLACK * t.shape[0] * EPS)
+    return _norm_bound(t) * (1.0 + _SIGMA_SLACK * t.shape[0] * EPS)
 
 
-def _one_inf_bound(x: np.ndarray) -> float:
-    """sqrt(||X||_1 ||X||_inf) >= ||X||_2, O(m^2) and no LAPACK call, |X|
-    taken in strips of _LEAF rows, so no second m x m array is formed."""
-    col, row = np.zeros(x.shape[1]), np.empty(x.shape[0])
-    for i in range(0, x.shape[0], _LEAF):
-        a = np.abs(x[i:i + _LEAF])
-        col += a.sum(axis=0)
-        row[i:i + _LEAF] = a.sum(axis=1)
-    return math.sqrt(col.max(initial=0.0)) * math.sqrt(row.max(initial=0.0))
-
-
-def _proved_inverse(t: np.ndarray, tol: float | None):
-    """(T^{-1}, cutoff) when T^{-1} proves every rank decision an inverted
-    factor makes, else None; cutoff is rank_cutoff's at tol (None: the
-    rule's default) and anchor hi >= sigma_max(T), _sigma_max_bound's.
+def _proved_inverse(t: np.ndarray, tol: float | None, inverse: tuple | None = None):
+    """(apply, cutoff) when T^{-1} proves every rank decision an inverted
+    factor makes, else None; apply(v) = T^{-1} v and cutoff is
+    rank_cutoff's at tol (None: the rule's default) and anchor
+    hi >= sigma_max(T), _sigma_max_bound's. inverse is T^{-1} in closed
+    form, (apply, bound) (see OperatorFamily.inverse); without it T^{-1} is
+    one LAPACK inverse (_inverse), applied as a product, bound _norm_bound's.
 
     An inverted factor decides T's rank and, in each row, the rank of T X_n
     (LpaInstance.txn_svd) against that one cutoff, tol hi (TruncationFactor's
-    cutoff); the proof alone floors tol at m eps. T^{-1} is formed first (see
-    _inverse), then sigma_min = 1/||T^{-1}||_2 >= 1/N(T^{-1}) for N the
-    Frobenius norm and for N = sqrt(||.||_1 ||.||_inf) (Hoelder's
-    ||A||_2^2 <= ||A||_1 ||A||_inf), and the proof holds once
-    1/N(T^{-1}) > c tol hi, c = _PROOF_FACTOR = 4, for the Frobenius norm or,
-    only where that fails, for the second N: it is near ||T^{-1}||_2 when
-    the inverse's mass sits in few rows and columns (within 1e-3 for
-    seidman), where ||.||_F can be sqrt(m) above.
+    cutoff); the proof alone floors tol at m eps. sigma_min = 1/||T^{-1}||_2
+    >= 1/N(T^{-1}) for N the Frobenius norm and for N = sqrt(||.||_1
+    ||.||_inf) (Hoelder's ||A||_2^2 <= ||A||_1 ||A||_inf), and the proof
+    holds once 1/bound > c tol hi, c = _PROOF_FACTOR = 4, bound the smaller
+    N: the second is near ||T^{-1}||_2 when the inverse's mass sits in few
+    rows and columns (within 1e-3 for seidman), where ||.||_F can be
+    sqrt(m) above.
 
-    c is large enough. Both routes of _inverse return an X with a left
-    residual |X T - I| <= c_m eps |X| |T| (Du Croz & Higham 1992; entries
-    compared in modulus). LU's inverse has it with |T| read as |L| |U|, so
-    at modest pivot growth. The triangular route has it with no growth past
-    its leaves, which are LU's: each half keeps it by induction, and its
-    off-diagonal block X_21, formed as fl(X_22 C) and then solved against A
-    by substitution, adds O(eps) (|X_21| |A| + |X_22| |C|) at each of
-    log2(m / _LEAF) levels. (Multiplying by the computed A^{-1} instead
-    would add |X_22| |C| |R_11| for A's residual R_11, a factor of cond(A)
-    more.) So X - T^{-1} = (X T - I) T^{-1} is at most c_m eps |X| |T| |T^{-1}|
+    c is large enough. LU's inverse X has a left residual
+    |X T - I| <= c_m eps |X| |T| (Du Croz & Higham 1992; entries compared in
+    modulus, |T| read as |L| |U|, so at modest pivot growth). So
+    X - T^{-1} = (X T - I) T^{-1} is at most c_m eps |X| |T| |T^{-1}|
     entrywise, a relative error of order m eps cond(T) in either N, as both
-    are monotone in the moduli of the entries. The test caps cond(T) at
-    1/(c tol) <= 1/(4 m eps), so that error is at most of order 1/4, and the
-    true sigma_min exceeds (1 - 1/4) 4 tol hi = 3 tol hi. Every singular
-    value of T, and of T X_n for orthonormal X_n, is at least sigma_min;
-    LAPACK computes each within about m eps sigma_max <= tol hi of the
-    truth, so all clear the cutoff tol hi, and the SVD route's cutoff
-    tol sigma_max too: rank m for T and dim X_n for T X_n, the decisions
-    the SVD would make. (Below m eps the cutoff sits under the SVD's own
-    roundoff, which no norm can predict, hence the floor.)
+    are monotone in the moduli of the entries. A closed form's entries carry
+    at most 2 eps relative error (seidman's are each one rounded quotient),
+    and the sums in N add at most m eps, so the same bound covers it. The
+    test caps cond(T) at 1/(c tol) <= 1/(4 m eps), so that error is at most
+    of order 1/4, and the true sigma_min exceeds (1 - 1/4) 4 tol hi =
+    3 tol hi. Every singular value of T, and of T X_n for orthonormal X_n,
+    is at least sigma_min; LAPACK computes each within about
+    m eps sigma_max <= tol hi of the truth, so all clear the cutoff tol hi,
+    and the SVD route's cutoff tol sigma_max too: rank m for T and dim X_n
+    for T X_n, the decisions the SVD would make. (Below m eps the cutoff
+    sits under the SVD's own roundoff, which no norm can predict, hence the
+    floor.)
 
     None when the proof fails or T^{-1} does not exist in floating point:
     the caller's SVD route then decides the rank and factors T."""
-    hi = _sigma_max_bound(t)  # first, so its temporary is freed before T^{-1}
-    inv = _inverse(t)
-    if inv is None:
-        return None
+    if inverse is None:
+        inv = _inverse(t)
+        if inv is None:
+            return None
+        inverse = (lambda v: inv @ v), _norm_bound(inv)
+    apply, bound = inverse
+    hi = _sigma_max_bound(t)
     cutoff = rank_cutoff((), t.shape, tol, hi)[1]
-    cut = _PROOF_FACTOR * max(cutoff, t.shape[0] * EPS * hi)
-    with np.errstate(over="ignore"):  # an overflowing norm reads inf: no proof
-        proved = np.linalg.norm(inv) * cut < 1.0 or _one_inf_bound(inv) * cut < 1.0
-    return (inv, cutoff) if proved else None
+    proved = bound * _PROOF_FACTOR * max(cutoff, t.shape[0] * EPS * hi) < 1.0
+    return (apply, cutoff) if proved else None
 
 
 class TruncationFactor:
@@ -330,32 +275,32 @@ class TruncationFactor:
     a known SVD to. T^+ is applied as V_rho Sigma_rho^{-1} U_rho^T
     (pinv_apply); the m x m t_pinv is formed only when read.
 
-    With injective=True (the caller knows N(T) = {0}), T^{-1} is formed
-    first, by halves when T is lower triangular and of order above 64, else
-    by one LAPACK inverse (see _inverse), and the rank of T and of every T X_n
-    is proved from ||T^{-1}||_F, or where that fails from
-    sqrt(||T^{-1}||_1 ||T^{-1}||_inf), and an O(m^2) bound hi on sigma_max,
-    with no SVD (see _proved_inverse). T^{-1} = T^+ is both t_pinv and what
-    pinv_apply multiplies by; u_rho is None, K is {0}, and R = R^m is built
-    only when read. So are s_rho and sigma_max: one values-only SVD of T on
-    first read. Where the proof fails, or T^{-1} does not exist in floating
-    point, the factor is the SVD route's, bit for bit.
+    With injective=True (the caller knows N(T) = {0}), or with inverse, T^{-1}
+    in closed form as (apply, bound) (shared_factors passes a family's,
+    OperatorFamily.inverse), T is inverted: through inverse, holding no m x m
+    array besides T, else by one LAPACK inverse. The rank of T and of every
+    T X_n is proved from the inverse's norm bound and an O(m^2) bound hi on
+    sigma_max, with no SVD (see _proved_inverse). pinv_apply applies
+    T^{-1} = T^+; u_rho is None, K is {0}, and t_pinv (apply(I)), R = R^m,
+    s_rho and sigma_max (one values-only SVD of T) are formed only when
+    read. Where the proof fails, or T^{-1} does not exist in floating point,
+    the factor is the SVD route's, bit for bit.
 
     It does not depend on X_n, so every instance at this m can share it (see
     shared_factors).
     """
 
     def __init__(self, t, rank_tol: float | None = None, injective: bool = False,
-                 singular_triplets: tuple | None = None):
+                 singular_triplets: tuple | None = None, inverse: tuple | None = None):
         t = as_matrix(t)
         if t.shape[0] != t.shape[1]:
             raise ValueError(f"expected a square truncation, got {t.shape}")
         self.t = t
         self.m = t.shape[0]
         self.rank_tol = rank_tol
-        inverse = _proved_inverse(t, rank_tol) if injective else None
-        if inverse is not None:
-            self.t_pinv, self.cutoff = inverse
+        proved = _proved_inverse(t, rank_tol, inverse) if injective or inverse else None
+        if proved is not None:
+            self._apply_inverse, self.cutoff = proved
             self.rank, self.u_rho = self.m, None
             self.kernel = Subspace.zero(self.m)
         else:
@@ -399,21 +344,23 @@ class TruncationFactor:
         """T^+ v, for a vector or a matrix's columns: T^{-1} v when T was
         inverted, else V_rho Sigma_rho^{-1} (U_rho^T v)."""
         if self.u_rho is None:
-            return self.t_pinv @ v
+            return self._apply_inverse(v)
         return self.rowspace.basis @ ((self.u_rho.T @ v).T / self.s_rho).T
 
     @cached_property
     def t_pinv(self) -> np.ndarray:
         """T^+ as a dense m x m matrix, for the checks and oracles that need
-        it (set in __init__ when T was inverted)."""
+        it: T^{-1} I when T was inverted."""
+        if self.u_rho is None:
+            return self._apply_inverse(np.eye(self.m))
         return pinv_from_svd(SvdResult(self.u_rho, self.s_rho, self.rowspace.basis.T), self.rank)
 
 
 def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
     """factor(m): family.truncate(m) factored, keeping only the latest m,
-    inverted when the family declares N(T) = {0}, and from the family's
-    singular_triplets(m) rather than by LAPACK when it has them (see
-    TruncationFactor).
+    inverted when the family declares N(T) = {0}, through its closed-form
+    inverse(m) when it has one, and from the family's singular_triplets(m)
+    rather than by LAPACK when it has them (see TruncationFactor).
 
     Consecutive rows at one m share one factor; the previous factor is
     dropped before the next one is built, so one is alive at a time.
@@ -424,10 +371,11 @@ def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
         nonlocal last
         if last is None or last.m != m:
             last = None
-            triplets = family.singular_triplets
+            triplets, inverse = family.singular_triplets, family.inverse
             last = TruncationFactor(family.truncate(m), rank_tol,
                                     injective=family.kernel_dim_hint == 0,
-                                    singular_triplets=triplets(m) if triplets else None)
+                                    singular_triplets=triplets(m) if triplets else None,
+                                    inverse=inverse(m) if inverse else None)
         return last
 
     return factor
@@ -441,13 +389,14 @@ class LpaInstance:
     TruncationFactor shared with other instances at the same m (factor);
     its attributes (t, rank, sigma_max, t_pinv, rowspace, kernel) are
     exposed on the instance, sigma_max, t_pinv and rowspace read from the
-    factor, which forms them on first read when it inverted T. What the instance does depends on the
-    factor's ranks alone, never on its route. First use computes, once: the
-    SVD of T X_n (txn_svd), whose rank r, decided at the factor's cutoff
-    like T's own, splits it into the range T(X_n), which
-    T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t invert, and the kernel core,
-    of dimension kernel_core_dim = dim X_n - r, which they drop; the two
-    offset-angle images, both of dimension r, and both routes' sines; and
+    factor, which forms them on first read when it inverted T. What the
+    instance does depends on the factor's ranks alone, never on its route.
+    First use computes, once: the SVD of T X_n (txn_svd), whose rank r,
+    decided at the factor's cutoff like T's own, splits it into the range
+    T(X_n), which T_n^+ = X_n (T X_n)^+ and norm_tn_dag_t invert, and the
+    kernel core, of dimension kernel_core_dim = dim X_n - r, which they
+    drop; both routes' sines, the gap route's from the two offset-angle
+    images, both of dimension r, which are not kept (images()); and
     kernel_gap, the gap between the core and N(T) (kernel_dim = dim N(T)),
     off which kernel_captured decides whether N(T) lies in X_n.
 
@@ -553,14 +502,14 @@ class LpaInstance:
         rt_xn = self.rowspace.basis.T @ self.x_n.basis
         return float(np.linalg.norm(rt_xn @ res.vt[r:].T, 2))
 
-    @cached_property
     def images(self) -> tuple[Subspace, Subspace]:
         """T^+T(X_n) = span(P_row X_n V_r) and T^*T(X_n) = span(T^T U_r), from
         the r singular vectors txn_svd kept, each orthonormalized by one QR:
         no further rank decision, so both have dimension r. T^+T is applied
         as the row-space projector, which does not amplify roundoff in
         kernel directions, and skipped when rho = m, where the row space is
-        R^m."""
+        R^m. Formed on each call, not kept: offset_sines takes their gap and
+        drops both before the Q_n route runs."""
         res, r = self.txn_svd
         row_image = self.x_n.basis @ res.vt[:r].T
         if self.rank < self.m:
@@ -581,7 +530,7 @@ class LpaInstance:
         [1, 1e-3, 1e-6, 1e-9] it reads up to 4.8e-7, under route_warn. That
         is on the factor read off the model (shared_factors); on LAPACK's,
         TruncationFactor(t), they are 1.36e-4 (2 rows fire) and 2.5e-7."""
-        sin_gap = gap(*self.images)
+        sin_gap = gap(*self.images())
         tan = _tan_theta_qn(self)
         return sin_gap, tan / math.hypot(1.0, tan)
 
@@ -894,7 +843,7 @@ def zero_offset_characterization(inst: LpaInstance,
     pinv_scale = 1.0 + float(np.linalg.norm(inst.t_pinv, 2))
 
     # T^*T(X_n) lies in N(T)^perp, so the stacked bases are a basis of the sum
-    stacked = np.hstack([inst.images[1].basis, inst.kernel.basis])
+    stacked = np.hstack([inst.images()[1].basis, inst.kernel.basis])
     sum_def = float(np.linalg.norm(stacked - inst.x_n.project(stacked), 2)) \
         if stacked.shape[1] else 0.0
 

@@ -42,10 +42,14 @@ class OperatorFamily:
     kernel dimension of the full operator (not of the truncation, which can
     differ until m is large enough to resolve it). It also picks how the
     truncation is factored: 0 (N(T) = {0}) has analysis.make_lpa and
-    shared_factors invert T instead of taking its SVD (by halves when T is
-    triangular, as seidman's is), the full numerical rank of T and of every
-    T X_n proved from the inverse's norms (see analysis.TruncationFactor);
-    where that proof fails the factor falls back to the SVD. xn_basis, when
+    shared_factors invert T instead of taking its SVD, the full numerical
+    rank of T and of every T X_n proved from the inverse's norms (see
+    analysis.TruncationFactor); where that proof fails the factor falls back
+    to the SVD. inverse, when set, is truncate(m)^{-1} in closed form, as
+    (apply, bound): apply(v) = T^{-1} v for a vector or a matrix's columns,
+    and bound = min(||T^{-1}||_F, sqrt(||T^{-1}||_1 ||T^{-1}||_inf));
+    shared_factors inverts T through it rather than by LAPACK (seidman's,
+    see _seidman_inverse; identity's is a copy). xn_basis, when
     set, overrides the coordinate subspaces as the family's approximation
     scheme: it returns an orthonormal m x k basis for the subspace at index
     n. singular_triplets, when set, is truncate(m)'s SVD known in closed
@@ -73,6 +77,7 @@ class OperatorFamily:
     params: dict = field(default_factory=dict)
     xn_basis: Callable[[int, int], np.ndarray] | None = None
     singular_triplets: Callable[[int], tuple] | None = None
+    inverse: Callable[[int], tuple] | None = None
     max_n: int | None = None
     min_m: int = 1
 
@@ -96,12 +101,43 @@ def seidman(m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    a = np.zeros((m, m))
-    for k in range(1, m + 1):
-        a[k - 1, k - 1] = 1.0 / k if k % 2 == 1 else 1.0 / k**3
-        if k >= 2:
-            a[k - 1, 0] = 1.0 / k
+    d, c = _seidman_parts(m)
+    a = np.diag(d)
+    a[1:, 0] = c[1:]
     return a
+
+
+def _seidman_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """seidman(m) = D + c e_1^T as its diagonal d (d_1 = 1) and c (c_1 = 0)."""
+    k = np.arange(1.0, m + 1.0)
+    d = 1.0 / np.where(k % 2 == 1, k, k * k * k)
+    c = 1.0 / k
+    c[0] = 0.0
+    return d, c
+
+
+def _seidman_inverse(m: int):
+    """seidman(m)^{-1} as (apply, bound) (see OperatorFamily.inverse), O(m)
+    per column. T = D + c e_1^T with d_1 = 1 and c_1 = 0, so by
+    Sherman-Morrison T^{-1} = D^{-1} - g e_1^T, g = c / d, and
+    T^{-1} v = (v - c v_1) / d, finished in place in the array c v_1, so no
+    m x r temporary is formed; at v = I each entry is one rounded quotient.
+    The entries are 1/d on the diagonal and -g in the first column below
+    it, so the norms are O(m) sums: column sums 1 + sum g and 1/d_k, row
+    sums 1/d_k + g_k."""
+    d, c = _seidman_parts(m)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        x = np.multiply.outer(c, v[0])
+        np.subtract(v, x, out=x)
+        np.divide(x.T, d, out=x.T)
+        return x
+
+    inv_d, g = 1.0 / d, c / d
+    fro = math.sqrt(inv_d @ inv_d + g @ g)
+    one = max(inv_d[0] + g.sum(), inv_d[1:].max(initial=0.0))
+    inf = (inv_d + g).max()
+    return apply, min(fro, math.sqrt(one) * math.sqrt(inf))
 
 
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
@@ -393,6 +429,7 @@ _STATIC_FAMILIES = {
         truncate=lambda m: np.eye(m),
         kernel_dim_hint=0,
         notes="identity operator; every diagnostic is trivial on it",
+        inverse=lambda m: (np.copy, 1.0),
     ),
     "seidman": lambda: OperatorFamily(
         name="seidman",
@@ -401,7 +438,9 @@ _STATIC_FAMILIES = {
         notes=("injective compact operator, diagonal 1/k (odd) or 1/k^3 "
                "(even) with a 1/k first-column coupling; truncation tails "
                "of the normal operator decay like m^-3, so m = 4n keeps "
-               "them far below the diagnostic tolerances"),
+               "them far below the diagnostic tolerances; T^{-1} is "
+               "applied and normed in O(m) by Sherman-Morrison"),
+        inverse=_seidman_inverse,
     ),
     "du": lambda: OperatorFamily(
         name="du",

@@ -6,6 +6,7 @@ assert the package reproduces them, not the other way round.
 """
 
 import contextlib
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -587,8 +588,11 @@ def test_du_closed_form_reads_a_zero_offset_to_roundoff(n):
 
 @functools.cache
 def _seidman_factors(m):
-    t = get_family("seidman").truncate(m)
-    return TruncationFactor(t, injective=True), TruncationFactor(t)
+    # T inverted by one LAPACK inverse and in closed form (shared_factors,
+    # through the family's inverse), then the SVD route's factor
+    fam = get_family("seidman")
+    t = fam.truncate(m)
+    return TruncationFactor(t, injective=True), shared_factors(fam)(m), TruncationFactor(t)
 
 
 @settings(max_examples=15, deadline=None)
@@ -597,9 +601,37 @@ def test_inverted_seidman_matches_svd_route(m, fraction):
     # n up to m / 2 (the shipped configs use m = 4n); near n = m,
     # ||T_n^+ T|| = 1 is read as ||Sigma^{-1} U^T T|| at cond(T) ~ 6e8 and
     # both routes sit 5e-9 to 2e-8 off it at m = 768
-    inverted, dense = _seidman_factors(m)
-    _assert_factors_agree(inverted, dense)
-    _assert_rows_agree(inverted, dense, max(1, int(fraction * m)))
+    *inverted, dense = _seidman_factors(m)
+    for factor in inverted:
+        _assert_factors_agree(factor, dense)
+        _assert_rows_agree(factor, dense, max(1, int(fraction * m)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 64, 65, 768, 2048])
+def test_seidman_inverse_in_closed_form_matches_lapack(m):
+    # T^{-1} = D^{-1} - (c/d) e_1^T: apply(I) against LAPACK's inverse of the
+    # formed T entrywise, within m eps max|T^{-1}_ij| <= m eps ||T^{-1}||
+    # (they differ by 2.6e-19 of it at m = 768), and bound against the
+    # dense inverse's min(||.||_F, sqrt(||.||_1 ||.||_inf)) within 10 m eps.
+    # At m <= 72 a 50-digit inverse is the oracle: each entry of apply(I) is
+    # one rounded quotient, so within eps of it
+    fam = get_family("seidman")
+    t = fam.truncate(m)
+    apply, bound = fam.inverse(m)
+    got, want = apply(np.eye(m)), np.linalg.inv(t)
+    assert np.abs(got - want).max() <= m * EPS * np.abs(want).max()
+    norms = (np.linalg.norm(want),
+             math.sqrt(np.linalg.norm(want, 1) * np.linalg.norm(want, np.inf)))
+    assert bound == pytest.approx(min(norms), rel=10 * m * EPS, abs=0)
+    v = np.random.default_rng(m).standard_normal((m, 3))
+    for w in (v, v[:, 0]):  # and applied, within m eps ||T^{-1}|| ||w||
+        assert np.linalg.norm(apply(w) - want @ w) <= m * EPS * bound * np.linalg.norm(w)
+    if m > 72:
+        return
+    if mpmath is None:
+        pytest.skip("the 50-digit oracle needs mpmath>=1.3 (the test extra)")
+    exact = _inverse_50_digits(t)
+    assert np.all(np.abs(got - exact) <= EPS * np.abs(exact))
 
 
 def _assert_same_factor(got, want):
@@ -713,7 +745,7 @@ def _proof_holds(t, rank_tol):
     # 1/N(T^{-1}) > 4 tol hi for N = ||.||_F or N = sqrt(||.||_1 ||.||_inf),
     # tol hi = the rank rule's cutoff at rank_tol and anchor hi, floored at
     # m eps hi, hi = min(||T||_F, sqrt(||T||_1 ||T||_inf)) widened by 4 m eps;
-    # T^{-1} is the factor's own (by halves for a triangular T above 64)
+    # T^{-1} is the factor's own LAPACK inverse
     m = len(t)
     hi = min(np.linalg.norm(t), math.sqrt(np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf)))
     hi *= 1 + 4 * m * EPS
@@ -763,8 +795,8 @@ def _graded_of_kind(rng, m, ratio, kind):
 def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k, rank_tol, kind):
     # T graded with sigma_min / sigma_max = k tol (exactly for dense and
     # triangular T), tol the proof's (rank_tol, the rule's default when None)
-    # and k in [1/4, 64], log-uniform; lower triangular T above order 64
-    # are inverted by halves, upper ones by LU. The inverted factor's rank
+    # and k in [1/4, 64], log-uniform, each inverted by one LAPACK inverse
+    # (LU), triangular ones included. The inverted factor's rank
     # is the SVD route's.
     # Wherever neither norm of the inverse proves full rank the factor is
     # the SVD route's bit for bit; where one does, T is inverted with no
@@ -867,67 +899,54 @@ def test_seidman_scan_at_768_takes_no_m_by_m_svd(monkeypatch):
     assert [c for c in calls if c[0] == (768, 768)] == []
 
 
-def test_injective_factor_keeps_one_m_by_m_array():
-    # the inverted factor of seidman(768) keeps T^{-1} and vectors of length
-    # m: one m x m array besides T, where the SVD route keeps U_rho and V
+def test_seidman_factor_keeps_nothing_m_by_m_beyond_t():
+    # seidman's factor, through the family's closed-form inverse, keeps
+    # vectors of length m and no m x m array; T is built outside the trace.
+    # Its largest temporary is a strip of |T| (64 rows) in the bound on
+    # sigma_max
     m = 768
-    t = get_family("seidman").truncate(m)
+    fam = get_family("seidman")
+    t = fam.truncate(m)
+    fam = dataclasses.replace(fam, truncate=lambda k: t)
     tracemalloc.start()
     try:
-        factor = TruncationFactor(t, injective=True)
+        factor = shared_factors(fam)(m)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert factor.u_rho is None and "rowspace" not in vars(factor)
-    assert 8 * m * m <= kept < 1.1 * 8 * m * m, kept
-    # T^{-1} is written in place, half by half, and the largest temporary
-    # is the substitution's (m/2) x (m/4) product (1.153 x 8 m^2 measured)
-    assert peak < 1.16 * 8 * m * m, peak / (8 * m * m)
+    assert factor.u_rho is None and factor.rank == m
+    assert not {"rowspace", "t_pinv", "s_rho"} & set(vars(factor))
+    assert kept < 0.05 * 8 * m * m, kept / (8 * m * m)
+    assert peak < 0.3 * 8 * m * m, peak / (8 * m * m)
 
 
 def test_seidman_at_2048_is_inverted():
     # 1/||T^{-1}||_F = 9.6e-12 is below the proof's 4 tol hi = 2.5e-11, but
     # 1/sqrt(||T^{-1}||_1 ||T^{-1}||_inf) = 1.16e-10, sigma_min itself,
-    # clears it: T is inverted by halves, with no SVD of T
+    # clears it: T is inverted in closed form, with no SVD of T and no
+    # inverse of an m x m input
     m = 2048
-    t = get_family("seidman").truncate(m)
+    inverses = []
+    real_inv = np.linalg.inv
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_svd_calls(mp)
-        blocked = _blocked_inverse_calls(mp)
-        factor = TruncationFactor(t, injective=True)
+        mp.setattr(np.linalg, "inv", lambda a: inverses.append(np.shape(a)) or real_inv(a))
+        factor = shared_factors(get_family("seidman"))(m)
     assert factor.u_rho is None and factor.rank == m
-    assert calls == [] and blocked[0] == (m, m)
-
-
-def _blocked_inverse_calls(monkeypatch) -> list:
-    # the shape of every T the triangular inverse by halves is asked for:
-    # the whole T first, then its halves
-    calls = []
-    real = lpakit.analysis._invert_lower
-
-    def spy(t, out):
-        calls.append(t.shape)
-        real(t, out)
-
-    monkeypatch.setattr(lpakit.analysis, "_invert_lower", spy)
-    return calls
+    assert calls == [] and inverses == []
 
 
 @_needs_mpmath
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**16), m=st.integers(65, 72), log2_ratio=st.floats(-16.0, 0.0),
        kind=st.sampled_from(["lower", "arrow"]), data=st.data())
-def test_triangular_inverse_by_halves_matches_a_50_digit_inverse(seed, m, log2_ratio, kind,
-                                                                 data):
-    # a lower triangular T above order 64 (sigma_min / sigma_max = 2^log2_ratio,
-    # near it for an arrow T) is inverted by halves, not by an LU of the
-    # whole T: T^{-1} within m eps cond(T) ||T^{-1}|| of a 50-digit
-    # inverse, and every row as the SVD route's
+def test_triangular_inverse_matches_a_50_digit_inverse(seed, m, log2_ratio, kind, data):
+    # a lower triangular T (sigma_min / sigma_max = 2^log2_ratio, near it for
+    # an arrow T, seidman's pattern) takes one LAPACK inverse: T^{-1} within
+    # m eps cond(T) ||T^{-1}|| of a 50-digit inverse, and every row as the
+    # SVD route's
     t = _graded_of_kind(np.random.default_rng(seed), m, 2.0**log2_ratio, kind)
-    with pytest.MonkeyPatch.context() as mp:
-        blocked = _blocked_inverse_calls(mp)
-        inverted = TruncationFactor(t, injective=True)
-    assert blocked[0] == (m, m)
+    inverted = TruncationFactor(t, injective=True)
     dense = TruncationFactor(t)
     _assert_factors_agree(inverted, dense, _inverse_50_digits(t))
     _assert_rows_agree(inverted, dense, data.draw(st.integers(1, m // 2)))
@@ -938,20 +957,19 @@ def test_triangular_inverse_by_halves_matches_a_50_digit_inverse(seed, m, log2_r
        pivot=st.sampled_from([0.0, 1e-310, -1e-310]),
        kind=st.sampled_from(["lower", "arrow"]))
 def test_triangular_t_with_a_zero_or_subnormal_pivot_is_the_svd_route(seed, m, at, pivot, kind):
-    # a lower triangular T above order 64 with one diagonal entry 0 or subnormal
-    # is singular to working precision (sigma_min <= |t_jj|): its inverse by
-    # halves meets an exact zero pivot or a reciprocal that overflows, and
-    # the factor is the SVD route's bit for bit, with no warning (the suite
-    # turns warnings into errors) and no values-only SVD
+    # a lower triangular T with one diagonal entry 0 or subnormal is singular
+    # to working precision (sigma_min <= |t_jj|): its LAPACK inverse meets an
+    # exact zero pivot, overflows, or is too large for its norm to prove
+    # anything, and the factor is the SVD route's bit for bit, with no
+    # warning (the suite turns warnings into errors) and no values-only SVD
     t = _graded_of_kind(np.random.default_rng(seed), m, 1e-3, kind)
     j = min(int(at * m), m - 1)
     t[j, j] = pivot
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_svd_calls(mp)
-        blocked = _blocked_inverse_calls(mp)
         got = TruncationFactor(t, injective=True)
     want = TruncationFactor(t)
-    assert blocked[0] == (m, m) and got.rank < m
+    assert got.rank < m
     assert [vectors for _, vectors in calls].count(False) == 0, calls
     _assert_same_factor(got, want)
     assert got.cutoff == want.cutoff
@@ -1337,7 +1355,7 @@ def test_offset_angle_images_keep_txn_rank(name, params, n, m):
     # exactly zero.
     inst = make_lpa(get_family(name, **params), n, m)
     r = inst.txn_svd[1]
-    assert [image.dim for image in inst.images] == [r, r]
+    assert [image.dim for image in inst.images()] == [r, r]
     row = diagnose(inst)
     assert abs(row.sin_theta_gap - row.sin_theta_qn) <= 1e-6
     assert math.isfinite(row.bound_factor)
@@ -1368,7 +1386,7 @@ def test_du_rank_cliff_flips_everything_together(n, rank_tol):
         inst = make_lpa(fam, n, m, factor(m))
         row = diagnose(inst)
         r = inst.txn_svd[1]
-        assert [image.dim for image in inst.images] == [r, r]
+        assert [image.dim for image in inst.images()] == [r, r]
         assert not offset_angle(inst).route_disagreement
         kernel_dims.append(row.kernel_dim)
         verdicts.append(kernel_verdict([row], check))

@@ -243,12 +243,10 @@ def _count_t_factorizations(monkeypatch, ms, family=None):
     # ("qr") and inverse ("inv") of a square matrix equal to the family's
     # truncation at its m, or, without a family, of any matrix whose order,
     # its smaller dimension m, is at least min(ms), through np.linalg or
-    # numpy's internal binding (norm(ord=2) calls the latter). An inverse is
-    # one LAPACK inverse, or one inverse by halves of a lower triangular T
-    # above order 64 (analysis._invert_lower), whose leaves are smaller
-    # than T. An inverted factor proves full rank from the inverse's norms
-    # and takes T's singular values only when read, so a "values" entry
-    # means something read them or the proof failed.
+    # numpy's internal binding (norm(ord=2) calls the latter). An inverted
+    # factor proves full rank from the inverse's norms and takes T's
+    # singular values only when read, so a "values" entry means something
+    # read them or the proof failed.
     # Also returned: the flop count of every matrix product that a factor's
     # T enters, as itself or as a view of it (a slice or T^T); the factor's
     # T is made a view that records them
@@ -273,8 +271,6 @@ def _count_t_factorizations(monkeypatch, ms, family=None):
         monkeypatch.setattr(np.linalg, name, counting(kind_of, real))
         if getattr(internal, name, None) is real:
             monkeypatch.setattr(internal, name, counting(kind_of, real))
-    monkeypatch.setattr(lpakit.analysis, "_invert_lower", counting(
-        lambda kw: "inv", lpakit.analysis._invert_lower))
 
     class Recording(np.ndarray):
         def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
@@ -293,11 +289,11 @@ def _count_t_factorizations(monkeypatch, ms, family=None):
                          ids=["seidman", "du", "best-lpa", "random", "seidman-192"])
 def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     # consecutive rows at one m share one factor of T, and every row is
-    # bitwise the row a fresh instance gives. The factor is one SVD of T, or,
-    # for seidman, which declares N(T) = {0}, one inverse (by halves at
-    # m = 192, T being lower triangular), whose norm proves full rank: no row
-    # reads T's singular values, so no SVD of T is taken. best-lpa's factor
-    # is read off the singular system T was built from: no SVD or inverse.
+    # bitwise the row a fresh instance gives. The factor is one SVD of T, or
+    # none: seidman declares N(T) = {0} and knows T^{-1} in closed form,
+    # whose norms prove full rank, and no row reads T's singular values, so
+    # T takes no SVD, QR or inverse; best-lpa's and du's factors are read
+    # off the SVD they know (singular_triplets).
     cfg = scan_config_from_dict({"operator": {"name": name, "params": params},
                                  "n_list": n_list, "m_rule": m_rule})
     family = get_family(name, **params)
@@ -308,8 +304,7 @@ def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     counted, _ = _count_t_factorizations(monkeypatch, ms, family)
     rows = run_scan(cfg).rows
     assert list(rows) == fresh
-    kinds = (["inv"] if family.kernel_dim_hint == 0
-             else [] if family.singular_triplets else ["svd"])
+    kinds = [] if family.inverse or family.singular_triplets else ["svd"]
     assert sorted(counted) == sorted((kind, m) for m in set(ms) for kind in kinds)
     assert [(r.kernel_core_dim, r.kernel_gap) for r in rows] == want
 
@@ -380,20 +375,27 @@ def test_scan_draws_y_by_seed_and_n_for_eligible_rows_only(monkeypatch):
         assert np.array_equal(y, np.random.default_rng([5, n]).standard_normal(20))
 
 
-def test_du_scan_holds_little_beyond_t_and_its_factor():
-    # at m = 768 a du row keeps T and its factor's vectors, 2 x 8 m^2; no
-    # m x m temporary (mask, |v|, Gram matrix) is added on top of them
+@pytest.mark.parametrize("operator, n_list, m_rule, bound", [
+    ("du", [16], "factor:48", 2.5),
+    ("seidman", [32, 64, 80], "fixed:768", 2.0),
+], ids=["du", "seidman"])
+def test_scan_holds_little_beyond_t_and_its_factor(operator, n_list, m_rule, bound):
+    # at m = 768 a du row keeps T and its factor's vectors, 2 x 8 m^2, and a
+    # seidman row T alone, its factor being vectors of length m (T^{-1} in
+    # closed form); no m x m temporary (mask, |v|, |T|, Gram matrix,
+    # T^{-1}) is added on top of them
     m = 768
-    cfg = scan_config_from_dict({"operator": {"name": "du"}, "n_list": [16],
-                                 "m_rule": "factor:48"})
-    assert cfg.m_for(16) == m
+    cfg = scan_config_from_dict({"operator": {"name": operator}, "n_list": n_list,
+                                 "m_rule": m_rule})
+    assert {cfg.m_for(n) for n in n_list} == {m}
+    np.random.default_rng  # numpy imports numpy.random on first use: not in the trace
     tracemalloc.start()
     try:
         run_scan(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * m * m, peak
+    assert peak < bound * 8 * m * m, peak / (8 * m * m)
 
 
 @pytest.mark.parametrize("m_rule, ms", [("fixed:20", 1), ("factor:10", 2)])
