@@ -66,6 +66,7 @@ import numpy as np
 from .config import Tolerances, resolve_m
 from .linalg import (
     EPS,
+    STRIP,
     Subspace,
     SvdResult,
     as_matrix,
@@ -115,21 +116,23 @@ def _coupled(t: np.ndarray) -> np.ndarray:
 
 
 def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
-    """SVD of a square T as (s, vectors), vectors(r) = (U[:, :r], V^T), with
-    LAPACK run on T's coupled block only.
+    """SVD of a square T as (s, vectors), vectors(r) = (U[:, :r], V[:, :r],
+    V[:, r:]) (see OperatorFamily.singular_triplets), with LAPACK run on T's
+    coupled block only.
 
     Each decoupled coordinate j (see _coupled) adds the exact triplet
     (|t_jj|, sign(t_jj) e_j, e_j), sign +1 for t_jj = 0. The triplets are
     placed in descending order of singular value, stably, so ties keep the
     block's vectors first. vectors(r) builds only the r left vectors asked
-    for. When every coordinate is coupled this is svd(t) itself; when none
-    is, no LAPACK call is made.
+    for; the row-space and kernel bases are views of one V. When every
+    coordinate is coupled this is svd(t) itself; when none is, no LAPACK
+    call is made.
     """
     coupled = _coupled(t)
     keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
     if not drop.size:
         res = svd(t)
-        return res.singular_values, lambda r: (res.u[:, :r].copy(), res.vt)
+        return res.singular_values, lambda r: (res.u[:, :r].copy(), res.vt[:r].T, res.vt[r:].T)
     m = t.shape[0]
     block = (svd(t[np.ix_(keep, keep)]) if keep.size
              else SvdResult(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))))
@@ -141,14 +144,14 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     pos_block, pos_drop = pos[:keep.size], pos[keep.size:]
     sign = np.where(d < 0, -1.0, 1.0)
 
-    def vectors(r: int) -> tuple[np.ndarray, np.ndarray]:
+    def vectors(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u, vt = np.zeros((m, r)), np.zeros((m, m))
         b, j = pos_block < r, pos_drop < r
         u[np.ix_(keep, pos_block[b])] = block.u[:, b]
         u[drop[j], pos_drop[j]] = sign[j]
         vt[np.ix_(pos_block, keep)] = block.vt
         vt[pos_drop, drop] = 1.0
-        return u, vt
+        return u, vt[:r].T, vt[r:].T
 
     return s[order], vectors
 
@@ -173,20 +176,18 @@ _SIGMA_SLACK = 4.0
 # how far 1/N(T^{-1}), N a bound on the spectral norm, must clear the rank
 # cutoff to prove full rank; see _proved_inverse
 _PROOF_FACTOR = 4.0
-# rows per strip when _norm_bound reads |X|
-_STRIP = 64
 
 
 def _norm_bound(x: np.ndarray) -> float:
     """min(||X||_F, sqrt(||X||_1 ||X||_inf)) >= ||X||_2, O(m^2) and no
     LAPACK call, taken on |X| / max|x_ij|, so no square overflows, read in
-    strips of _STRIP rows, so no m x m temporary is formed."""
+    strips of STRIP rows, so no m x m temporary is formed."""
     scale = float(max(x.max(initial=0.0), -x.min(initial=0.0)))
     if scale == 0.0:
         return 0.0
     squares, col, row = 0.0, np.zeros(x.shape[1]), 0.0
-    for i in range(0, x.shape[0], _STRIP):
-        a = np.abs(x[i:i + _STRIP])
+    for i in range(0, x.shape[0], STRIP):
+        a = np.abs(x[i:i + STRIP])
         a /= scale
         squares += float(np.einsum("ij,ij->", a, a))
         col += a.sum(axis=0)
@@ -308,11 +309,11 @@ class TruncationFactor:
             self.sigma_max = float(s[0]) if self.m else 0.0
             self.rank, self.cutoff = rank_cutoff(s, t.shape, rank_tol)
             r = self.rank
-            self.u_rho, vt = vectors(r)
-            del vectors  # frees the SVD's arrays before the Subspace checks' Gram matrices
+            self.u_rho, row, kernel = vectors(r)
+            del vectors  # frees the SVD's arrays not kept (LAPACK's full U, a block's factors)
             self.s_rho = s[:r]
-            self.rowspace = Subspace(vt[:r].T)
-            self.kernel = Subspace(vt[r:].T)
+            self.rowspace = Subspace(row)
+            self.kernel = Subspace(kernel)
 
     @cached_property
     def s_rho(self) -> np.ndarray:
@@ -450,13 +451,14 @@ class LpaInstance:
 
         When rho = rank T >= dim X_n (every inverted factor, and du) it is
         the thin SVD of the m x dim X_n matrix T X_n itself, nothing
-        dropped; its V is square, so full. When rho < dim X_n it is the SVD
-        P S V^T of Z = (U_rho^T T) X_n, rho x dim X_n, with u = U_rho P and
-        V full, so that its last dim X_n - r rows vt[r:] span the kernel
-        core's coefficients (kernel_gap, the oracle kernel_core). U_rho^T T,
-        rho x m, is the factor's (ut_rho), formed once per m, so no row
-        forms the m x m x dim X_n product T X_n. What Z drops,
-        (I - U_rho U_rho^T) T X_n, has norm at most
+        dropped. When rho < dim X_n it is the thin SVD P S V^T of
+        Z = (U_rho^T T) X_n, rho x dim X_n, with u = U_rho P, so vt is
+        rho x dim X_n, not square. A row reads only V_r = vt[:r]: kernel_gap
+        projects V_r out rather than reading its complement, which the
+        oracle kernel_core completes itself. U_rho^T T, rho x m, is the
+        factor's (ut_rho), formed once per m, so no row forms the
+        m x m x dim X_n product T X_n, nor a dim X_n x dim X_n V. What Z
+        drops, (I - U_rho U_rho^T) T X_n, has norm at most
         sigma_{rho+1}(T) <= cutoff, so Z is T X_n for the rank-rho T that
         the factor decided. A coordinate X_n is applied as a column slice
         (_times_x_n), so exact zeros of T X_n stay exact: a zero column of
@@ -468,7 +470,7 @@ class LpaInstance:
         if f.rank >= k:
             res = svd(self._times_x_n(self.t), full_matrices=False)
         else:
-            z = svd(self._times_x_n(f.ut_rho))
+            z = svd(self._times_x_n(f.ut_rho), full_matrices=False)
             res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
         return res, rank_cutoff(res.singular_values, (self.m, k), 1.0, f.cutoff)[0]
 
@@ -491,16 +493,18 @@ class LpaInstance:
     @cached_property
     def kernel_gap(self) -> float:
         """gap(kernel_core(self), N(T)): 1 for unequal dimensions, else
-        ||(R^T X_n) V_{r:}^T||, R the row space of T, a rho x dim-core norm,
-        since the core's basis is X_n V_{r:}^T and I - P_K = P_R (K and R
-        come from one orthogonal V)."""
+        ||A - (A V_r^T) V_r||, A = R^T X_n, R the row space of T, a
+        rho x dim X_n norm. The core's basis is X_n W, W an orthonormal
+        basis of V_r's complement, and I - P_K = P_R (K and R come from one
+        orthogonal V), so the gap is ||A W|| = ||A (I - V_r^T V_r)||: one
+        formula whether txn_svd's V is square or thin, reading only V_r."""
         if self.kernel_core_dim != self.kernel_dim:
             return 1.0
         if self.kernel_core_dim == 0:
             return 0.0
         res, r = self.txn_svd
-        rt_xn = self.rowspace.basis.T @ self.x_n.basis
-        return float(np.linalg.norm(rt_xn @ res.vt[r:].T, 2))
+        a, v_r = self.rowspace.basis.T @ self.x_n.basis, res.vt[:r]
+        return float(np.linalg.norm(a - (a @ v_r.T) @ v_r, 2))
 
     def images(self) -> tuple[Subspace, Subspace]:
         """T^+T(X_n) = span(P_row X_n V_r) and T^*T(X_n) = span(T^T U_r), from
@@ -640,12 +644,15 @@ def kernel_core(inst: LpaInstance) -> Subspace:
     """Orthonormal basis of the intersection of N(T) with X_n.
 
     Computed as the kernel of T restricted to the X_n basis, lifted back to
-    the ambient space. For T numerically zero the core is all of X_n. The
+    the ambient space: X_n W, W the last dim X_n - r columns of a complete
+    QR of V_r^T, an orthonormal basis of the complement of txn_svd's V_r,
+    which may be thin. For T numerically zero the core is all of X_n. The
     diagnostics read only its dimension and gap (inst.kernel_core_dim,
     inst.kernel_gap); this m x (dim X_n - r) basis is their dense oracle.
     """
     res, r = inst.txn_svd
-    return Subspace(inst.x_n.basis @ res.vt[r:].T)
+    w = np.linalg.qr(res.vt[:r].T, mode="complete")[0][:, r:]
+    return Subspace(inst.x_n.basis @ w)
 
 
 def norm_tn_dag_t(inst: LpaInstance) -> float:

@@ -41,12 +41,23 @@ __all__ = [
 ]
 
 
+# Rows per strip when an array is read entrywise: here for finiteness, in
+# analysis._norm_bound for |X|.
+STRIP = 64
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite, read in strips of STRIP rows, so the
+    check forms no bool array the size of `a`."""
+    return all(np.isfinite(a[i:i + STRIP]).all() for i in range(0, a.shape[0], STRIP))
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and return `a` as a 2-d float array with finite entries."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -56,7 +67,7 @@ def as_vector(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError(f"expected a vector, got ndim={y.ndim}")
-    if not np.all(np.isfinite(y)):
+    if not _all_finite(y):
         raise ValueError("vector entries must be finite")
     return y
 

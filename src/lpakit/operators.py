@@ -54,8 +54,10 @@ class OperatorFamily:
     scheme: it returns an orthonormal m x k basis for the subspace at index
     n. singular_triplets, when set, is truncate(m)'s SVD known in closed
     form, returned as (s, vectors) with s the m singular values, descending,
-    and vectors(k) = (U[:, :k], V^T) for any k up to the count of nonzero
-    values: analysis.shared_factors factors T from it instead of by LAPACK.
+    and vectors(k) = (U[:, :k], V[:, :k], V[:, k:]), the left vectors, a
+    basis of the row space and one of the kernel, for any k up to the count
+    of nonzero values; the bases may be views, in any column order within
+    each: analysis.shared_factors factors T from it instead of by LAPACK.
     best-lpa reads it off the singular system it builds T from, du off a
     reflector (see _du_singular_triplets); analysis.TruncationFactor(t)
     alone still factors T by LAPACK, the reference the tests hold it to.
@@ -213,7 +215,8 @@ def _du_singular_triplets(m: int):
     as du does for T's, an entry below sqrt(tiny) is stored as 0, so no
     product of two entries is subnormal. The dropped part has norm below
     2^-500. They are found and zeroed 32 rows at a time, so H is the only
-    m x m array built.
+    m x m array built, and vectors(k) hands over views of it: H's first k
+    columns as U_k and as the row space, the others as the kernel.
 
     For m <= 256 this is the SVD of du(m) itself. Beyond, it is that of
     I - 3 w w^T, from which du(m) differs only in its dropped entries, by
@@ -232,7 +235,7 @@ def _du_singular_triplets(m: int):
     v[order, np.arange(m)] += 1.0
     s = np.ones(m)
     s[-1] = np.ldexp(1.0, -2 * min(m, _DU_MAX_EXPONENT - 1))
-    return s, lambda k: (v[:, :k], v.T)
+    return s, lambda k: (v[:, :k], v[:, :k], v[:, k:])
 
 
 def du_vector_e(m: int) -> np.ndarray:
@@ -287,12 +290,14 @@ class SingularSystem:
 class SingularModel:
     """Operator realized from a prescribed spectrum.
 
-    matrix = u_basis @ diag(sigmas) @ v_basis[:, :rank].T, u_basis being
-    the m x rank left singular vectors. v_basis is m x m orthogonal: its
-    first `rank` columns are the right singular vectors, the next
-    `planted_kernel_dim` are the explicitly planted kernel directions, and
-    any remaining columns pad out the kernel (the matrix kernel has dimension
-    ambient - rank).
+    v_basis is m x m orthogonal and kernel first, [K | V_r]: its first
+    ambient - rank columns K are an orthonormal basis of the matrix's kernel
+    (planted_kernel_dim of them asked for by the spectrum, the rest padding
+    it out), and its last `rank` columns V_r are the right singular vectors,
+    in the order of sigmas. So matrix = u_basis @ diag(sigmas) @
+    v_basis[:, ambient - rank:].T, u_basis being the m x rank left singular
+    vectors, and the kernel plus the n leading right singular directions,
+    best-lpa's X_n, is the leading block v_basis[:, :ambient - rank + n].
     """
 
     matrix: np.ndarray
@@ -302,16 +307,34 @@ class SingularModel:
     planted_kernel_dim: int
 
 
+# Rows per block of a normal draw and of V's rotation in from_singular_system.
+_DRAW_BLOCK = 64
+
+
+def _leading_normal_columns(rng: np.random.Generator, m: int, r: int) -> np.ndarray:
+    """The first r columns of rng.standard_normal((m, m)), drawn _DRAW_BLOCK
+    rows at a time. Generator fills an array in C order, so these are
+    bitwise the full draw's columns and rng ends in the same state, but no
+    m x m draw is held."""
+    g = np.empty((m, r))
+    for i in range(0, m, _DRAW_BLOCK):
+        g[i:i + _DRAW_BLOCK] = rng.standard_normal((min(_DRAW_BLOCK, m - i), m))[:, :r]
+    return g
+
+
 def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularModel:
     """Realize the spectrum as an m x m matrix with seeded orthogonal factors.
 
     Two m x m standard normal draws, for U and then V, as seeded_orthogonal
-    makes them, but only their first r = len(sigmas) columns are factored:
-    U_r is the reduced QR of U's r columns and V the complete QR of V's, r
-    Householder reflectors formed into an m x m Q, each with the signs of
-    R's diagonal fixed. So U_r and V_r are seeded_orthogonal's first r
-    columns up to roundoff, at O(m^2 r) rather than O(m^3), and V's trailing
-    m - r columns are another orthonormal basis of the same kernel.
+    makes them, but only their first r = len(sigmas) columns are kept, drawn
+    in row blocks (_leading_normal_columns), and factored: U_r is the
+    reduced QR of U's r columns and V the complete QR of V's, r Householder
+    reflectors formed into an m x m Q, each with the signs of R's diagonal
+    fixed. So U_r and V_r are seeded_orthogonal's first r columns up to
+    roundoff, at O(m^2 r) rather than O(m^3), and V's trailing m - r columns
+    are another orthonormal basis of the same kernel. V is then rotated to
+    SingularModel's kernel-first layout in row blocks, in place, so the
+    matrix and Q are the only m x m arrays built.
 
     Requires len(sigmas) + kernel_dim <= m.
     """
@@ -320,14 +343,16 @@ def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularMode
         raise ValueError(
             f"rank {r} + kernel_dim {sys.kernel_dim} exceeds ambient size {m}")
     rng = np.random.default_rng(seed)
-    g_u = rng.standard_normal((m, m))
-    g_v = rng.standard_normal((m, m))
-    u, r_u = np.linalg.qr(g_u[:, :r])
+    g_u = _leading_normal_columns(rng, m, r)
+    g_v = _leading_normal_columns(rng, m, r)
+    u, r_u = np.linalg.qr(g_u)
     u *= np.sign(np.diag(r_u))
-    v, r_v = np.linalg.qr(g_v[:, :r], mode="complete")
+    v, r_v = np.linalg.qr(g_v, mode="complete")
     v[:, :r] *= np.sign(np.diag(r_v))
+    for i in range(0, m, _DRAW_BLOCK):  # [V_r | K] -> [K | V_r]
+        v[i:i + _DRAW_BLOCK] = np.roll(v[i:i + _DRAW_BLOCK], -r, axis=1)
     sig = np.asarray(sys.sigmas, dtype=float)
-    k = u @ (sig[:, None] * v[:, :r].T)
+    k = u @ (sig[:, None] * v[:, m - r:].T)
     return SingularModel(matrix=k, u_basis=u, v_basis=v, rank=r,
                          planted_kernel_dim=sys.kernel_dim)
 
@@ -371,19 +396,26 @@ def _best_lpa_family(sigmas=None, kernel_dim: int = 2, seed: int = 0) -> Operato
 
     def xn_basis(n: int, m: int) -> np.ndarray:
         # subspace = full kernel of the truncation + the n leading right
-        # singular directions; orthonormal because V is orthogonal
+        # singular directions, the leading columns of the kernel-first V: a
+        # view, orthonormal because V is orthogonal
         if n > r:
             raise ValueError(f"n={n} exceeds the prescribed rank {r}")
-        v = model(m).v_basis
-        return np.hstack([v[:, r:], v[:, :n]])
+        return model(m).v_basis[:, :m - r + n]
 
     def singular_triplets(m: int):
-        # T's SVD as the model built it, U_r Sigma V_r^T, with V's other
-        # columns spanning the kernel, where the singular values are 0
+        # T's SVD as the model built it, U_r Sigma V_r^T, with V's kernel
+        # columns K, where the singular values are 0; views into the model,
+        # but for k < r, where the kernel [V_{k+1..r}, K] is one copy
         mod = model(m)
         s = np.zeros(m)
         s[:r] = sys.sigmas
-        return s, lambda k: (mod.u_basis[:, :k], mod.v_basis.T)
+        v, d = mod.v_basis, m - r
+
+        def vectors(k: int):
+            kernel = v[:, :d] if k == r else np.hstack([v[:, d + k:], v[:, :d]])
+            return mod.u_basis[:, :k], v[:, d:d + k], kernel
+
+        return s, vectors
 
     return OperatorFamily(
         name="best-lpa",

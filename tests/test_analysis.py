@@ -280,12 +280,14 @@ def _assert_factor_matches_dense(t, rank_tol=None) -> bool:
     # Returns whether the rank was clear enough to compare.
     m = t.shape[0]
     (s, vectors), dense = _factor_svd(t), svd(t)
-    (u, vt), s_dense = vectors(m), dense.singular_values
+    (u, v, _), s_dense = vectors(m), dense.singular_values
     delta = 1e-13 * s_dense[0]
     assert np.all(np.diff(s) <= 0)
-    assert np.linalg.norm((u * s) @ vt - t, 2) <= delta
-    assert all(np.array_equal(vectors(r)[0], u[:, :r]) for r in (0, m // 2, m - 1))
-    for q in (u, vt):
+    assert np.linalg.norm((u * s) @ v.T - t, 2) <= delta
+    for r in (0, m // 2, m - 1):  # the row space and kernel split one V at r
+        u_r, row, kernel = vectors(r)
+        assert np.array_equal(u_r, u[:, :r]) and np.array_equal(np.hstack([row, kernel]), v)
+    for q in (u, v):
         assert np.linalg.norm(q.T @ q - np.eye(m)) <= 1e-12 * m
     assert np.all(np.abs(s - s_dense) <= delta)
     # the rank cutoff uses T's full shape, not the block's; the ranks must
@@ -352,8 +354,9 @@ def test_factor_svd_is_bitwise_lapack_when_every_coordinate_is_coupled():
               get_family("best-lpa").truncate(40), random_finite_kernel(20, 3, 0)):
         assert _coupled(t).all()
         (s, vectors), dense = _factor_svd(t), svd(t)
+        u, row, kernel = vectors(len(t))
         assert all(np.array_equal(a, b) for a, b in
-                   zip((*vectors(len(t)), s), (dense.u, dense.vt, dense.singular_values)))
+                   zip((u, np.hstack([row, kernel]).T, s), (dense.u, dense.vt, dense.singular_values)))
 
 
 @pytest.mark.parametrize("build, want", [
@@ -569,7 +572,8 @@ def test_du_factor_in_closed_form_matches_lapack(m):
     fam = get_family("du")
     got, want = _known_and_lapack_factors(fam, m, 1e-12)
     t, (s, vectors) = fam.truncate(m), fam.singular_triplets(m)
-    u, vt = vectors(m)
+    u, row, kernel = vectors(m)
+    vt = np.hstack([row, kernel]).T
     assert np.abs((u * s) @ vt - t).max() <= m * EPS
     dropped = s[got.rank] if got.rank < m else 0.0
     rho_part = (got.u_rho * got.s_rho) @ got.rowspace.basis.T
@@ -1226,6 +1230,16 @@ def test_factor_reads_match_dense_oracles(label, data):
     _assert_factor_reads_match_dense(inst)
 
 
+def _graded_best_lpa_thin_v() -> LpaInstance:
+    # r = 3 < rho = 4 < dim X_n = 5: txn_svd factors the 4 x 5 Z thin, so
+    # kernel_gap projects V_r out and kernel_core completes V_r itself
+    fam = get_family("best-lpa", **_QN_FAMILIES["best-lpa-graded"][1])
+    inst = make_lpa(fam, 3, 6)
+    res, r = inst.txn_svd
+    assert (r, inst.rank, inst.x_n.dim, res.vt.shape) == (3, 4, 5, (4, 5))
+    return inst
+
+
 @pytest.mark.parametrize("build", [
     lambda: LpaInstance(np.zeros((5, 5)), 2),
     lambda: LpaInstance(np.zeros((5, 5)), 5),
@@ -1240,9 +1254,11 @@ def test_factor_reads_match_dense_oracles(label, data):
     lambda: make_lpa(get_family("random", kernel_dim=2, seed=3), 9, 9),
     *[lambda e=e: _perturbed_kernel_instance(20, 3, 6, e, 7) for e in (1e-14, 1e-8, 1e-2)],
     _kernel_within_check_instance,
+    _graded_best_lpa_thin_v,
 ], ids=["rho-0", "rho-0-n-eq-m", "x-is-kernel", "kernel-wider", "seidman-n-eq-m",
         "du-n-eq-m", "du-23-n-eq-m", "best-lpa-n-eq-m", "random-n-eq-m",
-        "perturbed-1e-14", "perturbed-1e-8", "perturbed-1e-2", "kernel-within-check"])
+        "perturbed-1e-14", "perturbed-1e-8", "perturbed-1e-2", "kernel-within-check",
+        "graded-best-lpa-thin-v"])
 def test_factor_reads_match_dense_oracles_at_edges(build):
     inst = build()
     _assert_factor_reads_match_dense(inst)

@@ -375,16 +375,18 @@ def test_scan_draws_y_by_seed_and_n_for_eligible_rows_only(monkeypatch):
         assert np.array_equal(y, np.random.default_rng([5, n]).standard_normal(20))
 
 
-@pytest.mark.parametrize("operator, n_list, m_rule, bound", [
-    ("du", [16], "factor:48", 2.5),
-    ("seidman", [32, 64, 80], "fixed:768", 2.0),
-], ids=["du", "seidman"])
-def test_scan_holds_little_beyond_t_and_its_factor(operator, n_list, m_rule, bound):
+@pytest.mark.parametrize("operator, n_list, m_rule, m, bound", [
+    ("du", [16], "factor:48", 768, 2.5),
+    ("seidman", [32, 64, 80], "fixed:768", 768, 2.0),
+    ("best-lpa", [2, 4, 8, 12], "fixed:512", 512, 2.6),
+], ids=["du", "seidman", "best-lpa"])
+def test_scan_holds_little_beyond_t_and_its_factor(operator, n_list, m_rule, m, bound):
     # at m = 768 a du row keeps T and its factor's vectors, 2 x 8 m^2, and a
     # seidman row T alone, its factor being vectors of length m (T^{-1} in
-    # closed form); no m x m temporary (mask, |v|, |T|, Gram matrix,
-    # T^{-1}) is added on top of them
-    m = 768
+    # closed form); at m = 512 a best-lpa row keeps T and its model's V,
+    # 2 x 8 m^2, X_n and the factor's bases being views of V. No m x m
+    # temporary (mask, |v|, |T|, Gram matrix, T^{-1}, normal draw, X_n,
+    # T X_n's square V) is added on top of them
     cfg = scan_config_from_dict({"operator": {"name": operator}, "n_list": n_list,
                                  "m_rule": m_rule})
     assert {cfg.m_for(n) for n in n_list} == {m}

@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from lpakit.linalg import (
     _GRAM_BLOCK,
     EPS,
+    STRIP,
     _gram_defect,
     Subspace,
+    as_matrix,
+    as_vector,
     canonical_angles,
     deficiency,
     gap,
@@ -143,6 +146,34 @@ def test_subspace_check_calls_no_lapack_svd(monkeypatch, k):
     monkeypatch.setattr(internal, "svd", counting_svd)
     assert Subspace(basis).dim == k
     assert calls == []
+
+
+def test_as_matrix_checks_finiteness_without_an_m_by_m_mask():
+    # the entries are read in strips of STRIP rows: no m x m bool array
+    m = 768
+    a = np.ones((m, m))
+    tracemalloc.start()
+    try:
+        as_matrix(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 8 * m * m, peak / (8 * m * m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("rows, row", [
+    (768, 0), (768, 767), (3 * STRIP + 5, 3 * STRIP + 4), (STRIP - 1, STRIP - 2),
+], ids=["first-row", "last-row", "partial-last-strip", "one-partial-strip"])
+def test_as_matrix_and_as_vector_reject_a_nonfinite_entry_in_any_strip(rows, row, bad):
+    a = np.ones((rows, 7))
+    a[row, 6] = bad
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        as_matrix(a)
+    y = np.ones(rows)
+    y[row] = bad
+    with pytest.raises(ValueError, match="^vector entries must be finite$"):
+        as_vector(y)
 
 
 def test_subspace_check_allocates_no_gram_matrix():

@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lpakit.analysis import LpaInstance, diagnose, kernel_verdict, make_lpa
+import lpakit.operators
+from lpakit.analysis import LpaInstance, diagnose, kernel_verdict, make_lpa, shared_factors
 from lpakit.config import Tolerances
 from lpakit.linalg import Subspace, gap, kernel_basis, svd
 from lpakit.operators import (
@@ -271,13 +272,14 @@ def test_from_singular_system_round_trip():
 def test_from_singular_system_factors():
     sys = SingularSystem(sigmas=(1.0, 0.5), kernel_dim=1)
     model = from_singular_system(sys, 6, seed=11)
-    # v_basis columns beyond the rank span the kernel of the matrix
-    planted = Subspace(model.v_basis[:, 2:])
+    # v_basis is kernel first: its first m - rank = 4 columns span the
+    # kernel of the matrix, its last `rank` are the right singular vectors
+    planted = Subspace(model.v_basis[:, :4])
     computed = kernel_basis(model.matrix)
     assert computed.dim == 4
     assert gap(planted, computed) <= 1e-10
     for k, sigma in enumerate(sys.sigmas):
-        assert np.allclose(model.matrix @ model.v_basis[:, k],
+        assert np.allclose(model.matrix @ model.v_basis[:, 4 + k],
                            sigma * model.u_basis[:, k], atol=1e-12)
 
 
@@ -303,17 +305,78 @@ def _full_qr_model(sys, m, seed):
     ((1.0, 1e-3, 1e-6, 1e-9), 2, 20, 0),
 ], ids=["rank-3-m-8", "default-m-20", "default-m-512", "graded-m-20"])
 def test_from_singular_system_matches_the_full_qr_build(sigmas, kernel_dim, m, seed):
-    # the same draws, in the same order: U_r and V_r are the full QRs' first
-    # r columns, the matrix agrees entrywise, and V's other columns span the
-    # same kernel, though by another basis
+    # the same draws, in the same order: U_r and V_r (V's last r columns,
+    # kernel first) are the full QRs' first r columns, the matrix agrees
+    # entrywise, and V's other columns span the same kernel, though by
+    # another basis
     sys = SingularSystem(sigmas=sigmas, kernel_dim=kernel_dim)
     model, (matrix, u_r, v) = from_singular_system(sys, m, seed), _full_qr_model(sys, m, seed)
     r = len(sigmas)
     assert model.u_basis.shape == (m, r) and model.v_basis.shape == (m, m)
     assert np.max(np.abs(model.matrix - matrix)) <= 1e-13
     assert np.max(np.abs(model.u_basis - u_r)) <= 1e-13
-    assert np.max(np.abs(model.v_basis[:, :r] - v[:, :r])) <= 1e-13
-    assert gap(Subspace(model.v_basis[:, r:]), Subspace(v[:, r:])) <= 1e-12
+    assert np.max(np.abs(model.v_basis[:, m - r:] - v[:, :r])) <= 1e-13
+    assert gap(Subspace(model.v_basis[:, :m - r]), Subspace(v[:, r:])) <= 1e-12
+
+
+def _m_by_m_draws_model(sys, m, seed):
+    # the model as built before its draws were streamed: two m x m normal
+    # draws held whole, V in the order [V_r | K]; (matrix, U_r, V)
+    r = len(sys.sigmas)
+    rng = np.random.default_rng(seed)
+    g_u = rng.standard_normal((m, m))
+    g_v = rng.standard_normal((m, m))
+    u, r_u = np.linalg.qr(g_u[:, :r])
+    u *= np.sign(np.diag(r_u))
+    v, r_v = np.linalg.qr(g_v[:, :r], mode="complete")
+    v[:, :r] *= np.sign(np.diag(r_v))
+    sig = np.asarray(sys.sigmas, dtype=float)
+    return u @ (sig[:, None] * v[:, :r].T), u, v
+
+
+_DEFAULT_SIGMAS = tuple(1.0 / k**2 for k in range(1, 13))
+
+
+@pytest.mark.parametrize("sigmas, kernel_dim, m, seed", [
+    ((2.0, 1.0, 0.25), 2, 8, 3),
+    (_DEFAULT_SIGMAS, 2, 64, 0),
+    (_DEFAULT_SIGMAS, 2, 65, 5),
+    (_DEFAULT_SIGMAS, 2, 512, 7),
+    ((1.0, 1e-3, 1e-6, 1e-9), 2, 130, 0),
+], ids=["rank-3-m-8", "default-m-64", "default-m-65", "default-m-512", "graded-m-130"])
+def test_streamed_build_is_bitwise_the_m_by_m_draws(sigmas, kernel_dim, m, seed):
+    # row blocks of the draws, a whole number of them or not, and V rotated
+    # kernel first in place: the same bytes as the m x m draws, signed zeros
+    # included
+    sys = SingularSystem(sigmas=sigmas, kernel_dim=kernel_dim)
+    model, (matrix, u_r, v) = from_singular_system(sys, m, seed), _m_by_m_draws_model(sys, m, seed)
+    r = len(sigmas)
+    assert model.matrix.tobytes() == matrix.tobytes()
+    assert model.u_basis.tobytes() == u_r.tobytes()
+    assert model.v_basis[:, m - r:].tobytes() == v[:, :r].tobytes()
+    assert model.v_basis[:, :m - r].tobytes() == v[:, r:].tobytes()
+
+
+@pytest.mark.parametrize("m", [14, 65, 512])
+def test_best_lpa_xn_basis_is_a_view_of_v(monkeypatch, m):
+    # X_n is the leading block of the kernel-first V, bitwise the old
+    # hstack of V's kernel columns and its n leading right singular vectors;
+    # the factor's row space and kernel are views of V too
+    models = []
+    real = lpakit.operators.from_singular_system
+    monkeypatch.setattr(lpakit.operators, "from_singular_system",
+                        lambda *a: models.append(real(*a)) or models[-1])
+    fam, r = get_family("best-lpa", seed=3), len(_DEFAULT_SIGMAS)
+    v = _m_by_m_draws_model(SingularSystem(_DEFAULT_SIGMAS, 2), m, 3)[2]
+    for n in (1, 6, r):
+        x_n = fam.xn_basis(n, m)
+        (model,) = models
+        assert np.shares_memory(x_n, model.v_basis)
+        assert x_n.tobytes() == np.hstack([v[:, r:], v[:, :n]]).tobytes()
+    factor = shared_factors(fam)(m)
+    assert factor.rank == r and len(models) == 1
+    assert np.shares_memory(factor.rowspace.basis, model.v_basis)
+    assert np.shares_memory(factor.kernel.basis, model.v_basis)
 
 
 def test_from_singular_system_deterministic():
