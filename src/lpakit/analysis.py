@@ -20,20 +20,16 @@ is governed by quantities this module computes at each finite n:
 Every diagnostic on one instance reads what the instance computed once: one
 factor of T (a TruncationFactor, shared by every instance at the same m),
 one SVD of T X_n and both offset-angle routes, so identities that hold in
-exact arithmetic stay consistent to machine precision. The factor is T's
-SVD: LAPACK run on T's coupled block only (a coordinate whose row and
-column are zero off the diagonal contributes its singular triplet in closed
-form), or, for a family that knows T's SVD (singular_triplets: best-lpa's
-from the singular system T was built from, du's in closed form, so not even
-its 511 x 511 coupled block is factored), read off it with no LAPACK call;
-or, for a family that declares N(T) = {0}, the inverse T^{-1} = T^+ when
-min(||T^{-1}||_F, sqrt(||T^{-1}||_1 ||T^{-1}||_inf)) against an O(m^2)
-bound on sigma_max proves every rank decision a row will make. A family
-that knows T^{-1} in closed form (inverse: seidman's by Sherman-Morrison)
-hands over its O(m) product and norm bound, so its factor holds no m x m
-array besides T; any other injective T takes one LAPACK inverse. T's
-singular values are then taken only when read. The instance sees ranks,
-not routes.
+exact arithmetic stay consistent to machine precision. The factor comes
+from one of three sources: T's SVD as a family knows it (singular_triplets:
+best-lpa's from the singular system T was built from, du's in closed form),
+read off it with no LAPACK call; T^{-1} = T^+ in closed form (inverse:
+seidman's by Sherman-Morrison, identity's), an O(m) product and norm bound,
+taken when min(||T^{-1}||_F, sqrt(||T^{-1}||_1 ||T^{-1}||_inf)) against an
+O(m^2) bound on sigma_max proves every rank decision a row will make, so
+the factor holds no m x m array besides T and T's singular values are
+taken only when read; otherwise, LAPACK's SVD of the whole T. The instance
+sees ranks, not routes.
 The rank r of T X_n is decided once; the kernel core, T_n^+, both
 offset-angle images, tan theta_n = ||Q_n - P_{ran Q_n}|| (an r x r norm) and
 ||T_n^+ T|| (an r x m norm) are read off its r singular vectors. Subspaces
@@ -106,67 +102,13 @@ class PreconditionError(ValueError):
     """A diagnostic was asked for outside the regime where it is asserted."""
 
 
-def _coupled(t: np.ndarray) -> np.ndarray:
-    """Mask of the coordinates j of a square T whose row j or column j holds
-    a nonzero off the diagonal. The others are decoupled: T maps e_j to
-    t_jj e_j and no other e_i onto e_j. O(m^2), no LAPACK call."""
-    off = t != 0
-    np.fill_diagonal(off, False)
-    return off.any(axis=0) | off.any(axis=1)
-
-
 def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
-    """SVD of a square T as (s, vectors), vectors(r) = (U[:, :r], V[:, :r],
-    V[:, r:]) (see OperatorFamily.singular_triplets), with LAPACK run on T's
-    coupled block only.
-
-    Each decoupled coordinate j (see _coupled) adds the exact triplet
-    (|t_jj|, sign(t_jj) e_j, e_j), sign +1 for t_jj = 0. The triplets are
-    placed in descending order of singular value, stably, so ties keep the
-    block's vectors first. vectors(r) builds only the r left vectors asked
-    for; the row-space and kernel bases are views of one V. When every
-    coordinate is coupled this is svd(t) itself; when none is, no LAPACK
-    call is made.
-    """
-    coupled = _coupled(t)
-    keep, drop = np.flatnonzero(coupled), np.flatnonzero(~coupled)
-    if not drop.size:
-        res = svd(t)
-        return res.singular_values, lambda r: (res.u[:, :r].copy(), res.vt[:r].T, res.vt[r:].T)
-    m = t.shape[0]
-    block = (svd(t[np.ix_(keep, keep)]) if keep.size
-             else SvdResult(np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0))))
-    d = t[drop, drop]
-    s = np.concatenate([block.singular_values, np.abs(d)])
-    order = np.argsort(-s, kind="stable")
-    pos = np.empty(m, dtype=np.intp)  # pos[i]: where triplet i lands
-    pos[order] = np.arange(m)
-    pos_block, pos_drop = pos[:keep.size], pos[keep.size:]
-    sign = np.where(d < 0, -1.0, 1.0)
-
-    def vectors(r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        u, vt = np.zeros((m, r)), np.zeros((m, m))
-        b, j = pos_block < r, pos_drop < r
-        u[np.ix_(keep, pos_block[b])] = block.u[:, b]
-        u[drop[j], pos_drop[j]] = sign[j]
-        vt[np.ix_(pos_block, keep)] = block.vt
-        vt[pos_drop, drop] = 1.0
-        return u, vt[:r].T, vt[r:].T
-
-    return s[order], vectors
-
-
-def _inverse(t: np.ndarray) -> np.ndarray | None:
-    """T^{-1} by one LAPACK inverse (LU with partial pivoting). None, with no
-    warning, when T is singular to working precision: LAPACK meets a zero
-    pivot, or an entry of the inverse is not finite (a subnormal pivot whose
-    reciprocal overflows)."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan end in None
-            inv = np.linalg.inv(t)
-    except np.linalg.LinAlgError:
-        return None
-    return inv if np.isfinite(inv).all() else None
+    """LAPACK's SVD of a square T as (s, vectors), vectors(r) = (U[:, :r],
+    V[:, :r], V[:, r:]) (see OperatorFamily.singular_triplets): the left
+    vectors copied, so that the full U can be freed, and the row-space and
+    kernel bases views of one V."""
+    res = svd(t)
+    return res.singular_values, lambda r: (res.u[:, :r].copy(), res.vt[:r].T, res.vt[r:].T)
 
 
 # the upper bound's relative widening, in units of m eps: LAPACK's sigma_max
@@ -181,13 +123,15 @@ _PROOF_FACTOR = 4.0
 def _norm_bound(x: np.ndarray) -> float:
     """min(||X||_F, sqrt(||X||_1 ||X||_inf)) >= ||X||_2, O(m^2) and no
     LAPACK call, taken on |X| / max|x_ij|, so no square overflows, read in
-    strips of STRIP rows, so no m x m temporary is formed."""
+    strips of STRIP rows into one reused buffer, so no m x m temporary is
+    formed."""
     scale = float(max(x.max(initial=0.0), -x.min(initial=0.0)))
     if scale == 0.0:
         return 0.0
     squares, col, row = 0.0, np.zeros(x.shape[1]), 0.0
+    strip = np.empty((min(STRIP, x.shape[0]), x.shape[1]))
     for i in range(0, x.shape[0], STRIP):
-        a = np.abs(x[i:i + STRIP])
+        a = np.abs(x[i:i + STRIP], out=strip[:min(STRIP, x.shape[0] - i)])
         a /= scale
         squares += float(np.einsum("ij,ij->", a, a))
         col += a.sum(axis=0)
@@ -201,13 +145,12 @@ def _sigma_max_bound(t: np.ndarray) -> float:
     return _norm_bound(t) * (1.0 + _SIGMA_SLACK * t.shape[0] * EPS)
 
 
-def _proved_inverse(t: np.ndarray, tol: float | None, inverse: tuple | None = None):
+def _proved_inverse(t: np.ndarray, tol: float | None, inverse: tuple):
     """(apply, cutoff) when T^{-1} proves every rank decision an inverted
-    factor makes, else None; apply(v) = T^{-1} v and cutoff is
+    factor makes, else None; inverse is T^{-1} as (apply, bound) (see
+    OperatorFamily.inverse), apply(v) = T^{-1} v, and cutoff is
     rank_cutoff's at tol (None: the rule's default) and anchor
-    hi >= sigma_max(T), _sigma_max_bound's. inverse is T^{-1} in closed
-    form, (apply, bound) (see OperatorFamily.inverse); without it T^{-1} is
-    one LAPACK inverse (_inverse), applied as a product, bound _norm_bound's.
+    hi >= sigma_max(T), _sigma_max_bound's.
 
     An inverted factor decides T's rank and, in each row, the rank of T X_n
     (LpaInstance.txn_svd) against that one cutoff, tol hi (TruncationFactor's
@@ -219,15 +162,15 @@ def _proved_inverse(t: np.ndarray, tol: float | None, inverse: tuple | None = No
     rows and columns (within 1e-3 for seidman), where ||.||_F can be
     sqrt(m) above.
 
-    c is large enough. LU's inverse X has a left residual
-    |X T - I| <= c_m eps |X| |T| (Du Croz & Higham 1992; entries compared in
-    modulus, |T| read as |L| |U|, so at modest pivot growth). So
-    X - T^{-1} = (X T - I) T^{-1} is at most c_m eps |X| |T| |T^{-1}|
-    entrywise, a relative error of order m eps cond(T) in either N, as both
-    are monotone in the moduli of the entries. A closed form's entries carry
-    at most 2 eps relative error (seidman's are each one rounded quotient),
-    and the sums in N add at most m eps, so the same bound covers it. The
-    test caps cond(T) at 1/(c tol) <= 1/(4 m eps), so that error is at most
+    c is large enough. A closed form's entries carry at most 2 eps relative
+    error (seidman's are each one rounded quotient), and the sums in N add
+    at most m eps. An inverse X by LU, which the tests hand over, is covered
+    as well: its left residual is |X T - I| <= c_m eps |X| |T| (Du Croz &
+    Higham 1992; entries compared in modulus, |T| read as |L| |U|, so at
+    modest pivot growth), so X - T^{-1} = (X T - I) T^{-1} is at most
+    c_m eps |X| |T| |T^{-1}| entrywise, a relative error of order
+    m eps cond(T) in either N, as both are monotone in the moduli of the
+    entries. The test caps cond(T) at 1/(c tol) <= 1/(4 m eps), so that error is at most
     of order 1/4, and the true sigma_min exceeds (1 - 1/4) 4 tol hi =
     3 tol hi. Every singular value of T, and of T X_n for orthonormal X_n,
     is at least sigma_min; LAPACK computes each within about
@@ -237,13 +180,7 @@ def _proved_inverse(t: np.ndarray, tol: float | None, inverse: tuple | None = No
     sits under the SVD's own roundoff, which no norm can predict, hence the
     floor.)
 
-    None when the proof fails or T^{-1} does not exist in floating point:
-    the caller's SVD route then decides the rank and factors T."""
-    if inverse is None:
-        inv = _inverse(t)
-        if inv is None:
-            return None
-        inverse = (lambda v: inv @ v), _norm_bound(inv)
+    None when the proof fails: the caller then takes LAPACK's SVD of T."""
     apply, bound = inverse
     hi = _sigma_max_bound(t)
     cutoff = rank_cutoff((), t.shape, tol, hi)[1]
@@ -260,38 +197,30 @@ class TruncationFactor:
     inverted): rho counts T's singular values above it, each row's r those
     of T X_n (LpaInstance.txn_svd).
 
-    Two routes. By default, T's SVD: the rank-rho left factor U_rho, and
-    R and K from V. LAPACK factors only T's coupled block; each decoupled
-    coordinate, whose row and column are zero off the diagonal, adds its
-    singular triplet in closed form (see _factor_svd). So identity, zero and
-    diagonal T take no LAPACK call, and du's truncation, block diagonal from
-    m = 512 on, only its leading 511 x 511 block. singular_triplets, when
-    given, is T's SVD already known, in _factor_svd's (s, vectors) form,
-    and is taken in its place: shared_factors passes a family's
-    (OperatorFamily.singular_triplets), so best-lpa's T, built from its
-    singular system, and du's, whose SVD is a reflector's closed form, take
-    no LAPACK call.
-    The rank rule and the Subspace checks on R and K are the same either
-    way; TruncationFactor(t) alone is LAPACK's, the reference the tests hold
-    a known SVD to. T^+ is applied as V_rho Sigma_rho^{-1} U_rho^T
-    (pinv_apply); the m x m t_pinv is formed only when read.
-
-    With injective=True (the caller knows N(T) = {0}), or with inverse, T^{-1}
-    in closed form as (apply, bound) (shared_factors passes a family's,
-    OperatorFamily.inverse), T is inverted: through inverse, holding no m x m
-    array besides T, else by one LAPACK inverse. The rank of T and of every
-    T X_n is proved from the inverse's norm bound and an O(m^2) bound hi on
-    sigma_max, with no SVD (see _proved_inverse). pinv_apply applies
-    T^{-1} = T^+; u_rho is None, K is {0}, and t_pinv (apply(I)), R = R^m,
-    s_rho and sigma_max (one values-only SVD of T) are formed only when
-    read. Where the proof fails, or T^{-1} does not exist in floating point,
-    the factor is the SVD route's, bit for bit.
+    Three sources, chosen by what the caller hands over (shared_factors
+    passes a family's). singular_triplets is T's SVD already known, in
+    _factor_svd's (s, vectors) form (OperatorFamily.singular_triplets:
+    best-lpa's T, built from its singular system, and du's, whose SVD is a
+    reflector's closed form): the rank-rho left factor U_rho, and R and K
+    from V, with no LAPACK call. inverse is T^{-1} in closed form as
+    (apply, bound) (OperatorFamily.inverse: seidman's, identity's): T is
+    inverted, holding no m x m array besides T, and the rank of T and of
+    every T X_n is proved from bound and an O(m^2) bound hi on sigma_max,
+    with no SVD (see _proved_inverse). pinv_apply applies T^{-1} = T^+;
+    u_rho is None, K is {0}, and t_pinv (apply(I)), R = R^m, s_rho and
+    sigma_max (one values-only SVD of T) are formed only when read. Given
+    neither, or where the proof fails, the factor is LAPACK's SVD of the
+    whole T (_factor_svd). The rank rule and the Subspace checks on R and K
+    are the same for a known SVD and LAPACK's; TruncationFactor(t) alone is
+    LAPACK's, the reference the tests hold the other sources to. On the SVD
+    routes T^+ is applied as V_rho Sigma_rho^{-1} U_rho^T (pinv_apply); the
+    m x m t_pinv is formed only when read.
 
     It does not depend on X_n, so every instance at this m can share it (see
     shared_factors).
     """
 
-    def __init__(self, t, rank_tol: float | None = None, injective: bool = False,
+    def __init__(self, t, rank_tol: float | None = None,
                  singular_triplets: tuple | None = None, inverse: tuple | None = None):
         t = as_matrix(t)
         if t.shape[0] != t.shape[1]:
@@ -299,7 +228,7 @@ class TruncationFactor:
         self.t = t
         self.m = t.shape[0]
         self.rank_tol = rank_tol
-        proved = _proved_inverse(t, rank_tol, inverse) if injective or inverse else None
+        proved = _proved_inverse(t, rank_tol, inverse) if inverse else None
         if proved is not None:
             self._apply_inverse, self.cutoff = proved
             self.rank, self.u_rho = self.m, None
@@ -310,7 +239,7 @@ class TruncationFactor:
             self.rank, self.cutoff = rank_cutoff(s, t.shape, rank_tol)
             r = self.rank
             self.u_rho, row, kernel = vectors(r)
-            del vectors  # frees the SVD's arrays not kept (LAPACK's full U, a block's factors)
+            del vectors  # frees the SVD's arrays not kept (LAPACK's full U)
             self.s_rho = s[:r]
             self.rowspace = Subspace(row)
             self.kernel = Subspace(kernel)
@@ -359,9 +288,9 @@ class TruncationFactor:
 
 def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
     """factor(m): family.truncate(m) factored, keeping only the latest m,
-    inverted when the family declares N(T) = {0}, through its closed-form
-    inverse(m) when it has one, and from the family's singular_triplets(m)
-    rather than by LAPACK when it has them (see TruncationFactor).
+    from the family's singular_triplets(m) or inverted through its
+    closed-form inverse(m) when it has them, else by LAPACK's SVD (see
+    TruncationFactor).
 
     Consecutive rows at one m share one factor; the previous factor is
     dropped before the next one is built, so one is alive at a time.
@@ -374,7 +303,6 @@ def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
             last = None
             triplets, inverse = family.singular_triplets, family.inverse
             last = TruncationFactor(family.truncate(m), rank_tol,
-                                    injective=family.kernel_dim_hint == 0,
                                     singular_triplets=triplets(m) if triplets else None,
                                     inverse=inverse(m) if inverse else None)
         return last
@@ -547,7 +475,7 @@ def make_lpa(family: OperatorFamily, n: int, m: int,
     coordinate subspaces otherwise. factor, when given, is the family's
     truncation at m already factored (see shared_factors), the one path by
     which a rank_tol reaches the instance; otherwise it is shared_factors'
-    default, inverted when the family declares N(T) = {0}.
+    default.
     """
     family.check(n, m)
     if factor is not None and factor.m != m:
@@ -991,7 +919,7 @@ def coercive_bound_check(t, alpha: float, beta: float, n_list,
     limit = beta / alpha
     rows = []
     passed = True
-    t_factor = TruncationFactor(t, injective=True)  # coercive, so N(T) = {0}
+    t_factor = TruncationFactor(t)
     for n in n_list:
         factor = _bound_factor(LpaInstance(t_factor, n).offset_sines[0])
         rows.append(CoerciveRow(n=n, bound_factor=factor))

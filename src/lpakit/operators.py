@@ -40,19 +40,19 @@ class OperatorFamily:
 
     truncate(m) must be deterministic in m. kernel_dim_hint, when set, is the
     kernel dimension of the full operator (not of the truncation, which can
-    differ until m is large enough to resolve it). It also picks how the
-    truncation is factored: 0 (N(T) = {0}) has analysis.make_lpa and
-    shared_factors invert T instead of taking its SVD, the full numerical
-    rank of T and of every T X_n proved from the inverse's norms (see
-    analysis.TruncationFactor); where that proof fails the factor falls back
-    to the SVD. inverse, when set, is truncate(m)^{-1} in closed form, as
-    (apply, bound): apply(v) = T^{-1} v for a vector or a matrix's columns,
-    and bound = min(||T^{-1}||_F, sqrt(||T^{-1}||_1 ||T^{-1}||_inf));
-    shared_factors inverts T through it rather than by LAPACK (seidman's,
-    see _seidman_inverse; identity's is a copy). xn_basis, when
-    set, overrides the coordinate subspaces as the family's approximation
-    scheme: it returns an orthonormal m x k basis for the subspace at index
-    n. singular_triplets, when set, is truncate(m)'s SVD known in closed
+    differ until m is large enough to resolve it); it is informational, and
+    does not pick how the truncation is factored. inverse, when set, is
+    truncate(m)^{-1} in closed form, as (apply, bound): apply(v) = T^{-1} v
+    for a vector or a matrix's columns, and bound = min(||T^{-1}||_F,
+    sqrt(||T^{-1}||_1 ||T^{-1}||_inf)); analysis.make_lpa and shared_factors
+    invert T through it instead of taking its SVD, the full numerical rank
+    of T and of every T X_n proved from bound (see
+    analysis.TruncationFactor), and fall back to LAPACK's SVD where that
+    proof fails (seidman's, see _seidman_inverse; identity's is a copy). A
+    family with neither inverse nor singular_triplets is factored by
+    LAPACK's SVD of T. xn_basis, when set, overrides the coordinate
+    subspaces as the family's approximation scheme: it returns an
+    orthonormal m x k basis for the subspace at index n. singular_triplets, when set, is truncate(m)'s SVD known in closed
     form, returned as (s, vectors) with s the m singular values, descending,
     and vectors(k) = (U[:, :k], V[:, :k], V[:, k:]), the left vectors, a
     basis of the row space and one of the kernel, for any k up to the count

@@ -20,8 +20,6 @@ import lpakit.analysis
 from lpakit.analysis import (
     LpaInstance,
     TruncationFactor,
-    _coupled,
-    _factor_svd,
     _sigma_max_bound,
     _tan_theta_qn,
     PreconditionError,
@@ -269,142 +267,75 @@ def test_scan_row_allocates_less_than_one_m_by_m_array():
     assert peak < 8 * m * m, peak
 
 
-# ------------------------------------------------- T factored on its coupled block
+# ------------------------------------------------- T factored by LAPACK's SVD
 
 
-def _assert_factor_matches_dense(t, rank_tol=None) -> bool:
-    # _factor_svd against LAPACK's SVD of the whole matrix: U S V^T rebuilds
-    # T, U and V are orthogonal, the singular values agree to 1e-13 sigma_max,
-    # and the factor's rank, row space and kernel agree with the dense ones,
-    # the subspaces within Wedin's bound delta / (sigma_rho - sigma_{rho+1}).
-    # Returns whether the rank was clear enough to compare.
-    m = t.shape[0]
-    (s, vectors), dense = _factor_svd(t), svd(t)
-    (u, v, _), s_dense = vectors(m), dense.singular_values
-    delta = 1e-13 * s_dense[0]
-    assert np.all(np.diff(s) <= 0)
-    assert np.linalg.norm((u * s) @ v.T - t, 2) <= delta
-    for r in (0, m // 2, m - 1):  # the row space and kernel split one V at r
-        u_r, row, kernel = vectors(r)
-        assert np.array_equal(u_r, u[:, :r]) and np.array_equal(np.hstack([row, kernel]), v)
-    for q in (u, v):
-        assert np.linalg.norm(q.T @ q - np.eye(m)) <= 1e-12 * m
-    assert np.all(np.abs(s - s_dense) <= delta)
-    # the rank cutoff uses T's full shape, not the block's; the ranks must
-    # agree unless the two sets of singular values straddle the cutoff
-    factor = TruncationFactor(t, rank_tol)
-    rho = rank_cutoff(s_dense, t.shape, rank_tol)[0]
-    if not _rank_is_clear(s_dense, float(np.max(np.abs(s - s_dense))), t.shape, rank_tol):
-        return False
-    assert factor.rank == rho
-    sep = s_dense[rho - 1] - (s_dense[rho] if rho < m else 0.0) if rho else 1.0
-    bound = min(1.0, 4.0 * delta / sep)
-    assert gap(factor.rowspace, Subspace(dense.vt[:rho].T)) <= bound
-    assert gap(factor.kernel, Subspace(dense.vt[rho:].T)) <= bound
-    return True
+_LAPACK_INPUTS = {
+    "du-511": lambda: get_family("du").truncate(511),
+    "du-768": lambda: get_family("du").truncate(768),
+    "du-1100": lambda: get_family("du").truncate(1100),
+    "seidman": lambda: get_family("seidman").truncate(32),
+    "seidman-64": lambda: get_family("seidman").truncate(64),
+    "best-lpa-40": lambda: get_family("best-lpa").truncate(40),
+    "random-20": lambda: random_finite_kernel(20, 3, 0),
+    "identity": lambda: np.eye(8),
+    "zero": lambda: np.zeros((6, 6)),
+    "diagonal": lambda: np.diag([3.0, -1.0, 0.0, 2.0, -1.0]),
+}
 
 
-@pytest.mark.parametrize("build", [
-    *[lambda m=m: get_family("du").truncate(m) for m in (511, 512, 513, 768, 1100)],
-    lambda: np.eye(9),
-    lambda: np.zeros((6, 6)),
-], ids=["du-511", "du-512", "du-513", "du-768", "du-1100", "identity", "zero"])
-def test_factor_svd_matches_dense_oracle(build):
-    assert _assert_factor_matches_dense(build())
-
-
-def _embedded_block(seed, m_block, diag, planted):
-    # a k x k block among len(diag) decoupled coordinates, all permuted; the
-    # block is dense, or Q_1 diag(planted) Q_2^T, which ties its singular
-    # values with the diagonal's and can make it singular
-    rng = np.random.default_rng(seed)
-    if planted is None:
-        block = rng.standard_normal((m_block, m_block))
-    else:
-        q1, q2 = (np.linalg.qr(rng.standard_normal((m_block, m_block)))[0] for _ in "12")
-        block = (q1 * planted[:m_block]) @ q2.T
-    m = m_block + len(diag)
-    perm = rng.permutation(m)
-    t = np.zeros((m, m))
-    t[np.ix_(perm[:m_block], perm[:m_block])] = block
-    t[perm[m_block:], perm[m_block:]] = diag
-    return t
-
-
-_DIAGONALS = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-
-
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**16), m_block=st.sampled_from([0, 2, 3, 5, 8, 13]),
-       diag=st.lists(_DIAGONALS, min_size=1, max_size=12),
-       planted=st.one_of(st.none(), st.lists(_DIAGONALS.map(abs), min_size=13, max_size=13)),
-       rank_tol=st.sampled_from([None, 1e-10]))
-def test_factor_svd_with_decoupled_coordinates_matches_dense_oracle(
-        seed, m_block, diag, planted, rank_tol):
-    t = _embedded_block(seed, m_block, diag, planted)
-    m = t.shape[0]
-    # the detection against its definition, entry by entry
-    assert list(_coupled(t)) == [any(t[i, j] != 0 or t[j, i] != 0 for i in range(m) if i != j)
-                                 for j in range(m)]
-    _assert_factor_matches_dense(t, rank_tol)
-
-
-def test_factor_svd_is_bitwise_lapack_when_every_coordinate_is_coupled():
-    for t in (get_family("seidman").truncate(64), get_family("du").truncate(511),
-              get_family("best-lpa").truncate(40), random_finite_kernel(20, 3, 0)):
-        assert _coupled(t).all()
-        (s, vectors), dense = _factor_svd(t), svd(t)
-        u, row, kernel = vectors(len(t))
-        assert all(np.array_equal(a, b) for a, b in
-                   zip((u, np.hstack([row, kernel]).T, s), (dense.u, dense.vt, dense.singular_values)))
-
-
-@pytest.mark.parametrize("build, want", [
-    (lambda: get_family("du").truncate(768), [(511, 511)]),
-    (lambda: get_family("du").truncate(1100), [(511, 511)]),
-    (lambda: get_family("seidman").truncate(32), [(32, 32)]),
-    (lambda: np.eye(8), []),
-    (lambda: np.zeros((6, 6)), []),
-    (lambda: np.diag([3.0, -1.0, 0.0, 2.0, -1.0]), []),
-], ids=["du-768", "du-1100", "seidman", "identity", "zero", "diagonal"])
-def test_factor_runs_lapack_on_the_coupled_block_only(monkeypatch, build, want):
-    t = build()
+@pytest.mark.parametrize("name", ["du-768", "du-1100", "seidman", "identity", "zero", "diagonal"])
+def test_factor_runs_one_lapack_svd_of_the_whole_t(monkeypatch, name):
+    # given neither a known SVD nor an inverse, the factor is one full SVD of
+    # T, whatever T's pattern: du's block diagonal truncation, identity, zero
+    # and diagonal T included
+    t = _LAPACK_INPUTS[name]()
     shapes = _count_full_svds(monkeypatch)
     TruncationFactor(t)
-    assert shapes == want
+    assert shapes == [t.shape]
+
+
+def test_factor_is_bitwise_lapacks_svd_of_the_whole_t():
+    # TruncationFactor(t) alone: rank, cutoff, singular values, U_rho, row
+    # space and kernel are svd(t)'s, split at the rank rule's cutoff
+    for build in _LAPACK_INPUTS.values():
+        t = build()
+        factor, dense = TruncationFactor(t), svd(t)
+        s, rho = dense.singular_values, factor.rank
+        assert (rho, factor.cutoff) == rank_cutoff(s, t.shape)
+        assert factor.sigma_max == s[0]
+        for got, want in ((factor.s_rho, s[:rho]), (factor.u_rho, dense.u[:, :rho]),
+                          (factor.rowspace.basis, dense.vt[:rho].T),
+                          (factor.kernel.basis, dense.vt[rho:].T)):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("name, n, m", [("du", 16, 768), ("identity", 3, 8)])
 def test_diagnose_takes_no_m_by_m_svd_on_decoupled_truncations(monkeypatch, name, n, m):
-    # identity's factor is all closed-form triplets of decoupled coordinates;
-    # du's is read off its closed form, so not even its 511 x 511 coupled
-    # block is factored
+    # identity's factor is its inverse in closed form (a copy); du's is read
+    # off its closed form (singular_triplets), so neither T nor du's leading
+    # 511 x 511 block, where its coupling ends, is factored
     shapes = _count_full_svds(monkeypatch)
     diagnose(make_lpa(get_family(name), n, m))
     assert (m, m) not in shapes and (511, 511) not in shapes
 
 
 @pytest.mark.parametrize("n, m", [(16, 768), (8, 1100)])
-def test_du_diagnostics_match_dense_factor(monkeypatch, n, m):
+def test_du_diagnostics_match_dense_factor(n, m):
     # du's closed-form factor (make_lpa's, through shared_factors) against
-    # LAPACK's on the formed T: first the block route, which factors T's
-    # leading 511 x 511 block, then the SVD of the whole truncation (every
-    # coordinate declared coupled). Within perfbench's tolerances, and the
-    # two routes within check of each other.
+    # LAPACK's SVD of the whole formed T. Within perfbench's tolerances, and
+    # the two routes within check of each other.
     check = Tolerances().check
     fam = get_family("du")
     got = diagnose(make_lpa(fam, n, m))
-    block = diagnose(make_lpa(fam, n, m, TruncationFactor(fam.truncate(m))))
-    monkeypatch.setattr(lpakit.analysis, "_coupled", lambda t: np.ones(len(t), dtype=bool))
-    whole = diagnose(make_lpa(fam, n, m, TruncationFactor(fam.truncate(m))))
+    want = diagnose(make_lpa(fam, n, m, TruncationFactor(fam.truncate(m))))
     assert abs(got.sin_theta_qn - got.sin_theta_gap) <= check
-    for want in (block, whole):
-        assert (got.kernel_dim, got.kernel_core_dim) == (want.kernel_dim, want.kernel_core_dim)
-        assert kernel_verdict([got], check) == kernel_verdict([want], check)
-        for field in ("sin_theta_gap", "sin_theta_qn", "kernel_gap"):
-            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-10)
-        for field in ("norm_tn_dag_t", "bound_factor"):
-            assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0)
+    assert (got.kernel_dim, got.kernel_core_dim) == (want.kernel_dim, want.kernel_core_dim)
+    assert kernel_verdict([got], check) == kernel_verdict([want], check)
+    for field in ("sin_theta_gap", "sin_theta_qn", "kernel_gap"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=0, abs=1e-10)
+    for field in ("norm_tn_dag_t", "bound_factor"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0)
 
 
 def _dense_tn_pinv(inst) -> np.ndarray:
@@ -443,7 +374,16 @@ def test_tn_pinv_matches_dense_oracle(build):
         1e-12 * np.linalg.norm(inst.tn_pinv, 2) * np.linalg.norm(y)
 
 
-# ------------------------------------------------ T inverted when N(T) = {0}
+# ------------------------------------------------ T inverted through its inverse
+
+
+def _lu_inverse(t):
+    # T^{-1} by one LAPACK inverse (LU with partial pivoting), handed to the
+    # factor in OperatorFamily.inverse's form: (apply, bound), bound =
+    # min(||T^{-1}||_F, sqrt(||T^{-1}||_1 ||T^{-1}||_inf))
+    inv = np.linalg.inv(t)
+    norms = np.linalg.norm(inv), math.sqrt(np.linalg.norm(inv, 1) * np.linalg.norm(inv, np.inf))
+    return inv.__matmul__, min(norms)
 
 
 def _inverse_50_digits(t):
@@ -561,8 +501,8 @@ def test_graded_best_lpa_factor_from_its_singular_system_matches_lapack():
 @pytest.mark.parametrize("m", [1, 2, 12, 22, 23, 30, 192, 256, 257, 511, 512, 768, 1100])
 def test_du_factor_in_closed_form_matches_lapack(m):
     # du's factor read off the reflector that maps e/||e|| to -e_1 against
-    # LAPACK's SVD of the formed T (of its leading 511 x 511 block from
-    # m = 512 on). rho = m below the rank cliff (m <= 22), m - 1 above.
+    # LAPACK's SVD of the whole formed T. rho = m below the rank cliff
+    # (m <= 22), m - 1 above.
     # From m = 257 on, T drops entries below sqrt(tiny) that the closed
     # form, the SVD of I - 3 w w^T, keeps; their norm is under 2^-500, so
     # the closed form still reproduces T to m eps entrywise. U_rho Sigma_rho
@@ -592,11 +532,10 @@ def test_du_closed_form_reads_a_zero_offset_to_roundoff(n):
 
 @functools.cache
 def _seidman_factors(m):
-    # T inverted by one LAPACK inverse and in closed form (shared_factors,
-    # through the family's inverse), then the SVD route's factor
+    # T inverted in closed form (shared_factors, through the family's
+    # inverse), then the SVD route's factor
     fam = get_family("seidman")
-    t = fam.truncate(m)
-    return TruncationFactor(t, injective=True), shared_factors(fam)(m), TruncationFactor(t)
+    return shared_factors(fam)(m), TruncationFactor(fam.truncate(m))
 
 
 @settings(max_examples=15, deadline=None)
@@ -646,82 +585,6 @@ def _assert_same_factor(got, want):
         assert np.array_equal(getattr(got, name).basis, getattr(want, name).basis), name
 
 
-def _assert_inverted_block_agrees(t, n, basis):
-    # the inverted factor's T^+ against a 50-digit inverse, since at tiny m
-    # the SVD route's own roundoff can exceed the limit, and its rows
-    # against the SVD route's. A block that falls below full numerical rank
-    # takes the SVD route, bit for bit.
-    inverted, dense = TruncationFactor(t, injective=True), TruncationFactor(t)
-    if inverted.u_rho is not None:
-        _assert_same_factor(inverted, dense)
-        return
-    _assert_factors_agree(inverted, dense, _inverse_50_digits(t))
-    _assert_rows_agree(inverted, dense, n, basis)
-
-
-@_needs_mpmath
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**16), m_block=st.sampled_from([0, 2, 3, 5, 8, 13]),
-       diag=st.lists(_DIAGONALS.filter(bool), min_size=1, max_size=12),
-       data=st.data())
-def test_inverted_block_with_decoupled_coordinates_matches_svd_route(
-        seed, m_block, diag, data):
-    # a Gaussian block among nonzero decoupled diagonal entries, inverted
-    # by one LAPACK inverse of the whole T
-    t = _embedded_block(seed, m_block, diag, None)
-    n = data.draw(st.integers(1, len(t)))
-    basis = None
-    if data.draw(st.booleans()):  # a random X_n instead of the coordinate one
-        basis = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(t), n)))[0]
-    _assert_inverted_block_agrees(t, n, basis)
-
-
-@_needs_mpmath
-def test_inverted_block_at_tiny_m_matches_a_50_digit_inverse():
-    # m = 4, cond(T) 2.36, limit 2.5e-15: LU's T^{-1} is 5.7e-17 off the
-    # 50-digit inverse, the SVD route's V Sigma^{-1} U^T 7.2e-15
-    t = _embedded_block(179, 3, [-2.0], None)
-    assert TruncationFactor(t, injective=True).u_rho is None
-    for n in range(1, len(t) + 1):
-        _assert_inverted_block_agrees(t, n, None)
-
-
-def _exactly_singular_block():
-    # LU meets an exact zero pivot in the coupled block, so np.linalg.inv
-    # raises; the decoupled coordinates are nonzero
-    t = np.diag([1.0, 1.0, 3.0, -2.0])
-    t[:2, :2] = [[1.0, 2.0], [2.0, 4.0]]
-    return t
-
-
-@pytest.mark.parametrize("build", [
-    lambda: get_family("du").truncate(32),
-    lambda: random_finite_kernel(12, 3, 0),
-    lambda: _embedded_block(3, 5, [1.0, 2.0, -1.0], [1.0, 0.5, 0.0, 2.0, 1.0]),
-    lambda: np.diag([2.0, 0.0, 1.0]),
-    lambda: np.zeros((4, 4)),
-    _exactly_singular_block,
-    lambda: np.diag([1e-310, 1.0]),
-], ids=["du-32", "random-kernel", "singular-block", "diagonal-zero", "zero",
-        "exactly-singular-block", "subnormal-diagonal"])
-def test_injective_factor_of_a_singular_t_is_the_svd_route(build):
-    # injective=True on a T below full numerical rank falls back to the SVD
-    # route and gives bitwise its factor, with no warning (the suite turns
-    # warnings into errors) and no values-only SVD: where T^{-1} exists in
-    # floating point (du's 4^-32, a planted zero singular value) its norm
-    # proves nothing, and where it does not (an exact zero pivot, an entry
-    # of T^{-1} overflowing) there is nothing to prove with
-    t = build()
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _count_svd_calls(mp)
-        got = TruncationFactor(t, injective=True)
-    want = TruncationFactor(t)
-    assert got.rank < got.m
-    assert [vectors for _, vectors in calls].count(False) == 0, calls
-    _assert_same_factor(got, want)
-    assert got.cutoff == want.cutoff
-
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**16), m=st.integers(1, 40),
        kind=st.sampled_from(["rank-one", "diagonal", "orthogonal-scaled", "dense"]))
@@ -749,12 +612,12 @@ def _proof_holds(t, rank_tol):
     # 1/N(T^{-1}) > 4 tol hi for N = ||.||_F or N = sqrt(||.||_1 ||.||_inf),
     # tol hi = the rank rule's cutoff at rank_tol and anchor hi, floored at
     # m eps hi, hi = min(||T||_F, sqrt(||T||_1 ||T||_inf)) widened by 4 m eps;
-    # T^{-1} is the factor's own LAPACK inverse
+    # T^{-1} is LAPACK's inverse, the one _lu_inverse hands the factor
     m = len(t)
     hi = min(np.linalg.norm(t), math.sqrt(np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf)))
     hi *= 1 + 4 * m * EPS
     cutoff = max(rank_cutoff((), t.shape, rank_tol, hi)[1], m * EPS * hi)
-    inv = lpakit.analysis._inverse(t)
+    inv = np.linalg.inv(t)
     norm = min(np.linalg.norm(inv), math.sqrt(np.linalg.norm(inv, 1) * np.linalg.norm(inv, np.inf)))
     return 1.0 / norm > 4 * cutoff
 
@@ -799,8 +662,8 @@ def _graded_of_kind(rng, m, ratio, kind):
 def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k, rank_tol, kind):
     # T graded with sigma_min / sigma_max = k tol (exactly for dense and
     # triangular T), tol the proof's (rank_tol, the rule's default when None)
-    # and k in [1/4, 64], log-uniform, each inverted by one LAPACK inverse
-    # (LU), triangular ones included. The inverted factor's rank
+    # and k in [1/4, 64], log-uniform, each handed its LAPACK inverse (LU,
+    # _lu_inverse), triangular ones included. The inverted factor's rank
     # is the SVD route's.
     # Wherever neither norm of the inverse proves full rank the factor is
     # the SVD route's bit for bit; where one does, T is inverted with no
@@ -809,9 +672,10 @@ def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k,
     # arrow T that only sqrt(||T^{-1}||_1 ||T^{-1}||_inf) proves
     tol = rank_cutoff((), (m, m), rank_tol, 1.0)[1]
     t = _graded_of_kind(np.random.default_rng(seed), m, 2.0**log2_k * tol, kind)
+    inverse = _lu_inverse(t)
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_svd_calls(mp)
-        got = TruncationFactor(t, rank_tol, injective=True)
+        got = TruncationFactor(t, rank_tol, inverse=inverse)
         built = list(calls)
         want = TruncationFactor(t, rank_tol)
         assert got.rank == want.rank
@@ -840,7 +704,7 @@ def test_inverted_factor_proves_the_rank_of_every_txn(seed, m, log2_k, data):
     # matrix is m x m either)
     rng = np.random.default_rng(seed)
     t = _graded(rng, m, 2.0**log2_k * _default_tol(m))
-    factor = TruncationFactor(t, injective=True)
+    factor = TruncationFactor(t, inverse=_lu_inverse(t))
     if factor.u_rho is not None:
         return
     n = data.draw(st.integers(1, (m - 1) // 2))
@@ -882,7 +746,7 @@ def test_txn_rank_between_the_anchored_cutoffs_takes_the_svd_route(seed):
     q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
     t = q.copy()
     t[:, 0] *= _default_tol(m) * 0.5 * (1.0 + _sigma_max_bound(q))
-    factor = TruncationFactor(t, injective=True)
+    factor = TruncationFactor(t, inverse=_lu_inverse(t))
     assert factor.u_rho is not None and not _proof_holds(t, None)
     _assert_same_factor(factor, TruncationFactor(t))
     assert factor.cutoff == _default_tol(m) * factor.sigma_max
@@ -906,8 +770,8 @@ def test_seidman_scan_at_768_takes_no_m_by_m_svd(monkeypatch):
 def test_seidman_factor_keeps_nothing_m_by_m_beyond_t():
     # seidman's factor, through the family's closed-form inverse, keeps
     # vectors of length m and no m x m array; T is built outside the trace.
-    # Its largest temporary is a strip of |T| (64 rows) in the bound on
-    # sigma_max
+    # Its largest temporary is the one strip buffer (64 rows of |T|,
+    # 1/12 x 8 m^2) that the bound on sigma_max refills
     m = 768
     fam = get_family("seidman")
     t = fam.truncate(m)
@@ -921,7 +785,7 @@ def test_seidman_factor_keeps_nothing_m_by_m_beyond_t():
     assert factor.u_rho is None and factor.rank == m
     assert not {"rowspace", "t_pinv", "s_rho"} & set(vars(factor))
     assert kept < 0.05 * 8 * m * m, kept / (8 * m * m)
-    assert peak < 0.3 * 8 * m * m, peak / (8 * m * m)
+    assert peak < 0.12 * 8 * m * m, peak / (8 * m * m)
 
 
 def test_seidman_at_2048_is_inverted():
@@ -946,37 +810,14 @@ def test_seidman_at_2048_is_inverted():
        kind=st.sampled_from(["lower", "arrow"]), data=st.data())
 def test_triangular_inverse_matches_a_50_digit_inverse(seed, m, log2_ratio, kind, data):
     # a lower triangular T (sigma_min / sigma_max = 2^log2_ratio, near it for
-    # an arrow T, seidman's pattern) takes one LAPACK inverse: T^{-1} within
-    # m eps cond(T) ||T^{-1}|| of a 50-digit inverse, and every row as the
-    # SVD route's
+    # an arrow T, seidman's pattern) handed its LAPACK inverse (_lu_inverse):
+    # T^{-1} within m eps cond(T) ||T^{-1}|| of a 50-digit inverse, and every
+    # row as the SVD route's
     t = _graded_of_kind(np.random.default_rng(seed), m, 2.0**log2_ratio, kind)
-    inverted = TruncationFactor(t, injective=True)
+    inverted = TruncationFactor(t, inverse=_lu_inverse(t))
     dense = TruncationFactor(t)
     _assert_factors_agree(inverted, dense, _inverse_50_digits(t))
     _assert_rows_agree(inverted, dense, data.draw(st.integers(1, m // 2)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 2**16), m=st.sampled_from([65, 100, 130]), at=st.floats(0.0, 1.0),
-       pivot=st.sampled_from([0.0, 1e-310, -1e-310]),
-       kind=st.sampled_from(["lower", "arrow"]))
-def test_triangular_t_with_a_zero_or_subnormal_pivot_is_the_svd_route(seed, m, at, pivot, kind):
-    # a lower triangular T with one diagonal entry 0 or subnormal is singular
-    # to working precision (sigma_min <= |t_jj|): its LAPACK inverse meets an
-    # exact zero pivot, overflows, or is too large for its norm to prove
-    # anything, and the factor is the SVD route's bit for bit, with no
-    # warning (the suite turns warnings into errors) and no values-only SVD
-    t = _graded_of_kind(np.random.default_rng(seed), m, 1e-3, kind)
-    j = min(int(at * m), m - 1)
-    t[j, j] = pivot
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _count_svd_calls(mp)
-        got = TruncationFactor(t, injective=True)
-    want = TruncationFactor(t)
-    assert got.rank < m
-    assert [vectors for _, vectors in calls].count(False) == 0, calls
-    _assert_same_factor(got, want)
-    assert got.cutoff == want.cutoff
 
 
 # ------------------------------------------------------------ solution route

@@ -235,6 +235,7 @@ _SHARED_SCANS = [
     ("best-lpa", {}, [2, 4, 8, 12], "fixed:20"),
     ("random", {"kernel_dim": 2, "seed": 1}, [2, 3, 4, 5], "fixed:12"),
     ("seidman", {}, [2, 4, 8], "fixed:192"),
+    ("random", {"kernel_dim": 0, "seed": 3}, [2, 3, 4, 5], "fixed:12"),
 ]
 
 
@@ -286,14 +287,16 @@ def _count_t_factorizations(monkeypatch, ms, family=None):
 
 
 @pytest.mark.parametrize("name, params, n_list, m_rule", _SHARED_SCANS,
-                         ids=["seidman", "du", "best-lpa", "random", "seidman-192"])
+                         ids=["seidman", "du", "best-lpa", "random", "seidman-192",
+                              "random-injective"])
 def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     # consecutive rows at one m share one factor of T, and every row is
     # bitwise the row a fresh instance gives. The factor is one SVD of T, or
-    # none: seidman declares N(T) = {0} and knows T^{-1} in closed form,
-    # whose norms prove full rank, and no row reads T's singular values, so
-    # T takes no SVD, QR or inverse; best-lpa's and du's factors are read
-    # off the SVD they know (singular_triplets).
+    # none: seidman knows T^{-1} in closed form (inverse), whose norms prove
+    # full rank, and no row reads T's singular values, so T takes no SVD, QR
+    # or inverse; best-lpa's and du's factors are read off the SVD they know
+    # (singular_triplets). Any other family takes LAPACK's SVD of T, random
+    # with kernel_dim 0 included: N(T) = {0} alone does not invert T.
     cfg = scan_config_from_dict({"operator": {"name": name, "params": params},
                                  "n_list": n_list, "m_rule": m_rule})
     family = get_family(name, **params)
@@ -326,10 +329,11 @@ def test_best_lpa_scan_takes_no_m_cubed_step(monkeypatch, m):
 
 
 def test_du_scan_takes_no_m_cubed_step(monkeypatch):
-    # du's factor is read off its closed form (singular_triplets), so even
-    # its 511 x 511 coupled block is not factored: no SVD, QR or inverse of
-    # an input of order 511 or more. T X_n is T's first n columns, and T
-    # enters products only with at most r <= n columns on the other side
+    # du's factor is read off its closed form (singular_triplets), so neither
+    # T nor its leading 511 x 511 block, where its coupling ends, is
+    # factored: no SVD, QR or inverse of an input of order 511 or more. T X_n
+    # is T's first n columns, and T enters products only with at most
+    # r <= n columns on the other side
     m = 768
     cfg = scan_config_from_dict({"operator": {"name": "du"},
                                  "n_list": [2, 4, 8, 16], "m_rule": f"fixed:{m}"})
