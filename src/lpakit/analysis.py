@@ -23,13 +23,13 @@ one SVD of T X_n and both offset-angle routes, so identities that hold in
 exact arithmetic stay consistent to machine precision. The factor comes
 from one of three sources: T's SVD as a family knows it (singular_triplets:
 best-lpa's from the singular system T was built from, du's in closed form),
-read off it with no LAPACK call; T^{-1} = T^+ in closed form (inverse:
-seidman's by Sherman-Morrison, identity's), an O(m) product and norm bound,
-taken when min(||T^{-1}||_F, sqrt(||T^{-1}||_1 ||T^{-1}||_inf)) against an
-O(m^2) bound on sigma_max proves every rank decision a row will make, so
-the factor holds no m x m array besides T and T's singular values are
-taken only when read; otherwise, LAPACK's SVD of the whole T. The instance
-sees ranks, not routes.
+read off it with no LAPACK call; T^{-1} = T^+ in closed form with T's
+extreme singular values (inverse: seidman's by Sherman-Morrison and two
+secular equations, identity's), an O(m) product, taken when sigma_min clears
+the rank cutoff by m eps sigma_max, so that every rank decision a row will
+make is full, the factor holds no m x m array besides T, and T's singular
+values are taken only when read; otherwise, LAPACK's SVD of the whole T.
+The instance sees ranks, not routes.
 The rank r of T X_n is decided once; the kernel core, T_n^+, both
 offset-angle images, tan theta_n = ||Q_n - P_{ran Q_n}|| (an r x r norm) and
 ||T_n^+ T|| (an r x m norm) are read off its r singular vectors. Subspaces
@@ -62,7 +62,6 @@ import numpy as np
 from .config import Tolerances, resolve_m
 from .linalg import (
     EPS,
-    STRIP,
     Subspace,
     SvdResult,
     as_matrix,
@@ -111,105 +110,30 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     return res.singular_values, lambda r: (res.u[:, :r].copy(), res.vt[:r].T, res.vt[r:].T)
 
 
-# the upper bound's relative widening, in units of m eps: LAPACK's sigma_max
-# and the O(m^2) norms each carry a relative roundoff of at most 0.6 m eps on
-# rank-one, diagonal and orthogonal-times-diagonal T (3000 seeded trials)
-_SIGMA_SLACK = 4.0
-# how far 1/N(T^{-1}), N a bound on the spectral norm, must clear the rank
-# cutoff to prove full rank; see _proved_inverse
-_PROOF_FACTOR = 4.0
-
-
-def _norm_bound(x: np.ndarray) -> float:
-    """min(||X||_F, sqrt(||X||_1 ||X||_inf)) >= ||X||_2, O(m^2) and no
-    LAPACK call, taken on |X| / max|x_ij|, so no square overflows, read in
-    strips of STRIP rows into one reused buffer, so no m x m temporary is
-    formed."""
-    scale = float(max(x.max(initial=0.0), -x.min(initial=0.0)))
-    if scale == 0.0:
-        return 0.0
-    squares, col, row = 0.0, np.zeros(x.shape[1]), 0.0
-    strip = np.empty((min(STRIP, x.shape[0]), x.shape[1]))
-    for i in range(0, x.shape[0], STRIP):
-        a = np.abs(x[i:i + STRIP], out=strip[:min(STRIP, x.shape[0] - i)])
-        a /= scale
-        squares += float(np.einsum("ij,ij->", a, a))
-        col += a.sum(axis=0)
-        row = max(row, float(a.sum(axis=1).max()))
-    return scale * math.sqrt(min(squares, float(col.max()) * row))
-
-
-def _sigma_max_bound(t: np.ndarray) -> float:
-    """hi >= sigma_max(T): _norm_bound(T) widened by _SIGMA_SLACK m eps, so
-    that LAPACK's computed sigma_max lies below it too."""
-    return _norm_bound(t) * (1.0 + _SIGMA_SLACK * t.shape[0] * EPS)
-
-
-def _proved_inverse(t: np.ndarray, tol: float | None, inverse: tuple):
-    """(apply, cutoff) when T^{-1} proves every rank decision an inverted
-    factor makes, else None; inverse is T^{-1} as (apply, bound) (see
-    OperatorFamily.inverse), apply(v) = T^{-1} v, and cutoff is
-    rank_cutoff's at tol (None: the rule's default) and anchor
-    hi >= sigma_max(T), _sigma_max_bound's.
-
-    An inverted factor decides T's rank and, in each row, the rank of T X_n
-    (LpaInstance.txn_svd) against that one cutoff, tol hi (TruncationFactor's
-    cutoff); the proof alone floors tol at m eps. sigma_min = 1/||T^{-1}||_2
-    >= 1/N(T^{-1}) for N the Frobenius norm and for N = sqrt(||.||_1
-    ||.||_inf) (Hoelder's ||A||_2^2 <= ||A||_1 ||A||_inf), and the proof
-    holds once 1/bound > c tol hi, c = _PROOF_FACTOR = 4, bound the smaller
-    N: the second is near ||T^{-1}||_2 when the inverse's mass sits in few
-    rows and columns (within 1e-3 for seidman), where ||.||_F can be
-    sqrt(m) above.
-
-    c is large enough. A closed form's entries carry at most 2 eps relative
-    error (seidman's are each one rounded quotient), and the sums in N add
-    at most m eps. An inverse X by LU, which the tests hand over, is covered
-    as well: its left residual is |X T - I| <= c_m eps |X| |T| (Du Croz &
-    Higham 1992; entries compared in modulus, |T| read as |L| |U|, so at
-    modest pivot growth), so X - T^{-1} = (X T - I) T^{-1} is at most
-    c_m eps |X| |T| |T^{-1}| entrywise, a relative error of order
-    m eps cond(T) in either N, as both are monotone in the moduli of the
-    entries. The test caps cond(T) at 1/(c tol) <= 1/(4 m eps), so that error is at most
-    of order 1/4, and the true sigma_min exceeds (1 - 1/4) 4 tol hi =
-    3 tol hi. Every singular value of T, and of T X_n for orthonormal X_n,
-    is at least sigma_min; LAPACK computes each within about
-    m eps sigma_max <= tol hi of the truth, so all clear the cutoff tol hi,
-    and the SVD route's cutoff tol sigma_max too: rank m for T and dim X_n
-    for T X_n, the decisions the SVD would make. (Below m eps the cutoff
-    sits under the SVD's own roundoff, which no norm can predict, hence the
-    floor.)
-
-    None when the proof fails: the caller then takes LAPACK's SVD of T."""
-    apply, bound = inverse
-    hi = _sigma_max_bound(t)
-    cutoff = rank_cutoff((), t.shape, tol, hi)[1]
-    proved = bound * _PROOF_FACTOR * max(cutoff, t.shape[0] * EPS * hi) < 1.0
-    return (apply, cutoff) if proved else None
-
-
 class TruncationFactor:
     """One m x m truncation T factored, and what is read off it: rank rho,
     sigma_max, the singular values Sigma_rho, the row space R and the kernel
-    K = R^perp. cutoff = tol x anchor is the one rank threshold, by
-    linalg.rank_cutoff's rule (tol: rank_tol, the rule's default when None;
-    anchor: sigma_max on the SVD route, the bound hi >= sigma_max when T was
-    inverted): rho counts T's singular values above it, each row's r those
-    of T X_n (LpaInstance.txn_svd).
+    K = R^perp. cutoff = tol x sigma_max is the one rank threshold, by
+    linalg.rank_cutoff's rule (tol: rank_tol, the rule's default when None):
+    rho counts T's singular values above it, each row's r those of T X_n
+    (LpaInstance.txn_svd).
 
     Three sources, chosen by what the caller hands over (shared_factors
     passes a family's). singular_triplets is T's SVD already known, in
     _factor_svd's (s, vectors) form (OperatorFamily.singular_triplets:
     best-lpa's T, built from its singular system, and du's, whose SVD is a
     reflector's closed form): the rank-rho left factor U_rho, and R and K
-    from V, with no LAPACK call. inverse is T^{-1} in closed form as
-    (apply, bound) (OperatorFamily.inverse: seidman's, identity's): T is
-    inverted, holding no m x m array besides T, and the rank of T and of
-    every T X_n is proved from bound and an O(m^2) bound hi on sigma_max,
-    with no SVD (see _proved_inverse). pinv_apply applies T^{-1} = T^+;
-    u_rho is None, K is {0}, and t_pinv (apply(I)), R = R^m, s_rho and
-    sigma_max (one values-only SVD of T) are formed only when read. Given
-    neither, or where the proof fails, the factor is LAPACK's SVD of the
+    from V, with no LAPACK call. inverse is T^{-1} in closed form with T's
+    extreme singular values, (apply, sigma_min, sigma_max)
+    (OperatorFamily.inverse: seidman's, identity's). T is inverted, holding
+    no m x m array besides T, when sigma_min - cutoff > m eps sigma_max:
+    every singular value of T, and of T X_n for orthonormal X_n, is at least
+    sigma_min, and LAPACK computes each within about m eps sigma_max, so
+    each clears the cutoff, and rho = m and every row's r = dim X_n are the
+    decisions an SVD would make. pinv_apply applies T^{-1} = T^+; u_rho is
+    None, K is {0}, and t_pinv (apply(I)), R = R^m and s_rho (one
+    values-only SVD of T) are formed only when read. Given neither, or where
+    sigma_min does not clear that margin, the factor is LAPACK's SVD of the
     whole T (_factor_svd). The rank rule and the Subspace checks on R and K
     are the same for a known SVD and LAPACK's; TruncationFactor(t) alone is
     LAPACK's, the reference the tests hold the other sources to. On the SVD
@@ -228,9 +152,13 @@ class TruncationFactor:
         self.t = t
         self.m = t.shape[0]
         self.rank_tol = rank_tol
-        proved = _proved_inverse(t, rank_tol, inverse) if inverse else None
-        if proved is not None:
-            self._apply_inverse, self.cutoff = proved
+        inverted = False
+        if inverse:
+            apply, sigma_min, sigma_max = inverse
+            cutoff = rank_cutoff((), t.shape, rank_tol, sigma_max)[1]
+            inverted = sigma_min - cutoff > self.m * EPS * sigma_max
+        if inverted:
+            self._apply_inverse, self.sigma_max, self.cutoff = apply, sigma_max, cutoff
             self.rank, self.u_rho = self.m, None
             self.kernel = Subspace.zero(self.m)
         else:
@@ -250,12 +178,6 @@ class TruncationFactor:
         (otherwise set in __init__): LAPACK's values-only SVD of T, on first
         read."""
         return np.linalg.svd(self.t, compute_uv=False)
-
-    @cached_property
-    def sigma_max(self) -> float:
-        """||T||_2, s_rho[0], read off the SVD route's values in __init__,
-        else on first read."""
-        return float(self.s_rho[0]) if self.m else 0.0
 
     @cached_property
     def rowspace(self) -> Subspace:
@@ -318,7 +240,8 @@ class LpaInstance:
     TruncationFactor shared with other instances at the same m (factor);
     its attributes (t, rank, sigma_max, t_pinv, rowspace, kernel) are
     exposed on the instance, sigma_max, t_pinv and rowspace read from the
-    factor, which forms them on first read when it inverted T. What the
+    factor, which forms t_pinv on first read, and rowspace too when it
+    inverted T. What the
     instance does depends on the factor's ranks alone, never on its route.
     First use computes, once: the SVD of T X_n (txn_svd), whose rank r,
     decided at the factor's cutoff like T's own, splits it into the range
@@ -353,8 +276,8 @@ class LpaInstance:
 
     @property
     def sigma_max(self) -> float:
-        """The factor's sigma_max, a values-only SVD of T on first read when
-        T was inverted."""
+        """The factor's sigma_max: its LAPACK or known SVD's largest value,
+        or the one handed over with T^{-1}."""
         return self.factor.sigma_max
 
     @property
@@ -390,9 +313,8 @@ class LpaInstance:
         sigma_{rho+1}(T) <= cutoff, so Z is T X_n for the rank-rho T that
         the factor decided. A coordinate X_n is applied as a column slice
         (_times_x_n), so exact zeros of T X_n stay exact: a zero column of
-        T is a zero column of U_rho^T T. An inverted factor proved that
-        every singular value of T X_n clears its cutoff, so r is dim X_n
-        there.
+        T is a zero column of U_rho^T T. A factor inverts T only where every
+        singular value of T X_n clears its cutoff, so r is dim X_n there.
         """
         f, k = self.factor, self.x_n.dim
         if f.rank >= k:

@@ -27,8 +27,8 @@ class Tolerances:
 
     rank: tol of the package's one rank rule (linalg.rank_cutoff) for the
         decisions a truncation factor makes, T's rank and each T X_n's,
-        against sigma_max(T) or, when T was inverted, a bound above it
-        (analysis.TruncationFactor.cutoff); None means the rule's default.
+        against sigma_max(T) (analysis.TruncationFactor.cutoff); None means
+        the rule's default.
         It reaches a row only through the factor (analysis.shared_factors).
     check: decision tolerance for the yes/no diagnostics: offset angle zero,
         and the kernel gap within which the kernel core fills N(T), the one

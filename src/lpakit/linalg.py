@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 
-# Rows per strip when an array is read entrywise: here for finiteness, in
-# analysis._norm_bound for |X|.
+# Rows per strip when _all_finite reads an array entrywise.
 STRIP = 64
 
 

@@ -42,16 +42,16 @@ class OperatorFamily:
     kernel dimension of the full operator (not of the truncation, which can
     differ until m is large enough to resolve it); it is informational, and
     does not pick how the truncation is factored. inverse, when set, is
-    truncate(m)^{-1} in closed form, as (apply, bound): apply(v) = T^{-1} v
-    for a vector or a matrix's columns, and bound = min(||T^{-1}||_F,
-    sqrt(||T^{-1}||_1 ||T^{-1}||_inf)); analysis.make_lpa and shared_factors
-    invert T through it instead of taking its SVD, the full numerical rank
-    of T and of every T X_n proved from bound (see
-    analysis.TruncationFactor), and fall back to LAPACK's SVD where that
-    proof fails (seidman's, see _seidman_inverse; identity's is a copy). A
-    family with neither inverse nor singular_triplets is factored by
-    LAPACK's SVD of T. xn_basis, when set, overrides the coordinate
-    subspaces as the family's approximation scheme: it returns an
+    truncate(m)^{-1} in closed form with T's extreme singular values, as
+    (apply, sigma_min, sigma_max): apply(v) = T^{-1} v for a vector or a
+    matrix's columns; analysis.make_lpa and shared_factors invert T through
+    it instead of taking its SVD where sigma_min clears the rank cutoff by
+    m eps sigma_max, and fall back to LAPACK's SVD elsewhere (see
+    analysis.TruncationFactor; seidman's is _seidman_inverse, identity's a
+    copy with values 1). A family with neither inverse nor
+    singular_triplets is factored by LAPACK's SVD of T. xn_basis, when set,
+    overrides the coordinate subspaces as the family's approximation
+    scheme: it returns an
     orthonormal m x k basis for the subspace at index n. singular_triplets, when set, is truncate(m)'s SVD known in closed
     form, returned as (s, vectors) with s the m singular values, descending,
     and vectors(k) = (U[:, :k], V[:, :k], V[:, k:]), the left vectors, a
@@ -118,15 +118,40 @@ def _seidman_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
     return d, c
 
 
+def _secular_max(poles: np.ndarray, z: np.ndarray) -> float:
+    """The largest eigenvalue of diag(poles) + z z^T: the largest root of the
+    secular equation 1 + sum z_k^2 / (poles_k - lambda) = 0 (Golub, "Some
+    modified matrix eigenvalue problems", SIAM Rev. 15, 1973). Bisects on
+    tau = lambda - max poles in [0, ||z||^2], where the sum falls from +inf
+    to at most 1, forming lambda - poles_k as (max poles - poles_k) + tau,
+    so that no difference near the root cancels; O(m) per step, until the
+    bracket on lambda is two adjacent doubles."""
+    top = float(poles.max())
+    gaps, z2 = top - poles, z * z
+    lo, hi = 0.0, float(z2.sum())
+    while top + lo < top + 0.5 * (lo + hi) < top + hi:
+        mid = 0.5 * (lo + hi)
+        if float(np.sum(z2 / (gaps + mid))) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return top + hi
+
+
 def _seidman_inverse(m: int):
-    """seidman(m)^{-1} as (apply, bound) (see OperatorFamily.inverse), O(m)
-    per column. T = D + c e_1^T with d_1 = 1 and c_1 = 0, so by
-    Sherman-Morrison T^{-1} = D^{-1} - g e_1^T, g = c / d, and
-    T^{-1} v = (v - c v_1) / d, finished in place in the array c v_1, so no
-    m x r temporary is formed; at v = I each entry is one rounded quotient.
-    The entries are 1/d on the diagonal and -g in the first column below
-    it, so the norms are O(m) sums: column sums 1 + sum g and 1/d_k, row
-    sums 1/d_k + g_k."""
+    """seidman(m)^{-1} and T's extreme singular values, as (apply,
+    sigma_min, sigma_max) (see OperatorFamily.inverse). T = D + c e_1^T
+    with d_1 = 1 and c_1 = 0, so by Sherman-Morrison T^{-1} = D^{-1} -
+    g e_1^T, g = c / d, and T^{-1} v = (v - c v_1) / d, O(m) per column,
+    finished in place in the array c v_1, so no m x r temporary is formed;
+    at v = I each entry is one rounded quotient.
+
+    T = z e_1^T + diag(0, d_2, ..., d_m), z T's first column, so
+    T T^T = diag(0, d_2^2, ...) + z z^T, and T^{-1} = w e_1^T +
+    diag(0, 1/d_2, ...), w = (1, -g_2, ...) T^{-1}'s first column, so
+    T^{-1} T^{-T} = diag(0, 1/d_2^2, ...) + w w^T: sigma_max(T)^2 and
+    1/sigma_min(T)^2 are each the largest root of a secular equation
+    (_secular_max), O(m) per bisection step, with no LAPACK call."""
     d, c = _seidman_parts(m)
 
     def apply(v: np.ndarray) -> np.ndarray:
@@ -135,11 +160,12 @@ def _seidman_inverse(m: int):
         np.divide(x.T, d, out=x.T)
         return x
 
-    inv_d, g = 1.0 / d, c / d
-    fro = math.sqrt(inv_d @ inv_d + g @ g)
-    one = max(inv_d[0] + g.sum(), inv_d[1:].max(initial=0.0))
-    inf = (inv_d + g).max()
-    return apply, min(fro, math.sqrt(one) * math.sqrt(inf))
+    z, w = c.copy(), -c / d
+    z[0] = w[0] = 1.0
+    poles, inv_poles = d * d, 1.0 / (d * d)
+    poles[0] = inv_poles[0] = 0.0
+    return (apply, 1.0 / math.sqrt(_secular_max(inv_poles, w)),
+            math.sqrt(_secular_max(poles, z)))
 
 
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
@@ -461,7 +487,7 @@ _STATIC_FAMILIES = {
         truncate=lambda m: np.eye(m),
         kernel_dim_hint=0,
         notes="identity operator; every diagnostic is trivial on it",
-        inverse=lambda m: (np.copy, 1.0),
+        inverse=lambda m: (np.copy, 1.0, 1.0),
     ),
     "seidman": lambda: OperatorFamily(
         name="seidman",
@@ -471,7 +497,8 @@ _STATIC_FAMILIES = {
                "(even) with a 1/k first-column coupling; truncation tails "
                "of the normal operator decay like m^-3, so m = 4n keeps "
                "them far below the diagnostic tolerances; T^{-1} is "
-               "applied and normed in O(m) by Sherman-Morrison"),
+               "applied in O(m) by Sherman-Morrison, and T's extreme "
+               "singular values are secular-equation roots"),
         inverse=_seidman_inverse,
     ),
     "du": lambda: OperatorFamily(

@@ -20,7 +20,6 @@ import lpakit.analysis
 from lpakit.analysis import (
     LpaInstance,
     TruncationFactor,
-    _sigma_max_bound,
     _tan_theta_qn,
     PreconditionError,
     coercive_bound_check,
@@ -232,9 +231,9 @@ def test_instance_takes_few_m_by_m_spectral_norms(monkeypatch, name, n, m, want)
     # rho x dim core, and the Subspace orthonormality check takes none.
     # Containment is read off the core, so no row takes the singular values
     # of the rho x dim X_n matrix R^T X_n. The factor is built before
-    # counting starts. seidman's inverted factor takes none either, and no
-    # row reads its sigma_max, which would take T's singular values (m x m)
-    # on first read.
+    # counting starts. seidman's inverted factor takes none either: its
+    # sigma_max came with T^{-1}, and no row reads s_rho, which would take
+    # T's singular values (m x m) on first read.
     inst = make_lpa(get_family(name), n, m)
     calls = _count_svd_calls(monkeypatch)
     diagnose(inst)
@@ -284,23 +283,34 @@ _LAPACK_INPUTS = {
 }
 
 
+@functools.cache
+def _lapack_factor(name):
+    # TruncationFactor(t) alone for _LAPACK_INPUTS[name], and the shapes of
+    # the full SVDs its construction took. Cached, so that the reference
+    # factors of du(768) and du(1100), an SVD of the whole T each (0.47 and
+    # 1.09 s of CPU), are taken once per session, whichever test asks first
+    t = _LAPACK_INPUTS[name]()
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = _count_full_svds(mp)
+        factor = TruncationFactor(t)
+    return factor, shapes
+
+
 @pytest.mark.parametrize("name", ["du-768", "du-1100", "seidman", "identity", "zero", "diagonal"])
-def test_factor_runs_one_lapack_svd_of_the_whole_t(monkeypatch, name):
+def test_factor_runs_one_lapack_svd_of_the_whole_t(name):
     # given neither a known SVD nor an inverse, the factor is one full SVD of
     # T, whatever T's pattern: du's block diagonal truncation, identity, zero
     # and diagonal T included
-    t = _LAPACK_INPUTS[name]()
-    shapes = _count_full_svds(monkeypatch)
-    TruncationFactor(t)
-    assert shapes == [t.shape]
+    factor, shapes = _lapack_factor(name)
+    assert shapes == [factor.t.shape]
 
 
 def test_factor_is_bitwise_lapacks_svd_of_the_whole_t():
     # TruncationFactor(t) alone: rank, cutoff, singular values, U_rho, row
     # space and kernel are svd(t)'s, split at the rank rule's cutoff
-    for build in _LAPACK_INPUTS.values():
-        t = build()
-        factor, dense = TruncationFactor(t), svd(t)
+    for name in _LAPACK_INPUTS:
+        factor = _lapack_factor(name)[0]
+        t, dense = factor.t, svd(factor.t)
         s, rho = dense.singular_values, factor.rank
         assert (rho, factor.cutoff) == rank_cutoff(s, t.shape)
         assert factor.sigma_max == s[0]
@@ -328,7 +338,7 @@ def test_du_diagnostics_match_dense_factor(n, m):
     check = Tolerances().check
     fam = get_family("du")
     got = diagnose(make_lpa(fam, n, m))
-    want = diagnose(make_lpa(fam, n, m, TruncationFactor(fam.truncate(m))))
+    want = diagnose(make_lpa(fam, n, m, _lapack_factor(f"du-{m}")[0]))
     assert abs(got.sin_theta_qn - got.sin_theta_gap) <= check
     assert (got.kernel_dim, got.kernel_core_dim) == (want.kernel_dim, want.kernel_core_dim)
     assert kernel_verdict([got], check) == kernel_verdict([want], check)
@@ -379,11 +389,11 @@ def test_tn_pinv_matches_dense_oracle(build):
 
 def _lu_inverse(t):
     # T^{-1} by one LAPACK inverse (LU with partial pivoting), handed to the
-    # factor in OperatorFamily.inverse's form: (apply, bound), bound =
-    # min(||T^{-1}||_F, sqrt(||T^{-1}||_1 ||T^{-1}||_inf))
+    # factor in OperatorFamily.inverse's form: (apply, sigma_min,
+    # sigma_max), the values from LAPACK's values-only SVD of T
     inv = np.linalg.inv(t)
-    norms = np.linalg.norm(inv), math.sqrt(np.linalg.norm(inv, 1) * np.linalg.norm(inv, np.inf))
-    return inv.__matmul__, min(norms)
+    s = np.linalg.svd(t, compute_uv=False)
+    return inv.__matmul__, s[-1], s[0]
 
 
 def _inverse_50_digits(t):
@@ -435,14 +445,15 @@ def _assert_rows_agree(inverted, dense, n, x_basis=None):
     assert error_bound_check(a, y).passed == error_bound_check(b, y).passed
 
 
-def _known_and_lapack_factors(fam, m, subspace_tol):
+def _known_and_lapack_factors(fam, m, subspace_tol, want=None):
     # shared_factors reads the factor off the SVD the family knows
     # (singular_triplets: best-lpa's model, du's closed form);
-    # TruncationFactor(t) takes LAPACK's SVD of the formed T. Same rank,
+    # TruncationFactor(t), or want when given, takes LAPACK's SVD of the
+    # formed T. Same rank,
     # cutoffs within 10 m eps relative, row spaces and kernels within
     # subspace_tol, and T^+ applied within m eps cond(T) ||T^+||
     # (_assert_factors_agree's bound)
-    got, want = shared_factors(fam)(m), TruncationFactor(fam.truncate(m))
+    got, want = shared_factors(fam)(m), want or TruncationFactor(fam.truncate(m))
     assert "t_pinv" not in vars(got) and got.u_rho.shape == (m, got.rank)
     assert got.rank == want.rank
     assert got.cutoff == pytest.approx(want.cutoff, rel=10 * m * EPS, abs=0)
@@ -510,7 +521,8 @@ def test_du_factor_in_closed_form_matches_lapack(m):
     # that is above m eps. V stores no nonzero below sqrt(tiny), so no
     # product of two of its entries is subnormal
     fam = get_family("du")
-    got, want = _known_and_lapack_factors(fam, m, 1e-12)
+    cached = _lapack_factor(f"du-{m}")[0] if f"du-{m}" in _LAPACK_INPUTS else None
+    got, want = _known_and_lapack_factors(fam, m, 1e-12, cached)
     t, (s, vectors) = fam.truncate(m), fam.singular_triplets(m)
     u, row, kernel = vectors(m)
     vt = np.hstack([row, kernel]).T
@@ -550,31 +562,66 @@ def test_inverted_seidman_matches_svd_route(m, fraction):
         _assert_rows_agree(factor, dense, max(1, int(fraction * m)))
 
 
+def _largest_root_50_digits(poles, z, lam):
+    # the largest root of 1 + sum z_k^2 / (poles_k - lambda) at 50 digits,
+    # by Newton's method from lam; poles and z are mpmath numbers
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lam)
+        for _ in range(8):
+            terms = [zk * zk / (p - lam) for zk, p in zip(z, poles)]
+            lam -= (1 + mpmath.fsum(terms)) / mpmath.fsum(q / (p - lam) for q, p in zip(terms, poles))
+        return lam
+
+
+def _seidman_extremes_50_digits(t, sigma_min, sigma_max):
+    # the extreme singular values of the formed seidman T, at 50 digits:
+    # T = z e_1^T + diag(0, d_2, ...) and T^{-1} = w e_1^T + diag(0, 1/d_2,
+    # ...), z = T e_1, w = T^{-1} e_1 = (1, -z_2/d_2, ...), so sigma_max^2
+    # and 1/sigma_min^2 are the largest roots of the secular equations of
+    # diag(0, d_2^2, ...) + z z^T and diag(0, 1/d_2^2, ...) + w w^T, each
+    # refined from the value given
+    with mpmath.workdps(50):
+        d = [mpmath.mpf(float(x)) for x in np.diag(t)]
+        z = [mpmath.mpf(float(x)) for x in t[:, 0]]
+        w = [mpmath.mpf(1)] + [-zk / dk for zk, dk in zip(z[1:], d[1:])]
+        big = _largest_root_50_digits([0] + [dk * dk for dk in d[1:]], z, mpmath.mpf(sigma_max) ** 2)
+        small = _largest_root_50_digits([0] + [1 / (dk * dk) for dk in d[1:]], w,
+                                        1 / mpmath.mpf(sigma_min) ** 2)
+        return float(1 / mpmath.sqrt(small)), float(mpmath.sqrt(big))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 64, 65, 768, 2048])
 def test_seidman_inverse_in_closed_form_matches_lapack(m):
     # T^{-1} = D^{-1} - (c/d) e_1^T: apply(I) against LAPACK's inverse of the
     # formed T entrywise, within m eps max|T^{-1}_ij| <= m eps ||T^{-1}||
-    # (they differ by 2.6e-19 of it at m = 768), and bound against the
-    # dense inverse's min(||.||_F, sqrt(||.||_1 ||.||_inf)) within 10 m eps.
-    # At m <= 72 a 50-digit inverse is the oracle: each entry of apply(I) is
-    # one rounded quotient, so within eps of it
+    # (they differ by 2.6e-19 of it at m = 768). T's extremes against
+    # LAPACK's values-only SVD: sigma_max within 4 eps relative, sigma_min
+    # within 4 eps relative or LAPACK's own error on its smallest value, of
+    # order m eps sigma_max (its value at m = 2048 sits 9 eps from the
+    # 50-digit one on two BLAS threads, 3 eps on one). Then both within
+    # 2 eps of 50-digit roots of the two secular equations (0.65 eps at
+    # most here; m = 1 is a single pole). At m <= 72 a 50-digit inverse is
+    # the oracle of apply(I): each entry is one rounded quotient, so within
+    # eps of it
     fam = get_family("seidman")
     t = fam.truncate(m)
-    apply, bound = fam.inverse(m)
+    apply, sigma_min, sigma_max = fam.inverse(m)
     got, want = apply(np.eye(m)), np.linalg.inv(t)
     assert np.abs(got - want).max() <= m * EPS * np.abs(want).max()
-    norms = (np.linalg.norm(want),
-             math.sqrt(np.linalg.norm(want, 1) * np.linalg.norm(want, np.inf)))
-    assert bound == pytest.approx(min(norms), rel=10 * m * EPS, abs=0)
     v = np.random.default_rng(m).standard_normal((m, 3))
     for w in (v, v[:, 0]):  # and applied, within m eps ||T^{-1}|| ||w||
-        assert np.linalg.norm(apply(w) - want @ w) <= m * EPS * bound * np.linalg.norm(w)
-    if m > 72:
-        return
+        assert np.linalg.norm(apply(w) - want @ w) <= m * EPS / sigma_min * np.linalg.norm(w)
+    s = np.linalg.svd(t, compute_uv=False)
+    assert sigma_max == pytest.approx(s[0], rel=4 * EPS, abs=0)
+    assert sigma_min == pytest.approx(s[-1], rel=4 * EPS, abs=m * EPS * s[0])
     if mpmath is None:
-        pytest.skip("the 50-digit oracle needs mpmath>=1.3 (the test extra)")
-    exact = _inverse_50_digits(t)
-    assert np.all(np.abs(got - exact) <= EPS * np.abs(exact))
+        pytest.skip("the 50-digit oracles need mpmath>=1.3 (the test extra)")
+    exact_min, exact_max = _seidman_extremes_50_digits(t, s[-1], s[0])
+    assert sigma_min == pytest.approx(exact_min, rel=2 * EPS, abs=0)
+    assert sigma_max == pytest.approx(exact_max, rel=2 * EPS, abs=0)
+    if m <= 72:
+        exact = _inverse_50_digits(t)
+        assert np.all(np.abs(got - exact) <= EPS * np.abs(exact))
 
 
 def _assert_same_factor(got, want):
@@ -585,41 +632,12 @@ def _assert_same_factor(got, want):
         assert np.array_equal(getattr(got, name).basis, getattr(want, name).basis), name
 
 
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**16), m=st.integers(1, 40),
-       kind=st.sampled_from(["rank-one", "diagonal", "orthogonal-scaled", "dense"]))
-def test_sigma_bounds_bracket_lapacks_sigma_max(seed, m, kind):
-    # rank-one T meets ||T||_F = sigma_max and diagonal T
-    # sqrt(||T||_1 ||T||_inf) = sigma_max; LAPACK's sigma_max must still lie
-    # below hi, and hi is never above sqrt(m) sigma_max (hi <= ||T||_F)
-    rng = np.random.default_rng(seed)
-    scale = 10.0 ** rng.uniform(-150, 150)
-    if kind == "rank-one":
-        t = np.outer(rng.standard_normal(m), rng.standard_normal(m))
-    elif kind == "diagonal":
-        t = np.diag(rng.standard_normal(m))
-    elif kind == "orthogonal-scaled":
-        t = np.linalg.qr(rng.standard_normal((m, m)))[0] * rng.uniform(0.0, 1.0, m)
-    else:
-        t = rng.standard_normal((m, m))
-    hi = _sigma_max_bound(scale * t)
-    sigma_max = np.linalg.svd(scale * t, compute_uv=False)[0]
-    assert sigma_max <= hi <= math.sqrt(m) * sigma_max * (1 + 16 * m * EPS)
-
-
-def _proof_holds(t, rank_tol):
-    # TruncationFactor's full-rank proof, from its documented rule:
-    # 1/N(T^{-1}) > 4 tol hi for N = ||.||_F or N = sqrt(||.||_1 ||.||_inf),
-    # tol hi = the rank rule's cutoff at rank_tol and anchor hi, floored at
-    # m eps hi, hi = min(||T||_F, sqrt(||T||_1 ||T||_inf)) widened by 4 m eps;
-    # T^{-1} is LAPACK's inverse, the one _lu_inverse hands the factor
-    m = len(t)
-    hi = min(np.linalg.norm(t), math.sqrt(np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf)))
-    hi *= 1 + 4 * m * EPS
-    cutoff = max(rank_cutoff((), t.shape, rank_tol, hi)[1], m * EPS * hi)
-    inv = np.linalg.inv(t)
-    norm = min(np.linalg.norm(inv), math.sqrt(np.linalg.norm(inv, 1) * np.linalg.norm(inv, np.inf)))
-    return 1.0 / norm > 4 * cutoff
+def _inverts(t, rank_tol):
+    # TruncationFactor's rule for a handed inverse, on LAPACK's values of T:
+    # sigma_min - cutoff > m eps sigma_max, cutoff = the rank rule's tol at
+    # rank_tol times sigma_max
+    s = np.linalg.svd(t, compute_uv=False)
+    return s[-1] - rank_cutoff((), t.shape, rank_tol, s[0])[1] > len(t) * EPS * s[0]
 
 
 def _spectrum(rng, m, ratio):
@@ -661,15 +679,15 @@ def _graded_of_kind(rng, m, ratio, kind):
 @example(seed=1, m=100, log2_k=2.8, rank_tol=None, kind="arrow")
 def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k, rank_tol, kind):
     # T graded with sigma_min / sigma_max = k tol (exactly for dense and
-    # triangular T), tol the proof's (rank_tol, the rule's default when None)
+    # triangular T), tol the rank rule's (rank_tol, its default when None)
     # and k in [1/4, 64], log-uniform, each handed its LAPACK inverse (LU,
     # _lu_inverse), triangular ones included. The inverted factor's rank
     # is the SVD route's.
-    # Wherever neither norm of the inverse proves full rank the factor is
-    # the SVD route's bit for bit; where one does, T is inverted with no
-    # SVD, and its values-only SVD is taken on the first read of s_rho or
-    # sigma_max, once, with the values it gives for T. The example is an
-    # arrow T that only sqrt(||T^{-1}||_1 ||T^{-1}||_inf) proves
+    # Wherever sigma_min does not clear the cutoff by m eps sigma_max the
+    # factor is the SVD route's bit for bit; where it does, T is inverted
+    # with no SVD, its cutoff is tol times the sigma_max handed over, and
+    # its values-only SVD is taken on the first read of s_rho, once, with
+    # the values it gives for T. The example is an arrow T near the cutoff
     tol = rank_cutoff((), (m, m), rank_tol, 1.0)[1]
     t = _graded_of_kind(np.random.default_rng(seed), m, 2.0**log2_k * tol, kind)
     inverse = _lu_inverse(t)
@@ -679,17 +697,17 @@ def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k,
         built = list(calls)
         want = TruncationFactor(t, rank_tol)
         assert got.rank == want.rank
-        if not _proof_holds(t, rank_tol):
+        if not _inverts(t, rank_tol):
             assert built == [((m, m), True)]
             _assert_same_factor(got, want)
             assert got.cutoff == want.cutoff
             return
         assert got.rank == m and got.u_rho is None and built == []
         before = len(calls)
-        s_rho, sigma_max = got.s_rho, got.sigma_max
+        s_rho = got.s_rho
         assert calls[before:] == [((m, m), False)]
     assert np.array_equal(s_rho, np.linalg.svd(t, compute_uv=False))
-    assert sigma_max == s_rho[0] and tol * sigma_max <= got.cutoff
+    assert got.sigma_max == s_rho[0] and got.cutoff == tol * got.sigma_max
 
 
 @settings(max_examples=100, deadline=None)
@@ -734,32 +752,10 @@ def test_t_and_t_xn_share_one_rank_at_xn_the_whole_space(seed, m, log2_k):
     assert inst.kernel_core_dim <= inst.kernel_dim
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_txn_rank_between_the_anchored_cutoffs_takes_the_svd_route(seed):
-    # T = Q diag(s*, 1, ..., 1), Q random orthogonal: sigma_max = 1 and hi
-    # near 0.8 sqrt(m). With coordinate X_n, T X_n has singular values 1
-    # and s* = 10 m eps g, g strictly between 1 and hi, so its rank is n at
-    # sigma_max's cutoff (10 m eps, rank_tol None) and n - 1 at hi's. Since
-    # sigma_min(T) = s* < 40 m eps hi, the inverse proves nothing: the
-    # factor is the SVD route's, and r = n, the rank at sigma_max itself
-    m, n = 32, 4
-    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))[0]
-    t = q.copy()
-    t[:, 0] *= _default_tol(m) * 0.5 * (1.0 + _sigma_max_bound(q))
-    factor = TruncationFactor(t, inverse=_lu_inverse(t))
-    assert factor.u_rho is not None and not _proof_holds(t, None)
-    _assert_same_factor(factor, TruncationFactor(t))
-    assert factor.cutoff == _default_tol(m) * factor.sigma_max
-    assert factor.sigma_max == pytest.approx(1.0, rel=1e-13)
-    res, r = LpaInstance(factor, n).txn_svd
-    assert r == rank_cutoff(res.singular_values, (m, n), anchor=factor.sigma_max)[0] == n
-    assert rank_cutoff(res.singular_values, (m, n), anchor=_sigma_max_bound(t))[0] == n - 1
-
-
 def test_seidman_scan_at_768_takes_no_m_by_m_svd(monkeypatch):
-    # seidman's truncation is inverted and its full rank proved from the
-    # inverse: no SVD of T, with or without vectors, and no row reads
-    # sigma_max
+    # seidman's truncation is inverted, its rank decided on the extreme
+    # singular values handed with the inverse: no SVD of T, with or without
+    # vectors, and no row reads s_rho
     calls = _count_svd_calls(monkeypatch)
     rows = run_scan(scan_config_from_dict({"operator": {"name": "seidman"},
                                            "n_list": [32, 64], "m_rule": "fixed:768"})).rows
@@ -770,8 +766,8 @@ def test_seidman_scan_at_768_takes_no_m_by_m_svd(monkeypatch):
 def test_seidman_factor_keeps_nothing_m_by_m_beyond_t():
     # seidman's factor, through the family's closed-form inverse, keeps
     # vectors of length m and no m x m array; T is built outside the trace.
-    # Its largest temporary is the one strip buffer (64 rows of |T|,
-    # 1/12 x 8 m^2) that the bound on sigma_max refills
+    # Its temporaries are vectors of length m too: T's extreme singular
+    # values are roots of O(m) secular equations (0.014 x 8 m^2 at peak)
     m = 768
     fam = get_family("seidman")
     t = fam.truncate(m)
@@ -785,15 +781,12 @@ def test_seidman_factor_keeps_nothing_m_by_m_beyond_t():
     assert factor.u_rho is None and factor.rank == m
     assert not {"rowspace", "t_pinv", "s_rho"} & set(vars(factor))
     assert kept < 0.05 * 8 * m * m, kept / (8 * m * m)
-    assert peak < 0.12 * 8 * m * m, peak / (8 * m * m)
+    assert peak < 0.03 * 8 * m * m, peak / (8 * m * m)
 
 
-def test_seidman_at_2048_is_inverted():
-    # 1/||T^{-1}||_F = 9.6e-12 is below the proof's 4 tol hi = 2.5e-11, but
-    # 1/sqrt(||T^{-1}||_1 ||T^{-1}||_inf) = 1.16e-10, sigma_min itself,
-    # clears it: T is inverted in closed form, with no SVD of T and no
-    # inverse of an m x m input
-    m = 2048
+def _assert_seidman_inverted(m):
+    # T is inverted in closed form, with no SVD of T and no inverse of an
+    # m x m input
     inverses = []
     real_inv = np.linalg.inv
     with pytest.MonkeyPatch.context() as mp:
@@ -802,6 +795,17 @@ def test_seidman_at_2048_is_inverted():
         factor = shared_factors(get_family("seidman"))(m)
     assert factor.u_rho is None and factor.rank == m
     assert calls == [] and inverses == []
+
+
+def test_seidman_at_2048_is_inverted():
+    # sigma_min = 1.16e-10 clears the cutoff, 10 m eps sigma_max = 5.9e-12
+    _assert_seidman_inverted(2048)
+
+
+def test_seidman_at_3072_is_inverted():
+    # sigma_min / sigma_max = 2.68e-11 against a cutoff of 6.82e-12 of
+    # sigma_max: T is inverted, with no O(m^3) step
+    _assert_seidman_inverted(3072)
 
 
 @_needs_mpmath

@@ -245,9 +245,9 @@ def _count_t_factorizations(monkeypatch, ms, family=None):
     # truncation at its m, or, without a family, of any matrix whose order,
     # its smaller dimension m, is at least min(ms), through np.linalg or
     # numpy's internal binding (norm(ord=2) calls the latter). An inverted
-    # factor proves full rank from the inverse's norms and takes T's
-    # singular values only when read, so a "values" entry means something
-    # read them or the proof failed.
+    # factor decides full rank on the extreme singular values handed with
+    # the inverse and takes T's singular values only when read, so a
+    # "values" entry means something read them.
     # Also returned: the flop count of every matrix product that a factor's
     # T enters, as itself or as a view of it (a slice or T^T); the factor's
     # T is made a view that records them
@@ -292,9 +292,9 @@ def _count_t_factorizations(monkeypatch, ms, family=None):
 def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     # consecutive rows at one m share one factor of T, and every row is
     # bitwise the row a fresh instance gives. The factor is one SVD of T, or
-    # none: seidman knows T^{-1} in closed form (inverse), whose norms prove
-    # full rank, and no row reads T's singular values, so T takes no SVD, QR
-    # or inverse; best-lpa's and du's factors are read off the SVD they know
+    # none: seidman knows T^{-1} and T's extreme singular values in closed
+    # form (inverse), which decide full rank, and no row reads T's singular
+    # values, so T takes no SVD, QR or inverse; best-lpa's and du's factors are read off the SVD they know
     # (singular_triplets). Any other family takes LAPACK's SVD of T, random
     # with kernel_dim 0 included: N(T) = {0} alone does not invert T.
     cfg = scan_config_from_dict({"operator": {"name": name, "params": params},
