@@ -304,8 +304,8 @@ class SingularSystem:
 
     def __post_init__(self):
         s = np.asarray(self.sigmas, dtype=float)
-        if s.size == 0 or np.any(s <= 0):
-            raise ValueError("sigmas must be nonempty and positive")
+        if s.size == 0 or not np.all((s > 0) & np.isfinite(s)):
+            raise ValueError("sigmas must be nonempty, finite and positive")
         if np.any(np.diff(s) > 0):
             raise ValueError("sigmas must be nonincreasing")
         if self.kernel_dim < 0:

@@ -544,6 +544,18 @@ def test_cli_analyze_missing_file_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["1e400", "NaN"])
+def test_cli_analyze_non_finite_sigmas_exit_2(tmp_path, capsys, sigma):
+    # json reads 1e400 as inf and NaN as nan: a config problem, not a
+    # numerical failure of the scan
+    path = tmp_path / "scan.json"
+    path.write_text('{"operator": {"name": "best-lpa", "params": {"sigmas": [%s]}}, '
+                    '"n_list": [1]}' % sigma)
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "finite" in err
+
+
 def test_cli_analyze_unknown_operator_exits_2(tmp_path, capsys):
     assert main(["analyze", write_config(tmp_path, operator={"name": "wat"})]) == 2
     assert "wat" in capsys.readouterr().err
