@@ -23,14 +23,14 @@ one SVD of T X_n and both offset-angle routes, so identities that hold in
 exact arithmetic stay consistent to machine precision. The factor comes
 from one of three sources: T's SVD as a family knows it (singular_triplets:
 best-lpa's from the singular system T was built from, du's in closed form),
-read off it with no LAPACK call; T^{-1} = T^+ in closed form with T's
-extreme singular values (inverse: seidman's by Sherman-Morrison and two
-secular equations, identity's), an O(m) product, taken when sigma_min clears
-the rank cutoff by m eps sigma_max, so that every rank decision a row will
-make is full and the factor holds no m x m array besides T; otherwise,
-LAPACK's SVD of the whole T. Each source leaves one map that applies T^+
-(pinv_apply). The instance sees ranks, not routes.
-The rank r of T X_n is decided once; the kernel core, T_n^+, both
+read off it with no LAPACK call; T^{-1} = T^+ in closed form with
+sigma_max(T) (inverse: seidman's by Sherman-Morrison and a secular
+equation, identity's), an O(m) product, which certifies that T is injective
+at every m, so rho = m and the factor holds no m x m array besides T;
+otherwise, LAPACK's SVD of the whole T. Each source leaves one map that
+applies T^+ (pinv_apply). The instance sees ranks, not routes.
+The rank r of T X_n is decided once, and refused where its kernel core would
+exceed N(T); the kernel core, T_n^+, both
 offset-angle images, tan theta_n = ||Q_n - P_{ran Q_n}|| (an r x r norm) and
 ||T_n^+ T|| (an r x m norm) are read off its r singular vectors. Subspaces
 stay orthonormal bases, X_n projecting as X_n (X_n^T v).
@@ -123,21 +123,17 @@ class TruncationFactor:
     _factor_svd's (s, vectors) form (OperatorFamily.singular_triplets:
     best-lpa's T, built from its singular system, and du's, whose SVD is a
     reflector's closed form): the rank-rho left factor U_rho, and R and K
-    from V, with no LAPACK call. inverse is T^{-1} in closed form with T's
-    extreme singular values, (apply, sigma_min, sigma_max)
-    (OperatorFamily.inverse: seidman's, identity's). T is inverted, holding
-    no m x m array besides T, when sigma_min - cutoff > m eps sigma_max:
-    every singular value of T, and of T X_n for orthonormal X_n, is at least
-    sigma_min, and LAPACK computes each within about m eps sigma_max, so
-    each clears the cutoff, and rho = m and every row's r = dim X_n are the
-    decisions an SVD would make. pinv_apply is apply, T^{-1} = T^+; u_rho is
-    None, K is {0}, and the factor holds no singular values or row space.
-    Given neither, or where sigma_min does not clear that margin, the factor
-    is LAPACK's SVD of the whole T (_factor_svd). On these SVD routes the
-    factor also holds U_rho, the singular values Sigma_rho (s_rho) and the
-    row space R = K^perp (rowspace), and pinv_apply is V_rho Sigma_rho^{-1}
-    U_rho^T. The rank rule and the Subspace checks on R and K are the same
-    for a known SVD and LAPACK's; TruncationFactor(t) alone is LAPACK's, the
+    from V, with no LAPACK call. inverse is T^{-1} in closed form with
+    sigma_max(T), (apply, sigma_max) (OperatorFamily.inverse: seidman's,
+    identity's), a certificate that T is injective: T is inverted, holding
+    no m x m array besides T, whatever cond(T) is. rho = m, pinv_apply is
+    apply, T^{-1} = T^+; u_rho is None, K is {0}, and the factor holds no
+    singular values or row space. Given neither, the factor is LAPACK's SVD
+    of the whole T (_factor_svd). On these SVD routes the factor also holds
+    U_rho, the singular values Sigma_rho (s_rho) and the row space
+    R = K^perp (rowspace), and pinv_apply is V_rho Sigma_rho^{-1} U_rho^T.
+    The rank rule and the Subspace checks on R and K are the same for a
+    known SVD and LAPACK's; TruncationFactor(t) alone is LAPACK's, the
     reference the tests hold the other sources to. On every route the m x m
     t_pinv is pinv_apply(I), formed only when read.
 
@@ -153,13 +149,9 @@ class TruncationFactor:
         self.t = t
         self.m = t.shape[0]
         self.rank_tol = rank_tol
-        inverted = False
         if inverse:
-            apply, sigma_min, sigma_max = inverse
-            cutoff = rank_cutoff((), t.shape, rank_tol, sigma_max)[1]
-            inverted = sigma_min - cutoff > self.m * EPS * sigma_max
-        if inverted:
-            self.pinv_apply, self.sigma_max, self.cutoff = apply, sigma_max, cutoff
+            self.pinv_apply, self.sigma_max = inverse
+            self.cutoff = rank_cutoff((), t.shape, rank_tol, self.sigma_max)[1]
             self.rank, self.u_rho = self.m, None
             self.kernel = Subspace.zero(self.m)
         else:
@@ -267,7 +259,12 @@ class LpaInstance:
     @cached_property
     def txn_svd(self) -> tuple[SvdResult, int]:
         """SVD of T X_n and its rank r, the count of its singular values
-        above the factor's cutoff, the one T's rank was decided at.
+        above the factor's cutoff, the one T's rank was decided at. The
+        kernel core N(T) & X_n lies in N(T), so a row whose dim X_n - r
+        exceeds dim N(T) raises ArithmeticError, on every route. On an SVD
+        route only roundoff across the cutoff can do that; on an inverted
+        factor, whose N(T) is {0} by the family's certificate, any singular
+        value of T X_n at or under the cutoff does.
 
         When rho = rank T >= dim X_n (every inverted factor, and du) it is
         the thin SVD of the m x dim X_n matrix T X_n itself, nothing
@@ -282,8 +279,7 @@ class LpaInstance:
         sigma_{rho+1}(T) <= cutoff, so Z is T X_n for the rank-rho T that
         the factor decided. A coordinate X_n is applied as a column slice
         (_times_x_n), so exact zeros of T X_n stay exact: a zero column of
-        T is a zero column of U_rho^T T. A factor inverts T only where every
-        singular value of T X_n clears its cutoff, so r is dim X_n there.
+        T is a zero column of U_rho^T T.
         """
         f, k = self.factor, self.x_n.dim
         if f.rank >= k:
@@ -291,7 +287,12 @@ class LpaInstance:
         else:
             z = svd(self._times_x_n(f.ut_rho), full_matrices=False)
             res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
-        return res, rank_cutoff(res.singular_values, (self.m, k), 1.0, f.cutoff)[0]
+        r = rank_cutoff(res.singular_values, (self.m, k), 1.0, f.cutoff)[0]
+        if k - r > f.kernel.dim:
+            raise ArithmeticError(
+                f"T X_n has {k - r} singular values at or under the cutoff "
+                f"{f.cutoff:.3e}, more than dim N(T) = {f.kernel.dim}")
+        return res, r
 
     def _times_x_n(self, a: np.ndarray) -> np.ndarray:
         """A X_n: A's first n columns for the coordinate subspace (bitwise

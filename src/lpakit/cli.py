@@ -45,11 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(config_path: str, out_dir: str | None) -> int:
-    try:
-        config = load_scan_config(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    config = load_scan_config(config_path)
     try:
         report = run_scan(config)
     except ScanNumericalError as exc:
@@ -117,8 +113,9 @@ def main(argv=None) -> int:
             return _cmd_verify(args.suite)
         return _cmd_gallery()
     except ConfigError as exc:
-        # run_scan rejects an n beyond the family's limits, which the config's
-        # own validation does not know
+        # from load_scan_config, and from run_scan, which rejects an unknown
+        # family and an n beyond the family's limits, which the config's own
+        # validation does not know
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

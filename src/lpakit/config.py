@@ -28,7 +28,8 @@ class Tolerances:
     rank: tol of the package's one rank rule (linalg.rank_cutoff) for the
         decisions a truncation factor makes, T's rank and each T X_n's,
         against sigma_max(T) (analysis.TruncationFactor.cutoff); None means
-        the rule's default.
+        the rule's default. A T inverted through its family's closed-form
+        inverse has rank m at any tol (analysis.TruncationFactor).
         It reaches a row only through the factor (analysis.shared_factors).
     check: decision tolerance for the yes/no diagnostics: offset angle zero,
         and the kernel gap within which the kernel core fills N(T), the one

@@ -42,13 +42,13 @@ class OperatorFamily:
     kernel dimension of the full operator (not of the truncation, which can
     differ until m is large enough to resolve it); it is informational, and
     does not pick how the truncation is factored. inverse, when set, is
-    truncate(m)^{-1} in closed form with T's extreme singular values, as
-    (apply, sigma_min, sigma_max): apply(v) = T^{-1} v for a vector or a
-    matrix's columns; analysis.make_lpa and shared_factors invert T through
-    it instead of taking its SVD where sigma_min clears the rank cutoff by
-    m eps sigma_max, and fall back to LAPACK's SVD elsewhere (see
-    analysis.TruncationFactor; seidman's is _seidman_inverse, identity's a
-    copy with values 1). A family with neither inverse nor
+    truncate(m)^{-1} in closed form with T's largest singular value, as
+    (apply, sigma_max): apply(v) = T^{-1} v for a vector or a matrix's
+    columns. It certifies that T is injective at every m, so its family's
+    kernel_dim_hint is 0: analysis.make_lpa and shared_factors invert T
+    through it instead of taking its SVD, with rank m whatever cond(T) is
+    (see analysis.TruncationFactor; seidman's is _seidman_inverse,
+    identity's a copy with sigma_max 1). A family with neither inverse nor
     singular_triplets is factored by LAPACK's SVD of T. xn_basis, when set,
     overrides the coordinate subspaces as the family's approximation
     scheme: it returns an
@@ -139,19 +139,17 @@ def _secular_max(poles: np.ndarray, z: np.ndarray) -> float:
 
 
 def _seidman_inverse(m: int):
-    """seidman(m)^{-1} and T's extreme singular values, as (apply,
-    sigma_min, sigma_max) (see OperatorFamily.inverse). T = D + c e_1^T
+    """seidman(m)^{-1} and T's largest singular value, as (apply,
+    sigma_max) (see OperatorFamily.inverse). T = D + c e_1^T
     with d_1 = 1 and c_1 = 0, so by Sherman-Morrison T^{-1} = D^{-1} -
     g e_1^T, g = c / d, and T^{-1} v = (v - c v_1) / d, O(m) per column,
     finished in place in the array c v_1, so no m x r temporary is formed;
     at v = I each entry is one rounded quotient.
 
     T = z e_1^T + diag(0, d_2, ..., d_m), z T's first column, so
-    T T^T = diag(0, d_2^2, ...) + z z^T, and T^{-1} = w e_1^T +
-    diag(0, 1/d_2, ...), w = (1, -g_2, ...) T^{-1}'s first column, so
-    T^{-1} T^{-T} = diag(0, 1/d_2^2, ...) + w w^T: sigma_max(T)^2 and
-    1/sigma_min(T)^2 are each the largest root of a secular equation
-    (_secular_max), O(m) per bisection step, with no LAPACK call."""
+    T T^T = diag(0, d_2^2, ...) + z z^T: sigma_max(T)^2 is the largest root
+    of a secular equation (_secular_max), O(m) per bisection step, with no
+    LAPACK call."""
     d, c = _seidman_parts(m)
 
     def apply(v: np.ndarray) -> np.ndarray:
@@ -160,12 +158,9 @@ def _seidman_inverse(m: int):
         np.divide(x.T, d, out=x.T)
         return x
 
-    z, w = c.copy(), -c / d
-    z[0] = w[0] = 1.0
-    poles, inv_poles = d * d, 1.0 / (d * d)
-    poles[0] = inv_poles[0] = 0.0
-    return (apply, 1.0 / math.sqrt(_secular_max(inv_poles, w)),
-            math.sqrt(_secular_max(poles, z)))
+    z, poles = c.copy(), d * d
+    z[0], poles[0] = 1.0, 0.0
+    return apply, math.sqrt(_secular_max(poles, z))
 
 
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
@@ -296,16 +291,20 @@ def seeded_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SingularSystem:
-    """A prescribed spectrum: positive nonincreasing sigmas plus the number of
-    kernel directions to plant explicitly."""
+    """A prescribed spectrum: positive nonincreasing sigmas, each with a
+    finite reciprocal (T^+ divides by them), plus the number of kernel
+    directions to plant explicitly."""
 
     sigmas: tuple[float, ...]
     kernel_dim: int = 0
 
     def __post_init__(self):
         s = np.asarray(self.sigmas, dtype=float)
-        if s.size == 0 or not np.all((s > 0) & np.isfinite(s)):
-            raise ValueError("sigmas must be nonempty, finite and positive")
+        with np.errstate(divide="ignore", over="ignore"):
+            valid = (s > 0) & np.isfinite(s) & np.isfinite(1.0 / s)
+        if s.size == 0 or not np.all(valid):
+            raise ValueError(
+                "sigmas must be nonempty, finite and positive, with finite reciprocals")
         if np.any(np.diff(s) > 0):
             raise ValueError("sigmas must be nonincreasing")
         if self.kernel_dim < 0:
@@ -316,21 +315,18 @@ class SingularSystem:
 class SingularModel:
     """Operator realized from a prescribed spectrum.
 
-    v_basis is m x m orthogonal and kernel first, [K | V_r]: its first
-    ambient - rank columns K are an orthonormal basis of the matrix's kernel
-    (planted_kernel_dim of them asked for by the spectrum, the rest padding
-    it out), and its last `rank` columns V_r are the right singular vectors,
-    in the order of sigmas. So matrix = u_basis @ diag(sigmas) @
-    v_basis[:, ambient - rank:].T, u_basis being the m x rank left singular
-    vectors, and the kernel plus the n leading right singular directions,
-    best-lpa's X_n, is the leading block v_basis[:, :ambient - rank + n].
+    With r = len(sigmas), v_basis is m x m orthogonal and kernel first,
+    [K | V_r]: its first m - r columns K are an orthonormal basis of the
+    matrix's kernel, and its last r columns V_r are the right singular
+    vectors, in the order of sigmas. So matrix = u_basis @ diag(sigmas) @
+    v_basis[:, m - r:].T, u_basis being the m x r left singular vectors, and
+    the kernel plus the n leading right singular directions, best-lpa's X_n,
+    is the leading block v_basis[:, :m - r + n].
     """
 
     matrix: np.ndarray
     u_basis: np.ndarray
     v_basis: np.ndarray
-    rank: int
-    planted_kernel_dim: int
 
 
 # Rows per block of a normal draw and of V's rotation in from_singular_system.
@@ -379,8 +375,7 @@ def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularMode
         v[i:i + _DRAW_BLOCK] = np.roll(v[i:i + _DRAW_BLOCK], -r, axis=1)
     sig = np.asarray(sys.sigmas, dtype=float)
     k = u @ (sig[:, None] * v[:, m - r:].T)
-    return SingularModel(matrix=k, u_basis=u, v_basis=v, rank=r,
-                         planted_kernel_dim=sys.kernel_dim)
+    return SingularModel(matrix=k, u_basis=u, v_basis=v)
 
 
 def random_finite_kernel(m: int, kernel_dim: int, seed: int) -> np.ndarray:
@@ -487,7 +482,7 @@ _STATIC_FAMILIES = {
         truncate=lambda m: np.eye(m),
         kernel_dim_hint=0,
         notes="identity operator; every diagnostic is trivial on it",
-        inverse=lambda m: (np.copy, 1.0, 1.0),
+        inverse=lambda m: (np.copy, 1.0),
     ),
     "seidman": lambda: OperatorFamily(
         name="seidman",
@@ -497,8 +492,8 @@ _STATIC_FAMILIES = {
                "(even) with a 1/k first-column coupling; truncation tails "
                "of the normal operator decay like m^-3, so m = 4n keeps "
                "them far below the diagnostic tolerances; T^{-1} is "
-               "applied in O(m) by Sherman-Morrison, and T's extreme "
-               "singular values are secular-equation roots"),
+               "applied in O(m) by Sherman-Morrison, so T is inverted at "
+               "every m, and sigma_max is a secular-equation root"),
         inverse=_seidman_inverse,
     ),
     "du": lambda: OperatorFamily(

@@ -182,14 +182,17 @@ def _count_full_svds(monkeypatch) -> list:
     return shapes
 
 
-def _count_svd_calls(monkeypatch) -> list:
+def _count_svd_calls(monkeypatch, refuse=None) -> list:
     # (shape, compute_uv) of every SVD, through np.linalg.svd or numpy's
-    # internal binding, which norm(ord=2) calls
+    # internal binding, which norm(ord=2) calls; an SVD of an input of shape
+    # refuse raises instead
     internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
     calls = []
 
     def counting(real_svd):
         def counting_svd(a, *args, **kwargs):
+            if np.shape(a) == refuse:
+                raise AssertionError(f"an SVD of a {refuse} input")
             calls.append((np.shape(a), kwargs.get("compute_uv",
                                                   args[1] if len(args) > 1 else True)))
             return real_svd(a, *args, **kwargs)
@@ -405,11 +408,9 @@ def test_tn_pinv_matches_dense_oracle(build):
 
 def _lu_inverse(t):
     # T^{-1} by one LAPACK inverse (LU with partial pivoting), handed to the
-    # factor in OperatorFamily.inverse's form: (apply, sigma_min,
-    # sigma_max), the values from LAPACK's values-only SVD of T
-    inv = np.linalg.inv(t)
-    s = np.linalg.svd(t, compute_uv=False)
-    return inv.__matmul__, s[-1], s[0]
+    # factor in OperatorFamily.inverse's form: (apply, sigma_max), the value
+    # from LAPACK's values-only SVD of T
+    return np.linalg.inv(t).__matmul__, np.linalg.svd(t, compute_uv=False)[0]
 
 
 def _inverse_50_digits(t):
@@ -588,76 +589,43 @@ def _largest_root_50_digits(poles, z, lam):
         return lam
 
 
-def _seidman_extremes_50_digits(t, sigma_min, sigma_max):
-    # the extreme singular values of the formed seidman T, at 50 digits:
-    # T = z e_1^T + diag(0, d_2, ...) and T^{-1} = w e_1^T + diag(0, 1/d_2,
-    # ...), z = T e_1, w = T^{-1} e_1 = (1, -z_2/d_2, ...), so sigma_max^2
-    # and 1/sigma_min^2 are the largest roots of the secular equations of
-    # diag(0, d_2^2, ...) + z z^T and diag(0, 1/d_2^2, ...) + w w^T, each
+def _seidman_sigma_max_50_digits(t, sigma_max):
+    # the largest singular value of the formed seidman T, at 50 digits:
+    # T = z e_1^T + diag(0, d_2, ...), z = T e_1, so sigma_max^2 is the
+    # largest root of the secular equation of diag(0, d_2^2, ...) + z z^T,
     # refined from the value given
     with mpmath.workdps(50):
         d = [mpmath.mpf(float(x)) for x in np.diag(t)]
         z = [mpmath.mpf(float(x)) for x in t[:, 0]]
-        w = [mpmath.mpf(1)] + [-zk / dk for zk, dk in zip(z[1:], d[1:])]
         big = _largest_root_50_digits([0] + [dk * dk for dk in d[1:]], z, mpmath.mpf(sigma_max) ** 2)
-        small = _largest_root_50_digits([0] + [1 / (dk * dk) for dk in d[1:]], w,
-                                        1 / mpmath.mpf(sigma_min) ** 2)
-        return float(1 / mpmath.sqrt(small)), float(mpmath.sqrt(big))
+        return float(mpmath.sqrt(big))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 64, 65, 768, 2048])
 def test_seidman_inverse_in_closed_form_matches_lapack(m):
     # T^{-1} = D^{-1} - (c/d) e_1^T: apply(I) against LAPACK's inverse of the
     # formed T entrywise, within m eps max|T^{-1}_ij| <= m eps ||T^{-1}||
-    # (they differ by 2.6e-19 of it at m = 768). T's extremes against
-    # LAPACK's values-only SVD: sigma_max within 4 eps relative, sigma_min
-    # within 4 eps relative or LAPACK's own error on its smallest value, of
-    # order m eps sigma_max (its value at m = 2048 sits 9 eps from the
-    # 50-digit one on two BLAS threads, 3 eps on one). Then both within
-    # 2 eps of 50-digit roots of the two secular equations (0.65 eps at
-    # most here; m = 1 is a single pole). At m <= 72 a 50-digit inverse is
-    # the oracle of apply(I): each entry is one rounded quotient, so within
-    # eps of it
+    # (they differ by 2.6e-19 of it at m = 768). sigma_max against LAPACK's
+    # values-only SVD within 4 eps relative, then within 2 eps of a 50-digit
+    # root of the secular equation (m = 1 is a single pole). At m <= 72 a
+    # 50-digit inverse is the oracle of apply(I): each entry is one rounded
+    # quotient, so within eps of it
     fam = get_family("seidman")
     t = fam.truncate(m)
-    apply, sigma_min, sigma_max = fam.inverse(m)
+    apply, sigma_max = fam.inverse(m)
     got, want = apply(np.eye(m)), np.linalg.inv(t)
     assert np.abs(got - want).max() <= m * EPS * np.abs(want).max()
+    s = np.linalg.svd(t, compute_uv=False)
     v = np.random.default_rng(m).standard_normal((m, 3))
     for w in (v, v[:, 0]):  # and applied, within m eps ||T^{-1}|| ||w||
-        assert np.linalg.norm(apply(w) - want @ w) <= m * EPS / sigma_min * np.linalg.norm(w)
-    s = np.linalg.svd(t, compute_uv=False)
+        assert np.linalg.norm(apply(w) - want @ w) <= m * EPS / s[-1] * np.linalg.norm(w)
     assert sigma_max == pytest.approx(s[0], rel=4 * EPS, abs=0)
-    assert sigma_min == pytest.approx(s[-1], rel=4 * EPS, abs=m * EPS * s[0])
     if mpmath is None:
         pytest.skip("the 50-digit oracles need mpmath>=1.3 (the test extra)")
-    exact_min, exact_max = _seidman_extremes_50_digits(t, s[-1], s[0])
-    assert sigma_min == pytest.approx(exact_min, rel=2 * EPS, abs=0)
-    assert sigma_max == pytest.approx(exact_max, rel=2 * EPS, abs=0)
+    assert sigma_max == pytest.approx(_seidman_sigma_max_50_digits(t, s[0]), rel=2 * EPS, abs=0)
     if m <= 72:
         exact = _inverse_50_digits(t)
         assert np.all(np.abs(got - exact) <= EPS * np.abs(exact))
-
-
-def _assert_same_factor(got, want):
-    assert (got.rank, got.sigma_max) == (want.rank, want.sigma_max)
-    for name in ("u_rho", "s_rho", "t_pinv"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    for name in ("rowspace", "kernel"):
-        assert np.array_equal(getattr(got, name).basis, getattr(want, name).basis), name
-
-
-def _clears_the_cutoff(m, sigma_min, sigma_max, rank_tol=None):
-    # TruncationFactor's rule for a handed inverse: sigma_min - cutoff >
-    # m eps sigma_max, cutoff = the rank rule's tol at rank_tol times
-    # sigma_max
-    return sigma_min - rank_cutoff((), (m, m), rank_tol, sigma_max)[1] > m * EPS * sigma_max
-
-
-def _inverts(t, rank_tol):
-    # the rule on LAPACK's values of T
-    s = np.linalg.svd(t, compute_uv=False)
-    return _clears_the_cutoff(len(t), s[-1], s[0], rank_tol)
 
 
 def _spectrum(rng, m, ratio):
@@ -675,55 +643,14 @@ def _graded(rng, m, ratio):
 
 
 def _graded_of_kind(rng, m, ratio, kind):
-    # _graded ("dense"); its QR's triangular factor R ("upper") or R^T
-    # ("lower"), with the same singular values; or diag(s) with a first
-    # column below it, lower triangular like seidman ("arrow"), whose
-    # inverse's mass sits on few rows and columns, so that
-    # sqrt(||T^{-1}||_1 ||T^{-1}||_inf) is near ||T^{-1}||_2 and can prove
-    # what ||T^{-1}||_F cannot
+    # R^T, R the triangular factor of _graded's QR, with the same singular
+    # values ("lower"); or diag(s) with a first column below it, lower
+    # triangular like seidman ("arrow")
     if kind == "arrow":
         t = np.diag(_spectrum(rng, m, ratio))
         t[1:, 0] = rng.standard_normal(m - 1) / np.arange(2, m + 1)
         return t
-    t = _graded(rng, m, ratio)
-    if kind == "dense":
-        return t
-    r = np.linalg.qr(t)[1]
-    return r if kind == "upper" else np.ascontiguousarray(r.T)
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**16), m=st.sampled_from([2, 3, 5, 8, 13, 21, 65, 100]),
-       log2_k=st.floats(-2.0, 6.0), rank_tol=st.sampled_from([None, 1e-12, 1e-8]),
-       kind=st.sampled_from(["dense", "lower", "upper", "arrow"]))
-@example(seed=1, m=100, log2_k=2.8, rank_tol=None, kind="arrow")
-def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k, rank_tol, kind):
-    # T graded with sigma_min / sigma_max = k tol (exactly for dense and
-    # triangular T), tol the rank rule's (rank_tol, its default when None)
-    # and k in [1/4, 64], log-uniform, each handed its LAPACK inverse (LU,
-    # _lu_inverse), triangular ones included. The inverted factor's rank
-    # is the SVD route's.
-    # Wherever sigma_min does not clear the cutoff by m eps sigma_max the
-    # factor is the SVD route's bit for bit; where it does, T is inverted
-    # with no SVD, and its sigma_max and cutoff are LAPACK's largest value of
-    # T and tol times it. The example is an arrow T near the cutoff
-    tol = rank_cutoff((), (m, m), rank_tol, 1.0)[1]
-    t = _graded_of_kind(np.random.default_rng(seed), m, 2.0**log2_k * tol, kind)
-    inverse = _lu_inverse(t)
-    with pytest.MonkeyPatch.context() as mp:
-        calls = _count_svd_calls(mp)
-        got = TruncationFactor(t, rank_tol, inverse=inverse)
-        built = list(calls)
-        want = TruncationFactor(t, rank_tol)
-        assert got.rank == want.rank
-        if not _inverts(t, rank_tol):
-            assert built == [((m, m), True)]
-            _assert_same_factor(got, want)
-            assert got.cutoff == want.cutoff
-            return
-        assert got.rank == m and got.u_rho is None and built == []
-    sigma_max = np.linalg.svd(t, compute_uv=False)[0]
-    assert got.sigma_max == sigma_max and got.cutoff == tol * sigma_max
+    return np.ascontiguousarray(np.linalg.qr(_graded(rng, m, ratio))[1].T)
 
 
 @settings(max_examples=100, deadline=None)
@@ -731,27 +658,38 @@ def test_inverted_rank_decision_at_the_cutoff_is_the_svd_routes(seed, m, log2_k,
        log2_k=st.floats(-2.0, 6.0), data=st.data())
 def test_inverted_factor_proves_the_rank_of_every_txn(seed, m, log2_k, data):
     # T = Q1 diag(s) Q2^T with sigma_min / sigma_max = k 10 m eps, the cutoff
-    # txn_svd applies at rank_tol None, k in [1/4, 64], log-uniform. Wherever
-    # T is inverted, its proof covers every row: r = dim X_n, the rank at
-    # LAPACK's exact sigma_max and the SVD route's r, and diagnose takes no
-    # m x m SVD, with or without vectors (2 dim X_n < m, so no row-sized
-    # matrix is m x m either)
+    # txn_svd applies at rank_tol None, k in [1/4, 64], log-uniform, handed
+    # its LAPACK inverse: T is inverted at every k, with rank m. Where
+    # sigma_min clears the cutoff by m eps sigma_max, LAPACK's error on the
+    # values of T X_n, every row has r = dim X_n, the SVD route's r; elsewhere
+    # a row has r = dim X_n or raises, and never reads a kernel core that
+    # N(T) = {0} cannot hold. r is the rank at LAPACK's sigma_max, and
+    # diagnose takes no m x m SVD, with or without vectors (2 dim X_n < m, so
+    # no row-sized matrix is m x m either)
     rng = np.random.default_rng(seed)
     t = _graded(rng, m, 2.0**log2_k * _default_tol(m))
     factor = TruncationFactor(t, inverse=_lu_inverse(t))
-    if factor.u_rho is not None:
-        return
+    assert factor.u_rho is None and (factor.rank, factor.kernel.dim) == (m, 0)
     n = data.draw(st.integers(1, (m - 1) // 2))
     basis = np.linalg.qr(rng.standard_normal((m, n)))[0] if data.draw(st.booleans()) else None
     inst = LpaInstance(factor, n, basis)
+    s = np.linalg.svd(t, compute_uv=False)
+    clears = s[-1] - factor.cutoff > m * EPS * s[0]
+    refused = None
     with pytest.MonkeyPatch.context() as mp:
         calls = _count_svd_calls(mp)
-        diagnose(inst)
+        try:
+            diagnose(inst)
+        except ArithmeticError as exc:
+            refused = exc
     assert [c for c in calls if c[0] == (m, m)] == [], calls
+    if refused is not None:
+        assert not clears and "dim N(T) = 0" in str(refused)
+        return
     res, r = inst.txn_svd
-    sigma_max = np.linalg.svd(t, compute_uv=False)[0]
-    assert r == n == rank_cutoff(res.singular_values, (m, n), anchor=sigma_max)[0]
-    assert r == LpaInstance(TruncationFactor(t), n, basis).txn_svd[1]
+    assert r == n == rank_cutoff(res.singular_values, (m, n), anchor=s[0])[0]
+    if clears:
+        assert r == LpaInstance(TruncationFactor(t), n, basis).txn_svd[1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -782,8 +720,8 @@ def test_seidman_scan_at_768_takes_no_m_by_m_svd(monkeypatch):
 def test_seidman_factor_keeps_nothing_m_by_m_beyond_t():
     # seidman's factor, through the family's closed-form inverse, keeps
     # vectors of length m and no m x m array; T is built outside the trace.
-    # Its temporaries are vectors of length m too: T's extreme singular
-    # values are roots of O(m) secular equations (0.014 x 8 m^2 at peak)
+    # Its temporaries are vectors of length m too: sigma_max is the root of
+    # an O(m) secular equation
     m = 768
     fam = get_family("seidman")
     t = fam.truncate(m)
@@ -815,24 +753,50 @@ def _assert_seidman_inverted(m):
 
 
 def test_seidman_at_2048_is_inverted():
-    # sigma_min = 1.16e-10 clears the cutoff, 10 m eps sigma_max = 5.9e-12
     _assert_seidman_inverted(2048)
 
 
 def test_seidman_at_3072_is_inverted():
-    # sigma_min / sigma_max = 2.68e-11 against a cutoff of 6.82e-12 of
-    # sigma_max: T is inverted, with no O(m^3) step
+    # T is inverted, with no O(m^3) step
     _assert_seidman_inverted(3072)
 
 
-def test_seidman_is_inverted_through_4223_and_takes_lapacks_svd_from_4224():
-    # the rule on the extremes handed with seidman's inverse, T not built:
-    # sigma_min / sigma_max reads 1.0324e-11 at m = 4223 and 1.0309e-11 at
-    # 4224, against cutoffs of 9.377e-12 and 9.379e-12 and a margin of
-    # m eps, so the fallback to LAPACK starts at m = 4224
-    inverse = get_family("seidman").inverse
-    assert _clears_the_cutoff(4223, *inverse(4223)[1:])
-    assert not _clears_the_cutoff(4224, *inverse(4224)[1:])
+def test_seidman_past_4223_is_inverted_with_no_kernel():
+    # from m = 4224 seidman's sigma_min sits under the cutoff 10 m eps
+    # sigma_max, with no gap in the spectrum; its closed-form inverse still
+    # certifies N(T) = {0}.
+    # So T is inverted with rank m and no m x m SVD, and the rows at
+    # m = 5000 read no kernel. At n = 64 the sine and ||T_n^+ T|| are the
+    # values LAPACK's SVD of the whole T gave, on seidman's c/m curve
+    fam = get_family("seidman")
+    factor = shared_factors(fam)
+    with pytest.MonkeyPatch.context() as mp:
+        _count_svd_calls(mp, refuse=(4224, 4224))
+        f = factor(4224)
+        assert (f.rank, f.kernel.dim) == (4224, 0)
+        del f  # so that factor(5000) frees it first
+    m = 5000
+    with pytest.MonkeyPatch.context() as mp:
+        _count_svd_calls(mp, refuse=(m, m))
+        f = factor(m)
+        assert (f.rank, f.kernel.dim) == (m, 0)
+        rows = {n: diagnose(make_lpa(fam, n, m, f)) for n in (8, 64)}
+    assert [(row.kernel_dim, row.kernel_core_dim) for row in rows.values()] == [(0, 0), (0, 0)]
+    assert f"{rows[64].sin_theta_gap:.8f}" == "0.99307670"
+    assert f"{rows[64].norm_tn_dag_t:.7f}" == "8.5129754"
+
+
+def test_inverted_factor_refuses_a_row_whose_core_exceeds_its_kernel():
+    # T = diag(1, 1e-15), handed its exact inverse, is certified injective:
+    # rank 2 and K = {0}. Its second singular value is under the cutoff,
+    # 10 m eps = 4.4e-15, so at X_n = R^2, T X_n = T has r = 1: a kernel
+    # core of dimension 1, which N(T) = {0} cannot hold
+    t = np.diag([1.0, 1e-15])
+    factor = TruncationFactor(t, inverse=(np.diag([1.0, 1e15]).__matmul__, 1.0))
+    assert (factor.rank, factor.kernel.dim) == (2, 0)
+    with pytest.raises(ArithmeticError, match=r"1 singular values at or under the cutoff "
+                                              r"4\.441e-15, more than dim N\(T\) = 0"):
+        LpaInstance(factor, 2).txn_svd
 
 
 @_needs_mpmath

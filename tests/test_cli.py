@@ -544,10 +544,12 @@ def test_cli_analyze_missing_file_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sigma", ["1e400", "NaN"])
+@pytest.mark.parametrize("sigma", ["1e400", "NaN", "1e-320"])
 def test_cli_analyze_non_finite_sigmas_exit_2(tmp_path, capsys, sigma):
-    # json reads 1e400 as inf and NaN as nan: a config problem, not a
-    # numerical failure of the scan
+    # json reads 1e400 as inf and NaN as nan, and 1e-320 is a subnormal
+    # whose reciprocal, which T^+ divides by, overflows: a config problem,
+    # not a numerical failure of the scan, and no numpy warning (which the
+    # test settings make an error)
     path = tmp_path / "scan.json"
     path.write_text('{"operator": {"name": "best-lpa", "params": {"sigmas": [%s]}}, '
                     '"n_list": [1]}' % sigma)
@@ -559,6 +561,20 @@ def test_cli_analyze_non_finite_sigmas_exit_2(tmp_path, capsys, sigma):
 def test_cli_analyze_unknown_operator_exits_2(tmp_path, capsys):
     assert main(["analyze", write_config(tmp_path, operator={"name": "wat"})]) == 2
     assert "wat" in capsys.readouterr().err
+
+
+def test_cli_analyze_kernel_core_beyond_the_kernel_exits_3(tmp_path, capsys, monkeypatch):
+    # a family certifying T = diag(1, 1e-15) injective by its exact inverse:
+    # at n = m = 2, T X_n = T has a singular value under the cutoff, a kernel
+    # core that N(T) = {0} cannot hold, so the row is a numerical failure
+    fam = lpakit.operators.OperatorFamily(
+        name="identity", truncate=lambda m: np.diag([1.0, 1e-15]), kernel_dim_hint=0,
+        notes="", inverse=lambda m: (np.diag([1.0, 1e15]).__matmul__, 1.0))
+    monkeypatch.setattr(lpakit.scan, "get_family", lambda name, **params: fam)
+    path = write_config(tmp_path, operator={"name": "identity"}, n_list=[2], m_rule="fixed:2")
+    assert main(["analyze", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n=2" in err and "dim N(T) = 0" in err
 
 
 def test_cli_analyze_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

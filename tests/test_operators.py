@@ -247,6 +247,15 @@ def test_family_entries_stay_above_sqrt_tiny(name):
     assert nonzero.min() >= math.sqrt(np.finfo(float).tiny) * a.max()
 
 
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_a_family_with_an_inverse_declares_no_kernel(name):
+    # a closed-form inverse certifies that T is injective at every m
+    # (analysis.TruncationFactor inverts T through it), so the gallery must
+    # not print a kernel for the family
+    fam = get_family(name)
+    assert fam.inverse is None or fam.kernel_dim_hint == 0
+
+
 # ------------------------------------------------------------ singular systems
 
 
@@ -257,6 +266,9 @@ def test_singular_system_validation():
         SingularSystem(sigmas=(1.0, 0.0))   # not positive
     with pytest.raises(ValueError):
         SingularSystem(sigmas=(1.0,), kernel_dim=-1)
+    with pytest.raises(ValueError, match="finite reciprocals"):
+        SingularSystem(sigmas=(1.0, 1e-320))   # 1 / 1e-320 overflows
+    SingularSystem(sigmas=(1.0, 1e-300))
 
 
 def test_from_singular_system_round_trip():
@@ -265,8 +277,7 @@ def test_from_singular_system_round_trip():
     s = svd(model.matrix).singular_values
     assert np.allclose(s[:3], [2.0, 1.0, 0.25], atol=1e-12)
     assert np.all(s[3:] <= 1e-13)
-    assert model.rank == 3
-    assert model.planted_kernel_dim == 2
+    assert model.u_basis.shape == (8, 3) and model.v_basis.shape == (8, 8)
 
 
 def test_from_singular_system_factors():
