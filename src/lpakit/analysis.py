@@ -76,6 +76,7 @@ from .operators import OperatorFamily, du_bad_y, du_vector_e, get_family
 
 __all__ = [
     "PreconditionError",
+    "RankToleranceError",
     "TruncationFactor",
     "shared_factors",
     "LpaInstance",
@@ -99,6 +100,11 @@ __all__ = [
 
 class PreconditionError(ValueError):
     """A diagnostic was asked for outside the regime where it is asserted."""
+
+
+class RankToleranceError(ArithmeticError):
+    """A row refused at a rank_tol that the rank rule's default would keep:
+    the tolerance is too coarse for it, not the arithmetic too weak."""
 
 
 def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
@@ -261,7 +267,8 @@ class LpaInstance:
         """SVD of T X_n and its rank r, the count of its singular values
         above the factor's cutoff, the one T's rank was decided at. The
         kernel core N(T) & X_n lies in N(T), so a row whose dim X_n - r
-        exceeds dim N(T) raises ArithmeticError, on every route. On an SVD
+        exceeds dim N(T) raises ArithmeticError on every route (RankToleranceError
+        if the rule's default cutoff, 10 m eps sigma_max, keeps it). On an SVD
         route only roundoff across the cutoff can do that; on an inverted
         factor, whose N(T) is {0} by the family's certificate, any singular
         value of T X_n at or under the cutoff does.
@@ -289,9 +296,12 @@ class LpaInstance:
             res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
         r = rank_cutoff(res.singular_values, (self.m, k), 1.0, f.cutoff)[0]
         if k - r > f.kernel.dim:
-            raise ArithmeticError(
-                f"T X_n has {k - r} singular values at or under the cutoff "
-                f"{f.cutoff:.3e}, more than dim N(T) = {f.kernel.dim}")
+            msg = (f"T X_n has {k - r} singular values at or under the cutoff "
+                   f"{f.cutoff:.3e}, more than dim N(T) = {f.kernel.dim}")
+            c = rank_cutoff((), f.t.shape, None, f.sigma_max)[1]
+            if f.rank_tol is not None and k - np.sum(res.singular_values > c) <= f.kernel.dim:
+                raise RankToleranceError(f"{msg}; the default cutoff {c:.3e} keeps it")
+            raise ArithmeticError(msg)
         return res, r
 
     def _times_x_n(self, a: np.ndarray) -> np.ndarray:
@@ -349,11 +359,11 @@ class LpaInstance:
         T^+. Neither cancels at a zero angle, so both read one at roundoff
         where T^+ U_r is accurate; where it is not, the Q_n route carries that
         error. At a zero angle, n = 1, 2 and m <= 40, best-lpa with
-        kernel_dim 2 and sigmas [1, 1e-12] reads up to 1.46e-4, and
-        route_disagreement fires on 1 of those 74 rows; with sigmas
-        [1, 1e-3, 1e-6, 1e-9] it reads up to 4.8e-7, under route_warn. That
-        is on the factor read off the model (shared_factors); on LAPACK's,
-        TruncationFactor(t), they are 1.36e-4 (2 rows fire) and 2.5e-7."""
+        kernel_dim 2 and sigmas [1, 1e-12] reads at most 1.3e-4 to 5.1e-4 over
+        seeds 0-7, route_disagreement firing on 2 to 18 of those 74 rows;
+        with sigmas [1, 1e-3, 1e-6, 1e-9], 1.4e-7 to 7.5e-7, under route_warn.
+        That is on the model's factor (shared_factors); on LAPACK's,
+        TruncationFactor(t), 1.0e-4 to 3.8e-4 (1 to 18 rows) and 1.4e-7 to 6.1e-7."""
         sin_gap = gap(*self.images())
         tan = _tan_theta_qn(self)
         return sin_gap, tan / math.hypot(1.0, tan)

@@ -114,8 +114,8 @@ def main(argv=None) -> int:
         return _cmd_gallery()
     except ConfigError as exc:
         # from load_scan_config, and from run_scan, which rejects an unknown
-        # family and an n beyond the family's limits, which the config's own
-        # validation does not know
+        # family, an n beyond the family's limits and a tolerances.rank too
+        # coarse for a row, which the config's own validation does not know
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

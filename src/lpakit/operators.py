@@ -10,6 +10,7 @@ inherits that error.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -28,7 +29,6 @@ __all__ = [
     "du_bad_y",
     "from_singular_system",
     "random_finite_kernel",
-    "seeded_orthogonal",
     "get_family",
     "FAMILY_NAMES",
 ]
@@ -282,18 +282,12 @@ def du_bad_y(m: int) -> np.ndarray:
     return math.sqrt(3.0) * (np.exp2(-k) - np.exp2(-2.0 * k))
 
 
-def seeded_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random orthogonal matrix: QR of a standard normal draw with the signs
-    of the R diagonal fixed, so the result is deterministic per rng state."""
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    return q * np.sign(np.diag(r))
-
-
 @dataclass(frozen=True)
 class SingularSystem:
     """A prescribed spectrum: positive nonincreasing sigmas, each with a
-    finite reciprocal (T^+ divides by them), plus the number of kernel
-    directions to plant explicitly."""
+    finite reciprocal (T^+ divides by them), plus kernel_dim, the least
+    kernel dimension: an m x m realization needs m >= len(sigmas) +
+    kernel_dim, and its kernel has dimension m - len(sigmas)."""
 
     sigmas: tuple[float, ...]
     kernel_dim: int = 0
@@ -329,34 +323,27 @@ class SingularModel:
     v_basis: np.ndarray
 
 
-# Rows per block of a normal draw and of V's rotation in from_singular_system.
-_DRAW_BLOCK = 64
+# Rows per block of V's kernel-first rotation in from_singular_system.
+_ROLL_BLOCK = 64
 
 
-def _leading_normal_columns(rng: np.random.Generator, m: int, r: int) -> np.ndarray:
-    """The first r columns of rng.standard_normal((m, m)), drawn _DRAW_BLOCK
-    rows at a time. Generator fills an array in C order, so these are
-    bitwise the full draw's columns and rng ends in the same state, but no
-    m x m draw is held."""
-    g = np.empty((m, r))
-    for i in range(0, m, _DRAW_BLOCK):
-        g[i:i + _DRAW_BLOCK] = rng.standard_normal((min(_DRAW_BLOCK, m - i), m))[:, :r]
-    return g
+def _haar_columns(rng: np.random.Generator, m: int, r: int, mode: str = "reduced") -> np.ndarray:
+    """Q of the QR of an m x r standard normal draw with R's diagonal made
+    positive: its first r columns are Haar-distributed orthonormal columns
+    (Mezzadri, Notices AMS 54, 2007). mode "complete" returns the m x m Q,
+    whose other m - r columns span their complement."""
+    q, r_diag = np.linalg.qr(rng.standard_normal((m, r)), mode=mode)
+    q[:, :r] *= np.sign(np.diag(r_diag))
+    return q
 
 
 def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularModel:
     """Realize the spectrum as an m x m matrix with seeded orthogonal factors.
 
-    Two m x m standard normal draws, for U and then V, as seeded_orthogonal
-    makes them, but only their first r = len(sigmas) columns are kept, drawn
-    in row blocks (_leading_normal_columns), and factored: U_r is the
-    reduced QR of U's r columns and V the complete QR of V's, r Householder
-    reflectors formed into an m x m Q, each with the signs of R's diagonal
-    fixed. So U_r and V_r are seeded_orthogonal's first r columns up to
-    roundoff, at O(m^2 r) rather than O(m^3), and V's trailing m - r columns
-    are another orthonormal basis of the same kernel. V is then rotated to
-    SingularModel's kernel-first layout in row blocks, in place, so the
-    matrix and Q are the only m x m arrays built.
+    U_r and then V come from two m x r draws (_haar_columns, r =
+    len(sigmas)): U_r the first's reduced Q, V the second's complete Q,
+    whose last m - r columns span the kernel. V is rotated kernel first in
+    row blocks, in place, so the matrix and V are the only m x m arrays.
 
     Requires len(sigmas) + kernel_dim <= m.
     """
@@ -365,14 +352,10 @@ def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularMode
         raise ValueError(
             f"rank {r} + kernel_dim {sys.kernel_dim} exceeds ambient size {m}")
     rng = np.random.default_rng(seed)
-    g_u = _leading_normal_columns(rng, m, r)
-    g_v = _leading_normal_columns(rng, m, r)
-    u, r_u = np.linalg.qr(g_u)
-    u *= np.sign(np.diag(r_u))
-    v, r_v = np.linalg.qr(g_v, mode="complete")
-    v[:, :r] *= np.sign(np.diag(r_v))
-    for i in range(0, m, _DRAW_BLOCK):  # [V_r | K] -> [K | V_r]
-        v[i:i + _DRAW_BLOCK] = np.roll(v[i:i + _DRAW_BLOCK], -r, axis=1)
+    u = _haar_columns(rng, m, r)
+    v = _haar_columns(rng, m, r, mode="complete")
+    for i in range(0, m, _ROLL_BLOCK):  # [V_r | K] -> [K | V_r]
+        v[i:i + _ROLL_BLOCK] = np.roll(v[i:i + _ROLL_BLOCK], -r, axis=1)
     sig = np.asarray(sys.sigmas, dtype=float)
     k = u @ (sig[:, None] * v[:, m - r:].T)
     return SingularModel(matrix=k, u_basis=u, v_basis=v)
@@ -381,31 +364,34 @@ def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularMode
 def random_finite_kernel(m: int, kernel_dim: int, seed: int) -> np.ndarray:
     """Seeded m x m matrix whose kernel is exactly span{e^1, ..., e^kernel_dim}.
 
-    The first kernel_dim columns are zero; the remaining block has singular
-    values drawn from [0.1, 2], so the rank decision is never borderline.
+    The first kernel_dim columns are zero; the remaining block is U S W^T,
+    U (m x r) and W (r x r) from _haar_columns, with singular values S drawn
+    from [0.1, 2], so the rank decision is never borderline.
     Requires kernel_dim < m.
     """
     if not 0 <= kernel_dim < m:
         raise ValueError(f"need 0 <= kernel_dim < m, got {kernel_dim}, {m}")
     rng = np.random.default_rng(seed)
     r = m - kernel_dim
-    u = seeded_orthogonal(m, rng)[:, :r]
-    w = seeded_orthogonal(r, rng)
+    u = _haar_columns(rng, m, r)
+    w = _haar_columns(rng, r, r)
     sig = np.sort(rng.uniform(0.1, 2.0, size=r))[::-1]
     a = np.zeros((m, m))
     a[:, kernel_dim:] = u @ (sig[:, None] * w.T)
     return as_matrix(a)
 
 
-def _default_sigmas() -> tuple[float, ...]:
-    return tuple(1.0 / k**2 for k in range(1, 13))
+_DEFAULT_SIGMAS = tuple(1.0 / k**2 for k in range(1, 13))
+_FLOAT_MAX = float(np.finfo(float).max)  # a Python float: compares with any int exactly
 
 
-def _best_lpa_family(sigmas=None, kernel_dim: int = 2, seed: int = 0) -> OperatorFamily:
-    sys = SingularSystem(
-        sigmas=tuple(float(s) for s in (sigmas if sigmas is not None else _default_sigmas())),
-        kernel_dim=_nonnegative_int("kernel_dim", kernel_dim),
-    )
+def _best_lpa_family(sigmas=_DEFAULT_SIGMAS, kernel_dim: int = 2, seed: int = 0) -> OperatorFamily:
+    if not isinstance(sigmas, (list, tuple)) or not all(
+            isinstance(s, numbers.Real) and not isinstance(s, bool)
+            and abs(s) <= _FLOAT_MAX for s in sigmas):
+        raise ValueError(f"sigmas must be a list of finite real numbers, got {sigmas!r}")
+    sys = SingularSystem(sigmas=tuple(map(float, sigmas)),
+                         kernel_dim=_nonnegative_int("kernel_dim", kernel_dim))
     r = len(sys.sigmas)
     seed = _nonnegative_int("seed", seed)
     # truncate and xn_basis at one m share one model; a scan asks for one m

@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analysis import (LpaDiagnostics, diagnose, error_bound_check, kernel_captured,
-                       kernel_verdict, make_lpa, shared_factors)
+from .analysis import (LpaDiagnostics, RankToleranceError, diagnose, error_bound_check,
+                       kernel_captured, kernel_verdict, make_lpa, shared_factors)
 from .config import ConfigError, ScanConfig
 from .operators import get_family
 
@@ -115,9 +115,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
     reproducible. T is factored once per run of consecutive rows at one m.
 
     The family and every (n, m) are checked before anything is factored; a
-    rejection there is a ConfigError. Any failure after that point, a
-    ValueError included (a Subspace orthonormality check, say), is numerical
-    and raises ScanNumericalError.
+    rejection there, or a row refused only by tolerances.rank
+    (RankToleranceError), is a ConfigError. Any other failure, a ValueError
+    included (a Subspace orthonormality check, say), raises ScanNumericalError.
     """
     try:
         family = get_family(config.operator_name, **config.operator_params)
@@ -135,6 +135,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
     for n in config.n_list:
         try:
             row, passed = _scan_row(config, family, factor, n)
+        except RankToleranceError as exc:
+            raise ConfigError(f"tolerances.rank {config.tolerances.rank:g} is too "
+                              f"coarse at n={n}: {exc}") from exc
         except (np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
             raise ScanNumericalError(config.operator_name, n, str(exc)) from exc
         rows.append(row)

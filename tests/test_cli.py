@@ -544,18 +544,28 @@ def test_cli_analyze_missing_file_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sigma", ["1e400", "NaN", "1e-320"])
-def test_cli_analyze_non_finite_sigmas_exit_2(tmp_path, capsys, sigma):
+@pytest.mark.parametrize("sigmas, fragment", [
+    ("[1e400]", "finite"),
+    ("[NaN]", "finite"),
+    ("[1e-320]", "finite"),
+    ("[true, 0.5]", "real numbers"),
+    ('["1", "0.5"]', "real numbers"),
+    ('"12"', "real numbers"),
+    ("[1%s]" % ("0" * 400), "finite"),
+], ids=["1e400", "NaN", "1e-320", "bool", "numeric-strings", "bare-string", "int-past-float"])
+def test_cli_analyze_non_finite_sigmas_exit_2(tmp_path, capsys, sigmas, fragment):
     # json reads 1e400 as inf and NaN as nan, and 1e-320 is a subnormal
-    # whose reciprocal, which T^+ divides by, overflows: a config problem,
-    # not a numerical failure of the scan, and no numpy warning (which the
-    # test settings make an error)
+    # whose reciprocal, which T^+ divides by, overflows, as would float() of
+    # an integer past float range; a boolean, a numeric string or a bare
+    # string is no list of real numbers: a config problem, not a numerical
+    # failure of the scan, and no numpy warning (which the test settings
+    # make an error)
     path = tmp_path / "scan.json"
-    path.write_text('{"operator": {"name": "best-lpa", "params": {"sigmas": [%s]}}, '
-                    '"n_list": [1]}' % sigma)
+    path.write_text('{"operator": {"name": "best-lpa", "params": {"sigmas": %s}}, '
+                    '"n_list": [1]}' % sigmas)
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and "finite" in err
+    assert err.startswith("config error") and "sigmas" in err and fragment in err
 
 
 def test_cli_analyze_unknown_operator_exits_2(tmp_path, capsys):
@@ -575,6 +585,22 @@ def test_cli_analyze_kernel_core_beyond_the_kernel_exits_3(tmp_path, capsys, mon
     assert main(["analyze", path]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "n=2" in err and "dim N(T) = 0" in err
+
+
+def test_cli_analyze_too_coarse_rank_tolerance_exits_2(tmp_path, capsys):
+    # at n = 128 (m = 512) T X_n has singular values under the cutoff that
+    # rank 1e-6 sets, though N(T) = {0}; the rule's default cutoff keeps
+    # them all, so the setting, not the arithmetic, is at fault
+    path = write_config(tmp_path, operator={"name": "seidman"}, n_list=[64, 128],
+                        tolerances={"rank": 1e-6})
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "tolerances.rank" in err and "n=128" in err
+    # a library caller still gets an ArithmeticError
+    fam = get_family("seidman")
+    inst = make_lpa(fam, 128, 512, lpakit.analysis.shared_factors(fam, 1e-6)(512))
+    with pytest.raises(ArithmeticError, match="default cutoff"):
+        diagnose(inst, Tolerances(rank=1e-6))
 
 
 def test_cli_analyze_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
-"""The README's Python examples, run as written, and the package's public
-names, so the docs cannot drift from the code."""
+"""The README's Python examples, run as written, its JSON configs, and the
+package's public names, so the docs cannot drift from the code."""
 
+import json
 import re
 import types
 from pathlib import Path
@@ -8,10 +9,13 @@ from pathlib import Path
 import pytest
 
 import lpakit
+from lpakit.config import scan_config_from_dict
+from lpakit.operators import FAMILY_NAMES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    flags=re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
+JSON_BLOCKS = re.findall(r"^```json\n(.*?)^```", TEXT, flags=re.M | re.S)
 
 
 def test_readme_has_python_examples():
@@ -26,6 +30,13 @@ def test_readme_python_block_runs(index, capsys):
         assert namespace["offset_angle"](namespace["inst"]).theta == \
             pytest.approx(1.1542, abs=5e-5)
         assert capsys.readouterr().out.splitlines()[-1] == "(64, 64)"
+
+
+def test_readme_json_configs_load():
+    # every config shown validates and names a shipped family
+    assert JSON_BLOCKS
+    for block in JSON_BLOCKS:
+        assert scan_config_from_dict(json.loads(block)).operator_name in FAMILY_NAMES
 
 
 def test_package_all_lists_every_public_name():

@@ -21,7 +21,6 @@ from lpakit.operators import (
     from_singular_system,
     get_family,
     random_finite_kernel,
-    seeded_orthogonal,
     seidman,
 )
 
@@ -273,25 +272,27 @@ def test_singular_system_validation():
 
 def test_from_singular_system_round_trip():
     sys = SingularSystem(sigmas=(2.0, 1.0, 0.25), kernel_dim=2)
-    model = from_singular_system(sys, 8, seed=3)
-    s = svd(model.matrix).singular_values
-    assert np.allclose(s[:3], [2.0, 1.0, 0.25], atol=1e-12)
-    assert np.all(s[3:] <= 1e-13)
-    assert model.u_basis.shape == (8, 3) and model.v_basis.shape == (8, 8)
+    for m in (8, 65, 512):
+        model = from_singular_system(sys, m, seed=3)
+        s = svd(model.matrix).singular_values
+        assert np.allclose(s[:3], [2.0, 1.0, 0.25], atol=1e-12)
+        assert np.all(s[3:] <= 1e-13)
+        assert model.u_basis.shape == (m, 3) and model.v_basis.shape == (m, m)
 
 
 def test_from_singular_system_factors():
     sys = SingularSystem(sigmas=(1.0, 0.5), kernel_dim=1)
-    model = from_singular_system(sys, 6, seed=11)
-    # v_basis is kernel first: its first m - rank = 4 columns span the
-    # kernel of the matrix, its last `rank` are the right singular vectors
-    planted = Subspace(model.v_basis[:, :4])
-    computed = kernel_basis(model.matrix)
-    assert computed.dim == 4
-    assert gap(planted, computed) <= 1e-10
-    for k, sigma in enumerate(sys.sigmas):
-        assert np.allclose(model.matrix @ model.v_basis[:, 4 + k],
-                           sigma * model.u_basis[:, k], atol=1e-12)
+    for m in (6, 65, 512):
+        model = from_singular_system(sys, m, seed=11)
+        # v_basis is kernel first: its first m - rank columns span the
+        # kernel of the matrix, its last `rank` are the right singular vectors
+        planted = Subspace(model.v_basis[:, :m - 2])
+        computed = kernel_basis(model.matrix)
+        assert computed.dim == m - 2
+        assert gap(planted, computed) <= 1e-10
+        for k, sigma in enumerate(sys.sigmas):
+            assert np.allclose(model.matrix @ model.v_basis[:, m - 2 + k],
+                               sigma * model.u_basis[:, k], atol=1e-12)
 
 
 def test_from_singular_system_needs_room():
@@ -300,85 +301,59 @@ def test_from_singular_system_needs_room():
         from_singular_system(sys, 3, seed=0)
 
 
-def _full_qr_model(sys, m, seed):
-    # the model as first built: both factors full m x m orthogonal matrices
-    # from seeded_orthogonal, O(m^3); (matrix, U_r, V)
+def _sign_fixed_qr(g, mode="reduced"):
+    # Q of g's QR with R's diagonal made positive
+    q, r = np.linalg.qr(g, mode=mode)
+    q[:, :g.shape[1]] *= np.sign(np.diag(r))
+    return q
+
+
+def _drawn_factors(m, r, seed):
+    # best-lpa's draw contract: U_r and V, in the order [V_r | K], from two
+    # m x r normal draws
     rng = np.random.default_rng(seed)
-    u, v = seeded_orthogonal(m, rng), seeded_orthogonal(m, rng)
-    r = len(sys.sigmas)
-    return u[:, :r] @ (np.asarray(sys.sigmas)[:, None] * v[:, :r].T), u[:, :r], v
-
-
-@pytest.mark.parametrize("sigmas, kernel_dim, m, seed", [
-    ((2.0, 1.0, 0.25), 2, 8, 3),
-    (tuple(1.0 / k**2 for k in range(1, 13)), 2, 20, 0),
-    (tuple(1.0 / k**2 for k in range(1, 13)), 2, 512, 7),
-    ((1.0, 1e-3, 1e-6, 1e-9), 2, 20, 0),
-], ids=["rank-3-m-8", "default-m-20", "default-m-512", "graded-m-20"])
-def test_from_singular_system_matches_the_full_qr_build(sigmas, kernel_dim, m, seed):
-    # the same draws, in the same order: U_r and V_r (V's last r columns,
-    # kernel first) are the full QRs' first r columns, the matrix agrees
-    # entrywise, and V's other columns span the same kernel, though by
-    # another basis
-    sys = SingularSystem(sigmas=sigmas, kernel_dim=kernel_dim)
-    model, (matrix, u_r, v) = from_singular_system(sys, m, seed), _full_qr_model(sys, m, seed)
-    r = len(sigmas)
-    assert model.u_basis.shape == (m, r) and model.v_basis.shape == (m, m)
-    assert np.max(np.abs(model.matrix - matrix)) <= 1e-13
-    assert np.max(np.abs(model.u_basis - u_r)) <= 1e-13
-    assert np.max(np.abs(model.v_basis[:, m - r:] - v[:, :r])) <= 1e-13
-    assert gap(Subspace(model.v_basis[:, :m - r]), Subspace(v[:, r:])) <= 1e-12
-
-
-def _m_by_m_draws_model(sys, m, seed):
-    # the model as built before its draws were streamed: two m x m normal
-    # draws held whole, V in the order [V_r | K]; (matrix, U_r, V)
-    r = len(sys.sigmas)
-    rng = np.random.default_rng(seed)
-    g_u = rng.standard_normal((m, m))
-    g_v = rng.standard_normal((m, m))
-    u, r_u = np.linalg.qr(g_u[:, :r])
-    u *= np.sign(np.diag(r_u))
-    v, r_v = np.linalg.qr(g_v[:, :r], mode="complete")
-    v[:, :r] *= np.sign(np.diag(r_v))
-    sig = np.asarray(sys.sigmas, dtype=float)
-    return u @ (sig[:, None] * v[:, :r].T), u, v
+    return (_sign_fixed_qr(rng.standard_normal((m, r))),
+            _sign_fixed_qr(rng.standard_normal((m, r)), mode="complete"))
 
 
 _DEFAULT_SIGMAS = tuple(1.0 / k**2 for k in range(1, 13))
 
 
-@pytest.mark.parametrize("sigmas, kernel_dim, m, seed", [
-    ((2.0, 1.0, 0.25), 2, 8, 3),
-    (_DEFAULT_SIGMAS, 2, 64, 0),
-    (_DEFAULT_SIGMAS, 2, 65, 5),
-    (_DEFAULT_SIGMAS, 2, 512, 7),
-    ((1.0, 1e-3, 1e-6, 1e-9), 2, 130, 0),
-], ids=["rank-3-m-8", "default-m-64", "default-m-65", "default-m-512", "graded-m-130"])
-def test_streamed_build_is_bitwise_the_m_by_m_draws(sigmas, kernel_dim, m, seed):
-    # row blocks of the draws, a whole number of them or not, and V rotated
-    # kernel first in place: the same bytes as the m x m draws, signed zeros
-    # included
-    sys = SingularSystem(sigmas=sigmas, kernel_dim=kernel_dim)
-    model, (matrix, u_r, v) = from_singular_system(sys, m, seed), _m_by_m_draws_model(sys, m, seed)
+@pytest.mark.parametrize("sigmas, m, seed", [
+    ((2.0, 1.0, 0.25), 8, 3),
+    (_DEFAULT_SIGMAS, 65, 5),
+    (_DEFAULT_SIGMAS, 512, 7),
+], ids=["rank-3-m-8", "default-m-65", "default-m-512"])
+def test_seeded_families_factor_m_by_r_draws(sigmas, m, seed):
+    # best-lpa's U_r and V, and random's U and W, are the sign-fixed QRs of
+    # m x r standard normal draws from default_rng(seed), bitwise: no family
+    # draws the m x m matrix whose columns it would drop
     r = len(sigmas)
-    assert model.matrix.tobytes() == matrix.tobytes()
-    assert model.u_basis.tobytes() == u_r.tobytes()
-    assert model.v_basis[:, m - r:].tobytes() == v[:, :r].tobytes()
-    assert model.v_basis[:, :m - r].tobytes() == v[:, r:].tobytes()
+    model = from_singular_system(SingularSystem(sigmas=sigmas, kernel_dim=2), m, seed)
+    u, v = _drawn_factors(m, r, seed)
+    assert model.u_basis.tobytes() == u.tobytes()
+    assert model.v_basis.tobytes() == np.hstack([v[:, r:], v[:, :r]]).tobytes()
+    assert model.matrix.tobytes() == (u @ (np.asarray(sigmas)[:, None] * v[:, :r].T)).tobytes()
+    rng = np.random.default_rng(seed)
+    u = _sign_fixed_qr(rng.standard_normal((m, m - 2)))
+    w = _sign_fixed_qr(rng.standard_normal((m - 2, m - 2)))
+    sig = np.sort(rng.uniform(0.1, 2.0, size=m - 2))[::-1]
+    a = random_finite_kernel(m, 2, seed)
+    assert not a[:, :2].any()
+    assert a[:, 2:].tobytes() == (u @ (sig[:, None] * w.T)).tobytes()
 
 
 @pytest.mark.parametrize("m", [14, 65, 512])
 def test_best_lpa_xn_basis_is_a_view_of_v(monkeypatch, m):
-    # X_n is the leading block of the kernel-first V, bitwise the old
-    # hstack of V's kernel columns and its n leading right singular vectors;
+    # X_n is the leading block of the kernel-first V, bitwise the hstack of
+    # the drawn V's kernel columns and its n leading right singular vectors;
     # the factor's row space and kernel are views of V too
     models = []
     real = lpakit.operators.from_singular_system
     monkeypatch.setattr(lpakit.operators, "from_singular_system",
                         lambda *a: models.append(real(*a)) or models[-1])
     fam, r = get_family("best-lpa", seed=3), len(_DEFAULT_SIGMAS)
-    v = _m_by_m_draws_model(SingularSystem(_DEFAULT_SIGMAS, 2), m, 3)[2]
+    v = _drawn_factors(m, r, 3)[1]
     for n in (1, 6, r):
         x_n = fam.xn_basis(n, m)
         (model,) = models
