@@ -20,15 +20,21 @@ is governed by quantities this module computes at each finite n:
 Every diagnostic on one instance reads what the instance computed once: one
 factor of T (a TruncationFactor, shared by every instance at the same m),
 one SVD of T X_n and both offset-angle routes, so identities that hold in
-exact arithmetic stay consistent to machine precision. The factor comes
+exact arithmetic stay consistent to machine precision. A row reads T only
+through T's structured products: its first n columns, T V and T^T U. A
+family that hands them over (OperatorFamily.products: seidman's D + c e_1^T
+and du's I - 3 w w^T) has them in O(m) per column, and its T is never
+formed; the other families (best-lpa, random, identity) hand over the dense
+T, whose products are its slices and matrix products. The factor comes
 from one of three sources: T's SVD as a family knows it (singular_triplets:
-best-lpa's from the singular system T was built from, du's in closed form),
-read off it with no LAPACK call; T^{-1} = T^+ in closed form with
-sigma_max(T) (inverse: seidman's by Sherman-Morrison and a secular
-equation, identity's), an O(m) product, which certifies that T is injective
-at every m, so rho = m and the factor holds no m x m array besides T;
-otherwise, LAPACK's SVD of the whole T. Each source leaves one map that
-applies T^+ (pinv_apply). The instance sees ranks, not routes.
+best-lpa's from the singular system T was built from, du's in closed form,
+its reflector applied and never formed), read off it with no LAPACK call;
+T^{-1} = T^+ in closed form with sigma_max(T) (inverse: seidman's by
+Sherman-Morrison and a secular equation, identity's), an O(m) product,
+which certifies that T is injective at every m, so rho = m and the factor
+holds no m x m array; otherwise, LAPACK's SVD of the whole T. Each source
+leaves one map that applies T^+ (pinv_apply) and the maps P_R, R^T and
+U_rho that the row-space side reads. The instance sees ranks, not routes.
 The rank r of T X_n is decided once, and refused where its kernel core would
 exceed N(T); the kernel core, T_n^+, both
 offset-angle images, tan theta_n = ||Q_n - P_{ran Q_n}|| (an r x r norm) and
@@ -38,16 +44,16 @@ stay orthonormal bases, X_n projecting as X_n (X_n^T v).
 Past the factor (once per m), a row's factorizations and spectral norms are
 sized by dim X_n, by rho = rank(T) or by r <= rho, not by m: T X_n is
 factored as itself, m x dim X_n, when rho >= dim X_n, and as the
-rho x dim X_n matrix (U_rho^T T) X_n otherwise, U_rho^T T formed once per
-factor; the kernel core's dimension is read off that SVD and its gap to
-N(T) is a rho-row norm against the row space, T^+ and T_n^+ are applied
-through the factors of T and of T X_n, and the rest have at most r rows or
-columns, so a row forms no m x m array. A row makes the m x m x dim X_n
-product T X_n only when rho >= dim X_n and X_n is not a coordinate
-subspace (whose T X_n is T's first n columns), and no m x ~m
-factorization. The m x m matrices t_pinv and tn_pinv, T^+ and T_n^+
-applied to I through those same maps, tn() and the core's basis
-kernel_core() are formed only when read; they serve the zero-offset
+rho x dim X_n matrix (U_rho^T T) X_n otherwise; the kernel core's
+dimension is read off that SVD and its gap to N(T) is a rho-row norm
+against the row space, T^+ and T_n^+ are applied through the factors of T
+and of T X_n, and the rest have at most r rows or columns, so a row forms
+no m x m array, and a seidman or du row none on either route. A row makes
+the m x m x dim X_n product T X_n only for a dense T when rho >= dim X_n
+and X_n is not a coordinate subspace (whose T X_n is T's first n columns),
+and no m x ~m factorization. The m x m matrices t and t_pinv, tn_pinv,
+T^+ and T_n^+ applied to I through those same maps, tn() and the core's
+basis kernel_core() are formed only when read; they serve the zero-offset
 report, the suites and the dense oracles.
 """
 
@@ -72,7 +78,8 @@ from .linalg import (
     rank_cutoff,
     svd,
 )
-from .operators import OperatorFamily, du_bad_y, du_vector_e, get_family
+from .operators import (OperatorFamily, Products, Reflector, du_bad_y, du_vector_e,
+                        get_family)
 
 __all__ = [
     "PreconditionError",
@@ -118,30 +125,45 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
 
 class TruncationFactor:
     """One m x m truncation T factored, and what is read off it: rank rho,
-    sigma_max, the kernel K and pinv_apply, the map v -> T^+ v for a vector
-    or a matrix's columns. cutoff = tol x sigma_max is the one rank
-    threshold, by linalg.rank_cutoff's rule (tol: rank_tol, the rule's
-    default when None): rho counts T's singular values above it, each row's
-    r those of T X_n (LpaInstance.txn_svd).
+    sigma_max, the kernel K and four maps, each for a vector or a matrix's
+    columns: pinv_apply, v -> T^+ v; row_project, v -> P_R v, R = K^perp
+    the row space; row_coords, v -> R^T v; and lift, p -> U_rho p, rho the
+    rank. cutoff = tol x sigma_max is the one rank threshold, by
+    linalg.rank_cutoff's rule (tol: rank_tol, the rule's default when
+    None): rho counts T's singular values above it, each row's r those of
+    T X_n (LpaInstance.txn_svd).
+
+    T is given as an m x m array or as its structured products (an
+    operators.Products, from OperatorFamily.products). A row reads T only
+    through products (T's first n columns, T V and T^T U): from the array
+    they are its slices and products; from the family they cost O(m) per
+    column, and the dense t is products.columns(m), formed only when read
+    (tn(), the suites' small instances and the oracles).
 
     Three sources, chosen by what the caller hands over (shared_factors
     passes a family's). singular_triplets is T's SVD already known, in
     _factor_svd's (s, vectors) form (OperatorFamily.singular_triplets:
     best-lpa's T, built from its singular system, and du's, whose SVD is a
     reflector's closed form): the rank-rho left factor U_rho, and R and K
-    from V, with no LAPACK call. inverse is T^{-1} in closed form with
+    from V, with no LAPACK call. Where vectors is an operators.Reflector,
+    U = V = H[:, order] (du), H is applied in O(m) per column and never
+    formed: the factor keeps K alone, P_R is H Z H with Z zeroing the
+    kernel's coordinates, T^+ is H Z Sigma^{-1} H, and in place of R's
+    O(m rho^2) orthonormality check it certifies that H is a reflector,
+    |beta h^T h / 2 - 1| <= m eps. inverse is T^{-1} in closed form with
     sigma_max(T), (apply, sigma_max) (OperatorFamily.inverse: seidman's,
     identity's), a certificate that T is injective: T is inverted, holding
-    no m x m array besides T, whatever cond(T) is. rho = m, pinv_apply is
-    apply, T^{-1} = T^+; u_rho is None, K is {0}, and the factor holds no
-    singular values or row space. Given neither, the factor is LAPACK's SVD
-    of the whole T (_factor_svd). On these SVD routes the factor also holds
-    U_rho, the singular values Sigma_rho (s_rho) and the row space
-    R = K^perp (rowspace), and pinv_apply is V_rho Sigma_rho^{-1} U_rho^T.
-    The rank rule and the Subspace checks on R and K are the same for a
-    known SVD and LAPACK's; TruncationFactor(t) alone is LAPACK's, the
-    reference the tests hold the other sources to. On every route the m x m
-    t_pinv is pinv_apply(I), formed only when read.
+    no m x m array, whatever cond(T) is. rho = m, pinv_apply is apply,
+    T^{-1} = T^+; u_rho is None, K is {0}, and the factor holds no
+    singular values or row space (rho = m, so no row reads the row-space
+    maps). Given neither, the factor is LAPACK's SVD of the whole T
+    (_factor_svd). On the SVD routes with arrays the factor also holds
+    U_rho, the singular values Sigma_rho (s_rho) and R (rowspace), and
+    pinv_apply is V_rho Sigma_rho^{-1} U_rho^T. The rank rule and the
+    Subspace check on K are the same for a known SVD and LAPACK's;
+    TruncationFactor(t) alone is LAPACK's, the reference the tests hold
+    the other sources to. On every route the m x m t_pinv is
+    pinv_apply(I), formed only when read.
 
     It does not depend on X_n, so every instance at this m can share it (see
     shared_factors).
@@ -149,38 +171,92 @@ class TruncationFactor:
 
     def __init__(self, t, rank_tol: float | None = None,
                  singular_triplets: tuple | None = None, inverse: tuple | None = None):
-        t = as_matrix(t)
-        if t.shape[0] != t.shape[1]:
-            raise ValueError(f"expected a square truncation, got {t.shape}")
-        self.t = t
-        self.m = t.shape[0]
+        if isinstance(t, Products):
+            self.products = t
+        else:
+            t = as_matrix(t)
+            if t.shape[0] != t.shape[1]:
+                raise ValueError(f"expected a square truncation, got {t.shape}")
+            self.t = t
+            self.products = Products(t.shape[0], lambda n: t[:, :n], t.__matmul__,
+                                     t.T.__matmul__)
+        m = self.m = self.products.m
         self.rank_tol = rank_tol
         if inverse:
             self.pinv_apply, self.sigma_max = inverse
-            self.cutoff = rank_cutoff((), t.shape, rank_tol, self.sigma_max)[1]
-            self.rank, self.u_rho = self.m, None
-            self.kernel = Subspace.zero(self.m)
-        else:
-            s, vectors = singular_triplets or _factor_svd(t)
-            self.sigma_max = float(s[0]) if self.m else 0.0
-            self.rank, self.cutoff = rank_cutoff(s, t.shape, rank_tol)
-            r = self.rank
-            u_rho, row, kernel = vectors(r)
-            del vectors  # frees the SVD's arrays not kept (LAPACK's full U)
-            s_rho = s[:r]
-            self.u_rho, self.s_rho = u_rho, s_rho
-            self.rowspace = Subspace(row)
-            self.kernel = Subspace(kernel)
-            # a closure over the arrays, not a bound method: no cycle through
-            # self, so a dropped factor is freed without a GC pass
-            self.pinv_apply = lambda v: row @ ((u_rho.T @ v).T / s_rho).T
+            self.cutoff = rank_cutoff((), (m, m), rank_tol, self.sigma_max)[1]
+            self.rank, self.u_rho = m, None
+            self.kernel = Subspace.zero(m)
+            return
+        s, vectors = singular_triplets or _factor_svd(self.t)
+        self.sigma_max = float(s[0]) if m else 0.0
+        self.rank, self.cutoff = rank_cutoff(s, (m, m), rank_tol)
+        r = self.rank
+        if isinstance(vectors, Reflector):
+            self._reflected(vectors, s[:r])
+            return
+        u_rho, row, kernel = vectors(r)
+        del vectors  # frees the SVD's arrays not kept (LAPACK's full U)
+        s_rho = s[:r]
+        self.u_rho, self.s_rho = u_rho, s_rho
+        self.rowspace = Subspace(row)
+        self.kernel = Subspace(kernel)
+        # closures over the arrays, not bound methods of self: no cycle
+        # through self, so a dropped factor is freed without a GC pass
+        self.pinv_apply = lambda v: row @ ((u_rho.T @ v).T / s_rho).T
+        self.row_project, self.row_coords = self.rowspace.project, row.T.__matmul__
+        self.lift = u_rho.__matmul__
+
+    def _reflected(self, h: Reflector, s_rho: np.ndarray) -> None:
+        """The maps of a T = H[:, order] diag(s) H[:, order]^T, H applied
+        as h.apply: R and U_rho are H's columns order[:rho], K its columns
+        order[rho:], the only ones formed."""
+        m, r = self.m, self.rank
+        if not abs(h.beta * (h.h @ h.h) / 2.0 - 1.0) <= m * EPS:
+            raise ValueError("the reflector's beta does not match its h")
+        keep, drop = h.order[:r], h.order[r:]
+        e = np.zeros((m, m - r))
+        e[drop, np.arange(m - r)] = 1.0
+        self.kernel = Subspace(h.apply(e))
+        self.u_rho = None
+
+        def spread(p: np.ndarray) -> np.ndarray:  # rows p into the kept coordinates
+            z = np.zeros((m,) + p.shape[1:])
+            z[keep] = p
+            return z
+
+        def row_project(v: np.ndarray) -> np.ndarray:
+            z = h.apply(v)
+            z[drop] = 0.0
+            return h.apply(z)
+
+        self.pinv_apply = lambda v: h.apply(spread((h.apply(v)[keep].T / s_rho).T))
+        self.row_project, self.row_coords = row_project, lambda v: h.apply(v)[keep]
+        self.lift = lambda p: h.apply(spread(p))
+        self._rho_rows = lambda x: (h.apply(x)[keep].T * s_rho).T
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        """The dense m x m T, products.columns(m), formed on first read when
+        the factor was given T's structured products."""
+        return self.products.columns(self.m)
+
+    def rho_rows(self, x: np.ndarray, n: int | None = None) -> np.ndarray:
+        """U_rho^T T X, rho x dim X, for an orthonormal X; n when X is the
+        coordinate subspace of that dimension. On the array SVD routes
+        U_rho^T T = (T^T U_rho)^T is formed once per factor (rho x m) and
+        X applied as a column slice or a product; on a Reflector it is
+        Sigma_rho R^T X, O(m) per column of X."""
+        if self.u_rho is None:
+            return self._rho_rows(x)
+        return self.ut_rho[:, :n] if n is not None else self.ut_rho @ x
 
     @cached_property
     def ut_rho(self) -> np.ndarray:
-        """U_rho^T T, rho x m, formed on first read (SVD route only): the
-        row-space side of T that txn_svd multiplies X_n by when
+        """U_rho^T T, rho x m, formed on first read (array SVD routes only):
+        the row-space side of T that txn_svd multiplies X_n by when
         rho < dim X_n."""
-        return self.u_rho.T @ self.t
+        return np.ascontiguousarray(self.products.t_times(self.u_rho).T)
 
     @cached_property
     def t_pinv(self) -> np.ndarray:
@@ -190,10 +266,12 @@ class TruncationFactor:
 
 
 def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
-    """factor(m): family.truncate(m) factored, keeping only the latest m,
-    from the family's singular_triplets(m) or inverted through its
+    """factor(m): family's truncation at m factored, keeping only the latest
+    m, from the family's singular_triplets(m) or inverted through its
     closed-form inverse(m) when it has them, else by LAPACK's SVD (see
-    TruncationFactor).
+    TruncationFactor). T is handed over as the family's products(m) when it
+    has them, and truncate is then not called: the dense T is formed only
+    when read.
 
     Consecutive rows at one m share one factor; the previous factor is
     dropped before the next one is built, so one is alive at a time.
@@ -204,8 +282,9 @@ def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
         nonlocal last
         if last is None or last.m != m:
             last = None
-            triplets, inverse = family.singular_triplets, family.inverse
-            last = TruncationFactor(family.truncate(m), rank_tol,
+            triplets, inverse, products = (family.singular_triplets, family.inverse,
+                                           family.products)
+            last = TruncationFactor(products(m) if products else family.truncate(m), rank_tol,
                                     singular_triplets=triplets(m) if triplets else None,
                                     inverse=inverse(m) if inverse else None)
         return last
@@ -219,8 +298,8 @@ class LpaInstance:
 
     T is given as a matrix, factored here at the default rank_tol, or as a
     TruncationFactor shared with other instances at the same m (factor);
-    its t, rank, kernel and t_pinv (formed on first read) are exposed on the
-    instance; the rest is read through inst.factor. What the instance does
+    its rank, kernel, and dense t and t_pinv (each formed on first read)
+    are exposed on the instance; the rest is read through inst.factor. What the instance does
     depends on the factor's ranks alone, never on its route.
     First use computes, once: the SVD of T X_n (txn_svd), whose rank r,
     decided at the factor's cutoff like T's own, splits it into the range
@@ -249,9 +328,14 @@ class LpaInstance:
             if self.x_n.ambient_dim != self.m:
                 raise ValueError("x_basis ambient dimension does not match t")
         self.factor = factor
-        self.t = factor.t
         self.rank, self.kernel = factor.rank, factor.kernel
         self.kernel_dim = self.kernel.dim
+
+    @property
+    def t(self) -> np.ndarray:
+        """The factor's dense m x m T, formed on first read when the factor
+        holds T's structured products; no diagnostic reads it."""
+        return self.factor.t
 
     @property
     def t_pinv(self) -> np.ndarray:
@@ -273,41 +357,39 @@ class LpaInstance:
         factor, whose N(T) is {0} by the family's certificate, any singular
         value of T X_n at or under the cutoff does.
 
-        When rho = rank T >= dim X_n (every inverted factor, and du) it is
-        the thin SVD of the m x dim X_n matrix T X_n itself, nothing
-        dropped. When rho < dim X_n it is the thin SVD P S V^T of
-        Z = (U_rho^T T) X_n, rho x dim X_n, with u = U_rho P, so vt is
-        rho x dim X_n, not square. A row reads only V_r = vt[:r]: kernel_gap
-        projects V_r out rather than reading its complement, which the
-        oracle kernel_core completes itself. U_rho^T T, rho x m, is the
-        factor's (ut_rho), formed once per m, so no row forms the
+        When rho = rank T >= dim X_n (every inverted factor, and du but at
+        n = m) it is the thin SVD of the m x dim X_n matrix T X_n itself,
+        nothing dropped, read off the factor's products: T's first n
+        columns for a coordinate X_n, with no product, else T X_n. When
+        rho < dim X_n it is the thin SVD P S V^T of Z = (U_rho^T T) X_n,
+        rho x dim X_n (TruncationFactor.rho_rows), with u = U_rho P (lift),
+        so vt is rho x dim X_n, not square. A row reads only V_r = vt[:r]:
+        kernel_gap projects V_r out rather than reading its complement,
+        which the oracle kernel_core completes itself. No row forms the
         m x m x dim X_n product T X_n, nor a dim X_n x dim X_n V. What Z
         drops, (I - U_rho U_rho^T) T X_n, has norm at most
         sigma_{rho+1}(T) <= cutoff, so Z is T X_n for the rank-rho T that
-        the factor decided. A coordinate X_n is applied as a column slice
-        (_times_x_n), so exact zeros of T X_n stay exact: a zero column of
-        T is a zero column of U_rho^T T.
+        the factor decided. A coordinate X_n is applied as a column slice,
+        so exact zeros of T X_n stay exact: a zero column of T is a zero
+        column of U_rho^T T.
         """
         f, k = self.factor, self.x_n.dim
+        n = self.n if self._coordinate else None
         if f.rank >= k:
-            res = svd(self._times_x_n(self.t), full_matrices=False)
+            txn = f.products.columns(n) if n else f.products.times(self.x_n.basis)
+            res = svd(txn, full_matrices=False)
         else:
-            z = svd(self._times_x_n(f.ut_rho), full_matrices=False)
-            res = SvdResult(u=f.u_rho @ z.u, singular_values=z.singular_values, vt=z.vt)
+            z = svd(f.rho_rows(self.x_n.basis, n), full_matrices=False)
+            res = SvdResult(u=f.lift(z.u), singular_values=z.singular_values, vt=z.vt)
         r = rank_cutoff(res.singular_values, (self.m, k), 1.0, f.cutoff)[0]
         if k - r > f.kernel.dim:
             msg = (f"T X_n has {k - r} singular values at or under the cutoff "
                    f"{f.cutoff:.3e}, more than dim N(T) = {f.kernel.dim}")
-            c = rank_cutoff((), f.t.shape, None, f.sigma_max)[1]
+            c = rank_cutoff((), (self.m, self.m), None, f.sigma_max)[1]
             if f.rank_tol is not None and k - np.sum(res.singular_values > c) <= f.kernel.dim:
                 raise RankToleranceError(f"{msg}; the default cutoff {c:.3e} keeps it")
             raise ArithmeticError(msg)
         return res, r
-
-    def _times_x_n(self, a: np.ndarray) -> np.ndarray:
-        """A X_n: A's first n columns for the coordinate subspace (bitwise
-        A @ eye(m, n), with no product), else the product."""
-        return a[:, :self.n] if self._coordinate else a @ self.x_n.basis
 
     @cached_property
     def tn_pinv(self) -> np.ndarray:
@@ -333,7 +415,7 @@ class LpaInstance:
         if self.kernel_core_dim == 0:
             return 0.0
         res, r = self.txn_svd
-        a, v_r = self.factor.rowspace.basis.T @ self.x_n.basis, res.vt[:r]
+        a, v_r = self.factor.row_coords(self.x_n.basis), res.vt[:r]
         return float(np.linalg.norm(a - (a @ v_r.T) @ v_r, 2))
 
     def images(self) -> tuple[Subspace, Subspace]:
@@ -342,14 +424,16 @@ class LpaInstance:
         no further rank decision, so both have dimension r. T^+T is applied
         as the row-space projector, which does not amplify roundoff in
         kernel directions, and skipped when rho = m, where the row space is
-        R^m. Formed on each call, not kept: offset_sines takes their gap and
-        drops both before the Q_n route runs."""
+        R^m. T^T U_r is read off the factor's products, formed here as the
+        Q_n route and norm_tn_dag_t form it for themselves. Formed on each
+        call, not kept: offset_sines takes their gap and drops both before
+        the Q_n route runs."""
         res, r = self.txn_svd
         row_image = self.x_n.basis @ res.vt[:r].T
         if self.rank < self.m:
-            row_image = self.factor.rowspace.project(row_image)
+            row_image = self.factor.row_project(row_image)
         return (Subspace(np.linalg.qr(row_image)[0]),
-                Subspace(np.linalg.qr(self.t.T @ res.u[:, :r])[0]))
+                Subspace(np.linalg.qr(self.factor.products.t_times(res.u[:, :r]))[0]))
 
     @cached_property
     def offset_sines(self) -> tuple[float, float]:
@@ -417,10 +501,11 @@ def _tn_pinv_times(inst: LpaInstance, v: np.ndarray) -> np.ndarray:
 
 def _qn_factors(inst: LpaInstance) -> tuple[np.ndarray, np.ndarray]:
     """A = T^+ U_r and B = T^T U_r, so that Q_n = A B^T (U_r: the r left
-    singular vectors txn_svd kept, an orthonormal basis of T(X_n))."""
+    singular vectors txn_svd kept, an orthonormal basis of T(X_n)); B from
+    the factor's products, O(m r) for a structured T."""
     res, r = inst.txn_svd
     u_r = res.u[:, :r]
-    return inst.factor.pinv_apply(u_r), inst.t.T @ u_r
+    return inst.factor.pinv_apply(u_r), inst.factor.products.t_times(u_r)
 
 
 def _tan_theta_qn(inst: LpaInstance) -> float:
@@ -492,9 +577,11 @@ def norm_tn_dag_t(inst: LpaInstance) -> float:
     T_n^+ = (X_n V_r) Sigma_r^{-1} U_r^T from the thin SVD of T X_n, and
     X_n V_r has orthonormal columns, so it drops out of the norm. r is
     txn_svd's rank, the one the kernel core and both images use.
+    U_r^T T = (T^T U_r)^T is read off the factor's products.
     """
     res, r = inst.txn_svd
-    return float(np.linalg.norm((res.u[:, :r].T @ inst.t) / res.singular_values[:r, None], 2))
+    ut_t = inst.factor.products.t_times(res.u[:, :r]).T
+    return float(np.linalg.norm(ut_t / res.singular_values[:r, None], 2))
 
 
 @dataclass(frozen=True)
@@ -580,13 +667,13 @@ def error_identity_check(inst: LpaInstance, y,
 
     The identity holds for every y, with no containment condition on the
     kernel. Both sides are evaluated separately; they must agree to
-    identity_rel * (1 + ||T^+ y||).
+    identity_rel * (1 + ||T^+ y||). T w is read off the factor's products.
     """
     y = as_vector(y)
     tp_y = inst.factor.pinv_apply(y)
     lhs = tn_pinv_apply(inst, y) - tp_y
     w = tp_y - inst.x_n.project(tp_y)
-    rhs = _tn_pinv_times(inst, inst.t @ w) - w
+    rhs = _tn_pinv_times(inst, inst.factor.products.times(w)) - w
     diff = float(np.linalg.norm(lhs - rhs))
     tol = tolerances.identity_rel * (1.0 + float(np.linalg.norm(tp_y)))
     return CheckReport(lhs=float(np.linalg.norm(lhs)), rhs=float(np.linalg.norm(rhs)),

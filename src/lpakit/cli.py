@@ -7,7 +7,9 @@ runs a named check suite; `gallery` lists the built-in operator families.
 Exit codes: 0 success, 1 a verify check failed, 2 usage or config error
 (an unknown suite name and an output that cannot be written included; the
 outputs written before it are still named), 3 numerical failure inside a
-scan or an error that stops a suite.
+scan (a truncation too large to allocate included: the row's operator, n
+and m and numpy's allocation message are named on stderr) or an error that
+stops a suite.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .linalg import as_matrix
 
 __all__ = [
     "OperatorFamily",
+    "Products",
+    "Reflector",
     "SingularSystem",
     "SingularModel",
     "seidman",
@@ -34,6 +36,20 @@ __all__ = [
 ]
 
 
+class Products(NamedTuple):
+    """T's structured products at one m: columns(n) is T's first n columns,
+    m x n; times(v) is T v and t_times(u) is T^T u, each for a vector or a
+    matrix's columns. A dense T's are its slices and products
+    (analysis.TruncationFactor forms them from the array); a family whose T
+    has structure hands over maps that cost O(m) per column (see
+    OperatorFamily.products)."""
+
+    m: int
+    columns: Callable[[int], np.ndarray]
+    times: Callable[[np.ndarray], np.ndarray]
+    t_times: Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class OperatorFamily:
     """A named generator of m x m truncations.
@@ -41,28 +57,41 @@ class OperatorFamily:
     truncate(m) must be deterministic in m. kernel_dim_hint, when set, is the
     kernel dimension of the full operator (not of the truncation, which can
     differ until m is large enough to resolve it); it is informational, and
-    does not pick how the truncation is factored. inverse, when set, is
-    truncate(m)^{-1} in closed form with T's largest singular value, as
-    (apply, sigma_max): apply(v) = T^{-1} v for a vector or a matrix's
-    columns. It certifies that T is injective at every m, so its family's
-    kernel_dim_hint is 0: analysis.make_lpa and shared_factors invert T
-    through it instead of taking its SVD, with rank m whatever cond(T) is
-    (see analysis.TruncationFactor; seidman's is _seidman_inverse,
-    identity's a copy with sigma_max 1). A family with neither inverse nor
-    singular_triplets is factored by LAPACK's SVD of T. xn_basis, when set,
-    overrides the coordinate subspaces as the family's approximation
-    scheme: it returns an
-    orthonormal m x k basis for the subspace at index n. singular_triplets, when set, is truncate(m)'s SVD known in closed
-    form, returned as (s, vectors) with s the m singular values, descending,
-    and vectors(k) = (U[:, :k], V[:, :k], V[:, k:]), the left vectors, a
-    basis of the row space and one of the kernel, for any k up to the count
-    of nonzero values; the bases may be views, in any column order within
+    does not pick how the truncation is factored.
+
+    products, when set, is T's structured products at m, a Products: its
+    columns(n) are bitwise truncate(m)[:, :n], built in O(m n) with no
+    m x m array; times(v) and t_times(u) cost O(m) per column (seidman:
+    T = D + c e_1^T; du: T = I - 3 w w^T). analysis.shared_factors then
+    builds the factor from them and never calls truncate: a row reads T
+    only through them, and the dense T is formed only when read (the
+    suites' small instances, tn() and the tests' oracles).
+
+    inverse, when set, is truncate(m)^{-1} in closed form with T's largest
+    singular value, as (apply, sigma_max): apply(v) = T^{-1} v for a vector
+    or a matrix's columns. It certifies that T is injective at every m, so
+    its family's kernel_dim_hint is 0: analysis.make_lpa and shared_factors
+    invert T through it instead of taking its SVD, with rank m whatever
+    cond(T) is (see analysis.TruncationFactor; seidman's is
+    _seidman_inverse, identity's a copy with sigma_max 1).
+
+    singular_triplets, when set, is truncate(m)'s SVD known in closed form,
+    returned as (s, vectors) with s the m singular values, descending, and
+    vectors(k) = (U[:, :k], V[:, :k], V[:, k:]), the left vectors, a basis
+    of the row space and one of the kernel, for any k up to the count of
+    nonzero values; the bases may be views, in any column order within
     each: analysis.shared_factors factors T from it instead of by LAPACK.
-    best-lpa reads it off the singular system it builds T from, du off a
-    reflector (see _du_singular_triplets); analysis.TruncationFactor(t)
-    alone still factors T by LAPACK, the reference the tests hold it to.
-    max_n and min_m are the family's own limits on (n, m); check() tests a
-    pair against them without building anything.
+    best-lpa reads it off the singular system it builds T from. du's
+    vectors is a Reflector, U = V = H[:, order]: the factor applies H in
+    O(m) per column and never calls vectors, which forms H (see
+    _du_singular_triplets). analysis.TruncationFactor(t) alone still
+    factors T by LAPACK, the reference the tests hold it to. A family with
+    neither inverse nor singular_triplets is factored by LAPACK's SVD of T.
+
+    xn_basis, when set, overrides the coordinate subspaces as the family's
+    approximation scheme: it returns an orthonormal m x k basis for the
+    subspace at index n. max_n and min_m are the family's own limits on
+    (n, m); check() tests a pair against them without building anything.
 
     Every nonzero entry of truncate(m) is at least sqrt(tiny) * max|a_ij| in
     magnitude (tiny = np.finfo(float).tiny). A product of two entries is then
@@ -80,6 +109,7 @@ class OperatorFamily:
     xn_basis: Callable[[int, int], np.ndarray] | None = None
     singular_triplets: Callable[[int], tuple] | None = None
     inverse: Callable[[int], tuple] | None = None
+    products: Callable[[int], Products] | None = None
     max_n: int | None = None
     min_m: int = 1
 
@@ -103,10 +133,7 @@ def seidman(m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    d, c = _seidman_parts(m)
-    a = np.diag(d)
-    a[1:, 0] = c[1:]
-    return a
+    return _seidman_products(m).columns(m)  # the family's products at n = m
 
 
 def _seidman_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,6 +143,36 @@ def _seidman_parts(m: int) -> tuple[np.ndarray, np.ndarray]:
     c = 1.0 / k
     c[0] = 0.0
     return d, c
+
+
+def _scale_rows(d: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """diag(d) v for a vector or a matrix's columns."""
+    return (v.T * d).T
+
+
+def _seidman_products(m: int) -> Products:
+    """seidman(m)'s Products from T = D + c e_1^T: its first n columns are
+    zeros with d on the diagonal and c in column 1, T v = d v + c v_1 and
+    T^T u = d u + e_1 (c^T u), O(m) per column."""
+    d, c = _seidman_parts(m)
+
+    def columns(n: int) -> np.ndarray:
+        a = np.zeros((m, n))
+        a.flat[: n * n: n + 1] = d[:n]
+        a[1:, 0] = c[1:]
+        return a
+
+    def times(v: np.ndarray) -> np.ndarray:
+        x = np.multiply.outer(c, v[0])
+        x += _scale_rows(d, v)
+        return x
+
+    def t_times(u: np.ndarray) -> np.ndarray:
+        x = _scale_rows(d, u)
+        x[0] += c @ u
+        return x
+
+    return Products(m, columns, times, t_times)
 
 
 def _secular_max(poles: np.ndarray, z: np.ndarray) -> float:
@@ -186,22 +243,16 @@ def du(m: int) -> np.ndarray:
     entry is dropped. From m = 512 on, rows and columns 512..m hold only
     their diagonal 1, so the truncation is block diagonal. The dropped
     entries are zeroed by row slices, so the matrix returned is the only
-    m x m array built.
+    m x m array built; it is _du_products(m).columns(m).
 
-    So T = I - 3 w w^T, w_k = 2^-k, up to the dropped entries, and its SVD
+    So T = I - 3 w w^T, w_k = 2^-k, up to the dropped entries: its products
+    cost O(m) per column (_du_products, the family's products) and its SVD
     is known in closed form (_du_singular_triplets, the family's
-    singular_triplets).
+    singular_triplets), so a scan row never forms it.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    w = _du_w(m)
-    a = np.multiply.outer(w, -3.0 * w)
-    # row i keeps columns j <= 512 - i (1-based), zeroed by slices: no m x m mask
-    for i in range(max(1, _DU_MAX_EXPONENT + 1 - m), min(m, _DU_MAX_EXPONENT) + 1):
-        a[i - 1, _DU_MAX_EXPONENT - i:] = 0.0
-    a[_DU_MAX_EXPONENT:] = 0.0
-    a.flat[:: m + 1] += 1.0
-    return a
+    return _du_products(m).columns(m)
 
 
 def _du_w(m: int) -> np.ndarray:
@@ -212,6 +263,57 @@ def _du_w(m: int) -> np.ndarray:
     k = min(m, _DU_MAX_EXPONENT - 1)
     w[:k] = np.ldexp(1.0, -np.arange(1, k + 1))
     return w
+
+
+def _du_products(m: int) -> Products:
+    """du(m)'s Products. Its first n columns are w (-3 w[:n])^T zeroed past
+    i + j = 512 by row slices, with 1 added on the diagonal: no m x m mask,
+    and at n = m, du(m) itself. T v = T^T v = v - 3 w (w^T v), O(m) per
+    column; it keeps the entries du drops, below 2^-500 in norm."""
+    w = _du_w(m)
+
+    def columns(n: int) -> np.ndarray:
+        a = np.multiply.outer(w, -3.0 * w[:n])
+        # row i keeps columns j <= 512 - i (1-based), zeroed by slices: no mask
+        for i in range(max(1, _DU_MAX_EXPONENT + 1 - n), min(m, _DU_MAX_EXPONENT) + 1):
+            a[i - 1, _DU_MAX_EXPONENT - i:] = 0.0
+        a[_DU_MAX_EXPONENT:] = 0.0
+        a.flat[: n * n: n + 1] += 1.0
+        return a
+
+    def times(v: np.ndarray) -> np.ndarray:
+        return v - np.multiply.outer(w, 3.0 * (w @ v))
+
+    return Products(m, columns, times, times)
+
+
+class Reflector:
+    """The Householder reflector H = I - beta h h^T, beta = 2 / h^T h,
+    symmetric and orthogonal, held as h: the singular vectors U = V =
+    H[:, order] of a T = H diag(s) H (OperatorFamily.singular_triplets'
+    vectors for du). apply(v) is H v for a vector or a matrix's columns,
+    O(m) per column, which is how analysis.TruncationFactor reads it, with
+    no m x m array. Called as vectors(k), it forms H's columns in that
+    order, the contract's arrays, for the oracles that compare them."""
+
+    def __init__(self, h: np.ndarray, order: np.ndarray):
+        self.h, self.order = h, order
+        self.beta = 2.0 / (h @ h)
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return v - np.multiply.outer(self.h, self.beta * (self.h @ v))
+
+    def __call__(self, k: int):
+        # H's columns in the given order, formed in that order; entries
+        # below sqrt(tiny) zeroed by row blocks: no m x m |v|
+        h, order = self.h, self.order
+        m = h.size
+        v = np.multiply.outer(h, -self.beta * h[order])
+        for i in range(0, m, _ZERO_BLOCK):
+            block = v[i:i + _ZERO_BLOCK]
+            block[np.abs(block) < _SQRT_TINY] = 0.0
+        v[order, np.arange(m)] += 1.0
+        return v[:, :k], v[:, :k], v[:, k:]
 
 
 def _du_singular_triplets(m: int):
@@ -230,14 +332,17 @@ def _du_singular_triplets(m: int):
     the gap route's sine at du's zero offset read 1.4e-10, 1.2e-7 and
     1.2e-4 at n = 20, 30 and 40 (m = 4n), against at most 1.7e-15 here.
 
-    H is formed from the computed h as written, so it is a reflector, and
+    vectors is a Reflector over the computed h, so H is a reflector, and
     orthogonal to roundoff, whether or not the computed c has unit norm.
-    Its entries i, j >= 2 are -c_i c_j / (1 + c_1), about 1.6 * 2^-(i+j);
-    as du does for T's, an entry below sqrt(tiny) is stored as 0, so no
-    product of two entries is subnormal. The dropped part has norm below
-    2^-500. They are found and zeroed 32 rows at a time, so H is the only
-    m x m array built, and vectors(k) hands over views of it: H's first k
-    columns as U_k and as the row space, the others as the kernel.
+    analysis.TruncationFactor applies it as v - beta h (h^T v), O(m r), and
+    holds only the kernel H e_1; it projects onto the row space as H Z H,
+    Z zeroing coordinate 1, not as I - K K^T, which loses the grading.
+    Only calling vectors(k) forms H, as an m x m array (the oracles' route):
+    its entries i, j >= 2 are -c_i c_j / (1 + c_1), about 1.6 * 2^-(i+j),
+    and, as du does for T's, an entry below sqrt(tiny) is stored as 0, so
+    no product of two entries is subnormal; the dropped part has norm below
+    2^-500. vectors(k) hands over views of it: H's first k columns in that
+    order as U_k and as the row space, the others as the kernel.
 
     For m <= 256 this is the SVD of du(m) itself. Beyond, it is that of
     I - 3 w w^T, from which du(m) differs only in its dropped entries, by
@@ -247,16 +352,9 @@ def _du_singular_triplets(m: int):
     c = w / np.linalg.norm(w)
     h = c.copy()
     h[0] += 1.0
-    # H's columns in the order 2..m, 1, formed in that order
-    order = np.r_[1:m, 0]
-    v = np.multiply.outer(h, (-2.0 / (h @ h)) * h[order])
-    for i in range(0, m, _ZERO_BLOCK):  # by row blocks: no m x m |v|
-        block = v[i:i + _ZERO_BLOCK]
-        block[np.abs(block) < _SQRT_TINY] = 0.0
-    v[order, np.arange(m)] += 1.0
     s = np.ones(m)
     s[-1] = np.ldexp(1.0, -2 * min(m, _DU_MAX_EXPONENT - 1))
-    return s, lambda k: (v[:, :k], v[:, :k], v[:, k:])
+    return s, Reflector(h, np.r_[1:m, 0])
 
 
 def du_vector_e(m: int) -> np.ndarray:
@@ -479,8 +577,11 @@ _STATIC_FAMILIES = {
                "of the normal operator decay like m^-3, so m = 4n keeps "
                "them far below the diagnostic tolerances; T^{-1} is "
                "applied in O(m) by Sherman-Morrison, so T is inverted at "
-               "every m, and sigma_max is a secular-equation root"),
+               "every m, and sigma_max is a secular-equation root; rows read "
+               "T through its O(m) products, T = D + c e_1^T, and never form "
+               "it"),
         inverse=_seidman_inverse,
+        products=_seidman_products,
     ),
     "du": lambda: OperatorFamily(
         name="du",
@@ -495,8 +596,11 @@ _STATIC_FAMILIES = {
                "sqrt(tiny) = 2^-511, so that no product of two entries is "
                "subnormal (the dropped part is below 2^-500 in norm); T's "
                "SVD is read off the reflector that maps e/||e|| to -e_1, in "
-               "closed form, with no LAPACK call"),
+               "closed form, with no LAPACK call; rows apply the reflector "
+               "and read T through its O(m) products, T = I - 3 w w^T, so "
+               "neither is formed"),
         singular_triplets=_du_singular_triplets,
+        products=_du_products,
     ),
 }
 

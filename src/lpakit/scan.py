@@ -50,13 +50,15 @@ _INT_FIELDS = {"n", "m", "kernel_core_dim", "kernel_dim"}
 
 
 class ScanNumericalError(RuntimeError):
-    """Linear algebra failed irrecoverably at one grid point."""
+    """Linear algebra failed irrecoverably at one grid point, or the point's
+    arrays could not be allocated; m, when given, is its truncation size."""
 
-    def __init__(self, operator: str, n: int, detail: str):
+    def __init__(self, operator: str, n: int, detail: str, m: int | None = None):
         self.operator = operator
         self.n = n
-        super().__init__(
-            f"numerical failure for operator {operator!r} at n={n}: {detail}")
+        self.m = m
+        at = f"n={n}" if m is None else f"n={n}, m={m}"
+        super().__init__(f"numerical failure for operator {operator!r} at {at}: {detail}")
 
 
 class OutputError(OSError):
@@ -117,7 +119,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
     The family and every (n, m) are checked before anything is factored; a
     rejection there, or a row refused only by tolerances.rank
     (RankToleranceError), is a ConfigError. Any other failure, a ValueError
-    included (a Subspace orthonormality check, say), raises ScanNumericalError.
+    included (a Subspace orthonormality check, say), raises ScanNumericalError,
+    as does a MemoryError while a row is built or factored (a truncation too
+    large to allocate), naming the row's n and m and numpy's message.
     """
     try:
         family = get_family(config.operator_name, **config.operator_params)
@@ -138,8 +142,9 @@ def run_scan(config: ScanConfig) -> ScanReport:
         except RankToleranceError as exc:
             raise ConfigError(f"tolerances.rank {config.tolerances.rank:g} is too "
                               f"coarse at n={n}: {exc}") from exc
-        except (np.linalg.LinAlgError, ArithmeticError, ValueError) as exc:
-            raise ScanNumericalError(config.operator_name, n, str(exc)) from exc
+        except (np.linalg.LinAlgError, ArithmeticError, ValueError, MemoryError) as exc:
+            detail = f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+            raise ScanNumericalError(config.operator_name, n, detail, config.m_for(n)) from exc
         rows.append(row)
         if passed is not None:
             checks.append(passed)

@@ -468,12 +468,19 @@ def _known_and_lapack_factors(fam, m, subspace_tol, want=None):
     # formed T. Same rank,
     # cutoffs within 10 m eps relative, row spaces and kernels within
     # subspace_tol, and T^+ applied within m eps cond(T) ||T^+||
-    # (_assert_factors_agree's bound)
+    # (_assert_factors_agree's bound). du's factor applies its reflector
+    # and forms no row space: its P_R, applied to I, is held to LAPACK's
+    # projector, the same gap
     got, want = shared_factors(fam)(m), want or TruncationFactor(fam.truncate(m))
-    assert "t_pinv" not in vars(got) and got.u_rho.shape == (m, got.rank)
+    assert "t_pinv" not in vars(got)
     assert got.rank == want.rank
     assert got.cutoff == pytest.approx(want.cutoff, rel=10 * m * EPS, abs=0)
-    assert gap(got.rowspace, want.rowspace) <= subspace_tol
+    if got.u_rho is None:
+        p_r = got.row_project(np.eye(m))
+        assert np.linalg.norm(p_r - projector(want.rowspace), 2) <= subspace_tol
+    else:
+        assert got.u_rho.shape == (m, got.rank)
+        assert gap(got.rowspace, want.rowspace) <= subspace_tol
     assert gap(got.kernel, want.kernel) <= subspace_tol
     v = np.random.default_rng(m).standard_normal((m, 3))
     tol = m * EPS * (want.sigma_max / want.s_rho[-1]) * np.linalg.norm(want.t_pinv, 2)
@@ -525,29 +532,43 @@ def test_graded_best_lpa_factor_from_its_singular_system_matches_lapack():
     assert captured == {1: (True, False), 2: (True, False), 3: (True, False), 4: (False, False)}
 
 
-@pytest.mark.parametrize("m", [1, 2, 12, 22, 23, 30, 192, 256, 257, 511, 512, 768, 1100])
+@pytest.mark.parametrize("m", [1, 2, 12, 22, 23, 30, 192, 256, 257, 511, 512, 513, 768, 1100])
 def test_du_factor_in_closed_form_matches_lapack(m):
-    # du's factor read off the reflector that maps e/||e|| to -e_1 against
-    # LAPACK's SVD of the whole formed T. rho = m below the rank cliff
-    # (m <= 22), m - 1 above.
+    # du's factor, its reflector applied and never formed, against LAPACK's
+    # SVD of the whole formed T. rho = m below the rank cliff (m <= 22),
+    # m - 1 above; the factor keeps the kernel H e_1 alone.
     # From m = 257 on, T drops entries below sqrt(tiny) that the closed
     # form, the SVD of I - 3 w w^T, keeps; their norm is under 2^-500, so
-    # the closed form still reproduces T to m eps entrywise. U_rho Sigma_rho
-    # V_rho^T omits sigma_{rho+1} too, 4^-23 at m = 23, the one m here where
-    # that is above m eps. V stores no nonzero below sqrt(tiny), so no
+    # the closed form still reproduces T to m eps entrywise: as the formed
+    # vectors (the oracles' arrays) and as U_rho Sigma_rho V_rho^T through
+    # the factor's maps (lift and rho_rows, applied to I), which omits
+    # sigma_{rho+1} too, 4^-23 at m = 23, the one m here where that is
+    # above m eps. The formed V stores no nonzero below sqrt(tiny), so no
     # product of two of its entries is subnormal
     fam = get_family("du")
     cached = _lapack_factor(f"du-{m}")[0] if f"du-{m}" in _LAPACK_INPUTS else None
     got, want = _known_and_lapack_factors(fam, m, 1e-12, cached)
+    assert got.u_rho is None and got.kernel.dim == m - got.rank <= 1
     t, (s, vectors) = fam.truncate(m), fam.singular_triplets(m)
     u, row, kernel = vectors(m)
     vt = np.hstack([row, kernel]).T
     assert np.abs((u * s) @ vt - t).max() <= m * EPS
     dropped = s[got.rank] if got.rank < m else 0.0
-    rho_part = (got.u_rho * got.s_rho) @ got.rowspace.basis.T
+    rho_part = got.lift(got.rho_rows(np.eye(m)))
     assert np.abs(rho_part - t).max() <= m * EPS + dropped
     stored = np.abs(vt[vt != 0])
     assert stored.min() >= math.sqrt(np.finfo(float).tiny)
+
+
+def test_du_factor_certifies_its_reflector():
+    # du's factor forms no row-space basis to check for orthonormality; it
+    # checks instead that H = I - beta h h^T is a reflector, beta h^T h = 2
+    fam, m = get_family("du"), 30
+    s, h = fam.singular_triplets(m)
+    TruncationFactor(fam.products(m), singular_triplets=(s, h))
+    h.beta *= 1.0 + 1e-10
+    with pytest.raises(ValueError, match="reflector"):
+        TruncationFactor(fam.products(m), singular_triplets=(s, h))
 
 
 @pytest.mark.parametrize("n", [8, 16, 20, 30, 40])
@@ -719,9 +740,11 @@ def test_seidman_scan_at_768_takes_no_m_by_m_svd(monkeypatch):
 
 def test_seidman_factor_keeps_nothing_m_by_m_beyond_t():
     # seidman's factor, through the family's closed-form inverse, keeps
-    # vectors of length m and no m x m array; T is built outside the trace.
-    # Its temporaries are vectors of length m too: sigma_max is the root of
-    # an O(m) secular equation
+    # vectors of length m and no m x m array; T is read through its
+    # products and never formed (a T built outside the trace is handed to
+    # truncate, which the factor does not call). Its temporaries are
+    # vectors of length m too: sigma_max is the root of an O(m) secular
+    # equation
     m = 768
     fam = get_family("seidman")
     t = fam.truncate(m)
@@ -733,7 +756,7 @@ def test_seidman_factor_keeps_nothing_m_by_m_beyond_t():
     finally:
         tracemalloc.stop()
     assert factor.u_rho is None and factor.rank == m
-    assert "t_pinv" not in vars(factor)  # formed only when read
+    assert "t_pinv" not in vars(factor) and "t" not in vars(factor)  # formed only when read
     assert not hasattr(factor, "rowspace") and not hasattr(factor, "s_rho")
     assert kept < 0.05 * 8 * m * m, kept / (8 * m * m)
     assert peak < 0.03 * 8 * m * m, peak / (8 * m * m)

@@ -329,19 +329,34 @@ def test_best_lpa_scan_takes_no_m_cubed_step(monkeypatch, m):
 
 
 def test_du_scan_takes_no_m_cubed_step(monkeypatch):
-    # du's factor is read off its closed form (singular_triplets), so neither
-    # T nor its leading 511 x 511 block, where its coupling ends, is
-    # factored: no SVD, QR or inverse of an input of order 511 or more. T X_n
-    # is T's first n columns, and T enters products only with at most
-    # r <= n columns on the other side
+    # du's factor applies its reflector (singular_triplets) and never forms
+    # it, and a row reads T through du's products (T's first n columns, T V
+    # and T^T U, O(m) per column), so neither T, H nor T's leading
+    # 511 x 511 block, where its coupling ends, is formed or factored: no
+    # SVD, QR or inverse of an input of order 511 or more, and no product
+    # with a dense T. Each product map takes at most n columns
     m = 768
     cfg = scan_config_from_dict({"operator": {"name": "du"},
                                  "n_list": [2, 4, 8, 16], "m_rule": f"fixed:{m}"})
     factorizations, products = _count_t_factorizations(monkeypatch, [511])
+    widths = []
+    real = lpakit.operators._du_products
+
+    def recording(k):
+        def log(f):  # records n, or the columns of a matrix (1 for a vector)
+            return lambda a: widths.append(a if isinstance(a, int) else a[0].size) or f(a)
+        p = real(k)
+        return p._replace(columns=log(p.columns), times=log(p.times), t_times=log(p.t_times))
+
+    def refuse(k):
+        raise AssertionError(f"du({k}) formed")
+
+    monkeypatch.setattr(lpakit.operators, "_du_products", recording)
+    monkeypatch.setattr(lpakit.operators, "du", refuse)
     report = run_scan(cfg)
     assert [(row.kernel_dim, row.kernel_core_dim) for row in report.rows] == [(1, 0)] * 4
-    assert factorizations == []
-    assert products and max(products) <= 16 * m * m, products
+    assert factorizations == [] and products == []
+    assert widths and max(widths) <= 16, widths
 
 
 @pytest.mark.parametrize("operator, loads_random", [("du", False), ("seidman", True)])
@@ -380,17 +395,19 @@ def test_scan_draws_y_by_seed_and_n_for_eligible_rows_only(monkeypatch):
 
 
 @pytest.mark.parametrize("operator, n_list, m_rule, m, bound", [
-    ("du", [16], "factor:48", 768, 2.5),
-    ("seidman", [32, 64, 80], "fixed:768", 768, 2.0),
+    ("du", [16], "factor:48", 768, 0.25),
+    ("seidman", [32, 64, 80], "fixed:768", 768, 1.0),
     ("best-lpa", [2, 4, 8, 12], "fixed:512", 512, 2.6),
 ], ids=["du", "seidman", "best-lpa"])
 def test_scan_holds_little_beyond_t_and_its_factor(operator, n_list, m_rule, m, bound):
-    # at m = 768 a du row keeps T and its factor's vectors, 2 x 8 m^2, and a
-    # seidman row T alone, its factor being vectors of length m (T^{-1} in
-    # closed form); at m = 512 a best-lpa row keeps T and its model's V,
-    # 2 x 8 m^2, X_n and the factor's bases being views of V. No m x m
-    # temporary (mask, |v|, |T|, Gram matrix, T^{-1}, normal draw, X_n,
-    # T X_n's square V) is added on top of them
+    # at m = 768 du and seidman rows hold no m x m array: T is read through
+    # its products, du's factor keeps its reflector's h and the kernel, and
+    # seidman's is vectors of length m (T^{-1} in closed form), so a row
+    # holds m x n arrays (0.16 and 0.77 x 8 m^2 measured); at m = 512 a
+    # best-lpa row keeps T and its model's V, 2 x 8 m^2, X_n and the
+    # factor's bases being views of V. No m x m temporary (mask, |v|, |T|,
+    # Gram matrix, T^{-1}, normal draw, X_n, T X_n's square V) is added on
+    # top of them
     cfg = scan_config_from_dict({"operator": {"name": operator}, "n_list": n_list,
                                  "m_rule": m_rule})
     assert {cfg.m_for(n) for n in n_list} == {m}
@@ -402,6 +419,93 @@ def test_scan_holds_little_beyond_t_and_its_factor(operator, n_list, m_rule, m, 
     finally:
         tracemalloc.stop()
     assert peak < bound * 8 * m * m, peak / (8 * m * m)
+
+
+def _matrix_free_scan(monkeypatch, operator, n_list, m):
+    # run_scan at fixed m with the family's truncate refusing to run, the
+    # factors it built and the tracemalloc peak of the scan
+    fam = get_family(operator)
+
+    def refuse(k):
+        raise AssertionError(f"{operator}'s truncate({k}) called")
+
+    monkeypatch.setattr(lpakit.scan, "get_family",
+                        lambda name, **params: dataclasses.replace(fam, truncate=refuse))
+    factors, real = [], lpakit.scan.shared_factors
+
+    def recording(family, rank_tol=None):
+        build = real(family, rank_tol)
+        return lambda k: factors.append(build(k)) or factors[-1]
+
+    monkeypatch.setattr(lpakit.scan, "shared_factors", recording)
+    cfg = scan_config_from_dict({"operator": {"name": operator}, "n_list": n_list,
+                                 "m_rule": f"fixed:{m}"})
+    np.random.default_rng  # numpy imports numpy.random on first use: not in the trace
+    tracemalloc.start()
+    try:
+        report = run_scan(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factors and all("t" not in vars(f) for f in factors)  # T never formed
+    return report, peak
+
+
+def test_seidman_scan_at_2_14_is_matrix_free(monkeypatch):
+    # at m = 2^14 a dense T would be 2 GB; the rows read T through its
+    # products and its closed-form inverse. norm_tn_dag_t reproduces the
+    # values a matrix-free prototype measured there (ROADMAP item 15), both
+    # routes agree within route_warn, and the scan's allocations peak under
+    # 10 x 8 m n_max bytes (7.1 measured)
+    m, n_list = 2**14, [8, 64]
+    report, peak = _matrix_free_scan(monkeypatch, "seidman", n_list, m)
+    assert [row.norm_tn_dag_t for row in report.rows] == pytest.approx(
+        [1.5600605329, 8.5118352038], rel=1e-9, abs=0)
+    assert not any(row.route_disagreement for row in report.rows)
+    assert report.verdicts["bound_checks_passed"] == "2/2"
+    assert peak <= 10 * 8 * m * max(n_list), peak / (8 * m * max(n_list))
+
+
+def test_du_scan_at_2_14_is_matrix_free(monkeypatch):
+    # du's kernel direction e, with e_k ~ 2^-k, lies outside X_n by about
+    # 2^-n, far above the cutoff at these n, so no row captures it, and the
+    # offset angle is 0: both sines read roundoff
+    report, _ = _matrix_free_scan(monkeypatch, "du", [4, 8, 16], 2**14)
+    assert report.verdicts["kernel_approximability"] == "violated"
+    assert all(max(row.sin_theta_gap, row.sin_theta_qn) <= 1e-14 for row in report.rows)
+
+
+def _out_of_memory_family(monkeypatch):
+    # seidman whose products, at any m, fail as numpy fails to allocate;
+    # nothing is allocated
+    fam = get_family("seidman")
+
+    def products(m):
+        raise MemoryError(f"Unable to allocate 116. TiB for an array with shape ({m}, {m}) "
+                          "and data type float64")
+
+    monkeypatch.setattr(lpakit.scan, "get_family",
+                        lambda name, **params: dataclasses.replace(fam, products=products))
+
+
+def test_run_scan_reports_an_allocation_failure_as_numerical(monkeypatch):
+    _out_of_memory_family(monkeypatch)
+    cfg = scan_config_from_dict({"operator": {"name": "seidman"}, "n_list": [8],
+                                 "m_rule": "fixed:4000000"})
+    with pytest.raises(ScanNumericalError, match="'seidman' at n=8, m=4000000") as info:
+        run_scan(cfg)
+    assert isinstance(info.value.__cause__, MemoryError) and info.value.m == 4000000
+
+
+def test_cli_analyze_allocation_failure_exits_3(tmp_path, capsys, monkeypatch):
+    _out_of_memory_family(monkeypatch)
+    path = write_config(tmp_path, operator={"name": "seidman"}, n_list=[8],
+                        m_rule="fixed:4000000")
+    assert main(["analyze", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    for fragment in ("'seidman'", "n=8", "m=4000000", "Unable to allocate 116. TiB"):
+        assert fragment in err
 
 
 @pytest.mark.parametrize("m_rule, ms", [("fixed:20", 1), ("factor:10", 2)])

@@ -11,7 +11,7 @@ import pytest
 import lpakit.operators
 from lpakit.analysis import LpaInstance, diagnose, kernel_verdict, make_lpa, shared_factors
 from lpakit.config import Tolerances
-from lpakit.linalg import Subspace, gap, kernel_basis, svd
+from lpakit.linalg import EPS, Subspace, gap, kernel_basis, svd
 from lpakit.operators import (
     FAMILY_NAMES,
     SingularSystem,
@@ -176,6 +176,36 @@ def test_du_builds_hold_one_m_by_m_array(build):
         tracemalloc.stop()
     assert kept.shape == (m, m)
     assert peak < 1.1 * 8 * m * m, peak
+
+
+_PRODUCT_MS = [1, 2, 22, 23, 256, 257, 511, 512, 513, 768, 1100]
+
+
+@pytest.mark.parametrize("name", ["seidman", "du"])
+@pytest.mark.parametrize("m", _PRODUCT_MS)
+def test_structured_products_match_the_dense_truncation(name, m):
+    # T's first n columns bytewise the formed T's, signed zeros included,
+    # at n = 1, 16 and m (du zeroes its entries past i + j = 512 by row
+    # slices, so n = m > 512 included; the formed T is the products' own
+    # columns(m), held to an independent oracle by
+    # test_du_and_its_factor_bitwise_match_mask_oracles); T V and T^T U
+    # within m eps ||T|| ||U|| of the dense products. du's products keep
+    # the entries below sqrt(tiny) that its T drops, under 2^-500 in norm.
+    # m spans du's zeroing boundaries (256, 511, 512) and its rank cliff
+    # (22, 23)
+    fam = get_family(name)
+    t, prods = fam.truncate(m), fam.products(m)
+    assert prods.m == m
+    for n in sorted({1, min(16, m), m}):
+        cols = prods.columns(n)
+        assert cols.shape == (m, n) and cols.tobytes() == t[:, :n].tobytes()
+    norm_t = shared_factors(fam)(m).sigma_max
+    u = np.random.default_rng(m).standard_normal((m, 3))
+    for got, want in ((prods.times(u), t @ u), (prods.t_times(u), t.T @ u),
+                      (prods.times(u[:, 0]), t @ u[:, 0]),
+                      (prods.t_times(u[:, 0]), t.T @ u[:, 0])):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= m * EPS * norm_t * np.linalg.norm(u)
 
 
 def test_du_diagnostics_match_unfloored_oracle():
