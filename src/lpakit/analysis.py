@@ -22,10 +22,11 @@ factor of T (a TruncationFactor, shared by every instance at the same m),
 one SVD of T X_n and both offset-angle routes, so identities that hold in
 exact arithmetic stay consistent to machine precision. A row reads T only
 through T's structured products: its first n columns, T V and T^T U. A
-family that hands them over (OperatorFamily.products: seidman's D + c e_1^T
-and du's I - 3 w w^T) has them in O(m) per column, and its T is never
-formed; the other families (best-lpa, random, identity) hand over the dense
-T, whose products are its slices and matrix products. The factor comes
+family that hands them over (OperatorFamily.products: seidman's D + c e_1^T,
+du's I - 3 w w^T and identity's, O(m) per column; best-lpa's U_r Sigma V_r^T,
+applied in strips of 64 rows, O(m^2 r) per call) has its T never formed;
+random hands over the dense T, whose products are its slices and matrix
+products. The factor comes
 from one of three sources: T's SVD as a family knows it (singular_triplets:
 best-lpa's from the singular system T was built from, du's in closed form,
 its reflector applied and never formed), read off it with no LAPACK call;
@@ -34,7 +35,9 @@ Sherman-Morrison and a secular equation, identity's), an O(m) product,
 which certifies that T is injective at every m, so rho = m and the factor
 holds no m x m array; otherwise, LAPACK's SVD of the whole T. Each source
 leaves one map that applies T^+ (pinv_apply) and the maps P_R, R^T and
-U_rho that the row-space side reads. The instance sees ranks, not routes.
+U_rho that the row-space side reads. A basis handed over as a Subspace is
+taken as it is: best-lpa's X_n, row space and kernel are column views of its
+model's one V, checked once per m. The instance sees ranks, not routes.
 The rank r of T X_n is decided once, and refused where its kernel core would
 exceed N(T); the kernel core, T_n^+, both
 offset-angle images, tan theta_n = ||Q_n - P_{ran Q_n}|| (an r x r norm) and
@@ -48,7 +51,8 @@ rho x dim X_n matrix (U_rho^T T) X_n otherwise; the kernel core's
 dimension is read off that SVD and its gap to N(T) is a rho-row norm
 against the row space, T^+ and T_n^+ are applied through the factors of T
 and of T X_n, and the rest have at most r rows or columns, so a row forms
-no m x m array, and a seidman or du row none on either route. A row makes
+no m x m array, and a seidman, du, best-lpa or identity row none on either
+route. A row makes
 the m x m x dim X_n product T X_n only for a dense T when rho >= dim X_n
 and X_n is not a coordinate subspace (whose T X_n is T's first n columns),
 and no m x ~m factorization. The m x m matrices t and t_pinv, tn_pinv,
@@ -145,7 +149,9 @@ class TruncationFactor:
     _factor_svd's (s, vectors) form (OperatorFamily.singular_triplets:
     best-lpa's T, built from its singular system, and du's, whose SVD is a
     reflector's closed form): the rank-rho left factor U_rho, and R and K
-    from V, with no LAPACK call. Where vectors is an operators.Reflector,
+    from V, with no LAPACK call. R and K handed over as Subspaces are taken
+    as they are (best-lpa's, column views of its model's checked V); arrays
+    are checked here. Where vectors is an operators.Reflector,
     U = V = H[:, order] (du), H is applied in O(m) per column and never
     formed: the factor keeps K alone, P_R is H Z H with Z zeroing the
     kernel's coordinates, T^+ is H Z Sigma^{-1} H, and in place of R's
@@ -160,7 +166,7 @@ class TruncationFactor:
     (_factor_svd). On the SVD routes with arrays the factor also holds
     U_rho, the singular values Sigma_rho (s_rho) and R (rowspace), and
     pinv_apply is V_rho Sigma_rho^{-1} U_rho^T. The rank rule and the
-    Subspace check on K are the same for a known SVD and LAPACK's;
+    Subspace bound on K are the same for a known SVD and LAPACK's;
     TruncationFactor(t) alone is LAPACK's, the reference the tests hold
     the other sources to. On every route the m x m t_pinv is
     pinv_apply(I), formed only when read.
@@ -199,8 +205,9 @@ class TruncationFactor:
         del vectors  # frees the SVD's arrays not kept (LAPACK's full U)
         s_rho = s[:r]
         self.u_rho, self.s_rho = u_rho, s_rho
-        self.rowspace = Subspace(row)
-        self.kernel = Subspace(kernel)
+        self.rowspace, self.kernel = (b if isinstance(b, Subspace) else Subspace(b)
+                                      for b in (row, kernel))
+        row = self.rowspace.basis
         # closures over the arrays, not bound methods of self: no cycle
         # through self, so a dropped factor is freed without a GC pass
         self.pinv_apply = lambda v: row @ ((u_rho.T @ v).T / s_rho).T
@@ -311,7 +318,8 @@ class LpaInstance:
     off which kernel_captured decides whether N(T) lies in X_n.
 
     x_basis defaults to the coordinate subspace span{e^1, ..., e^n}; an
-    arbitrary orthonormal basis may be supplied instead.
+    arbitrary orthonormal basis may be supplied instead, as an array, which
+    is checked, or as a Subspace, taken as it is.
     """
 
     def __init__(self, t, n: int, x_basis: np.ndarray | None = None):
@@ -324,7 +332,8 @@ class LpaInstance:
         if x_basis is None:
             self.x_n = Subspace.coordinate(self.m, n)
         else:
-            self.x_n = Subspace(np.asarray(x_basis, dtype=float))
+            self.x_n = x_basis if isinstance(x_basis, Subspace) else Subspace(
+                np.asarray(x_basis, dtype=float))
             if self.x_n.ambient_dim != self.m:
                 raise ValueError("x_basis ambient dimension does not match t")
         self.factor = factor

@@ -6,9 +6,10 @@ factor's of T and of each T X_n, follows the one rule of :func:`rank_cutoff`,
 so that all of them agree on what counts as zero. Subspaces are held only as
 orthonormal bases (see :class:`Subspace`), each checked once, a caller's or
 LAPACK's alike, by ``||B^T B - I||_F <= 1e-12 max(1, m)``: O(m k^2), no LAPACK
-call, and summed over column blocks, so a wide basis forms no k x k array.
-gap and deficiency work on bases; :func:`projector` builds the m x m matrix
-only for checks that need it.
+call, and summed over column blocks, so a wide basis forms no k x k array;
+a column view (Subspace.columns) inherits its parent's check. gap and
+deficiency work on bases; :func:`projector` builds the m x m matrix only for
+checks that need it.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ class Subspace:
     ``||B^T B - I||_F <= 1e-12 * max(1, m)``: at least as strict as the
     spectral norm it bounds, O(m k^2), and no LAPACK call. The norm is
     summed over column blocks of 256 (_gram_defect), so the check holds at
-    most a 256 x k array, never the k x k B^T B of a wider basis.
+    most a 256 x k array, never the k x k B^T B of a wider basis. A view of
+    some columns (columns()) is not checked again: its Gram defect is a
+    principal block of this one's, so it meets the same bound.
     """
 
     basis: np.ndarray
@@ -110,6 +113,17 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The basis's shape, (ambient_dim, dim)."""
+        return self.basis.shape
+
+    def columns(self, start: int, stop: int) -> "Subspace":
+        """Basis columns start..stop - 1, a view that inherits the check."""
+        view = object.__new__(Subspace)
+        object.__setattr__(view, "basis", self.basis[:, start:stop])
+        return view
 
     def project(self, v) -> np.ndarray:
         """Orthogonal projection B (B^T v) of a vector or of a matrix's columns."""

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import Subspace, as_matrix
 
 __all__ = [
     "OperatorFamily",
@@ -59,13 +59,15 @@ class OperatorFamily:
     differ until m is large enough to resolve it); it is informational, and
     does not pick how the truncation is factored.
 
-    products, when set, is T's structured products at m, a Products: its
-    columns(n) are bitwise truncate(m)[:, :n], built in O(m n) with no
-    m x m array; times(v) and t_times(u) cost O(m) per column (seidman:
-    T = D + c e_1^T; du: T = I - 3 w w^T). analysis.shared_factors then
-    builds the factor from them and never calls truncate: a row reads T
-    only through them, and the dense T is formed only when read (the
-    suites' small instances, tn() and the tests' oracles).
+    products, when set, is T's structured products at m, a Products whose
+    columns(n) are bitwise truncate(m)[:, :n], with no m x m array formed
+    but at n = m. seidman's (T = D + c e_1^T), du's (T = I - 3 w w^T) and
+    identity's cost O(m) per column; best-lpa's apply T = U_r Sigma V_r^T
+    in strips of 64 rows formed when read, O(m^2 r) per call with no m x m
+    array (SingularModel.products). analysis.shared_factors then builds the
+    factor from them and never calls truncate: a row reads T only through
+    them, and the dense T is formed only when read (the suites, tn() and
+    the tests' oracles). Every family but random hands them over.
 
     inverse, when set, is truncate(m)^{-1} in closed form with T's largest
     singular value, as (apply, sigma_max): apply(v) = T^{-1} v for a vector
@@ -90,8 +92,10 @@ class OperatorFamily:
 
     xn_basis, when set, overrides the coordinate subspaces as the family's
     approximation scheme: it returns an orthonormal m x k basis for the
-    subspace at index n. max_n and min_m are the family's own limits on
-    (n, m); check() tests a pair against them without building anything.
+    subspace at index n, as an array or as a linalg.Subspace taken as it
+    is (best-lpa's, a view of its model's checked V). max_n and min_m are
+    the family's own limits on (n, m); check() tests a pair against them
+    without building anything.
 
     Every nonzero entry of truncate(m) is at least sqrt(tiny) * max|a_ij| in
     magnitude (tiny = np.finfo(float).tiny). A product of two entries is then
@@ -106,7 +110,7 @@ class OperatorFamily:
     kernel_dim_hint: int | None
     notes: str
     params: dict = field(default_factory=dict)
-    xn_basis: Callable[[int, int], np.ndarray] | None = None
+    xn_basis: Callable[[int, int], np.ndarray | Subspace] | None = None
     singular_triplets: Callable[[int], tuple] | None = None
     inverse: Callable[[int], tuple] | None = None
     products: Callable[[int], Products] | None = None
@@ -405,24 +409,58 @@ class SingularSystem:
 
 @dataclass(frozen=True)
 class SingularModel:
-    """Operator realized from a prescribed spectrum.
+    """Operator realized from a prescribed spectrum, held as its factors:
+    T = u_basis diag(sigmas) V_r^T, never formed whole.
 
-    With r = len(sigmas), v_basis is m x m orthogonal and kernel first,
-    [K | V_r]: its first m - r columns K are an orthonormal basis of the
-    matrix's kernel, and its last r columns V_r are the right singular
-    vectors, in the order of sigmas. So matrix = u_basis @ diag(sigmas) @
-    v_basis[:, m - r:].T, u_basis being the m x r left singular vectors, and
-    the kernel plus the n leading right singular directions, best-lpa's X_n,
-    is the leading block v_basis[:, :m - r + n].
+    With r = len(sigmas), v is m x m orthogonal and kernel first, [K | V_r],
+    a Subspace checked once: its first m - r columns K are an orthonormal
+    basis of T's kernel, and its last r columns V_r are the right singular
+    vectors, in the order of sigmas; u_basis is the m x r left singular
+    vectors. The kernel plus the n leading right singular directions,
+    best-lpa's X_n, is the leading block v.columns(0, m - r + n), a view
+    that inherits V's check, as K and V_r are.
     """
 
-    matrix: np.ndarray
     u_basis: np.ndarray
-    v_basis: np.ndarray
+    v: Subspace
+    sigmas: tuple[float, ...]
+
+    def products(self) -> Products:
+        """T's Products over strips T[i:i + _STRIP] = U_r[i:i + _STRIP]
+        (Sigma V_r^T), each formed when read and dropped: O(m^2 r) per call.
+        The strips are T's entries: columns(n) cuts them to n columns, and
+        times and t_times multiply them as the dense T's rows."""
+        u = self.u_basis
+        m, r = u.shape
+        sv = np.asarray(self.sigmas)[:, None] * self.v.basis[:, m - r:].T
+        starts = range(0, m, _STRIP)
+
+        def strip(i: int) -> np.ndarray:
+            return u[i:i + _STRIP] @ sv
+
+        def columns(n: int) -> np.ndarray:
+            a = np.empty((m, n))
+            for i in starts:
+                a[i:i + _STRIP] = strip(i)[:, :n]
+            return a
+
+        def times(v: np.ndarray) -> np.ndarray:
+            x = np.empty((m,) + v.shape[1:])
+            for i in starts:
+                x[i:i + _STRIP] = strip(i) @ v
+            return x
+
+        def t_times(y: np.ndarray) -> np.ndarray:
+            x = np.zeros((m,) + y.shape[1:])
+            for i in starts:
+                x += strip(i).T @ y[i:i + _STRIP]
+            return x
+
+        return Products(m, columns, times, t_times)
 
 
-# Rows per block of V's kernel-first rotation in from_singular_system.
-_ROLL_BLOCK = 64
+# Rows per block of V's kernel-first rotation and per strip of a model's T.
+_STRIP = 64
 
 
 def _haar_columns(rng: np.random.Generator, m: int, r: int, mode: str = "reduced") -> np.ndarray:
@@ -436,12 +474,13 @@ def _haar_columns(rng: np.random.Generator, m: int, r: int, mode: str = "reduced
 
 
 def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularModel:
-    """Realize the spectrum as an m x m matrix with seeded orthogonal factors.
+    """Realize the spectrum as an m x m operator with seeded orthogonal
+    factors, held as the factors (SingularModel).
 
     U_r and then V come from two m x r draws (_haar_columns, r =
     len(sigmas)): U_r the first's reduced Q, V the second's complete Q,
     whose last m - r columns span the kernel. V is rotated kernel first in
-    row blocks, in place, so the matrix and V are the only m x m arrays.
+    row blocks, in place, and checked once, so V is the only m x m array.
 
     Requires len(sigmas) + kernel_dim <= m.
     """
@@ -452,11 +491,9 @@ def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularMode
     rng = np.random.default_rng(seed)
     u = _haar_columns(rng, m, r)
     v = _haar_columns(rng, m, r, mode="complete")
-    for i in range(0, m, _ROLL_BLOCK):  # [V_r | K] -> [K | V_r]
-        v[i:i + _ROLL_BLOCK] = np.roll(v[i:i + _ROLL_BLOCK], -r, axis=1)
-    sig = np.asarray(sys.sigmas, dtype=float)
-    k = u @ (sig[:, None] * v[:, m - r:].T)
-    return SingularModel(matrix=k, u_basis=u, v_basis=v)
+    for i in range(0, m, _STRIP):  # [V_r | K] -> [K | V_r]
+        v[i:i + _STRIP] = np.roll(v[i:i + _STRIP], -r, axis=1)
+    return SingularModel(u_basis=u, v=Subspace(v), sigmas=sys.sigmas)
 
 
 def random_finite_kernel(m: int, kernel_dim: int, seed: int) -> np.ndarray:
@@ -492,48 +529,52 @@ def _best_lpa_family(sigmas=_DEFAULT_SIGMAS, kernel_dim: int = 2, seed: int = 0)
                          kernel_dim=_nonnegative_int("kernel_dim", kernel_dim))
     r = len(sys.sigmas)
     seed = _nonnegative_int("seed", seed)
-    # truncate and xn_basis at one m share one model; a scan asks for one m
-    # at a time, so the latest is all that is kept
+    # products, xn_basis and singular_triplets at one m share one model; a
+    # scan asks for one m at a time, so the latest is all that is kept
     model = lru_cache(maxsize=1)(lambda m: from_singular_system(sys, m, seed))
 
-    def truncate(m: int) -> np.ndarray:
-        return model(m).matrix
+    def products(m: int) -> Products:
+        return model(m).products()
 
-    def xn_basis(n: int, m: int) -> np.ndarray:
+    def xn_basis(n: int, m: int) -> Subspace:
         # subspace = full kernel of the truncation + the n leading right
         # singular directions, the leading columns of the kernel-first V: a
-        # view, orthonormal because V is orthogonal
+        # view that inherits V's check
         if n > r:
             raise ValueError(f"n={n} exceeds the prescribed rank {r}")
-        return model(m).v_basis[:, :m - r + n]
+        return model(m).v.columns(0, m - r + n)
 
     def singular_triplets(m: int):
         # T's SVD as the model built it, U_r Sigma V_r^T, with V's kernel
-        # columns K, where the singular values are 0; views into the model,
-        # but for k < r, where the kernel [V_{k+1..r}, K] is one copy
+        # columns K, where the singular values are 0; views of the model's
+        # V that inherit its check, but for k < r, where the kernel
+        # [V_{k+1..r}, K] is one copy, checked by the factor
         mod = model(m)
         s = np.zeros(m)
         s[:r] = sys.sigmas
-        v, d = mod.v_basis, m - r
+        v, d = mod.v, m - r
 
         def vectors(k: int):
-            kernel = v[:, :d] if k == r else np.hstack([v[:, d + k:], v[:, :d]])
-            return mod.u_basis[:, :k], v[:, d:d + k], kernel
+            kernel = v.columns(0, d) if k == r else np.hstack(
+                [v.basis[:, d + k:], v.basis[:, :d]])
+            return mod.u_basis[:, :k], v.columns(d, d + k), kernel
 
         return s, vectors
 
     return OperatorFamily(
         name="best-lpa",
-        truncate=truncate,
+        truncate=lambda m: products(m).columns(m),
         kernel_dim_hint=None,
         notes=("seeded operator with prescribed singular values; its "
                "approximation subspaces contain the whole kernel plus the "
                "leading right singular directions, which makes the offset "
-               "angle vanish identically"),
+               "angle vanish identically; rows read T in strips of "
+               "U_r Sigma V_r^T and never form it"),
         params={"sigmas": list(sys.sigmas), "kernel_dim": sys.kernel_dim,
                 "seed": seed},
         xn_basis=xn_basis,
         singular_triplets=singular_triplets,
+        products=products,
         max_n=r,
         min_m=r + sys.kernel_dim,
     )
@@ -560,13 +601,19 @@ def _random_family(kernel_dim: int = 2, seed: int = 0) -> OperatorFamily:
     )
 
 
+def _identity_products(m: int) -> Products:
+    """I's Products: its first n columns np.eye(m, n), and T v = T^T v a copy."""
+    return Products(m, lambda n: np.eye(m, n), np.copy, np.copy)
+
+
 _STATIC_FAMILIES = {
     "identity": lambda: OperatorFamily(
         name="identity",
-        truncate=lambda m: np.eye(m),
+        truncate=lambda m: _identity_products(m).columns(m),
         kernel_dim_hint=0,
         notes="identity operator; every diagnostic is trivial on it",
         inverse=lambda m: (np.copy, 1.0),
+        products=_identity_products,
     ),
     "seidman": lambda: OperatorFamily(
         name="seidman",

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lpakit.analysis
+import lpakit.linalg
 import lpakit.operators
 import lpakit.scan
 import lpakit.suites
@@ -312,20 +313,55 @@ def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     assert [(r.kernel_core_dim, r.kernel_gap) for r in rows] == want
 
 
+def _recording_products(products, widths):
+    # products with every map call recorded in widths: n, or the columns of
+    # a matrix (1 for a vector)
+    def log(f):
+        return lambda a: widths.append(a if isinstance(a, int) else a[0].size) or f(a)
+
+    def recording(k):
+        p = products(k)
+        return p._replace(columns=log(p.columns), times=log(p.times), t_times=log(p.t_times))
+
+    return recording
+
+
 @pytest.mark.parametrize("m", [64, 512])
 def test_best_lpa_scan_takes_no_m_cubed_step(monkeypatch, m):
     # best-lpa's model draws U_r by a reduced QR of m x r and V by a complete
-    # QR of m x r, its factor reads T's SVD off the model, and T X_n's SVD
-    # is taken of (U_rho^T T) X_n, so no m x m matrix is factored, and T
-    # enters products only with at most rho = 12 rows or columns on the
-    # other side, never with X_n's dim X_n = m - 12 + n columns
+    # QR of m x r, its factor reads T's SVD off the model, T X_n's SVD is
+    # taken of (U_rho^T T) X_n, and a row reads T through the model's
+    # products, 64-row strips of U_r (Sigma V_r^T) formed when read: no
+    # m x m matrix is factored, truncate is never called, no product takes
+    # a dense T, and each product map takes at most rho = 12 columns, never
+    # X_n's dim X_n = m - 12 + n
+    fam, widths = get_family("best-lpa", seed=0), []
+
+    def refuse(k):
+        raise AssertionError(f"best-lpa's truncate({k}) called")
+
+    monkeypatch.setattr(lpakit.scan, "get_family", lambda name, **params: dataclasses.replace(
+        fam, truncate=refuse, products=_recording_products(fam.products, widths)))
     cfg = scan_config_from_dict({"operator": {"name": "best-lpa"},
                                  "n_list": [2, 4, 8, 12], "m_rule": f"fixed:{m}", "seed": 0})
     factorizations, products = _count_t_factorizations(monkeypatch, [m])
     report = run_scan(cfg)
     assert [row.kernel_core_dim for row in report.rows] == [m - 12] * 4
-    assert factorizations == []
-    assert products and max(products) <= 12 * m * m, products
+    assert factorizations == [] and products == []
+    assert widths and max(widths) <= 12, widths
+
+
+@pytest.mark.parametrize("m_rule, ms", [("fixed:512", [512]), ("factor:10", [20, 40, 80, 120])])
+def test_best_lpa_scan_checks_one_wide_basis_per_m(monkeypatch, m_rule, ms):
+    # X_n and the factor's row space and kernel are column views of the
+    # model's V and inherit its one orthonormality check: per m, the scan
+    # checks one basis of at least m - r columns, V itself (r = 12)
+    shapes, real = [], lpakit.linalg._gram_defect
+    monkeypatch.setattr(lpakit.linalg, "_gram_defect",
+                        lambda b: shapes.append(b.shape) or real(b))
+    run_scan(scan_config_from_dict({"operator": {"name": "best-lpa"},
+                                    "n_list": [2, 4, 8, 12], "m_rule": m_rule}))
+    assert [(k, j) for k, j in shapes if j >= k - 12] == [(m, m) for m in ms]
 
 
 def test_du_scan_takes_no_m_cubed_step(monkeypatch):
@@ -340,18 +376,12 @@ def test_du_scan_takes_no_m_cubed_step(monkeypatch):
                                  "n_list": [2, 4, 8, 16], "m_rule": f"fixed:{m}"})
     factorizations, products = _count_t_factorizations(monkeypatch, [511])
     widths = []
-    real = lpakit.operators._du_products
-
-    def recording(k):
-        def log(f):  # records n, or the columns of a matrix (1 for a vector)
-            return lambda a: widths.append(a if isinstance(a, int) else a[0].size) or f(a)
-        p = real(k)
-        return p._replace(columns=log(p.columns), times=log(p.times), t_times=log(p.t_times))
 
     def refuse(k):
         raise AssertionError(f"du({k}) formed")
 
-    monkeypatch.setattr(lpakit.operators, "_du_products", recording)
+    monkeypatch.setattr(lpakit.operators, "_du_products",
+                        _recording_products(lpakit.operators._du_products, widths))
     monkeypatch.setattr(lpakit.operators, "du", refuse)
     report = run_scan(cfg)
     assert [(row.kernel_dim, row.kernel_core_dim) for row in report.rows] == [(1, 0)] * 4
@@ -397,15 +427,16 @@ def test_scan_draws_y_by_seed_and_n_for_eligible_rows_only(monkeypatch):
 @pytest.mark.parametrize("operator, n_list, m_rule, m, bound", [
     ("du", [16], "factor:48", 768, 0.25),
     ("seidman", [32, 64, 80], "fixed:768", 768, 1.0),
-    ("best-lpa", [2, 4, 8, 12], "fixed:512", 512, 2.6),
+    ("best-lpa", [2, 4, 8, 12], "fixed:512", 512, 1.45),
 ], ids=["du", "seidman", "best-lpa"])
 def test_scan_holds_little_beyond_t_and_its_factor(operator, n_list, m_rule, m, bound):
     # at m = 768 du and seidman rows hold no m x m array: T is read through
     # its products, du's factor keeps its reflector's h and the kernel, and
     # seidman's is vectors of length m (T^{-1} in closed form), so a row
     # holds m x n arrays (0.16 and 0.77 x 8 m^2 measured); at m = 512 a
-    # best-lpa row keeps T and its model's V, 2 x 8 m^2, X_n and the
-    # factor's bases being views of V. No m x m temporary (mask, |v|, |T|,
+    # best-lpa row keeps its model's V, 1 x 8 m^2, X_n and the factor's
+    # bases being views of V, and reads T in 64-row strips, formed when
+    # read (1.35 x 8 m^2 measured). No m x m temporary (T, mask, |v|, |T|,
     # Gram matrix, T^{-1}, normal draw, X_n, T X_n's square V) is added on
     # top of them
     cfg = scan_config_from_dict({"operator": {"name": operator}, "n_list": n_list,
@@ -473,6 +504,16 @@ def test_du_scan_at_2_14_is_matrix_free(monkeypatch):
     report, _ = _matrix_free_scan(monkeypatch, "du", [4, 8, 16], 2**14)
     assert report.verdicts["kernel_approximability"] == "violated"
     assert all(max(row.sin_theta_gap, row.sin_theta_qn) <= 1e-14 for row in report.rows)
+
+
+def test_identity_scan_at_2_14_is_matrix_free(monkeypatch):
+    # identity's products are I's columns and copies, and its factor is its
+    # inverse, a copy: no row forms T, every diagnostic is trivial, and the
+    # scan's allocations peak under 10 x 8 m n_max bytes (7.0 measured)
+    report, peak = _matrix_free_scan(monkeypatch, "identity", [4, 8], 2**14)
+    assert [(row.sin_theta_gap, row.norm_tn_dag_t) for row in report.rows] == [(0.0, 1.0)] * 2
+    assert report.verdicts["bound_checks_passed"] == "2/2"
+    assert peak <= 10 * 8 * 2**14 * 8, peak / (8 * 2**14 * 8)
 
 
 def _out_of_memory_family(monkeypatch):

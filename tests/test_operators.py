@@ -179,10 +179,15 @@ def test_du_builds_hold_one_m_by_m_array(build):
 
 
 _PRODUCT_MS = [1, 2, 22, 23, 256, 257, 511, 512, 513, 768, 1100]
+_PRODUCT_CASES = [
+    *[(m, name) for name in ("seidman", "du") for m in _PRODUCT_MS],
+    *[(m, "best-lpa") for m in (14, 20, 64, 65, 512, 513, 1100)],
+    *[(m, "identity") for m in (1, 2, 65, 512)],
+]
 
 
-@pytest.mark.parametrize("name", ["seidman", "du"])
-@pytest.mark.parametrize("m", _PRODUCT_MS)
+@pytest.mark.parametrize("m, name", _PRODUCT_CASES,
+                         ids=[f"{m}-{name}" for m, name in _PRODUCT_CASES])
 def test_structured_products_match_the_dense_truncation(name, m):
     # T's first n columns bytewise the formed T's, signed zeros included,
     # at n = 1, 16 and m (du zeroes its entries past i + j = 512 by row
@@ -192,7 +197,8 @@ def test_structured_products_match_the_dense_truncation(name, m):
     # within m eps ||T|| ||U|| of the dense products. du's products keep
     # the entries below sqrt(tiny) that its T drops, under 2^-500 in norm.
     # m spans du's zeroing boundaries (256, 511, 512) and its rank cliff
-    # (22, 23)
+    # (22, 23), and best-lpa's 64-row strips, whole and with a short last
+    # one; best-lpa's least m is 14
     fam = get_family(name)
     t, prods = fam.truncate(m), fam.products(m)
     assert prods.m == m
@@ -304,25 +310,25 @@ def test_from_singular_system_round_trip():
     sys = SingularSystem(sigmas=(2.0, 1.0, 0.25), kernel_dim=2)
     for m in (8, 65, 512):
         model = from_singular_system(sys, m, seed=3)
-        s = svd(model.matrix).singular_values
+        s = svd(model.products().columns(m)).singular_values
         assert np.allclose(s[:3], [2.0, 1.0, 0.25], atol=1e-12)
         assert np.all(s[3:] <= 1e-13)
-        assert model.u_basis.shape == (m, 3) and model.v_basis.shape == (m, m)
+        assert model.u_basis.shape == (m, 3) and model.v.basis.shape == (m, m)
 
 
 def test_from_singular_system_factors():
     sys = SingularSystem(sigmas=(1.0, 0.5), kernel_dim=1)
     for m in (6, 65, 512):
         model = from_singular_system(sys, m, seed=11)
-        # v_basis is kernel first: its first m - rank columns span the
-        # kernel of the matrix, its last `rank` are the right singular vectors
-        planted = Subspace(model.v_basis[:, :m - 2])
-        computed = kernel_basis(model.matrix)
+        t, v = model.products().columns(m), model.v.basis
+        # v is kernel first: its first m - rank columns span the kernel of
+        # T, its last `rank` are the right singular vectors
+        planted = Subspace(v[:, :m - 2])
+        computed = kernel_basis(t)
         assert computed.dim == m - 2
         assert gap(planted, computed) <= 1e-10
         for k, sigma in enumerate(sys.sigmas):
-            assert np.allclose(model.matrix @ model.v_basis[:, m - 2 + k],
-                               sigma * model.u_basis[:, k], atol=1e-12)
+            assert np.allclose(t @ v[:, m - 2 + k], sigma * model.u_basis[:, k], atol=1e-12)
 
 
 def test_from_singular_system_needs_room():
@@ -357,13 +363,16 @@ _DEFAULT_SIGMAS = tuple(1.0 / k**2 for k in range(1, 13))
 def test_seeded_families_factor_m_by_r_draws(sigmas, m, seed):
     # best-lpa's U_r and V, and random's U and W, are the sign-fixed QRs of
     # m x r standard normal draws from default_rng(seed), bitwise: no family
-    # draws the m x m matrix whose columns it would drop
+    # draws the m x m matrix whose columns it would drop. best-lpa's T is
+    # the 64-row strips U_r[i:i + 64] (Sigma V_r^T), bitwise
     r = len(sigmas)
     model = from_singular_system(SingularSystem(sigmas=sigmas, kernel_dim=2), m, seed)
     u, v = _drawn_factors(m, r, seed)
     assert model.u_basis.tobytes() == u.tobytes()
-    assert model.v_basis.tobytes() == np.hstack([v[:, r:], v[:, :r]]).tobytes()
-    assert model.matrix.tobytes() == (u @ (np.asarray(sigmas)[:, None] * v[:, :r].T)).tobytes()
+    assert model.v.basis.tobytes() == np.hstack([v[:, r:], v[:, :r]]).tobytes()
+    sv = np.asarray(sigmas)[:, None] * v[:, :r].T
+    strips = np.vstack([u[i:i + 64] @ sv for i in range(0, m, 64)])
+    assert model.products().columns(m).tobytes() == strips.tobytes()
     rng = np.random.default_rng(seed)
     u = _sign_fixed_qr(rng.standard_normal((m, m - 2)))
     w = _sign_fixed_qr(rng.standard_normal((m - 2, m - 2)))
@@ -387,18 +396,18 @@ def test_best_lpa_xn_basis_is_a_view_of_v(monkeypatch, m):
     for n in (1, 6, r):
         x_n = fam.xn_basis(n, m)
         (model,) = models
-        assert np.shares_memory(x_n, model.v_basis)
-        assert x_n.tobytes() == np.hstack([v[:, r:], v[:, :n]]).tobytes()
+        assert np.shares_memory(x_n.basis, model.v.basis)
+        assert x_n.basis.tobytes() == np.hstack([v[:, r:], v[:, :n]]).tobytes()
     factor = shared_factors(fam)(m)
     assert factor.rank == r and len(models) == 1
-    assert np.shares_memory(factor.rowspace.basis, model.v_basis)
-    assert np.shares_memory(factor.kernel.basis, model.v_basis)
+    assert np.shares_memory(factor.rowspace.basis, model.v.basis)
+    assert np.shares_memory(factor.kernel.basis, model.v.basis)
 
 
 def test_from_singular_system_deterministic():
     sys = SingularSystem(sigmas=(1.0,), kernel_dim=0)
-    a = from_singular_system(sys, 5, seed=9).matrix
-    b = from_singular_system(sys, 5, seed=9).matrix
+    a = from_singular_system(sys, 5, seed=9).products().columns(5)
+    b = from_singular_system(sys, 5, seed=9).products().columns(5)
     assert np.array_equal(a, b)
 
 
@@ -459,7 +468,7 @@ def test_random_family_respects_params():
 
 def test_best_lpa_family_subspaces():
     fam = get_family("best-lpa")
-    basis = fam.xn_basis(3, 20)
+    basis = fam.xn_basis(3, 20).basis
     assert basis.shape == (20, 8 + 3)  # ambient kernel dim 8 plus three
     q = basis.T @ basis
     assert np.allclose(q, np.eye(11), atol=1e-12)
