@@ -22,24 +22,11 @@ factor of T (a TruncationFactor, shared by every instance at the same m),
 one SVD of T X_n and both offset-angle routes, so identities that hold in
 exact arithmetic stay consistent to machine precision. A row reads T only
 through T's structured products: its first n columns, T V and T^T U. A
-family that hands them over (OperatorFamily.products: seidman's D + c e_1^T,
-du's I - 3 w w^T and identity's, O(m) per column; best-lpa's U_r Sigma V_r^T,
-applied in strips of 64 rows, O(m^2 r) per call) has its T never formed;
-random hands over the dense T, whose products are its slices and matrix
-products. The factor comes
-from one of three sources: T's SVD as a family knows it (singular_triplets:
-best-lpa's from the singular system T was built from, du's in closed form,
-its reflector applied and never formed), read off it with no LAPACK call;
-T^{-1} = T^+ in closed form with sigma_max(T) (inverse: seidman's by
-Sherman-Morrison and a secular equation, identity's), an O(m) product,
-which certifies that T is injective at every m, so rho = m and the factor
-holds no m x m array; otherwise, LAPACK's SVD of the whole T. Each source
-leaves one map that applies T^+ (pinv_apply) and the maps P_R, R^T and
-U_rho that the row-space side reads. A basis handed over as a Subspace is
-taken as it is: best-lpa's X_n, row space and kernel are column views of its
-model's one V, checked once per m. The instance sees ranks, not routes.
-The rank r of T X_n is decided once, and refused where its kernel core would
-exceed N(T); the kernel core, T_n^+, both
+family that hands them over (OperatorFamily.products) has its T never
+formed. The factor is T's SVD as the family knows it, T^{-1} in closed form
+or LAPACK's SVD of the whole T (see TruncationFactor); the instance sees
+ranks, not routes. The rank r of T X_n is decided once, and refused where
+its kernel core would exceed N(T); the kernel core, T_n^+, both
 offset-angle images, tan theta_n = ||Q_n - P_{ran Q_n}|| (an r x r norm) and
 ||T_n^+ T|| (an r x m norm) are read off its r singular vectors. Subspaces
 stay orthonormal bases, X_n projecting as X_n (X_n^T v).
@@ -82,8 +69,7 @@ from .linalg import (
     rank_cutoff,
     svd,
 )
-from .operators import (OperatorFamily, Products, Reflector, du_bad_y, du_vector_e,
-                        get_family)
+from .operators import OperatorFamily, Products, du_bad_y, du_vector_e, get_family
 
 __all__ = [
     "PreconditionError",
@@ -121,19 +107,21 @@ class RankToleranceError(ArithmeticError):
 def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     """LAPACK's SVD of a square T as (s, vectors), vectors(r) = (U[:, :r],
     V[:, :r], V[:, r:]) (see OperatorFamily.singular_triplets): the left
-    vectors copied, so that the full U can be freed, and the row-space and
-    kernel bases views of one V."""
+    vectors copied, so that the full U can be freed, and taken unchecked,
+    and the row-space and kernel bases views of one V, checked."""
     res = svd(t)
-    return res.singular_values, lambda r: (res.u[:, :r].copy(), res.vt[:r].T, res.vt[r:].T)
+    return res.singular_values, lambda r: (Subspace(res.u[:, :r].copy(), check=False),
+                                           Subspace(res.vt[:r].T), Subspace(res.vt[r:].T))
 
 
 class TruncationFactor:
     """One m x m truncation T factored, and what is read off it: rank rho,
-    sigma_max, the kernel K and four maps, each for a vector or a matrix's
-    columns: pinv_apply, v -> T^+ v; row_project, v -> P_R v, R = K^perp
-    the row space; row_coords, v -> R^T v; and lift, p -> U_rho p, rho the
-    rank. cutoff = tol x sigma_max is the one rank threshold, by
-    linalg.rank_cutoff's rule (tol: rank_tol, the rule's default when
+    sigma_max, the kernel K and, on the SVD routes, the singular values
+    Sigma_rho (s_rho), the left factor U_rho (u_rho) and the row space
+    R = K^perp (rowspace), Subspaces read through their maps (apply,
+    coords, project), and pinv_apply, v -> T^+ v for a vector or a
+    matrix's columns. cutoff = tol x sigma_max is the one rank threshold,
+    by linalg.rank_cutoff's rule (tol: rank_tol, the rule's default when
     None): rho counts T's singular values above it, each row's r those of
     T X_n (LpaInstance.txn_svd).
 
@@ -147,29 +135,18 @@ class TruncationFactor:
     Three sources, chosen by what the caller hands over (shared_factors
     passes a family's). singular_triplets is T's SVD already known, in
     _factor_svd's (s, vectors) form (OperatorFamily.singular_triplets:
-    best-lpa's T, built from its singular system, and du's, whose SVD is a
-    reflector's closed form): the rank-rho left factor U_rho, and R and K
-    from V, with no LAPACK call. R and K handed over as Subspaces are taken
-    as they are (best-lpa's, column views of its model's checked V); arrays
-    are checked here. Where vectors is an operators.Reflector,
-    U = V = H[:, order] (du), H is applied in O(m) per column and never
-    formed: the factor keeps K alone, P_R is H Z H with Z zeroing the
-    kernel's coordinates, T^+ is H Z Sigma^{-1} H, and in place of R's
-    O(m rho^2) orthonormality check it certifies that H is a reflector,
-    |beta h^T h / 2 - 1| <= m eps. inverse is T^{-1} in closed form with
-    sigma_max(T), (apply, sigma_max) (OperatorFamily.inverse: seidman's,
-    identity's), a certificate that T is injective: T is inverted, holding
-    no m x m array, whatever cond(T) is. rho = m, pinv_apply is apply,
-    T^{-1} = T^+; u_rho is None, K is {0}, and the factor holds no
-    singular values or row space (rho = m, so no row reads the row-space
-    maps). Given neither, the factor is LAPACK's SVD of the whole T
-    (_factor_svd). On the SVD routes with arrays the factor also holds
-    U_rho, the singular values Sigma_rho (s_rho) and R (rowspace), and
-    pinv_apply is V_rho Sigma_rho^{-1} U_rho^T. The rank rule and the
-    Subspace bound on K are the same for a known SVD and LAPACK's;
-    TruncationFactor(t) alone is LAPACK's, the reference the tests hold
-    the other sources to. On every route the m x m t_pinv is
-    pinv_apply(I), formed only when read.
+    best-lpa's and du's), read with no LAPACK call; given neither it nor
+    inverse, the factor is LAPACK's SVD of the whole T (_factor_svd), the
+    reference the tests hold the other sources to. Both hand over
+    (U_rho, R, K) as vectors(rho), Subspaces the factor takes as they are,
+    and pinv_apply is R (Sigma_rho^{-1} U_rho^T v). inverse is T^{-1} in
+    closed form with sigma_max(T), (apply, sigma_max)
+    (OperatorFamily.inverse: seidman's, identity's), a certificate that T
+    is injective: T is inverted, holding no m x m array, whatever cond(T)
+    is. rho = m, pinv_apply is apply, T^{-1} = T^+; u_rho is None, K is
+    {0}, and the factor holds no singular values or row space (rho = m, so
+    no row reads them). On every route the m x m t_pinv is pinv_apply(I),
+    formed only when read.
 
     It does not depend on X_n, so every instance at this m can share it (see
     shared_factors).
@@ -197,50 +174,13 @@ class TruncationFactor:
         s, vectors = singular_triplets or _factor_svd(self.t)
         self.sigma_max = float(s[0]) if m else 0.0
         self.rank, self.cutoff = rank_cutoff(s, (m, m), rank_tol)
-        r = self.rank
-        if isinstance(vectors, Reflector):
-            self._reflected(vectors, s[:r])
-            return
-        u_rho, row, kernel = vectors(r)
+        self.u_rho, self.rowspace, self.kernel = vectors(self.rank)
         del vectors  # frees the SVD's arrays not kept (LAPACK's full U)
-        s_rho = s[:r]
-        self.u_rho, self.s_rho = u_rho, s_rho
-        self.rowspace, self.kernel = (b if isinstance(b, Subspace) else Subspace(b)
-                                      for b in (row, kernel))
-        row = self.rowspace.basis
-        # closures over the arrays, not bound methods of self: no cycle
-        # through self, so a dropped factor is freed without a GC pass
-        self.pinv_apply = lambda v: row @ ((u_rho.T @ v).T / s_rho).T
-        self.row_project, self.row_coords = self.rowspace.project, row.T.__matmul__
-        self.lift = u_rho.__matmul__
-
-    def _reflected(self, h: Reflector, s_rho: np.ndarray) -> None:
-        """The maps of a T = H[:, order] diag(s) H[:, order]^T, H applied
-        as h.apply: R and U_rho are H's columns order[:rho], K its columns
-        order[rho:], the only ones formed."""
-        m, r = self.m, self.rank
-        if not abs(h.beta * (h.h @ h.h) / 2.0 - 1.0) <= m * EPS:
-            raise ValueError("the reflector's beta does not match its h")
-        keep, drop = h.order[:r], h.order[r:]
-        e = np.zeros((m, m - r))
-        e[drop, np.arange(m - r)] = 1.0
-        self.kernel = Subspace(h.apply(e))
-        self.u_rho = None
-
-        def spread(p: np.ndarray) -> np.ndarray:  # rows p into the kept coordinates
-            z = np.zeros((m,) + p.shape[1:])
-            z[keep] = p
-            return z
-
-        def row_project(v: np.ndarray) -> np.ndarray:
-            z = h.apply(v)
-            z[drop] = 0.0
-            return h.apply(z)
-
-        self.pinv_apply = lambda v: h.apply(spread((h.apply(v)[keep].T / s_rho).T))
-        self.row_project, self.row_coords = row_project, lambda v: h.apply(v)[keep]
-        self.lift = lambda p: h.apply(spread(p))
-        self._rho_rows = lambda x: (h.apply(x)[keep].T * s_rho).T
+        self.s_rho = s_rho = s[:self.rank]
+        # closures over the subspaces' maps, not bound methods of self: no
+        # cycle through self, so a dropped factor is freed without a GC pass
+        apply, coords = self.rowspace.apply, self.u_rho.coords
+        self.pinv_apply = lambda v: apply((coords(v).T / s_rho).T)
 
     @cached_property
     def t(self) -> np.ndarray:
@@ -250,12 +190,12 @@ class TruncationFactor:
 
     def rho_rows(self, x: np.ndarray, n: int | None = None) -> np.ndarray:
         """U_rho^T T X, rho x dim X, for an orthonormal X; n when X is the
-        coordinate subspace of that dimension. On the array SVD routes
+        coordinate subspace of that dimension. For an explicit U_rho,
         U_rho^T T = (T^T U_rho)^T is formed once per factor (rho x m) and
-        X applied as a column slice or a product; on a Reflector it is
-        Sigma_rho R^T X, O(m) per column of X."""
-        if self.u_rho is None:
-            return self._rho_rows(x)
+        X applied as a column slice or a product; for one held as maps it
+        is Sigma_rho R^T X, through R's coords."""
+        if not self.u_rho.explicit:
+            return (self.rowspace.coords(x).T * self.s_rho).T
         return self.ut_rho[:, :n] if n is not None else self.ut_rho @ x
 
     @cached_property
@@ -263,7 +203,7 @@ class TruncationFactor:
         """U_rho^T T, rho x m, formed on first read (array SVD routes only):
         the row-space side of T that txn_svd multiplies X_n by when
         rho < dim X_n."""
-        return np.ascontiguousarray(self.products.t_times(self.u_rho).T)
+        return np.ascontiguousarray(self.products.t_times(self.u_rho.basis).T)
 
     @cached_property
     def t_pinv(self) -> np.ndarray:
@@ -371,7 +311,7 @@ class LpaInstance:
         nothing dropped, read off the factor's products: T's first n
         columns for a coordinate X_n, with no product, else T X_n. When
         rho < dim X_n it is the thin SVD P S V^T of Z = (U_rho^T T) X_n,
-        rho x dim X_n (TruncationFactor.rho_rows), with u = U_rho P (lift),
+        rho x dim X_n (TruncationFactor.rho_rows), with u = U_rho P,
         so vt is rho x dim X_n, not square. A row reads only V_r = vt[:r]:
         kernel_gap projects V_r out rather than reading its complement,
         which the oracle kernel_core completes itself. No row forms the
@@ -389,7 +329,7 @@ class LpaInstance:
             res = svd(txn, full_matrices=False)
         else:
             z = svd(f.rho_rows(self.x_n.basis, n), full_matrices=False)
-            res = SvdResult(u=f.lift(z.u), singular_values=z.singular_values, vt=z.vt)
+            res = SvdResult(u=f.u_rho.apply(z.u), singular_values=z.singular_values, vt=z.vt)
         r = rank_cutoff(res.singular_values, (self.m, k), 1.0, f.cutoff)[0]
         if k - r > f.kernel.dim:
             msg = (f"T X_n has {k - r} singular values at or under the cutoff "
@@ -424,7 +364,7 @@ class LpaInstance:
         if self.kernel_core_dim == 0:
             return 0.0
         res, r = self.txn_svd
-        a, v_r = self.factor.row_coords(self.x_n.basis), res.vt[:r]
+        a, v_r = self.factor.rowspace.coords(self.x_n.basis), res.vt[:r]
         return float(np.linalg.norm(a - (a @ v_r.T) @ v_r, 2))
 
     def images(self) -> tuple[Subspace, Subspace]:
@@ -440,7 +380,7 @@ class LpaInstance:
         res, r = self.txn_svd
         row_image = self.x_n.basis @ res.vt[:r].T
         if self.rank < self.m:
-            row_image = self.factor.row_project(row_image)
+            row_image = self.factor.rowspace.project(row_image)
         return (Subspace(np.linalg.qr(row_image)[0]),
                 Subspace(np.linalg.qr(self.factor.products.t_times(res.u[:, :r]))[0]))
 

@@ -15,7 +15,7 @@ checks that need it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -89,14 +89,25 @@ class Subspace:
     ``||B^T B - I||_F <= 1e-12 * max(1, m)``: at least as strict as the
     spectral norm it bounds, O(m k^2), and no LAPACK call. The norm is
     summed over column blocks of 256 (_gram_defect), so the check holds at
-    most a 256 x k array, never the k x k B^T B of a wider basis. A view of
-    some columns (columns()) is not checked again: its Gram defect is a
-    principal block of this one's, so it meets the same bound.
+    most a 256 x k array, never the k x k B^T B of a wider basis.
+    check=False takes the basis as it is: a view of some columns (columns())
+    is not checked again, as its Gram defect is a principal block of this
+    one's, nor are an SVD's singular vectors.
+
+    Readers go through three maps, each for a vector or a matrix's columns:
+    apply(p) = B p, coords(v) = B^T v and project(v) = B (B^T v). explicit
+    says whether B is held; a subclass that holds B as a map instead (du's
+    reflector columns, operators.Reflector) forms it only when basis is
+    read.
     """
 
     basis: np.ndarray
+    check: InitVar[bool] = True
+    explicit = True  # a class attribute, not a field
 
-    def __post_init__(self):
+    def __post_init__(self, check: bool):
+        if not check:
+            return
         b = self.basis
         if b.ndim != 2:
             raise ValueError("basis must be a 2-d array")
@@ -108,11 +119,11 @@ class Subspace:
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis.shape[0]
+        return self.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.shape[1]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -121,9 +132,15 @@ class Subspace:
 
     def columns(self, start: int, stop: int) -> "Subspace":
         """Basis columns start..stop - 1, a view that inherits the check."""
-        view = object.__new__(Subspace)
-        object.__setattr__(view, "basis", self.basis[:, start:stop])
-        return view
+        return Subspace(self.basis[:, start:stop], check=False)
+
+    def apply(self, p) -> np.ndarray:
+        """B p, coordinates to vectors."""
+        return self.basis @ p
+
+    def coords(self, v) -> np.ndarray:
+        """B^T v, vectors to coordinates."""
+        return self.basis.T @ v
 
     def project(self, v) -> np.ndarray:
         """Orthogonal projection B (B^T v) of a vector or of a matrix's columns."""

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import Subspace, as_matrix
+from .linalg import EPS, Subspace, as_matrix
 
 __all__ = [
     "OperatorFamily",
@@ -80,15 +80,14 @@ class OperatorFamily:
     singular_triplets, when set, is truncate(m)'s SVD known in closed form,
     returned as (s, vectors) with s the m singular values, descending, and
     vectors(k) = (U[:, :k], V[:, :k], V[:, k:]), the left vectors, a basis
-    of the row space and one of the kernel, for any k up to the count of
-    nonzero values; the bases may be views, in any column order within
-    each: analysis.shared_factors factors T from it instead of by LAPACK.
-    best-lpa reads it off the singular system it builds T from. du's
-    vectors is a Reflector, U = V = H[:, order]: the factor applies H in
-    O(m) per column and never calls vectors, which forms H (see
-    _du_singular_triplets). analysis.TruncationFactor(t) alone still
-    factors T by LAPACK, the reference the tests hold it to. A family with
-    neither inverse nor singular_triplets is factored by LAPACK's SVD of T.
+    of the row space and one of the kernel, as linalg.Subspaces, for any k
+    up to the count of nonzero values, in any column order within each:
+    analysis.shared_factors factors T from it instead of by LAPACK.
+    best-lpa reads it off the singular system it builds T from, as views
+    of its model's V and U_r; du's vectors is a Reflector, U = V =
+    H[:, order], applied in O(m) per column and formed only when read (see
+    _du_singular_triplets). A family with neither inverse nor
+    singular_triplets is factored by LAPACK's SVD of T.
 
     xn_basis, when set, overrides the coordinate subspaces as the family's
     approximation scheme: it returns an orthonormal m x k basis for the
@@ -291,33 +290,71 @@ def _du_products(m: int) -> Products:
     return Products(m, columns, times, times)
 
 
-class Reflector:
+class Reflector(Subspace):
     """The Householder reflector H = I - beta h h^T, beta = 2 / h^T h,
-    symmetric and orthogonal, held as h: the singular vectors U = V =
-    H[:, order] of a T = H diag(s) H (OperatorFamily.singular_triplets'
-    vectors for du). apply(v) is H v for a vector or a matrix's columns,
-    O(m) per column, which is how analysis.TruncationFactor reads it, with
-    no m x m array. Called as vectors(k), it forms H's columns in that
-    order, the contract's arrays, for the oracles that compare them."""
+    symmetric and orthogonal, held as h, and its columns order[:k] (all
+    of them when k is None) as a Subspace held as maps, O(m) per column:
+    reflect(v) = H v; apply(p) = H z, z holding p's rows at coordinates
+    order[:k] and 0 elsewhere; coords(v) = (H v)[order[:k]]; and project,
+    H Z H in place, Z zeroing the other coordinates, not I - K K^T, which
+    loses du's grading. basis forms the m x k columns, in that order, only
+    when read (the oracles).
 
-    def __init__(self, h: np.ndarray, order: np.ndarray):
+    Called as vectors(k), it is the vectors of T = H[:, order] diag(s)
+    H[:, order]^T (OperatorFamily.singular_triplets' for du): it certifies
+    that H is a reflector, |beta h^T h / 2 - 1| <= m eps, in place of a
+    Gram check, and hands over its columns order[:k], U_k and the row
+    space alike, and the kernel, its columns order[k:], formed by reflect
+    and checked."""
+
+    explicit = False
+
+    def __init__(self, h: np.ndarray, order: np.ndarray, k: int | None = None):
+        # plain assignment: a frozen dataclass refuses only its own fields
+        # on a subclass
         self.h, self.order = h, order
         self.beta = 2.0 / (h @ h)
+        self.keep, self.drop = order[:k], order[k:]
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.h.size, self.keep.size
+
+    def reflect(self, v: np.ndarray) -> np.ndarray:
         return v - np.multiply.outer(self.h, self.beta * (self.h @ v))
 
+    def apply(self, p: np.ndarray) -> np.ndarray:
+        z = np.zeros((self.h.size,) + p.shape[1:])
+        z[self.keep] = p
+        return self.reflect(z)
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        return self.reflect(v)[self.keep]
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        z = self.reflect(v)
+        z[self.drop] = 0.0
+        return self.reflect(z)
+
     def __call__(self, k: int):
-        # H's columns in the given order, formed in that order; entries
-        # below sqrt(tiny) zeroed by row blocks: no m x m |v|
-        h, order = self.h, self.order
-        m = h.size
-        v = np.multiply.outer(h, -self.beta * h[order])
-        for i in range(0, m, _ZERO_BLOCK):
+        m = self.h.size
+        if not abs(self.beta * (self.h @ self.h) / 2.0 - 1.0) <= m * EPS:
+            raise ValueError("the reflector's beta does not match its h")
+        e = np.zeros((m, m - k))
+        e[self.order[k:], np.arange(m - k)] = 1.0
+        kept = Reflector(self.h, self.order, k)
+        return kept, kept, Subspace(self.reflect(e))
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        # entries below sqrt(tiny) zeroed by row blocks: no m x k |v|
+        h, keep = self.h, self.keep
+        v = np.multiply.outer(h, -self.beta * h[keep])
+        for i in range(0, h.size, _ZERO_BLOCK):
             block = v[i:i + _ZERO_BLOCK]
             block[np.abs(block) < _SQRT_TINY] = 0.0
-        v[order, np.arange(m)] += 1.0
-        return v[:, :k], v[:, :k], v[:, k:]
+        v[keep, np.arange(keep.size)] += 1.0
+        return v
 
 
 def _du_singular_triplets(m: int):
@@ -338,15 +375,13 @@ def _du_singular_triplets(m: int):
 
     vectors is a Reflector over the computed h, so H is a reflector, and
     orthogonal to roundoff, whether or not the computed c has unit norm.
-    analysis.TruncationFactor applies it as v - beta h (h^T v), O(m r), and
-    holds only the kernel H e_1; it projects onto the row space as H Z H,
-    Z zeroing coordinate 1, not as I - K K^T, which loses the grading.
-    Only calling vectors(k) forms H, as an m x m array (the oracles' route):
-    its entries i, j >= 2 are -c_i c_j / (1 + c_1), about 1.6 * 2^-(i+j),
-    and, as du does for T's, an entry below sqrt(tiny) is stored as 0, so
-    no product of two entries is subnormal; the dropped part has norm below
-    2^-500. vectors(k) hands over views of it: H's first k columns in that
-    order as U_k and as the row space, the others as the kernel.
+    vectors(k) hands over H's first k columns in that order as U_k and as
+    the row space, applied as v - beta h (h^T v), O(m) per column, and the
+    kernel H e_1 formed. Only reading their basis forms the columns (the
+    oracles' route): H's entries i, j >= 2 are -c_i c_j / (1 + c_1), about
+    1.6 * 2^-(i+j), and, as du does for T's, an entry below sqrt(tiny) is
+    stored as 0, so no product of two entries is subnormal; the dropped
+    part has norm below 2^-500.
 
     For m <= 256 this is the SVD of du(m) itself. Beyond, it is that of
     I - 3 w w^T, from which du(m) differs only in its dropped entries, by
@@ -548,16 +583,16 @@ def _best_lpa_family(sigmas=_DEFAULT_SIGMAS, kernel_dim: int = 2, seed: int = 0)
         # T's SVD as the model built it, U_r Sigma V_r^T, with V's kernel
         # columns K, where the singular values are 0; views of the model's
         # V that inherit its check, but for k < r, where the kernel
-        # [V_{k+1..r}, K] is one copy, checked by the factor
+        # [V_{k+1..r}, K] is one copy, checked here, and U_r, unchecked
         mod = model(m)
         s = np.zeros(m)
         s[:r] = sys.sigmas
         v, d = mod.v, m - r
 
         def vectors(k: int):
-            kernel = v.columns(0, d) if k == r else np.hstack(
-                [v.basis[:, d + k:], v.basis[:, :d]])
-            return mod.u_basis[:, :k], v.columns(d, d + k), kernel
+            kernel = v.columns(0, d) if k == r else Subspace(np.hstack(
+                [v.basis[:, d + k:], v.basis[:, :d]]))
+            return Subspace(mod.u_basis[:, :k], check=False), v.columns(d, d + k), kernel
 
         return s, vectors
 

@@ -333,7 +333,7 @@ def test_factor_is_bitwise_lapacks_svd_of_the_whole_t():
         s, rho = dense.singular_values, factor.rank
         assert (rho, factor.cutoff) == rank_cutoff(s, t.shape)
         assert factor.sigma_max == s[0]
-        for got, want in ((factor.s_rho, s[:rho]), (factor.u_rho, dense.u[:, :rho]),
+        for got, want in ((factor.s_rho, s[:rho]), (factor.u_rho.basis, dense.u[:, :rho]),
                           (factor.rowspace.basis, dense.vt[:rho].T),
                           (factor.kernel.basis, dense.vt[rho:].T)):
             assert np.array_equal(got, want)
@@ -468,19 +468,14 @@ def _known_and_lapack_factors(fam, m, subspace_tol, want=None):
     # formed T. Same rank,
     # cutoffs within 10 m eps relative, row spaces and kernels within
     # subspace_tol, and T^+ applied within m eps cond(T) ||T^+||
-    # (_assert_factors_agree's bound). du's factor applies its reflector
-    # and forms no row space: its P_R, applied to I, is held to LAPACK's
-    # projector, the same gap
+    # (_assert_factors_agree's bound). du's row space, held as its
+    # reflector's columns, is formed here to take the gap
     got, want = shared_factors(fam)(m), want or TruncationFactor(fam.truncate(m))
     assert "t_pinv" not in vars(got)
     assert got.rank == want.rank
     assert got.cutoff == pytest.approx(want.cutoff, rel=10 * m * EPS, abs=0)
-    if got.u_rho is None:
-        p_r = got.row_project(np.eye(m))
-        assert np.linalg.norm(p_r - projector(want.rowspace), 2) <= subspace_tol
-    else:
-        assert got.u_rho.shape == (m, got.rank)
-        assert gap(got.rowspace, want.rowspace) <= subspace_tol
+    assert got.u_rho.shape == (m, got.rank)
+    assert gap(got.rowspace, want.rowspace) <= subspace_tol
     assert gap(got.kernel, want.kernel) <= subspace_tol
     v = np.random.default_rng(m).standard_normal((m, 3))
     tol = m * EPS * (want.sigma_max / want.s_rho[-1]) * np.linalg.norm(want.t_pinv, 2)
@@ -541,28 +536,29 @@ def test_du_factor_in_closed_form_matches_lapack(m):
     # form, the SVD of I - 3 w w^T, keeps; their norm is under 2^-500, so
     # the closed form still reproduces T to m eps entrywise: as the formed
     # vectors (the oracles' arrays) and as U_rho Sigma_rho V_rho^T through
-    # the factor's maps (lift and rho_rows, applied to I), which omits
+    # the factor's maps (u_rho.apply and rho_rows, applied to I), which omits
     # sigma_{rho+1} too, 4^-23 at m = 23, the one m here where that is
     # above m eps. The formed V stores no nonzero below sqrt(tiny), so no
     # product of two of its entries is subnormal
     fam = get_family("du")
     cached = _lapack_factor(f"du-{m}")[0] if f"du-{m}" in _LAPACK_INPUTS else None
     got, want = _known_and_lapack_factors(fam, m, 1e-12, cached)
-    assert got.u_rho is None and got.kernel.dim == m - got.rank <= 1
+    assert not got.u_rho.explicit and got.kernel.dim == m - got.rank <= 1
     t, (s, vectors) = fam.truncate(m), fam.singular_triplets(m)
     u, row, kernel = vectors(m)
-    vt = np.hstack([row, kernel]).T
-    assert np.abs((u * s) @ vt - t).max() <= m * EPS
+    vt = np.hstack([row.basis, kernel.basis]).T
+    assert np.abs((u.basis * s) @ vt - t).max() <= m * EPS
     dropped = s[got.rank] if got.rank < m else 0.0
-    rho_part = got.lift(got.rho_rows(np.eye(m)))
+    rho_part = got.u_rho.apply(got.rho_rows(np.eye(m)))
     assert np.abs(rho_part - t).max() <= m * EPS + dropped
     stored = np.abs(vt[vt != 0])
     assert stored.min() >= math.sqrt(np.finfo(float).tiny)
 
 
 def test_du_factor_certifies_its_reflector():
-    # du's factor forms no row-space basis to check for orthonormality; it
-    # checks instead that H = I - beta h h^T is a reflector, beta h^T h = 2
+    # du's reflector hands over H's columns unformed, with no Gram check;
+    # it certifies instead that H = I - beta h h^T is a reflector,
+    # beta h^T h = 2, when the factor takes them
     fam, m = get_family("du"), 30
     s, h = fam.singular_triplets(m)
     TruncationFactor(fam.products(m), singular_triplets=(s, h))

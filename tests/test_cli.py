@@ -157,6 +157,24 @@ def test_run_scan_seidman_verdicts():
     assert sines == sorted(sines)
 
 
+@pytest.mark.parametrize("n_list, verdict, passed", [
+    ([40, 41], "violated", "0/0"),
+    ([40, 41, 42], "holds", "1/1"),
+])
+def test_du_kernel_verdict_flips_at_the_precision_horizon(n_list, verdict, passed):
+    # This pins today's reading, not the verdict du should get: e's tail
+    # past n, dist(N(T), X_n) ~ 2^-n, falls under the factor's cutoff
+    # (10 m eps, 3.7e-13 at m = 4n) from n = 42, so the kernel core reads
+    # 1-dimensional there and kernel_gap 2.27e-13, and the scan reads the
+    # kernel as captured. A rule that tells containment from a tail
+    # crossing the cutoff would change both cases
+    rep = run_scan(scan_config_from_dict({"operator": {"name": "du"}, "n_list": n_list}))
+    assert rep.verdicts["kernel_approximability"] == verdict
+    assert rep.verdicts["bound_checks_passed"] == passed
+    if n_list[-1] == 42:
+        assert rep.rows[-1].kernel_gap == pytest.approx(2.27e-13, rel=0.01)
+
+
 @pytest.mark.parametrize("params, n_list, passed", [
     ({}, [2, 4, 8, 12], "4/4"),
     ({"sigmas": [1, 0.5, 1e-14]}, [1, 2, 3], "1/1"),

@@ -207,6 +207,29 @@ def test_subspace_columns_is_a_view_that_inherits_the_check(monkeypatch):
     assert _gram_defect(view.basis) <= _gram_defect(q) <= 1e-12 * 40
 
 
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_subspace_maps_are_its_basis_products(k):
+    # apply and coords are B p and B^T v, and project is B (B^T v), bytewise,
+    # for a vector and for a matrix's columns; an explicit basis says so
+    rng = np.random.default_rng(k)
+    s = Subspace(np.linalg.qr(rng.standard_normal((12, k)))[0])
+    b = s.basis
+    assert s.explicit
+    for p, v in ((rng.standard_normal(k), rng.standard_normal(12)),
+                 (rng.standard_normal((k, 3)), rng.standard_normal((12, 3)))):
+        assert s.apply(p).tobytes() == (b @ p).tobytes()
+        assert s.coords(v).tobytes() == (b.T @ v).tobytes()
+        assert s.project(v).tobytes() == (b @ (b.T @ v)).tobytes()
+
+
+def test_subspace_unchecked_takes_the_basis_as_it_is(monkeypatch):
+    checked = []
+    monkeypatch.setattr("lpakit.linalg._gram_defect", lambda b: checked.append(b.shape))
+    b = np.ones((6, 2))
+    view = Subspace(b, check=False)
+    assert checked == [] and view.basis is b and view.shape == (6, 2)
+
+
 @pytest.mark.parametrize("k", [0, 1, _GRAM_BLOCK - 1, _GRAM_BLOCK, _GRAM_BLOCK + 1,
                                3 * _GRAM_BLOCK + 5])
 def test_blocked_gram_defect_matches_dense(k):

@@ -11,7 +11,7 @@ import pytest
 import lpakit.operators
 from lpakit.analysis import LpaInstance, diagnose, kernel_verdict, make_lpa, shared_factors
 from lpakit.config import Tolerances
-from lpakit.linalg import EPS, Subspace, gap, kernel_basis, svd
+from lpakit.linalg import EPS, Subspace, gap, kernel_basis, rank_cutoff, svd
 from lpakit.operators import (
     FAMILY_NAMES,
     SingularSystem,
@@ -153,7 +153,7 @@ def _du_vectors_abs(m):
 
 def _du_vectors(m):
     _, vectors = get_family("du").singular_triplets(m)
-    return vectors(m)[0]
+    return vectors(m)[0].basis
 
 
 @pytest.mark.parametrize("m", [1, 2, 255, 256, 257, 300, 511, 512, 513, 768, 1100])
@@ -176,6 +176,31 @@ def test_du_builds_hold_one_m_by_m_array(build):
         tracemalloc.stop()
     assert kept.shape == (m, m)
     assert peak < 1.1 * 8 * m * m, peak
+
+
+@pytest.mark.parametrize("m", [1, 2, 23, 768])
+def test_du_reflector_columns_are_maps_of_h(m):
+    # the kept columns H[:, order[:rho]] that du's factor reads as U_rho and
+    # as its row space, held as maps: orthonormal through them to m eps, or
+    # to 4 eps at small m (3 eps at m = 2: H applied twice, whatever m),
+    # the formed basis (formed only when read) is apply(I) with entries
+    # below sqrt(tiny) stored as 0, and project is H Z H in place, Z zeroing
+    # the dropped coordinates, with H v = v - beta h (h^T v)
+    s, reflector = get_family("du").singular_triplets(m)
+    rho = rank_cutoff(s, (m, m))[0]
+    kept = reflector(rho)[0]
+    assert not kept.explicit and "basis" not in vars(kept) and kept.shape == (m, rho)
+    eye = np.eye(rho)
+    a = kept.apply(eye)
+    assert np.abs(kept.coords(a) - eye).max() <= max(m, 4) * EPS
+    small = np.abs(a) < math.sqrt(np.finfo(float).tiny)
+    assert np.array_equal(a[~small], kept.basis[~small]) and not kept.basis[small].any()
+    h, beta = reflector.h, reflector.beta
+    v = np.random.default_rng(m).standard_normal((m, 3))
+    for w in (v, v[:, 0]):
+        z = w - np.multiply.outer(h, beta * (h @ w))
+        z[reflector.order[rho:]] = 0.0
+        assert kept.project(w).tobytes() == (z - np.multiply.outer(h, beta * (h @ z))).tobytes()
 
 
 _PRODUCT_MS = [1, 2, 22, 23, 256, 257, 511, 512, 513, 768, 1100]

@@ -30,3 +30,16 @@ def test_summary_table_prints_the_three_verdicts():
 
 def test_divergence_profile_passes():
     assert "profile check passed" in run_script("divergence_profile.py").splitlines()
+
+
+def test_src_lines_splits_every_line_of_every_module():
+    lines = run_script("src_lines.py").splitlines()
+    modules = sorted((ROOT / "src" / "lpakit").glob("*.py"))
+    assert lines[0].split() == ["module", "code", "doc", "other", "total"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == [path.name for path in modules] + ["total"]
+    for path, row in zip(modules, rows):
+        code, doc, other, total = map(int, row[1:])
+        assert code + doc + other == total == len(path.read_text().splitlines())
+    sums = [sum(int(row[i]) for row in rows[:-1]) for i in range(1, 5)]
+    assert sums == [int(c) for c in rows[-1][1:]]
