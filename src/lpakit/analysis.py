@@ -19,11 +19,11 @@ is governed by quantities this module computes at each finite n:
 
 Every diagnostic on one instance reads what the instance computed once: one
 factor of T (a TruncationFactor, shared by every instance at the same m),
-one SVD of T X_n and both offset-angle routes, so identities that hold in
-exact arithmetic stay consistent to machine precision. A row reads T only
-through T's structured products: its first n columns, T V and T^T U. A
-family that hands them over (OperatorFamily.products) has its T never
-formed. The factor is T's SVD as the family knows it, T^{-1} in closed form
+one SVD of T X_n, one T^T U_r and both offset-angle routes, so identities
+that hold in exact arithmetic stay consistent to machine precision. A row
+reads T only through T's structured products: its first n columns, T V and
+T^T U. A family that hands them over (OperatorFamily.products) has its T
+never formed. The factor is T's SVD as the family knows it, T^{-1} in closed form
 or LAPACK's SVD of the whole T (see TruncationFactor); the instance sees
 ranks, not routes. The rank r of T X_n is decided once, and refused where
 its kernel core would exceed N(T); the kernel core, T_n^+, both
@@ -139,7 +139,8 @@ class TruncationFactor:
     inverse, the factor is LAPACK's SVD of the whole T (_factor_svd), the
     reference the tests hold the other sources to. Both hand over
     (U_rho, R, K) as vectors(rho), Subspaces the factor takes as they are,
-    and pinv_apply is R (Sigma_rho^{-1} U_rho^T v). inverse is T^{-1} in
+    pinv_apply is R (Sigma_rho^{-1} U_rho^T v), and U_rho^T T, in one form
+    whatever holds U_rho, is ut_rho. inverse is T^{-1} in
     closed form with sigma_max(T), (apply, sigma_max)
     (OperatorFamily.inverse: seidman's, identity's), a certificate that T
     is injective: T is inverted, holding no m x m array, whatever cond(T)
@@ -188,21 +189,12 @@ class TruncationFactor:
         the factor was given T's structured products."""
         return self.products.columns(self.m)
 
-    def rho_rows(self, x: np.ndarray, n: int | None = None) -> np.ndarray:
-        """U_rho^T T X, rho x dim X, for an orthonormal X; n when X is the
-        coordinate subspace of that dimension. For an explicit U_rho,
-        U_rho^T T = (T^T U_rho)^T is formed once per factor (rho x m) and
-        X applied as a column slice or a product; for one held as maps it
-        is Sigma_rho R^T X, through R's coords."""
-        if not self.u_rho.explicit:
-            return (self.rowspace.coords(x).T * self.s_rho).T
-        return self.ut_rho[:, :n] if n is not None else self.ut_rho @ x
-
     @cached_property
     def ut_rho(self) -> np.ndarray:
-        """U_rho^T T, rho x m, formed on first read (array SVD routes only):
-        the row-space side of T that txn_svd multiplies X_n by when
-        rho < dim X_n."""
+        """U_rho^T T = (T^T U_rho)^T, rho x m, formed once on first read
+        (SVD routes only): txn_svd reads U_rho^T T X_n off it on every such
+        route when rho < dim X_n. It reads U_rho's basis, which du's
+        reflector forms then (at n = m)."""
         return np.ascontiguousarray(self.products.t_times(self.u_rho.basis).T)
 
     @cached_property
@@ -311,8 +303,9 @@ class LpaInstance:
         nothing dropped, read off the factor's products: T's first n
         columns for a coordinate X_n, with no product, else T X_n. When
         rho < dim X_n it is the thin SVD P S V^T of Z = (U_rho^T T) X_n,
-        rho x dim X_n (TruncationFactor.rho_rows), with u = U_rho P,
-        so vt is rho x dim X_n, not square. A row reads only V_r = vt[:r]:
+        rho x dim X_n, the factor's ut_rho's first n columns for a
+        coordinate X_n, else ut_rho X_n, with u = U_rho P, so vt is
+        rho x dim X_n, not square. A row reads only V_r = vt[:r]:
         kernel_gap projects V_r out rather than reading its complement,
         which the oracle kernel_core completes itself. No row forms the
         m x m x dim X_n product T X_n, nor a dim X_n x dim X_n V. What Z
@@ -328,7 +321,7 @@ class LpaInstance:
             txn = f.products.columns(n) if n else f.products.times(self.x_n.basis)
             res = svd(txn, full_matrices=False)
         else:
-            z = svd(f.rho_rows(self.x_n.basis, n), full_matrices=False)
+            z = svd(f.ut_rho[:, :n] if n else f.ut_rho @ self.x_n.basis, full_matrices=False)
             res = SvdResult(u=f.u_rho.apply(z.u), singular_values=z.singular_values, vt=z.vt)
         r = rank_cutoff(res.singular_values, (self.m, k), 1.0, f.cutoff)[0]
         if k - r > f.kernel.dim:
@@ -339,6 +332,14 @@ class LpaInstance:
                 raise RankToleranceError(f"{msg}; the default cutoff {c:.3e} keeps it")
             raise ArithmeticError(msg)
         return res, r
+
+    @cached_property
+    def tt_ur(self) -> np.ndarray:
+        """T^T U_r, m x r, U_r the r left singular vectors txn_svd kept, read
+        off the factor's products once per row: the T^*T(X_n) image, the
+        Q_n route and norm_tn_dag_t all read this one array."""
+        res, r = self.txn_svd
+        return self.factor.products.t_times(res.u[:, :r])
 
     @cached_property
     def tn_pinv(self) -> np.ndarray:
@@ -373,16 +374,14 @@ class LpaInstance:
         no further rank decision, so both have dimension r. T^+T is applied
         as the row-space projector, which does not amplify roundoff in
         kernel directions, and skipped when rho = m, where the row space is
-        R^m. T^T U_r is read off the factor's products, formed here as the
-        Q_n route and norm_tn_dag_t form it for themselves. Formed on each
-        call, not kept: offset_sines takes their gap and drops both before
-        the Q_n route runs."""
+        R^m. T^T U_r is the instance's tt_ur. Formed on each call, not
+        kept: offset_sines takes their gap and drops both before the Q_n
+        route runs."""
         res, r = self.txn_svd
-        row_image = self.x_n.basis @ res.vt[:r].T
+        row_image = self.x_n.apply(res.vt[:r].T)
         if self.rank < self.m:
             row_image = self.factor.rowspace.project(row_image)
-        return (Subspace(np.linalg.qr(row_image)[0]),
-                Subspace(np.linalg.qr(self.factor.products.t_times(res.u[:, :r]))[0]))
+        return Subspace(np.linalg.qr(row_image)[0]), Subspace(np.linalg.qr(self.tt_ur)[0])
 
     @cached_property
     def offset_sines(self) -> tuple[float, float]:
@@ -445,28 +444,22 @@ def _tn_pinv_times(inst: LpaInstance, v: np.ndarray) -> np.ndarray:
     vector or a matrix's columns: O(m r) per column past X_n's own product,
     with no m x m T_n^+."""
     res, r = inst.txn_svd
-    return inst.x_n.basis @ (res.vt[:r].T @ ((res.u[:, :r].T @ v).T / res.singular_values[:r]).T)
-
-
-def _qn_factors(inst: LpaInstance) -> tuple[np.ndarray, np.ndarray]:
-    """A = T^+ U_r and B = T^T U_r, so that Q_n = A B^T (U_r: the r left
-    singular vectors txn_svd kept, an orthonormal basis of T(X_n)); B from
-    the factor's products, O(m r) for a structured T."""
-    res, r = inst.txn_svd
-    u_r = res.u[:, :r]
-    return inst.factor.pinv_apply(u_r), inst.factor.products.t_times(u_r)
+    return inst.x_n.apply(res.vt[:r].T @ ((res.u[:, :r].T @ v).T / res.singular_values[:r]).T)
 
 
 def _tan_theta_qn(inst: LpaInstance) -> float:
-    """tan theta_n = ||Q_n - P_R||, R = ran Q_n, as the r x r ||R_A R_C^T||:
-    in R + R^perp, Q_n = [[I, K], [0, 0]] with K = Q_n - P_R, so ||Q_n||^2 =
+    """tan theta_n = ||Q_n - P_R||, R = ran Q_n, as the r x r ||R_A R_C^T||,
+    for Q_n = A B^T with A = T^+ U_r and B = T^T U_r (inst.tt_ur), U_r the
+    r left singular vectors txn_svd kept, an orthonormal basis of T(X_n).
+    In R + R^perp, Q_n = [[I, K], [0, 0]] with K = Q_n - P_R, so ||Q_n||^2 =
     1 + ||K||^2 = 1/cos^2 theta_n (Szyld, Numer. Algorithms 2006). With
     A = Q_A R_A, B^T A = I gives Q_A^T B = R_A^{-T}, so K = Q_A R_A C^T for
     C = (I - Q_A Q_A^T) B, projected twice, = Q_C R_C. 0 when r = 0."""
-    a, b = _qn_factors(inst)
-    if not a.shape[1]:
+    res, r = inst.txn_svd
+    if not r:
         return 0.0
-    q_a, r_a = np.linalg.qr(a)
+    q_a, r_a = np.linalg.qr(inst.factor.pinv_apply(res.u[:, :r]))
+    b = inst.tt_ur
     c = b - q_a @ (q_a.T @ b)
     c -= q_a @ (q_a.T @ c)
     return float(np.linalg.norm(r_a @ np.linalg.qr(c, mode="r").T, 2))
@@ -517,7 +510,7 @@ def kernel_core(inst: LpaInstance) -> Subspace:
     """
     res, r = inst.txn_svd
     w = np.linalg.qr(res.vt[:r].T, mode="complete")[0][:, r:]
-    return Subspace(inst.x_n.basis @ w)
+    return Subspace(inst.x_n.apply(w))
 
 
 def norm_tn_dag_t(inst: LpaInstance) -> float:
@@ -526,11 +519,10 @@ def norm_tn_dag_t(inst: LpaInstance) -> float:
     T_n^+ = (X_n V_r) Sigma_r^{-1} U_r^T from the thin SVD of T X_n, and
     X_n V_r has orthonormal columns, so it drops out of the norm. r is
     txn_svd's rank, the one the kernel core and both images use.
-    U_r^T T = (T^T U_r)^T is read off the factor's products.
+    U_r^T T = (T^T U_r)^T is the instance's tt_ur, transposed.
     """
     res, r = inst.txn_svd
-    ut_t = inst.factor.products.t_times(res.u[:, :r]).T
-    return float(np.linalg.norm(ut_t / res.singular_values[:r, None], 2))
+    return float(np.linalg.norm(inst.tt_ur.T / res.singular_values[:r, None], 2))
 
 
 @dataclass(frozen=True)

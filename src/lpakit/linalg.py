@@ -95,15 +95,13 @@ class Subspace:
     one's, nor are an SVD's singular vectors.
 
     Readers go through three maps, each for a vector or a matrix's columns:
-    apply(p) = B p, coords(v) = B^T v and project(v) = B (B^T v). explicit
-    says whether B is held; a subclass that holds B as a map instead (du's
-    reflector columns, operators.Reflector) forms it only when basis is
-    read.
+    apply(p) = B p, coords(v) = B^T v and project(v) = B (B^T v). A
+    subclass may hold B as maps instead (du's reflector columns,
+    operators.Reflector) and form it only when basis is read.
     """
 
     basis: np.ndarray
     check: InitVar[bool] = True
-    explicit = True  # a class attribute, not a field
 
     def __post_init__(self, check: bool):
         if not check:

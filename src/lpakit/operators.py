@@ -298,7 +298,9 @@ class Reflector(Subspace):
     order[:k] and 0 elsewhere; coords(v) = (H v)[order[:k]]; and project,
     H Z H in place, Z zeroing the other coordinates, not I - K K^T, which
     loses du's grading. basis forms the m x k columns, in that order, only
-    when read (the oracles).
+    when read: by the oracles, and by U_rho^T T at du's n = m. Its repr
+    names m and k, and it compares and hashes by identity, so neither
+    forms the basis.
 
     Called as vectors(k), it is the vectors of T = H[:, order] diag(s)
     H[:, order]^T (OperatorFamily.singular_triplets' for du): it certifies
@@ -306,8 +308,6 @@ class Reflector(Subspace):
     Gram check, and hands over its columns order[:k], U_k and the row
     space alike, and the kernel, its columns order[k:], formed by reflect
     and checked."""
-
-    explicit = False
 
     def __init__(self, h: np.ndarray, order: np.ndarray, k: int | None = None):
         # plain assignment: a frozen dataclass refuses only its own fields
@@ -319,6 +319,11 @@ class Reflector(Subspace):
     @property
     def shape(self) -> tuple[int, int]:
         return self.h.size, self.keep.size
+
+    def __repr__(self) -> str:
+        return f"Reflector(m={self.h.size}, k={self.keep.size})"
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def reflect(self, v: np.ndarray) -> np.ndarray:
         return v - np.multiply.outer(self.h, self.beta * (self.h @ v))
@@ -378,10 +383,10 @@ def _du_singular_triplets(m: int):
     vectors(k) hands over H's first k columns in that order as U_k and as
     the row space, applied as v - beta h (h^T v), O(m) per column, and the
     kernel H e_1 formed. Only reading their basis forms the columns (the
-    oracles' route): H's entries i, j >= 2 are -c_i c_j / (1 + c_1), about
-    1.6 * 2^-(i+j), and, as du does for T's, an entry below sqrt(tiny) is
-    stored as 0, so no product of two entries is subnormal; the dropped
-    part has norm below 2^-500.
+    oracles, U_rho^T T at n = m): H's entries i, j >= 2 are
+    -c_i c_j / (1 + c_1), about 1.6 * 2^-(i+j), and, as du does for T's,
+    an entry below sqrt(tiny) is stored as 0, so no product of two
+    entries is subnormal; the dropped part has norm below 2^-500.
 
     For m <= 256 this is the SVD of du(m) itself. Beyond, it is that of
     I - 3 w w^T, from which du(m) differs only in its dropped entries, by

@@ -53,7 +53,7 @@ from lpakit.linalg import (
     rank_cutoff,
     svd,
 )
-from lpakit.operators import du_bad_y, du_vector_e, get_family, random_finite_kernel
+from lpakit.operators import Reflector, du_bad_y, du_vector_e, get_family, random_finite_kernel
 from lpakit.scan import run_scan
 
 try:
@@ -87,12 +87,12 @@ def _default_tol(m: int) -> float:
 
 def qn_matrix(inst: LpaInstance) -> np.ndarray:
     # the oblique projector Q_n = T^+ P_{T(X_n)} T as a dense m x m matrix,
-    # A B^T from the route's own factors (A = T^+ U_r, B = T^T U_r): its
-    # range is T^+T(X_n), its kernel the complement of T^*T(X_n). The
-    # diagnostics take tan theta_n = ||Q_n - P_{ran Q_n}|| without forming
-    # it; this is their oracle
-    a, b = lpakit.analysis._qn_factors(inst)
-    return a @ b.T
+    # A B^T from the route's own factors (A = T^+ U_r, B = T^T U_r, the
+    # instance's tt_ur): its range is T^+T(X_n), its kernel the complement
+    # of T^*T(X_n). The diagnostics take tan theta_n = ||Q_n - P_{ran Q_n}||
+    # without forming it; this is their oracle
+    res, r = inst.txn_svd
+    return inst.factor.pinv_apply(res.u[:, :r]) @ inst.tt_ur.T
 
 
 def sqrt_form_sine(qn: np.ndarray) -> float:
@@ -536,20 +536,20 @@ def test_du_factor_in_closed_form_matches_lapack(m):
     # form, the SVD of I - 3 w w^T, keeps; their norm is under 2^-500, so
     # the closed form still reproduces T to m eps entrywise: as the formed
     # vectors (the oracles' arrays) and as U_rho Sigma_rho V_rho^T through
-    # the factor's maps (u_rho.apply and rho_rows, applied to I), which omits
+    # the factor's maps (u_rho.apply of Sigma_rho R^T), which omits
     # sigma_{rho+1} too, 4^-23 at m = 23, the one m here where that is
     # above m eps. The formed V stores no nonzero below sqrt(tiny), so no
     # product of two of its entries is subnormal
     fam = get_family("du")
     cached = _lapack_factor(f"du-{m}")[0] if f"du-{m}" in _LAPACK_INPUTS else None
     got, want = _known_and_lapack_factors(fam, m, 1e-12, cached)
-    assert not got.u_rho.explicit and got.kernel.dim == m - got.rank <= 1
+    assert isinstance(got.u_rho, Reflector) and got.kernel.dim == m - got.rank <= 1
     t, (s, vectors) = fam.truncate(m), fam.singular_triplets(m)
     u, row, kernel = vectors(m)
     vt = np.hstack([row.basis, kernel.basis]).T
     assert np.abs((u.basis * s) @ vt - t).max() <= m * EPS
     dropped = s[got.rank] if got.rank < m else 0.0
-    rho_part = got.u_rho.apply(got.rho_rows(np.eye(m)))
+    rho_part = got.u_rho.apply((got.rowspace.coords(np.eye(m)).T * got.s_rho).T)
     assert np.abs(rho_part - t).max() <= m * EPS + dropped
     stored = np.abs(vt[vt != 0])
     assert stored.min() >= math.sqrt(np.finfo(float).tiny)

@@ -344,6 +344,27 @@ def _recording_products(products, widths):
     return recording
 
 
+@pytest.mark.parametrize("operator, n_list, m, want", [
+    ("seidman", [32, 64, 80], 768, [32, 64, 80]),
+    ("best-lpa", [2, 4, 8, 12], 512, [12, 2, 4, 8, 12]),
+])
+def test_scan_forms_t_transpose_u_r_once_per_row(monkeypatch, operator, n_list, m, want):
+    # a row forms T^T U_r once, with its r columns (LpaInstance.tt_ur),
+    # which its T^*T image, its Q_n route and norm_tn_dag_t all read;
+    # best-lpa's factor adds U_rho^T T, one call with rho = 12 columns per m
+    fam, widths = get_family(operator), []
+
+    def recording(k):
+        p = fam.products(k)
+        return p._replace(t_times=lambda u: widths.append(u.shape[1]) or p.t_times(u))
+
+    monkeypatch.setattr(lpakit.scan, "get_family", lambda name, **params: dataclasses.replace(
+        fam, products=recording))
+    run_scan(scan_config_from_dict({"operator": {"name": operator}, "n_list": n_list,
+                                    "m_rule": f"fixed:{m}", "seed": 0}))
+    assert widths == want
+
+
 @pytest.mark.parametrize("m", [64, 512])
 def test_best_lpa_scan_takes_no_m_cubed_step(monkeypatch, m):
     # best-lpa's model draws U_r by a reduced QR of m x r and V by a complete

@@ -14,6 +14,7 @@ from lpakit.config import Tolerances
 from lpakit.linalg import EPS, Subspace, gap, kernel_basis, rank_cutoff, svd
 from lpakit.operators import (
     FAMILY_NAMES,
+    Reflector,
     SingularSystem,
     du,
     du_bad_y,
@@ -189,7 +190,7 @@ def test_du_reflector_columns_are_maps_of_h(m):
     s, reflector = get_family("du").singular_triplets(m)
     rho = rank_cutoff(s, (m, m))[0]
     kept = reflector(rho)[0]
-    assert not kept.explicit and "basis" not in vars(kept) and kept.shape == (m, rho)
+    assert isinstance(kept, Reflector) and "basis" not in vars(kept) and kept.shape == (m, rho)
     eye = np.eye(rho)
     a = kept.apply(eye)
     assert np.abs(kept.coords(a) - eye).max() <= max(m, 4) * EPS
@@ -201,6 +202,16 @@ def test_du_reflector_columns_are_maps_of_h(m):
         z = w - np.multiply.outer(h, beta * (h @ w))
         z[reflector.order[rho:]] = 0.0
         assert kept.project(w).tobytes() == (z - np.multiply.outer(h, beta * (h @ z))).tobytes()
+
+
+def test_du_reflector_repr_and_equality_form_no_basis():
+    # repr names m and k, and == and hash are by identity: none reads the
+    # m x k basis, which at m = 768 would be H's 767 kept columns (4.7 MB)
+    rowspace = shared_factors(get_family("du"))(768).rowspace
+    assert repr(rowspace) == "Reflector(m=768, k=767)"
+    assert rowspace == rowspace and hash(rowspace) == hash(rowspace)
+    assert rowspace != Reflector(rowspace.h, rowspace.order, 767)
+    assert "basis" not in vars(rowspace)
 
 
 _PRODUCT_MS = [1, 2, 22, 23, 256, 257, 511, 512, 513, 768, 1100]

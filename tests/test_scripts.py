@@ -1,9 +1,12 @@
 """Smoke tests for the example scripts under scripts/, run as a user would."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from lpakit.suites import SUITE_NAMES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +46,24 @@ def test_src_lines_splits_every_line_of_every_module():
         assert code + doc + other == total == len(path.read_text().splitlines())
     sums = [sum(int(row[i]) for row in rows[:-1]) for i in range(1, 5)]
     assert sums == [int(c) for c in rows[-1][1:]]
+
+
+def test_output_digest_prints_one_line_per_output():
+    # stdout and exit code of every command, then the files it wrote, by name
+    def outputs(files):
+        return [":stdout", ":exit", *(f":{name}" for name in sorted(files))]
+
+    want = []
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        files = [out["path"] for out in json.loads(path.read_text())["outputs"]]
+        want += [f"configs/{path.name}{o}" for o in outputs(files)]
+    for workload in ("seidman-fixed768", "du-factor48", "bestlpa-wide512"):
+        for seed in (0, 7):
+            want += [f"perfbench/{workload}/seed{seed}{o}"
+                     for o in outputs(["rows.csv", "rows.json"])]
+    for suite in SUITE_NAMES:
+        want += [f"verify/{suite}{o}" for o in outputs([])]
+    want += [f"gallery{o}" for o in outputs([])]
+    lines = [line.split() for line in run_script("output_digest.py").splitlines()]
+    assert [name for _, name in lines] == want
+    assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef") for digest, _ in lines)
