@@ -33,18 +33,31 @@ from lpakit.suites import SUITE_NAMES  # noqa: E402
 from run import WORKLOADS  # noqa: E402
 
 SEEDS = (0, 7)
-ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1",
-       "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+BLAS_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def show(data: bytes, name: str) -> None:
     print(hashlib.sha256(data).hexdigest(), name)
 
 
-def lpakit(name: str, *args: str, config: dict | None = None) -> None:
-    """Run ``lpakit args``, with ``--out-dir`` and, when given, a config
-    file written from `config` in a temporary directory, and show its
-    stdout, its exit code and each file it wrote, in name order."""
+def commands():
+    """(name, args, config) of each command whose outputs are shown, in
+    order; config, when not None, is written to a file passed last."""
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        yield f"configs/{path.name}", ("analyze", str(path)), None
+    for workload, config in WORKLOADS.items():
+        for seed in SEEDS if config else ():
+            yield f"perfbench/{workload}/seed{seed}", ("analyze",), config(seed)
+    for suite in SUITE_NAMES:
+        yield f"verify/{suite}", ("verify", suite), None
+    yield "gallery", ("gallery",), None
+
+
+def lpakit(root: Path, args: tuple, config: dict | None = None):
+    """Run ``lpakit args`` on root's src/, with ``--out-dir`` and, when
+    given, a config file written from `config` in a temporary directory.
+    Returns its stdout, its exit code and {name: bytes} of each file it
+    wrote."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp, "out")
         if config is not None:
@@ -52,23 +65,20 @@ def lpakit(name: str, *args: str, config: dict | None = None) -> None:
             args = (*args, str(Path(tmp, "config.json")))
         if args[0] == "analyze":
             args = (*args, "--out-dir", str(out))
-        proc = subprocess.run([sys.executable, "-m", "lpakit", *args], cwd=ROOT, env=ENV,
+        env = {**os.environ, **BLAS_ONE_THREAD, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run([sys.executable, "-m", "lpakit", *args], cwd=root, env=env,
                               capture_output=True)
-        show(proc.stdout.replace(tmp.encode(), b"<tmp>"), f"{name}:stdout")
-        show(str(proc.returncode).encode(), f"{name}:exit")
-        for path in sorted(out.iterdir()) if out.exists() else ():
-            show(path.read_bytes(), f"{name}:{path.name}")
+        files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else {}
+        return proc.stdout.replace(tmp.encode(), b"<tmp>"), proc.returncode, files
 
 
 def main() -> None:
-    for path in sorted((ROOT / "configs").glob("*.json")):
-        lpakit(f"configs/{path.name}", "analyze", str(path))
-    for workload, config in WORKLOADS.items():
-        for seed in SEEDS if config else ():
-            lpakit(f"perfbench/{workload}/seed{seed}", "analyze", config=config(seed))
-    for suite in SUITE_NAMES:
-        lpakit(f"verify/{suite}", "verify", suite)
-    lpakit("gallery", "gallery")
+    for name, args, config in commands():
+        stdout, code, files = lpakit(ROOT, args, config)
+        show(stdout, f"{name}:stdout")
+        show(str(code).encode(), f"{name}:exit")
+        for file in sorted(files):
+            show(files[file], f"{name}:{file}")
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ from .linalg import (
     rank_cutoff,
     svd,
 )
-from .operators import OperatorFamily, Products, du_bad_y, du_vector_e, get_family
+from .operators import OperatorFamily, Products, Reflector, du_bad_y, du_vector_e, get_family
 
 __all__ = [
     "PreconditionError",
@@ -114,6 +114,10 @@ def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
                                            Subspace(res.vt[:r].T), Subspace(res.vt[r:].T))
 
 
+# Columns of U_rho per block when TruncationFactor.ut_rho reads them.
+_UT_BLOCK = 64
+
+
 class TruncationFactor:
     """One m x m truncation T factored, and what is read off it: rank rho,
     sigma_max, the kernel K and, on the SVD routes, the singular values
@@ -128,7 +132,7 @@ class TruncationFactor:
     T is given as an m x m array or as its structured products (an
     operators.Products, from OperatorFamily.products). A row reads T only
     through products (T's first n columns, T V and T^T U): from the array
-    they are its slices and products; from the family they cost O(m) per
+    they are its slices and products; from the family, O(m) or O(m r) per
     column, and the dense t is products.columns(m), formed only when read
     (tn(), the suites' small instances and the oracles).
 
@@ -138,16 +142,17 @@ class TruncationFactor:
     best-lpa's and du's), read with no LAPACK call; given neither it nor
     inverse, the factor is LAPACK's SVD of the whole T (_factor_svd), the
     reference the tests hold the other sources to. Both hand over
-    (U_rho, R, K) as vectors(rho), Subspaces the factor takes as they are,
-    pinv_apply is R (Sigma_rho^{-1} U_rho^T v), and U_rho^T T, in one form
-    whatever holds U_rho, is ut_rho. inverse is T^{-1} in
-    closed form with sigma_max(T), (apply, sigma_max)
-    (OperatorFamily.inverse: seidman's, identity's), a certificate that T
-    is injective: T is inverted, holding no m x m array, whatever cond(T)
-    is. rho = m, pinv_apply is apply, T^{-1} = T^+; u_rho is None, K is
-    {0}, and the factor holds no singular values or row space (rho = m, so
-    no row reads them). On every route the m x m t_pinv is pinv_apply(I),
-    formed only when read.
+    (U_rho, R, K) as vectors(rho), Subspaces the factor takes as they are
+    (du's and best-lpa's R and K are a Reflector's columns, certified by
+    it), pinv_apply is R (Sigma_rho^{-1} U_rho^T v), and U_rho^T T, in one
+    form whatever holds U_rho, is ut_rho. inverse is T^{-1} in closed form
+    with sigma_max(T), (apply, sigma_max) (OperatorFamily.inverse:
+    seidman's, identity's), a certificate that T is injective: T is
+    inverted, holding no m x m array, whatever cond(T) is. rho = m,
+    pinv_apply is apply, T^{-1} = T^+; u_rho is None, K is {0}, and the
+    factor holds no singular values or row space (rho = m, so no row reads
+    them). On every route the m x m t_pinv is pinv_apply(I), formed only
+    when read.
 
     It does not depend on X_n, so every instance at this m can share it (see
     shared_factors).
@@ -193,9 +198,15 @@ class TruncationFactor:
     def ut_rho(self) -> np.ndarray:
         """U_rho^T T = (T^T U_rho)^T, rho x m, formed once on first read
         (SVD routes only): txn_svd reads U_rho^T T X_n off it on every such
-        route when rho < dim X_n. It reads U_rho's basis, which du's
-        reflector forms then (at n = m)."""
-        return np.ascontiguousarray(self.products.t_times(self.u_rho.basis).T)
+        route when rho < dim X_n. U_rho's columns are read in blocks through
+        u_rho.apply, so no basis of U_rho is formed and kept beside it (du's
+        reflector's, at n = m)."""
+        rho, m = self.rank, self.m
+        ut = np.empty((rho, m))
+        for j in range(0, rho, _UT_BLOCK):
+            block = self.u_rho.apply(np.eye(rho, min(_UT_BLOCK, rho - j), -j))
+            ut[j:j + _UT_BLOCK] = self.products.t_times(block).T
+        return ut
 
     @cached_property
     def t_pinv(self) -> np.ndarray:
@@ -502,15 +513,15 @@ def kernel_core(inst: LpaInstance) -> Subspace:
     """Orthonormal basis of the intersection of N(T) with X_n.
 
     Computed as the kernel of T restricted to the X_n basis, lifted back to
-    the ambient space: X_n W, W the last dim X_n - r columns of a complete
+    the ambient space: X_n W, W the last dim X_n - r columns of the Q of a
     QR of V_r^T, an orthonormal basis of the complement of txn_svd's V_r,
     which may be thin. For T numerically zero the core is all of X_n. The
     diagnostics read only its dimension and gap (inst.kernel_core_dim,
     inst.kernel_gap); this m x (dim X_n - r) basis is their dense oracle.
     """
     res, r = inst.txn_svd
-    w = np.linalg.qr(res.vt[:r].T, mode="complete")[0][:, r:]
-    return Subspace(inst.x_n.apply(w))
+    w = Reflector.from_raw_qr(*np.linalg.qr(res.vt[:r].T, mode="raw")).split(r)[1]
+    return Subspace(inst.x_n.apply(w.basis))
 
 
 def norm_tn_dag_t(inst: LpaInstance) -> float:

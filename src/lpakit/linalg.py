@@ -7,9 +7,9 @@ so that all of them agree on what counts as zero. Subspaces are held only as
 orthonormal bases (see :class:`Subspace`), each checked once, a caller's or
 LAPACK's alike, by ``||B^T B - I||_F <= 1e-12 max(1, m)``: O(m k^2), no LAPACK
 call, and summed over column blocks, so a wide basis forms no k x k array;
-a column view (Subspace.columns) inherits its parent's check. gap and
-deficiency work on bases; :func:`projector` builds the m x m matrix only for
-checks that need it.
+columns of a product of reflectors (operators.Reflector) are certified by
+their reflectors instead. gap and deficiency work on bases;
+:func:`projector` builds the m x m matrix only for checks that need it.
 """
 
 from __future__ import annotations
@@ -90,14 +90,13 @@ class Subspace:
     spectral norm it bounds, O(m k^2), and no LAPACK call. The norm is
     summed over column blocks of 256 (_gram_defect), so the check holds at
     most a 256 x k array, never the k x k B^T B of a wider basis.
-    check=False takes the basis as it is: a view of some columns (columns())
-    is not checked again, as its Gram defect is a principal block of this
-    one's, nor are an SVD's singular vectors.
+    check=False takes the basis as it is (an SVD's singular vectors).
 
     Readers go through three maps, each for a vector or a matrix's columns:
-    apply(p) = B p, coords(v) = B^T v and project(v) = B (B^T v). A
-    subclass may hold B as maps instead (du's reflector columns,
-    operators.Reflector) and form it only when basis is read.
+    apply(p) = B p, coords(v) = B^T v and project(v) = apply(coords(v)) =
+    B (B^T v). A subclass may hold B as maps instead (columns of a product
+    of reflectors, operators.Reflector: du's H, best-lpa's V) and form it
+    only when basis is read.
     """
 
     basis: np.ndarray
@@ -128,10 +127,6 @@ class Subspace:
         """The basis's shape, (ambient_dim, dim)."""
         return self.basis.shape
 
-    def columns(self, start: int, stop: int) -> "Subspace":
-        """Basis columns start..stop - 1, a view that inherits the check."""
-        return Subspace(self.basis[:, start:stop], check=False)
-
     def apply(self, p) -> np.ndarray:
         """B p, coordinates to vectors."""
         return self.basis @ p
@@ -142,7 +137,7 @@ class Subspace:
 
     def project(self, v) -> np.ndarray:
         """Orthogonal projection B (B^T v) of a vector or of a matrix's columns."""
-        return self.basis @ (self.basis.T @ v)
+        return self.apply(self.coords(v))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

@@ -62,12 +62,11 @@ class OperatorFamily:
     products, when set, is T's structured products at m, a Products whose
     columns(n) are bitwise truncate(m)[:, :n], with no m x m array formed
     but at n = m. seidman's (T = D + c e_1^T), du's (T = I - 3 w w^T) and
-    identity's cost O(m) per column; best-lpa's apply T = U_r Sigma V_r^T
-    in strips of 64 rows formed when read, O(m^2 r) per call with no m x m
-    array (SingularModel.products). analysis.shared_factors then builds the
-    factor from them and never calls truncate: a row reads T only through
-    them, and the dense T is formed only when read (the suites, tn() and
-    the tests' oracles). Every family but random hands them over.
+    identity's cost O(m) per column, best-lpa's O(m r), through its factors
+    (SingularModel.products). analysis.shared_factors then builds the factor
+    from them and never calls truncate: a row reads T only through them,
+    and the dense T is formed only when read (the suites, tn() and the
+    tests' oracles). Every family but random hands them over.
 
     inverse, when set, is truncate(m)^{-1} in closed form with T's largest
     singular value, as (apply, sigma_max): apply(v) = T^{-1} v for a vector
@@ -82,17 +81,16 @@ class OperatorFamily:
     vectors(k) = (U[:, :k], V[:, :k], V[:, k:]), the left vectors, a basis
     of the row space and one of the kernel, as linalg.Subspaces, for any k
     up to the count of nonzero values, in any column order within each:
-    analysis.shared_factors factors T from it instead of by LAPACK.
-    best-lpa reads it off the singular system it builds T from, as views
-    of its model's V and U_r; du's vectors is a Reflector, U = V =
-    H[:, order], applied in O(m) per column and formed only when read (see
-    _du_singular_triplets). A family with neither inverse nor
-    singular_triplets is factored by LAPACK's SVD of T.
+    analysis.shared_factors factors T from it instead of by LAPACK:
+    best-lpa's are U_r and its model's V split at k; du's vectors is a
+    Reflector, U = V = H[:, order]. Either V is a Reflector, formed only
+    when read. A family with neither inverse nor singular_triplets is
+    factored by LAPACK's SVD of T.
 
     xn_basis, when set, overrides the coordinate subspaces as the family's
     approximation scheme: it returns an orthonormal m x k basis for the
     subspace at index n, as an array or as a linalg.Subspace taken as it
-    is (best-lpa's, a view of its model's checked V). max_n and min_m are
+    is (best-lpa's, columns of its model's V). max_n and min_m are
     the family's own limits on (n, m); check() tests a pair against them
     without building anything.
 
@@ -226,7 +224,7 @@ def _seidman_inverse(m: int):
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 # Largest s with 3/2^s >= sqrt(tiny) = 2^-511, i.e. 512; see du.
 _DU_MAX_EXPONENT = math.floor(math.log2(3.0 / _SQRT_TINY))
-# Rows per block when _du_singular_triplets zeroes its tiny entries.
+# Columns per block when a Reflector forms its basis.
 _ZERO_BLOCK = 32
 
 
@@ -291,74 +289,86 @@ def _du_products(m: int) -> Products:
 
 
 class Reflector(Subspace):
-    """The Householder reflector H = I - beta h h^T, beta = 2 / h^T h,
-    symmetric and orthogonal, held as h, and its columns order[:k] (all
-    of them when k is None) as a Subspace held as maps, O(m) per column:
-    reflect(v) = H v; apply(p) = H z, z holding p's rows at coordinates
-    order[:k] and 0 elsewhere; coords(v) = (H v)[order[:k]]; and project,
-    H Z H in place, Z zeroing the other coordinates, not I - K K^T, which
-    loses du's grading. basis forms the m x k columns, in that order, only
-    when read: by the oracles, and by U_rho^T T at du's n = m. Its repr
-    names m and k, and it compares and hashes by identity, so neither
-    forms the basis.
+    """H = H_1 ... H_p = I - Y S Y^T, p Householder reflectors
+    H_i = I - S_ii y_i y_i^T in compact WY form (Schreiber & Van Loan, SIAM
+    J. Sci. Stat. Comput. 10, 1989), Y m x p and S upper triangular:
+    orthogonal, O(m p) numbers, applied to a column in O(m p). du's H is
+    one reflector; best-lpa's V, r of them.
 
-    Called as vectors(k), it is the vectors of T = H[:, order] diag(s)
-    H[:, order]^T (OperatorFamily.singular_triplets' for du): it certifies
-    that H is a reflector, |beta h^T h / 2 - 1| <= m eps, in place of a
-    Gram check, and hands over its columns order[:k], U_k and the row
-    space alike, and the kernel, its columns order[k:], formed by reflect
-    and checked."""
+    As a Subspace it is H's columns order[:k], held as maps: apply(p) =
+    H z, z holding p's rows at those coordinates and 0 elsewhere;
+    coords(v) = (H^T v)[order[:k]], forming only those rows; project(v) =
+    apply(coords(v)), not I - K K^T, which loses du's grading. basis is
+    formed only when read, in column blocks, entries below sqrt(tiny)
+    stored as 0; repr, == and hash (by identity) do not form it.
 
-    def __init__(self, h: np.ndarray, order: np.ndarray, k: int | None = None):
+    split(k) certifies each H_i, |S_ii y_i^T y_i / 2 - 1| <= m eps (or
+    S_ii = 0, H_i = I), in place of a Gram check, and hands over the
+    columns order[:k] and order[k:]. Called as vectors(k) (du's
+    OperatorFamily.singular_triplets), it hands over order[:k] as U_k and
+    the row space, and order[k:] as the kernel."""
+
+    def __init__(self, y: np.ndarray, s: np.ndarray, order: np.ndarray | None = None,
+                 k: int | None = None):
         # plain assignment: a frozen dataclass refuses only its own fields
         # on a subclass
-        self.h, self.order = h, order
-        self.beta = 2.0 / (h @ h)
-        self.keep, self.drop = order[:k], order[k:]
+        self.y, self.s = y, s
+        self.order = np.arange(y.shape[0]) if order is None else order
+        self.keep = self.order[:k]
+
+    @classmethod
+    def from_raw_qr(cls, h: np.ndarray, tau: np.ndarray) -> "Reflector":
+        """The Q of np.linalg.qr(a, mode="raw") = (h, tau): y_i is e_i plus
+        h's row i past its diagonal, and S is LAPACK's dlarft recurrence."""
+        p = tau.size
+        y = np.tril(h.T, -1)
+        y[np.arange(p), np.arange(p)] = 1.0
+        s = np.zeros((p, p))
+        for i in range(p):
+            s[:i, i] = -tau[i] * (s[:i, :i] @ (y[i:, :i].T @ y[i:, i]))
+            s[i, i] = tau[i]
+        return cls(y, s)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.h.size, self.keep.size
+        return self.y.shape[0], self.keep.size
 
     def __repr__(self) -> str:
-        return f"Reflector(m={self.h.size}, k={self.keep.size})"
+        return f"Reflector(m={self.y.shape[0]}, k={self.keep.size})"
 
     __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def reflect(self, v: np.ndarray) -> np.ndarray:
-        return v - np.multiply.outer(self.h, self.beta * (self.h @ v))
-
     def apply(self, p: np.ndarray) -> np.ndarray:
-        z = np.zeros((self.h.size,) + p.shape[1:])
+        z = np.zeros((self.y.shape[0],) + p.shape[1:])
         z[self.keep] = p
-        return self.reflect(z)
+        return z - self.y @ (self.s @ (self.y.T @ z))
 
     def coords(self, v: np.ndarray) -> np.ndarray:
-        return self.reflect(v)[self.keep]
+        return v[self.keep] - self.y[self.keep] @ (self.s.T @ (self.y.T @ v))
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        z = self.reflect(v)
-        z[self.drop] = 0.0
-        return self.reflect(z)
+    def split(self, k: int) -> tuple["Reflector", "Reflector"]:
+        y, d = self.y, self.s.diagonal()
+        defect = np.abs(d * np.einsum("ij,ij->j", y, y) / 2.0 - 1.0)
+        if not np.all((d == 0.0) | (defect <= y.shape[0] * EPS)):
+            raise ValueError("an S_ii does not match its y_i: H is not a product of reflectors")
+        return Reflector(y, self.s, self.order, k), Reflector(y, self.s, self.order[k:])
 
     def __call__(self, k: int):
-        m = self.h.size
-        if not abs(self.beta * (self.h @ self.h) / 2.0 - 1.0) <= m * EPS:
-            raise ValueError("the reflector's beta does not match its h")
-        e = np.zeros((m, m - k))
-        e[self.order[k:], np.arange(m - k)] = 1.0
-        kept = Reflector(self.h, self.order, k)
-        return kept, kept, Subspace(self.reflect(e))
+        kept, rest = self.split(k)
+        return kept, kept, rest
 
     @cached_property
     def basis(self) -> np.ndarray:
-        # entries below sqrt(tiny) zeroed by row blocks: no m x k |v|
-        h, keep = self.h, self.keep
-        v = np.multiply.outer(h, -self.beta * h[keep])
-        for i in range(0, h.size, _ZERO_BLOCK):
-            block = v[i:i + _ZERO_BLOCK]
+        # I - Y S Y^T's columns in blocks, entries below sqrt(tiny) zeroed
+        # block by block: no m x k |v|
+        y, keep = self.y, self.keep
+        v = np.empty(self.shape)
+        for j in range(0, keep.size, _ZERO_BLOCK):
+            cols = keep[j:j + _ZERO_BLOCK]
+            block = y @ -(self.s @ y[cols].T)
             block[np.abs(block) < _SQRT_TINY] = 0.0
-        v[keep, np.arange(keep.size)] += 1.0
+            block[cols, np.arange(cols.size)] += 1.0
+            v[:, j:j + _ZERO_BLOCK] = block
         return v
 
 
@@ -378,12 +388,12 @@ def _du_singular_triplets(m: int):
     the gap route's sine at du's zero offset read 1.4e-10, 1.2e-7 and
     1.2e-4 at n = 20, 30 and 40 (m = 4n), against at most 1.7e-15 here.
 
-    vectors is a Reflector over the computed h, so H is a reflector, and
-    orthogonal to roundoff, whether or not the computed c has unit norm.
-    vectors(k) hands over H's first k columns in that order as U_k and as
-    the row space, applied as v - beta h (h^T v), O(m) per column, and the
-    kernel H e_1 formed. Only reading their basis forms the columns (the
-    oracles, U_rho^T T at n = m): H's entries i, j >= 2 are
+    vectors is a Reflector over the computed h, p = 1 (Y = h, S = beta =
+    2 / h^T h), so H is a reflector, and orthogonal to roundoff, whether or
+    not the computed c has unit norm. vectors(k) hands over H's first k
+    columns in that order as U_k and as the row space, and the kernel H e_1,
+    each applied as v - h (beta h^T v), O(m) per column. Only reading their
+    basis forms the columns (the oracles): H's entries i, j >= 2 are
     -c_i c_j / (1 + c_1), about 1.6 * 2^-(i+j), and, as du does for T's,
     an entry below sqrt(tiny) is stored as 0, so no product of two
     entries is subnormal; the dropped part has norm below 2^-500.
@@ -398,7 +408,7 @@ def _du_singular_triplets(m: int):
     h[0] += 1.0
     s = np.ones(m)
     s[-1] = np.ldexp(1.0, -2 * min(m, _DU_MAX_EXPONENT - 1))
-    return s, Reflector(h, np.r_[1:m, 0])
+    return s, Reflector(h[:, None], np.array([[2.0 / (h @ h)]]), np.r_[1:m, 0])
 
 
 def du_vector_e(m: int) -> np.ndarray:
@@ -452,64 +462,44 @@ class SingularModel:
     """Operator realized from a prescribed spectrum, held as its factors:
     T = u_basis diag(sigmas) V_r^T, never formed whole.
 
-    With r = len(sigmas), v is m x m orthogonal and kernel first, [K | V_r],
-    a Subspace checked once: its first m - r columns K are an orthonormal
-    basis of T's kernel, and its last r columns V_r are the right singular
-    vectors, in the order of sigmas; u_basis is the m x r left singular
-    vectors. The kernel plus the n leading right singular directions,
-    best-lpa's X_n, is the leading block v.columns(0, m - r + n), a view
-    that inherits V's check, as K and V_r are.
+    With r = len(sigmas), v is the m x m orthogonal V as a Reflector of r
+    Householder reflectors: its first r columns V_r are the right singular
+    vectors, in the order of sigmas, and its last m - r an orthonormal
+    basis of T's kernel; u_basis is the m x r left singular vectors.
+    best-lpa's row space, kernel and X_n are column sets of v.
     """
 
     u_basis: np.ndarray
-    v: Subspace
+    v: Reflector
     sigmas: tuple[float, ...]
 
     def products(self) -> Products:
-        """T's Products over strips T[i:i + _STRIP] = U_r[i:i + _STRIP]
-        (Sigma V_r^T), each formed when read and dropped: O(m^2 r) per call.
-        The strips are T's entries: columns(n) cuts them to n columns, and
-        times and t_times multiply them as the dense T's rows."""
-        u = self.u_basis
-        m, r = u.shape
-        sv = np.asarray(self.sigmas)[:, None] * self.v.basis[:, m - r:].T
-        starts = range(0, m, _STRIP)
-
-        def strip(i: int) -> np.ndarray:
-            return u[i:i + _STRIP] @ sv
+        """T's Products through its factors: T x = U_r (Sigma (V_r^T x)) and
+        T^T y = V_r (Sigma (U_r^T y)), O(m r) per column. columns(n) is
+        U_r (Sigma V_r^T)[:, :n], summed by np.einsum in a fixed order, so it
+        is bitwise columns(m)[:, :n]; BLAS's order changes with n."""
+        u, sigma = self.u_basis, np.asarray(self.sigmas)
+        v_r = Reflector(self.v.y, self.v.s, k=sigma.size)
+        sv = np.ascontiguousarray(_scale_rows(sigma, v_r.basis.T))
 
         def columns(n: int) -> np.ndarray:
-            a = np.empty((m, n))
-            for i in starts:
-                a[i:i + _STRIP] = strip(i)[:, :n]
-            return a
+            return np.einsum("ik,kj->ij", u, sv[:, :n])
 
-        def times(v: np.ndarray) -> np.ndarray:
-            x = np.empty((m,) + v.shape[1:])
-            for i in starts:
-                x[i:i + _STRIP] = strip(i) @ v
-            return x
+        def times(x: np.ndarray) -> np.ndarray:
+            return u @ _scale_rows(sigma, v_r.coords(x))
 
         def t_times(y: np.ndarray) -> np.ndarray:
-            x = np.zeros((m,) + y.shape[1:])
-            for i in starts:
-                x += strip(i).T @ y[i:i + _STRIP]
-            return x
+            return v_r.apply(_scale_rows(sigma, u.T @ y))
 
-        return Products(m, columns, times, t_times)
+        return Products(u.shape[0], columns, times, t_times)
 
 
-# Rows per block of V's kernel-first rotation and per strip of a model's T.
-_STRIP = 64
-
-
-def _haar_columns(rng: np.random.Generator, m: int, r: int, mode: str = "reduced") -> np.ndarray:
-    """Q of the QR of an m x r standard normal draw with R's diagonal made
-    positive: its first r columns are Haar-distributed orthonormal columns
-    (Mezzadri, Notices AMS 54, 2007). mode "complete" returns the m x m Q,
-    whose other m - r columns span their complement."""
-    q, r_diag = np.linalg.qr(rng.standard_normal((m, r)), mode=mode)
-    q[:, :r] *= np.sign(np.diag(r_diag))
+def _haar_columns(rng: np.random.Generator, m: int, r: int) -> np.ndarray:
+    """Q of the reduced QR of an m x r standard normal draw with R's
+    diagonal made positive: Haar-distributed orthonormal columns (Mezzadri,
+    Notices AMS 54, 2007)."""
+    q, r_diag = np.linalg.qr(rng.standard_normal((m, r)))
+    q *= np.sign(np.diag(r_diag))
     return q
 
 
@@ -517,10 +507,12 @@ def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularMode
     """Realize the spectrum as an m x m operator with seeded orthogonal
     factors, held as the factors (SingularModel).
 
-    U_r and then V come from two m x r draws (_haar_columns, r =
-    len(sigmas)): U_r the first's reduced Q, V the second's complete Q,
-    whose last m - r columns span the kernel. V is rotated kernel first in
-    row blocks, in place, and checked once, so V is the only m x m array.
+    U_r and then V come from two m x r draws, r = len(sigmas): U_r the
+    first's sign-fixed Q (_haar_columns), V the whole Q of the second's QR,
+    held as its r Householder reflectors (Reflector.from_raw_qr), whose
+    last m - r columns span the kernel. V_r's sign fix, sign(diag R) of
+    the second draw, is moved into U_r, which leaves T = U_r Sigma V_r^T
+    unchanged in exact arithmetic. No m x m array is formed.
 
     Requires len(sigmas) + kernel_dim <= m.
     """
@@ -530,10 +522,9 @@ def from_singular_system(sys: SingularSystem, m: int, seed: int) -> SingularMode
             f"rank {r} + kernel_dim {sys.kernel_dim} exceeds ambient size {m}")
     rng = np.random.default_rng(seed)
     u = _haar_columns(rng, m, r)
-    v = _haar_columns(rng, m, r, mode="complete")
-    for i in range(0, m, _STRIP):  # [V_r | K] -> [K | V_r]
-        v[i:i + _STRIP] = np.roll(v[i:i + _STRIP], -r, axis=1)
-    return SingularModel(u_basis=u, v=Subspace(v), sigmas=sys.sigmas)
+    h, tau = np.linalg.qr(rng.standard_normal((m, r)), mode="raw")
+    u *= np.sign(h.diagonal())
+    return SingularModel(u_basis=u, v=Reflector.from_raw_qr(h, tau), sigmas=sys.sigmas)
 
 
 def random_finite_kernel(m: int, kernel_dim: int, seed: int) -> np.ndarray:
@@ -576,30 +567,22 @@ def _best_lpa_family(sigmas=_DEFAULT_SIGMAS, kernel_dim: int = 2, seed: int = 0)
     def products(m: int) -> Products:
         return model(m).products()
 
-    def xn_basis(n: int, m: int) -> Subspace:
+    def xn_basis(n: int, m: int) -> Reflector:
         # subspace = full kernel of the truncation + the n leading right
-        # singular directions, the leading columns of the kernel-first V: a
-        # view that inherits V's check
+        # singular directions: the model's V's columns r..m-1 and 0..n-1
         if n > r:
             raise ValueError(f"n={n} exceeds the prescribed rank {r}")
-        return model(m).v.columns(0, m - r + n)
+        v = model(m).v
+        return Reflector(v.y, v.s, np.r_[r:m, :n])
 
     def singular_triplets(m: int):
-        # T's SVD as the model built it, U_r Sigma V_r^T, with V's kernel
-        # columns K, where the singular values are 0; views of the model's
-        # V that inherit its check, but for k < r, where the kernel
-        # [V_{k+1..r}, K] is one copy, checked here, and U_r, unchecked
+        # T's SVD as the model built it, U_r Sigma V_r^T, with V's other
+        # columns, where the singular values are 0: V split at k, its
+        # reflectors certified; U_r unchecked
         mod = model(m)
         s = np.zeros(m)
         s[:r] = sys.sigmas
-        v, d = mod.v, m - r
-
-        def vectors(k: int):
-            kernel = v.columns(0, d) if k == r else Subspace(np.hstack(
-                [v.basis[:, d + k:], v.basis[:, :d]]))
-            return Subspace(mod.u_basis[:, :k], check=False), v.columns(d, d + k), kernel
-
-        return s, vectors
+        return s, lambda k: (Subspace(mod.u_basis[:, :k], check=False), *mod.v.split(k))
 
     return OperatorFamily(
         name="best-lpa",
@@ -608,8 +591,8 @@ def _best_lpa_family(sigmas=_DEFAULT_SIGMAS, kernel_dim: int = 2, seed: int = 0)
         notes=("seeded operator with prescribed singular values; its "
                "approximation subspaces contain the whole kernel plus the "
                "leading right singular directions, which makes the offset "
-               "angle vanish identically; rows read T in strips of "
-               "U_r Sigma V_r^T and never form it"),
+               "angle vanish identically; rows read T through its "
+               "factors, U_r (Sigma V_r^T), and never form it"),
         params={"sigmas": list(sys.sigmas), "kernel_dim": sys.kernel_dim,
                 "seed": seed},
         xn_basis=xn_basis,

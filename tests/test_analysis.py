@@ -494,6 +494,36 @@ def test_best_lpa_factor_from_its_singular_system_matches_lapack(m):
         _assert_rows_agree(got, want, n, fam.xn_basis(n, m))
 
 
+def test_best_lpa_kernel_below_the_prescribed_rank_matches_lapack():
+    # sigma = 1e-14 lies under the cutoff 10 m eps at m = 20, so T's rank is
+    # 2 < r = 3: the model's kernel is its V's columns 2..m-1, the third
+    # right singular vector among them, within 1e-12 in gap of LAPACK's
+    fam, m = get_family("best-lpa", sigmas=[1, 0.5, 1e-14]), 20
+    got, want = shared_factors(fam)(m), TruncationFactor(fam.truncate(m))
+    assert got.rank == want.rank == 2
+    assert isinstance(got.kernel, Reflector) and list(got.kernel.keep) == list(range(2, m))
+    assert gap(got.kernel, want.kernel) <= 1e-12
+
+
+def test_du_row_at_n_equal_m_caches_no_reflector_basis():
+    # at n = m du's rho = m - 1 < dim X_n, so the row reads U_rho^T T,
+    # rho x m, off the factor; U_rho's columns are applied in blocks, not
+    # formed as a basis that stays on the factor beside it. What the factor
+    # holds after the row is under 1.1 x 8 m^2
+    fam, m = get_family("du"), 768
+    np.random.default_rng  # numpy imports numpy.random on first use: not in the trace
+    tracemalloc.start()
+    try:
+        factor = shared_factors(fam)(m)
+        diagnose(make_lpa(fam, m, m, factor))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert "ut_rho" in vars(factor) and "basis" not in vars(factor.u_rho)
+    assert held < 1.1 * 8 * m * m, held / (8 * m * m)
+
+
 def test_graded_best_lpa_factor_from_its_singular_system_matches_lapack():
     # sigmas down to 1e-9 leave the formed T's singular subspaces determined
     # only to about eps ||T|| / 1e-9 (Wedin), so the factors' row spaces and
@@ -501,16 +531,16 @@ def test_graded_best_lpa_factor_from_its_singular_system_matches_lapack():
     # The rows' sines, 0 in exact arithmetic, are held to 1e-6 across the
     # factors, perfbench's bound on the Q_n route (checks.ROUTE_AGREEMENT),
     # and their norms, 1, to 1e-8, its bound on best-lpa's closed forms. They
-    # differ by up to 1.4e-7 and 1.0e-9: the Q_n route applies T^+ to U_r
-    # and reads 1.4e-7 off the model's T^+, 3.5e-8 off LAPACK's; kernel_gap
-    # reads 5e-16 to 3e-8 on the model's factor (X_n holds its kernel
-    # exactly) and 2.6e-8 to 2.8e-8 on LAPACK's. Below n = 4 the gap route's
-    # sines agree to 1e-10; at n = 4, X_n = R^m and T_n = T, where each
-    # route's sine is roundoff at cond(T) = 1e9. So the kernel verdict
-    # differs at n = 1, 2, 3: there only the model's factor reads kernel_gap
-    # <= check, captures the kernel and runs the bound check, which passes.
-    # At n = 4 neither does: the kernel core, from T X_n's SVD, sits 3e-8
-    # off either factor's kernel
+    # differ by up to 2.8e-8 and 1.5e-9: the Q_n route applies T^+ to U_r
+    # and reads up to 2.8e-8 off the model's T^+, 3.1e-8 off LAPACK's;
+    # kernel_gap reads 4e-16 to 9e-16 on the model's factor (X_n holds its
+    # kernel exactly) and 1.4e-8 to 1.6e-8 on LAPACK's. Below n = 4 the gap
+    # route's sines agree to 1e-10; at n = 4, X_n = R^m and T_n = T, where
+    # each route's sine is roundoff at cond(T) = 1e9. So the kernel verdict
+    # differs at every n: only the model's factor reads kernel_gap <= check,
+    # captures the kernel and runs the bound check, which passes. At n = 4,
+    # X_n = R^m contains N(T) exactly, and the model's factor reads
+    # kernel_gap 9e-16 there
     fam = get_family("best-lpa", sigmas=[1, 1e-3, 1e-6, 1e-9], kernel_dim=2)
     m, check = 20, Tolerances().check
     got, want = _known_and_lapack_factors(fam, m, m * EPS * 1e9)
@@ -524,7 +554,7 @@ def test_graded_best_lpa_factor_from_its_singular_system_matches_lapack():
         captured[n] = (kernel_captured(a, check), kernel_captured(b, check))
         if captured[n][0]:
             assert error_bound_check(a, np.random.default_rng(n).standard_normal(m)).passed
-    assert captured == {1: (True, False), 2: (True, False), 3: (True, False), 4: (False, False)}
+    assert captured == {1: (True, False), 2: (True, False), 3: (True, False), 4: (True, False)}
 
 
 @pytest.mark.parametrize("m", [1, 2, 12, 22, 23, 30, 192, 256, 257, 511, 512, 513, 768, 1100])
@@ -557,12 +587,12 @@ def test_du_factor_in_closed_form_matches_lapack(m):
 
 def test_du_factor_certifies_its_reflector():
     # du's reflector hands over H's columns unformed, with no Gram check;
-    # it certifies instead that H = I - beta h h^T is a reflector,
-    # beta h^T h = 2, when the factor takes them
+    # it certifies instead that H = I - S_11 y y^T is a reflector,
+    # S_11 y^T y = 2, when the factor takes them
     fam, m = get_family("du"), 30
     s, h = fam.singular_triplets(m)
     TruncationFactor(fam.products(m), singular_triplets=(s, h))
-    h.beta *= 1.0 + 1e-10
+    h.s[0, 0] *= 1.0 + 1e-10
     with pytest.raises(ValueError, match="reflector"):
         TruncationFactor(fam.products(m), singular_triplets=(s, h))
 

@@ -367,10 +367,10 @@ def test_scan_forms_t_transpose_u_r_once_per_row(monkeypatch, operator, n_list, 
 
 @pytest.mark.parametrize("m", [64, 512])
 def test_best_lpa_scan_takes_no_m_cubed_step(monkeypatch, m):
-    # best-lpa's model draws U_r by a reduced QR of m x r and V by a complete
+    # best-lpa's model draws U_r by a reduced QR of m x r and V by a raw
     # QR of m x r, its factor reads T's SVD off the model, T X_n's SVD is
     # taken of (U_rho^T T) X_n, and a row reads T through the model's
-    # products, 64-row strips of U_r (Sigma V_r^T) formed when read: no
+    # products, U_r (Sigma (V_r^T x)) and its transpose: no
     # m x m matrix is factored, truncate is never called, no product takes
     # a dense T, and each product map takes at most rho = 12 columns, never
     # X_n's dim X_n = m - 12 + n
@@ -391,16 +391,18 @@ def test_best_lpa_scan_takes_no_m_cubed_step(monkeypatch, m):
 
 
 @pytest.mark.parametrize("m_rule, ms", [("fixed:512", [512]), ("factor:10", [20, 40, 80, 120])])
-def test_best_lpa_scan_checks_one_wide_basis_per_m(monkeypatch, m_rule, ms):
-    # X_n and the factor's row space and kernel are column views of the
-    # model's V and inherit its one orthonormality check: per m, the scan
-    # checks one basis of at least m - r columns, V itself (r = 12)
+def test_best_lpa_scan_checks_no_wide_basis(monkeypatch, m_rule, ms):
+    # X_n and the factor's row space and kernel are columns of the model's
+    # V, held as its r reflectors (r = 12), which the factor certifies in
+    # place of a Gram check: the scan checks no basis of m - r or more
+    # columns at any of its m
     shapes, real = [], lpakit.linalg._gram_defect
     monkeypatch.setattr(lpakit.linalg, "_gram_defect",
                         lambda b: shapes.append(b.shape) or real(b))
-    run_scan(scan_config_from_dict({"operator": {"name": "best-lpa"},
-                                    "n_list": [2, 4, 8, 12], "m_rule": m_rule}))
-    assert [(k, j) for k, j in shapes if j >= k - 12] == [(m, m) for m in ms]
+    report = run_scan(scan_config_from_dict({"operator": {"name": "best-lpa"},
+                                             "n_list": [2, 4, 8, 12], "m_rule": m_rule}))
+    assert sorted({row.m for row in report.rows}) == ms
+    assert [(k, j) for k, j in shapes if j >= k - 12] == []
 
 
 def test_du_scan_takes_no_m_cubed_step(monkeypatch):
@@ -470,14 +472,14 @@ def test_scan_draws_y_by_seed_and_n_for_eligible_rows_only(monkeypatch):
 ], ids=["du", "seidman", "best-lpa"])
 def test_scan_holds_little_beyond_t_and_its_factor(operator, n_list, m_rule, m, bound):
     # at m = 768 du and seidman rows hold no m x m array: T is read through
-    # its products, du's factor keeps its reflector's h and the kernel, and
+    # its products, du's factor keeps its reflector's y and S, and
     # seidman's is vectors of length m (T^{-1} in closed form), so a row
     # holds m x n arrays (0.16 and 0.77 x 8 m^2 measured); at m = 512 a
-    # best-lpa row keeps its model's V, 1 x 8 m^2, X_n and the factor's
-    # bases being views of V, and reads T in 64-row strips, formed when
-    # read (1.35 x 8 m^2 measured). No m x m temporary (T, mask, |v|, |T|,
-    # Gram matrix, T^{-1}, normal draw, X_n, T X_n's square V) is added on
-    # top of them
+    # best-lpa model keeps U_r and V's 12 reflectors, O(m r), and a row
+    # forms X_n's m x (m - 12 + n) basis, the factor's bases and X_n being
+    # columns of V, and reads T through its factors (1.30 x 8 m^2
+    # measured). No m x m temporary (T, mask, |v|, |T|, Gram matrix,
+    # T^{-1}, normal draw, V, T X_n's square V) is added on top of them
     cfg = scan_config_from_dict({"operator": {"name": operator}, "n_list": n_list,
                                  "m_rule": m_rule})
     assert {cfg.m_for(n) for n in n_list} == {m}

@@ -190,23 +190,6 @@ def test_subspace_check_allocates_no_gram_matrix():
     assert peak < 0.5 * 8 * k * k, peak
 
 
-def test_subspace_columns_is_a_view_that_inherits_the_check(monkeypatch):
-    # a span of some of a checked basis's columns is a view of it, with no
-    # check of its own; its Gram defect, a principal block of the parent's,
-    # meets the parent's bound. Columns off unit length by 1e-13 give the
-    # parent a defect near its bound
-    rng = np.random.default_rng(5)
-    q = np.linalg.qr(rng.standard_normal((40, 30)))[0] * (1 + 1e-13 * rng.random(30))
-    parent = Subspace(q)
-    checked = []
-    monkeypatch.setattr("lpakit.linalg._gram_defect", lambda b: checked.append(b.shape))
-    view = parent.columns(5, 25)
-    assert checked == [] and view.shape == (40, 20) and view.dim == 20
-    assert np.shares_memory(view.basis, q) and np.array_equal(view.basis, q[:, 5:25])
-    monkeypatch.undo()
-    assert _gram_defect(view.basis) <= _gram_defect(q) <= 1e-12 * 40
-
-
 @pytest.mark.parametrize("k", [0, 1, 7])
 def test_subspace_maps_are_its_basis_products(k):
     # apply and coords are B p and B^T v, and project is B (B^T v), bytewise,

@@ -196,7 +196,7 @@ def test_du_reflector_columns_are_maps_of_h(m):
     assert np.abs(kept.coords(a) - eye).max() <= max(m, 4) * EPS
     small = np.abs(a) < math.sqrt(np.finfo(float).tiny)
     assert np.array_equal(a[~small], kept.basis[~small]) and not kept.basis[small].any()
-    h, beta = reflector.h, reflector.beta
+    h, beta = reflector.y[:, 0], reflector.s[0, 0]
     v = np.random.default_rng(m).standard_normal((m, 3))
     for w in (v, v[:, 0]):
         z = w - np.multiply.outer(h, beta * (h @ w))
@@ -210,8 +210,30 @@ def test_du_reflector_repr_and_equality_form_no_basis():
     rowspace = shared_factors(get_family("du"))(768).rowspace
     assert repr(rowspace) == "Reflector(m=768, k=767)"
     assert rowspace == rowspace and hash(rowspace) == hash(rowspace)
-    assert rowspace != Reflector(rowspace.h, rowspace.order, 767)
+    assert rowspace != Reflector(rowspace.y, rowspace.s, rowspace.order, 767)
     assert "basis" not in vars(rowspace)
+
+
+@pytest.mark.parametrize("m, r", [(14, 12), (65, 12), (512, 12), (1100, 12), (6, 6)])
+def test_reflector_from_raw_qr_is_numpys_complete_q(m, r):
+    # H = I - Y S Y^T from the r Householder vectors of a raw QR is the
+    # complete Q of the same QR: H's columns within m eps of numpy's, and
+    # split at k, each part's coords(apply(I)) is I and its project is
+    # Q_k Q_k^T, within m eps. At m = r LAPACK's last reflector is I
+    # (tau = 0), which split certifies as well
+    g = np.random.default_rng(m).standard_normal((m, r))
+    q = np.linalg.qr(g, mode="complete")[0]
+    h = Reflector.from_raw_qr(*np.linalg.qr(g, mode="raw"))
+    assert h.y.shape == (m, r) and h.s.shape == (r, r) and not np.tril(h.s, -1).any()
+    assert np.abs(h.basis - q).max() <= m * EPS
+    v = np.random.default_rng(r).standard_normal((m, 3))
+    k = r // 2
+    for part, cols in zip(h.split(k), (q[:, :k], q[:, k:])):
+        assert "basis" not in vars(part) and part.shape == cols.shape
+        eye = np.eye(part.dim)
+        assert np.abs(part.coords(part.apply(eye)) - eye).max() <= m * EPS
+        assert np.abs(part.project(v) - cols @ (cols.T @ v)).max() <= m * EPS * np.abs(v).max()
+        assert np.abs(part.basis - cols).max() <= m * EPS
 
 
 _PRODUCT_MS = [1, 2, 22, 23, 256, 257, 511, 512, 513, 768, 1100]
@@ -233,8 +255,8 @@ def test_structured_products_match_the_dense_truncation(name, m):
     # within m eps ||T|| ||U|| of the dense products. du's products keep
     # the entries below sqrt(tiny) that its T drops, under 2^-500 in norm.
     # m spans du's zeroing boundaries (256, 511, 512) and its rank cliff
-    # (22, 23), and best-lpa's 64-row strips, whole and with a short last
-    # one; best-lpa's least m is 14
+    # (22, 23), and best-lpa's einsum columns, whose sum must not depend on
+    # n; best-lpa's least m is 14
     fam = get_family(name)
     t, prods = fam.truncate(m), fam.products(m)
     assert prods.m == m
@@ -357,14 +379,14 @@ def test_from_singular_system_factors():
     for m in (6, 65, 512):
         model = from_singular_system(sys, m, seed=11)
         t, v = model.products().columns(m), model.v.basis
-        # v is kernel first: its first m - rank columns span the kernel of
-        # T, its last `rank` are the right singular vectors
-        planted = Subspace(v[:, :m - 2])
+        # v's first `rank` columns are the right singular vectors, its last
+        # m - rank span the kernel of T
+        planted = Subspace(v[:, 2:])
         computed = kernel_basis(t)
         assert computed.dim == m - 2
         assert gap(planted, computed) <= 1e-10
         for k, sigma in enumerate(sys.sigmas):
-            assert np.allclose(t @ v[:, m - 2 + k], sigma * model.u_basis[:, k], atol=1e-12)
+            assert np.allclose(t @ v[:, k], sigma * model.u_basis[:, k], atol=1e-12)
 
 
 def test_from_singular_system_needs_room():
@@ -373,19 +395,20 @@ def test_from_singular_system_needs_room():
         from_singular_system(sys, 3, seed=0)
 
 
-def _sign_fixed_qr(g, mode="reduced"):
-    # Q of g's QR with R's diagonal made positive
-    q, r = np.linalg.qr(g, mode=mode)
-    q[:, :g.shape[1]] *= np.sign(np.diag(r))
-    return q
+def _sign_fixed_qr(g):
+    # Q of g's reduced QR with R's diagonal made positive
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diag(r))
 
 
 def _drawn_factors(m, r, seed):
-    # best-lpa's draw contract: U_r and V, in the order [V_r | K], from two
-    # m x r normal draws
+    # best-lpa's draw contract, from two m x r normal draws: U_r, the first's
+    # sign-fixed Q times the signs of the second's R diagonal, and the
+    # second's raw QR (h, tau), whose Q is V
     rng = np.random.default_rng(seed)
-    return (_sign_fixed_qr(rng.standard_normal((m, r))),
-            _sign_fixed_qr(rng.standard_normal((m, r)), mode="complete"))
+    q = _sign_fixed_qr(rng.standard_normal((m, r)))
+    h, tau = np.linalg.qr(rng.standard_normal((m, r)), mode="raw")
+    return q * np.sign(h.diagonal()), h, tau
 
 
 _DEFAULT_SIGMAS = tuple(1.0 / k**2 for k in range(1, 13))
@@ -397,18 +420,19 @@ _DEFAULT_SIGMAS = tuple(1.0 / k**2 for k in range(1, 13))
     (_DEFAULT_SIGMAS, 512, 7),
 ], ids=["rank-3-m-8", "default-m-65", "default-m-512"])
 def test_seeded_families_factor_m_by_r_draws(sigmas, m, seed):
-    # best-lpa's U_r and V, and random's U and W, are the sign-fixed QRs of
-    # m x r standard normal draws from default_rng(seed), bitwise: no family
-    # draws the m x m matrix whose columns it would drop. best-lpa's T is
-    # the 64-row strips U_r[i:i + 64] (Sigma V_r^T), bitwise
+    # best-lpa's U_r and V's reflectors, and random's U and W, come from the
+    # QRs of m x r standard normal draws from default_rng(seed), bitwise:
+    # no family draws the m x m matrix whose columns it would drop.
+    # best-lpa's Y is the second draw's raw QR, unit lower trapezoidal, and
+    # its T the fixed-order sum U_r (Sigma V_r^T), bitwise
     r = len(sigmas)
     model = from_singular_system(SingularSystem(sigmas=sigmas, kernel_dim=2), m, seed)
-    u, v = _drawn_factors(m, r, seed)
+    u, h, tau = _drawn_factors(m, r, seed)
     assert model.u_basis.tobytes() == u.tobytes()
-    assert model.v.basis.tobytes() == np.hstack([v[:, r:], v[:, :r]]).tobytes()
-    sv = np.asarray(sigmas)[:, None] * v[:, :r].T
-    strips = np.vstack([u[i:i + 64] @ sv for i in range(0, m, 64)])
-    assert model.products().columns(m).tobytes() == strips.tobytes()
+    y = np.tril(h.T, -1) + np.eye(m, r)
+    assert model.v.y.tobytes() == y.tobytes() and np.array_equal(np.diag(model.v.s), tau)
+    sv = np.ascontiguousarray(np.asarray(sigmas)[:, None] * model.v.split(r)[0].basis.T)
+    assert model.products().columns(m).tobytes() == np.einsum("ik,kj->ij", u, sv).tobytes()
     rng = np.random.default_rng(seed)
     u = _sign_fixed_qr(rng.standard_normal((m, m - 2)))
     w = _sign_fixed_qr(rng.standard_normal((m - 2, m - 2)))
@@ -420,24 +444,45 @@ def test_seeded_families_factor_m_by_r_draws(sigmas, m, seed):
 
 @pytest.mark.parametrize("m", [14, 65, 512])
 def test_best_lpa_xn_basis_is_a_view_of_v(monkeypatch, m):
-    # X_n is the leading block of the kernel-first V, bitwise the hstack of
-    # the drawn V's kernel columns and its n leading right singular vectors;
-    # the factor's row space and kernel are views of V too
+    # X_n is V's kernel columns and its n leading right singular vectors,
+    # within m eps of those columns of numpy's complete Q of the second
+    # draw; X_n and the factor's row space and kernel share the model's
+    # reflectors, Y and S
     models = []
     real = lpakit.operators.from_singular_system
     monkeypatch.setattr(lpakit.operators, "from_singular_system",
                         lambda *a: models.append(real(*a)) or models[-1])
     fam, r = get_family("best-lpa", seed=3), len(_DEFAULT_SIGMAS)
-    v = _drawn_factors(m, r, 3)[1]
+    rng = np.random.default_rng(3)
+    rng.standard_normal((m, r))
+    q = np.linalg.qr(rng.standard_normal((m, r)), mode="complete")[0]
     for n in (1, 6, r):
         x_n = fam.xn_basis(n, m)
         (model,) = models
-        assert np.shares_memory(x_n.basis, model.v.basis)
-        assert x_n.basis.tobytes() == np.hstack([v[:, r:], v[:, :n]]).tobytes()
+        assert x_n.y is model.v.y and x_n.s is model.v.s
+        assert np.abs(x_n.basis - np.hstack([q[:, r:], q[:, :n]])).max() <= m * EPS
     factor = shared_factors(fam)(m)
     assert factor.rank == r and len(models) == 1
-    assert np.shares_memory(factor.rowspace.basis, model.v.basis)
-    assert np.shares_memory(factor.kernel.basis, model.v.basis)
+    for sub in (factor.rowspace, factor.kernel):
+        assert sub.y is model.v.y and sub.s is model.v.s
+
+
+def test_best_lpa_factor_holds_reflectors_not_v():
+    # the model holds U_r and V's r reflectors, O(m r) numbers, and the
+    # factor reads U_rho^T T through them: building both at m = 2048 peaks
+    # under 16 x 8 m r bytes, where an m x m V alone would be m / r = 171
+    # times 8 m r
+    fam, m = get_family("best-lpa"), 2048
+    r = len(fam.params["sigmas"])
+    np.random.default_rng  # numpy imports numpy.random on first use: not in the trace
+    tracemalloc.start()
+    try:
+        factor = shared_factors(fam)(m)
+        assert factor.ut_rho.shape == (r, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8 * m * r, peak / (8 * m * r)
 
 
 def test_from_singular_system_deterministic():

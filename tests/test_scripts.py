@@ -11,11 +11,11 @@ from lpakit.suites import SUITE_NAMES
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str) -> str:
+def run_script(name: str, *args: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -67,3 +67,15 @@ def test_output_digest_prints_one_line_per_output():
     lines = [line.split() for line in run_script("output_digest.py").splitlines()]
     assert [name for _, name in lines] == want
     assert all(len(digest) == 64 and set(digest) <= set("0123456789abcdef") for digest, _ in lines)
+
+
+def test_row_moves_against_its_own_checkout_moves_nothing():
+    # one heading per CSV of the nine analyze commands, then one line per
+    # float field, each with a largest |change| of 0
+    lines = run_script("row_moves.py", str(ROOT)).splitlines()
+    heads = [line for line in lines if not line.startswith("    ")]
+    fields = [line.split() for line in lines if line.startswith("    ")]
+    assert heads[-1] == "0 of 9 CSVs moved"
+    assert len(heads) == 10 and all(line.endswith(", integers equal, verdicts equal")
+                                    for line in heads[:-1])
+    assert len(fields) == 9 * 6 and all(field[-1] == "0" for field in fields)
