@@ -29,17 +29,21 @@ ranks, not routes. The rank r of T X_n is decided once, and refused where
 its kernel core would exceed N(T); the kernel core, T_n^+, both
 offset-angle images, tan theta_n = ||Q_n - P_{ran Q_n}|| (an r x r norm) and
 ||T_n^+ T|| (an r x m norm) are read off its r singular vectors. Subspaces
-stay orthonormal bases, X_n projecting as X_n (X_n^T v).
+are read through their maps, X_n applied as X_n p, read as X_n^T v and
+projecting as X_n (X_n^T v); a row forms the basis of an X_n held as
+reflectors (best-lpa's) only where it is no wider than rank(T).
 
 Past the factor (once per m), a row's factorizations and spectral norms are
 sized by dim X_n, by rho = rank(T) or by r <= rho, not by m: T X_n is
 factored as itself, m x dim X_n, when rho >= dim X_n, and as the
-rho x dim X_n matrix (U_rho^T T) X_n otherwise; the kernel core's
-dimension is read off that SVD and its gap to N(T) is a rho-row norm
-against the row space, T^+ and T_n^+ are applied through the factors of T
-and of T X_n, and the rest have at most r rows or columns, so a row forms
-no m x m array, and a seidman, du, best-lpa or identity row none on either
-route. A row makes
+rho x dim X_n matrix (U_rho^T T) X_n otherwise, read as X_n^T (T^T U_rho);
+the kernel core's dimension is read off that SVD and its gap to N(T) is a
+rho-row norm against the row space R, off R^T X_n formed from the
+narrower of the two bases; T^+ and T_n^+ are applied through the factors
+of T and of T X_n, and the rest have at most r rows or columns, so a row
+forms no m x m array, a seidman, du, best-lpa or identity row none on
+either route, and a best-lpa row from m = 2r no basis of its
+m x (m - r + n) X_n, only R's r columns. A row makes
 the m x m x dim X_n product T X_n only for a dense T when rho >= dim X_n
 and X_n is not a coordinate subspace (whose T X_n is T's first n columns),
 and no m x ~m factorization. The m x m matrices t and t_pinv, tn_pinv,
@@ -198,14 +202,14 @@ class TruncationFactor:
     def ut_rho(self) -> np.ndarray:
         """U_rho^T T = (T^T U_rho)^T, rho x m, formed once on first read
         (SVD routes only): txn_svd reads U_rho^T T X_n off it on every such
-        route when rho < dim X_n. U_rho's columns are read in blocks through
-        u_rho.apply, so no basis of U_rho is formed and kept beside it (du's
-        reflector's, at n = m)."""
+        route when rho < dim X_n. U_rho's columns are read in blocks of 64
+        (u_rho.block): slices of an explicit basis (LAPACK's, best-lpa's
+        U_r), and a reflector's columns applied to identity blocks, so no
+        basis of U_rho is formed and kept beside it (du's, at n = m)."""
         rho, m = self.rank, self.m
         ut = np.empty((rho, m))
         for j in range(0, rho, _UT_BLOCK):
-            block = self.u_rho.apply(np.eye(rho, min(_UT_BLOCK, rho - j), -j))
-            ut[j:j + _UT_BLOCK] = self.products.t_times(block).T
+            ut[j:j + _UT_BLOCK] = self.products.t_times(self.u_rho.block(j, _UT_BLOCK)).T
         return ut
 
     @cached_property
@@ -315,8 +319,10 @@ class LpaInstance:
         columns for a coordinate X_n, with no product, else T X_n. When
         rho < dim X_n it is the thin SVD P S V^T of Z = (U_rho^T T) X_n,
         rho x dim X_n, the factor's ut_rho's first n columns for a
-        coordinate X_n, else ut_rho X_n, with u = U_rho P, so vt is
-        rho x dim X_n, not square. A row reads only V_r = vt[:r]:
+        coordinate X_n, else (X_n^T (T^T U_rho))^T, ut_rho^T read through
+        X_n's coords (O(m rho^2) through best-lpa's rho = 12 reflectors,
+        where forming X_n's basis costs O(m^2 rho)), with u = U_rho P, so
+        vt is rho x dim X_n, not square. A row reads only V_r = vt[:r]:
         kernel_gap projects V_r out rather than reading its complement,
         which the oracle kernel_core completes itself. No row forms the
         m x m x dim X_n product T X_n, nor a dim X_n x dim X_n V. What Z
@@ -332,7 +338,7 @@ class LpaInstance:
             txn = f.products.columns(n) if n else f.products.times(self.x_n.basis)
             res = svd(txn, full_matrices=False)
         else:
-            z = svd(f.ut_rho[:, :n] if n else f.ut_rho @ self.x_n.basis, full_matrices=False)
+            z = svd(f.ut_rho[:, :n] if n else self.x_n.coords(f.ut_rho.T).T, full_matrices=False)
             res = SvdResult(u=f.u_rho.apply(z.u), singular_values=z.singular_values, vt=z.vt)
         r = rank_cutoff(res.singular_values, (self.m, k), 1.0, f.cutoff)[0]
         if k - r > f.kernel.dim:
@@ -370,13 +376,19 @@ class LpaInstance:
         rho x dim X_n norm. The core's basis is X_n W, W an orthonormal
         basis of V_r's complement, and I - P_K = P_R (K and R come from one
         orthogonal V), so the gap is ||A W|| = ||A (I - V_r^T V_r)||: one
-        formula whether txn_svd's V is square or thin, reading only V_r."""
+        formula whether txn_svd's V is square or thin, reading only V_r.
+        A is formed from the narrower basis: R^T X_n, X_n's basis read by R,
+        for a coordinate X_n (du's at n = m, so that du's reflector forms no
+        basis) or one no wider than R; else (X_n^T R)^T, R's rho columns
+        read by X_n (best-lpa's 12 against its m - 12 + n)."""
         if self.kernel_core_dim != self.kernel_dim:
             return 1.0
         if self.kernel_core_dim == 0:
             return 0.0
         res, r = self.txn_svd
-        a, v_r = self.factor.rowspace.coords(self.x_n.basis), res.vt[:r]
+        row, x = self.factor.rowspace, self.x_n
+        a = row.coords(x.basis) if self._coordinate or x.dim <= row.dim else x.coords(row.basis).T
+        v_r = res.vt[:r]
         return float(np.linalg.norm(a - (a @ v_r.T) @ v_r, 2))
 
     def images(self) -> tuple[Subspace, Subspace]:

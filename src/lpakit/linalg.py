@@ -94,9 +94,10 @@ class Subspace:
 
     Readers go through three maps, each for a vector or a matrix's columns:
     apply(p) = B p, coords(v) = B^T v and project(v) = apply(coords(v)) =
-    B (B^T v). A subclass may hold B as maps instead (columns of a product
-    of reflectors, operators.Reflector: du's H, best-lpa's V) and form it
-    only when basis is read.
+    B (B^T v); block(j, width) hands over B's columns j .. j + width - 1.
+    A subclass may hold B as maps instead (columns of a product of
+    reflectors, operators.Reflector: du's H, best-lpa's V) and form it only
+    when basis is read.
     """
 
     basis: np.ndarray
@@ -138,6 +139,10 @@ class Subspace:
     def project(self, v) -> np.ndarray:
         """Orthogonal projection B (B^T v) of a vector or of a matrix's columns."""
         return self.apply(self.coords(v))
+
+    def block(self, j: int, width: int) -> np.ndarray:
+        """B's columns j .. j + width - 1 (fewer past the last), a slice."""
+        return self.basis[:, j:j + width]
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":

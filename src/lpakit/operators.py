@@ -298,7 +298,8 @@ class Reflector(Subspace):
     As a Subspace it is H's columns order[:k], held as maps: apply(p) =
     H z, z holding p's rows at those coordinates and 0 elsewhere;
     coords(v) = (H^T v)[order[:k]], forming only those rows; project(v) =
-    apply(coords(v)), not I - K K^T, which loses du's grading. basis is
+    apply(coords(v)), not I - K K^T, which loses du's grading; block(j, w)
+    = apply of an identity block, those w columns alone. basis is
     formed only when read, in column blocks, entries below sqrt(tiny)
     stored as 0; repr, == and hash (by identity) do not form it.
 
@@ -345,6 +346,9 @@ class Reflector(Subspace):
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         return v[self.keep] - self.y[self.keep] @ (self.s.T @ (self.y.T @ v))
+
+    def block(self, j: int, width: int) -> np.ndarray:
+        return self.apply(np.eye(self.dim, min(width, self.dim - j), -j))
 
     def split(self, k: int) -> tuple["Reflector", "Reflector"]:
         y, d = self.y, self.s.diagonal()

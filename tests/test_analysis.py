@@ -524,6 +524,33 @@ def test_du_row_at_n_equal_m_caches_no_reflector_basis():
     assert held < 1.1 * 8 * m * m, held / (8 * m * m)
 
 
+@pytest.mark.parametrize("m", [65, 130])
+def test_ut_rho_reads_an_explicit_u_rho_as_slices(monkeypatch, m):
+    # random's U_rho is LAPACK's, an explicit basis of m - 2 columns, one
+    # and two blocks of 64: U_rho^T T is read off slices of it, bitwise the
+    # one product T^T U_rho, with no U_rho applied to an identity block
+    factor = shared_factors(get_family("random"))(m)
+    want = factor.products.t_times(factor.u_rho.basis).T
+
+    def refuse(self, p):
+        raise AssertionError("u_rho.apply called")
+
+    monkeypatch.setattr(Subspace, "apply", refuse)
+    assert np.array_equal(factor.ut_rho, want)
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_best_lpa_row_forms_no_xn_basis(n):
+    # X_n is V's m - 12 + n columns r..m-1, 0..n-1: the row reads it only
+    # through its maps, U_rho^T T X_n as X_n^T (T^T U_rho) and R^T X_n as
+    # (X_n^T R) off the 12 columns of R, so no m x (m - 12 + n) basis is
+    # formed on it
+    fam, m = get_family("best-lpa"), 512
+    inst = make_lpa(fam, n, m)
+    diagnose(inst)
+    assert inst.x_n.dim == m - 12 + n and "basis" not in vars(inst.x_n)
+
+
 def test_graded_best_lpa_factor_from_its_singular_system_matches_lapack():
     # sigmas down to 1e-9 leave the formed T's singular subspaces determined
     # only to about eps ||T|| / 1e-9 (Wedin), so the factors' row spaces and

@@ -468,7 +468,7 @@ def test_scan_draws_y_by_seed_and_n_for_eligible_rows_only(monkeypatch):
 @pytest.mark.parametrize("operator, n_list, m_rule, m, bound", [
     ("du", [16], "factor:48", 768, 0.25),
     ("seidman", [32, 64, 80], "fixed:768", 768, 1.0),
-    ("best-lpa", [2, 4, 8, 12], "fixed:512", 512, 1.45),
+    ("best-lpa", [2, 4, 8, 12], "fixed:512", 512, 0.45),
 ], ids=["du", "seidman", "best-lpa"])
 def test_scan_holds_little_beyond_t_and_its_factor(operator, n_list, m_rule, m, bound):
     # at m = 768 du and seidman rows hold no m x m array: T is read through
@@ -476,10 +476,11 @@ def test_scan_holds_little_beyond_t_and_its_factor(operator, n_list, m_rule, m, 
     # seidman's is vectors of length m (T^{-1} in closed form), so a row
     # holds m x n arrays (0.16 and 0.77 x 8 m^2 measured); at m = 512 a
     # best-lpa model keeps U_r and V's 12 reflectors, O(m r), and a row
-    # forms X_n's m x (m - 12 + n) basis, the factor's bases and X_n being
-    # columns of V, and reads T through its factors (1.30 x 8 m^2
-    # measured). No m x m temporary (T, mask, |v|, |T|, Gram matrix,
-    # T^{-1}, normal draw, V, T X_n's square V) is added on top of them
+    # reads T through its factors and X_n, m - 12 + n of V's columns,
+    # through its reflectors, forming only the 12 columns of the row space
+    # (0.32 x 8 m^2 measured). No m x m or m x ~m temporary (T, mask, |v|,
+    # |T|, Gram matrix, T^{-1}, normal draw, V, X_n's basis, T X_n's square
+    # V) is added on top of them
     cfg = scan_config_from_dict({"operator": {"name": operator}, "n_list": n_list,
                                  "m_rule": m_rule})
     assert {cfg.m_for(n) for n in n_list} == {m}
@@ -555,6 +556,21 @@ def test_identity_scan_at_2_14_is_matrix_free(monkeypatch):
     assert [(row.sin_theta_gap, row.norm_tn_dag_t) for row in report.rows] == [(0.0, 1.0)] * 2
     assert report.verdicts["bound_checks_passed"] == "2/2"
     assert peak <= 10 * 8 * 2**14 * 8, peak / (8 * 2**14 * 8)
+
+
+def test_best_lpa_scan_at_2_14_is_matrix_free(monkeypatch):
+    # at m = 2^14 V, or X_n's m x (m - 12 + n) basis, would be 2 GB; the
+    # rows read T through U_r Sigma V_r^T and X_n through V's 12
+    # reflectors. The offset angle is 0 and ||T_n^+ T|| = 1 by
+    # construction, the kernel lies in every X_n, and the scan's
+    # allocations peak under 10 x 8 m (r + n_max) bytes (6.7 measured)
+    m, n_list, r = 2**14, [2, 12], 12
+    report, peak = _matrix_free_scan(monkeypatch, "best-lpa", n_list, m)
+    assert [report.verdicts[k] for k in ("kernel_approximability", "sup_theta_bounded",
+                                         "bound_checks_passed")] == ["holds", "bounded", "2/2"]
+    assert all(max(row.sin_theta_gap, row.sin_theta_qn) <= 1e-8 for row in report.rows)
+    assert [row.norm_tn_dag_t for row in report.rows] == pytest.approx([1, 1], rel=0, abs=1e-8)
+    assert peak <= 10 * 8 * m * (r + max(n_list)), peak / (8 * m * (r + max(n_list)))
 
 
 def _out_of_memory_family(monkeypatch):
