@@ -9,8 +9,10 @@ Each line of each module under DIR (default: src/lpakit) is one of:
 * code: any other line that holds something besides a comment;
 * other: blank or comment-only.
 
-It prints the three counts and the line count per module, then their
-totals; code + docstring + other is each file's line count.
+It prints the three counts, the line count and the byte size per module,
+then their totals; code + docstring + other is each file's line count.
+Bytes matter beside lines: a process that cannot write bytecode (for one,
+under PYTHONDONTWRITEBYTECODE) compiles every module from source on start.
 """
 
 import ast
@@ -47,16 +49,24 @@ def split(source: str) -> tuple[int, int, int]:
     return code, len(docs), other
 
 
+# Column widths of code, doc, other, total and bytes.
+WIDTHS = (7, 7, 7, 7, 9)
+
+
+def row(name: str, cells) -> str:
+    return f"{name:<16}" + "".join(f"{c:>{w}}" for c, w in zip(cells, WIDTHS))
+
+
 def main(argv: list[str]) -> None:
     directory = Path(argv[1]) if len(argv) > 1 else ROOT / "src" / "lpakit"
-    print(f"{'module':<16}{'code':>7}{'doc':>7}{'other':>7}{'total':>7}")
-    totals = [0, 0, 0, 0]
+    print(row("module", ("code", "doc", "other", "total", "bytes")))
+    totals = [0] * len(WIDTHS)
     for path in sorted(directory.glob("*.py")):
         source = path.read_text()
-        counts = (*split(source), len(source.splitlines()))
+        counts = (*split(source), len(source.splitlines()), path.stat().st_size)
         totals = [a + b for a, b in zip(totals, counts)]
-        print(f"{path.name:<16}" + "".join(f"{c:>7}" for c in counts))
-    print(f"{'total':<16}" + "".join(f"{c:>7}" for c in totals))
+        print(row(path.name, counts))
+    print(row("total", totals))
 
 
 if __name__ == "__main__":

@@ -110,7 +110,7 @@ class RankToleranceError(ArithmeticError):
 
 def _factor_svd(t: np.ndarray) -> tuple[np.ndarray, Callable[[int], tuple]]:
     """LAPACK's SVD of a square T as (s, vectors), vectors(r) = (U[:, :r],
-    V[:, :r], V[:, r:]) (see OperatorFamily.singular_triplets): the left
+    V[:, :r], V[:, r:]) (see Products.singular_triplets): the left
     vectors copied, so that the full U can be freed, and taken unchecked,
     and the row-space and kernel bases views of one V, checked."""
     res = svd(t)
@@ -133,26 +133,26 @@ class TruncationFactor:
     None): rho counts T's singular values above it, each row's r those of
     T X_n (LpaInstance.txn_svd).
 
-    T is given as an m x m array or as its structured products (an
-    operators.Products, from OperatorFamily.products). A row reads T only
-    through products (T's first n columns, T V and T^T U): from the array
-    they are its slices and products; from the family, O(m) or O(m r) per
-    column, and the dense t is products.columns(m), formed only when read
-    (tn(), the suites' small instances and the oracles).
+    T is given as an m x m array (read as Products.dense(t)) or as an
+    operators.Products, what a family knows of T at m
+    (OperatorFamily.products). A row reads T only through its maps (T's
+    first n columns, T V and T^T U): from the array its slices and
+    products; from the family, O(m) or O(m r) per column, and the dense t
+    is products.columns(m), formed only when read (tn(), the suites' small
+    instances and the oracles).
 
-    Three sources, chosen by what the caller hands over (shared_factors
-    passes a family's). singular_triplets is T's SVD already known, in
-    _factor_svd's (s, vectors) form (OperatorFamily.singular_triplets:
-    best-lpa's and du's), read with no LAPACK call; given neither it nor
-    inverse, the factor is LAPACK's SVD of the whole T (_factor_svd), the
-    reference the tests hold the other sources to. Both hand over
-    (U_rho, R, K) as vectors(rho), Subspaces the factor takes as they are
-    (du's and best-lpa's R and K are a Reflector's columns, certified by
-    it), pinv_apply is R (Sigma_rho^{-1} U_rho^T v), and U_rho^T T, in one
-    form whatever holds U_rho, is ut_rho. inverse is T^{-1} in closed form
-    with sigma_max(T), (apply, sigma_max) (OperatorFamily.inverse:
-    seidman's, identity's), a certificate that T is injective: T is
-    inverted, holding no m x m array, whatever cond(T) is. rho = m,
+    Three sources, read off t. t.singular_triplets is T's SVD already
+    known, in _factor_svd's (s, vectors) form (best-lpa's and du's), read
+    with no LAPACK call; with neither it nor t.inverse, and for an array,
+    the factor is LAPACK's SVD of the whole T (_factor_svd), the reference
+    the tests hold the other sources to. Both hand over (U_rho, R, K) as
+    vectors(rho), Subspaces the factor takes as they are (du's and
+    best-lpa's R and K are a Reflector's columns, certified by it),
+    pinv_apply is R (Sigma_rho^{-1} U_rho^T v), and U_rho^T T, in one form
+    whatever holds U_rho, is ut_rho. t.inverse is T^{-1} in closed form
+    with sigma_max(T), (apply, sigma_max) (seidman's, identity's), a
+    certificate that T is injective, read first: T is inverted, holding
+    no m x m array, whatever cond(T) is. rho = m,
     pinv_apply is apply, T^{-1} = T^+; u_rho is None, K is {0}, and the
     factor holds no singular values or row space (rho = m, so no row reads
     them). On every route the m x m t_pinv is pinv_apply(I), formed only
@@ -162,26 +162,23 @@ class TruncationFactor:
     shared_factors).
     """
 
-    def __init__(self, t, rank_tol: float | None = None,
-                 singular_triplets: tuple | None = None, inverse: tuple | None = None):
-        if isinstance(t, Products):
-            self.products = t
-        else:
+    def __init__(self, t, rank_tol: float | None = None):
+        if not isinstance(t, Products):
             t = as_matrix(t)
             if t.shape[0] != t.shape[1]:
                 raise ValueError(f"expected a square truncation, got {t.shape}")
             self.t = t
-            self.products = Products(t.shape[0], lambda n: t[:, :n], t.__matmul__,
-                                     t.T.__matmul__)
-        m = self.m = self.products.m
+            t = Products.dense(t)
+        self.products = t
+        m = self.m = t.m
         self.rank_tol = rank_tol
-        if inverse:
-            self.pinv_apply, self.sigma_max = inverse
+        if t.inverse:
+            self.pinv_apply, self.sigma_max = t.inverse
             self.cutoff = rank_cutoff((), (m, m), rank_tol, self.sigma_max)[1]
             self.rank, self.u_rho = m, None
             self.kernel = Subspace.zero(m)
             return
-        s, vectors = singular_triplets or _factor_svd(self.t)
+        s, vectors = t.singular_triplets or _factor_svd(self.t)
         self.sigma_max = float(s[0]) if m else 0.0
         self.rank, self.cutoff = rank_cutoff(s, (m, m), rank_tol)
         self.u_rho, self.rowspace, self.kernel = vectors(self.rank)
@@ -221,11 +218,10 @@ class TruncationFactor:
 
 def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
     """factor(m): family's truncation at m factored, keeping only the latest
-    m, from the family's singular_triplets(m) or inverted through its
-    closed-form inverse(m) when it has them, else by LAPACK's SVD (see
-    TruncationFactor). T is handed over as the family's products(m) when it
-    has them, and truncate is then not called: the dense T is formed only
-    when read.
+    m. T is handed over as the family's products(m) when it has them, and
+    the factor's source is read off that one value (see TruncationFactor);
+    truncate is then not called, and the dense T is formed only when read.
+    A family without products is factored by LAPACK's SVD of truncate(m).
 
     Consecutive rows at one m share one factor; the previous factor is
     dropped before the next one is built, so one is alive at a time.
@@ -236,11 +232,8 @@ def shared_factors(family: OperatorFamily, rank_tol: float | None = None):
         nonlocal last
         if last is None or last.m != m:
             last = None
-            triplets, inverse, products = (family.singular_triplets, family.inverse,
-                                           family.products)
-            last = TruncationFactor(products(m) if products else family.truncate(m), rank_tol,
-                                    singular_triplets=triplets(m) if triplets else None,
-                                    inverse=inverse(m) if inverse else None)
+            last = TruncationFactor(family.products(m) if family.products else family.truncate(m),
+                                    rank_tol)
         return last
 
     return factor

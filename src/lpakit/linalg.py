@@ -81,7 +81,7 @@ class SvdResult:
     vt: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Subspace:
     """A subspace of R^m held as an m x k matrix with orthonormal columns.
 
@@ -98,6 +98,9 @@ class Subspace:
     A subclass may hold B as maps instead (columns of a product of
     reflectors, operators.Reflector: du's H, best-lpa's V) and form it only
     when basis is read.
+
+    == and hash are by identity and repr names m and k, so none reads the
+    basis.
     """
 
     basis: np.ndarray
@@ -114,6 +117,9 @@ class Subspace:
         defect = _gram_defect(b)
         if not defect <= 1e-12 * max(1, b.shape[0]):
             raise ValueError(f"columns are not orthonormal (defect {defect:.3e})")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(m={self.shape[0]}, k={self.shape[1]})"
 
     @property
     def ambient_dim(self) -> int:

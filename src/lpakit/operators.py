@@ -37,17 +37,37 @@ __all__ = [
 
 
 class Products(NamedTuple):
-    """T's structured products at one m: columns(n) is T's first n columns,
+    """What lpakit knows of T at one m: columns(n) is T's first n columns,
     m x n; times(v) is T v and t_times(u) is T^T u, each for a vector or a
-    matrix's columns. A dense T's are its slices and products
-    (analysis.TruncationFactor forms them from the array); a family whose T
-    has structure hands over maps that cost O(m) per column (see
-    OperatorFamily.products)."""
+    matrix's columns. A dense T's are its slices and products (dense(a)); a
+    family whose T has structure hands over maps that cost O(m) per column
+    (see OperatorFamily.products).
+
+    singular_triplets, when set, is T's SVD known in closed form, as
+    (s, vectors): s the m singular values, descending, and vectors(k) =
+    (U[:, :k], V[:, :k], V[:, k:]), the left vectors, a basis of the row
+    space and one of the kernel, as linalg.Subspaces, for any k up to the
+    count of nonzero values, in any column order within each (best-lpa's
+    are U_r and its model's V split at k; du's vectors is a Reflector,
+    U = V = H[:, order]). inverse, when set, is T^{-1} in closed form with
+    T's largest singular value, as (apply, sigma_max): apply(v) = T^{-1} v
+    for a vector or a matrix's columns, a certificate that T is injective
+    (seidman's is _seidman_inverse, identity's a copy with sigma_max 1).
+    analysis.TruncationFactor factors T through inverse when it is set,
+    else off singular_triplets, else by LAPACK's SVD of T."""
 
     m: int
     columns: Callable[[int], np.ndarray]
     times: Callable[[np.ndarray], np.ndarray]
     t_times: Callable[[np.ndarray], np.ndarray]
+    singular_triplets: tuple | None = None
+    inverse: tuple | None = None
+
+    @classmethod
+    def dense(cls, a: np.ndarray) -> "Products":
+        """A dense m x m array's Products: its slices and products, nothing
+        known of its factors."""
+        return cls(a.shape[0], lambda n: a[:, :n], a.__matmul__, a.T.__matmul__)
 
 
 @dataclass(frozen=True)
@@ -59,33 +79,18 @@ class OperatorFamily:
     differ until m is large enough to resolve it); it is informational, and
     does not pick how the truncation is factored.
 
-    products, when set, is T's structured products at m, a Products whose
+    products, when set, is what the family knows of T at m, a Products whose
     columns(n) are bitwise truncate(m)[:, :n], with no m x m array formed
     but at n = m. seidman's (T = D + c e_1^T), du's (T = I - 3 w w^T) and
     identity's cost O(m) per column, best-lpa's O(m r), through its factors
-    (SingularModel.products). analysis.shared_factors then builds the factor
-    from them and never calls truncate: a row reads T only through them,
-    and the dense T is formed only when read (the suites, tn() and the
-    tests' oracles). Every family but random hands them over.
-
-    inverse, when set, is truncate(m)^{-1} in closed form with T's largest
-    singular value, as (apply, sigma_max): apply(v) = T^{-1} v for a vector
-    or a matrix's columns. It certifies that T is injective at every m, so
-    its family's kernel_dim_hint is 0: analysis.make_lpa and shared_factors
-    invert T through it instead of taking its SVD, with rank m whatever
-    cond(T) is (see analysis.TruncationFactor; seidman's is
-    _seidman_inverse, identity's a copy with sigma_max 1).
-
-    singular_triplets, when set, is truncate(m)'s SVD known in closed form,
-    returned as (s, vectors) with s the m singular values, descending, and
-    vectors(k) = (U[:, :k], V[:, :k], V[:, k:]), the left vectors, a basis
-    of the row space and one of the kernel, as linalg.Subspaces, for any k
-    up to the count of nonzero values, in any column order within each:
-    analysis.shared_factors factors T from it instead of by LAPACK:
-    best-lpa's are U_r and its model's V split at k; du's vectors is a
-    Reflector, U = V = H[:, order]. Either V is a Reflector, formed only
-    when read. A family with neither inverse nor singular_triplets is
-    factored by LAPACK's SVD of T.
+    (SingularModel.products). seidman's and identity's also carry T^{-1}
+    (inverse), a certificate that T is injective at every m, so their
+    kernel_dim_hint is 0; du's and best-lpa's carry T's SVD
+    (singular_triplets). analysis.shared_factors then builds the factor
+    from that one value and never calls truncate: a row reads T only
+    through it, and the dense T is formed only when read (the suites, tn()
+    and the tests' oracles). Every family but random hands them over;
+    random is factored by LAPACK's SVD of T.
 
     xn_basis, when set, overrides the coordinate subspaces as the family's
     approximation scheme: it returns an orthonormal m x k basis for the
@@ -108,8 +113,6 @@ class OperatorFamily:
     notes: str
     params: dict = field(default_factory=dict)
     xn_basis: Callable[[int, int], np.ndarray | Subspace] | None = None
-    singular_triplets: Callable[[int], tuple] | None = None
-    inverse: Callable[[int], tuple] | None = None
     products: Callable[[int], Products] | None = None
     max_n: int | None = None
     min_m: int = 1
@@ -198,7 +201,7 @@ def _secular_max(poles: np.ndarray, z: np.ndarray) -> float:
 
 def _seidman_inverse(m: int):
     """seidman(m)^{-1} and T's largest singular value, as (apply,
-    sigma_max) (see OperatorFamily.inverse). T = D + c e_1^T
+    sigma_max), the family's Products.inverse. T = D + c e_1^T
     with d_1 = 1 and c_1 = 0, so by Sherman-Morrison T^{-1} = D^{-1} -
     g e_1^T, g = c / d, and T^{-1} v = (v - c v_1) / d, O(m) per column,
     finished in place in the array c v_1, so no m x r temporary is formed;
@@ -247,9 +250,9 @@ def du(m: int) -> np.ndarray:
     m x m array built; it is _du_products(m).columns(m).
 
     So T = I - 3 w w^T, w_k = 2^-k, up to the dropped entries: its products
-    cost O(m) per column (_du_products, the family's products) and its SVD
-    is known in closed form (_du_singular_triplets, the family's
-    singular_triplets), so a scan row never forms it.
+    cost O(m) per column (_du_products) and its SVD is known in closed form
+    (_du_singular_triplets), the family's products carrying both, so a scan
+    row never forms it.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -306,8 +309,8 @@ class Reflector(Subspace):
     split(k) certifies each H_i, |S_ii y_i^T y_i / 2 - 1| <= m eps (or
     S_ii = 0, H_i = I), in place of a Gram check, and hands over the
     columns order[:k] and order[k:]. Called as vectors(k) (du's
-    OperatorFamily.singular_triplets), it hands over order[:k] as U_k and
-    the row space, and order[k:] as the kernel."""
+    Products.singular_triplets), it hands over order[:k] as U_k and the
+    row space, and order[k:] as the kernel."""
 
     def __init__(self, y: np.ndarray, s: np.ndarray, order: np.ndarray | None = None,
                  k: int | None = None):
@@ -333,11 +336,6 @@ class Reflector(Subspace):
     @property
     def shape(self) -> tuple[int, int]:
         return self.y.shape[0], self.keep.size
-
-    def __repr__(self) -> str:
-        return f"Reflector(m={self.y.shape[0]}, k={self.keep.size})"
-
-    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def apply(self, p: np.ndarray) -> np.ndarray:
         z = np.zeros((self.y.shape[0],) + p.shape[1:])
@@ -377,8 +375,8 @@ class Reflector(Subspace):
 
 
 def _du_singular_triplets(m: int):
-    """du(m)'s SVD in closed form, as (s, vectors) (see
-    OperatorFamily.singular_triplets), with no LAPACK call.
+    """du(m)'s SVD in closed form, as (s, vectors), the family's
+    Products.singular_triplets, with no LAPACK call.
 
     With c = w / ||w|| (w as du builds it), T = I - 3 ||w||^2 c c^T. The
     reflector H = I - 2 h h^T / h^T h, h = c + e_1, is symmetric and
@@ -481,8 +479,12 @@ class SingularModel:
         """T's Products through its factors: T x = U_r (Sigma (V_r^T x)) and
         T^T y = V_r (Sigma (U_r^T y)), O(m r) per column. columns(n) is
         U_r (Sigma V_r^T)[:, :n], summed by np.einsum in a fixed order, so it
-        is bitwise columns(m)[:, :n]; BLAS's order changes with n."""
+        is bitwise columns(m)[:, :n]; BLAS's order changes with n.
+        singular_triplets is T's SVD as built, U_r Sigma V_r^T, with V's
+        other columns where the singular values are 0: V split at k, its
+        reflectors certified; U_r unchecked."""
         u, sigma = self.u_basis, np.asarray(self.sigmas)
+        m = u.shape[0]
         v_r = Reflector(self.v.y, self.v.s, k=sigma.size)
         sv = np.ascontiguousarray(_scale_rows(sigma, v_r.basis.T))
 
@@ -495,7 +497,10 @@ class SingularModel:
         def t_times(y: np.ndarray) -> np.ndarray:
             return v_r.apply(_scale_rows(sigma, u.T @ y))
 
-        return Products(u.shape[0], columns, times, t_times)
+        s = np.zeros(m)
+        s[:sigma.size] = sigma
+        triplets = s, lambda k: (Subspace(u[:, :k], check=False), *self.v.split(k))
+        return Products(m, columns, times, t_times, singular_triplets=triplets)
 
 
 def _haar_columns(rng: np.random.Generator, m: int, r: int) -> np.ndarray:
@@ -564,8 +569,8 @@ def _best_lpa_family(sigmas=_DEFAULT_SIGMAS, kernel_dim: int = 2, seed: int = 0)
                          kernel_dim=_nonnegative_int("kernel_dim", kernel_dim))
     r = len(sys.sigmas)
     seed = _nonnegative_int("seed", seed)
-    # products, xn_basis and singular_triplets at one m share one model; a
-    # scan asks for one m at a time, so the latest is all that is kept
+    # products and xn_basis at one m share one model; a scan asks for one m
+    # at a time, so the latest is all that is kept
     model = lru_cache(maxsize=1)(lambda m: from_singular_system(sys, m, seed))
 
     def products(m: int) -> Products:
@@ -579,15 +584,6 @@ def _best_lpa_family(sigmas=_DEFAULT_SIGMAS, kernel_dim: int = 2, seed: int = 0)
         v = model(m).v
         return Reflector(v.y, v.s, np.r_[r:m, :n])
 
-    def singular_triplets(m: int):
-        # T's SVD as the model built it, U_r Sigma V_r^T, with V's other
-        # columns, where the singular values are 0: V split at k, its
-        # reflectors certified; U_r unchecked
-        mod = model(m)
-        s = np.zeros(m)
-        s[:r] = sys.sigmas
-        return s, lambda k: (Subspace(mod.u_basis[:, :k], check=False), *mod.v.split(k))
-
     return OperatorFamily(
         name="best-lpa",
         truncate=lambda m: products(m).columns(m),
@@ -600,7 +596,6 @@ def _best_lpa_family(sigmas=_DEFAULT_SIGMAS, kernel_dim: int = 2, seed: int = 0)
         params={"sigmas": list(sys.sigmas), "kernel_dim": sys.kernel_dim,
                 "seed": seed},
         xn_basis=xn_basis,
-        singular_triplets=singular_triplets,
         products=products,
         max_n=r,
         min_m=r + sys.kernel_dim,
@@ -629,8 +624,9 @@ def _random_family(kernel_dim: int = 2, seed: int = 0) -> OperatorFamily:
 
 
 def _identity_products(m: int) -> Products:
-    """I's Products: its first n columns np.eye(m, n), and T v = T^T v a copy."""
-    return Products(m, lambda n: np.eye(m, n), np.copy, np.copy)
+    """I's Products: its first n columns np.eye(m, n), T v = T^T v a copy,
+    and T^{-1} a copy, sigma_max 1."""
+    return Products(m, lambda n: np.eye(m, n), np.copy, np.copy, inverse=(np.copy, 1.0))
 
 
 _STATIC_FAMILIES = {
@@ -639,7 +635,6 @@ _STATIC_FAMILIES = {
         truncate=lambda m: _identity_products(m).columns(m),
         kernel_dim_hint=0,
         notes="identity operator; every diagnostic is trivial on it",
-        inverse=lambda m: (np.copy, 1.0),
         products=_identity_products,
     ),
     "seidman": lambda: OperatorFamily(
@@ -654,8 +649,7 @@ _STATIC_FAMILIES = {
                "every m, and sigma_max is a secular-equation root; rows read "
                "T through its O(m) products, T = D + c e_1^T, and never form "
                "it"),
-        inverse=_seidman_inverse,
-        products=_seidman_products,
+        products=lambda m: _seidman_products(m)._replace(inverse=_seidman_inverse(m)),
     ),
     "du": lambda: OperatorFamily(
         name="du",
@@ -673,8 +667,8 @@ _STATIC_FAMILIES = {
                "closed form, with no LAPACK call; rows apply the reflector "
                "and read T through its O(m) products, T = I - 3 w w^T, so "
                "neither is formed"),
-        singular_triplets=_du_singular_triplets,
-        products=_du_products,
+        products=lambda m: _du_products(m)._replace(
+            singular_triplets=_du_singular_triplets(m)),
     ),
 }
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -41,12 +41,10 @@ __all__ = [
     "write_outputs",
 ]
 
-CSV_HEADER = ("n,m,theta_n,sin_theta_gap,sin_theta_qn,norm_tn_dag_t,"
-              "kernel_core_dim,kernel_dim,kernel_gap,bound_factor")
-
-# attribute order must match CSV_HEADER
-_CSV_FIELDS = CSV_HEADER.split(",")
-_INT_FIELDS = {"n", "m", "kernel_core_dim", "kernel_dim"}
+# a row's columns: LpaDiagnostics' fields in order, but its route_disagreement
+_CSV_FIELDS = [f.name for f in fields(LpaDiagnostics) if f.name != "route_disagreement"]
+_INT_FIELDS = {f.name for f in fields(LpaDiagnostics) if f.type == "int"}
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 class ScanNumericalError(RuntimeError):

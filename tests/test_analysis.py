@@ -53,7 +53,8 @@ from lpakit.linalg import (
     rank_cutoff,
     svd,
 )
-from lpakit.operators import Reflector, du_bad_y, du_vector_e, get_family, random_finite_kernel
+from lpakit.operators import (Products, Reflector, du_bad_y, du_vector_e, get_family,
+                              random_finite_kernel)
 from lpakit.scan import run_scan
 
 try:
@@ -408,7 +409,7 @@ def test_tn_pinv_matches_dense_oracle(build):
 
 def _lu_inverse(t):
     # T^{-1} by one LAPACK inverse (LU with partial pivoting), handed to the
-    # factor in OperatorFamily.inverse's form: (apply, sigma_max), the value
+    # factor in Products.inverse's form: (apply, sigma_max), the value
     # from LAPACK's values-only SVD of T
     return np.linalg.inv(t).__matmul__, np.linalg.svd(t, compute_uv=False)[0]
 
@@ -601,7 +602,7 @@ def test_du_factor_in_closed_form_matches_lapack(m):
     cached = _lapack_factor(f"du-{m}")[0] if f"du-{m}" in _LAPACK_INPUTS else None
     got, want = _known_and_lapack_factors(fam, m, 1e-12, cached)
     assert isinstance(got.u_rho, Reflector) and got.kernel.dim == m - got.rank <= 1
-    t, (s, vectors) = fam.truncate(m), fam.singular_triplets(m)
+    t, (s, vectors) = fam.truncate(m), fam.products(m).singular_triplets
     u, row, kernel = vectors(m)
     vt = np.hstack([row.basis, kernel.basis]).T
     assert np.abs((u.basis * s) @ vt - t).max() <= m * EPS
@@ -617,11 +618,12 @@ def test_du_factor_certifies_its_reflector():
     # it certifies instead that H = I - S_11 y y^T is a reflector,
     # S_11 y^T y = 2, when the factor takes them
     fam, m = get_family("du"), 30
-    s, h = fam.singular_triplets(m)
-    TruncationFactor(fam.products(m), singular_triplets=(s, h))
+    products = fam.products(m)
+    h = products.singular_triplets[1]
+    TruncationFactor(products)
     h.s[0, 0] *= 1.0 + 1e-10
     with pytest.raises(ValueError, match="reflector"):
-        TruncationFactor(fam.products(m), singular_triplets=(s, h))
+        TruncationFactor(products)
 
 
 @pytest.mark.parametrize("n", [8, 16, 20, 30, 40])
@@ -686,7 +688,7 @@ def test_seidman_inverse_in_closed_form_matches_lapack(m):
     # quotient, so within eps of it
     fam = get_family("seidman")
     t = fam.truncate(m)
-    apply, sigma_max = fam.inverse(m)
+    apply, sigma_max = fam.products(m).inverse
     got, want = apply(np.eye(m)), np.linalg.inv(t)
     assert np.abs(got - want).max() <= m * EPS * np.abs(want).max()
     s = np.linalg.svd(t, compute_uv=False)
@@ -742,7 +744,7 @@ def test_inverted_factor_proves_the_rank_of_every_txn(seed, m, log2_k, data):
     # no row-sized matrix is m x m either)
     rng = np.random.default_rng(seed)
     t = _graded(rng, m, 2.0**log2_k * _default_tol(m))
-    factor = TruncationFactor(t, inverse=_lu_inverse(t))
+    factor = TruncationFactor(Products.dense(t)._replace(inverse=_lu_inverse(t)))
     assert factor.u_rho is None and (factor.rank, factor.kernel.dim) == (m, 0)
     n = data.draw(st.integers(1, (m - 1) // 2))
     basis = np.linalg.qr(rng.standard_normal((m, n)))[0] if data.draw(st.booleans()) else None
@@ -868,7 +870,8 @@ def test_inverted_factor_refuses_a_row_whose_core_exceeds_its_kernel():
     # 10 m eps = 4.4e-15, so at X_n = R^2, T X_n = T has r = 1: a kernel
     # core of dimension 1, which N(T) = {0} cannot hold
     t = np.diag([1.0, 1e-15])
-    factor = TruncationFactor(t, inverse=(np.diag([1.0, 1e15]).__matmul__, 1.0))
+    factor = TruncationFactor(Products.dense(t)._replace(
+        inverse=(np.diag([1.0, 1e15]).__matmul__, 1.0)))
     assert (factor.rank, factor.kernel.dim) == (2, 0)
     with pytest.raises(ArithmeticError, match=r"1 singular values at or under the cutoff "
                                               r"4\.441e-15, more than dim N\(T\) = 0"):
@@ -885,7 +888,7 @@ def test_triangular_inverse_matches_a_50_digit_inverse(seed, m, log2_ratio, kind
     # T^{-1} within m eps cond(T) ||T^{-1}|| of a 50-digit inverse, and every
     # row as the SVD route's
     t = _graded_of_kind(np.random.default_rng(seed), m, 2.0**log2_ratio, kind)
-    inverted = TruncationFactor(t, inverse=_lu_inverse(t))
+    inverted = TruncationFactor(Products.dense(t)._replace(inverse=_lu_inverse(t)))
     dense = TruncationFactor(t)
     _assert_factors_agree(inverted, dense, _inverse_50_digits(t))
     _assert_rows_agree(inverted, dense, data.draw(st.integers(1, m // 2)))
@@ -1748,6 +1751,11 @@ def test_coercive_bound_rejects_nonpositive_alpha(monkeypatch, alpha):
     with pytest.raises(ValueError, match="alpha must be positive"):
         coercive_bound_check(np.eye(4), alpha, 1.0, [2])
     assert shapes == []
+
+
+def test_coercive_bound_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match=r"expected a square matrix, got \(4, 3\)"):
+        coercive_bound_check(np.eye(4, 3), 1.0, 1.0, [2])
 
 
 def test_coercive_bound_rejects_wrong_beta():

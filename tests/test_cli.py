@@ -97,10 +97,18 @@ def test_config_minimal_accepted():
     ({"outputs": [{"path": None, "format": "json"}]}, "path"),
     ({"outputs": [{"path": "a/x.out", "format": "csv"},
                   {"path": "a/./x.out", "format": "json"}]}, r"outputs\[1\]\.path"),
+    ({"operator": {"name": "du", "params": [1]}}, "'operator.params' must be an object"),
+    ({"m_rule": 4}, "'m_rule' must be a string"),
+    ({"tolerances": [1e-8]}, "'tolerances' must be an object"),
 ])
 def test_config_rejects_malformed_fields(broken, fragment):
     with pytest.raises(ConfigError, match=fragment):
         scan_config_from_dict(minimal_config(**broken))
+
+
+def test_config_rejects_a_root_that_is_not_an_object():
+    with pytest.raises(ConfigError, match="root must be an object"):
+        scan_config_from_dict([minimal_config()])
 
 
 def test_config_accepts_tolerances_at_their_limits():
@@ -326,7 +334,8 @@ def test_scans_factor_t_once_per_m(monkeypatch, name, params, n_list, m_rule):
     counted, _ = _count_t_factorizations(monkeypatch, ms, family)
     rows = run_scan(cfg).rows
     assert list(rows) == fresh
-    kinds = [] if family.inverse or family.singular_triplets else ["svd"]
+    known = family.products and family.products(ms[0])
+    kinds = [] if known and (known.inverse or known.singular_triplets) else ["svd"]
     assert sorted(counted) == sorted((kind, m) for m in set(ms) for kind in kinds)
     assert [(r.kernel_core_dim, r.kernel_gap) for r in rows] == want
 
@@ -638,6 +647,13 @@ def test_csv_layout():
     assert len(first) == 10
 
 
+def test_csv_header_is_the_frozen_schema():
+    # derived from LpaDiagnostics' fields; the header the benchmark's
+    # checks (perfbench/checks.py) and every committed CSV hold
+    assert CSV_HEADER == ("n,m,theta_n,sin_theta_gap,sin_theta_qn,norm_tn_dag_t,"
+                          "kernel_core_dim,kernel_dim,kernel_gap,bound_factor")
+
+
 def test_csv_determinism():
     cfg = scan_config_from_dict(minimal_config(n_list=[2, 4, 8]))
     assert render_csv(run_scan(cfg)) == render_csv(run_scan(cfg))
@@ -779,9 +795,11 @@ def test_cli_analyze_kernel_core_beyond_the_kernel_exits_3(tmp_path, capsys, mon
     # a family certifying T = diag(1, 1e-15) injective by its exact inverse:
     # at n = m = 2, T X_n = T has a singular value under the cutoff, a kernel
     # core that N(T) = {0} cannot hold, so the row is a numerical failure
+    t = np.diag([1.0, 1e-15])
     fam = lpakit.operators.OperatorFamily(
-        name="identity", truncate=lambda m: np.diag([1.0, 1e-15]), kernel_dim_hint=0,
-        notes="", inverse=lambda m: (np.diag([1.0, 1e15]).__matmul__, 1.0))
+        name="identity", truncate=lambda m: t, kernel_dim_hint=0, notes="",
+        products=lambda m: lpakit.operators.Products.dense(t)._replace(
+            inverse=(np.diag([1.0, 1e15]).__matmul__, 1.0)))
     monkeypatch.setattr(lpakit.scan, "get_family", lambda name, **params: fam)
     path = write_config(tmp_path, operator={"name": "identity"}, n_list=[2], m_rule="fixed:2")
     assert main(["analyze", path]) == 3
@@ -882,6 +900,11 @@ def test_cli_verify_unknown_suite_exits_2(capsys):
     assert main(["verify", "nope"]) == 2
     err = capsys.readouterr().err
     assert "penrose" in err and "seidman" in err
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite 'nope'; valid suites: best, "):
+        lpakit.suites.run_suite("nope")
 
 
 @pytest.mark.parametrize("error", [

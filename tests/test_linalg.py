@@ -119,6 +119,17 @@ def test_pseudo_inverse_axioms(seed):
 def test_subspace_validates_orthonormality():
     with pytest.raises(ValueError):
         Subspace(np.array([[1.0], [1.0]]))
+    with pytest.raises(ValueError, match="basis must be a 2-d array"):
+        Subspace(np.ones(4))
+
+
+def test_subspace_equality_hash_and_repr_read_no_basis():
+    # == and hash are by identity, and repr names m and k: none compares,
+    # hashes or prints the m x k basis
+    a = Subspace(np.eye(4, 2))
+    assert a == a and a != Subspace(a.basis.copy())
+    assert hash(a) == hash(a)
+    assert repr(a) == "Subspace(m=4, k=2)"
 
 
 def test_subspace_constructors():
@@ -159,6 +170,13 @@ def test_as_matrix_checks_finiteness_without_an_m_by_m_mask():
     finally:
         tracemalloc.stop()
     assert peak < 0.05 * 8 * m * m, peak / (8 * m * m)
+
+
+def test_as_matrix_and_as_vector_reject_the_wrong_ndim():
+    with pytest.raises(ValueError, match="expected a matrix, got ndim=1"):
+        as_matrix(np.ones(3))
+    with pytest.raises(ValueError, match="expected a vector, got ndim=2"):
+        as_vector(np.ones((3, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -382,6 +400,7 @@ def test_canonical_angles_requires_dim_order():
     with pytest.raises(ValueError, match="swap"):
         canonical_angles(plane, line)
     assert canonical_angles(line, plane).shape == (1,)
+    assert canonical_angles(Subspace.zero(4), line).shape == (0,)
 
 
 def test_canonical_angles_sorted_and_clamped():

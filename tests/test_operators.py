@@ -32,6 +32,12 @@ def test_seidman_smallest_truncation():
     assert np.array_equal(seidman(1), np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("build", [seidman, du, du_vector_e, du_bad_y])
+def test_builders_reject_an_empty_truncation(build):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        build(0)
+
+
 def test_seidman_entry_values():
     a = seidman(4)
     assert a[0, 0] == 1.0          # alpha_1 = 1
@@ -153,7 +159,7 @@ def _du_vectors_abs(m):
 
 
 def _du_vectors(m):
-    _, vectors = get_family("du").singular_triplets(m)
+    _, vectors = get_family("du").products(m).singular_triplets
     return vectors(m)[0].basis
 
 
@@ -187,7 +193,7 @@ def test_du_reflector_columns_are_maps_of_h(m):
     # the formed basis (formed only when read) is apply(I) with entries
     # below sqrt(tiny) stored as 0, and project is H Z H in place, Z zeroing
     # the dropped coordinates, with H v = v - beta h (h^T v)
-    s, reflector = get_family("du").singular_triplets(m)
+    s, reflector = get_family("du").products(m).singular_triplets
     rho = rank_cutoff(s, (m, m))[0]
     kept = reflector(rho)[0]
     assert isinstance(kept, Reflector) and "basis" not in vars(kept) and kept.shape == (m, rho)
@@ -346,7 +352,8 @@ def test_a_family_with_an_inverse_declares_no_kernel(name):
     # (analysis.TruncationFactor inverts T through it), so the gallery must
     # not print a kernel for the family
     fam = get_family(name)
-    assert fam.inverse is None or fam.kernel_dim_hint == 0
+    assert fam.products is None or fam.products(fam.min_m).inverse is None or (
+        fam.kernel_dim_hint == 0)
 
 
 # ------------------------------------------------------------ singular systems

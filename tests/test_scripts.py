@@ -38,13 +38,14 @@ def test_divergence_profile_passes():
 def test_src_lines_splits_every_line_of_every_module():
     lines = run_script("src_lines.py").splitlines()
     modules = sorted((ROOT / "src" / "lpakit").glob("*.py"))
-    assert lines[0].split() == ["module", "code", "doc", "other", "total"]
+    assert lines[0].split() == ["module", "code", "doc", "other", "total", "bytes"]
     rows = [line.split() for line in lines[1:]]
     assert [row[0] for row in rows] == [path.name for path in modules] + ["total"]
     for path, row in zip(modules, rows):
-        code, doc, other, total = map(int, row[1:])
+        code, doc, other, total, size = map(int, row[1:])
         assert code + doc + other == total == len(path.read_text().splitlines())
-    sums = [sum(int(row[i]) for row in rows[:-1]) for i in range(1, 5)]
+        assert size == path.stat().st_size
+    sums = [sum(int(row[i]) for row in rows[:-1]) for i in range(1, 6)]
     assert sums == [int(c) for c in rows[-1][1:]]
 
 
