@@ -12,16 +12,13 @@ The last line counts the CSVs in which anything moved.
 """
 
 import csv
-import dataclasses
 import io
 import sys
 from pathlib import Path
 
 from output_digest import ROOT, commands, lpakit
 
-from lpakit.analysis import LpaDiagnostics
-
-INT_FIELDS = {f.name for f in dataclasses.fields(LpaDiagnostics) if f.type == "int"}
+from lpakit.scan import _INT_FIELDS as INT_FIELDS
 
 
 def verdicts(stdout: bytes) -> list[str]:

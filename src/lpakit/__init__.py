@@ -65,7 +65,6 @@ from .scan import (
     run_scan,
     write_outputs,
 )
-from .suites import SUITE_NAMES, run_suite
 
 __version__ = "0.1.0"
 
@@ -84,7 +83,6 @@ __all__ = [
     "ScanReport",
     "SingularSystem",
     "Subspace",
-    "SUITE_NAMES",
     "Tolerances",
     "TruncationFactor",
     "canonical_angles",
@@ -114,7 +112,6 @@ __all__ = [
     "render_csv",
     "render_json",
     "run_scan",
-    "run_suite",
     "scan_config_from_dict",
     "svd",
     "tn_pinv_apply",

@@ -55,9 +55,8 @@ report, the suites and the dense oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -481,8 +480,7 @@ def _tan_theta_qn(inst: LpaInstance) -> float:
     return float(np.linalg.norm(r_a @ np.linalg.qr(c, mode="r").T, 2))
 
 
-@dataclass(frozen=True)
-class OffsetAngle:
+class OffsetAngle(NamedTuple):
     """Offset angle with the sines from both computation routes.
 
     theta comes from the gap route, between two images of equal dimension r
@@ -541,8 +539,7 @@ def norm_tn_dag_t(inst: LpaInstance) -> float:
     return float(np.linalg.norm(inst.tt_ur.T / res.singular_values[:r, None], 2))
 
 
-@dataclass(frozen=True)
-class LpaDiagnostics:
+class LpaDiagnostics(NamedTuple):
     """Per-n diagnostics row. bound_factor is sqrt(1 + tan^2 theta_n);
     route_disagreement is OffsetAngle's flag, kept out of the CSV and JSON
     rows (their fields are scan.CSV_HEADER's)."""
@@ -607,8 +604,7 @@ def kernel_verdict(rows, check: float) -> str:
     return "inconclusive"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Two independently evaluated sides and their agreement."""
 
     lhs: float
@@ -637,8 +633,7 @@ def error_identity_check(inst: LpaInstance, y,
                        diff=diff, tol=tol, passed=diff <= tol)
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     lhs: float
     rhs: float
     ratio: float
@@ -691,8 +686,7 @@ def error_bound_check(inst: LpaInstance, y,
                       passed=passed)
 
 
-@dataclass(frozen=True)
-class ZeroOffsetReport:
+class ZeroOffsetReport(NamedTuple):
     """Three separately evaluated faces of the zero-offset condition.
 
     theta_zero: the measured offset angle vanishes.
@@ -745,8 +739,7 @@ def zero_offset_characterization(inst: LpaInstance,
     )
 
 
-@dataclass(frozen=True)
-class DuDivergenceRow:
+class DuDivergenceRow(NamedTuple):
     n: int
     m: int
     coefficient: float
@@ -755,8 +748,7 @@ class DuDivergenceRow:
     divergence_gap: float
 
 
-@dataclass(frozen=True)
-class DuDivergenceReport:
+class DuDivergenceReport(NamedTuple):
     """Bounded solutions that still refuse to converge, quantified.
 
     The solutions T_n^+ y follow P_n y - c_n * P_n e with
@@ -827,14 +819,12 @@ def du_divergence_check(n_max: int = 20,
     )
 
 
-@dataclass(frozen=True)
-class CoerciveRow:
+class CoerciveRow(NamedTuple):
     n: int
     bound_factor: float
 
 
-@dataclass(frozen=True)
-class CoerciveReport:
+class CoerciveReport(NamedTuple):
     rows: tuple[CoerciveRow, ...]
     alpha: float
     beta: float

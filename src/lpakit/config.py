@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 VALID_OUTPUT_FORMATS = ("csv", "json")
 
@@ -21,8 +21,7 @@ class ConfigError(ValueError):
     """A scan configuration that does not validate."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     """All numerical slacks in one record.
 
     rank: tol of the package's one rank rule (linalg.rank_cutoff) for the
@@ -99,21 +98,19 @@ def resolve_m(m_rule: str | None, n: int) -> int:
     raise ConfigError(f"m_rule must be 'factor:k' or 'fixed:m', got {m_rule!r}")
 
 
-@dataclass(frozen=True)
-class OutputSpec:
+class OutputSpec(NamedTuple):
     path: str
     format: str
 
 
-@dataclass(frozen=True)
-class ScanConfig:
+class ScanConfig(NamedTuple):
     operator_name: str
     operator_params: dict
     n_list: tuple[int, ...]
     m_rule: str | None
     tolerances: Tolerances
     seed: int = 0
-    outputs: tuple[OutputSpec, ...] = field(default_factory=tuple)
+    outputs: tuple[OutputSpec, ...] = ()
 
     def m_for(self, n: int) -> int:
         return resolve_m(self.m_rule, n)
@@ -123,8 +120,7 @@ def _build_tolerances(raw: dict) -> Tolerances:
     unknown = set(raw) - set(_TOLERANCE_RANGES)
     if unknown:
         raise ConfigError(f"unknown tolerance fields: {sorted(unknown)}")
-    return replace(Tolerances(), **{name: _require_tolerance(name, value)
-                                    for name, value in raw.items()})
+    return Tolerances(**{name: _require_tolerance(name, value) for name, value in raw.items()})
 
 
 def scan_config_from_dict(data: dict) -> ScanConfig:

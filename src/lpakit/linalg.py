@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +73,7 @@ def as_vector(y) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
-class SvdResult:
+class SvdResult(NamedTuple):
     """SVD ``a = u[:, :k] @ diag(singular_values) @ vt[:k]``, k = len(singular_values)."""
 
     u: np.ndarray
@@ -302,8 +302,7 @@ def canonical_angles(m: Subspace, n: Subspace) -> np.ndarray:
     return np.sort(np.arccos(cosines))
 
 
-@dataclass(frozen=True)
-class ObliqueNormCheck:
+class ObliqueNormCheck(NamedTuple):
     """Both evaluation routes for the idempotent norm identity.
 
     lhs = ``||P_ker(S) P_ran(S)||``, rhs = ``sqrt(1 - 1/||S||^2)`` (zero for

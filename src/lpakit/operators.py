@@ -70,6 +70,8 @@ class Products(NamedTuple):
         return cls(a.shape[0], lambda n: a[:, :n], a.__matmul__, a.T.__matmul__)
 
 
+# a dataclass, unlike the value records (NamedTuples): callers derive variants
+# of a family with dataclasses.replace
 @dataclass(frozen=True)
 class OperatorFamily:
     """A named generator of m x m truncations.
@@ -459,8 +461,7 @@ class SingularSystem:
             raise ValueError("kernel_dim must be >= 0")
 
 
-@dataclass(frozen=True)
-class SingularModel:
+class SingularModel(NamedTuple):
     """Operator realized from a prescribed spectrum, held as its factors:
     T = u_basis diag(sigmas) V_r^T, never formed whole.
 

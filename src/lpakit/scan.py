@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -42,8 +42,8 @@ __all__ = [
 ]
 
 # a row's columns: LpaDiagnostics' fields in order, but its route_disagreement
-_CSV_FIELDS = [f.name for f in fields(LpaDiagnostics) if f.name != "route_disagreement"]
-_INT_FIELDS = {f.name for f in fields(LpaDiagnostics) if f.type == "int"}
+_CSV_FIELDS = [f for f in LpaDiagnostics._fields if f != "route_disagreement"]
+_INT_FIELDS = {f for f, t in get_type_hints(LpaDiagnostics).items() if t is int}
 CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
@@ -68,8 +68,7 @@ class OutputError(OSError):
         self.written = written
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     config: ScanConfig
     rows: tuple[LpaDiagnostics, ...]
     verdicts: dict
@@ -188,7 +187,7 @@ def report_to_dict(report: ScanReport) -> dict:
             "n_list": list(cfg.n_list),
             "m_rule": cfg.m_rule,
             "seed": cfg.seed,
-            "tolerances": asdict(cfg.tolerances),
+            "tolerances": cfg.tolerances._asdict(),
         },
         "rows": [{f: getattr(row, f) for f in _CSV_FIELDS} for row in report.rows],
         "verdicts": dict(report.verdicts),

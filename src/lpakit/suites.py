@@ -8,8 +8,7 @@ one line per check and exit nonzero only at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,8 +41,7 @@ from .scan import run_scan
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suite", "random_oblique_projector"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from lpakit import (
-    SUITE_NAMES,
     LpaInstance,
     coercive_bound_check,
     du_bad_y,
@@ -26,11 +25,10 @@ from lpakit import (
     oblique_projector_norm_identity,
     random_finite_kernel,
     resolve_m,
-    run_suite,
     tn_pinv_apply,
     zero_offset_characterization,
 )
-from lpakit.suites import random_oblique_projector
+from lpakit.suites import SUITE_NAMES, random_oblique_projector, run_suite
 
 
 def test_01_offset_angle_routes_agree_everywhere():

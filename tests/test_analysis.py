@@ -910,6 +910,14 @@ def test_tn_pinv_apply_dimension_check():
         tn_pinv_apply(inst, np.ones(5))
 
 
+def test_tn_pinv_apply_refuses_a_solution_outside_the_subspace(monkeypatch):
+    # e_4 lies outside X_2 = span{e_1, e_2}: a rank decision gone wrong
+    inst = make_lpa(get_family("identity"), 2, 4)
+    monkeypatch.setattr(lpakit.analysis, "_tn_pinv_times", lambda inst, v: np.eye(4)[3])
+    with pytest.raises(ArithmeticError, match="leaked outside the subspace"):
+        tn_pinv_apply(inst, np.ones(4))
+
+
 def test_tn_pinv_apply_matches_least_squares_reference():
     inst = coordinate_instance(3, 12, 5, 2)
     y = np.random.default_rng(4).standard_normal(12)
@@ -1695,6 +1703,31 @@ def test_du_divergence_check_reads_the_coefficient_off_the_solver(monkeypatch, d
     assert shift == pytest.approx(1e-6 if drift == "along-e" else 0.0, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("along", ["e", "e_1"])
+def test_du_divergence_check_fails_on_a_perturbed_y(monkeypatch, along):
+    # y + 1e-6 e moves <y, e> and every c_n by 1e-6, off the closed forms
+    # that hold for du_bad_y alone; y + e_1 / 2 leaves every c_n but moves
+    # <y, e> to about 1 = lim c_n, so the limit mismatch and the divergence
+    # floor collapse
+    def perturbed(m):
+        return du_bad_y(m) + (1e-6 * du_vector_e(m) if along == "e" else 0.5 * np.eye(m)[0])
+
+    monkeypatch.setattr(lpakit.analysis, "du_bad_y", perturbed)
+    rep = du_divergence_check(10)
+    assert not rep.passed
+    drifts = [row.coefficient - row.coefficient_closed for row in rep.rows]
+    floor = min(row.divergence_gap for row in rep.rows[7:])
+    if along == "e":
+        assert rep.inner_ye - rep.inner_ye_expected == pytest.approx(1e-6, rel=1e-6)
+        assert drifts == pytest.approx([1e-6] * 10, rel=1e-6)
+        assert rep.limit_mismatch >= 0.3 and floor >= rep.floor
+    else:
+        assert rep.inner_ye - rep.inner_ye_expected == pytest.approx(
+            0.5 * du_vector_e(rep.rows[-1].m)[0])
+        assert max(map(abs, drifts)) <= 1e-9
+        assert rep.limit_mismatch < 0.3 and floor < rep.floor
+
+
 def test_du_divergence_check_validates_depth():
     with pytest.raises(ValueError):
         du_divergence_check(0)
@@ -1735,6 +1768,19 @@ def test_coercive_bound_nilpotent_shift():
     beta = float(np.linalg.norm(t, 2))
     rep = coercive_bound_check(t, alpha, beta, [2, 4, 8])
     assert rep.passed
+
+
+def test_coercive_bound_fails_a_cap_below_the_largest_factor(monkeypatch):
+    # beta/alpha caps every factor of a coercive T; an alpha the eigenvalue
+    # check is made to accept puts the cap below the largest factor
+    t = skew_instance(0)
+    beta = float(np.linalg.norm(t, 2))
+    worst = max(r.bound_factor for r in coercive_bound_check(t, 1.0, beta, [2, 4, 8]).rows)
+    alpha = beta / (0.5 * (1.0 + worst))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([alpha]))
+    rep = coercive_bound_check(t, alpha, beta, [2, 4, 8])
+    assert 1.0 < rep.limit < worst
+    assert not rep.passed
 
 
 def test_coercive_bound_rejects_indefinite_operator():

@@ -439,14 +439,23 @@ def test_du_scan_takes_no_m_cubed_step(monkeypatch):
     assert widths and max(widths) <= 16, widths
 
 
+def _fresh_python(code: str) -> str:
+    """The last line code prints in a new interpreter that imports this
+    checkout's lpakit."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 @pytest.mark.parametrize("operator, loads_random", [("du", False), ("seidman", True)])
 def test_scan_loads_numpy_random_only_for_a_bound_check(operator, loads_random):
     # du never captures its kernel, so no row draws a right-hand side;
     # seidman is injective, so every row does. numpy imports numpy.random
     # lazily, on first use, so the module's presence shows whether a scan drew
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys\n"
             "from lpakit.config import scan_config_from_dict\n"
             "from lpakit.scan import run_scan\n"
@@ -454,10 +463,7 @@ def test_scan_loads_numpy_random_only_for_a_bound_check(operator, loads_random):
             "'n_list': [2, 4]})\n"
             "print(run_scan(cfg).verdicts['bound_checks_passed'], "
             "'numpy.random' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["2/2" if loads_random else "0/0", str(loads_random)]
+    assert _fresh_python(code).split() == ["2/2" if loads_random else "0/0", str(loads_random)]
 
 
 def test_scan_draws_y_by_seed_and_n_for_eligible_rows_only(monkeypatch):
@@ -902,6 +908,51 @@ def test_cli_verify_unknown_suite_exits_2(capsys):
     assert "penrose" in err and "seidman" in err
 
 
+def test_cli_analyze_imports_no_suites(tmp_path):
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "du.json")
+    last = _fresh_python(
+        "import sys\n"
+        "from lpakit.cli import main\n"
+        f"code = main(['analyze', {config!r}, '--out-dir', {str(tmp_path)!r}])\n"
+        "print(code, 'lpakit.suites' in sys.modules)\n")
+    assert last == "0 False"
+
+
+def test_importing_the_cli_makes_at_most_three_dataclasses():
+    # each @dataclass generates and runs its methods' source at import; the
+    # value records are NamedTuples, which do not
+    last = _fresh_python(
+        "import dataclasses\n"
+        "real, made = dataclasses.dataclass, []\n"
+        "def counting(cls=None, /, **kw):\n"
+        "    if cls is None:\n"
+        "        return lambda cls: counting(cls, **kw)\n"
+        "    made.append(f'{cls.__module__}.{cls.__qualname__}')\n"
+        "    return real(cls, **kw)\n"
+        "dataclasses.dataclass = counting\n"
+        "import lpakit.cli\n"
+        "print(*[name for name in made if name.startswith('lpakit.')])\n")
+    assert len(last.split()) <= 3, last
+
+
+def test_cli_verify_help_names_every_suite(capsys):
+    # cli spells the names out, so that analyze does not import the suites
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "one of: " + ", ".join(lpakit.suites.SUITE_NAMES) in help_text
+
+
+def test_cli_verify_bounds_reports_a_failed_bound_check(capsys, monkeypatch):
+    real = lpakit.suites.error_bound_check
+    monkeypatch.setattr(lpakit.suites, "error_bound_check",
+                        lambda inst, y: real(inst, y)._replace(passed=False))
+    assert main(["verify", "bounds"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL bounds.bound_holds_on_seeded_instances: 0/30 passed"
+    assert lines[-1] == "1/2 checks passed"
+
+
 def test_run_suite_rejects_an_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite 'nope'; valid suites: best, "):
         lpakit.suites.run_suite("nope")
@@ -983,11 +1034,11 @@ def test_kernel_verdict_same_in_scan_and_rows(operator, n_list, m_rule, verdict)
 
 def test_render_json_is_strict_with_non_finite_values():
     rep = run_scan(scan_config_from_dict(minimal_config(n_list=[2, 4])))
-    tol = dataclasses.replace(rep.config.tolerances, bound_abs=math.inf)
-    rep = dataclasses.replace(
-        rep, config=dataclasses.replace(rep.config, tolerances=tol),
-        rows=(dataclasses.replace(rep.rows[0], bound_factor=math.inf),
-              dataclasses.replace(rep.rows[1], kernel_gap=math.nan)))
+    tol = rep.config.tolerances._replace(bound_abs=math.inf)
+    rep = rep._replace(
+        config=rep.config._replace(tolerances=tol),
+        rows=(rep.rows[0]._replace(bound_factor=math.inf),
+              rep.rows[1]._replace(kernel_gap=math.nan)))
 
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")

@@ -80,3 +80,15 @@ def test_row_moves_against_its_own_checkout_moves_nothing():
     assert len(heads) == 10 and all(line.endswith(", integers equal, verdicts equal")
                                     for line in heads[:-1])
     assert len(fields) == 9 * 6 and all(field[-1] == "0" for field in fields)
+
+
+def test_import_cost_times_each_module_and_names_what_each_command_loads():
+    lines = run_script("import_cost.py", "2").splitlines()
+    assert lines[0].split() == ["module", "self_us", "cumulative_us", "median", "of", "2"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:-2]}
+    assert {"numpy", "lpakit", "lpakit.cli"} <= set(rows)
+    assert all(len(row) == 2 and all(float(v) >= 0 for v in row) for row in rows.values())
+    analyze, verify = lines[-2].split(), lines[-1].split()
+    assert analyze[:2] == ["analyze", "loads:"] and verify[:2] == ["verify", "loads:"]
+    assert "lpakit.scan" in analyze and "lpakit.suites" not in analyze
+    assert "lpakit.suites" in verify
